@@ -80,8 +80,9 @@ bench-sharded-10m:
 docs-check:
 	$(GO) run ./cmd/doclint
 
-# Full CI gate: gofmt, vet, build, race tests on the serving-path
-# packages, the whole test suite, `shaclfrag lint` over examples/
+# Full CI gate: gofmt, vet, build (bench/'s nested module included), race
+# tests on the serving-path packages, the whole test suite, a 3-second
+# serving-benchmark smoke, `shaclfrag lint` over examples/
 # (clean schemas silent, examples/lint/ corpus flagged), and the
 # documentation linter.
 check:

@@ -15,8 +15,12 @@ package shaclfrag_test
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http/httptest"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,6 +28,7 @@ import (
 	"shaclfrag/internal/contain"
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
+	"shaclfrag/internal/fragserver"
 	"shaclfrag/internal/live"
 	"shaclfrag/internal/obs"
 	"shaclfrag/internal/paths"
@@ -37,6 +42,7 @@ import (
 	"shaclfrag/internal/sparqltrans"
 	"shaclfrag/internal/store"
 	"shaclfrag/internal/tpf"
+	"shaclfrag/internal/turtle"
 	"shaclfrag/internal/validator"
 )
 
@@ -552,12 +558,15 @@ func pathBase(p string) string {
 // BenchmarkLiveUpdates is the write-heavy serving benchmark behind the
 // /subscribe feature: one op is one effective update (Apply + incremental
 // fragment maintenance + fanout) against a Tyrol background graph, with
-// the given number of open subscriptions draining their streams. Because
-// re-extraction is restricted to the delta's weakly-connected component,
-// updates/s should be nearly flat in graph size; the subs sweep prices
-// the fanout. heap-MB reports the post-run live heap — the materialized
-// fragment, replay rings and queues must stay bounded as subscriptions
-// scale to 1000+.
+// the given number of open subscriptions draining their streams. The
+// subs=N cases mutate a hot node detached from the Tyrol graph and call the
+// maintainer directly: a best case that prices the fanout, nothing else.
+// heap-MB reports the post-run live heap — the materialized fragment,
+// replay rings and queues must stay bounded as subscriptions scale to
+// 1000+. The giant case is the write path as served: a Review wired into
+// the typed component (one weakly-connected component, so the delta
+// dirties every node), added and deleted through POST /update on
+// Server.Handler() with one subscriber on S51.
 func BenchmarkLiveUpdates(b *testing.B) {
 	hot := rdf.NewIRI("http://live.example/hot")
 	vi := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://live.example/v%d", i)) }
@@ -612,4 +621,49 @@ func BenchmarkLiveUpdates(b *testing.B) {
 			wg.Wait()
 		})
 	}
+
+	b.Run("giant", func(b *testing.B) {
+		srv, err := fragserver.New(fragserver.Config{
+			Graph: tyrolGraph(1000), Schema: datagen.BenchmarkSchema(),
+			Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sub, _, err := srv.Live().Subscribe(50, 0) // S51: every review is referenced
+		if err != nil {
+			b.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range sub.Events() {
+			}
+		}()
+		review := rdf.NewIRI(datagen.NS + "review/bench")
+		body := turtle.FormatNTriples([]rdf.Triple{
+			rdf.T(review, rdf.NewIRI(rdf.RDFType), datagen.ClassReview),
+			rdf.T(review, rdf.NewIRI(datagen.PropRating), rdf.NewInteger(4)),
+			rdf.T(review, rdf.NewIRI(datagen.PropAuthor), rdf.NewIRI(datagen.NS+"person/0")),
+			rdf.T(review, rdf.NewIRI(datagen.PropText), rdf.NewLangString("bench review", "en")),
+			rdf.T(rdf.NewIRI(datagen.NS+"lodging/0"), rdf.NewIRI(datagen.PropReview), review),
+		})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			target := "/update"
+			if i%2 == 1 {
+				target = "/update?op=delete"
+			}
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", target, strings.NewReader(body)))
+			if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"changed":true`) {
+				b.Fatalf("POST %s: %d %s", target, rec.Code, rec.Body)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
+		srv.Live().Drain()
+		wg.Wait()
+	})
 }

@@ -69,18 +69,19 @@ type ParallelOptions struct {
 }
 
 // boundPlans binds the program set against g for one worker, returning a
-// per-request slice of bound programs (nil where the AST path applies).
-// Each worker binds privately: dense memo rows are single-writer state.
-func boundPlans(opts ParallelOptions, nreq int, g rdfgraph.Reader) []*plan.Bound {
+// per-request slice of bound programs (nil where the AST path applies, and
+// for a request without focus nodes, which never runs). Each worker binds
+// privately: dense memo rows are single-writer state.
+func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) []*plan.Bound {
 	if opts.Plans == nil || opts.Recorder != nil {
 		return nil
 	}
-	bounds := make([]*plan.Bound, nreq)
+	bounds := make([]*plan.Bound, len(focus))
 	for i, p := range opts.Plans.Programs {
-		if i >= nreq {
+		if i >= len(focus) {
 			break
 		}
-		if p != nil {
+		if p != nil && len(focus[i]) > 0 {
 			bounds[i] = p.Bind(g)
 		}
 	}
@@ -98,12 +99,12 @@ func boundAt(bounds []*plan.Bound, req int) *plan.Bound {
 // boundPlansSpan is boundPlans with the binding time accumulated into a
 // "bind" child when the request is sampled (workers bind privately, so
 // the child sums across workers).
-func boundPlansSpan(opts ParallelOptions, nreq int, g rdfgraph.Reader, sp *obs.Span) []*plan.Bound {
+func boundPlansSpan(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader, sp *obs.Span) []*plan.Bound {
 	if sp == nil {
-		return boundPlans(opts, nreq, g)
+		return boundPlans(opts, focus, g)
 	}
 	begin := time.Now()
-	bounds := boundPlans(opts, nreq, g)
+	bounds := boundPlans(opts, focus, g)
 	if bounds != nil {
 		sp.Observe("bind", time.Since(begin))
 	}
@@ -194,8 +195,8 @@ func (w *workerSpanState) done(bounds []*plan.Bound) {
 }
 
 // spanAttrs stamps the request-level attributes a sampled extraction
-// carries: worker count, request and node counts, and the compiled
-// instruction count when plans are in play.
+// carries: worker count, request count, focus nodes visited (summed over
+// the requests), and the compiled instruction count when plans are in play.
 func spanAttrs(opts ParallelOptions, workers, nreq, nnodes int) {
 	sp := opts.Span
 	if sp == nil {
@@ -210,10 +211,14 @@ func spanAttrs(opts ParallelOptions, workers, nreq, nnodes int) {
 }
 
 // FragmentParallel computes Frag(G, S) like Fragment, fanning the
-// target-node loop out over a worker pool. Each worker owns a private
-// evaluator, visited set, and triple accumulator; the per-worker sets are
-// unioned at the end, so the result is exactly Fragment's (the union of
-// neighborhoods is order-independent), in identical canonical order.
+// focus-node loop out over a worker pool. Each request visits its focus
+// candidates (shape.Evaluator.FocusCandidates) where its syntax yields
+// them and all of N(G) otherwise: a node outside the candidates does not
+// conform, so its neighborhood is empty and skipping it changes nothing.
+// Each worker owns a private evaluator, visited set, and triple
+// accumulator; the per-worker sets are unioned at the end, so the result
+// is exactly Fragment's (the union of neighborhoods is order-independent),
+// in identical canonical order.
 //
 // The graph must not be mutated during the call. All evaluation and
 // extraction paths are read-only on the graph — freeze it (Graph.Freeze) to
@@ -225,140 +230,70 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// Normalize once on the calling extractor so every worker agrees on
-	// shape identity and none re-derives NNF.
+	// shape identity and none re-derives NNF; the focus nodes come from
+	// the normalized request, where negation no longer hides a ≥n.
 	_, stopNNF := startStageSpan(opts.Tracer, opts.Span, "nnf")
 	nnfs := make([]shape.Shape, len(requests))
 	for i, phi := range requests {
 		nnfs[i] = x.nnf(phi)
 	}
+	focus, all, total := x.focusNodes(nnfs)
 	stopNNF()
-	nodes := g.NodeIDs()
-	spanAttrs(opts, workers, len(requests), len(nodes))
-	if workers == 1 || len(nodes) == 0 || len(requests) == 0 {
-		return x.fragmentSerial(requests, nnfs, nodes, opts)
-	}
-	if sg, ok := g.(ShardedReader); ok {
-		if parts := sg.ShardNodeIDs(); len(parts) > 1 {
-			return x.fragmentScatterGather(requests, nnfs, parts, len(nodes), workers, opts)
-		}
+	spanAttrs(opts, workers, len(requests), total)
+	if workers == 1 || total == 0 {
+		return x.fragmentSerial(requests, nnfs, focus, opts)
 	}
 
-	// Chunked work stealing over the (request, node-range) grid: chunks
-	// small enough to balance skewed neighborhoods, large enough that the
-	// atomic counter and evaluator cache misses stay in the noise.
-	chunk := len(nodes) / (workers * 8)
-	if chunk < 16 {
-		chunk = 16
+	// A sharded reader (store.ShardedGraph) gets scatter-gather scheduling:
+	// the work list is grouped by owner shard, so consecutive units hit the
+	// same shard's indexes (forward steps of nodes owned by one shard
+	// resolve entirely in that shard; only reverse steps fan out). Only the
+	// work order differs from the flat path, and the union is
+	// order-independent, so the result is byte-identical for any shard
+	// count.
+	var parts [][]rdfgraph.ID
+	sg, sharded := g.(ShardedReader)
+	if sharded {
+		parts = sg.ShardNodeIDs()
+		sharded = len(parts) > 1
 	}
-	nchunks := (len(nodes) + chunk - 1) / chunk
-	total := nchunks * len(requests)
-
-	outs := make([]*rdfgraph.IDTripleSet, workers)
-	var next atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		out := rdfgraph.NewIDTripleSet()
-		outs[w] = out
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wx := NewExtractor(g, x.ev.Defs)
-			wx.rec = opts.Recorder
-			spans := workerSpanState{parent: opts.Span}
-			bounds := boundPlansSpan(opts, len(requests), g, opts.Span)
-			defer spans.done(bounds)
-			visited := make(map[VisitKey]struct{})
-			for {
-				if opts.Ctx != nil && opts.Ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				u := int(next.Add(1)) - 1
-				if u >= total {
-					return
-				}
-				req, ci := u/nchunks, u%nchunks
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > len(nodes) {
-					hi = len(nodes)
-				}
-				b := boundAt(bounds, req)
-				begin := spans.begin()
-				wx.extractRange(requests[req], nnfs[req], b, nodes[lo:hi], out, visited, opts.Cache, opts.Epoch)
-				spans.finish(begin, 0, b != nil)
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return nil, opts.Ctx.Err()
-	}
-	_, stopMerge := startStageSpan(opts.Tracer, opts.Span, "merge")
-	defer stopMerge()
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged.AddSet(o)
-	}
-	return merged.Triples(g.Dict()), nil
-}
-
-// ShardedReader is the optional interface a sharded graph reader exposes
-// (store.ShardedGraph does): N(G) pre-partitioned by owner shard.
-// FragmentParallel detects it and switches to scatter-gather scheduling.
-type ShardedReader interface {
-	rdfgraph.Reader
-	// ShardNodeIDs returns N(G) partitioned by owner shard; parts are
-	// disjoint, each sorted, and their union is NodeIDs().
-	ShardNodeIDs() [][]rdfgraph.ID
-}
-
-// fragmentScatterGather is FragmentParallel's scheduling for sharded
-// readers. The scatter stage turns the per-shard node partition into a
-// shard-ordered work list, so consecutive work units hit the same shard's
-// indexes (forward steps of nodes owned by one shard resolve entirely in
-// that shard; only reverse steps fan out); workers then steal units
-// exactly as in the flat path. The gather stage is the same union of
-// per-worker triple sets as the flat path's merge, so the result is
-// byte-identical to Fragment's for any shard count — only the work order
-// differs, and the union is order-independent.
-func (x *Extractor) fragmentScatterGather(requests, nnfs []shape.Shape, parts [][]rdfgraph.ID, nnodes, workers int, opts ParallelOptions) ([]rdf.Triple, error) {
-	g := x.ev.G
-
-	// Scatter: chunk each shard's node list with the same granularity
-	// heuristic as the flat path, grouped by shard for index affinity.
-	// Units remember their owner shard so sampled requests can attribute
-	// exec time to per-shard spans.
-	_, stopScatter := startStageSpan(opts.Tracer, opts.Span, "scatter")
-	chunk := nnodes / (workers * 8)
-	if chunk < 16 {
-		chunk = 16
-	}
-	type unit struct {
-		req   int
-		shard int
-		nodes []rdfgraph.ID
-	}
+	mergeStage := "merge"
 	var units []unit
-	for si, part := range parts {
-		for lo := 0; lo < len(part); lo += chunk {
-			hi := lo + chunk
-			if hi > len(part) {
-				hi = len(part)
+	if sharded {
+		mergeStage = "gather"
+		_, stopScatter := startStageSpan(opts.Tracer, opts.Span, "scatter")
+		split := make([][][]rdfgraph.ID, len(focus))
+		for req, nodes := range focus {
+			if len(all) > 0 && len(nodes) == len(all) {
+				split[req] = parts // candidates ⊆ N(G), so this is N(G)
+				continue
 			}
-			for req := range requests {
-				units = append(units, unit{req: req, shard: si, nodes: part[lo:hi]})
+			split[req] = make([][]rdfgraph.ID, len(parts))
+			for _, v := range nodes {
+				si := sg.ShardOf(v)
+				split[req][si] = append(split[req][si], v)
 			}
 		}
+		for si := range parts {
+			for req := range focus {
+				units = appendUnits(units, req, si, split[req][si], len(focus[req]), workers)
+			}
+		}
+		stopScatter()
+	} else {
+		for req, nodes := range focus {
+			units = appendUnits(units, req, 0, nodes, len(nodes), workers)
+		}
 	}
-	stopScatter()
+	if workers > len(units) {
+		workers = len(units) // an idle worker would still bind every plan
+	}
 
 	// Per-shard accumulator spans: workers Add each unit's wall time to
 	// its shard's span, so one shard's span sums the CPU time spent on
 	// that shard's nodes regardless of which workers stole the units.
 	var shardSpans []*obs.Span
-	if opts.Span != nil {
+	if sharded && opts.Span != nil {
 		opts.Span.SetAttrInt("shards", int64(len(parts)))
 		shardSpans = make([]*obs.Span, len(parts))
 		for i := range parts {
@@ -380,7 +315,7 @@ func (x *Extractor) fragmentScatterGather(requests, nnfs []shape.Shape, parts []
 			wx := NewExtractor(g, x.ev.Defs)
 			wx.rec = opts.Recorder
 			spans := workerSpanState{parent: opts.Span, shards: shardSpans}
-			bounds := boundPlansSpan(opts, len(requests), g, opts.Span)
+			bounds := boundPlansSpan(opts, focus, g, opts.Span)
 			defer spans.done(bounds)
 			visited := make(map[VisitKey]struct{})
 			for {
@@ -388,14 +323,15 @@ func (x *Extractor) fragmentScatterGather(requests, nnfs []shape.Shape, parts []
 					cancelled.Store(true)
 					return
 				}
-				u := int(next.Add(1)) - 1
-				if u >= len(units) {
+				i := int(next.Add(1)) - 1
+				if i >= len(units) {
 					return
 				}
-				b := boundAt(bounds, units[u].req)
+				u := units[i]
+				b := boundAt(bounds, u.req)
 				begin := spans.begin()
-				wx.extractRange(requests[units[u].req], nnfs[units[u].req], b, units[u].nodes, out, visited, opts.Cache, opts.Epoch)
-				spans.finish(begin, units[u].shard, b != nil)
+				wx.extractRange(requests[u.req], nnfs[u.req], b, u.nodes, out, visited, opts.Cache, opts.Epoch)
+				spans.finish(begin, u.shard, b != nil)
 			}
 		}()
 	}
@@ -403,15 +339,63 @@ func (x *Extractor) fragmentScatterGather(requests, nnfs []shape.Shape, parts []
 	if cancelled.Load() {
 		return nil, opts.Ctx.Err()
 	}
-
-	// Gather: union the per-worker sets, then decode canonically.
-	_, stopGather := startStageSpan(opts.Tracer, opts.Span, "gather")
-	defer stopGather()
+	_, stopMerge := startStageSpan(opts.Tracer, opts.Span, mergeStage)
+	defer stopMerge()
 	merged := outs[0]
 	for _, o := range outs[1:] {
 		merged.AddSet(o)
 	}
 	return merged.Triples(g.Dict()), nil
+}
+
+// focusNodes returns, per normalized request, the nodes extraction visits
+// (shape.Evaluator.FocusNodes), all — N(G), nil unless some request has no
+// candidate set — and the total over requests.
+func (x *Extractor) focusNodes(nnfs []shape.Shape) (focus [][]rdfgraph.ID, all []rdfgraph.ID, total int) {
+	focus = make([][]rdfgraph.ID, len(nnfs))
+	for i, phi := range nnfs {
+		focus[i] = x.ev.FocusNodes(phi, &all)
+		total += len(focus[i])
+	}
+	return focus, all, total
+}
+
+// unit is one stealable piece of work: a run of one request's focus nodes,
+// all owned by one shard (shard 0 on an unsharded reader).
+type unit struct {
+	req, shard int
+	nodes      []rdfgraph.ID
+}
+
+// appendUnits chunks nodes — the part of a request's n focus nodes one
+// shard owns — into units small enough to balance skewed neighborhoods,
+// large enough that the atomic counter and evaluator cache misses stay in
+// the noise.
+func appendUnits(units []unit, req, shard int, nodes []rdfgraph.ID, n, workers int) []unit {
+	chunk := n / (workers * 8)
+	if chunk < 16 {
+		chunk = 16
+	}
+	for lo := 0; lo < len(nodes); lo += chunk {
+		hi := lo + chunk
+		if hi > len(nodes) {
+			hi = len(nodes)
+		}
+		units = append(units, unit{req: req, shard: shard, nodes: nodes[lo:hi]})
+	}
+	return units
+}
+
+// ShardedReader is the optional interface a sharded graph reader exposes
+// (store.ShardedGraph does): N(G) pre-partitioned by owner shard.
+// FragmentParallel detects it and switches to scatter-gather scheduling.
+type ShardedReader interface {
+	rdfgraph.Reader
+	// ShardNodeIDs returns N(G) partitioned by owner shard; parts are
+	// disjoint, each sorted, and their union is NodeIDs().
+	ShardNodeIDs() [][]rdfgraph.ID
+	// ShardOf returns the index of the part that holds node id.
+	ShardOf(id rdfgraph.ID) int
 }
 
 // FragmentSchemaParallel is FragmentParallel over SchemaRequests(h). Note
@@ -423,7 +407,7 @@ func (x *Extractor) FragmentSchemaParallel(h *schema.Schema, opts ParallelOption
 
 // fragmentSerial is the one-worker path, run on the calling extractor so
 // its evaluator caches keep accumulating across calls.
-func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, nodes []rdfgraph.ID, opts ParallelOptions) ([]rdf.Triple, error) {
+func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, focus [][]rdfgraph.ID, opts ParallelOptions) ([]rdf.Triple, error) {
 	if opts.Recorder != nil {
 		prev := x.rec
 		x.rec = opts.Recorder
@@ -431,7 +415,7 @@ func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, n
 	}
 	out := rdfgraph.NewIDTripleSet()
 	spans := workerSpanState{parent: opts.Span}
-	bounds := boundPlansSpan(opts, len(requests), x.ev.G, opts.Span)
+	bounds := boundPlansSpan(opts, focus, x.ev.G, opts.Span)
 	defer spans.done(bounds)
 	visited := make(map[VisitKey]struct{})
 	for i := range requests {
@@ -440,7 +424,7 @@ func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, n
 		}
 		b := boundAt(bounds, i)
 		begin := spans.begin()
-		x.extractRange(requests[i], nnfs[i], b, nodes, out, visited, opts.Cache, opts.Epoch)
+		x.extractRange(requests[i], nnfs[i], b, focus[i], out, visited, opts.Cache, opts.Epoch)
 		spans.finish(begin, 0, b != nil)
 	}
 	return out.Triples(x.ev.G.Dict()), nil

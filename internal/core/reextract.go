@@ -6,11 +6,18 @@ import (
 	"shaclfrag/internal/shape"
 )
 
+// FocusNodes is shape.Evaluator.FocusNodes of the normalized request: a
+// subset of N(G) outside which B(v, G, request) is empty — the request's
+// focus candidates, or N(G) itself (listed into *all) when it has none.
+func (x *Extractor) FocusNodes(request shape.Shape, all *[]rdfgraph.ID) []rdfgraph.ID {
+	return x.ev.FocusNodes(x.nnf(request), all)
+}
+
 // NodeNeighborhoods computes isolated per-node neighborhoods B(v, G, φ)
 // for exactly the given focus nodes — the targeted re-extraction entry
 // point incremental fragment maintenance runs after an update, passing
-// only the delta-affected worklist (store.ApplyResult.AffectedNodes)
-// instead of all of N(G).
+// only the request's focus candidates in delta-touched components
+// (store.ApplyResult.AffectedNodes) instead of all of N(G).
 //
 // The contract matches FragmentParallel's cached mode: request must be the
 // pointer-stable cache key, a non-nil cache is consulted per node and

@@ -7,11 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/paths"
+	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
+	"shaclfrag/internal/turtle"
 )
 
 // congruentSchema holds two definitions that differ only in name and
@@ -121,5 +124,63 @@ func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
 	}
 	if after := srv.cache.Stats().AliasHits; after == before {
 		t.Fatal("S2's /node request did not reuse S1's cached neighborhood")
+	}
+}
+
+// TestSchemaOnlyWorkSurvivesUpdate pins what an effective /update leaves
+// alone: every compiled program depends on the schema only and is
+// pointer-identical across the epoch, the unknown-pairs series does not
+// grow with the per-epoch class rebuild, and the rebuilt alias table still
+// routes S2's /fragment to S1's (new-epoch) cache entries.
+func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
+	srv, ts := newCongruentServer(t)
+	classes := srv.ContainmentClasses()
+	var programs []*plan.Program
+	for _, d := range srv.SchemaPlan().Decisions {
+		programs = append(programs, d.Program)
+	}
+	_, metrics := get(t, ts, "/metrics")
+	unknown := metricValue(t, metrics, "fragserver_containment_unknown_total")
+	if unknown != float64(classes.UnknownPairs) {
+		t.Fatalf("fragserver_containment_unknown_total = %v at load, want %d", unknown, classes.UnknownPairs)
+	}
+
+	before := srv.SchemaPlan()
+	for i := 0; i < 2; i++ {
+		event := "<" + datagen.NS + "event/new-" + strconv.Itoa(i) + ">"
+		resp, body := post(t, ts, "/update", event+" a <"+datagen.ClassEvent.Value+"> ; <"+datagen.PropName+"> \"new\"@en .")
+		if resp.StatusCode != 200 || !strings.Contains(body, `"changed":true`) {
+			t.Fatalf("POST /update: %d %s", resp.StatusCode, body)
+		}
+	}
+	if srv.SchemaPlan() == before {
+		t.Fatal("an effective update did not re-decide the plan")
+	}
+	if got := srv.ContainmentClasses(); got.NumClasses != classes.NumClasses || got.Shared != classes.Shared {
+		t.Errorf("containment classes changed across /update: %d/%d shared, were %d/%d",
+			got.Shared, got.NumClasses, classes.Shared, classes.NumClasses)
+	}
+	for i, d := range srv.SchemaPlan().Decisions {
+		if d.Program != programs[i] {
+			t.Errorf("definition %d was recompiled by /update", i)
+		}
+	}
+	_, metrics = get(t, ts, "/metrics")
+	if got := metricValue(t, metrics, "fragserver_containment_unknown_total"); got != unknown {
+		t.Errorf("fragserver_containment_unknown_total grew from %v to %v across updates", unknown, got)
+	}
+
+	_, s1 := get(t, ts, "/fragment?shape=S1")
+	hits := srv.cache.Stats().AliasHits
+	_, s2 := get(t, ts, "/fragment?shape=S2")
+	if srv.cache.Stats().AliasHits == hits {
+		t.Error("after the update S2's fragment no longer hits S1's cache entries")
+	}
+	want := turtle.FormatNTriples(core.Fragment(srv.graphNow(), srv.h, srv.requests[1]))
+	if s1 != want || s2 != want {
+		t.Errorf("post-update fragments differ from cold AST extraction (%d, %d vs %d bytes)", len(s1), len(s2), len(want))
+	}
+	if !strings.Contains(want, "event/new-1") {
+		t.Error("the update's event is missing from the fragment")
 	}
 }

@@ -316,23 +316,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// definitions whose cache entries are pooled.
 	reg.GaugeFunc(mContainClasses,
 		"Containment equivalence classes over the request and definition shapes.",
-		func() float64 {
-			if cl := s.classes.Load(); cl != nil {
-				return float64(cl.NumClasses)
-			}
-			return 0
-		})
+		func() float64 { return float64(s.classes.Load().NumClasses) })
 	reg.GaugeFunc(mContainShared,
 		"Shapes aliased to another shape's cache entries by the containment analysis.",
-		func() float64 {
-			if cl := s.classes.Load(); cl != nil {
-				return float64(cl.Shared)
-			}
-			return 0
-		})
+		func() float64 { return float64(s.classes.Load().Shared) })
 	reg.CounterFunc(mContainUnknown,
-		"Representative pairs the containment checker could not prove equivalent across class rebuilds — possibly-shareable cache partitions left separate.",
-		func() float64 { return float64(s.containUnknown.Load()) })
+		"Representative pairs the containment checker could not prove equivalent — possibly-shareable cache partitions left separate. Constant for a schema: every rebuild finds the same pairs.",
+		func() float64 { return float64(s.classes.Load().UnknownPairs) })
 
 	// Trace-registry series, sampled from the ring's own counters. kept is
 	// a gauge (the ring holds at most -trace-buffer traces); the rest are

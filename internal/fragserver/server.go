@@ -217,14 +217,16 @@ type Server struct {
 	// cache keys.
 	requests []shape.Shape
 
-	// splan is the cost-based strategy plan for the served schema, aligned
-	// with requests. It is recomputed against fresh cardinality stats after
-	// every effective update (replan) and swapped atomically; /fragment
-	// reads whichever plan is current. SPARQL-routed definitions fall back
-	// to the AST walker here — the server has no per-definition SPARQL
-	// execution path, and the estimate only picks SPARQL when an external
-	// endpoint would run the query.
-	splan atomic.Pointer[plan.SchemaPlan]
+	// compiled holds the schema's programs and the rest of the planner's
+	// graph-independent input, built once in New. splan is the cost-based
+	// strategy plan over them, aligned with requests: it is re-decided
+	// against fresh cardinality stats after every effective update (replan)
+	// and swapped atomically; /fragment reads whichever plan is current.
+	// SPARQL-routed definitions fall back to the AST walker here — the
+	// server has no per-definition SPARQL execution path, and the estimate
+	// only picks SPARQL when an external endpoint would run the query.
+	compiled *plan.Compiled
+	splan    atomic.Pointer[plan.SchemaPlan]
 	// planSet caches splan's ProgramSet (nil entries for non-plan
 	// strategies), swapped together with splan.
 	planSet atomic.Pointer[plan.Set]
@@ -232,12 +234,9 @@ type Server struct {
 	// classShapes is the pointer-stable shape list containment classes are
 	// computed over: the /fragment request shapes followed by the raw
 	// definition shapes /node keys the cache by. classes is the current
-	// equivalence-class table (rebuilt in replan, alongside the planner);
-	// containUnknown accumulates the possibly-equivalent-but-unproven rep
-	// pairs across rebuilds for the containment_unknown_total counter.
-	classShapes    []shape.Shape
-	classes        atomic.Pointer[contain.Classes]
-	containUnknown atomic.Uint64
+	// equivalence-class table, rebuilt in replan alongside the planner.
+	classShapes []shape.Shape
+	classes     atomic.Pointer[contain.Classes]
 
 	// live maintains materialized fragments incrementally across epochs
 	// and fans per-epoch deltas out to /subscribe streams (never nil after
@@ -355,6 +354,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pins.refs = make(map[uint64]int)
 	s.staleFloor.Store(s.store.Current().Epoch())
+	s.compiled = plan.CompileSchema(cfg.Schema)
 	s.classShapes = append(append([]shape.Shape{}, s.requests...), defShapes(cfg.Schema)...)
 	s.replan(s.store.Current(), nil)
 	s.hb = cfg.Heartbeat
@@ -388,24 +388,24 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replan recomputes the strategy plan against cardinality stats sampled
+// replan re-decides the strategy plan against cardinality stats sampled
 // from snap and publishes it. Called at load and after every effective
 // update: stats shift with the data, and with them the per-definition
-// plan-vs-direct choice and the memo-budget veto. parent (nil at load)
-// receives plan-size attributes and a reclass child span, so a sampled
-// /update trace shows how the post-apply recompute splits its time.
+// plan-vs-direct choice and the memo-budget veto. The programs themselves
+// are compiled once (s.compiled), so a program pointer identifies a
+// definition across epochs. parent (nil at load) receives plan-size
+// attributes and a reclass child span, so a sampled /update trace shows
+// how the post-apply recompute splits its time.
 func (s *Server) replan(snap store.Snapshot, parent *obs.Span) {
-	sp := plan.PlanSchema(s.h, store.SampleStats(snap), plan.Config{})
+	sp := s.compiled.Decide(store.SampleStats(snap), plan.Config{})
 	s.splan.Store(sp)
 	s.planSet.Store(sp.ProgramSet())
 	parent.SetAttrInt("instructions", int64(sp.ProgramSet().NumInstrs()))
 	parent.SetAttrInt("shapes", int64(len(sp.Decisions)))
 	rc := parent.StartChild("reclass")
-	s.reclass()
-	if cl := s.classes.Load(); cl != nil {
-		rc.SetAttrInt("classes", int64(cl.NumClasses))
-		rc.SetAttrInt("shared", int64(cl.Shared))
-	}
+	cl := s.reclass()
+	rc.SetAttrInt("classes", int64(cl.NumClasses))
+	rc.SetAttrInt("shared", int64(cl.Shared))
 	rc.End()
 }
 
@@ -413,17 +413,16 @@ func (s *Server) replan(snap store.Snapshot, parent *obs.Span) {
 // request and definition shapes and installs the resulting alias map on
 // the neighborhood cache, so congruent definitions share cache entries
 // (a /fragment request equivalent to an already-cached definition is
-// served from the existing entries). Runs alongside replan: the classes
-// depend only on the schema, but rebuilding per epoch keeps the table's
-// lifecycle aligned with the planner's and makes the cost visible in one
-// place.
-func (s *Server) reclass() {
+// served from the existing entries). The classes depend only on the
+// schema; they are still rebuilt per epoch, next to the planner — see
+// ROADMAP item 4 for why the hoist into New has not landed.
+func (s *Server) reclass() *contain.Classes {
 	cl := contain.ComputeClasses(s.h, s.classShapes)
 	s.classes.Store(&cl)
-	s.containUnknown.Add(uint64(cl.UnknownPairs))
 	if s.cache != nil {
 		s.cache.SetAliases(cl.Aliases(s.classShapes))
 	}
+	return &cl
 }
 
 // defShapes lists every definition's raw shape — the keys handleNode
@@ -868,10 +867,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	} else {
 		fmt.Fprintln(w, "cache: disabled")
 	}
-	if cl := s.classes.Load(); cl != nil {
-		fmt.Fprintf(w, "containment: %d classes over %d shapes, %d shared, %d unknown pairs\n",
-			cl.NumClasses, len(cl.Rep), cl.Shared, s.containUnknown.Load())
-	}
+	cl := s.classes.Load()
+	fmt.Fprintf(w, "containment: %d classes over %d shapes, %d shared, %d unknown pairs\n",
+		cl.NumClasses, len(cl.Rep), cl.Shared, cl.UnknownPairs)
 	ts := s.traces.Stats()
 	pct := 0.0
 	if total := ts.Sampled + ts.Dropped; total > 0 {

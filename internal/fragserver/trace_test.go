@@ -75,6 +75,9 @@ func TestTraceparentIngestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read to EOF: the terminating chunk goes out after the outermost
+	// handler returns, i.e. after the middleware has kept the trace.
+	readAll(t, resp)
 	resp.Body.Close()
 	cont := resp.Header.Get("traceparent")
 	if !strings.Contains(cont, upstream) {
@@ -90,6 +93,7 @@ func TestTraceparentIngestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	readAll(t, resp)
 	resp.Body.Close()
 	if h := resp.Header.Get("traceparent"); h != "" {
 		t.Errorf("unsampled upstream flag still produced traceparent %q", h)

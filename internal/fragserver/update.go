@@ -126,7 +126,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("update applied",
 			"epoch", res.Snapshot.Epoch(), "added", res.Added, "deleted", res.Deleted,
 			"carried", carried, "triples", res.Snapshot.Reader().Len(),
-			"live_affected", ls.Affected, "live_delta", ls.Added+ls.Removed)
+			"live_reextracted", ls.Reextracted, "live_delta", ls.Added+ls.Removed)
 	} else {
 		s.metrics.updNoop.Inc()
 	}

@@ -6,19 +6,28 @@
 // after a delta publishes epoch e+1, only focus nodes whose component the
 // delta touched (store.ApplyResult.AffectedNodes — the inversion of the
 // Unaffected predicate the cache-carry path already uses) can have changed
-// neighborhoods. A Maintainer therefore keeps, per subscribed shape, the
-// per-focus-node neighborhoods plus a triple refcount over their union (the
-// materialized fragment), and on every update re-extracts only the affected
-// worklist, diffing old against new per node. Triples whose refcount rises
-// from zero enter the fragment, those falling to zero leave it; the sorted
-// N-Triples renderings of the two sets are the per-epoch delta pushed to
-// subscribers — serialized once per (shape, epoch) and shared by every
-// subscriber, so fanout to thousands of clients is a channel send each.
+// neighborhoods. And a node outside the shape's focus candidates
+// (shape.Evaluator.FocusCandidates: what its target and shape can hold of,
+// read from the indexes) has an empty neighborhood in any epoch. A
+// Maintainer therefore keeps, per subscribed shape, the per-focus-node
+// neighborhoods plus a triple refcount over their union (the materialized
+// fragment), and on every update re-extracts only the worklist
+// candidates ∩ affected, diffing old against new per node; a node that
+// held a neighborhood, lies in a touched component and is off the worklist
+// — it left N(G), or stopped being a candidate — drops its contribution.
+// Only a shape without a candidate set falls back to N(G) ∩ affected, so
+// no update lists N(G) unless such a shape is subscribed.
+//
+// Triples whose refcount rises from zero enter the fragment, those falling
+// to zero leave it; the sorted N-Triples renderings of the two sets are the
+// per-epoch delta pushed to subscribers — serialized once per (shape,
+// epoch) and shared by every subscriber, so fanout to thousands of clients
+// is a channel send each.
 //
 // Re-extraction writes through the serving neighborhood cache, so an
-// update leaves the cache warm for exactly the nodes it touched while the
-// carry path keeps the untouched majority — /fragment after an update is
-// served entirely from memory instead of cold.
+// update leaves the cache warm for exactly the focus nodes it touched
+// while the carry path keeps the untouched majority — /fragment after an
+// update is served entirely from memory instead of cold.
 //
 // Epoch ordering: updates apply serially inside the store, but the
 // handlers notifying the Maintainer race after the apply lock. Notify
@@ -32,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -159,8 +169,9 @@ func (m *Maintainer) bind(def int, g rdfgraph.Reader) *plan.Bound {
 }
 
 // ensureShapeLocked materializes def's fragment at the current epoch on
-// first use: one full per-node extraction (through the cache, so a warm
-// server pays near nothing), refcounting every neighborhood triple.
+// first use: one per-node extraction over the shape's focus nodes (through
+// the cache, so a warm server pays near nothing), refcounting every
+// neighborhood triple.
 func (m *Maintainer) ensureShapeLocked(def int) *shapeState {
 	if st, ok := m.shapes[def]; ok {
 		return st
@@ -175,7 +186,8 @@ func (m *Maintainer) ensureShapeLocked(def int) *shapeState {
 	}
 	reader := m.snap.Reader()
 	x := core.NewExtractor(reader, m.cfg.Schema)
-	nodes := reader.NodeIDs()
+	var all []rdfgraph.ID
+	nodes := x.FocusNodes(st.request, &all)
 	nbs := x.NodeNeighborhoods(st.request, m.bind(def, reader), nodes, m.cfg.Cache, m.epoch)
 	for i, ts := range nbs {
 		if len(ts) == 0 {
@@ -192,13 +204,12 @@ func (m *Maintainer) ensureShapeLocked(def int) *shapeState {
 }
 
 // NotifyStats reports what one Notify call processed: Steps epochs were
-// applied (more than one when this call closed a pending chain), covering
-// Affected delta-touched focus nodes, re-extracting Reextracted
-// (shape × node) neighborhoods, and changing the maintained fragments by
-// Added/Removed triples.
+// applied (more than one when this call closed a pending chain),
+// re-extracting Reextracted (shape × delta-touched focus node)
+// neighborhoods, and changing the maintained fragments by Added/Removed
+// triples.
 type NotifyStats struct {
 	Steps       int
-	Affected    int
 	Reextracted int
 	Added       int
 	Removed     int
@@ -212,9 +223,9 @@ type NotifyStats struct {
 // applied when their predecessor epoch lands, so steps always run in
 // epoch order against the matching Unaffected predicate.
 //
-// sp, when non-nil (a sampled update request), receives the affected /
-// reextracted / shapes attributes and reextract / fanout child timings —
-// the span a trace shows as the "notify" stage.
+// sp, when non-nil (a sampled update request), receives the reextracted /
+// shapes attributes and reextract / fanout child timings — the span a
+// trace shows as the "notify" stage.
 func (m *Maintainer) Notify(res store.ApplyResult, sp *obs.Span) NotifyStats {
 	var stats NotifyStats
 	if !res.Changed {
@@ -238,62 +249,57 @@ func (m *Maintainer) Notify(res store.ApplyResult, sp *obs.Span) NotifyStats {
 		delete(m.pending, m.epoch)
 		m.stepLocked(next, sp, &stats)
 	}
-	sp.SetAttrInt("affected", int64(stats.Affected))
 	sp.SetAttrInt("reextracted", int64(stats.Reextracted))
 	sp.SetAttrInt("shapes", int64(len(m.shapes)))
 	return stats
 }
 
-// stepLocked applies one epoch transition: computes the affected worklist,
-// re-extracts it per maintained shape, diffs, publishes delta events.
+// stepLocked applies one epoch transition: per maintained shape it
+// re-extracts the focus candidates the delta's components touch, diffs,
+// and publishes delta events.
 func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *NotifyStats) {
 	snap := res.Snapshot
 	reader := snap.Reader()
 	epoch := snap.Epoch()
 	stats.Steps++
-	if len(m.shapes) > 0 {
-		affected := res.AffectedNodes(reader.NodeIDs())
-		inAffected := make(map[rdfgraph.ID]struct{}, len(affected))
-		for _, v := range affected {
-			inAffected[v] = struct{}{}
-		}
-		stats.Affected += len(affected)
-		for def, st := range m.shapes {
-			begin := time.Now()
-			x := core.NewExtractor(reader, m.cfg.Schema)
-			nbs := x.NodeNeighborhoods(st.request, m.bind(def, reader), affected, m.cfg.Cache, epoch)
-			var added, removed []rdfgraph.IDTriple
-			for i, v := range affected {
+	var all []rdfgraph.ID // N(G), listed only for a shape without candidates
+	for def, st := range m.shapes {
+		begin := time.Now()
+		x := core.NewExtractor(reader, m.cfg.Schema)
+		work := res.AffectedNodes(x.FocusNodes(st.request, &all)) // sorted
+		var added, removed []rdfgraph.IDTriple
+		if len(work) > 0 {
+			nbs := x.NodeNeighborhoods(st.request, m.bind(def, reader), work, m.cfg.Cache, epoch)
+			for i, v := range work {
 				added, removed = st.diff(v, nbs[i], added, removed)
 			}
-			// Nodes the delta removed from N(G) entirely: dirty component,
-			// but absent from the new node list — their neighborhoods are
-			// empty in the new epoch.
-			for v := range st.perNode {
-				if _, ok := inAffected[v]; ok {
-					continue
-				}
-				if !res.Unaffected(v) {
-					added, removed = st.diff(v, nil, added, removed)
-				}
-			}
-			m.reextracted += uint64(len(affected))
-			stats.Reextracted += len(affected)
-			sp.Observe("reextract", time.Since(begin))
-			if len(added) == 0 && len(removed) == 0 {
-				continue // this delta did not move this shape's fragment
-			}
-			stats.Added += len(added)
-			stats.Removed += len(removed)
-			m.deltaAdded += uint64(len(added))
-			m.deltaRemoved += uint64(len(removed))
-			st.snap = nil // the cached full-fragment payload is stale
-			ev := deltaEvent(epoch, lines(reader.Dict(), added), lines(reader.Dict(), removed))
-			st.push(ev, m.cfg.Replay)
-			begin = time.Now()
-			m.fanoutLocked(st, ev)
-			sp.Observe("fanout", time.Since(begin))
 		}
+		// Nodes of a touched component that held a neighborhood and are
+		// off the worklist left N(G) or stopped being candidates: either
+		// way they no longer conform, so their neighborhood is empty now.
+		// (After the worklist, so a triple another node still contributes
+		// never drops to zero and back within one event.)
+		for v := range st.perNode {
+			if _, ok := slices.BinarySearch(work, v); !ok && !res.Unaffected(v) {
+				added, removed = st.diff(v, nil, added, removed)
+			}
+		}
+		m.reextracted += uint64(len(work))
+		stats.Reextracted += len(work)
+		sp.Observe("reextract", time.Since(begin))
+		if len(added) == 0 && len(removed) == 0 {
+			continue // this delta did not move this shape's fragment
+		}
+		stats.Added += len(added)
+		stats.Removed += len(removed)
+		m.deltaAdded += uint64(len(added))
+		m.deltaRemoved += uint64(len(removed))
+		st.snap = nil // the cached full-fragment payload is stale
+		ev := deltaEvent(epoch, lines(reader.Dict(), added), lines(reader.Dict(), removed))
+		st.push(ev, m.cfg.Replay)
+		begin = time.Now()
+		m.fanoutLocked(st, ev)
+		sp.Observe("fanout", time.Since(begin))
 	}
 	m.epoch, m.snap = epoch, snap
 }

@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"shaclfrag/internal/core"
+	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/live"
 	"shaclfrag/internal/paths"
+	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
@@ -77,11 +80,15 @@ func recv(t *testing.T, sub *live.Subscription) (live.Event, bool) {
 	}
 }
 
-// coldLines extracts the fragment from scratch and renders it the way the
-// maintainer does — the parity oracle.
-func coldLines(h *schema.Schema, g rdfgraph.Reader) []string {
+// coldLines extracts the first definition's fragment from scratch and
+// renders it the way the maintainer does — the parity oracle.
+func coldLines(h *schema.Schema, g rdfgraph.Reader) []string { return coldLinesOf(h, g, 0) }
+
+// coldLinesOf is coldLines for definition def. The AST walker scans all of
+// N(G), so it is independent of the focus enumeration it checks.
+func coldLinesOf(h *schema.Schema, g rdfgraph.Reader, def int) []string {
 	requests := core.SchemaRequests(h)
-	ts := core.NewExtractor(g, h).Fragment(requests[:1])
+	ts := core.NewExtractor(g, h).Fragment(requests[def : def+1])
 	sort.Slice(ts, func(i, j int) bool { return rdf.CompareTriples(ts[i], ts[j]) < 0 })
 	out := make([]string, 0, len(ts))
 	for _, t := range ts {
@@ -125,10 +132,10 @@ func TestSnapshotThenDelta(t *testing.T) {
 	if ns.Steps != 1 || ns.Added != 1 || ns.Removed != 0 {
 		t.Fatalf("notify stats: %+v", ns)
 	}
-	// Only the {a,b} component (now {a,b,e}) is affected; {c,d} must not
-	// be re-extracted.
-	if ns.Affected != 3 {
-		t.Errorf("affected = %d, want 3 (a, b, e)", ns.Affected)
+	// Of the touched component {a,b,e} only a has a p-edge, so only a is
+	// a focus candidate; {c,d} must not be re-extracted at all.
+	if ns.Reextracted != 1 {
+		t.Errorf("reextracted = %d, want 1 (a)", ns.Reextracted)
 	}
 	ev, ok := recv(t, sub)
 	if !ok || ev.Type != live.EventDelta || ev.Epoch != 2 {
@@ -392,6 +399,143 @@ func TestStormParity(t *testing.T) {
 	for _, l := range cold {
 		if _, ok := folded[l]; !ok {
 			t.Fatalf("subscriber state missing %s", l)
+		}
+	}
+}
+
+// TestStormParityTypedGraph is the storm on a typed, connected graph — the
+// case the detached fixtures above cannot reach: every rdf:type edge joins
+// its instances through the class node, so datagen.Tyrol is one component
+// and every delta dirties all of it. Writers race reviews into the graph
+// and take them out again in two steps (first the type edge, so the review
+// stays in N(G) but stops being a class-target candidate; then the rest, so
+// it leaves N(G)), while one subscriber per definition folds its event
+// stream. Maintenance re-extracts candidates ∩ affected through compiled
+// plans and the write-through cache; the oracle is the AST walker over all
+// of N(G). One definition has no candidate set and takes the N(G) fallback.
+func TestStormParityTypedGraph(t *testing.T) {
+	const writers, perWriter, individuals = 4, 12, 120
+	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: individuals, Seed: 5})
+	bench := datagen.BenchmarkShapes()
+	noName := shape.Neg(shape.Min(1, paths.P(datagen.PropName), shape.TrueShape()))
+	h := schema.MustNew(
+		bench[5],  // ≥1 rating.⊤ on reviews
+		bench[46], // ≥1 review.(≥1 author.⊤) on lodgings
+		bench[48], // ∀review.(…) on lodgings
+		bench[50], // ≥1 review⁻.⊤ on reviews
+		schema.Definition{Name: ex("Unnamed"), Target: noName,
+			Shape: shape.All(paths.P(datagen.PropRating), shape.NodeTestShape(shape.IsLiteral{}))},
+	)
+	store.WarmDictionary(g, h)
+	st := store.NewSingle(g)
+	requests := core.SchemaRequests(h)
+	progs := make([]*plan.Program, len(requests))
+	for i, r := range requests {
+		progs[i] = plan.Compile(r, h)
+	}
+	m := live.NewMaintainer(live.Config{
+		Schema: h, Requests: requests, Queue: 4096, Replay: 4096,
+		Cache: core.NewNeighborhoodCache(1 << 20),
+		Plans: func(def int) *plan.Program { return progs[def] },
+	}, st.Current())
+
+	subs := make([]*live.Subscription, len(requests))
+	folded := make([]map[string]struct{}, len(requests))
+	for def := range requests {
+		sub, initial, err := m.Subscribe(def, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Unsubscribe(sub)
+		subs[def] = sub
+		folded[def] = make(map[string]struct{})
+		for _, l := range decode(t, initial[0]).Added {
+			folded[def][l] = struct{}{}
+		}
+	}
+
+	node := func(kind string, k int) rdf.Term {
+		return rdf.NewIRI(fmt.Sprintf("%s%s/%d", datagen.NS, kind, k))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := i - i%3 // the step that added this review
+				r := node("review", 1000+w*perWriter+k)
+				typed := rdf.T(r, rdf.NewIRI(rdf.RDFType), datagen.ClassReview)
+				rest := []rdf.Triple{
+					rdf.T(r, rdf.NewIRI(datagen.PropRating), rdf.NewInteger(int64(1+k%5))),
+					rdf.T(r, rdf.NewIRI(datagen.PropAuthor), node("person", (w+k)%(individuals*15/100))),
+					rdf.T(r, rdf.NewIRI(datagen.PropText), rdf.NewLangString("storm", "en")),
+					rdf.T(node("lodging", (w*7+k)%(individuals*20/100)), rdf.NewIRI(datagen.PropReview), r),
+				}
+				var delta rdfgraph.Delta
+				switch i % 3 {
+				case 0:
+					delta.Add = append(rest, typed)
+				case 1:
+					delta.Del = []rdf.Triple{typed}
+				case 2:
+					delta.Del = rest
+				}
+				res := st.Apply(delta)
+				if res.Added != len(delta.Add) || res.Deleted != len(delta.Del) {
+					t.Errorf("writer %d step %d: delta only partly effective: %+v", w, i, res)
+				}
+				m.Notify(res, nil)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	final := uint64(1 + writers*perWriter)
+	if m.Epoch() != final {
+		t.Fatalf("maintainer epoch = %d, want %d", m.Epoch(), final)
+	}
+	// Notify fans out synchronously, so every event is queued by now; not
+	// every epoch moves every fragment, so drain rather than count.
+	for def, sub := range subs {
+		var last uint64
+		for drained := false; !drained; {
+			select {
+			case ev, ok := <-sub.Events():
+				if !ok {
+					t.Fatalf("definition %d: subscription closed mid-storm (%s)", def, sub.Reason())
+				}
+				if ev.Epoch <= last {
+					t.Fatalf("definition %d: event epochs not increasing: %d after %d", def, ev.Epoch, last)
+				}
+				last = ev.Epoch
+				body := decode(t, ev)
+				for _, l := range body.Added {
+					folded[def][l] = struct{}{}
+				}
+				for _, l := range body.Removed {
+					delete(folded[def], l)
+				}
+			default:
+				drained = true
+			}
+		}
+		if last == 0 {
+			t.Errorf("definition %d: the storm never moved its fragment", def)
+		}
+		cold := strings.Join(coldLinesOf(h, st.Current().Reader(), def), "\n")
+		if got := strings.Join(m.FragmentLines(def), "\n"); got != cold {
+			t.Errorf("definition %d: maintained fragment diverged from cold AST extraction (%d vs %d bytes)", def, len(got), len(cold))
+		}
+		lines := make([]string, 0, len(folded[def]))
+		for l := range folded[def] {
+			lines = append(lines, l)
+		}
+		sort.Strings(lines)
+		coldSorted := strings.Split(cold, "\n")
+		sort.Strings(coldSorted)
+		if got := strings.Join(lines, "\n"); got != strings.Join(coldSorted, "\n") {
+			t.Errorf("definition %d: folded event stream diverged from cold AST extraction (%d vs %d bytes)", def, len(got), len(cold))
 		}
 	}
 }

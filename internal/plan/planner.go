@@ -149,50 +149,83 @@ const (
 	costSPARQLOp    = 64.0 // per algebra operator materialization
 )
 
-// PlanSchema prices every definition of h against the sampled stats and
-// picks a strategy per shape. Shapelint runs once over the schema: a
-// definition carrying an SL008 (expensive unbounded path in universal or
-// negated position) never goes to SPARQL, where the translated query
-// re-traces the product automaton per binding with no memo.
-func PlanSchema(h *schema.Schema, st store.CardStats, cfg Config) *SchemaPlan {
-	budget := cfg.MemoBudget
-	if budget == 0 {
-		budget = DefaultMemoBudget
-	}
+// Compiled is the graph-independent half of planning a schema: per
+// definition the compiled program, the size of its translated query and
+// shapelint's expensive-path verdict. A server compiles once at load and
+// re-runs only Decide per epoch.
+type Compiled struct {
+	defs []compiledDef
+}
 
+type compiledDef struct {
+	name      rdf.Term
+	prog      *Program
+	query     sparqltrans.QueryStats
+	expensive bool
+}
+
+// CompileSchema compiles every definition's request φ ∧ τ. Shapelint runs
+// once over the schema: a definition carrying an SL008 (expensive unbounded
+// path in universal or negated position) never goes to SPARQL, where the
+// translated query re-traces the product automaton per binding with no
+// memo.
+func CompileSchema(h *schema.Schema) *Compiled {
 	expensive := make(map[rdf.Term]bool)
 	for _, d := range shapelint.Run(h) {
 		if d.Code == shapelint.CodeExpensivePath {
 			expensive[d.Shape] = true
 		}
 	}
-
 	defs := h.Definitions()
-	sp := &SchemaPlan{Decisions: make([]Decision, len(defs)), Stats: st}
+	c := &Compiled{defs: make([]compiledDef, len(defs))}
 	for i, d := range defs {
 		request := shape.AndOf(d.Shape, d.Target)
-		prog := Compile(request, h)
-		dec := Decision{Name: d.Name, Program: prog, MemoBytes: prog.MemoBytes(st.DictTerms)}
+		c.defs[i] = compiledDef{
+			name:      d.Name,
+			prog:      Compile(request, h),
+			query:     sparqltrans.MeasureQuery(request, h),
+			expensive: expensive[d.Name],
+		}
+	}
+	return c
+}
+
+// Decide prices every compiled definition against the sampled stats and
+// picks a strategy per shape: the cost comparison and the memo-budget veto,
+// the only parts of planning that depend on the data.
+func (c *Compiled) Decide(st store.CardStats, cfg Config) *SchemaPlan {
+	budget := cfg.MemoBudget
+	if budget == 0 {
+		budget = DefaultMemoBudget
+	}
+	sp := &SchemaPlan{Decisions: make([]Decision, len(c.defs)), Stats: st}
+	for i, d := range c.defs {
+		dec := Decision{Name: d.name, Program: d.prog, MemoBytes: d.prog.MemoBytes(st.DictTerms)}
 
 		nodes := float64(st.Nodes)
-		instrs := float64(len(prog.Instrs))
+		instrs := float64(len(d.prog.Instrs))
 		dec.CostPlan = nodes*instrs*costPlanVisit + float64(dec.MemoBytes)*costBindPerByte
 		dec.CostDirect = nodes * instrs * costDirectVisit
 
-		q := sparqltrans.MeasureQuery(request, h)
 		scanned := 0
-		for _, p := range q.Preds {
+		for _, p := range d.query.Preds {
 			scanned += st.Card(p)
 		}
 		// Each path-trace subquery scans N(G) candidates through the
 		// automaton; plain patterns scan their predicate's posting list.
-		dec.CostSPARQL = costSPARQLScan*(float64(scanned)+float64(q.PathTraces)*nodes) +
-			costSPARQLOp*float64(q.Ops+q.Patterns)
+		dec.CostSPARQL = costSPARQLScan*(float64(scanned)+float64(d.query.PathTraces)*nodes) +
+			costSPARQLOp*float64(d.query.Ops+d.query.Patterns)
 
-		dec.Strategy, dec.Reason = choose(dec, cfg, budget, expensive[d.Name])
+		dec.Strategy, dec.Reason = choose(dec, cfg, budget, d.expensive)
 		sp.Decisions[i] = dec
 	}
 	return sp
+}
+
+// PlanSchema is CompileSchema followed by Decide, for callers that plan a
+// schema against one snapshot only.
+func PlanSchema(h *schema.Schema, st store.CardStats, cfg Config) *SchemaPlan {
+	return CompileSchema(h).Decide(st, cfg)
 }
 
 // choose applies vetoes, then the cost comparison.

@@ -468,6 +468,17 @@ func (g *Graph) NodeIDs() []ID {
 	return ids
 }
 
+// NumNodes returns |N(G)| without listing it.
+func (g *Graph) NumNodes() int {
+	n := len(g.spo)
+	for o := range g.ops {
+		if _, ok := g.spo[o]; !ok {
+			n++
+		}
+	}
+	return n
+}
+
 // IsNode reports whether id occurs as a subject or object in the graph.
 func (g *Graph) IsNode(id ID) bool {
 	if _, ok := g.spo[id]; ok {

@@ -55,6 +55,8 @@ type Reader interface {
 	Nodes(fn func(n ID))
 	// NodeIDs returns N(G) as a sorted slice.
 	NodeIDs() []ID
+	// NumNodes returns the size of N(G).
+	NumNodes() int
 	// IsNode reports whether id occurs as a subject or object.
 	IsNode(id ID) bool
 	// Triples returns all triples in canonical order.

@@ -249,13 +249,16 @@ func (s *Schema) Validate(g rdfgraph.Reader) *Report {
 }
 
 // ValidateWith validates using a caller-supplied evaluator (so callers can
-// share evaluation caches or count conformance checks).
+// share evaluation caches or count conformance checks). A definition's τ is
+// tested on its focus nodes (shape.Evaluator.FocusNodes) — one
+// index lookup for each of the four real-SHACL target forms — and on all of
+// N(G) only when τ's syntax yields none.
 func (s *Schema) ValidateWith(ev *shape.Evaluator) *Report {
 	g := ev.G
 	report := &Report{Conforms: true}
-	candidates := g.NodeIDs()
+	var all []rdfgraph.ID
 	for _, d := range s.defs {
-		nodes := candidates
+		nodes := ev.FocusNodes(d.Target, &all)
 		for _, c := range TargetConstants(d.Target) {
 			id := g.TermID(c)
 			if !containsID(nodes, id) {

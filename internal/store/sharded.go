@@ -47,8 +47,8 @@ func NewShardedGraph(n int, d *rdfgraph.Dict) *ShardedGraph {
 	return sg
 }
 
-// shardOf returns the shard owning subject (or node) id.
-func (sg *ShardedGraph) shardOf(id rdfgraph.ID) int {
+// ShardOf returns the shard owning subject (or node) id.
+func (sg *ShardedGraph) ShardOf(id rdfgraph.ID) int {
 	return int(id) % len(sg.shards)
 }
 
@@ -76,12 +76,12 @@ func (sg *ShardedGraph) Add(t rdf.Triple) bool {
 
 // AddIDs inserts a dictionary-encoded triple into its subject's shard.
 func (sg *ShardedGraph) AddIDs(s, p, o rdfgraph.ID) bool {
-	return sg.shards[sg.shardOf(s)].AddIDs(s, p, o)
+	return sg.shards[sg.ShardOf(s)].AddIDs(s, p, o)
 }
 
 // RemoveIDs deletes a dictionary-encoded triple from its subject's shard.
 func (sg *ShardedGraph) RemoveIDs(s, p, o rdfgraph.ID) bool {
-	return sg.shards[sg.shardOf(s)].RemoveIDs(s, p, o)
+	return sg.shards[sg.ShardOf(s)].RemoveIDs(s, p, o)
 }
 
 // Freeze marks every shard and the shared dictionary immutable.
@@ -145,18 +145,18 @@ func (sg *ShardedGraph) Has(t rdf.Triple) bool {
 
 // HasIDs implements rdfgraph.Reader: a single owner-shard lookup.
 func (sg *ShardedGraph) HasIDs(s, p, o rdfgraph.ID) bool {
-	return sg.shards[sg.shardOf(s)].HasIDs(s, p, o)
+	return sg.shards[sg.ShardOf(s)].HasIDs(s, p, o)
 }
 
 // Objects implements rdfgraph.Reader: a single owner-shard lookup.
 func (sg *ShardedGraph) Objects(s, p rdfgraph.ID, fn func(o rdfgraph.ID)) {
-	sg.shards[sg.shardOf(s)].Objects(s, p, fn)
+	sg.shards[sg.ShardOf(s)].Objects(s, p, fn)
 }
 
 // Subjects implements rdfgraph.Reader: a scatter over all shards, since
 // the subjects pointing at o may live anywhere.
 func (sg *ShardedGraph) Subjects(p, o rdfgraph.ID, fn func(s rdfgraph.ID)) {
-	home := sg.shardOf(o)
+	home := sg.ShardOf(o)
 	var cross uint64
 	for i, sh := range sg.shards {
 		remote := i != home
@@ -172,12 +172,12 @@ func (sg *ShardedGraph) Subjects(p, o rdfgraph.ID, fn func(s rdfgraph.ID)) {
 
 // PredicatesFrom implements rdfgraph.Reader: a single owner-shard lookup.
 func (sg *ShardedGraph) PredicatesFrom(s rdfgraph.ID, fn func(p, o rdfgraph.ID)) {
-	sg.shards[sg.shardOf(s)].PredicatesFrom(s, fn)
+	sg.shards[sg.ShardOf(s)].PredicatesFrom(s, fn)
 }
 
 // PredicatesTo implements rdfgraph.Reader: a scatter over all shards.
 func (sg *ShardedGraph) PredicatesTo(o rdfgraph.ID, fn func(s, p rdfgraph.ID)) {
-	home := sg.shardOf(o)
+	home := sg.ShardOf(o)
 	var cross uint64
 	for i, sh := range sg.shards {
 		remote := i != home
@@ -275,7 +275,7 @@ func (sg *ShardedGraph) nodeCaches() ([]rdfgraph.ID, [][]rdfgraph.ID) {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		parts := make([][]rdfgraph.ID, len(sg.shards))
 		for _, id := range ids {
-			k := sg.shardOf(id)
+			k := sg.ShardOf(id)
 			parts[k] = append(parts[k], id)
 		}
 		return ids, parts
@@ -297,6 +297,9 @@ func (sg *ShardedGraph) NodeIDs() []rdfgraph.ID {
 	ids, _ := sg.nodeCaches()
 	return ids
 }
+
+// NumNodes implements rdfgraph.Reader over the same cached node list.
+func (sg *ShardedGraph) NumNodes() int { return len(sg.NodeIDs()) }
 
 // ShardNodeIDs returns N(G) partitioned by owner shard (node ID % N), each
 // part sorted. core.FragmentParallel detects this method to scatter

@@ -45,7 +45,7 @@ func SampleStats(snap Snapshot) CardStats {
 	st := CardStats{
 		Epoch:    snap.Epoch(),
 		Triples:  r.Len(),
-		Nodes:    len(r.NodeIDs()),
+		Nodes:    r.NumNodes(),
 		PredCard: make(map[string]int),
 	}
 	st.DictTerms = r.Dict().Len()

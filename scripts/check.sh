@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: formatting, vet, race tests on the serving-path packages, and
-# the shape linter over the example schemas — clean ones must be silent,
-# the examples/lint/ corpus must be flagged. Run from anywhere; the script
+# CI gate: formatting, vet, race tests on the serving-path packages, the
+# nested benchmark module's build and a short smoke run of it, and the shape
+# linter over the example schemas — clean ones must be silent, the
+# examples/lint/ corpus must be flagged. Run from anywhere; the script
 # cd's to the repository root. `make check` is the local entry point.
 set -eu
 
@@ -21,6 +22,17 @@ $GO vet ./...
 
 echo "== go build"
 $GO build ./...
+
+echo "== serving benchmark compiles (bench/ is a nested module)"
+# Root `go build ./... && go test ./...` never sees bench/, and the
+# benchmark is frozen: an internal-API change that breaks it must fail
+# here, not in the driver. Same cache and toolchain as bench/run.sh.
+(
+    export GOCACHE="$PWD/.bench_build/gocache" GOTOOLCHAIN=local
+    mkdir -p "$GOCACHE"
+    $GO -C bench vet ./...
+    $GO -C bench build -o /dev/null ./...
+)
 
 echo "== go test -race (serving path)"
 $GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./internal/live ./internal/shapelint
@@ -115,6 +127,16 @@ $GO run ./cmd/doclint
 
 echo "== benchjson smoke"
 $GO run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|Live'
+
+echo "== serving benchmark smoke (shape-scan, 3 s)"
+# One short run against a real fragserver; every reply is checked against
+# the AST reference, so correct:false means served bytes changed.
+result=$(bash bench/run.sh -workload shape-scan -seconds 3 | tail -n 1)
+echo "$result"
+case "$result" in
+    *'"correct":true'*) ;;
+    *) echo "serving benchmark smoke failed" >&2; exit 1 ;;
+esac
 
 echo "== nil-tracer alloc parity"
 # Span tracing must cost nothing when disabled: the untraced variant of
