@@ -61,18 +61,18 @@ bench-live:
 	$(GO) run ./cmd/benchjson -bench LiveUpdates -benchtime 2s -dir . \
 		-meta series=live-updates -meta subscriptions=0,100,1000
 
-# Store-tier shard sweep at serving scale: the sharded backend (1/4/16
-# shards) against the single backend, snapshotted into the trajectory.
+# Store-tier shard sweep at serving scale: the same whole-schema
+# extraction at 1, 4 and 16 shards, snapshotted into the trajectory.
 bench-sharded:
 	$(GO) run ./cmd/benchjson -bench FragmentSharded -benchtime 2s -dir . \
-		-meta backend=store-sweep -meta shards=1,4,16
+		-meta series=store-sweep -meta shards=1,4,16
 
 # The 10M-triple scale acceptance run: streamed sharded load (triples/s)
 # plus one-shape extraction at 1/4/16 shards. Needs ~15 GiB of heap and
 # tens of minutes; writes one trajectory snapshot.
 bench-sharded-10m:
 	SHACLFRAG_SCALE_10M=1 $(GO) run ./cmd/benchjson -bench Sharded10M -benchtime 1x -dir . \
-		-meta backend=sharded -meta triples=10000000 -meta shards=1,4,16
+		-meta triples=10000000 -meta shards=1,4,16
 
 # Documentation gate: intra-repo markdown links (files and #anchors)
 # must resolve and every `-flag` the docs mention must be defined by

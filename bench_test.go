@@ -396,12 +396,11 @@ func BenchmarkWhyNot(b *testing.B) {
 }
 
 // BenchmarkFragmentSharded sweeps the store tier's shard counts: the same
-// whole-schema extraction as BenchmarkFragmentParallel, but reading
-// through the sharded backend so FragmentParallel switches to
-// scatter-gather scheduling. The single backend is the baseline; the
-// sweep's value on a one-core runner is the scheduling overhead (shard
-// partitioning cannot buy parallel speedup without cores), on a multicore
-// one the scaling curve.
+// whole-schema extraction as BenchmarkFragmentParallel, read through the
+// store so that several shards switch FragmentParallel to scatter-gather
+// scheduling. One shard is the baseline; the sweep's value on a one-core
+// runner is the scheduling overhead (shard partitioning cannot buy
+// parallel speedup without cores), on a multicore one the scaling curve.
 func BenchmarkFragmentSharded(b *testing.B) {
 	h := schema.MustNew(datagen.BenchmarkShapes()...)
 	requests := core.SchemaRequests(h)
@@ -424,20 +423,19 @@ func BenchmarkFragmentSharded(b *testing.B) {
 			}
 		}
 	}
-	b.Run("backend=single", func(b *testing.B) { run(b, build(store.Config{})) })
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			run(b, build(store.Config{Backend: store.BackendSharded, Shards: shards}))
+			run(b, build(store.Config{Shards: shards}))
 		})
 	}
 }
 
 // BenchmarkSharded10M is the scale acceptance run behind the committed
 // trajectory snapshots: a 10M-triple synthetic graph streamed into the
-// sharded backend (load sub-benchmark, reporting triples/s) and served
+// store (load sub-benchmark, reporting triples/s) and served
 // from it (extract sub-benchmarks at 1, 4 and 16 shards, one-shape
 // whole-graph extraction per op — the full 57-shape suite at 10M triples
-// is hours per op and adds nothing to the backend comparison). Gated
+// is hours per op and adds nothing to the shard comparison). Gated
 // behind SHACLFRAG_SCALE_10M=1: a full run needs ~15 GiB of heap and tens
 // of minutes. `make bench-sharded-10m` runs it and snapshots the result.
 func BenchmarkSharded10M(b *testing.B) {
@@ -451,7 +449,7 @@ func BenchmarkSharded10M(b *testing.B) {
 
 	b.Run("load/shards=4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			loader, err := store.NewLoader(store.Config{Backend: store.BackendSharded, Shards: 4})
+			loader, err := store.NewLoader(store.Config{Shards: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -464,14 +462,15 @@ func BenchmarkSharded10M(b *testing.B) {
 		}
 	})
 
-	// One shared base graph; each shard count repartitions it against the
-	// same dictionary, so the extract series differ only in the backend.
+	// One shared base graph: one shard adopts it, the others repartition it
+	// against the same dictionary, so the extract series differ only in the
+	// shard count. Sharing is safe because no store here is ever updated.
 	base := rdfgraph.New()
 	datagen.TyrolStream(datagen.TyrolConfig{Individuals: individuals, Seed: 1},
 		func(t rdf.Triple) { base.Add(t) })
 	store.WarmDictionary(base, h)
 	for _, shards := range []int{1, 4, 16} {
-		st, err := store.New(base, store.Config{Backend: store.BackendSharded, Shards: shards})
+		st, err := store.New(base, store.Config{Shards: shards})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -577,7 +576,10 @@ func BenchmarkLiveUpdates(b *testing.B) {
 			g := tyrolGraph(1000)
 			g.Add(rdf.Triple{S: hot, P: rdf.NewIRI("http://live.example/p"), O: vi(0)})
 			store.WarmDictionary(g, h)
-			st := store.NewSingle(g)
+			st, err := store.New(g, store.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			m := live.NewMaintainer(live.Config{
 				Schema:         h,
 				Requests:       core.SchemaRequests(h),

@@ -60,8 +60,8 @@ type Snapshot struct {
 	Benchtime string `json:"benchtime"`
 	StartedAt string `json:"started_at"`
 	// Meta carries run conditions the benchmark names alone don't encode
-	// (-meta key=value, repeatable): typically the storage backend, shard
-	// counts and triple scale of a store-tier sweep.
+	// (-meta key=value, repeatable): typically the shard counts and triple
+	// scale of a store-tier sweep.
 	Meta    map[string]string `json:"meta,omitempty"`
 	Results []Result          `json:"results"`
 }
@@ -74,7 +74,7 @@ func main() {
 	dir := flag.String("dir", ".", "output directory for BENCH_<n>.json snapshots (default: repo root, where the trajectory is read)")
 	smoke := flag.Bool("smoke", false, "run each benchmark once, verify the output parses, write nothing")
 	meta := map[string]string{}
-	flag.Func("meta", "key=value annotation stored in the snapshot's meta block (repeatable; e.g. -meta backend=sharded -meta triples=10000000)", func(kv string) error {
+	flag.Func("meta", "key=value annotation stored in the snapshot's meta block (repeatable; e.g. -meta shards=1,4,16 -meta triples=10000000)", func(kv string) error {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok || k == "" {
 			return fmt.Errorf("want key=value, got %q", kv)

@@ -66,8 +66,7 @@ func main() {
 	individuals := flag.Int("individuals", 2000, "size of the synthetic graph when -data is empty")
 	scale := flag.Int("scale", 0, "approximate synthetic graph size in triples (overrides -individuals; streams into the store, so 10M+ loads within bounded memory)")
 	nshapes := flag.Int("shapes-count", 8, "number of benchmark shape definitions when -shapes is empty")
-	backend := flag.String("backend", "single", "storage backend: single or sharded")
-	shards := flag.Int("shards", 0, "shard count for -backend sharded (0 = default)")
+	shards := flag.Int("shards", 1, "store shard count; several shards partition the indexes by subject ID and extract scatter-gather")
 	workers := flag.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 64, "maximum concurrently served requests")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request compute budget")
@@ -85,12 +84,8 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "record a hierarchical span trace for 1 in N requests, served on /debug/traces (0 disables; requests with a sampled traceparent header are always traced)")
 	traceBuffer := flag.Int("trace-buffer", 0, "trace ring capacity for /debug/traces (0 = default 128)")
 	slowRequest := flag.Duration("slow-request", 0, "latency threshold for the structured slow-request warning; sampled slow traces are kept as notable (0 disables)")
-	jsonLogs := flag.Bool("json-logs", false, "deprecated alias for -log-format json")
 	flag.Parse()
 
-	if *jsonLogs {
-		*logFormat = "json"
-	}
 	logger, err := newLogger(*logFormat)
 	if err != nil {
 		// The one message that cannot go through the structured logger is
@@ -99,7 +94,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	st, h, err := load(*dataPath, *shapesPath, *individuals, *scale, *nshapes, store.Config{Backend: *backend, Shards: *shards})
+	st, h, err := load(*dataPath, *shapesPath, *individuals, *scale, *nshapes, store.Config{Shards: *shards})
 	if err != nil {
 		fatal(logger, "loading graph and schema failed", err)
 	}
@@ -135,7 +130,7 @@ func main() {
 	}
 	logger.Info("serving shape fragments",
 		"addr", ln.Addr().String(), "triples", st.Current().Reader().Len(),
-		"shapes", h.Len(), "backend", st.Backend(), "shards", st.NumShards())
+		"shapes", h.Len(), "shards", st.NumShards())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -207,10 +202,10 @@ func serveDebug(addr string, srv *fragserver.Server, logger *slog.Logger) (func(
 }
 
 // load builds the schema and the store. Synthetic graphs stream through a
-// store.Loader — triples go straight into the backend's indexes, never
+// store.Loader — triples go straight into the store's indexes, never
 // through an intermediate slice — so -scale 10000000 loads within bounded
 // memory; Turtle files still parse into one graph first (the parser needs
-// the document in memory anyway) and are then wrapped in the backend.
+// the document in memory anyway) and are then wrapped in the store.
 func load(dataPath, shapesPath string, individuals, scale, nshapes int, scfg store.Config) (store.Store, *schema.Schema, error) {
 	var h *schema.Schema
 	if shapesPath != "" {

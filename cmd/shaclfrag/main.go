@@ -145,9 +145,7 @@ func cmdFragment(args []string) error {
 	baseIRI := fs.String("base", "", "base IRI for bare names in -request")
 	outPath := fs.String("o", "", "output file (default stdout)")
 	strategy := fs.String("strategy", "auto", "extraction strategy: auto (cost-based planner), plan, direct, or sparql")
-	viaSPARQL := fs.Bool("sparql", false, "deprecated: same as -strategy sparql")
-	backend := fs.String("backend", "single", "storage backend for the direct extractor: single or sharded")
-	shards := fs.Int("shards", 0, "shard count for -backend sharded (0 = default)")
+	shards := fs.Int("shards", 1, "store shard count for the direct extractor")
 	workers := fs.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
 	traced := fs.Bool("trace", false, "print the extraction's span tree to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -184,9 +182,6 @@ func cmdFragment(args []string) error {
 	default:
 		return fmt.Errorf("need -shapes or -request")
 	}
-	if *viaSPARQL {
-		*strategy = "sparql"
-	}
 	var frag []shaclfrag.Triple
 	if *strategy == "sparql" {
 		// The paper's translation strategy, unconditionally: build Q_S and
@@ -196,11 +191,11 @@ func cmdFragment(args []string) error {
 		sq.End()
 	} else {
 		// The direct extractor speaks the store tier: the parsed graph
-		// becomes epoch 1 of the selected backend and extraction reads it
-		// through rdfgraph.Reader, so a sharded backend switches
-		// FragmentParallel to scatter-gather scheduling.
+		// becomes epoch 1 of a store and extraction reads it through
+		// rdfgraph.Reader, so several shards switch FragmentParallel to
+		// scatter-gather scheduling.
 		store.WarmShapes(g, requests...)
-		st, err := store.New(g, store.Config{Backend: *backend, Shards: *shards})
+		st, err := store.New(g, store.Config{Shards: *shards})
 		if err != nil {
 			return err
 		}

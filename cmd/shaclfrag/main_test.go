@@ -89,10 +89,19 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// fragment via the SPARQL strategy must agree.
-	sparqlOut := run(0, "fragment", "-data", data, "-shapes", shapes, "-sparql")
+	sparqlOut := run(0, "fragment", "-data", data, "-shapes", shapes, "-strategy", "sparql")
 	if sparqlOut != out {
 		t.Errorf("strategies disagree:\n%s\nvs\n%s", out, sparqlOut)
 	}
+
+	// Several shards must agree too; the removed -backend and -sparql
+	// flags are usage errors and a negative shard count is refused.
+	if sharded := run(0, "fragment", "-data", data, "-shapes", shapes, "-shards", "4"); sharded != out {
+		t.Errorf("shard counts disagree:\n%s\nvs\n%s", out, sharded)
+	}
+	run(2, "fragment", "-data", data, "-shapes", shapes, "-backend", "sharded")
+	run(2, "fragment", "-data", data, "-shapes", shapes, "-sparql")
+	run(1, "fragment", "-data", data, "-shapes", shapes, "-shards", "-1")
 
 	// fragment via an ad-hoc request shape.
 	out = run(0, "fragment", "-data", data, "-request", ">=1 author.top", "-base", "http://x/")

@@ -19,11 +19,11 @@ import (
 // request misses. The cached slices are shared between callers and must be
 // treated as immutable.
 //
-// Entries are additionally keyed by a store epoch (see rdfgraph.Store):
+// Entries are additionally keyed by a store epoch (see store.Store):
 // a neighborhood computed against epoch e is only ever served to requests
 // pinned to epoch e. After an update publishes epoch e+1, Carry clones
 // forward the entries whose nodes the update provably did not affect
-// (rdfgraph.ApplyResult.Unaffected), so the cache stays warm across
+// (store.ApplyResult.Unaffected), so the cache stays warm across
 // updates, and EvictBelow reclaims entries of epochs no request can pin
 // anymore. Single-graph callers that never update can pass any constant
 // epoch (0 works) everywhere.
@@ -166,7 +166,7 @@ func (c *NeighborhoodCache) putLocked(key neighborhoodKey, ts []rdfgraph.IDTripl
 // Carry clones the entries of epoch `from` whose node satisfies keep into
 // epoch `to`, sharing the triple slices (IDs are stable across epochs, see
 // rdfgraph.Dict.Extend). It returns how many entries were carried. keep is
-// typically rdfgraph.ApplyResult.Unaffected — a predicate proving the
+// typically store.ApplyResult.Unaffected — a predicate proving the
 // node's neighborhood is identical in both epochs; Carry itself performs no
 // soundness check. The source entries stay in place until EvictBelow
 // reclaims them, so requests still pinned to the old epoch keep hitting.

@@ -69,7 +69,7 @@ func TestFragmentParallelSpans(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 60, Seed: 3})
 	h := schema.MustNew(datagen.BenchmarkShapes()[:4]...)
 	requests := core.SchemaRequests(h)
-	st, err := store.New(g, store.Config{Backend: store.BackendSharded, Shards: 3})
+	st, err := store.New(g, store.Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +34,7 @@ type ParallelOptions struct {
 	Ctx context.Context
 	// Epoch is the store epoch the extractor's graph belongs to; it
 	// namespaces Cache entries so neighborhoods computed against one
-	// snapshot are never served for another (see rdfgraph.Store). Leave
+	// snapshot are never served for another (see store.Store). Leave
 	// zero when serving a single graph that never updates.
 	Epoch uint64
 	// Tracer, when non-nil, receives extraction sub-stage timings: "nnf"
@@ -210,6 +211,19 @@ func spanAttrs(opts ParallelOptions, workers, nreq, nnodes int) {
 	}
 }
 
+// PanicError is a panic recovered from extraction, returned by
+// FragmentParallel as an error. Workers run on goroutines of their own,
+// where an unrecovered panic — a bug in an extraction rule, a corrupt
+// index — would end the whole process, not just the request that hit it.
+type PanicError struct {
+	Value any    // what panic was called with
+	Stack []byte // stack of the goroutine that panicked
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("core: panic during extraction: %v\n%s", e.Value, e.Stack)
+}
+
 // FragmentParallel computes Frag(G, S) like Fragment, fanning the
 // focus-node loop out over a worker pool. Each request visits its focus
 // candidates (shape.Evaluator.FocusCandidates) where its syntax yields
@@ -223,7 +237,15 @@ func spanAttrs(opts ParallelOptions, workers, nreq, nnodes int) {
 // The graph must not be mutated during the call. All evaluation and
 // extraction paths are read-only on the graph — freeze it (Graph.Freeze) to
 // have that enforced.
-func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOptions) ([]rdf.Triple, error) {
+//
+// A panic during extraction, on the calling goroutine (set-up and the
+// one-worker path) or on a worker, comes back as a *PanicError.
+func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOptions) (triples []rdf.Triple, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			triples, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
 	g := x.ev.G
 	workers := opts.Workers
 	if workers <= 0 {
@@ -305,6 +327,7 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 	outs := make([]*rdfgraph.IDTripleSet, workers)
 	var next atomic.Int64
 	var cancelled atomic.Bool
+	var panicked atomic.Pointer[PanicError] // the first worker panic
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		out := rdfgraph.NewIDTripleSet()
@@ -312,6 +335,11 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &PanicError{Value: r, Stack: debug.Stack()})
+				}
+			}()
 			wx := NewExtractor(g, x.ev.Defs)
 			wx.rec = opts.Recorder
 			spans := workerSpanState{parent: opts.Span, shards: shardSpans}
@@ -324,7 +352,7 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 					return
 				}
 				i := int(next.Add(1)) - 1
-				if i >= len(units) {
+				if i >= len(units) || panicked.Load() != nil {
 					return
 				}
 				u := units[i]
@@ -336,6 +364,9 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 		}()
 	}
 	wg.Wait()
+	if pe := panicked.Load(); pe != nil {
+		return nil, pe
+	}
 	if cancelled.Load() {
 		return nil, opts.Ctx.Err()
 	}

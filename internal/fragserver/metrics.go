@@ -8,7 +8,6 @@ import (
 	"shaclfrag/internal/obs"
 	"shaclfrag/internal/plan"
 	"shaclfrag/internal/shapelint"
-	"shaclfrag/internal/store"
 )
 
 // Metric names exported on /metrics. docs/OPERATIONS.md carries the
@@ -20,6 +19,7 @@ const (
 	mResponseBytes   = "fragserver_response_bytes_total"
 	mInflight        = "fragserver_inflight_requests"
 	mShedTotal       = "fragserver_requests_shed_total"
+	mPanicsTotal     = "fragserver_panics_total"
 	mLintFindings    = "fragserver_schema_lint_findings"
 	mExplainTriples  = "fragserver_explain_triples_total"
 	mExplainJust     = "fragserver_explain_justifications_total"
@@ -95,6 +95,7 @@ type serverMetrics struct {
 	stages    map[string]*obs.Histogram // per stage
 	inflight  *obs.Gauge
 	shed      *obs.Counter
+	panics    *obs.Counter
 
 	// /explain volume and the attribution sampler's tallies.
 	explainTriples *obs.Counter
@@ -135,6 +136,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.inflight = reg.Gauge(mInflight, "Requests currently being served.")
 	m.shed = reg.Counter(mShedTotal, "Requests rejected with 503 by the in-flight limiter.")
+	m.panics = reg.Counter(mPanicsTotal, "Extraction panics recovered and answered with 500.")
 	m.updApplied = reg.Counter(mUpdateTotal,
 		"POST /update requests, by result (applied, noop, rejected).", obs.L("result", "applied"))
 	m.updNoop = reg.Counter(mUpdateTotal,
@@ -202,15 +204,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("fragserver_extraction_workers", "Parallel extraction worker count.",
 		func() float64 { return float64(s.workers) })
 
-	// Storage-backend series. The per-shard triple gauges use one shard
-	// label per shard — the shard count is fixed at startup, so label
-	// cardinality is bounded by configuration. The single backend exports
-	// shard="0" holding the whole graph, so dashboards need no special
-	// case; cross-shard resolutions exist only for the sharded backend.
-	reg.Gauge("fragserver_store_backend_info",
-		"Constant 1, labeled with the storage backend serving this process.",
-		obs.L("backend", s.store.Backend())).Set(1)
-	reg.GaugeFunc(mStoreShards, "Shards in the storage backend (1 for single).",
+	// Store series. The per-shard triple gauges use one shard label per
+	// shard — the shard count is fixed at startup, so label cardinality is
+	// bounded by configuration. One shard exports shard="0" holding the
+	// whole graph and a cross-shard counter that stays 0, so dashboards
+	// need no special case.
+	reg.GaugeFunc(mStoreShards, "Shards in the store.",
 		func() float64 { return float64(s.store.NumShards()) })
 	for i := 0; i < s.store.NumShards(); i++ {
 		shard := i
@@ -223,11 +222,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 				return 0
 			}, obs.L("shard", strconv.Itoa(shard)))
 	}
-	if s.store.Backend() == store.BackendSharded {
-		reg.CounterFunc(mCrossShard,
-			"Reverse-index results resolved from a shard other than the queried node's own.",
-			func() float64 { return float64(s.store.CrossShardResolutions()) })
-	}
+	reg.CounterFunc(mCrossShard,
+		"Reverse-index results resolved from a shard other than the queried node's own.",
+		func() float64 { return float64(s.store.CrossShardResolutions()) })
 
 	// Strategy-planner series, sampled from the current plan at scrape
 	// time. The plan is re-derived per effective update, so the stats

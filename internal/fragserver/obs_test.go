@@ -2,11 +2,16 @@ package fragserver
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"shaclfrag/internal/core"
+	"shaclfrag/internal/datagen"
+	"shaclfrag/internal/schema"
 )
 
 // TestMetricsEndpoint drives real traffic and then checks that /metrics
@@ -176,5 +181,67 @@ func TestShedMetric(t *testing.T) {
 	}
 	if _, body := get(t, ts, "/metrics"); !strings.Contains(body, "fragserver_requests_shed_total 1") {
 		t.Error("shed request not counted in fragserver_requests_shed_total")
+	}
+}
+
+// TestMetricCatalogMatchesRegistry machine-checks docs/OPERATIONS.md's
+// metric catalog against what servers actually register: a default-config
+// server plus one with several shards and the attribution sampler on,
+// which between them register every family. A registered family missing
+// from the catalog tables fails, and so does a documented family that
+// neither server registers.
+func TestMetricCatalogMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalog, found := strings.Cut(string(doc), "\n## Metric catalog\n")
+	if !found {
+		t.Fatal("docs/OPERATIONS.md has no \"## Metric catalog\" section")
+	}
+	catalog, _, _ = strings.Cut(catalog, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(catalog, "\n") {
+		if row, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(row, "`")
+			documented[name] = true
+		}
+	}
+
+	registered := map[string]bool{}
+	for _, cfg := range []Config{{}, {Shards: 4, AttributionSample: 1}} {
+		cfg.Graph = datagen.Tyrol(datagen.TyrolConfig{Individuals: 30, Seed: 9})
+		cfg.Schema = schema.MustNew(datagen.BenchmarkShapes()[:2]...)
+		cfg.Logger = quietLogger()
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// fragserver_requests_total registers its (route, status) series
+		// as requests finish, so one has to finish before the scrape.
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+				registered[f[2]] = true
+			}
+		}
+	}
+
+	for name := range registered {
+		if !strings.HasPrefix(name, "fragserver_") && !strings.HasPrefix(name, "runtime_") {
+			t.Errorf("registered family %s is outside the fragserver_/runtime_ namespaces", name)
+		} else if !documented[name] {
+			t.Errorf("registered family %s is missing from the catalog in docs/OPERATIONS.md", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("docs/OPERATIONS.md documents %s, which no server registers", name)
+		}
+	}
+	if len(registered) == 0 {
+		t.Fatal("no metric families parsed from /metrics")
 	}
 }

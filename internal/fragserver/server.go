@@ -2,7 +2,7 @@
 // service positioning shape fragments as a subgraph-retrieval interface
 // between Triple Pattern Fragments and full SPARQL endpoints (Section 7,
 // Figure 4 of the paper). A server loads one data graph and one schema at
-// startup; the graph becomes epoch 1 of an rdfgraph.Store of immutable
+// startup; the graph becomes epoch 1 of a store.Store of immutable
 // snapshots, and the server serves:
 //
 //	GET /validate                — validation report (?full=1 for all results)
@@ -107,12 +107,10 @@ type Config struct {
 	Graph  *rdfgraph.Graph
 	Schema *schema.Schema
 
-	// Backend and Shards select the storage backend Graph is wrapped in
-	// (store.BackendSingle by default, store.BackendSharded partitions by
-	// subject ID and extraction switches to scatter-gather scheduling).
-	// Ignored when Store is set.
-	Backend string
-	Shards  int
+	// Shards is the shard count of the store Graph is wrapped in; 0 means
+	// 1. Several shards partition the indexes by subject ID and extraction
+	// switches to scatter-gather scheduling. Ignored when Store is set.
+	Shards int
 
 	// Store, when non-nil, serves this prebuilt store instead of wrapping
 	// Graph — the path for streamed loads too large to materialize as one
@@ -265,7 +263,7 @@ type Server struct {
 
 // New builds a server over g and h. The graph's dictionary is warmed with
 // every constant the schema can mention, then the graph becomes epoch 1 of
-// an rdfgraph.Store: each request pins one immutable snapshot for its whole
+// a store.Store: each request pins one immutable snapshot for its whole
 // lifetime and shares it lock-free with every other reader, while POST
 // /update publishes new epochs without blocking anyone. Schema constants
 // stay resolvable across epochs because snapshot dictionaries extend the
@@ -325,7 +323,7 @@ func New(cfg Config) (*Server, error) {
 	if st == nil {
 		store.WarmDictionary(cfg.Graph, cfg.Schema)
 		var err error
-		st, err = store.New(cfg.Graph, store.Config{Backend: cfg.Backend, Shards: cfg.Shards})
+		st, err = store.New(cfg.Graph, store.Config{Shards: cfg.Shards})
 		if err != nil {
 			return nil, fmt.Errorf("fragserver: %w", err)
 		}
@@ -734,7 +732,7 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	})
 	stopExtract()
 	if err != nil {
-		httpTimeoutError(w, r, err)
+		s.extractionError(w, r, err)
 		return
 	}
 	s.streamNTriples(w, r, triples)
@@ -855,11 +853,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "uptime: %s\nepoch: %d\ntriples: %d\nterms: %d\nshapes: %d\nworkers: %d\n",
 		time.Since(s.started).Round(time.Second), snap.Epoch(), g.Len(), g.Dict().Len(), s.h.Len(), s.workers)
-	fmt.Fprintf(w, "backend: %s\nshards: %d\n", s.store.Backend(), s.store.NumShards())
-	if s.store.Backend() == store.BackendSharded {
-		fmt.Fprintf(w, "shard triples: %v\ncross-shard resolutions: %d\n",
-			s.store.ShardTriples(), s.store.CrossShardResolutions())
-	}
+	fmt.Fprintf(w, "shards: %d\nshard triples: %v\ncross-shard resolutions: %d\n",
+		s.store.NumShards(), s.store.ShardTriples(), s.store.CrossShardResolutions())
 	if s.cache != nil {
 		st := s.cache.Stats()
 		fmt.Fprintf(w, "cache: %d entries, %d triples (~%d bytes), %d hits (%d via containment aliases), %d misses, %d evictions (%d triples)\n",
@@ -905,6 +900,23 @@ func (s *Server) streamNTriples(w http.ResponseWriter, r *http.Request, triples 
 		}
 	}
 	nw.Flush() //nolint:errcheck — nothing to do about a failed final write
+}
+
+// extractionError answers a failed core.FragmentParallel. A recovered
+// panic is a bug or corrupt state, not load: it gets a counted, logged 500
+// (which also keeps the request's trace as notable) and no Retry-After —
+// retrying the same request would hit the same fault. Anything else is the
+// request context ending.
+func (s *Server) extractionError(w http.ResponseWriter, r *http.Request, err error) {
+	var pe *core.PanicError
+	if !errors.As(err, &pe) {
+		httpTimeoutError(w, r, err)
+		return
+	}
+	s.metrics.panics.Inc()
+	s.log.Error("panic during extraction", "path", r.URL.Path, "query", r.URL.RawQuery,
+		"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+	http.Error(w, "internal error during extraction", http.StatusInternalServerError)
 }
 
 // httpTimeoutError maps a context error to 503 (with Retry-After) when no

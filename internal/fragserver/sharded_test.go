@@ -11,20 +11,19 @@ import (
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
-	"shaclfrag/internal/store"
 )
 
-// TestShardedServerParity checks a server on the sharded backend answers
-// /fragment byte-identically to one on the single backend, over a graph
-// big enough that scatter-gather scheduling actually engages.
+// TestShardedServerParity checks a server on several shards answers
+// /fragment byte-identically to one on a single shard, over a graph big
+// enough that scatter-gather scheduling actually engages.
 func TestShardedServerParity(t *testing.T) {
 	h := schema.MustNew(datagen.BenchmarkShapes()...)
-	build := func(cfg store.Config) string {
+	build := func(shards int) string {
 		t.Helper()
 		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 250, Seed: 6})
 		srv, err := New(Config{
 			Graph: g, Schema: h, Logger: quietLogger(),
-			Backend: cfg.Backend, Shards: cfg.Shards, Workers: 2,
+			Shards: shards, Workers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -37,14 +36,14 @@ func TestShardedServerParity(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/fragment on %s backend: status %d", srv.store.Backend(), resp.StatusCode)
+			t.Fatalf("/fragment on %d shards: status %d", srv.store.NumShards(), resp.StatusCode)
 		}
 		return readAll(t, resp)
 	}
-	want := build(store.Config{})
-	for _, n := range []int{1, 4} {
-		if got := build(store.Config{Backend: store.BackendSharded, Shards: n}); got != want {
-			t.Fatalf("shards=%d: /fragment differs from the single backend (%d vs %d bytes)",
+	want := build(1)
+	for _, n := range []int{0, 4, 16} { // 0 is the default config: one shard
+		if got := build(n); got != want {
+			t.Fatalf("shards=%d: /fragment differs from shards=1 (%d vs %d bytes)",
 				n, len(got), len(want))
 		}
 	}
@@ -57,12 +56,11 @@ func TestShardedServerParity(t *testing.T) {
 // racing under -race in scripts/check.sh.
 func TestShardedUpdateStress(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{
-		Graph:   rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "b"), exTriple("c", "d")}),
-		Backend: store.BackendSharded,
-		Shards:  3,
+		Graph:  rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "b"), exTriple("c", "d")}),
+		Shards: 3,
 	})
-	if srv.store.Backend() != store.BackendSharded || srv.store.NumShards() != 3 {
-		t.Fatalf("server store is (%s, %d), want (sharded, 3)", srv.store.Backend(), srv.store.NumShards())
+	if srv.store.NumShards() != 3 {
+		t.Fatalf("server store has %d shards, want 3", srv.store.NumShards())
 	}
 
 	stop := make(chan struct{})

@@ -13,16 +13,14 @@ import (
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/obs"
 	"shaclfrag/internal/schema"
-	"shaclfrag/internal/store"
 )
 
 // tracedConfig is newTestServer's graph and schema with tracing knobs and
-// the sharded backend, so sampled extractions grow per-shard spans.
+// three shards, so sampled extractions grow per-shard spans.
 func tracedConfig(sample int) Config {
 	return Config{
 		Graph:       datagen.Tyrol(datagen.TyrolConfig{Individuals: 120, Seed: 9}),
 		Schema:      schema.MustNew(datagen.BenchmarkShapes()[:8]...),
-		Backend:     store.BackendSharded,
 		Shards:      3,
 		Workers:     4,
 		Logger:      quietLogger(),

@@ -42,7 +42,10 @@ func newMaintainer(t *testing.T, cfg live.Config, triples ...rdf.Triple) (*live.
 	h := schema.MustNew(schema.Definition{Name: ex("S"), Shape: hasP, Target: hasP})
 	g := rdfgraph.FromTriples(triples)
 	store.WarmDictionary(g, h)
-	st := store.NewSingle(g)
+	st, err := store.New(g, store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Schema = h
 	cfg.Requests = core.SchemaRequests(h)
 	return live.NewMaintainer(cfg, st.Current()), st, h
@@ -427,7 +430,10 @@ func TestStormParityTypedGraph(t *testing.T) {
 			Shape: shape.All(paths.P(datagen.PropRating), shape.NodeTestShape(shape.IsLiteral{}))},
 	)
 	store.WarmDictionary(g, h)
-	st := store.NewSingle(g)
+	st, err := store.New(g, store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	requests := core.SchemaRequests(h)
 	progs := make([]*plan.Program, len(requests))
 	for i, r := range requests {

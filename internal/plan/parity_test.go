@@ -76,7 +76,7 @@ func TestPlanFragmentParity(t *testing.T) {
 			requests := core.SchemaRequests(tc.h)
 			plans := plan.CompileAll(requests, tc.h)
 			for _, shards := range []int{1, 4} {
-				cfg := store.Config{Backend: store.BackendSharded, Shards: shards}
+				cfg := store.Config{Shards: shards}
 				if shards == 1 {
 					cfg = store.Config{}
 				}
@@ -131,7 +131,7 @@ func TestPlannerFragmentParity(t *testing.T) {
 			store.WarmDictionary(tc.g, tc.h)
 			want := turtle.FormatNTriples(core.FragmentSchema(tc.g, tc.h))
 			requests := core.SchemaRequests(tc.h)
-			st, err := store.New(tc.g, store.Config{Backend: store.BackendSharded, Shards: 4})
+			st, err := store.New(tc.g, store.Config{Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

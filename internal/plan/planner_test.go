@@ -30,24 +30,24 @@ func tyrolStats(t *testing.T, individuals int) store.CardStats {
 func TestSampleStats(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 100, Seed: 3})
 	g.Freeze()
-	for _, cfg := range []store.Config{{}, {Backend: store.BackendSharded, Shards: 4}} {
+	for _, cfg := range []store.Config{{}, {Shards: 4}} {
 		st, err := store.New(g.Clone(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stats := store.SampleStats(st.Current())
 		if stats.Triples != g.Len() {
-			t.Fatalf("%s: stats.Triples = %d, graph has %d", st.Backend(), stats.Triples, g.Len())
+			t.Fatalf("shards=%d: stats.Triples = %d, graph has %d", st.NumShards(), stats.Triples, g.Len())
 		}
 		if stats.Nodes == 0 || stats.DictTerms < stats.Nodes {
-			t.Fatalf("%s: implausible node/dict counts: %+v", st.Backend(), stats)
+			t.Fatalf("shards=%d: implausible node/dict counts: %+v", st.NumShards(), stats)
 		}
 		sum := 0
 		for _, n := range stats.PredCard {
 			sum += n
 		}
 		if sum != stats.Triples {
-			t.Fatalf("%s: predicate cardinalities sum to %d, want %d", st.Backend(), sum, stats.Triples)
+			t.Fatalf("shards=%d: predicate cardinalities sum to %d, want %d", st.NumShards(), sum, stats.Triples)
 		}
 	}
 }

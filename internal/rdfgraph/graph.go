@@ -65,8 +65,9 @@ const dictFlattenDepth = 4
 // keeps its ID, and terms unseen by d may be interned without copying d's
 // map. d must be frozen — the overlay appends into the shared term table,
 // which is only safe while d itself can no longer grow. Extend is how
-// Graph.CloneCOW shares the dictionary between snapshot epochs; successive
-// overlays must form a single writer lineage (enforced by Store's mutex).
+// Graph.CloneCOWWith shares the dictionary between snapshot epochs;
+// successive overlays must form a single writer lineage (enforced by the
+// store's mutex).
 func (d *Dict) Extend() *Dict {
 	if !d.frozen {
 		panic("rdfgraph: Extend of unfrozen dictionary")
@@ -147,7 +148,7 @@ type Graph struct {
 	byPred map[ID][]Edge
 	size   int
 	// cowS/cowO track which per-subject (resp. per-object) submaps this
-	// graph owns after CloneCOW. A key absent from the set still aliases
+	// graph owns after CloneCOWWith. A key absent from the set still aliases
 	// the parent snapshot's submap and must be deep-copied before its
 	// first mutation. Both are nil on graphs built by New and are cleared
 	// by Freeze.
@@ -161,11 +162,11 @@ func New() *Graph {
 }
 
 // NewWithDict returns an empty graph interning into d. Several graphs may
-// share one dictionary — that is how internal/store's sharded backend keeps
-// IDs comparable across its subject-partitioned shard graphs — but then
-// only one of them may intern at a time (the store's writer lock enforces
-// this; interning through a shared mutable dictionary from concurrent
-// goroutines is a data race).
+// share one dictionary — that is how internal/store keeps IDs comparable
+// across its subject-partitioned shard graphs — but then only one of them
+// may intern at a time (the store's writer lock enforces this; interning
+// through a shared mutable dictionary from concurrent goroutines is a data
+// race).
 func NewWithDict(d *Dict) *Graph {
 	return &Graph{
 		dict:   d,
@@ -239,7 +240,7 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 
 	// Appending to a possibly parent-shared edge slice is safe: parent
 	// readers only index below their own length, the append writes at or
-	// beyond it, and Store serializes writers into a single lineage.
+	// beyond it, and the store serializes writers into a single lineage.
 	g.byPred[p] = append(g.byPred[p], Edge{S: s, O: o})
 	g.size++
 	return true
@@ -509,23 +510,16 @@ func (g *Graph) TermID(t rdf.Term) ID { return g.dict.Intern(t) }
 // LookupTerm returns the ID of t if it is interned, else NoID.
 func (g *Graph) LookupTerm(t rdf.Term) ID { return g.dict.Lookup(t) }
 
-// CloneCOW returns a mutable copy-on-write clone of a frozen graph. The
-// clone shares g's dictionary (via Dict.Extend, so IDs stay stable), its
-// per-subject and per-object index submaps, and its per-predicate edge
-// slices; a submap is deep-copied only when first mutated, and edge slices
-// are rebuilt only on deletion. This makes a small delta O(delta), not
-// O(graph). Clones must form a single writer lineage per graph — Store
-// enforces this with a mutex; concurrent CloneCOW mutations of the same
-// ancestry are a data race.
-func (g *Graph) CloneCOW() *Graph {
-	return g.CloneCOWWith(g.dict.Extend())
-}
-
-// CloneCOWWith is CloneCOW with a caller-provided overlay dictionary, which
-// must be an Extend of g's dictionary (or that dictionary itself, already
-// shared). The sharded store clones every shard against one shared overlay
-// per epoch, so a delta's new terms get exactly one ID no matter which
-// shard their triples land in.
+// CloneCOWWith returns a mutable copy-on-write clone of a frozen graph
+// interning into d, which must be an Extend of g's dictionary (so IDs stay
+// stable). The clone shares g's per-subject and per-object index submaps
+// and its per-predicate edge slices; a submap is deep-copied only when
+// first mutated, and edge slices are rebuilt only on deletion. This makes
+// a small delta O(delta), not O(graph). The store clones every shard
+// against one shared overlay per epoch, so a delta's new terms get exactly
+// one ID no matter which shard their triples land in. Clones must form a
+// single writer lineage per graph — the store enforces this with a mutex;
+// concurrent mutation of clones of the same ancestry is a data race.
 func (g *Graph) CloneCOWWith(d *Dict) *Graph {
 	if !g.frozen {
 		panic("rdfgraph: CloneCOW of unfrozen graph")

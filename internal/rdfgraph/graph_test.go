@@ -220,3 +220,40 @@ func TestGraphRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func tr(s, p, o string) rdf.Triple {
+	return rdf.Triple{S: iri(s), P: iri(p), O: iri(o)}
+}
+
+func TestCloneCOWRequiresFrozen(t *testing.T) {
+	g := FromTriples([]rdf.Triple{tr("a", "p", "b")})
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("CloneCOWWith of unfrozen graph must panic")
+		}
+	}()
+	g.CloneCOWWith(g.Dict())
+}
+
+func TestRemoveOnMutableGraph(t *testing.T) {
+	g := FromTriples([]rdf.Triple{tr("a", "p", "b"), tr("a", "p", "c")})
+	if !g.Remove(tr("a", "p", "b")) {
+		t.Fatalf("Remove of present triple = false")
+	}
+	if g.Remove(tr("a", "p", "b")) {
+		t.Fatalf("second Remove of same triple = true")
+	}
+	if g.Remove(tr("zzz", "p", "b")) {
+		t.Fatalf("Remove with unknown term = true")
+	}
+	if g.Len() != 1 || !g.Has(tr("a", "p", "c")) {
+		t.Fatalf("graph after removal: len=%d", g.Len())
+	}
+	// Removal must never intern: the dictionary size is unchanged by the
+	// unknown-term removal above.
+	before := g.Dict().Len()
+	g.Remove(rdf.Triple{S: iri("unseen1"), P: iri("unseen2"), O: iri("unseen3")})
+	if g.Dict().Len() != before {
+		t.Fatalf("Remove interned unknown terms")
+	}
+}

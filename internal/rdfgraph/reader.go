@@ -5,11 +5,11 @@ import "shaclfrag/internal/rdf"
 // Reader is the read-only surface of a dictionary-encoded graph: everything
 // shape evaluation, path evaluation, neighborhood extraction and serving
 // need, and nothing that mutates triples. *Graph implements it natively;
-// internal/store's sharded backend implements it over a set of
+// internal/store's ShardedGraph implements it over a set of
 // subject-partitioned shard graphs sharing one dictionary, which is what
 // lets every layer above the storage tier — evaluators, extractors, the
 // TPF engine, the SPARQL engine, the HTTP server — run unchanged against
-// either backend.
+// any shard count.
 //
 // The mutating exceptions are deliberate: TermID interns into the
 // dictionary (shape constants need IDs comparable against graph nodes) and

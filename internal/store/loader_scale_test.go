@@ -28,7 +28,7 @@ func TestLoaderScale(t *testing.T) {
 
 	defs := datagen.BenchmarkShapes()[:1]
 	h := schema.MustNew(defs...)
-	loader, err := store.NewLoader(store.Config{Backend: store.BackendSharded, Shards: 4})
+	loader, err := store.NewLoader(store.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestLoaderScale(t *testing.T) {
 // freezes the dictionary, and extraction of a shape whose constants were
 // never warmed must not be reachable without a panic we can document.
 func TestLoaderScaleRejectsFrozenInterning(t *testing.T) {
-	loader, err := store.NewLoader(store.Config{Backend: store.BackendSharded, Shards: 2})
+	loader, err := store.NewLoader(store.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

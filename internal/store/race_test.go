@@ -24,7 +24,7 @@ func TestConcurrentScatterGather(t *testing.T) {
 	store.WarmDictionary(g, h)
 	want := turtle.FormatNTriples(core.FragmentSchema(g, h))
 
-	st, err := store.New(g, store.Config{Backend: store.BackendSharded, Shards: 4})
+	st, err := store.New(g, store.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestConcurrentApplyAndExtract(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 150, Seed: 4})
 	h := schema.MustNew(datagen.BenchmarkShapes()...)
 	store.WarmDictionary(g, h)
-	st, err := store.New(g, store.Config{Backend: store.BackendSharded, Shards: 3})
+	st, err := store.New(g, store.Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,8 +298,13 @@ func (sg *ShardedGraph) NodeIDs() []rdfgraph.ID {
 	return ids
 }
 
-// NumNodes implements rdfgraph.Reader over the same cached node list.
-func (sg *ShardedGraph) NumNodes() int { return len(sg.NodeIDs()) }
+// NumNodes implements rdfgraph.Reader: it counts N(G) without listing or
+// sorting it, since SampleStats asks on every published epoch.
+func (sg *ShardedGraph) NumNodes() int {
+	n := 0
+	sg.Nodes(func(rdfgraph.ID) { n++ })
+	return n
+}
 
 // ShardNodeIDs returns N(G) partitioned by owner shard (node ID % N), each
 // part sorted. core.FragmentParallel detects this method to scatter
@@ -333,10 +338,21 @@ func (sg *ShardedGraph) Triples() []rdf.Triple {
 
 var _ rdfgraph.Reader = (*ShardedGraph)(nil)
 
-// Sharded is the sharded Store backend: each epoch is a frozen
-// ShardedGraph, published with the same copy-on-write discipline as
-// rdfgraph.Store — readers never block, writers serialize on a mutex and
-// clone every shard against one shared dictionary overlay per epoch.
+// reader returns the read surface requests use. With one shard there is
+// nothing to route or merge, so that is the shard itself: reads pay no
+// indirection and extraction schedules flat instead of scatter-gather.
+func (sg *ShardedGraph) reader() rdfgraph.Reader {
+	if len(sg.shards) == 1 {
+		return sg.shards[0]
+	}
+	return sg
+}
+
+// Sharded is the Store implementation: each epoch is a frozen
+// ShardedGraph. Readers never block; writers serialize on a mutex and
+// build the next epoch by cloning every shard copy-on-write against one
+// shared dictionary overlay, so unchanged index submaps and the dictionary
+// are shared across epochs and IDs remain stable.
 type Sharded struct {
 	mu    sync.Mutex
 	cur   atomic.Pointer[shardedSnap]
@@ -348,36 +364,35 @@ type shardedSnap struct {
 	epoch uint64
 }
 
-func (s *shardedSnap) Reader() rdfgraph.Reader { return s.sg }
+func (s *shardedSnap) Reader() rdfgraph.Reader { return s.sg.reader() }
 func (s *shardedSnap) Epoch() uint64           { return s.epoch }
 
-// NewSharded partitions g's triples by subject ID across n shards sharing
-// g's dictionary and publishes the result as epoch 1. g itself is frozen
-// (if not already) and unchanged.
-func NewSharded(g *rdfgraph.Graph, n int) *Sharded {
-	g.Freeze()
-	sg := NewShardedGraph(n, g.Dict())
-	g.EachTriple(func(s, p, o rdfgraph.ID) { sg.AddIDs(s, p, o) })
-	return newShardedFrom(sg)
-}
-
-// newShardedFrom wraps an already-loaded ShardedGraph as epoch 1.
-func newShardedFrom(sg *ShardedGraph) *Sharded {
-	sg.Freeze()
+// newSharded freezes an already-loaded ShardedGraph and wraps it as epoch 1.
+func newSharded(sg *ShardedGraph) *Sharded {
 	st := &Sharded{}
 	sg.cross = &st.cross
-	st.cur.Store(&shardedSnap{sg: sg, epoch: 1})
+	st.publish(sg, 1)
 	return st
+}
+
+// publish freezes sg and makes it the current snapshot.
+func (st *Sharded) publish(sg *ShardedGraph, epoch uint64) *shardedSnap {
+	sg.Freeze()
+	snap := &shardedSnap{sg: sg, epoch: epoch}
+	st.cur.Store(snap)
+	return snap
 }
 
 // Current implements Store.
 func (st *Sharded) Current() Snapshot { return st.cur.Load() }
 
-// Apply implements Store. The structure mirrors rdfgraph.Store.Apply; the
-// essential difference is that the component analysis behind Unaffected is
-// built over the edges of *every* shard plus the added edges. Components
-// span shard boundaries — a per-shard analysis would let the neighborhood
-// cache carry entries for nodes whose component changed on another shard.
+// Apply implements Store. A no-op delta publishes nothing and returns the
+// current snapshot with Changed=false. Apply never blocks readers: they
+// keep resolving Current against the old epoch until the new pointer is
+// stored. The component analysis behind Unaffected is built over the edges
+// of *every* shard plus the added edges: components span shard boundaries,
+// and a per-shard analysis would let the neighborhood cache carry entries
+// for nodes whose component changed on another shard.
 func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -411,6 +426,8 @@ func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 		}
 	}
 	if added == 0 && deleted == 0 {
+		// No state was mutated (duplicate adds and absent deletions
+		// return before touching any index), so the clone is discarded.
 		return ApplyResult{
 			Snapshot:   old,
 			Prev:       old.epoch,
@@ -418,6 +435,9 @@ func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 		}
 	}
 
+	// Components over old edges ∪ added edges: old edges keep nodes that
+	// could reach a deleted triple connected to it, added edges connect
+	// previously separate components the new triples now bridge.
 	uf := rdfgraph.NewComponents(ng.Dict().Len())
 	old.sg.EachTriple(func(s, _, o rdfgraph.ID) { uf.Union(s, o) })
 	for _, e := range newEdges {
@@ -425,11 +445,8 @@ func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 	}
 	dirty := uf.DirtySet(touched)
 
-	ng.Freeze()
-	snap := &shardedSnap{sg: ng, epoch: old.epoch + 1}
-	st.cur.Store(snap)
 	return ApplyResult{
-		Snapshot:   snap,
+		Snapshot:   st.publish(ng, old.epoch+1),
 		Prev:       old.epoch,
 		Added:      added,
 		Deleted:    deleted,
@@ -437,9 +454,6 @@ func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 		Unaffected: uf.Unaffected(dirty),
 	}
 }
-
-// Backend implements Store.
-func (st *Sharded) Backend() string { return BackendSharded }
 
 // NumShards implements Store.
 func (st *Sharded) NumShards() int { return st.cur.Load().sg.NumShards() }

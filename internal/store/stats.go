@@ -37,9 +37,9 @@ func (c CardStats) MaxPredCard() int {
 	return max
 }
 
-// SampleStats samples cardinality statistics from a snapshot. For the
-// sharded backend the per-predicate counts aggregate each shard's posting
-// list; the dictionary is shared, so term counts need no merging.
+// SampleStats samples cardinality statistics from a snapshot. Over several
+// shards the per-predicate counts aggregate each shard's posting list; the
+// dictionary is shared, so term counts need no merging.
 func SampleStats(snap Snapshot) CardStats {
 	r := snap.Reader()
 	st := CardStats{

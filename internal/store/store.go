@@ -1,11 +1,10 @@
-// Package store is the pluggable storage tier of the serving stack: it owns
-// the sequence of immutable graph epochs a server reads from and the delta
-// path that publishes new ones. Two backends implement the same Store
-// contract — a thin adapter over the single-graph rdfgraph.Store, and a
-// sharded backend that partitions the dictionary-encoded indexes by subject
-// ID across N shards (see Sharded). Everything above this package — the
+// Package store is the storage tier of the serving stack: it owns the
+// sequence of immutable graph epochs a server reads from and the delta
+// path that publishes new ones. There is one implementation (Sharded): the
+// dictionary-encoded indexes are partitioned by subject ID across N ≥ 1
+// shards sharing one dictionary. Everything above this package — the
 // extractors of internal/core, the HTTP handlers of internal/fragserver,
-// the CLI — speaks Store and rdfgraph.Reader and cannot tell the backends
+// the CLI — speaks Store and rdfgraph.Reader and cannot tell shard counts
 // apart except by throughput.
 package store
 
@@ -16,45 +15,26 @@ import (
 	"shaclfrag/internal/rdfgraph"
 )
 
-// Backend names accepted by Config.Backend and reported by Store.Backend.
-const (
-	BackendSingle  = "single"
-	BackendSharded = "sharded"
-)
-
-// Config selects and sizes a backend.
+// Config sizes the store.
 type Config struct {
-	// Backend is BackendSingle (default when empty) or BackendSharded.
-	Backend string
-	// Shards is the shard count for the sharded backend; 0 means
-	// DefaultShards. The single backend ignores it.
+	// Shards is the shard count; 0 means 1, negative counts are rejected.
 	Shards int
 }
 
-// DefaultShards is the shard count used when Config.Shards is 0.
-const DefaultShards = 4
-
-func (c Config) normalize() (Config, error) {
-	switch c.Backend {
-	case "", BackendSingle:
-		c.Backend = BackendSingle
-		c.Shards = 1
-	case BackendSharded:
-		if c.Shards == 0 {
-			c.Shards = DefaultShards
-		}
-		if c.Shards < 1 {
-			return c, fmt.Errorf("store: shard count %d < 1", c.Shards)
-		}
-	default:
-		return c, fmt.Errorf("store: unknown backend %q (want %q or %q)", c.Backend, BackendSingle, BackendSharded)
+func (c Config) shards() (int, error) {
+	if c.Shards < 0 {
+		return 0, fmt.Errorf("store: shard count %d < 0", c.Shards)
 	}
-	return c, nil
+	if c.Shards == 0 {
+		return 1, nil
+	}
+	return c.Shards, nil
 }
 
 // Snapshot is one immutable epoch of a Store. Epochs start at 1 and
-// increase by one per effective update; the Reader is frozen and safe for
-// any number of concurrent readers for as long as the caller retains it.
+// increase by one per effective update, so they order snapshots and key
+// cache entries; the Reader is frozen and safe for any number of concurrent
+// readers for as long as the caller retains it.
 type Snapshot interface {
 	// Reader is the read surface of this epoch.
 	Reader() rdfgraph.Reader
@@ -62,26 +42,46 @@ type Snapshot interface {
 	Epoch() uint64
 }
 
-// ApplyResult reports what an Apply did. It mirrors rdfgraph.ApplyResult;
-// see that type for the precise Unaffected contract (component analysis
-// over the union of the previous epoch's edges and the added edges — for
-// the sharded backend the components are built globally across all shards,
-// never per shard, because a neighborhood freely spans shard boundaries)
-// and the Prev contract (the epoch the delta was applied against, read
-// under the apply lock — the only sound key for carrying caches across
-// the update; an epoch read before Apply can be stale under racing
-// writers).
+// ApplyResult reports what an Apply did.
 type ApplyResult struct {
-	Snapshot       Snapshot
-	Prev           uint64
+	// Snapshot is the snapshot current after the call: the freshly
+	// published epoch, or the previous one when the delta was a no-op.
+	Snapshot Snapshot
+	// Prev is the epoch the delta was applied against, read under the
+	// same lock that published Snapshot — so Prev+1 == Snapshot.Epoch()
+	// whenever Changed. Callers carrying caches across the update MUST
+	// key the carry on Prev, never on an epoch they read before calling
+	// Apply: two racing updates can both observe the same pre-apply
+	// epoch, and the later one would then carry entries across the
+	// earlier delta using only its own Unaffected predicate, silently
+	// skipping the earlier delta's effects.
+	Prev uint64
+	// Added and Deleted count effective operations (duplicates and
+	// absent deletions excluded).
 	Added, Deleted int
-	Changed        bool
-	Unaffected     func(rdfgraph.ID) bool
+	// Changed reports whether a new epoch was published.
+	Changed bool
+	// Unaffected reports whether a node's weakly-connected component —
+	// over the union of the previous epoch's edges and the added edges,
+	// built globally across all shards, never per shard, because a
+	// component freely spans shard boundaries — contains no endpoint of
+	// an effective delta triple. Every Table 2 extraction rule walks
+	// edges from the focus node, so both B(v,G,φ) and v's conformance
+	// depend only on v's component: an Unaffected node has the identical
+	// neighborhood and verdict in both epochs, which is what lets a cache
+	// carry its entries forward. IDs must come from the new snapshot's
+	// dictionary (the previous epoch's IDs are valid there too).
+	// Unaffected is safe for concurrent use.
+	Unaffected func(rdfgraph.ID) bool
 }
 
-// AffectedNodes filters nodes down to those the delta's components touch —
-// the worklist incremental re-extraction runs over. See
-// rdfgraph.ApplyResult.AffectedNodes.
+// AffectedNodes filters nodes down to those the delta's components touch:
+// the inversion of Unaffected into the worklist incremental re-extraction
+// runs over. Pass the new snapshot's NodeIDs to get the focus nodes whose
+// neighborhood or verdict may have changed (new nodes introduced by the
+// delta are endpoints of effective triples, so they always qualify); nodes
+// a deletion removed from N(G) are absent from that list and must be
+// handled by the caller (their neighborhoods are empty in the new epoch).
 func (res ApplyResult) AffectedNodes(nodes []rdfgraph.ID) []rdfgraph.ID {
 	if !res.Changed {
 		return nil
@@ -96,96 +96,75 @@ func (res ApplyResult) AffectedNodes(nodes []rdfgraph.ID) []rdfgraph.ID {
 }
 
 // Store owns a sequence of immutable graph snapshots and publishes new
-// epochs atomically: readers call Current and use that snapshot for the
-// whole request without ever blocking on writers; writers are serialized
-// internally and publish copy-on-write epochs.
+// epochs atomically: readers call Current once and use that snapshot for
+// the whole request without ever blocking on writers; writers are
+// serialized internally and publish copy-on-write epochs. The interface
+// exists so tests can substitute a store whose reader misbehaves.
 type Store interface {
 	// Current returns the latest published snapshot.
 	Current() Snapshot
 	// Apply builds and publishes the next epoch from the current one.
 	Apply(d rdfgraph.Delta) ApplyResult
-	// Backend returns the backend name (BackendSingle or BackendSharded).
-	Backend() string
-	// NumShards returns the shard count (1 for the single backend).
+	// NumShards returns the shard count.
 	NumShards() int
 	// ShardTriples returns the per-shard triple counts of the current
-	// epoch; the single backend reports one entry.
+	// epoch.
 	ShardTriples() []int
 	// CrossShardResolutions returns the cumulative count of reverse-index
-	// results resolved from a shard other than the queried node's own.
-	// Always 0 for the single backend.
+	// results resolved from a shard other than the queried node's own
+	// (always 0 on one shard).
 	CrossShardResolutions() uint64
 }
 
-// New wraps an already-built graph in the configured backend, freezing it
-// as epoch 1. The sharded backend re-partitions g's triples by subject ID
-// while sharing g's dictionary, so IDs held by callers stay valid.
+// New freezes an already-built graph and publishes it as epoch 1. One
+// shard adopts g as it stands; several re-partition g's triples by subject
+// ID. Either way the dictionary is g's, so IDs held by callers stay valid.
+//
+// The store owns g from here on: do not mutate it or pass it to a second
+// New. Later epochs extend g's dictionary (on one shard, its edge slices
+// too) under this store's writer lock; a second store over g would be a
+// second writer lineage on the same term table. Pass g.Clone() instead.
 func New(g *rdfgraph.Graph, cfg Config) (Store, error) {
-	cfg, err := cfg.normalize()
+	n, err := cfg.shards()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Backend == BackendSingle {
-		return NewSingle(g), nil
+	g.Freeze()
+	if n == 1 {
+		return newSharded(&ShardedGraph{dict: g.Dict(), shards: []*rdfgraph.Graph{g}}), nil
 	}
-	return NewSharded(g, cfg.Shards), nil
+	sg := NewShardedGraph(n, g.Dict())
+	g.EachTriple(func(s, p, o rdfgraph.ID) { sg.AddIDs(s, p, o) })
+	return newSharded(sg), nil
 }
 
-// Loader streams triples into a backend without materializing the full
+// Loader streams triples into a store without materializing the full
 // triple slice: each Add interns the terms and updates the indexes in
 // place, so peak memory is the final index size, not indexes plus a
 // []rdf.Triple copy of the input. This is what lets a 10M-triple datagen
 // graph load within bounded memory.
 type Loader struct {
-	cfg Config
-	g   *rdfgraph.Graph // single backend
-	sg  *ShardedGraph   // sharded backend
+	sg *ShardedGraph
 }
 
-// NewLoader returns an empty loader for the configured backend.
+// NewLoader returns an empty loader for the configured shard count.
 func NewLoader(cfg Config) (*Loader, error) {
-	cfg, err := cfg.normalize()
+	n, err := cfg.shards()
 	if err != nil {
 		return nil, err
 	}
-	l := &Loader{cfg: cfg}
-	if cfg.Backend == BackendSingle {
-		l.g = rdfgraph.New()
-	} else {
-		l.sg = NewShardedGraph(cfg.Shards, rdfgraph.NewDict())
-	}
-	return l, nil
+	return &Loader{sg: NewShardedGraph(n, rdfgraph.NewDict())}, nil
 }
 
 // Add inserts one triple, reporting whether it was new.
-func (l *Loader) Add(t rdf.Triple) bool {
-	if l.g != nil {
-		return l.g.Add(t)
-	}
-	return l.sg.Add(t)
-}
+func (l *Loader) Add(t rdf.Triple) bool { return l.sg.Add(t) }
 
 // Len returns the number of triples loaded so far.
-func (l *Loader) Len() int {
-	if l.g != nil {
-		return l.g.Len()
-	}
-	return l.sg.Len()
-}
+func (l *Loader) Len() int { return l.sg.Len() }
 
 // Reader exposes the graph under construction. It must not be used
 // concurrently with Add; after Finish it is the epoch-1 read surface.
-func (l *Loader) Reader() rdfgraph.Reader {
-	if l.g != nil {
-		return l.g
-	}
-	return l.sg
-}
+func (l *Loader) Reader() rdfgraph.Reader { return l.sg.reader() }
 
 // Finish freezes the loaded graph and wraps it as epoch 1 of a Store.
-func (l *Loader) Finish() Store {
-	if l.g != nil {
-		return NewSingle(l.g)
-	}
-	return newShardedFrom(l.sg)
-}
+func (l *Loader) Finish() Store { return newSharded(l.sg) }

@@ -19,25 +19,25 @@ func exTriple(s, p, o string) rdf.Triple {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := store.New(rdfgraph.New(), store.Config{Backend: "quantum"}); err == nil {
-		t.Fatal("unknown backend accepted")
+	if _, err := store.New(rdfgraph.New(), store.Config{Shards: -1}); err == nil {
+		t.Fatal("New accepted a negative shard count")
 	}
-	if _, err := store.New(rdfgraph.New(), store.Config{Backend: store.BackendSharded, Shards: -1}); err == nil {
-		t.Fatal("negative shard count accepted")
+	if _, err := store.NewLoader(store.Config{Shards: -1}); err == nil {
+		t.Fatal("NewLoader accepted a negative shard count")
 	}
 	st, err := store.New(rdfgraph.New(), store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Backend() != store.BackendSingle || st.NumShards() != 1 {
-		t.Fatalf("empty config = (%s, %d), want (single, 1)", st.Backend(), st.NumShards())
+	if st.NumShards() != 1 {
+		t.Fatalf("empty config has %d shards, want 1", st.NumShards())
 	}
-	st, err = store.New(rdfgraph.New(), store.Config{Backend: store.BackendSharded})
+	loader, err := store.NewLoader(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NumShards() != store.DefaultShards {
-		t.Fatalf("default shards = %d, want %d", st.NumShards(), store.DefaultShards)
+	if n := loader.Finish().NumShards(); n != 1 {
+		t.Fatalf("empty loader config has %d shards, want 1", n)
 	}
 }
 
@@ -48,14 +48,14 @@ func testGraph(t *testing.T) *rdfgraph.Graph {
 	return datagen.Tyrol(datagen.TyrolConfig{Individuals: 400, Seed: 7})
 }
 
-// TestShardedReaderParity checks every Reader method of the sharded graph
-// against the single graph it was partitioned from.
+// TestShardedReaderParity checks every Reader method of a store's snapshot
+// against the graph it was built from.
 func TestShardedReaderParity(t *testing.T) {
 	g := testGraph(t)
 	want := turtle.FormatNTriples(g.Triples())
 	for _, n := range []int{1, 2, 3, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			st, err := store.New(g, store.Config{Backend: store.BackendSharded, Shards: n})
+			st, err := store.New(g, store.Config{Shards: n})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,6 +86,11 @@ func TestShardedReaderParity(t *testing.T) {
 					t.Fatalf("NodeIDs[%d] = %d, want %d", i, rn[i], gn[i])
 				}
 			}
+			if rn := r.NumNodes(); rn != len(gn) {
+				t.Fatalf("NumNodes = %d, want %d", rn, len(gn))
+			}
+			// One shard reads the adopted graph directly; several expose
+			// the partition scatter-gather extraction schedules over.
 			if sr, ok := r.(interface{ ShardNodeIDs() [][]rdfgraph.ID }); ok {
 				var union []rdfgraph.ID
 				for k, part := range sr.ShardNodeIDs() {
@@ -105,7 +110,7 @@ func TestShardedReaderParity(t *testing.T) {
 						t.Fatalf("ShardNodeIDs union[%d] = %d, want %d", i, union[i], gn[i])
 					}
 				}
-			} else {
+			} else if n > 1 {
 				t.Fatal("sharded reader does not expose ShardNodeIDs")
 			}
 
@@ -164,22 +169,19 @@ func TestShardedReaderParity(t *testing.T) {
 }
 
 // TestLoaderMatchesBulk checks the streaming loader ends at the same graph
-// as bulk construction plus repartitioning, for both backends.
+// as bulk construction plus repartitioning, on one shard and on several.
 func TestLoaderMatchesBulk(t *testing.T) {
 	cfg := datagen.TyrolConfig{Individuals: 300, Seed: 3}
 	want := turtle.FormatNTriples(datagen.Tyrol(cfg).Triples())
-	for _, scfg := range []store.Config{
-		{Backend: store.BackendSingle},
-		{Backend: store.BackendSharded, Shards: 3},
-	} {
-		loader, err := store.NewLoader(scfg)
+	for _, shards := range []int{1, 3} {
+		loader, err := store.NewLoader(store.Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		datagen.TyrolStream(cfg, func(tr rdf.Triple) { loader.Add(tr) })
 		st := loader.Finish()
 		if got := turtle.FormatNTriples(st.Current().Reader().Triples()); got != want {
-			t.Fatalf("%s loader output differs from bulk construction", scfg.Backend)
+			t.Fatalf("shards=%d: loader output differs from bulk construction", shards)
 		}
 		if st.Current().Epoch() != 1 {
 			t.Fatalf("fresh store epoch = %d, want 1", st.Current().Epoch())
@@ -187,8 +189,8 @@ func TestLoaderMatchesBulk(t *testing.T) {
 	}
 }
 
-// TestApplyParity applies the same delta sequence to both backends and
-// checks they publish identical graphs and epochs.
+// TestApplyParity applies the same delta sequence on one shard and on
+// three and checks they publish identical graphs and epochs.
 func TestApplyParity(t *testing.T) {
 	base := []rdf.Triple{
 		exTriple("a", "p", "b"),
@@ -201,11 +203,11 @@ func TestApplyParity(t *testing.T) {
 		{Add: []rdf.Triple{exTriple("c", "p", "d")}, Del: []rdf.Triple{exTriple("e", "q", "f")}},
 		{Del: []rdf.Triple{exTriple("nope", "p", "gone")}}, // no-op
 	}
-	single, err := store.New(rdfgraph.FromTriples(base), store.Config{})
+	single, err := store.New(rdfgraph.FromTriples(base), store.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := store.New(rdfgraph.FromTriples(base), store.Config{Backend: store.BackendSharded, Shards: 3})
+	sharded, err := store.New(rdfgraph.FromTriples(base), store.Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +237,11 @@ func TestApplyParity(t *testing.T) {
 // when a and b live on different shards, while the untouched {c,d}
 // component stays carryable.
 func TestUnaffectedSpansShards(t *testing.T) {
-	g := rdfgraph.FromTriples([]rdf.Triple{
-		exTriple("a", "p", "b"),
-		exTriple("c", "p", "d"),
-	})
 	for _, n := range []int{2, 3, 5} {
-		st, err := store.New(g, store.Config{Backend: store.BackendSharded, Shards: n})
+		st, err := store.New(rdfgraph.FromTriples([]rdf.Triple{
+			exTriple("a", "p", "b"),
+			exTriple("c", "p", "d"),
+		}), store.Config{Shards: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +268,7 @@ func TestUnaffectedSpansShards(t *testing.T) {
 // TestCrossShardResolutions checks the counter advances exactly when a
 // reverse read resolves results away from the queried node's home shard.
 func TestCrossShardResolutions(t *testing.T) {
-	st, err := store.New(testGraph(t), store.Config{Backend: store.BackendSharded, Shards: 2})
+	st, err := store.New(testGraph(t), store.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,11 @@ func TestCrossShardResolutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r = single.Current().Reader()
+	for _, v := range r.NodeIDs() {
+		r.PredicatesTo(v, func(s, p rdfgraph.ID) {})
+	}
 	if got := single.CrossShardResolutions(); got != 0 {
-		t.Fatalf("single backend counter = %d, want 0", got)
+		t.Fatalf("one-shard counter = %d after reverse reads, want 0", got)
 	}
 }
