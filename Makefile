@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-json-smoke bench-live bench-sharded bench-sharded-10m check clean cover docs-check
+.PHONY: build test race vet bench bench-json bench-json-smoke bench-live bench-serve bench-sharded bench-sharded-10m check clean cover docs-check
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,13 @@ bench-json-smoke:
 bench-live:
 	$(GO) run ./cmd/benchjson -bench LiveUpdates -benchtime 2s -dir . \
 		-meta series=live-updates -meta subscriptions=0,100,1000
+
+# The read routes in process, cache warm: GET /node over every definition
+# and a one-shape GET /fragment through Server.Handler(), snapshotted into
+# the trajectory. The allocation columns are what TestWarmNodeAllocs gates.
+bench-serve:
+	$(GO) run ./cmd/benchjson -bench 'ServeNodeWarm|ServeFragmentShape' -benchtime 2s -dir . \
+		-meta series=serve-warm
 
 # Store-tier shard sweep at serving scale: the same whole-schema
 # extraction at 1, 4 and 16 shards, snapshotted into the trajectory.

@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"runtime"
 	"strings"
@@ -668,4 +670,55 @@ func BenchmarkLiveUpdates(b *testing.B) {
 		srv.Live().Drain()
 		wg.Wait()
 	})
+}
+
+// discardResponse is an http.ResponseWriter that keeps nothing, so the
+// serve benchmarks measure the handler, not a recorder's buffer.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// benchServe drives one GET through Server.Handler() per iteration, the
+// neighborhood cache warm, over the benchmark schema as cmd/fragserver sees
+// it: written out as SHACL and parsed back, which names the nested shapes.
+func benchServe(b *testing.B, individuals int, target string) {
+	shapes, err := shaclsyn.Format(datagen.BenchmarkSchema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := shaclsyn.ParseSchema(shapes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := fragserver.New(fragserver.Config{
+		Graph: tyrolGraph(individuals), Schema: h,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := httptest.NewRequest("GET", target, nil)
+	w := &discardResponse{h: http.Header{}}
+	srv.Handler().ServeHTTP(w, req) // fills the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(w.h)
+		srv.Handler().ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkServeNodeWarm is the node-hot request in process: GET /node over
+// every definition for one focus node of Tyrol 10000, every lookup a cache
+// hit. What is left is middleware, sort and N-Triples encoding.
+func BenchmarkServeNodeWarm(b *testing.B) {
+	benchServe(b, 10000, "/node?iri="+url.QueryEscape("<"+datagen.NS+"lodging/0>"))
+}
+
+// BenchmarkServeFragmentShape is one shape-scan request in process: a
+// one-shape GET /fragment on Tyrol 1500 with its neighborhoods cached.
+func BenchmarkServeFragmentShape(b *testing.B) {
+	benchServe(b, 1500, "/fragment?shape=S01")
 }

@@ -173,15 +173,8 @@ func (e *Explanation) IDTriples() []rdfgraph.IDTriple {
 		ids = append(ids, t)
 	}
 	e.mu.Unlock()
-	d := e.g.Dict()
-	sort.Slice(ids, func(i, j int) bool {
-		return rdf.CompareTriples(decode(d, ids[i]), decode(d, ids[j])) < 0
-	})
+	rdfgraph.SortIDTriples(e.g.Dict(), ids)
 	return ids
-}
-
-func decode(d *rdfgraph.Dict, t rdfgraph.IDTriple) rdf.Triple {
-	return rdf.Triple{S: d.Term(t.S), P: d.Term(t.P), O: d.Term(t.O)}
 }
 
 // Justifications returns the justification list recorded for t, in
@@ -214,7 +207,7 @@ func (e *Explanation) Annotated() []AnnotatedTriple {
 			rendered[i] = j.Render(e.g)
 		}
 		sort.Sort(&byRendered{js: js, r: rendered})
-		out = append(out, AnnotatedTriple{Triple: decode(d, t), Justifications: js, Rendered: rendered})
+		out = append(out, AnnotatedTriple{Triple: d.Triple(t), Justifications: js, Rendered: rendered})
 	}
 	return out
 }

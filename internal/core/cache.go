@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"context"
 	"sync"
 	"unsafe"
 
@@ -112,6 +113,28 @@ func (c *NeighborhoodCache) resolveLocked(phi shape.Shape) (shape.Shape, bool) {
 func (c *NeighborhoodCache) Get(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.getLocked(epoch, v, phi)
+}
+
+// getRun is Get for shapes[0], shapes[1], … in order under one lock
+// acquisition: each hit's triples are appended to dst, and the run stops at
+// the first miss. It returns how many shapes were served, so shapes[n] (if
+// any) is the one that missed. Counters and recency move exactly as under
+// that many separate Gets.
+func (c *NeighborhoodCache) getRun(epoch uint64, v rdfgraph.ID, shapes []shape.Shape, dst []rdfgraph.IDTriple) ([]rdfgraph.IDTriple, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, phi := range shapes {
+		ts, ok := c.getLocked(epoch, v, phi)
+		if !ok {
+			return dst, i
+		}
+		dst = append(dst, ts...)
+	}
+	return dst, len(shapes)
+}
+
+func (c *NeighborhoodCache) getLocked(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
 	rep, aliased := c.resolveLocked(phi)
 	el, ok := c.items[neighborhoodKey{epoch: epoch, node: v, shape: rep}]
 	if !ok {
@@ -281,6 +304,35 @@ func (x *Extractor) NeighborhoodIDsCached(cache *NeighborhoodCache, epoch uint64
 			return ts
 		}
 	}
+	return x.neighborhoodMiss(cache, epoch, v, phi)
+}
+
+// NeighborhoodsCached appends B(v, G, φ) for every φ of shapes, in order, to
+// dst: NeighborhoodIDsCached over a shape list, except that consecutive
+// cache hits share one lock acquisition (a fully cached node costs one),
+// and ctx is polled once up front and once after each miss rather than once
+// per shape. The result may repeat triples that several shapes select.
+func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, shapes []shape.Shape, dst []rdfgraph.IDTriple) ([]rdfgraph.IDTriple, error) {
+	cached := cache != nil && x.rec == nil
+	for i := 0; i < len(shapes); i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if cached {
+			var n int
+			dst, n = cache.getRun(epoch, v, shapes[i:], dst)
+			if i += n; i == len(shapes) {
+				break
+			}
+		}
+		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i])...)
+	}
+	return dst, nil
+}
+
+// neighborhoodMiss computes B(v, G, φ) and stores it in cache (unless a
+// recorder is attached or cache is nil).
+func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, phi shape.Shape) []rdfgraph.IDTriple {
 	out := rdfgraph.NewIDTripleSet()
 	x.collect(v, x.nnf(phi), out, make(map[VisitKey]struct{}))
 	ts := out.IDTriples()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,7 +241,18 @@ func (e *PanicError) Error() string {
 //
 // A panic during extraction, on the calling goroutine (set-up and the
 // one-worker path) or on a worker, comes back as a *PanicError.
-func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOptions) (triples []rdf.Triple, err error) {
+func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOptions) ([]rdf.Triple, error) {
+	ids, err := x.FragmentParallelIDs(requests, opts)
+	if err != nil {
+		return nil, err
+	}
+	return x.ev.G.Dict().DecodeTriples(ids), nil
+}
+
+// FragmentParallelIDs is FragmentParallel short of decoding: the fragment
+// as dictionary-encoded triples in canonical order
+// (rdfgraph.SortIDTriples), which is what a serving route streams from.
+func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOptions) (triples []rdfgraph.IDTriple, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			triples, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
@@ -372,11 +384,14 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 	}
 	_, stopMerge := startStageSpan(opts.Tracer, opts.Span, mergeStage)
 	defer stopMerge()
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged.AddSet(o)
+	// Union by sort and compact: cheaper than growing one worker's map by
+	// the others' contents only to list and sort it afterwards.
+	merged := make([]rdfgraph.IDTriple, 0, len(outs)*outs[0].Len()) // shares are about even
+	for _, o := range outs {
+		o.Each(func(t rdfgraph.IDTriple) { merged = append(merged, t) })
 	}
-	return merged.Triples(g.Dict()), nil
+	rdfgraph.SortIDTriples(g.Dict(), merged)
+	return slices.Compact(merged), nil
 }
 
 // focusNodes returns, per normalized request, the nodes extraction visits
@@ -438,7 +453,7 @@ func (x *Extractor) FragmentSchemaParallel(h *schema.Schema, opts ParallelOption
 
 // fragmentSerial is the one-worker path, run on the calling extractor so
 // its evaluator caches keep accumulating across calls.
-func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, focus [][]rdfgraph.ID, opts ParallelOptions) ([]rdf.Triple, error) {
+func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, focus [][]rdfgraph.ID, opts ParallelOptions) ([]rdfgraph.IDTriple, error) {
 	if opts.Recorder != nil {
 		prev := x.rec
 		x.rec = opts.Recorder
@@ -458,7 +473,7 @@ func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, f
 		x.extractRange(requests[i], nnfs[i], b, focus[i], out, visited, opts.Cache, opts.Epoch)
 		spans.finish(begin, 0, b != nil)
 	}
-	return out.Triples(x.ev.G.Dict()), nil
+	return out.Sorted(x.ev.G.Dict()), nil
 }
 
 // extractRange accumulates the neighborhoods of a node range for one

@@ -3,6 +3,7 @@ package fragserver
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"shaclfrag/internal/obs"
@@ -85,9 +86,9 @@ var stageNames = []string{
 }
 
 // serverMetrics owns the server's registry plus the pre-created hot-path
-// instruments, so request handling touches only atomics (the lone
-// registry lookup left on the hot path is the on-demand (route, status)
-// counter, one short mutexed map probe).
+// instruments, so request handling touches only atomics and, for the
+// on-demand (route, status) counter, one short mutexed map probe; the
+// registry itself is consulted the first time a pair is seen.
 type serverMetrics struct {
 	reg       *obs.Registry
 	latency   map[string]*obs.Histogram // per route
@@ -96,6 +97,9 @@ type serverMetrics struct {
 	inflight  *obs.Gauge
 	shed      *obs.Counter
 	panics    *obs.Counter
+
+	reqMu    sync.Mutex
+	requests map[routeStatus]*obs.Counter // created on first use
 
 	// /explain volume and the attribution sampler's tallies.
 	explainTriples *obs.Counter
@@ -115,6 +119,11 @@ type serverMetrics struct {
 	subsOpened *obs.Counter
 }
 
+type routeStatus struct {
+	route  string
+	status int
+}
+
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
@@ -122,6 +131,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		latency:   make(map[string]*obs.Histogram),
 		respBytes: make(map[string]*obs.Counter),
 		stages:    make(map[string]*obs.Histogram),
+		requests:  make(map[routeStatus]*obs.Counter),
 	}
 	for _, route := range append([]string{"other"}, routeNames...) {
 		m.latency[route] = reg.Histogram(mRequestDuration,
@@ -344,14 +354,22 @@ func newServerMetrics(s *Server) *serverMetrics {
 // request's trace accumulated. traceID is non-empty only for sampled
 // requests; the latency histogram stores it as the exemplar on the
 // bucket the request landed in, linking /metrics back to /debug/traces.
-func (m *serverMetrics) observe(route string, status int, bytes int64, dur time.Duration, tr *obs.Trace, traceID string) {
-	m.reg.Counter(mRequestsTotal, "Requests served, by route and HTTP status.",
-		obs.L("route", route), obs.L("status", strconv.Itoa(status))).Inc()
+func (m *serverMetrics) observe(route string, status int, bytes int64, dur time.Duration, stages []obs.Stage, traceID string) {
+	key := routeStatus{route, status}
+	m.reqMu.Lock()
+	reqs, ok := m.requests[key]
+	if !ok {
+		reqs = m.reg.Counter(mRequestsTotal, "Requests served, by route and HTTP status.",
+			obs.L("route", route), obs.L("status", strconv.Itoa(status)))
+		m.requests[key] = reqs
+	}
+	m.reqMu.Unlock()
+	reqs.Inc()
 	m.latency[route].ObserveExemplar(dur.Seconds(), traceID)
 	if bytes > 0 {
 		m.respBytes[route].Add(uint64(bytes))
 	}
-	for _, st := range tr.Stages() {
+	for _, st := range stages {
 		if h, ok := m.stages[st.Name]; ok {
 			h.ObserveDuration(st.Dur)
 		}

@@ -2,6 +2,7 @@ package fragserver
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -119,7 +120,13 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 			s.traces.Keep(st, sw.status >= 500 || slow)
 			traceID = st.ID().String()
 		}
-		s.metrics.observe(route, sw.status, sw.bytes, dur, tr, traceID)
+		stages := tr.Stages()
+		s.metrics.observe(route, sw.status, sw.bytes, dur, stages, traceID)
+		// Boxing the fields costs a dozen allocations; skip it when no
+		// handler would see the line.
+		if !slow && !s.log.Enabled(r.Context(), slog.LevelInfo) {
+			return
+		}
 		args := []any{
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -129,7 +136,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 			"dur_ms", dur.Milliseconds(),
 			"remote", r.RemoteAddr,
 		}
-		s.log.Info("request", append(args, tr.LogArgs()...)...)
+		s.log.Info("request", append(args, obs.LogArgs(stages)...)...)
 		if slow {
 			slowArgs := append(args, "threshold_ms", s.slowReq.Milliseconds())
 			if st != nil {

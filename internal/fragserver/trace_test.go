@@ -326,3 +326,33 @@ func TestTraceRingBounded(t *testing.T) {
 		t.Errorf("fragserver_traces_evicted_total = %v, want 3", v)
 	}
 }
+
+// TestAccessLogFollowsLevel: at Info the access line carries the request
+// fields and the stage timings; a handler that starts at Warn gets no
+// access line, and the slow-request warning still arrives with the request
+// fields on it.
+func TestAccessLogFollowsLevel(t *testing.T) {
+	for _, level := range []slog.Level{slog.LevelInfo, slog.LevelWarn} {
+		var buf bytes.Buffer
+		cfg := tracedConfig(0)
+		cfg.Logger = slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: level}))
+		cfg.SlowRequest = time.Nanosecond
+		_, ts := newUpdateTestServer(t, cfg)
+		get(t, ts, "/fragment?shape=S01")
+		logs := buf.String()
+		access := strings.Contains(logs, "msg=request ")
+		if access != (level == slog.LevelInfo) {
+			t.Errorf("level %v: access line present = %v:\n%s", level, access, logs)
+		}
+		if access {
+			for _, field := range []string{"method=GET", "path=/fragment", `query="shape=S01"`, "status=200", "bytes=", "dur_ms=", "remote=", "extract_ms=", "serialize_ms="} {
+				if !strings.Contains(logs, field) {
+					t.Errorf("access line lacks %s:\n%s", field, logs)
+				}
+			}
+		}
+		if !strings.Contains(logs, `msg="slow request" method=GET path=/fragment`) {
+			t.Errorf("level %v: slow-request warning missing or without request fields:\n%s", level, logs)
+		}
+	}
+}

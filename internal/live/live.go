@@ -42,14 +42,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/obs"
 	"shaclfrag/internal/plan"
-	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
@@ -346,16 +344,14 @@ func (st *shapeState) push(ev Event, cap int) {
 	}
 }
 
-// lines decodes and renders triples as sorted N-Triples lines.
+// lines renders triples as sorted N-Triples lines; ts is sorted in place.
 func lines(d *rdfgraph.Dict, ts []rdfgraph.IDTriple) []string {
+	rdfgraph.SortIDTriples(d, ts)
 	out := make([]string, 0, len(ts))
-	decoded := make([]rdf.Triple, 0, len(ts))
+	var line []byte
 	for _, t := range ts {
-		decoded = append(decoded, rdf.Triple{S: d.Term(t.S), P: d.Term(t.P), O: d.Term(t.O)})
-	}
-	sort.Slice(decoded, func(i, j int) bool { return rdf.CompareTriples(decoded[i], decoded[j]) < 0 })
-	for _, t := range decoded {
-		out = append(out, t.String()+" .")
+		line = d.Triple(t).AppendNTriples(line[:0])
+		out = append(out, string(append(line, " ."...)))
 	}
 	return out
 }

@@ -235,10 +235,9 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+var labelValueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabelValue(v string) string { return labelValueEscaper.Replace(v) }
 
 // series returns the child for (name, labels), creating family and child
 // as needed. Re-registering a name with a different kind is a programming

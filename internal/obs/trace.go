@@ -171,11 +171,10 @@ func sanitizeToken(name string) string {
 	return name
 }
 
-// LogArgs renders the trace as alternating key/value pairs for slog
-// (`<stage>_ms` keys, millisecond float values), appendable to an access
-// log line's argument list.
-func (t *Trace) LogArgs() []any {
-	stages := t.Stages()
+// LogArgs renders stages (a Trace's Stages()) as alternating key/value
+// pairs for slog (`<stage>_ms` keys, millisecond float values), appendable
+// to an access log line's argument list.
+func LogArgs(stages []Stage) []any {
 	out := make([]any, 0, 2*len(stages))
 	for _, s := range stages {
 		out = append(out, s.Name+"_ms", float64(s.Dur)/float64(time.Millisecond))

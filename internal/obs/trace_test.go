@@ -139,7 +139,7 @@ func TestTraceStartSpan(t *testing.T) {
 func TestTraceLogArgs(t *testing.T) {
 	tr := NewTrace()
 	tr.Observe("serialize", 2500*time.Microsecond)
-	args := tr.LogArgs()
+	args := LogArgs(tr.Stages())
 	if len(args) != 2 || args[0] != "serialize_ms" || args[1].(float64) != 2.5 {
 		t.Errorf("LogArgs() = %v", args)
 	}

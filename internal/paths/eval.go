@@ -2,7 +2,6 @@ package paths
 
 import (
 	"slices"
-	"sort"
 
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
@@ -344,12 +343,8 @@ func (ev *Evaluator) TraceEdges(a rdfgraph.ID, targets []rdfgraph.ID, fn func(t 
 // TraceUnion is TraceUnionIDs decoded to terms and canonically sorted.
 func (ev *Evaluator) TraceUnion(a rdfgraph.ID, targets []rdfgraph.ID) []rdf.Triple {
 	ids := ev.TraceUnionIDs(a, targets)
-	out := make([]rdf.Triple, 0, len(ids))
-	for _, t := range ids {
-		out = append(out, rdf.Triple{S: ev.g.Term(t.S), P: ev.g.Term(t.P), O: ev.g.Term(t.O)})
-	}
-	sort.Slice(out, func(i, j int) bool { return rdf.CompareTriples(out[i], out[j]) < 0 })
-	return out
+	rdfgraph.SortIDTriples(ev.g.Dict(), ids)
+	return ev.g.Dict().DecodeTriples(ids)
 }
 
 // Trace computes graph(paths(E, G, a, b)) for a single target b.

@@ -7,7 +7,6 @@
 package rdf
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -116,72 +115,77 @@ func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 // IsLiteral reports whether t is a literal.
 func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
 
-// String renders the term in N-Triples-like concrete syntax.
-func (t Term) String() string {
+// AppendNTriples appends the term in N-Triples concrete syntax to dst and
+// returns the extended slice. It is the only place in the repository that
+// writes N-Triples term syntax: String, Triple.String, the turtle
+// serializers and the live delta renderer all go through it, so every
+// route's bytes agree by construction and none of them allocates per term.
+func (t Term) AppendNTriples(dst []byte) []byte {
 	switch t.Kind {
 	case KindIRI:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case KindBlank:
-		return "_:" + t.Value
-	default:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
-		switch {
-		case t.Lang != "":
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		case t.Datatype != "" && t.Datatype != XSDString:
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
-		}
-		return b.String()
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	}
+	dst = append(dst, '"')
+	dst = appendEscaped(dst, t.Value)
+	dst = append(dst, '"')
+	switch {
+	case t.Lang != "":
+		dst = append(dst, '@')
+		dst = append(dst, t.Lang...)
+	case t.Datatype != "" && t.Datatype != XSDString:
+		dst = append(dst, "^^<"...)
+		dst = append(dst, t.Datatype...)
+		dst = append(dst, '>')
+	}
+	return dst
 }
 
-// escapeLiteral escapes the quote, backslash and every C0 control
-// character so the output re-lexes to the same lexical form. It walks
-// bytes, not runes: all escaped characters are ASCII, and byte-copying
-// the rest cannot corrupt multi-byte sequences the way a rune loop would
-// (a rune loop rewrites invalid UTF-8 to U+FFFD).
-func escapeLiteral(s string) string {
-	clean := true
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return s
-	}
-	var b strings.Builder
+// String renders the term in N-Triples-like concrete syntax.
+func (t Term) String() string {
+	var buf [128]byte
+	return string(t.AppendNTriples(buf[:0]))
+}
+
+// appendEscaped appends a literal's lexical form, escaping the quote,
+// backslash and every C0 control character so the output re-lexes to the
+// same form. It walks bytes, not runes: all escaped characters are ASCII,
+// and byte-copying the rest cannot corrupt multi-byte sequences the way a
+// rune loop would (a rune loop rewrites invalid UTF-8 to U+FFFD).
+func appendEscaped(dst []byte, s string) []byte {
+	const hex = "0123456789ABCDEF"
+	start := 0 // beginning of the pending run of bytes copied as they are
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		switch {
-		case c == '"':
-			b.WriteString(`\"`)
-		case c == '\\':
-			b.WriteString(`\\`)
-		case c == '\n':
-			b.WriteString(`\n`)
-		case c == '\r':
-			b.WriteString(`\r`)
-		case c == '\t':
-			b.WriteString(`\t`)
-		case c == '\b':
-			b.WriteString(`\b`)
-		case c == '\f':
-			b.WriteString(`\f`)
-		case c < 0x20:
-			fmt.Fprintf(&b, `\u%04X`, c)
+		if c >= 0x20 && c != '"' && c != '\\' {
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		start = i + 1
+		switch c {
+		case '"':
+			dst = append(dst, `\"`...)
+		case '\\':
+			dst = append(dst, `\\`...)
+		case '\n':
+			dst = append(dst, `\n`...)
+		case '\r':
+			dst = append(dst, `\r`...)
+		case '\t':
+			dst = append(dst, `\t`...)
+		case '\b':
+			dst = append(dst, `\b`...)
+		case '\f':
+			dst = append(dst, `\f`...)
 		default:
-			b.WriteByte(c)
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
 		}
 	}
-	return b.String()
+	return append(dst, s[start:]...)
 }
 
 // SameLang implements the equivalence relation ~ on literals: both terms are
@@ -325,9 +329,18 @@ type Triple struct {
 // T is shorthand for constructing a triple.
 func T(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
+// AppendNTriples appends the triple in N-Triples syntax (without the final
+// dot) to dst and returns the extended slice.
+func (t Triple) AppendNTriples(dst []byte) []byte {
+	dst = append(t.S.AppendNTriples(dst), ' ')
+	dst = append(t.P.AppendNTriples(dst), ' ')
+	return t.O.AppendNTriples(dst)
+}
+
 // String renders the triple in N-Triples syntax (without the final dot).
 func (t Triple) String() string {
-	return fmt.Sprintf("%s %s %s", t.S, t.P, t.O)
+	var buf [256]byte
+	return string(t.AppendNTriples(buf[:0]))
 }
 
 // CompareTriples totally orders triples by subject, predicate, object.

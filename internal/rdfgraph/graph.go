@@ -22,10 +22,15 @@
 // currency of the serving stack's data structures: IDTripleSet
 // accumulates extraction results without term churn, and
 // core.NeighborhoodCache stores neighborhoods in encoded form, which is
-// what makes its triple-denominated memory bound meaningful.
+// what makes its triple-denominated memory bound meaningful. Canonical
+// output order is decided on IDs too: SortIDTriples (and with it
+// IDTripleSet.Sorted and Triples) orders encoded triples exactly as
+// rdf.CompareTriples orders their decoded terms, so a route can sort, then
+// stream term by term, without ever materializing []rdf.Triple.
 package rdfgraph
 
 import (
+	"slices"
 	"sort"
 
 	"shaclfrag/internal/rdf"
@@ -491,12 +496,10 @@ func (g *Graph) IsNode(id ID) bool {
 
 // Triples returns all triples in canonical order (Compare on S, P, O).
 func (g *Graph) Triples() []rdf.Triple {
-	out := make([]rdf.Triple, 0, g.size)
-	g.EachTriple(func(s, p, o ID) {
-		out = append(out, rdf.Triple{S: g.dict.Term(s), P: g.dict.Term(p), O: g.dict.Term(o)})
-	})
-	sort.Slice(out, func(i, j int) bool { return rdf.CompareTriples(out[i], out[j]) < 0 })
-	return out
+	ids := make([]IDTriple, 0, g.size)
+	g.EachTriple(func(s, p, o ID) { ids = append(ids, IDTriple{S: s, P: p, O: o}) })
+	SortIDTriples(g.dict, ids)
+	return g.dict.DecodeTriples(ids)
 }
 
 // Term resolves an ID via the graph's dictionary.
@@ -635,14 +638,53 @@ func (s *IDTripleSet) AddSet(other *IDTripleSet) {
 	}
 }
 
+// SortIDTriples sorts ts in place into canonical order: the order of
+// rdf.CompareTriples on the decoded triples. IDs are compared first — d
+// interns injectively, so equal IDs are equal terms and the subjects and
+// predicates a neighborhood shares never reach a string comparison.
+func SortIDTriples(d *Dict, ts []IDTriple) {
+	cmp := func(a, b ID) int {
+		if a == b {
+			return 0
+		}
+		return rdf.Compare(d.terms[a], d.terms[b])
+	}
+	slices.SortFunc(ts, func(a, b IDTriple) int {
+		if c := cmp(a.S, b.S); c != 0 {
+			return c
+		}
+		if c := cmp(a.P, b.P); c != 0 {
+			return c
+		}
+		return cmp(a.O, b.O)
+	})
+}
+
+// Triple resolves an encoded triple.
+func (d *Dict) Triple(t IDTriple) rdf.Triple {
+	return rdf.Triple{S: d.terms[t.S], P: d.terms[t.P], O: d.terms[t.O]}
+}
+
+// DecodeTriples resolves ts through d, keeping their order.
+func (d *Dict) DecodeTriples(ts []IDTriple) []rdf.Triple {
+	out := make([]rdf.Triple, len(ts))
+	for i, t := range ts {
+		out[i] = d.Triple(t)
+	}
+	return out
+}
+
+// Sorted returns the contents in canonical order (see SortIDTriples), still
+// encoded: what the serving routes stream from.
+func (s *IDTripleSet) Sorted(d *Dict) []IDTriple {
+	out := s.IDTriples()
+	SortIDTriples(d, out)
+	return out
+}
+
 // Triples decodes the contents through d in canonical order.
 func (s *IDTripleSet) Triples(d *Dict) []rdf.Triple {
-	out := make([]rdf.Triple, 0, len(s.set))
-	for t := range s.set {
-		out = append(out, rdf.Triple{S: d.Term(t.S), P: d.Term(t.P), O: d.Term(t.O)})
-	}
-	sort.Slice(out, func(i, j int) bool { return rdf.CompareTriples(out[i], out[j]) < 0 })
-	return out
+	return d.DecodeTriples(s.Sorted(d))
 }
 
 // TripleSet is a set of triples under construction, used to accumulate

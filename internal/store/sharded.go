@@ -328,12 +328,10 @@ func (sg *ShardedGraph) IsNode(id rdfgraph.ID) bool {
 
 // Triples implements rdfgraph.Reader.
 func (sg *ShardedGraph) Triples() []rdf.Triple {
-	out := make([]rdf.Triple, 0, sg.Len())
-	sg.EachTriple(func(s, p, o rdfgraph.ID) {
-		out = append(out, rdf.Triple{S: sg.dict.Term(s), P: sg.dict.Term(p), O: sg.dict.Term(o)})
-	})
-	sort.Slice(out, func(i, j int) bool { return rdf.CompareTriples(out[i], out[j]) < 0 })
-	return out
+	ids := make([]rdfgraph.IDTriple, 0, sg.Len())
+	sg.EachTriple(func(s, p, o rdfgraph.ID) { ids = append(ids, rdfgraph.IDTriple{S: s, P: p, O: o}) })
+	rdfgraph.SortIDTriples(sg.dict, ids)
+	return sg.dict.DecodeTriples(ids)
 }
 
 var _ rdfgraph.Reader = (*ShardedGraph)(nil)

@@ -49,14 +49,42 @@ func (p Pattern) String() string {
 // Eval returns the TPF of g for the pattern: all images of the pattern in
 // g, i.e. the matching triples, in canonical order.
 func (p Pattern) Eval(g rdfgraph.Reader) []rdf.Triple {
-	var out []rdf.Triple
-	g.EachTriple(func(s, pr, o rdfgraph.ID) {
-		t := rdf.Triple{S: g.Term(s), P: g.Term(pr), O: g.Term(o)}
-		if p.Matches(t) {
-			out = append(out, t)
+	return g.Dict().DecodeTriples(p.EvalIDs(g))
+}
+
+// EvalIDs is Eval short of decoding. It decides Matches on dictionary IDs:
+// a constant the dictionary has never seen matches nothing, and equal IDs
+// are equal terms.
+func (p Pattern) EvalIDs(g rdfgraph.Reader) []rdfgraph.IDTriple {
+	pos := [3]Pos{p.S, p.P, p.O}
+	var want [3]rdfgraph.ID // a constant's ID, NoID for a variable
+	var same [3]int         // the first position holding the same variable
+	for i, q := range pos {
+		want[i], same[i] = rdfgraph.NoID, i
+		if !q.IsVar() {
+			if want[i] = g.LookupTerm(q.Term); want[i] == rdfgraph.NoID {
+				return nil
+			}
+			continue
 		}
+		for j := 0; j < i; j++ {
+			if pos[j].Var == q.Var {
+				same[i] = j
+				break
+			}
+		}
+	}
+	var out []rdfgraph.IDTriple
+	g.EachTriple(func(s, pr, o rdfgraph.ID) {
+		t := [3]rdfgraph.ID{s, pr, o}
+		for i := range t {
+			if (want[i] != rdfgraph.NoID && t[i] != want[i]) || t[i] != t[same[i]] {
+				return
+			}
+		}
+		out = append(out, rdfgraph.IDTriple{S: s, P: pr, O: o})
 	})
-	sortTriples(out)
+	rdfgraph.SortIDTriples(g.Dict(), out)
 	return out
 }
 
@@ -82,14 +110,6 @@ func (p Pattern) Matches(t rdf.Triple) bool {
 		bind[pair.pos.Var] = pair.term
 	}
 	return true
-}
-
-func sortTriples(ts []rdf.Triple) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && rdf.CompareTriples(ts[j], ts[j-1]) < 0; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // RequestShape implements Proposition 6.2: it returns a request shape φ

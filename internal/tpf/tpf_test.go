@@ -2,6 +2,7 @@ package tpf_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"shaclfrag/internal/core"
@@ -133,5 +134,37 @@ ex:a ex:c ex:b .
 	frag := core.Fragment(g, nil, phi)
 	if len(frag) != 2 {
 		t.Fatalf("¬closed(∅) fragment = %v, want both triples", frag)
+	}
+}
+
+// TestEvalAgreesWithMatches: Eval decides on dictionary IDs what Matches
+// decides on terms. Every assignment of {constant, unknown constant, ?x,
+// ?y, ?z} to the three positions must select exactly the triples Matches
+// accepts, in canonical order.
+func TestEvalAgreesWithMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	choices := func(known rdf.Term) []tpf.Pos {
+		return []tpf.Pos{tpf.C(known), tpf.C(iri("nowhere")), tpf.V("x"), tpf.V("y"), tpf.V("z")}
+	}
+	for trial := 0; trial < 20; trial++ {
+		g := shapetest.RandomGraph(rng, 15)
+		all := g.Triples()
+		pick := all[rng.Intn(len(all))]
+		for _, s := range choices(pick.S) {
+			for _, p := range choices(pick.P) {
+				for _, o := range choices(pick.O) {
+					pattern := tpf.Pattern{S: s, P: p, O: o}
+					var want []rdf.Triple
+					for _, tr := range all { // all is in canonical order
+						if pattern.Matches(tr) {
+							want = append(want, tr)
+						}
+					}
+					if got := pattern.Eval(g); !slices.Equal(got, want) {
+						t.Fatalf("trial %d: %s selected %v, Matches selects %v", trial, pattern, got, want)
+					}
+				}
+			}
+		}
 	}
 }

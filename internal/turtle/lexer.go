@@ -4,6 +4,11 @@
 // directives, prefixed names, IRIs, blank nodes (labelled and anonymous),
 // collections, predicate/object lists, the 'a' keyword, and literals with
 // escapes, language tags, datatypes, and the numeric/boolean shorthands.
+//
+// The serializers write no term syntax of their own: FormatNTriples and
+// NTriplesWriter both append through rdf.Term.AppendNTriples. An
+// NTriplesWriter borrows its buffer from a pool; Close gives it back
+// (without flushing), and a closed writer must not be used again.
 package turtle
 
 import (
@@ -378,6 +383,9 @@ func (l *lexer) lexWordOrPName() (token, error) {
 		for strings.HasSuffix(word, ".") {
 			word = word[:len(word)-1]
 			l.pos--
+		}
+		if !utf8.ValidString(word) { // as for <IRI>: it expands to one
+			return token{}, l.errorf("prefixed name is not valid UTF-8")
 		}
 		return token{kind: tokPName, text: word, line: l.line}, nil
 	}

@@ -370,9 +370,10 @@ func ParseNTriples(input string) ([]rdf.Triple, error) {
 // per line, in the order given.
 func FormatNTriples(triples []rdf.Triple) string {
 	var b strings.Builder
+	var line []byte
 	for _, t := range triples {
-		b.WriteString(t.String())
-		b.WriteString(" .\n")
+		line = appendStatement(line[:0], t)
+		b.Write(line)
 	}
 	return b.String()
 }

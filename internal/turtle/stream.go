@@ -1,7 +1,9 @@
 package turtle
 
 import (
+	"errors"
 	"io"
+	"sync"
 
 	"shaclfrag/internal/rdf"
 )
@@ -21,16 +23,50 @@ const ntFlushThreshold = 32 << 10
 // Errors from the underlying writer are sticky: the first one is recorded,
 // subsequent WriteTriple calls become no-ops returning it, so a serving
 // loop may check the error once at Flush time.
+//
+// The buffer comes from a pool. Close hands it back; a writer that is only
+// flushed keeps working, its buffer is just garbage-collected instead of
+// reused.
 type NTriplesWriter struct {
-	w     io.Writer
-	buf   []byte
-	count int
-	err   error
+	w      io.Writer
+	buf    []byte
+	pooled *[]byte // the pool's box for buf, nil once closed
+	count  int
+	err    error
 }
+
+var ntBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, ntFlushThreshold+1024)
+	return &b
+}}
+
+var errClosed = errors.New("turtle: NTriplesWriter used after Close")
 
 // NewNTriplesWriter returns a writer streaming to w.
 func NewNTriplesWriter(w io.Writer) *NTriplesWriter {
-	return &NTriplesWriter{w: w, buf: make([]byte, 0, ntFlushThreshold+1024)}
+	p := ntBufPool.Get().(*[]byte)
+	return &NTriplesWriter{w: w, buf: (*p)[:0], pooled: p}
+}
+
+// Close returns the buffer to the pool, discarding whatever has not been
+// flushed: call Flush first unless the stream is being abandoned. The
+// writer must not be used afterwards — writes and flushes fail, since the
+// buffer may already belong to another writer.
+func (nw *NTriplesWriter) Close() {
+	if nw.pooled == nil {
+		return
+	}
+	*nw.pooled = nw.buf
+	ntBufPool.Put(nw.pooled)
+	nw.buf, nw.pooled = nil, nil
+	if nw.err == nil {
+		nw.err = errClosed
+	}
+}
+
+// appendStatement appends t as one N-Triples line.
+func appendStatement(dst []byte, t rdf.Triple) []byte {
+	return append(t.AppendNTriples(dst), " .\n"...)
 }
 
 // WriteTriple appends one statement, flushing if the buffer is full.
@@ -38,8 +74,7 @@ func (nw *NTriplesWriter) WriteTriple(t rdf.Triple) error {
 	if nw.err != nil {
 		return nw.err
 	}
-	nw.buf = append(nw.buf, t.String()...)
-	nw.buf = append(nw.buf, " .\n"...)
+	nw.buf = appendStatement(nw.buf, t)
 	nw.count++
 	if len(nw.buf) >= ntFlushThreshold {
 		return nw.Flush()

@@ -86,3 +86,39 @@ func TestNTriplesWriterEmpty(t *testing.T) {
 		t.Errorf("empty writer produced %d bytes, count %d", sb.Len(), nw.Count())
 	}
 }
+
+// TestNTriplesWriterPooledBufferReuse: Close hands the buffer to the next
+// writer, which must see none of the bytes the first one left unflushed;
+// the closed writer refuses further use instead of scribbling on a buffer
+// it no longer owns.
+func TestNTriplesWriterPooledBufferReuse(t *testing.T) {
+	triples := datagen.Tyrol(datagen.TyrolConfig{Individuals: 60, Seed: 5}).Triples()
+	first, second := triples[:len(triples)/2], triples[len(triples)/2:]
+	for round := 0; round < 3; round++ {
+		var a, b strings.Builder
+		nw := turtle.NewNTriplesWriter(&a)
+		if err := nw.WriteAll(first[:40]); err != nil { // stays below the flush threshold
+			t.Fatal(err)
+		}
+		nw.Close()
+		nw.Close() // idempotent
+		if err := nw.WriteTriple(first[0]); err == nil {
+			t.Fatal("WriteTriple after Close must fail")
+		}
+		if err := nw.Flush(); err == nil || a.Len() != 0 {
+			t.Fatalf("Flush after Close: err=%v, %d bytes reached the sink", err, a.Len())
+		}
+
+		nw2 := turtle.NewNTriplesWriter(&b)
+		if err := nw2.WriteAll(second); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw2.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		nw2.Close()
+		if want := turtle.FormatNTriples(second); b.String() != want {
+			t.Fatalf("round %d: second writer wrote %d bytes, want %d (FormatNTriples)", round, b.Len(), len(want))
+		}
+	}
+}

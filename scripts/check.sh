@@ -32,6 +32,9 @@ echo "== serving benchmark compiles (bench/ is a nested module)"
     mkdir -p "$GOCACHE"
     $GO -C bench vet ./...
     $GO -C bench build -o /dev/null ./...
+    # The replay's handler-versus-replay byte equality, before the driver
+    # checks it.
+    $GO -C bench test ./...
 )
 
 echo "== go test -race (serving path)"
@@ -51,6 +54,8 @@ echo "== go test -race (store tier, -short)"
 $GO test -race -short ./internal/store
 
 echo "== go test (everything else)"
+# Also the pass in which TestWarmNodeAllocs (the read routes' allocation
+# gate, internal/fragserver) measures: it skips itself under -race.
 $GO test ./...
 
 echo "== sharded byte-parity and scale smoke"
