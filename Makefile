@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-json-smoke bench-live bench-serve bench-sharded bench-sharded-10m check clean cover docs-check
+.PHONY: build test race vet bench bench-json bench-json-smoke bench-live bench-paths bench-serve bench-sharded bench-sharded-10m check clean cover docs-check
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,14 @@ bench-live:
 bench-serve:
 	$(GO) run ./cmd/benchjson -bench 'ServeNodeWarm|ServeFragmentShape' -benchtime 2s -dir . \
 		-meta series=serve-warm
+
+# Path tracing in process: the Figure 3 series on all three engines, the
+# serving benchmark's cold hub fragment (what TestHubTraceAllocs gates), and
+# the atomic/star/sequence-star tracing ablation, snapshotted into the
+# trajectory. B/op and allocs/op are the columns the product searches own.
+bench-paths:
+	$(GO) run ./cmd/benchjson -bench 'Fig3HubDistance3|HubFragmentCold|AblationPathTracing' -benchtime 2s -dir . \
+		-meta series=path-tracing
 
 # Store-tier shard sweep at serving scale: the same whole-schema
 # extraction at 1, 4 and 16 shards, snapshotted into the trajectory.

@@ -147,6 +147,27 @@ func BenchmarkFig3HubDistance3(b *testing.B) {
 	}
 }
 
+// BenchmarkHubFragmentCold is the serving benchmark's hub-path request in
+// process: one cold Figure 3 fragment over the 250-paper corpus since
+// 2014 (561 triples), target objects-of-authoredBy, compiled once, bound
+// and extracted per iteration. internal/plan's TestHubTraceAllocs gates the
+// allocs/op of exactly this loop.
+func BenchmarkHubFragmentCold(b *testing.B) {
+	g := datagen.NewCoauthor(datagen.CoauthorConfig{Papers: 250, Seed: 1}).Graph(2014)
+	request := shape.AndOf(datagen.HubDistance3Shape(), schema.TargetObjectsOf(datagen.PropAuthoredBy))
+	prog := plan.Compile(request, nil)
+	nodes := g.NodeIDs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bd := prog.Bind(g)
+		out := rdfgraph.NewIDTripleSet()
+		for _, v := range nodes {
+			bd.CollectInto(v, out)
+		}
+	}
+}
+
 // BenchmarkPlanExtraction isolates the compiled-plan extractor on the
 // whole benchmark schema: bind+extract is the cold path a fresh epoch
 // pays, steady-state re-extracts with dense memo and visited rows already

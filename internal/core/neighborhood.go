@@ -165,14 +165,12 @@ func (x *Extractor) put(out *rdfgraph.IDTripleSet, t rdfgraph.IDTriple, v rdfgra
 }
 
 // addTrace unions graph(paths(E, G, v, targets)) into out. Without a
-// recorder this is the original TraceUnionIDs loop; with one it switches to
-// TraceEdges, so every traced triple carries the product-automaton step it
-// rides on. Both visit exactly the same triple set.
+// recorder this is TraceInto; with one it switches to TraceEdges, so every
+// traced triple carries the product-automaton step it rides on. Both visit
+// exactly the same triple set.
 func (x *Extractor) addTrace(pe *paths.Evaluator, v rdfgraph.ID, targets []rdfgraph.ID, constraint shape.Shape, negated bool, out *rdfgraph.IDTripleSet) {
 	if x.rec == nil {
-		for _, t := range pe.TraceUnionIDs(v, targets) {
-			out.Add(t)
-		}
+		pe.TraceInto(v, targets, out)
 		return
 	}
 	pe.TraceEdges(v, targets, func(t rdfgraph.IDTriple, step paths.Step) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"shaclfrag/internal/obs"
+	"shaclfrag/internal/paths"
 	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
@@ -30,8 +31,10 @@ type ParallelOptions struct {
 	// granularity); first-time extraction is therefore somewhat slower, in
 	// exchange for repeated requests being nearly free.
 	Cache *NeighborhoodCache
-	// Ctx, when non-nil, aborts extraction between work units; the error
-	// returned is ctx.Err(). Used by the HTTP server for request timeouts.
+	// Ctx, when non-nil, aborts extraction between work units and inside a
+	// path search (polled every few thousand product states, so one source
+	// under a star path on a hub is interruptible); the error returned is
+	// ctx.Err(). Used by the HTTP server for request timeouts.
 	Ctx context.Context
 	// Epoch is the store epoch the extractor's graph belongs to; it
 	// namespaces Cache entries so neighborhoods computed against one
@@ -70,6 +73,17 @@ type ParallelOptions struct {
 	Span *obs.Span
 }
 
+// stop returns what path searches poll to learn that the request's context
+// ended, nil without one. A search it stops panics with paths.ErrStopped;
+// only FragmentParallel installs it, because only there is that recovered.
+func (o ParallelOptions) stop() func() bool {
+	ctx := o.Ctx
+	if ctx == nil {
+		return nil
+	}
+	return func() bool { return ctx.Err() != nil }
+}
+
 // boundPlans binds the program set against g for one worker, returning a
 // per-request slice of bound programs (nil where the AST path applies, and
 // for a request without focus nodes, which never runs). Each worker binds
@@ -79,15 +93,26 @@ func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) 
 		return nil
 	}
 	bounds := make([]*plan.Bound, len(focus))
+	stop := opts.stop()
 	for i, p := range opts.Plans.Programs {
 		if i >= len(focus) {
 			break
 		}
 		if p != nil && len(focus[i]) > 0 {
 			bounds[i] = p.Bind(g)
+			bounds[i].SetStop(stop)
 		}
 	}
 	return bounds
+}
+
+// releaseBounds recycles the bound programs' rows when a worker is done.
+func releaseBounds(bounds []*plan.Bound) {
+	for _, b := range bounds {
+		if b != nil {
+			b.Release()
+		}
+	}
 }
 
 // boundAt returns the bound program for a request index, nil when absent.
@@ -240,7 +265,9 @@ func (e *PanicError) Error() string {
 // have that enforced.
 //
 // A panic during extraction, on the calling goroutine (set-up and the
-// one-worker path) or on a worker, comes back as a *PanicError.
+// one-worker path) or on a worker, comes back as a *PanicError — except
+// paths.ErrStopped, a search noticing that opts.Ctx ended, which comes back
+// as opts.Ctx.Err() like a cancellation between work units.
 func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOptions) ([]rdf.Triple, error) {
 	ids, err := x.FragmentParallelIDs(requests, opts)
 	if err != nil {
@@ -254,7 +281,9 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 // (rdfgraph.SortIDTriples), which is what a serving route streams from.
 func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOptions) (triples []rdfgraph.IDTriple, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		if r := recover(); r == paths.ErrStopped {
+			triples, err = nil, opts.Ctx.Err()
+		} else if r != nil {
 			triples, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
@@ -348,14 +377,18 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 		go func() {
 			defer wg.Done()
 			defer func() {
-				if r := recover(); r != nil {
+				if r := recover(); r == paths.ErrStopped {
+					cancelled.Store(true)
+				} else if r != nil {
 					panicked.CompareAndSwap(nil, &PanicError{Value: r, Stack: debug.Stack()})
 				}
 			}()
 			wx := NewExtractor(g, x.ev.Defs)
+			wx.ev.SetStop(opts.stop())
 			wx.rec = opts.Recorder
 			spans := workerSpanState{parent: opts.Span, shards: shardSpans}
 			bounds := boundPlansSpan(opts, focus, g, opts.Span)
+			defer releaseBounds(bounds)
 			defer spans.done(bounds)
 			visited := make(map[VisitKey]struct{})
 			for {
@@ -455,13 +488,20 @@ func (x *Extractor) FragmentSchemaParallel(h *schema.Schema, opts ParallelOption
 // its evaluator caches keep accumulating across calls.
 func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, focus [][]rdfgraph.ID, opts ParallelOptions) ([]rdfgraph.IDTriple, error) {
 	if opts.Recorder != nil {
-		prev := x.rec
+		prev, prevName := x.rec, x.curName
 		x.rec = opts.Recorder
-		defer func() { x.rec = prev }()
+		defer func() { x.rec, x.curName = prev, prevName }()
+	}
+	if stop := opts.stop(); stop != nil {
+		// x outlives the call (the server pools it), and its other callers
+		// recover nothing.
+		x.ev.SetStop(stop)
+		defer x.ev.SetStop(nil)
 	}
 	out := rdfgraph.NewIDTripleSet()
 	spans := workerSpanState{parent: opts.Span}
 	bounds := boundPlansSpan(opts, focus, x.ev.G, opts.Span)
+	defer releaseBounds(bounds)
 	defer spans.done(bounds)
 	visited := make(map[VisitKey]struct{})
 	for i := range requests {

@@ -2,11 +2,16 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
+	"shaclfrag/internal/paths"
+	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
@@ -113,6 +118,61 @@ func TestFragmentParallelCancelled(t *testing.T) {
 			core.SchemaRequests(h), core.ParallelOptions{Workers: workers, Ctx: ctx})
 		if err == nil {
 			t.Errorf("workers=%d: expected context error from cancelled extraction", workers)
+		}
+	}
+}
+
+// cancelOnEdge is a reader that runs cancel, once, from inside the first
+// forward-index callback it serves.
+type cancelOnEdge struct {
+	rdfgraph.Reader
+	cancel *atomic.Pointer[context.CancelFunc]
+}
+
+func (r cancelOnEdge) Objects(s, p rdfgraph.ID, fn func(rdfgraph.ID)) {
+	r.Reader.Objects(s, p, func(o rdfgraph.ID) {
+		if cancel := r.cancel.Swap(nil); cancel != nil {
+			(*cancel)()
+		}
+		fn(o)
+	})
+}
+
+// TestFragmentParallelStopsMidSearch: a context that ends while a path
+// search runs stops that search, on both engines and both scheduling paths,
+// instead of waiting for the work unit (16 focus nodes here, each a star
+// search over a clique) to end. The error is the context's, and fewer
+// neighborhoods than one unit holds were cached: no worker finished one.
+func TestFragmentParallelStopsMidSearch(t *testing.T) {
+	const ns = "http://clique.example/"
+	g := rdfgraph.New()
+	for i := 0; i < 120; i++ {
+		for j := 0; j < 120; j++ {
+			if i != j {
+				g.Add(rdf.T(rdf.NewIRI(fmt.Sprintf("%sn%d", ns, i)), rdf.NewIRI(ns+"p"), rdf.NewIRI(fmt.Sprintf("%sn%d", ns, j))))
+			}
+		}
+	}
+	g.Freeze()
+	star := paths.Star{X: paths.P(ns + "p")}
+	phi := shape.Min(1, paths.Seq{Left: star, Right: star}, &shape.True{})
+	for _, engine := range []string{"ast", "plan"} {
+		for _, workers := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var hook atomic.Pointer[context.CancelFunc]
+			hook.Store(&cancel)
+			opts := core.ParallelOptions{Workers: workers, Ctx: ctx, Cache: core.NewNeighborhoodCache(1 << 24)}
+			if engine == "plan" {
+				opts.Plans = &plan.Set{Programs: []*plan.Program{plan.Compile(phi, nil)}}
+			}
+			_, err := core.NewExtractor(cancelOnEdge{g, &hook}, nil).FragmentParallel([]shape.Shape{phi}, opts)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s workers=%d: err = %v, want %v", engine, workers, err, context.Canceled)
+			}
+			if n := opts.Cache.Len(); n >= 16 {
+				t.Errorf("%s workers=%d: %d neighborhoods cached: a worker ran its unit to the end", engine, workers, n)
+			}
+			cancel()
 		}
 	}
 }

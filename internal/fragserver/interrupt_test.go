@@ -1,0 +1,121 @@
+package fragserver
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"shaclfrag/internal/core"
+	"shaclfrag/internal/paths"
+	"shaclfrag/internal/rdf"
+	"shaclfrag/internal/rdfgraph"
+	"shaclfrag/internal/schema"
+	"shaclfrag/internal/shape"
+	"shaclfrag/internal/store"
+	"shaclfrag/internal/turtle"
+)
+
+// hookedStore serves a real store's snapshots through a reader that runs
+// hook, once, from inside the next forward-index callback after arm.
+type hookedStore struct {
+	store.Store
+	hook atomic.Pointer[func()]
+}
+
+func (st *hookedStore) arm(hook func()) { st.hook.Store(&hook) }
+
+func (st *hookedStore) Current() store.Snapshot {
+	snap := st.Store.Current()
+	return faultySnap{snap, hookedReader{snap.Reader(), &st.hook}}
+}
+
+type hookedReader struct {
+	rdfgraph.Reader
+	hook *atomic.Pointer[func()]
+}
+
+func (r hookedReader) Objects(s, p rdfgraph.ID, fn func(rdfgraph.ID)) {
+	r.Reader.Objects(s, p, func(o rdfgraph.ID) {
+		if hook := r.hook.Swap(nil); hook != nil {
+			(*hook)()
+		}
+		fn(o)
+	})
+}
+
+// TestSearchInterruptedMidSource cancels a /fragment request from inside a
+// graph callback of its first path search: a star path over a 300-node
+// clique, where one source alone is some ten thousand product states over
+// 90 000 edges, and a work unit (cancellation's old granularity) is every
+// focus node there is. The search must stop on its own poll: the request
+// gets the 503 of a timeout — not a 500, no panic counted — nothing of the
+// interrupted unit reaches the cache, and the server, pooled extractor and
+// all, answers the next request byte-identically to cold AST extraction.
+func TestSearchInterruptedMidSource(t *testing.T) {
+	const ns = "http://clique.example/"
+	g := rdfgraph.New()
+	p, focus := rdf.NewIRI(ns+"p"), rdf.NewIRI(ns+"focus")
+	node := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%sn%03d", ns, i)) }
+	for i := 0; i < 300; i++ {
+		for j := 0; j < 300; j++ {
+			if i != j {
+				g.Add(rdf.T(node(i), p, node(j)))
+			}
+		}
+	}
+	g.Add(rdf.T(node(0), focus, node(1)))
+	g.Add(rdf.T(node(7), focus, node(1)))
+	star := paths.Star{X: paths.P(p.Value)}
+	h := schema.MustNew(schema.Definition{
+		Name:   rdf.NewIRI(ns + "Star"),
+		Shape:  shape.Min(1, paths.Seq{Left: star, Right: star}, &shape.True{}),
+		Target: schema.TargetSubjectsOf(focus.Value),
+	})
+	store.WarmDictionary(g, h)
+	want := turtle.FormatNTriples(core.NewExtractor(g, h).Fragment(core.SchemaRequests(h)))
+
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			real, err := store.New(g, store.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &hookedStore{Store: real}
+			srv, err := New(Config{Store: st, Schema: h, Workers: workers, CacheTriples: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetch := func(ctx context.Context) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/fragment", nil).WithContext(ctx))
+				return rec
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			st.arm(cancel)
+			rec := fetch(ctx)
+			if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+				t.Fatalf("cancelled /fragment: status %d %q, want 503 naming %v", rec.Code, rec.Body.String(), context.Canceled)
+			}
+			if got := srv.metrics.panics.Value(); got != 0 {
+				t.Errorf("fragserver_panics_total = %v: a stopped search is not a panic", got)
+			}
+			if n := srv.cache.Len(); n != 0 {
+				t.Errorf("%d neighborhoods cached by the interrupted request, want none", n)
+			}
+
+			rec = fetch(context.Background())
+			if rec.Code != http.StatusOK {
+				t.Fatalf("next /fragment: status %d: %s", rec.Code, rec.Body.String())
+			}
+			if rec.Body.String() != want {
+				t.Errorf("next /fragment differs from cold AST extraction (%d vs %d bytes)", rec.Body.Len(), len(want))
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package paths
 
 import (
+	"cmp"
+	"errors"
 	"slices"
 
 	"shaclfrag/internal/rdf"
@@ -13,9 +15,25 @@ type productState struct {
 	state int
 }
 
+// ErrStopped is the value a search panics with when the stop function
+// installed by SetStop reports true. Only a caller that installed one sees
+// it, and that caller recovers it.
+var ErrStopped = errors.New("paths: search stopped")
+
+// stopEvery is how many product states a search expands between two polls
+// of the stop function.
+const stopEvery = 4096
+
 // Evaluator evaluates one compiled path expression against one graph. It is
 // cheap to construct; reuse one per (expression, graph) pair when evaluating
 // many source nodes, as fragment computation does.
+//
+// An Evaluator is single-goroutine state that owns every buffer a search
+// needs: the sets, stacks and edge lists below are cleared and refilled, not
+// re-made, so a search allocates nothing once they have grown. What the
+// methods return is never that scratch: Eval results are owned slices
+// memoized per source (callers hold them across later calls), and
+// TraceUnionIDs returns a fresh slice.
 type Evaluator struct {
 	g   rdfgraph.Reader
 	nfa *NFA
@@ -27,26 +45,50 @@ type Evaluator struct {
 	atomic    bool
 	atomicFwd bool
 	atomicID  rdfgraph.ID
-	// fwdCache memoizes forward product searches per source node, so that
-	// tracing a neighborhood reuses the search its conformance evaluation
-	// already ran. The cache is budgeted: star-heavy expressions on large
-	// graphs can have per-source reaches near the whole graph, in which
-	// case caching stops and searches are recomputed.
-	fwdCache    map[rdfgraph.ID]map[productState]struct{}
-	cachedState int
-	// scratch buffers reused across backwardTrace calls.
-	bwdReach    map[productState]struct{}
-	bwdStack    []productState
-	edgeScratch []productEdge
-}
 
-// maxCachedStates bounds the total product states retained across all
-// cached forward searches of one evaluator.
-const maxCachedStates = 1 << 20
+	// stop, when non-nil, is polled every stopEvery expanded product states;
+	// ticks counts them across searches.
+	stop  func() bool
+	ticks int
+
+	// The most recent forward search: reach holds the product states
+	// reachable from (reachSrc, start) and ids the nodes among them in the
+	// accepting state. Kept because extraction asks for the same source
+	// back to back — conformance evaluates ⟦E⟧G(v), then the neighborhood
+	// traces from v — and for little else: one search bounds the memory.
+	// reachOK is false while a search runs, so one that a stop unwinds is
+	// never taken for complete.
+	reach    map[productState]struct{}
+	reachSrc rdfgraph.ID
+	reachOK  bool
+	ids      []rdfgraph.ID
+
+	// Scratch of one trace: the product edges inside reach, chained per head
+	// state through heads and productEdge.next (both index+1, 0 ends a
+	// chain), the backward-reachable states, and the indices of the edges
+	// the backward search crossed. stack serves the forward and the backward
+	// search alike.
+	edges []productEdge
+	heads map[productState]int32
+	back  map[productState]struct{}
+	hits  []int32
+	stack []productState
+
+	// cur and curT are the product state and NFA transition being expanded.
+	// The graph callbacks read them from here and are bound once, below: a
+	// func literal in the search loops would escape through the Reader
+	// interface and be heap-allocated per product state.
+	cur      productState
+	curT     transition
+	visit    func(rdfgraph.ID)
+	addEdge  func(rdfgraph.ID)
+	appendID func(rdfgraph.ID)
+}
 
 // NewEvaluator compiles e against g.
 func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
 	ev := &Evaluator{g: g, memo: make(map[rdfgraph.ID][]rdfgraph.ID)}
+	ev.visit, ev.addEdge, ev.appendID = ev.visitNode, ev.addProductEdge, ev.appendNode
 	switch x := e.(type) {
 	case Prop:
 		ev.atomic, ev.atomicFwd = true, true
@@ -59,106 +101,116 @@ func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
 	}
 	if !ev.atomic {
 		ev.nfa = Compile(e, g)
+		ev.reach = make(map[productState]struct{})
+		ev.heads = make(map[productState]int32)
+		ev.back = make(map[productState]struct{})
 	}
 	return ev
 }
 
+// SetStop installs a function the searches poll every stopEvery product
+// states; once it reports true the running search panics with ErrStopped,
+// leaving nothing partial behind: no memo entry, no kept search. The caller
+// must recover that panic — core.FragmentParallel's workers do, mapping it
+// to their context's error — so every other caller leaves stop nil.
+func (ev *Evaluator) SetStop(stop func() bool) { ev.stop = stop }
+
+// tick counts one expanded product state and polls stop on every
+// stopEvery-th.
+func (ev *Evaluator) tick() {
+	ev.ticks++
+	if ev.ticks%stopEvery == 0 && ev.stop != nil && ev.stop() {
+		panic(ErrStopped)
+	}
+}
+
 // Eval returns ⟦E⟧G(a): the sorted set of nodes b with (a, b) ∈ ⟦E⟧G.
-// Results are memoized per source node.
+// Results are memoized per source node; the slice is the evaluator's and
+// stays valid, unchanged, across later calls.
 func (ev *Evaluator) Eval(a rdfgraph.ID) []rdfgraph.ID {
 	if res, ok := ev.memo[a]; ok {
 		return res
 	}
-	if ev.atomic {
-		var out []rdfgraph.ID
+	if !ev.atomic {
+		ev.forward(a)
+	} else {
+		ev.ids = ev.ids[:0]
 		if ev.atomicID != rdfgraph.NoID {
 			if ev.atomicFwd {
-				ev.g.Objects(a, ev.atomicID, func(o rdfgraph.ID) { out = append(out, o) })
+				ev.g.Objects(a, ev.atomicID, ev.appendID)
 			} else {
-				ev.g.Subjects(ev.atomicID, a, func(s rdfgraph.ID) { out = append(out, s) })
+				ev.g.Subjects(ev.atomicID, a, ev.appendID)
 			}
 		}
-		slices.Sort(out)
-		ev.memo[a] = out
-		return out
 	}
-	reach := ev.cachedForward(a)
-	seen := make(map[rdfgraph.ID]struct{})
+	// A product state is in reach once, so ids has no duplicate.
 	var out []rdfgraph.ID
-	for ps := range reach {
-		if ps.state == ev.nfa.accept {
-			if _, dup := seen[ps.node]; !dup {
-				seen[ps.node] = struct{}{}
-				out = append(out, ps.node)
-			}
-		}
+	if len(ev.ids) > 0 {
+		out = slices.Clone(ev.ids)
+		slices.Sort(out)
 	}
-	slices.Sort(out)
 	ev.memo[a] = out
 	return out
 }
 
+func (ev *Evaluator) appendNode(n rdfgraph.ID) { ev.ids = append(ev.ids, n) }
+
 // Holds reports whether (a, b) ∈ ⟦E⟧G.
 func (ev *Evaluator) Holds(a, b rdfgraph.ID) bool {
-	for _, x := range ev.Eval(a) {
-		if x == b {
-			return true
-		}
-	}
-	return false
+	_, found := slices.BinarySearch(ev.Eval(a), b)
+	return found
 }
 
-// cachedForward returns the forward product reach of a, reusing or filling
-// the per-source cache within its state budget.
-func (ev *Evaluator) cachedForward(a rdfgraph.ID) map[productState]struct{} {
-	if reach, ok := ev.fwdCache[a]; ok {
-		return reach
+// forward makes reach and ids those of source a: the product states
+// reachable from (a, start). The search just before is kept, so asking for
+// the same source again costs nothing.
+func (ev *Evaluator) forward(a rdfgraph.ID) {
+	if ev.reachOK && ev.reachSrc == a {
+		return
 	}
-	reach := ev.forward(a)
-	if ev.cachedState+len(reach) <= maxCachedStates {
-		if ev.fwdCache == nil {
-			ev.fwdCache = make(map[rdfgraph.ID]map[productState]struct{})
-		}
-		ev.fwdCache[a] = reach
-		ev.cachedState += len(reach)
-	}
-	return reach
-}
-
-// forward computes the product states reachable from (a, start).
-func (ev *Evaluator) forward(a rdfgraph.ID) map[productState]struct{} {
+	ev.reachOK = false
+	clear(ev.reach)
+	ev.ids = ev.ids[:0]
+	ev.stack = ev.stack[:0]
 	n := ev.nfa
-	reach := make(map[productState]struct{})
-	var stack []productState
-	push := func(ps productState) {
-		if _, ok := reach[ps]; !ok {
-			reach[ps] = struct{}{}
-			stack = append(stack, ps)
-		}
-	}
-	push(productState{node: a, state: n.start})
-	for len(stack) > 0 {
-		ps := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	ev.push(productState{node: a, state: n.start})
+	for len(ev.stack) > 0 {
+		ev.tick()
+		ps := ev.stack[len(ev.stack)-1]
+		ev.stack = ev.stack[:len(ev.stack)-1]
 		for _, q := range n.eps[ps.state] {
-			push(productState{node: ps.node, state: q})
+			ev.push(productState{node: ps.node, state: q})
 		}
 		for _, t := range n.trans[ps.state] {
 			if t.pred == rdfgraph.NoID {
 				continue
 			}
+			ev.curT = t
 			if t.fwd {
-				ev.g.Objects(ps.node, t.pred, func(o rdfgraph.ID) {
-					push(productState{node: o, state: t.to})
-				})
+				ev.g.Objects(ps.node, t.pred, ev.visit)
 			} else {
-				ev.g.Subjects(t.pred, ps.node, func(s rdfgraph.ID) {
-					push(productState{node: s, state: t.to})
-				})
+				ev.g.Subjects(t.pred, ps.node, ev.visit)
 			}
 		}
 	}
-	return reach
+	ev.reachSrc, ev.reachOK = a, true
+}
+
+// push adds ps to the forward search unless it is there already.
+func (ev *Evaluator) push(ps productState) {
+	if _, ok := ev.reach[ps]; ok {
+		return
+	}
+	ev.reach[ps] = struct{}{}
+	ev.stack = append(ev.stack, ps)
+	if ps.state == ev.nfa.accept {
+		ev.ids = append(ev.ids, ps.node)
+	}
+}
+
+// visitNode is forward's graph callback: n is one step along curT away.
+func (ev *Evaluator) visitNode(n rdfgraph.ID) {
+	ev.push(productState{node: n, state: ev.curT.to})
 }
 
 // productEdge is one edge of the product of the NFA with the graph,
@@ -168,6 +220,7 @@ type productEdge struct {
 	from, to productState
 	triple   rdfgraph.IDTriple
 	fwd      bool
+	next     int32 // the next edge into the same head state, index+1
 }
 
 // Step identifies one product-automaton transition a traced triple rides
@@ -181,92 +234,50 @@ type Step struct {
 	Fwd      bool
 }
 
-// backwardTrace emits the graph triple underlying every product edge that
-// lies on an accepting walk from the forward source to one of the target
-// nodes. It first materializes the product edges *within* the (small)
-// forward-reachable set — enumerating only the local out-edges of nodes in
-// that set, never the global fan-in of a hub node — and then runs a
-// backward search from the accepting target states over the materialized
-// reverse adjacency.
-func (ev *Evaluator) backwardTrace(targets []rdfgraph.ID, within map[productState]struct{}, emit func(productEdge)) {
-	n := ev.nfa
-	// Materialize product edges inside the forward set.
-	edges := ev.edgeScratch[:0]
-	revAdj := make(map[productState][]int32, len(within))
-	for ps := range within {
-		for _, t := range n.trans[ps.state] {
-			if t.pred == rdfgraph.NoID {
-				continue
-			}
-			if t.fwd {
-				ev.g.Objects(ps.node, t.pred, func(o rdfgraph.ID) {
-					head := productState{node: o, state: t.to}
-					if _, ok := within[head]; ok {
-						revAdj[head] = append(revAdj[head], int32(len(edges)))
-						edges = append(edges, productEdge{
-							from: ps, to: head,
-							triple: rdfgraph.IDTriple{S: ps.node, P: t.pred, O: o},
-							fwd:    true,
-						})
-					}
-				})
-			} else {
-				ev.g.Subjects(t.pred, ps.node, func(s rdfgraph.ID) {
-					head := productState{node: s, state: t.to}
-					if _, ok := within[head]; ok {
-						revAdj[head] = append(revAdj[head], int32(len(edges)))
-						edges = append(edges, productEdge{
-							from: ps, to: head,
-							triple: rdfgraph.IDTriple{S: s, P: t.pred, O: ps.node},
-						})
-						// fwd stays false: the edge consumes an inverse step.
-					}
-				})
-			}
-		}
+// addProductEdge is trace's graph callback: n is one step along curT away
+// from cur, and the product edge between them is kept if it stays inside
+// the forward set.
+func (ev *Evaluator) addProductEdge(n rdfgraph.ID) {
+	head := productState{node: n, state: ev.curT.to}
+	if _, ok := ev.reach[head]; !ok {
+		return
 	}
-	ev.edgeScratch = edges
-
-	// Backward search from the accepting target states.
-	if ev.bwdReach == nil {
-		ev.bwdReach = make(map[productState]struct{})
-	} else {
-		clear(ev.bwdReach)
+	e := productEdge{
+		from: ev.cur, to: head,
+		triple: rdfgraph.IDTriple{S: ev.cur.node, P: ev.curT.pred, O: n},
+		fwd:    ev.curT.fwd,
+		next:   ev.heads[head],
 	}
-	reach := ev.bwdReach
-	stack := ev.bwdStack[:0]
-	push := func(ps productState) {
-		if _, ok := within[ps]; !ok {
-			return
-		}
-		if _, ok := reach[ps]; !ok {
-			reach[ps] = struct{}{}
-			stack = append(stack, ps)
-		}
+	if !e.fwd { // the edge consumes an inverse step: the triple points back
+		e.triple.S, e.triple.O = n, ev.cur.node
 	}
-	for _, b := range targets {
-		push(productState{node: b, state: n.accept})
-	}
-	for len(stack) > 0 {
-		ps := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, q := range n.repsilon[ps.state] {
-			push(productState{node: ps.node, state: q})
-		}
-		for _, ei := range revAdj[ps] {
-			e := edges[ei]
-			emit(e)
-			push(e.from)
-		}
-	}
-	ev.bwdStack = stack
+	ev.edges = append(ev.edges, e)
+	ev.heads[head] = int32(len(ev.edges))
 }
 
-// TraceUnionIDs computes ⋃{graph(paths(E, G, a, b)) | b ∈ targets} as
-// dictionary-encoded triples: every triple of G lying on some E-path from a
-// to one of the target nodes. Neighborhood computation (Table 2) always
-// needs exactly such unions.
-func (ev *Evaluator) TraceUnionIDs(a rdfgraph.ID, targets []rdfgraph.ID) []rdfgraph.IDTriple {
+// pushBack adds ps to the backward search if it is forward-reachable and
+// new.
+func (ev *Evaluator) pushBack(ps productState) {
+	if _, ok := ev.reach[ps]; !ok {
+		return
+	}
+	if _, ok := ev.back[ps]; ok {
+		return
+	}
+	ev.back[ps] = struct{}{}
+	ev.stack = append(ev.stack, ps)
+}
+
+// trace finds every product edge that lies on an accepting walk from a to
+// one of the target nodes, returning their indices in ev.edges; both are
+// scratch, valid until the next call. It first materializes the product
+// edges *within* the (small) forward-reachable set — enumerating only the
+// local out-edges of nodes in that set, never the global fan-in of a hub
+// node — and then runs a backward search from the accepting target states
+// over the chains of edges into each state. An edge is crossed at most
+// once, and no two edges share both triple and Step.
+func (ev *Evaluator) trace(a rdfgraph.ID, targets []rdfgraph.ID) []int32 {
+	ev.edges, ev.hits = ev.edges[:0], ev.hits[:0]
 	if len(targets) == 0 {
 		return nil
 	}
@@ -274,70 +285,96 @@ func (ev *Evaluator) TraceUnionIDs(a rdfgraph.ID, targets []rdfgraph.ID) []rdfgr
 		if ev.atomicID == rdfgraph.NoID {
 			return nil
 		}
-		var out []rdfgraph.IDTriple
 		for _, b := range targets {
-			if ev.atomicFwd {
-				if ev.g.HasIDs(a, ev.atomicID, b) {
-					out = append(out, rdfgraph.IDTriple{S: a, P: ev.atomicID, O: b})
-				}
-			} else if ev.g.HasIDs(b, ev.atomicID, a) {
-				out = append(out, rdfgraph.IDTriple{S: b, P: ev.atomicID, O: a})
+			t := rdfgraph.IDTriple{S: a, P: ev.atomicID, O: b}
+			if !ev.atomicFwd {
+				t.S, t.O = b, a
+			}
+			if ev.g.HasIDs(t.S, t.P, t.O) {
+				ev.hits = append(ev.hits, int32(len(ev.edges)))
+				ev.edges = append(ev.edges, productEdge{
+					from: productState{node: a, state: 0}, to: productState{node: b, state: 1},
+					triple: t, fwd: ev.atomicFwd,
+				})
 			}
 		}
-		return out
+		return ev.hits
 	}
-	fwd := ev.cachedForward(a)
-	set := make(map[rdfgraph.IDTriple]struct{})
-	ev.backwardTrace(targets, fwd, func(e productEdge) {
-		set[e.triple] = struct{}{}
-	})
-	out := make([]rdfgraph.IDTriple, 0, len(set))
-	for t := range set {
-		out = append(out, t)
+	ev.forward(a)
+	n := ev.nfa
+	clear(ev.heads)
+	for ps := range ev.reach {
+		ev.tick()
+		ev.cur = ps
+		for _, t := range n.trans[ps.state] {
+			if t.pred == rdfgraph.NoID {
+				continue
+			}
+			ev.curT = t
+			if t.fwd {
+				ev.g.Objects(ps.node, t.pred, ev.addEdge)
+			} else {
+				ev.g.Subjects(t.pred, ps.node, ev.addEdge)
+			}
+		}
 	}
-	return out
+
+	clear(ev.back)
+	ev.stack = ev.stack[:0]
+	for _, b := range targets {
+		ev.pushBack(productState{node: b, state: n.accept})
+	}
+	for len(ev.stack) > 0 {
+		ev.tick()
+		ps := ev.stack[len(ev.stack)-1]
+		ev.stack = ev.stack[:len(ev.stack)-1]
+		for _, q := range n.repsilon[ps.state] {
+			ev.pushBack(productState{node: ps.node, state: q})
+		}
+		for i := ev.heads[ps]; i != 0; i = ev.edges[i-1].next {
+			ev.hits = append(ev.hits, i-1)
+			ev.pushBack(ev.edges[i-1].from)
+		}
+	}
+	return ev.hits
 }
 
-// TraceEdges is TraceUnionIDs with attribution: fn receives every traced
-// triple together with the product-automaton Step it rides on. A triple on
-// several accepting walks is reported once per distinct step; dedup across
-// steps is the caller's concern. The triple set visited is exactly the one
-// TraceUnionIDs returns for the same (a, targets).
-func (ev *Evaluator) TraceEdges(a rdfgraph.ID, targets []rdfgraph.ID, fn func(t rdfgraph.IDTriple, step Step)) {
-	if len(targets) == 0 {
-		return
+// TraceInto adds ⋃{graph(paths(E, G, a, b)) | b ∈ targets} to out: every
+// triple of G lying on some E-path from a to one of the target nodes.
+// Neighborhood computation (Table 2) always needs exactly such unions.
+func (ev *Evaluator) TraceInto(a rdfgraph.ID, targets []rdfgraph.ID, out *rdfgraph.IDTripleSet) {
+	for _, i := range ev.trace(a, targets) {
+		out.Add(ev.edges[i].triple)
 	}
-	if ev.atomic {
-		if ev.atomicID == rdfgraph.NoID {
-			return
-		}
-		step := Step{From: 0, To: 1, Pred: ev.atomicID, Fwd: ev.atomicFwd}
-		for _, b := range targets {
-			if ev.atomicFwd {
-				if ev.g.HasIDs(a, ev.atomicID, b) {
-					fn(rdfgraph.IDTriple{S: a, P: ev.atomicID, O: b}, step)
-				}
-			} else if ev.g.HasIDs(b, ev.atomicID, a) {
-				fn(rdfgraph.IDTriple{S: b, P: ev.atomicID, O: a}, step)
-			}
-		}
-		return
+}
+
+// TraceUnionIDs is TraceInto as a fresh slice: each traced triple once, in
+// ID order.
+func (ev *Evaluator) TraceUnionIDs(a rdfgraph.ID, targets []rdfgraph.ID) []rdfgraph.IDTriple {
+	hits := ev.trace(a, targets)
+	if len(hits) == 0 {
+		return nil
 	}
-	fwd := ev.cachedForward(a)
-	type edgeKey struct {
-		t rdfgraph.IDTriple
-		s Step
+	ts := make([]rdfgraph.IDTriple, len(hits))
+	for k, i := range hits {
+		ts[k] = ev.edges[i].triple
 	}
-	seen := make(map[edgeKey]struct{})
-	ev.backwardTrace(targets, fwd, func(e productEdge) {
-		step := Step{From: e.from.state, To: e.to.state, Pred: e.triple.P, Fwd: e.fwd}
-		k := edgeKey{t: e.triple, s: step}
-		if _, dup := seen[k]; dup {
-			return
-		}
-		seen[k] = struct{}{}
-		fn(e.triple, step)
+	slices.SortFunc(ts, func(x, y rdfgraph.IDTriple) int {
+		return cmp.Or(cmp.Compare(x.S, y.S), cmp.Compare(x.P, y.P), cmp.Compare(x.O, y.O))
 	})
+	return slices.Compact(ts)
+}
+
+// TraceEdges is TraceInto with attribution: fn receives every traced triple
+// together with the product-automaton Step it rides on. A triple on several
+// accepting walks is reported once per distinct step; dedup across steps is
+// the caller's concern. The triple set visited is exactly the one TraceInto
+// adds for the same (a, targets). fn must not call into the evaluator.
+func (ev *Evaluator) TraceEdges(a rdfgraph.ID, targets []rdfgraph.ID, fn func(t rdfgraph.IDTriple, step Step)) {
+	for _, i := range ev.trace(a, targets) {
+		e := &ev.edges[i]
+		fn(e.triple, Step{From: e.from.state, To: e.to.state, Pred: e.triple.P, Fwd: e.fwd})
+	}
 }
 
 // TraceUnion is TraceUnionIDs decoded to terms and canonically sorted.

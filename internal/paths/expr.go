@@ -10,6 +10,17 @@
 // forward-reachable from (a, start) to a state backward-reachable from
 // (b, accept). This runs in O(|G|·|E|) per source node, replacing the
 // paper's naive path-enumeration algorithm with an equivalent one.
+//
+// An Evaluator is single-goroutine state that owns the scratch its searches
+// run on (reach set, stacks, product edges), so a search allocates nothing
+// once that scratch has grown; extraction builds one per worker. What it
+// returns is never scratch: Eval results are owned slices memoized per
+// source, TraceUnionIDs returns a fresh slice. It keeps the most recent
+// forward search and nothing older, because that is the one asked for again:
+// extraction evaluates ⟦E⟧G(v) and then traces from the same v, which was
+// 98.8 % of the hits of the per-source cache this replaced (57-shape schema,
+// Tyrol 1500). A search can be interrupted through SetStop, which only
+// core.FragmentParallel installs, because only it recovers ErrStopped.
 package paths
 
 import (

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"slices"
+	"sync"
 
 	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdf"
@@ -27,7 +28,8 @@ type atomicPath struct {
 // Memory: the memo and visited rows cost about 2 bytes × instructions ×
 // dictionary terms once every instruction has been touched. MemoBytes
 // reports the full-population bound; the strategy planner refuses plans
-// whose bound exceeds its budget and falls back to the AST walker.
+// whose bound exceeds its budget and falls back to the AST walker. The rows
+// come from a process-wide pool; Release hands them back.
 type Bound struct {
 	prog *Program
 	g    rdfgraph.Reader
@@ -59,6 +61,12 @@ type Bound struct {
 	wit   [][]rdfgraph.ID
 	depth int
 
+	// ids is the list appendID grows: the graph callback of pathValues and
+	// propValues, bound once here because a func literal at the call would
+	// escape through the Reader interface and be heap-allocated per call.
+	ids      []rdfgraph.ID
+	appendID func(rdfgraph.ID)
+
 	// langs is the uniqueLang scratch map, cleared per evaluation.
 	langs map[string]rdfgraph.ID
 
@@ -86,6 +94,7 @@ func (p *Program) Bind(g rdfgraph.Reader) *Bound {
 		visited: make([][]uint8, len(p.Instrs)),
 		gen:     1,
 	}
+	b.appendID = func(id rdfgraph.ID) { b.ids = append(b.ids, id) }
 	for i, e := range p.Paths {
 		switch x := e.(type) {
 		case paths.Prop:
@@ -123,6 +132,16 @@ func (p *Program) Bind(g rdfgraph.Reader) *Bound {
 	return b
 }
 
+// SetStop installs stop on the path evaluators of b: their searches panic
+// with paths.ErrStopped once it reports true (paths.Evaluator.SetStop).
+func (b *Bound) SetStop(stop func() bool) {
+	for _, pe := range b.pes {
+		if pe != nil {
+			pe.SetStop(stop)
+		}
+	}
+}
+
 // Graph returns the bound graph.
 func (b *Bound) Graph() rdfgraph.Reader { return b.g }
 
@@ -136,9 +155,15 @@ func (p *Program) MemoBytes(dictTerms int) int64 {
 	return 2 * int64(len(p.Instrs)) * int64(dictTerms)
 }
 
-// row returns instruction i's slice from pool, grown to cover node v.
-func (b *Bound) row(pool [][]uint8, i int32, v rdfgraph.ID) []uint8 {
-	r := pool[i]
+// rowPool recycles memo and visited rows across Bounds: a request binds
+// per worker, and a dictionary-sized row per touched instruction each time
+// was most of what shape-scan allocated. Every row in it is all zero up to
+// its capacity; one too short for the dictionary at hand is dropped.
+var rowPool sync.Pool
+
+// row returns instruction i's slice from rows, grown to cover node v.
+func (b *Bound) row(rows [][]uint8, i int32, v rdfgraph.ID) []uint8 {
+	r := rows[i]
 	if int(v) < len(r) {
 		return r
 	}
@@ -146,10 +171,31 @@ func (b *Bound) row(pool [][]uint8, i int32, v rdfgraph.ID) []uint8 {
 	if n <= int(v) {
 		n = int(v) + 1
 	}
-	nr := make([]uint8, n)
+	var nr []uint8
+	if p, _ := rowPool.Get().(*[]uint8); p != nil && cap(*p) >= n {
+		nr = (*p)[:n]
+	} else {
+		nr = make([]uint8, n)
+	}
 	copy(nr, r)
-	pool[i] = nr
+	rows[i] = nr
 	return nr
+}
+
+// Release hands the memo and visited rows back, zeroed, for a later Bound to
+// take; call it when extraction through b is over. It is optional — a Bound
+// never released is simply not recycled — and final: any use of b after it
+// panics on the missing rows.
+func (b *Bound) Release() {
+	for _, rows := range [][][]uint8{b.memo, b.visited} {
+		for _, r := range rows {
+			if r != nil {
+				clear(r)
+				rowPool.Put(&r)
+			}
+		}
+	}
+	b.memo, b.visited = nil, nil
 }
 
 // Conforms reports H, G, v ⊨ φᵢ for instruction i, memoized densely.
@@ -160,7 +206,7 @@ func (b *Bound) Conforms(v rdfgraph.ID, i int32) bool {
 	}
 	b.Checks++
 	res := b.eval(v, i)
-	// Recursive evaluation may have regrown the row; write through the pool.
+	// Recursive evaluation may have regrown the row; write through b.memo.
 	if res {
 		b.memo[i][v] = 1
 	} else {
@@ -191,17 +237,17 @@ func putScratch(pool *[][]rdfgraph.ID, d int, buf []rdfgraph.ID) {
 // memoized slice. Callers must not retain or modify it.
 func (b *Bound) pathValues(slot int32, v rdfgraph.ID, d int) []rdfgraph.ID {
 	if a := b.atomics[slot]; a.ok {
-		out := scratch(&b.succ, d)
+		b.ids = scratch(&b.succ, d)
 		if a.pred != rdfgraph.NoID {
 			if a.fwd {
-				b.g.Objects(v, a.pred, func(o rdfgraph.ID) { out = append(out, o) })
+				b.g.Objects(v, a.pred, b.appendID)
 			} else {
-				b.g.Subjects(a.pred, v, func(s rdfgraph.ID) { out = append(out, s) })
+				b.g.Subjects(a.pred, v, b.appendID)
 			}
 		}
-		slices.Sort(out)
-		putScratch(&b.succ, d, out)
-		return out
+		slices.Sort(b.ids)
+		putScratch(&b.succ, d, b.ids)
+		return b.ids
 	}
 	return b.pes[slot].Eval(v)
 }
@@ -209,13 +255,13 @@ func (b *Bound) pathValues(slot int32, v rdfgraph.ID, d int) []rdfgraph.ID {
 // propValues returns ⟦p⟧G(v) for instruction i's Pred operand, sorted, in
 // the depth-d vals scratch buffer.
 func (b *Bound) propValues(i int32, v rdfgraph.ID, d int) []rdfgraph.ID {
-	out := scratch(&b.vals, d)
+	b.ids = scratch(&b.vals, d)
 	if pid := b.preds[i]; pid != rdfgraph.NoID {
-		b.g.Objects(v, pid, func(o rdfgraph.ID) { out = append(out, o) })
-		slices.Sort(out)
+		b.g.Objects(v, pid, b.appendID)
+		slices.Sort(b.ids)
 	}
-	putScratch(&b.vals, d, out)
-	return out
+	putScratch(&b.vals, d, b.ids)
+	return b.ids
 }
 
 // eval decides instruction i at v. The cases mirror shape.Evaluator.eval

@@ -57,9 +57,7 @@ func (b *Bound) trace(slot int32, v rdfgraph.ID, targets []rdfgraph.ID, out *rdf
 		}
 		return
 	}
-	for _, tr := range b.pes[slot].TraceUnionIDs(v, targets) {
-		out.Add(tr)
-	}
+	b.pes[slot].TraceInto(v, targets, out)
 }
 
 // collect implements Table 2 for instruction i at focus v. The cases mirror
@@ -149,9 +147,7 @@ func (b *Bound) collect(v rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet) {
 		}
 		// eq(E, p): ⋃ { graph(paths(E ∪ p, G, v, x)) | x ∈ ⟦E ∪ p⟧G(v) }
 		pe := b.pes[in.TracePath]
-		for _, tr := range pe.TraceUnionIDs(v, pe.Eval(v)) {
-			out.Add(tr)
-		}
+		pe.TraceInto(v, pe.Eval(v), out)
 
 	case OpNeg:
 		if in.Name != (rdf.Term{}) {

@@ -25,6 +25,8 @@ type Evaluator struct {
 
 	pathEvals map[paths.Expr]*paths.Evaluator
 	cache     map[evalKey]bool
+	// stop is handed to every path evaluator; see SetStop.
+	stop func() bool
 
 	// Checks counts conformance checks actually evaluated (cache misses);
 	// used by the instrumentation experiments.
@@ -52,9 +54,20 @@ func (ev *Evaluator) PathEval(e paths.Expr) *paths.Evaluator {
 	pe, ok := ev.pathEvals[e]
 	if !ok {
 		pe = paths.NewEvaluator(e, ev.G)
+		pe.SetStop(ev.stop)
 		ev.pathEvals[e] = pe
 	}
 	return pe
+}
+
+// SetStop installs stop on every path evaluator of ev, those built later
+// included: their searches then panic with paths.ErrStopped once stop
+// reports true (paths.Evaluator.SetStop). Nil, the default, uninstalls it.
+func (ev *Evaluator) SetStop(stop func() bool) {
+	ev.stop = stop
+	for _, pe := range ev.pathEvals {
+		pe.SetStop(stop)
+	}
 }
 
 // Def resolves a shape name, defaulting to ⊤ for undefined names.

@@ -38,7 +38,11 @@ echo "== serving benchmark compiles (bench/ is a nested module)"
 )
 
 echo "== go test -race (serving path)"
-$GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./internal/live ./internal/shapelint
+# paths and plan are single-goroutine state that reuses its buffers (an
+# Evaluator's search scratch, a Bound's pooled rows): a worker handing one to
+# another goroutine, or a row recycled while still read, shows up here.
+$GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./internal/live ./internal/shapelint \
+    ./internal/paths ./internal/plan
 
 echo "== update/subscription storm (-race, -short)"
 # The carry-race pin (stale cache entries resurrected by racing updates)
@@ -55,7 +59,8 @@ $GO test -race -short ./internal/store
 
 echo "== go test (everything else)"
 # Also the pass in which TestWarmNodeAllocs (the read routes' allocation
-# gate, internal/fragserver) measures: it skips itself under -race.
+# gate, internal/fragserver) and TestHubTraceAllocs (path tracing's,
+# internal/plan) measure: they skip themselves under -race.
 $GO test ./...
 
 echo "== sharded byte-parity and scale smoke"
