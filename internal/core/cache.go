@@ -6,6 +6,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/shape"
 )
@@ -311,9 +312,26 @@ func (x *Extractor) NeighborhoodIDsCached(cache *NeighborhoodCache, epoch uint64
 // dst: NeighborhoodIDsCached over a shape list, except that consecutive
 // cache hits share one lock acquisition (a fully cached node costs one),
 // and ctx is polled once up front and once after each miss rather than once
-// per shape. The result may repeat triples that several shapes select.
-func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, shapes []shape.Shape, dst []rdfgraph.IDTriple) ([]rdfgraph.IDTriple, error) {
+// per shape — and, from the first miss on, by the path searches themselves:
+// one that ctx ends mid-search comes back as ctx.Err(), with nothing of the
+// interrupted neighborhood cached. The result may repeat triples that
+// several shapes select.
+func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, shapes []shape.Shape, dst []rdfgraph.IDTriple) (out []rdfgraph.IDTriple, err error) {
 	cached := cache != nil && x.rec == nil
+	stoppable := false // a warm hit runs no search and installs nothing
+	defer func() {
+		if !stoppable {
+			return
+		}
+		// x outlives the call (the server pools it), and its other callers
+		// recover nothing.
+		x.ev.SetStop(nil)
+		if r := recover(); r == paths.ErrStopped {
+			out, err = nil, ctx.Err()
+		} else if r != nil {
+			panic(r)
+		}
+	}()
 	for i := 0; i < len(shapes); i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -324,6 +342,10 @@ func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *Neighborhood
 			if i += n; i == len(shapes) {
 				break
 			}
+		}
+		if !stoppable {
+			stoppable = true
+			x.ev.SetStop(stopOf(ctx))
 		}
 		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i])...)
 	}

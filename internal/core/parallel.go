@@ -73,11 +73,11 @@ type ParallelOptions struct {
 	Span *obs.Span
 }
 
-// stop returns what path searches poll to learn that the request's context
-// ended, nil without one. A search it stops panics with paths.ErrStopped;
-// only FragmentParallel installs it, because only there is that recovered.
-func (o ParallelOptions) stop() func() bool {
-	ctx := o.Ctx
+// stopOf returns what path searches poll to learn that the request's context
+// ended, nil without one. A search it stops panics with paths.ErrStopped, so
+// it is installed only where that is recovered: by FragmentParallel and on
+// NeighborhoodsCached's miss path.
+func stopOf(ctx context.Context) func() bool {
 	if ctx == nil {
 		return nil
 	}
@@ -93,7 +93,7 @@ func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) 
 		return nil
 	}
 	bounds := make([]*plan.Bound, len(focus))
-	stop := opts.stop()
+	stop := stopOf(opts.Ctx)
 	for i, p := range opts.Plans.Programs {
 		if i >= len(focus) {
 			break
@@ -384,7 +384,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 				}
 			}()
 			wx := NewExtractor(g, x.ev.Defs)
-			wx.ev.SetStop(opts.stop())
+			wx.ev.SetStop(stopOf(opts.Ctx))
 			wx.rec = opts.Recorder
 			spans := workerSpanState{parent: opts.Span, shards: shardSpans}
 			bounds := boundPlansSpan(opts, focus, g, opts.Span)
@@ -492,7 +492,7 @@ func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, f
 		x.rec = opts.Recorder
 		defer func() { x.rec, x.curName = prev, prevName }()
 	}
-	if stop := opts.stop(); stop != nil {
+	if stop := stopOf(opts.Ctx); stop != nil {
 		// x outlives the call (the server pools it), and its other callers
 		// recover nothing.
 		x.ev.SetStop(stop)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,15 +48,10 @@ func (r hookedReader) Objects(s, p rdfgraph.ID, fn func(rdfgraph.ID)) {
 	})
 }
 
-// TestSearchInterruptedMidSource cancels a /fragment request from inside a
-// graph callback of its first path search: a star path over a 300-node
-// clique, where one source alone is some ten thousand product states over
-// 90 000 edges, and a work unit (cancellation's old granularity) is every
-// focus node there is. The search must stop on its own poll: the request
-// gets the 503 of a timeout — not a 500, no panic counted — nothing of the
-// interrupted unit reaches the cache, and the server, pooled extractor and
-// all, answers the next request byte-identically to cold AST extraction.
-func TestSearchInterruptedMidSource(t *testing.T) {
+// cliqueStar is the graph and schema of the interruption tests: a 300-node
+// clique over p, two nodes of which are targets of a shape asking for a
+// p*/p* path, and the first of those.
+func cliqueStar() (*rdfgraph.Graph, *schema.Schema, rdf.Term) {
 	const ns = "http://clique.example/"
 	g := rdfgraph.New()
 	p, focus := rdf.NewIRI(ns+"p"), rdf.NewIRI(ns+"focus")
@@ -76,6 +72,19 @@ func TestSearchInterruptedMidSource(t *testing.T) {
 		Target: schema.TargetSubjectsOf(focus.Value),
 	})
 	store.WarmDictionary(g, h)
+	return g, h, node(0)
+}
+
+// TestSearchInterruptedMidSource cancels a /fragment request from inside a
+// graph callback of its first path search: a star path over a 300-node
+// clique, where one source alone is some ten thousand product states over
+// 90 000 edges, and a work unit (cancellation's old granularity) is every
+// focus node there is. The search must stop on its own poll: the request
+// gets the 503 of a timeout — not a 500, no panic counted — nothing of the
+// interrupted unit reaches the cache, and the server, pooled extractor and
+// all, answers the next request byte-identically to cold AST extraction.
+func TestSearchInterruptedMidSource(t *testing.T) {
+	g, h, _ := cliqueStar()
 	want := turtle.FormatNTriples(core.NewExtractor(g, h).Fragment(core.SchemaRequests(h)))
 
 	for _, workers := range []int{1, 4} {
@@ -117,5 +126,55 @@ func TestSearchInterruptedMidSource(t *testing.T) {
 				t.Errorf("next /fragment differs from cold AST extraction (%d vs %d bytes)", rec.Body.Len(), len(want))
 			}
 		})
+	}
+}
+
+// TestNodeMissInterruptedMidSearch is TestSearchInterruptedMidSource through
+// GET /node: the miss path polls the request's context from inside the
+// search too, so a client that has gone, or the timeout, ends a hub's search
+// with the same 503 — and a warm hit, which runs no search, installs nothing.
+func TestNodeMissInterruptedMidSearch(t *testing.T) {
+	g, h, focus := cliqueStar()
+	want := turtle.FormatNTriples(core.NewExtractor(g, h).Neighborhood(focus, h.Definitions()[0].Shape))
+
+	real, err := store.New(g, store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &hookedStore{Store: real}
+	srv, err := New(Config{Store: st, Schema: h, CacheTriples: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		target := "/node?iri=" + url.QueryEscape(focus.String())
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil).WithContext(ctx))
+		return rec
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st.arm(cancel)
+	rec := fetch(ctx)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+		t.Fatalf("cancelled /node: status %d %q, want 503 naming %v", rec.Code, rec.Body.String(), context.Canceled)
+	}
+	if got := srv.metrics.panics.Value(); got != 0 {
+		t.Errorf("fragserver_panics_total = %v: a stopped search is not a panic", got)
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Errorf("%d neighborhoods cached by the interrupted request, want none", n)
+	}
+
+	// The same pooled extractor serves the next request, cold and then warm.
+	for _, state := range []string{"cold", "warm"} {
+		rec = fetch(context.Background())
+		if rec.Code != http.StatusOK {
+			t.Fatalf("next /node (%s): status %d: %s", state, rec.Code, rec.Body.String())
+		}
+		if rec.Body.String() != want {
+			t.Errorf("next /node (%s) differs from cold AST extraction (%d vs %d bytes)", state, rec.Body.Len(), len(want))
+		}
 	}
 }

@@ -419,7 +419,7 @@ func (s *Server) replan(snap store.Snapshot, parent *obs.Span) {
 // (a /fragment request equivalent to an already-cached definition is
 // served from the existing entries). The classes depend only on the
 // schema; they are still rebuilt per epoch, next to the planner — see
-// ROADMAP item 4 for why the hoist into New has not landed.
+// ROADMAP item 2 step A for why the hoist into New has not landed.
 func (s *Server) reclass() *contain.Classes {
 	cl := contain.ComputeClasses(s.h, s.classShapes)
 	s.classes.Store(&cl)

@@ -3,6 +3,7 @@ package paths
 import (
 	"cmp"
 	"errors"
+	"math/bits"
 	"slices"
 
 	"shaclfrag/internal/rdf"
@@ -13,6 +14,89 @@ import (
 type productState struct {
 	node  rdfgraph.ID
 	state int
+}
+
+// key packs ps into one word, exactly for the whole ID range: a focus node
+// may be any interned term, and NoID is -1.
+func (ps productState) key() uint64 {
+	return uint64(uint32(ps.node))<<32 | uint64(uint32(ps.state))
+}
+
+// stateTable numbers the product states of one search 0, 1, 2, … in order of
+// discovery: an open-addressed table from a state's key to that id, probed
+// linearly, with no deletion. A slot belongs to the current search iff its
+// gen is the table's, so reset is one increment; the table doubles when half
+// full and never shrinks: the largest search sizes it, not the dictionary.
+type stateTable struct {
+	slots []stateSlot // a power of two long, or empty
+	shift uint        // 64 - log2(len(slots)): a hash's top bits index slots
+	gen   uint32
+	n     int32 // ids handed out since reset
+}
+
+type stateSlot struct {
+	key uint64
+	id  int32
+	gen uint32
+}
+
+// reset empties the table. Fresh slots carry gen 0, which is never current;
+// when the increment wraps, old stamps would come round again, so they go.
+func (t *stateTable) reset() {
+	t.n = 0
+	t.gen++
+	if t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// slot returns key's slot, or the free one an insert of key would fill; add
+// keeps one free in a table that is not empty.
+func (t *stateTable) slot(key uint64) *stateSlot {
+	mask := len(t.slots) - 1
+	for i := int(key * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.gen != t.gen || s.key == key {
+			return s
+		}
+	}
+}
+
+// find returns key's id, or -1 if it was not added since reset.
+func (t *stateTable) find(key uint64) int32 {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	if s := t.slot(key); s.gen == t.gen {
+		return s.id
+	}
+	return -1
+}
+
+// add returns key's id, handing out the next one if key is new.
+func (t *stateTable) add(key uint64) (id int32, added bool) {
+	if 2*(int(t.n)+1) > len(t.slots) {
+		t.grow()
+	}
+	s := t.slot(key)
+	if s.gen == t.gen {
+		return s.id, false
+	}
+	*s = stateSlot{key: key, id: t.n, gen: t.gen}
+	t.n++
+	return s.id, true
+}
+
+// grow doubles the table, keeping the ids of the current search.
+func (t *stateTable) grow() {
+	old := t.slots
+	t.slots = make([]stateSlot, max(2*len(old), 16))
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
+	for _, s := range old {
+		if s.gen == t.gen {
+			*t.slot(s.key) = s
+		}
+	}
 }
 
 // ErrStopped is the value a search panics with when the stop function
@@ -51,34 +135,37 @@ type Evaluator struct {
 	stop  func() bool
 	ticks int
 
-	// The most recent forward search: reach holds the product states
-	// reachable from (reachSrc, start) and ids the nodes among them in the
-	// accepting state. Kept because extraction asks for the same source
-	// back to back — conformance evaluates ⟦E⟧G(v), then the neighborhood
-	// traces from v — and for little else: one search bounds the memory.
-	// reachOK is false while a search runs, so one that a stop unwinds is
-	// never taken for complete.
-	reach    map[productState]struct{}
+	// The most recent forward search: order lists the product states
+	// reachable from (reachSrc, start) as discovered, reach maps each to its
+	// index there — its name in everything below, so only discovery hashes —
+	// and ids holds the nodes among them in the accepting state. Kept
+	// because extraction asks for the same source back to back — conformance
+	// evaluates ⟦E⟧G(v), then the neighborhood traces from v — and for little
+	// else: one search bounds the memory. reachOK is false while a search
+	// runs, so one that a stop unwinds is never taken for complete.
+	reach    stateTable
+	order    []productState
 	reachSrc rdfgraph.ID
 	reachOK  bool
 	ids      []rdfgraph.ID
 
-	// Scratch of one trace: the product edges inside reach, chained per head
-	// state through heads and productEdge.next (both index+1, 0 ends a
-	// chain), the backward-reachable states, and the indices of the edges
-	// the backward search crossed. stack serves the forward and the backward
-	// search alike.
+	// Scratch of one trace, indexed like order where it is per state: the
+	// product edges inside reach, chained per head state through heads and
+	// productEdge.next (both index+1, 0 ends a chain), whether the backward
+	// search has reached a state, its stack, and the indices of the edges it
+	// crossed.
 	edges []productEdge
-	heads map[productState]int32
-	back  map[productState]struct{}
+	heads []int32
+	back  []bool
 	hits  []int32
-	stack []productState
+	stack []int32
 
-	// cur and curT are the product state and NFA transition being expanded.
-	// The graph callbacks read them from here and are bound once, below: a
-	// func literal in the search loops would escape through the Reader
-	// interface and be heap-allocated per product state.
+	// cur, curID and curT are the product state being expanded, its index in
+	// order, and the NFA transition. The graph callbacks read them from here
+	// and are bound once, below: a func literal in the search loops would
+	// escape through the Reader interface and be heap-allocated per state.
 	cur      productState
+	curID    int32
 	curT     transition
 	visit    func(rdfgraph.ID)
 	addEdge  func(rdfgraph.ID)
@@ -101,9 +188,6 @@ func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
 	}
 	if !ev.atomic {
 		ev.nfa = Compile(e, g)
-		ev.reach = make(map[productState]struct{})
-		ev.heads = make(map[productState]int32)
-		ev.back = make(map[productState]struct{})
 	}
 	return ev
 }
@@ -111,8 +195,9 @@ func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
 // SetStop installs a function the searches poll every stopEvery product
 // states; once it reports true the running search panics with ErrStopped,
 // leaving nothing partial behind: no memo entry, no kept search. The caller
-// must recover that panic — core.FragmentParallel's workers do, mapping it
-// to their context's error — so every other caller leaves stop nil.
+// must recover that panic — core's FragmentParallel and NeighborhoodsCached
+// do, mapping it to their context's error — so every other caller leaves
+// stop nil.
 func (ev *Evaluator) SetStop(stop func() bool) { ev.stop = stop }
 
 // tick counts one expanded product state and polls stop on every
@@ -161,7 +246,7 @@ func (ev *Evaluator) Holds(a, b rdfgraph.ID) bool {
 	return found
 }
 
-// forward makes reach and ids those of source a: the product states
+// forward makes reach, order and ids those of source a: the product states
 // reachable from (a, start). The search just before is kept, so asking for
 // the same source again costs nothing.
 func (ev *Evaluator) forward(a rdfgraph.ID) {
@@ -169,15 +254,14 @@ func (ev *Evaluator) forward(a rdfgraph.ID) {
 		return
 	}
 	ev.reachOK = false
-	clear(ev.reach)
+	ev.reach.reset()
+	ev.order = ev.order[:0]
 	ev.ids = ev.ids[:0]
-	ev.stack = ev.stack[:0]
 	n := ev.nfa
 	ev.push(productState{node: a, state: n.start})
-	for len(ev.stack) > 0 {
+	for i := 0; i < len(ev.order); i++ { // order is the queue: push appends to it
 		ev.tick()
-		ps := ev.stack[len(ev.stack)-1]
-		ev.stack = ev.stack[:len(ev.stack)-1]
+		ps := ev.order[i]
 		for _, q := range n.eps[ps.state] {
 			ev.push(productState{node: ps.node, state: q})
 		}
@@ -198,11 +282,10 @@ func (ev *Evaluator) forward(a rdfgraph.ID) {
 
 // push adds ps to the forward search unless it is there already.
 func (ev *Evaluator) push(ps productState) {
-	if _, ok := ev.reach[ps]; ok {
+	if _, added := ev.reach.add(ps.key()); !added {
 		return
 	}
-	ev.reach[ps] = struct{}{}
-	ev.stack = append(ev.stack, ps)
+	ev.order = append(ev.order, ps)
 	if ps.state == ev.nfa.accept {
 		ev.ids = append(ev.ids, ps.node)
 	}
@@ -216,8 +299,9 @@ func (ev *Evaluator) visitNode(n rdfgraph.ID) {
 // productEdge is one edge of the product of the NFA with the graph,
 // restricted to a forward-reachable set, remembering the graph triple it
 // rides on and the step direction of the NFA transition it instantiates.
+// from and to index order.
 type productEdge struct {
-	from, to productState
+	from, to int32
 	triple   rdfgraph.IDTriple
 	fwd      bool
 	next     int32 // the next edge into the same head state, index+1
@@ -238,12 +322,12 @@ type Step struct {
 // from cur, and the product edge between them is kept if it stays inside
 // the forward set.
 func (ev *Evaluator) addProductEdge(n rdfgraph.ID) {
-	head := productState{node: n, state: ev.curT.to}
-	if _, ok := ev.reach[head]; !ok {
+	head := ev.reach.find(productState{node: n, state: ev.curT.to}.key())
+	if head < 0 {
 		return
 	}
 	e := productEdge{
-		from: ev.cur, to: head,
+		from: ev.curID, to: head,
 		triple: rdfgraph.IDTriple{S: ev.cur.node, P: ev.curT.pred, O: n},
 		fwd:    ev.curT.fwd,
 		next:   ev.heads[head],
@@ -255,17 +339,14 @@ func (ev *Evaluator) addProductEdge(n rdfgraph.ID) {
 	ev.heads[head] = int32(len(ev.edges))
 }
 
-// pushBack adds ps to the backward search if it is forward-reachable and
-// new.
-func (ev *Evaluator) pushBack(ps productState) {
-	if _, ok := ev.reach[ps]; !ok {
+// pushBack adds the state order[id] to the backward search if it is new;
+// id < 0 stands for a state that is not forward-reachable.
+func (ev *Evaluator) pushBack(id int32) {
+	if id < 0 || ev.back[id] {
 		return
 	}
-	if _, ok := ev.back[ps]; ok {
-		return
-	}
-	ev.back[ps] = struct{}{}
-	ev.stack = append(ev.stack, ps)
+	ev.back[id] = true
+	ev.stack = append(ev.stack, id)
 }
 
 // trace finds every product edge that lies on an accepting walk from a to
@@ -292,20 +373,17 @@ func (ev *Evaluator) trace(a rdfgraph.ID, targets []rdfgraph.ID) []int32 {
 			}
 			if ev.g.HasIDs(t.S, t.P, t.O) {
 				ev.hits = append(ev.hits, int32(len(ev.edges)))
-				ev.edges = append(ev.edges, productEdge{
-					from: productState{node: a, state: 0}, to: productState{node: b, state: 1},
-					triple: t, fwd: ev.atomicFwd,
-				})
+				ev.edges = append(ev.edges, productEdge{triple: t, fwd: ev.atomicFwd})
 			}
 		}
 		return ev.hits
 	}
 	ev.forward(a)
 	n := ev.nfa
-	clear(ev.heads)
-	for ps := range ev.reach {
+	ev.heads = append(ev.heads[:0], make([]int32, len(ev.order))...) // zeroed in place: no allocation
+	for id, ps := range ev.order {
 		ev.tick()
-		ev.cur = ps
+		ev.cur, ev.curID = ps, int32(id)
 		for _, t := range n.trans[ps.state] {
 			if t.pred == rdfgraph.NoID {
 				continue
@@ -319,19 +397,20 @@ func (ev *Evaluator) trace(a rdfgraph.ID, targets []rdfgraph.ID) []int32 {
 		}
 	}
 
-	clear(ev.back)
+	ev.back = append(ev.back[:0], make([]bool, len(ev.order))...)
 	ev.stack = ev.stack[:0]
 	for _, b := range targets {
-		ev.pushBack(productState{node: b, state: n.accept})
+		ev.pushBack(ev.reach.find(productState{node: b, state: n.accept}.key()))
 	}
 	for len(ev.stack) > 0 {
 		ev.tick()
-		ps := ev.stack[len(ev.stack)-1]
+		id := ev.stack[len(ev.stack)-1]
 		ev.stack = ev.stack[:len(ev.stack)-1]
+		ps := ev.order[id]
 		for _, q := range n.repsilon[ps.state] {
-			ev.pushBack(productState{node: ps.node, state: q})
+			ev.pushBack(ev.reach.find(productState{node: ps.node, state: q}.key()))
 		}
-		for i := ev.heads[ps]; i != 0; i = ev.edges[i-1].next {
+		for i := ev.heads[id]; i != 0; i = ev.edges[i-1].next {
 			ev.hits = append(ev.hits, i-1)
 			ev.pushBack(ev.edges[i-1].from)
 		}
@@ -359,21 +438,41 @@ func (ev *Evaluator) TraceUnionIDs(a rdfgraph.ID, targets []rdfgraph.ID) []rdfgr
 	for k, i := range hits {
 		ts[k] = ev.edges[i].triple
 	}
-	slices.SortFunc(ts, func(x, y rdfgraph.IDTriple) int {
-		return cmp.Or(cmp.Compare(x.S, y.S), cmp.Compare(x.P, y.P), cmp.Compare(x.O, y.O))
-	})
+	slices.SortFunc(ts, compareTriples)
 	return slices.Compact(ts)
+}
+
+// compareTriples orders triples by their IDs.
+func compareTriples(x, y rdfgraph.IDTriple) int {
+	return cmp.Or(cmp.Compare(x.S, y.S), cmp.Compare(x.P, y.P), cmp.Compare(x.O, y.O))
+}
+
+// step is the product-automaton transition edge e instantiates; the atomic
+// fast path has no automaton and reports {0 → 1}.
+func (ev *Evaluator) step(e *productEdge) Step {
+	s := Step{From: 0, To: 1, Pred: e.triple.P, Fwd: e.fwd}
+	if !ev.atomic {
+		s.From, s.To = ev.order[e.from].state, ev.order[e.to].state
+	}
+	return s
 }
 
 // TraceEdges is TraceInto with attribution: fn receives every traced triple
 // together with the product-automaton Step it rides on. A triple on several
 // accepting walks is reported once per distinct step; dedup across steps is
 // the caller's concern. The triple set visited is exactly the one TraceInto
-// adds for the same (a, targets). fn must not call into the evaluator.
+// adds for the same (a, targets), reported in (triple, From, To) order, which
+// no two share: the order of discovery follows the graph's adjacency maps
+// and differs from run to run. fn must not call into the evaluator.
 func (ev *Evaluator) TraceEdges(a rdfgraph.ID, targets []rdfgraph.ID, fn func(t rdfgraph.IDTriple, step Step)) {
-	for _, i := range ev.trace(a, targets) {
-		e := &ev.edges[i]
-		fn(e.triple, Step{From: e.from.state, To: e.to.state, Pred: e.triple.P, Fwd: e.fwd})
+	hits := ev.trace(a, targets)
+	slices.SortFunc(hits, func(i, j int32) int {
+		x, y := ev.step(&ev.edges[i]), ev.step(&ev.edges[j])
+		return cmp.Or(compareTriples(ev.edges[i].triple, ev.edges[j].triple),
+			cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+	})
+	for _, i := range hits {
+		fn(ev.edges[i].triple, ev.step(&ev.edges[i]))
 	}
 }
 

@@ -12,15 +12,20 @@
 // paper's naive path-enumeration algorithm with an equivalent one.
 //
 // An Evaluator is single-goroutine state that owns the scratch its searches
-// run on (reach set, stacks, product edges), so a search allocates nothing
-// once that scratch has grown; extraction builds one per worker. What it
-// returns is never scratch: Eval results are owned slices memoized per
-// source, TraceUnionIDs returns a fresh slice. It keeps the most recent
-// forward search and nothing older, because that is the one asked for again:
-// extraction evaluates ⟦E⟧G(v) and then traces from the same v, which was
-// 98.8 % of the hits of the per-source cache this replaced (57-shape schema,
-// Tyrol 1500). A search can be interrupted through SetStop, which only
-// core.FragmentParallel installs, because only it recovers ErrStopped.
+// run on, so a search allocates nothing once that scratch has grown;
+// extraction builds one per worker. A forward search numbers the product
+// states it discovers 0, 1, 2, … through one open-addressed, generation-
+// stamped table keyed by the packed (node, state) pair; edge chains, backward
+// marks and edge endpoints are slices indexed by that number, so a state is
+// hashed once and the scratch is sized by the largest search, never by the
+// dictionary. What an Evaluator returns is never scratch: Eval results are
+// owned slices memoized per source, TraceUnionIDs returns a fresh slice. It
+// keeps the most recent forward search and nothing older, because that is the
+// one asked for again: extraction evaluates ⟦E⟧G(v) and then traces from the
+// same v, which was 98.8 % of the hits of the per-source cache this replaced
+// (57-shape schema, Tyrol 1500). A search can be interrupted through SetStop,
+// which core installs only where it recovers ErrStopped: FragmentParallel and
+// the miss path of NeighborhoodsCached.
 package paths
 
 import (

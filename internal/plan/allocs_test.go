@@ -16,10 +16,11 @@ import (
 )
 
 // maxHubFragmentAllocs bounds the allocations of one cold Figure 3 fragment
-// (the serving benchmark's hub-path request, BenchmarkHubFragmentCold): 340
-// measured, plus 25 %. It was 196 540 while every product search made its
-// own maps, adjacency slices and callbacks.
-const maxHubFragmentAllocs = 425
+// (the serving benchmark's hub-path request, BenchmarkHubFragmentCold): 307
+// measured, plus 25 %. It was 340 while the searches kept their states in
+// three maps, and 196 540 while every product search made its own maps,
+// adjacency slices and callbacks.
+const maxHubFragmentAllocs = 384
 
 // TestHubTraceAllocs is the allocation gate of path tracing: a product
 // search runs on scratch its evaluator owns, so what one cold fragment

@@ -193,4 +193,7 @@ fi
 echo "== turtle round-trip fuzz (5s smoke)"
 $GO test -run '^$' -fuzz FuzzParseSerialize -fuzztime 5s ./internal/turtle
 
+echo "== path tracing against its oracle, fuzzed (5s smoke)"
+$GO test -run '^$' -fuzz FuzzTraceOracle -fuzztime 5s ./internal/paths
+
 echo "check: OK"
