@@ -138,9 +138,8 @@ func BenchmarkFig3HubDistance3(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bd := prog.Bind(g)
 				out := rdfgraph.NewIDTripleSet()
-				for _, v := range g.NodeIDs() {
-					bd.CollectInto(v, out)
-				}
+				bd.CollectAllInto(g.NodeIDs(), out) // as the server does: a set, then Release
+				bd.Release()
 				out.Triples(g.Dict())
 			}
 		})
@@ -149,8 +148,8 @@ func BenchmarkFig3HubDistance3(b *testing.B) {
 
 // BenchmarkHubFragmentCold is the serving benchmark's hub-path request in
 // process: one cold Figure 3 fragment over the 250-paper corpus since
-// 2014 (561 triples), target objects-of-authoredBy, compiled once, bound
-// and extracted per iteration. internal/plan's TestHubTraceAllocs gates the
+// 2014 (561 triples), target objects-of-authoredBy, compiled once, bound,
+// extracted as one source set and released per iteration. internal/plan's TestHubTraceAllocs gates the
 // allocs/op of exactly this loop.
 func BenchmarkHubFragmentCold(b *testing.B) {
 	g := datagen.NewCoauthor(datagen.CoauthorConfig{Papers: 250, Seed: 1}).Graph(2014)
@@ -162,9 +161,8 @@ func BenchmarkHubFragmentCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bd := prog.Bind(g)
 		out := rdfgraph.NewIDTripleSet()
-		for _, v := range nodes {
-			bd.CollectInto(v, out)
-		}
+		bd.CollectAllInto(nodes, out)
+		bd.Release()
 	}
 }
 

@@ -265,10 +265,11 @@ func (x *Extractor) Explain(v rdf.Term, name rdf.Term, phi shape.Shape) *Explana
 func (x *Extractor) ExplainInto(ex *Explanation, v rdf.Term, name rdf.Term, phi shape.Shape) {
 	prevRec, prevName := x.rec, x.curName
 	x.rec, x.curName = ex, name
+	// Deferred: a search stopped under WithStop unwinds through a pooled x.
+	defer func() { x.rec, x.curName = prevRec, prevName }()
 	if id, ok := x.FocusID(v); ok {
 		x.NeighborhoodInto(id, phi, rdfgraph.NewIDTripleSet(), make(map[VisitKey]struct{}))
 	}
-	x.rec, x.curName = prevRec, prevName
 }
 
 // ExplainFragment computes Frag(G, S) with attribution: the explanation

@@ -75,13 +75,29 @@ type ParallelOptions struct {
 
 // stopOf returns what path searches poll to learn that the request's context
 // ended, nil without one. A search it stops panics with paths.ErrStopped, so
-// it is installed only where that is recovered: by FragmentParallel and on
-// NeighborhoodsCached's miss path.
+// it is installed only where that is recovered: by FragmentParallel, on
+// NeighborhoodsCached's miss path, and by WithStop.
 func stopOf(ctx context.Context) func() bool {
 	if ctx == nil {
 		return nil
 	}
 	return func() bool { return ctx.Err() != nil }
+}
+
+// WithStop runs fn while the path searches of x poll ctx: one that ctx ends
+// mid-search unwinds fn and comes back as ctx.Err(), nothing partial
+// memoized. For callers that extract through x directly, as /explain does.
+func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
+	x.ev.SetStop(stopOf(ctx))
+	defer func() {
+		x.ev.SetStop(nil) // x outlives the call, and its other callers recover nothing
+		if r := recover(); r == paths.ErrStopped {
+			err = ctx.Err()
+		} else if r != nil {
+			panic(r)
+		}
+	}()
+	return fn()
 }
 
 // boundPlans binds the program set against g for one worker, returning a
@@ -205,19 +221,23 @@ func (w *workerSpanState) finish(begin time.Time, shard int, planned bool) {
 	}
 }
 
-// done sums the worker's memo resets into the parent span at exit.
+// done sums the worker's memo resets and searches into the parent span.
 func (w *workerSpanState) done(bounds []*plan.Bound) {
 	if w.parent == nil || bounds == nil {
 		return
 	}
-	var resets int64
+	var resets, searches int64
 	for _, b := range bounds {
 		if b != nil {
 			resets += int64(b.Resets)
+			searches += int64(b.Searches())
 		}
 	}
 	if resets > 0 {
 		w.parent.AddAttrInt("memo_resets", resets)
+	}
+	if searches > 0 {
+		w.parent.AddAttrInt("searches", searches)
 	}
 }
 
@@ -322,6 +342,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	}
 	mergeStage := "merge"
 	var units []unit
+	cached := opts.Cache != nil && opts.Recorder == nil // as extractRange decides
 	if sharded {
 		mergeStage = "gather"
 		_, stopScatter := startStageSpan(opts.Tracer, opts.Span, "scatter")
@@ -339,13 +360,13 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 		}
 		for si := range parts {
 			for req := range focus {
-				units = appendUnits(units, req, si, split[req][si], len(focus[req]), workers)
+				units = appendUnits(units, req, si, split[req][si], len(focus[req]), workers, cached)
 			}
 		}
 		stopScatter()
 	} else {
 		for req, nodes := range focus {
-			units = appendUnits(units, req, 0, nodes, len(nodes), workers)
+			units = appendUnits(units, req, 0, nodes, len(nodes), workers, cached)
 		}
 	}
 	if workers > len(units) {
@@ -447,13 +468,16 @@ type unit struct {
 }
 
 // appendUnits chunks nodes — the part of a request's n focus nodes one
-// shard owns — into units small enough to balance skewed neighborhoods,
-// large enough that the atomic counter and evaluator cache misses stay in
-// the noise.
-func appendUnits(units []unit, req, shard int, nodes []rdfgraph.ID, n, workers int) []unit {
-	chunk := n / (workers * 8)
-	if chunk < 16 {
-		chunk = 16
+// shard owns. With a cache a node is extracted on its own whatever the unit:
+// units small enough to balance skewed neighborhoods, large enough that the
+// atomic counter and evaluator cache misses stay in the noise. Without one a
+// unit is a source set (plan.Bound.CollectAllInto: one product search per
+// path however many nodes), so it is a worker's whole share — split further
+// it repeats searches over nearly the same ground.
+func appendUnits(units []unit, req, shard int, nodes []rdfgraph.ID, n, workers int, cached bool) []unit {
+	chunk := max(n/(workers*8), 16)
+	if !cached {
+		chunk = (len(nodes) + workers - 1) / workers
 	}
 	for lo := 0; lo < len(nodes); lo += chunk {
 		hi := lo + chunk
@@ -529,9 +553,7 @@ func (x *Extractor) extractRange(request, nnf shape.Shape, b *plan.Bound, nodes 
 	// recorder bypasses the cache: attribution always re-derives.
 	if cache == nil || x.rec != nil {
 		if b != nil {
-			for _, v := range nodes {
-				b.CollectInto(v, out)
-			}
+			b.CollectAllInto(nodes, out)
 			return
 		}
 		for _, v := range nodes {

@@ -109,21 +109,27 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer s.release(x)
 	stopExtract := tr.Start("extract")
 	ex := core.NewExplanation(g)
-	for _, d := range defs {
-		status := explainShapeStatus{Name: d.Name.String()}
-		if id != rdfgraph.NoID {
-			if r.Context().Err() != nil {
-				stopExtract()
-				httpTimeoutError(w, r, r.Context().Err())
-				return
+	ctx := r.Context()
+	err = x.WithStop(ctx, func() error { // a search polls ctx too, not only this loop
+		for _, d := range defs {
+			status := explainShapeStatus{Name: d.Name.String()}
+			if id != rdfgraph.NoID {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				conforms := x.Evaluator().Conforms(id, d.Shape)
+				status.Conforms = &conforms
+				x.ExplainInto(ex, focus, d.Name, d.Shape)
 			}
-			conforms := x.Evaluator().Conforms(id, d.Shape)
-			status.Conforms = &conforms
-			x.ExplainInto(ex, focus, d.Name, d.Shape)
+			resp.Shapes = append(resp.Shapes, status)
 		}
-		resp.Shapes = append(resp.Shapes, status)
-	}
+		return nil
+	})
 	stopExtract()
+	if err != nil {
+		httpTimeoutError(w, r, err)
+		return
+	}
 
 	var justifications int
 	for _, at := range ex.Annotated() {

@@ -640,6 +640,9 @@ func (s *Server) acquire(g rdfgraph.Reader) *core.Extractor {
 }
 
 func (s *Server) release(x *core.Extractor) {
+	// A search's scratch only grows: pooled with x it would pin the largest
+	// search x ever ran. Past the pool's ceiling it goes; the rest stays warm.
+	x.Evaluator().TrimScratch()
 	// Don't pool extractors for superseded epochs; letting them die keeps
 	// the pool converging onto the current graph after an update.
 	if x.Graph() != s.store.Current().Reader() {

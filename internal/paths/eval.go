@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
@@ -108,16 +109,70 @@ var ErrStopped = errors.New("paths: search stopped")
 // of the stop function.
 const stopEvery = 4096
 
+// search is the scratch product searches run on. An Evaluator borrows one
+// from searchPool: growing it from nothing was most of a request's allocation.
+type search struct {
+	// The most recent forward search: order lists the product states
+	// reachable from the start states of srcs as discovered, reach maps each
+	// to its index there — its name everywhere else, so only discovery hashes
+	// — ids holds the nodes among them in the accepting state, and edges the
+	// product edges among them, chained per head state through heads and
+	// productEdge.next (both index+1, 0 ends a chain). Kept because extraction
+	// asks for the same sources back to back — ⟦E⟧G, then the trace — and for
+	// little else. ok is false while a search runs, so one that a stop unwinds
+	// is never taken for complete.
+	reach stateTable
+	order []productState
+	srcs  []rdfgraph.ID
+	ok    bool
+	ids   []rdfgraph.ID
+	edges []productEdge
+	heads []int32
+
+	// One trace: whether the backward search has reached a state (indexed
+	// like order), its stack, the indices of the edges it crossed, and per
+	// source whether it came back to the source's start state.
+	back  []bool
+	hits  []int32
+	stack []int32
+	marks []bool
+}
+
+// maxPooledScratch is the ceiling, in bytes, on what one search — a star path
+// over a hub — can pin beyond its request: Trim and Release drop what is over.
+const maxPooledScratch = 4 << 20
+
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+// Trim drops scratch grown past maxPooledScratch: for an evaluator that
+// outlives its request, as a pooled extractor's do, and keeps the rest warm.
+func (ev *Evaluator) Trim() {
+	if s := ev.search; s != nil && 16*(cap(s.reach.slots)+cap(s.order))+28*cap(s.edges)+4*cap(s.heads) > maxPooledScratch {
+		ev.search = nil
+	}
+}
+
+// Release is Trim for an evaluator whose request is over: the scratch left
+// goes back for a later evaluator to take. ev stays usable, memos and all.
+func (ev *Evaluator) Release() {
+	if ev.Trim(); ev.search != nil {
+		ev.ok = false
+		searchPool.Put(ev.search)
+		ev.search = nil
+	}
+}
+
+func (ev *Evaluator) acquire() {
+	if ev.search == nil {
+		ev.search = searchPool.Get().(*search)
+	}
+}
+
 // Evaluator evaluates one compiled path expression against one graph. It is
 // cheap to construct; reuse one per (expression, graph) pair when evaluating
-// many source nodes, as fragment computation does.
-//
-// An Evaluator is single-goroutine state that owns every buffer a search
-// needs: the sets, stacks and edge lists below are cleared and refilled, not
-// re-made, so a search allocates nothing once they have grown. What the
-// methods return is never that scratch: Eval results are owned slices
-// memoized per source (callers hold them across later calls), and
-// TraceUnionIDs returns a fresh slice.
+// many source nodes, as fragment computation does. It is single-goroutine
+// state; the package comment says what its searches run on and what of it
+// callers may hold.
 type Evaluator struct {
 	g   rdfgraph.Reader
 	nfa *NFA
@@ -135,30 +190,11 @@ type Evaluator struct {
 	stop  func() bool
 	ticks int
 
-	// The most recent forward search: order lists the product states
-	// reachable from (reachSrc, start) as discovered, reach maps each to its
-	// index there — its name in everything below, so only discovery hashes —
-	// and ids holds the nodes among them in the accepting state. Kept
-	// because extraction asks for the same source back to back — conformance
-	// evaluates ⟦E⟧G(v), then the neighborhood traces from v — and for little
-	// else: one search bounds the memory. reachOK is false while a search
-	// runs, so one that a stop unwinds is never taken for complete.
-	reach    stateTable
-	order    []productState
-	reachSrc rdfgraph.ID
-	reachOK  bool
-	ids      []rdfgraph.ID
+	// Searches counts the forward searches run: one per source set that was
+	// not the set searched just before.
+	Searches int
 
-	// Scratch of one trace, indexed like order where it is per state: the
-	// product edges inside reach, chained per head state through heads and
-	// productEdge.next (both index+1, 0 ends a chain), whether the backward
-	// search has reached a state, its stack, and the indices of the edges it
-	// crossed.
-	edges []productEdge
-	heads []int32
-	back  []bool
-	hits  []int32
-	stack []int32
+	*search // taken by the first search, handed back by Release
 
 	// cur, curID and curT are the product state being expanded, its index in
 	// order, and the NFA transition. The graph callbacks read them from here
@@ -168,14 +204,13 @@ type Evaluator struct {
 	curID    int32
 	curT     transition
 	visit    func(rdfgraph.ID)
-	addEdge  func(rdfgraph.ID)
 	appendID func(rdfgraph.ID)
 }
 
 // NewEvaluator compiles e against g.
 func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
 	ev := &Evaluator{g: g, memo: make(map[rdfgraph.ID][]rdfgraph.ID)}
-	ev.visit, ev.addEdge, ev.appendID = ev.visitNode, ev.addProductEdge, ev.appendNode
+	ev.visit, ev.appendID = ev.visitNode, ev.appendNode
 	switch x := e.(type) {
 	case Prop:
 		ev.atomic, ev.atomicFwd = true, true
@@ -195,9 +230,8 @@ func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
 // SetStop installs a function the searches poll every stopEvery product
 // states; once it reports true the running search panics with ErrStopped,
 // leaving nothing partial behind: no memo entry, no kept search. The caller
-// must recover that panic — core's FragmentParallel and NeighborhoodsCached
-// do, mapping it to their context's error — so every other caller leaves
-// stop nil.
+// must recover that panic, as core does wherever it installs one, mapping it
+// to its context's error; every other caller leaves stop nil.
 func (ev *Evaluator) SetStop(stop func() bool) { ev.stop = stop }
 
 // tick counts one expanded product state and polls stop on every
@@ -216,11 +250,23 @@ func (ev *Evaluator) Eval(a rdfgraph.ID) []rdfgraph.ID {
 	if res, ok := ev.memo[a]; ok {
 		return res
 	}
+	out := ev.EvalSet([]rdfgraph.ID{a}, nil)
+	slices.Sort(out)
+	ev.memo[a] = out
+	return out
+}
+
+// EvalSet appends ⋃{⟦E⟧G(a) | a ∈ sources} to dst, each node once, in no
+// particular order: one search, whatever the number of sources.
+func (ev *Evaluator) EvalSet(sources, dst []rdfgraph.ID) []rdfgraph.ID {
+	ev.acquire()
 	if !ev.atomic {
-		ev.forward(a)
-	} else {
-		ev.ids = ev.ids[:0]
-		if ev.atomicID != rdfgraph.NoID {
+		ev.forward(sources)
+		return append(dst, ev.ids...) // a product state is reached once: no duplicate
+	}
+	ev.ids = ev.ids[:0]
+	if ev.atomicID != rdfgraph.NoID {
+		for _, a := range sources {
 			if ev.atomicFwd {
 				ev.g.Objects(a, ev.atomicID, ev.appendID)
 			} else {
@@ -228,14 +274,11 @@ func (ev *Evaluator) Eval(a rdfgraph.ID) []rdfgraph.ID {
 			}
 		}
 	}
-	// A product state is in reach once, so ids has no duplicate.
-	var out []rdfgraph.ID
-	if len(ev.ids) > 0 {
-		out = slices.Clone(ev.ids)
-		slices.Sort(out)
+	if len(sources) > 1 { // two sources may share a value
+		slices.Sort(ev.ids)
+		ev.ids = slices.Compact(ev.ids)
 	}
-	ev.memo[a] = out
-	return out
+	return append(dst, ev.ids...)
 }
 
 func (ev *Evaluator) appendNode(n rdfgraph.ID) { ev.ids = append(ev.ids, n) }
@@ -246,54 +289,55 @@ func (ev *Evaluator) Holds(a, b rdfgraph.ID) bool {
 	return found
 }
 
-// forward makes reach, order and ids those of source a: the product states
-// reachable from (a, start). The search just before is kept, so asking for
-// the same source again costs nothing.
-func (ev *Evaluator) forward(a rdfgraph.ID) {
-	if ev.reachOK && ev.reachSrc == a {
+// forward makes the kept search that of sources: the product states
+// reachable from their start states and the product edges among them.
+// Asking for the sources of the search just before costs nothing.
+func (ev *Evaluator) forward(sources []rdfgraph.ID) {
+	if ev.ok && slices.Equal(ev.srcs, sources) {
 		return
 	}
-	ev.reachOK = false
+	ev.Searches++
+	ev.ok = false
 	ev.reach.reset()
-	ev.order = ev.order[:0]
-	ev.ids = ev.ids[:0]
+	ev.order, ev.heads, ev.edges, ev.ids = ev.order[:0], ev.heads[:0], ev.edges[:0], ev.ids[:0]
 	n := ev.nfa
-	ev.push(productState{node: a, state: n.start})
+	for _, a := range sources {
+		ev.push(productState{node: a, state: n.start})
+	}
 	for i := 0; i < len(ev.order); i++ { // order is the queue: push appends to it
 		ev.tick()
-		ps := ev.order[i]
-		for _, q := range n.eps[ps.state] {
-			ev.push(productState{node: ps.node, state: q})
+		ev.cur, ev.curID = ev.order[i], int32(i)
+		for _, q := range n.eps[ev.cur.state] {
+			ev.push(productState{node: ev.cur.node, state: q})
 		}
-		for _, t := range n.trans[ps.state] {
+		for _, t := range n.trans[ev.cur.state] {
 			if t.pred == rdfgraph.NoID {
 				continue
 			}
 			ev.curT = t
 			if t.fwd {
-				ev.g.Objects(ps.node, t.pred, ev.visit)
+				ev.g.Objects(ev.cur.node, t.pred, ev.visit)
 			} else {
-				ev.g.Subjects(t.pred, ps.node, ev.visit)
+				ev.g.Subjects(t.pred, ev.cur.node, ev.visit)
 			}
 		}
 	}
-	ev.reachSrc, ev.reachOK = a, true
+	ev.srcs = append(ev.srcs[:0], sources...)
+	ev.ok = true
 }
 
-// push adds ps to the forward search unless it is there already.
-func (ev *Evaluator) push(ps productState) {
-	if _, added := ev.reach.add(ps.key()); !added {
-		return
+// push adds ps to the forward search unless it is there already, and
+// returns its index in order.
+func (ev *Evaluator) push(ps productState) int32 {
+	id, added := ev.reach.add(ps.key())
+	if added {
+		ev.order = append(ev.order, ps)
+		ev.heads = append(ev.heads, 0)
+		if ps.state == ev.nfa.accept {
+			ev.ids = append(ev.ids, ps.node)
+		}
 	}
-	ev.order = append(ev.order, ps)
-	if ps.state == ev.nfa.accept {
-		ev.ids = append(ev.ids, ps.node)
-	}
-}
-
-// visitNode is forward's graph callback: n is one step along curT away.
-func (ev *Evaluator) visitNode(n rdfgraph.ID) {
-	ev.push(productState{node: n, state: ev.curT.to})
+	return id
 }
 
 // productEdge is one edge of the product of the NFA with the graph,
@@ -318,14 +362,11 @@ type Step struct {
 	Fwd      bool
 }
 
-// addProductEdge is trace's graph callback: n is one step along curT away
-// from cur, and the product edge between them is kept if it stays inside
-// the forward set.
-func (ev *Evaluator) addProductEdge(n rdfgraph.ID) {
-	head := ev.reach.find(productState{node: n, state: ev.curT.to}.key())
-	if head < 0 {
-		return
-	}
+// visitNode is forward's graph callback: n is one step along curT away from
+// cur. The state there joins the search, and the product edge to it is
+// recorded at the head of the chain into that state.
+func (ev *Evaluator) visitNode(n rdfgraph.ID) {
+	head := ev.push(productState{node: n, state: ev.curT.to})
 	e := productEdge{
 		from: ev.curID, to: head,
 		triple: rdfgraph.IDTriple{S: ev.cur.node, P: ev.curT.pred, O: n},
@@ -349,54 +390,44 @@ func (ev *Evaluator) pushBack(id int32) {
 	ev.stack = append(ev.stack, id)
 }
 
-// trace finds every product edge that lies on an accepting walk from a to
-// one of the target nodes, returning their indices in ev.edges; both are
-// scratch, valid until the next call. It first materializes the product
-// edges *within* the (small) forward-reachable set — enumerating only the
-// local out-edges of nodes in that set, never the global fan-in of a hub
-// node — and then runs a backward search from the accepting target states
-// over the chains of edges into each state. An edge is crossed at most
-// once, and no two edges share both triple and Step.
-func (ev *Evaluator) trace(a rdfgraph.ID, targets []rdfgraph.ID) []int32 {
-	ev.edges, ev.hits = ev.edges[:0], ev.hits[:0]
+// trace finds every product edge that lies on an accepting walk from one of
+// the sources to one of the target nodes, returning their indices in
+// ev.edges, and leaves in ev.marks, per source, whether it reaches a target
+// at all; all scratch, valid until the next call. The forward search has
+// recorded the product edges *within* the (small) reachable set — never the
+// global fan-in of a hub node — so what is left is a backward search from the
+// accepting target states over the chains of edges into each state. A state
+// it reaches lies behind some source, so every edge it crosses is on a walk
+// from one; none is crossed twice, and no two share both triple and Step.
+func (ev *Evaluator) trace(sources, targets []rdfgraph.ID) []int32 {
+	ev.acquire()
+	ev.hits = ev.hits[:0]
+	ev.marks = append(ev.marks[:0], make([]bool, len(sources))...) // zeroed in place: no allocation
 	if len(targets) == 0 {
 		return nil
 	}
 	if ev.atomic {
+		ev.edges = ev.edges[:0]
 		if ev.atomicID == rdfgraph.NoID {
 			return nil
 		}
-		for _, b := range targets {
-			t := rdfgraph.IDTriple{S: a, P: ev.atomicID, O: b}
-			if !ev.atomicFwd {
-				t.S, t.O = b, a
-			}
-			if ev.g.HasIDs(t.S, t.P, t.O) {
-				ev.hits = append(ev.hits, int32(len(ev.edges)))
-				ev.edges = append(ev.edges, productEdge{triple: t, fwd: ev.atomicFwd})
+		for j, a := range sources {
+			for _, b := range targets {
+				t := rdfgraph.IDTriple{S: a, P: ev.atomicID, O: b}
+				if !ev.atomicFwd {
+					t.S, t.O = b, a
+				}
+				if ev.g.HasIDs(t.S, t.P, t.O) {
+					ev.marks[j] = true
+					ev.hits = append(ev.hits, int32(len(ev.edges)))
+					ev.edges = append(ev.edges, productEdge{triple: t, fwd: ev.atomicFwd})
+				}
 			}
 		}
 		return ev.hits
 	}
-	ev.forward(a)
+	ev.forward(sources)
 	n := ev.nfa
-	ev.heads = append(ev.heads[:0], make([]int32, len(ev.order))...) // zeroed in place: no allocation
-	for id, ps := range ev.order {
-		ev.tick()
-		ev.cur, ev.curID = ps, int32(id)
-		for _, t := range n.trans[ps.state] {
-			if t.pred == rdfgraph.NoID {
-				continue
-			}
-			ev.curT = t
-			if t.fwd {
-				ev.g.Objects(ps.node, t.pred, ev.addEdge)
-			} else {
-				ev.g.Subjects(t.pred, ps.node, ev.addEdge)
-			}
-		}
-	}
-
 	ev.back = append(ev.back[:0], make([]bool, len(ev.order))...)
 	ev.stack = ev.stack[:0]
 	for _, b := range targets {
@@ -415,22 +446,36 @@ func (ev *Evaluator) trace(a rdfgraph.ID, targets []rdfgraph.ID) []int32 {
 			ev.pushBack(ev.edges[i-1].from)
 		}
 	}
+	for j, a := range sources {
+		ev.marks[j] = ev.back[ev.reach.find(productState{node: a, state: n.start}.key())]
+	}
 	return ev.hits
 }
 
-// TraceInto adds ⋃{graph(paths(E, G, a, b)) | b ∈ targets} to out: every
-// triple of G lying on some E-path from a to one of the target nodes.
-// Neighborhood computation (Table 2) always needs exactly such unions.
-func (ev *Evaluator) TraceInto(a rdfgraph.ID, targets []rdfgraph.ID, out *rdfgraph.IDTripleSet) {
-	for _, i := range ev.trace(a, targets) {
-		out.Add(ev.edges[i].triple)
+// TraceSetInto adds ⋃{graph(paths(E, G, a, b)) | a ∈ sources, b ∈ targets}
+// to out — every triple of G lying on some E-path from a source to a target
+// — and reports, per source, whether it reaches a target at all: scratch,
+// valid until the next call. A nil out asks for the report alone.
+func (ev *Evaluator) TraceSetInto(sources, targets []rdfgraph.ID, out *rdfgraph.IDTripleSet) []bool {
+	hits := ev.trace(sources, targets)
+	if out != nil {
+		for _, i := range hits {
+			out.Add(ev.edges[i].triple)
+		}
 	}
+	return ev.marks
+}
+
+// TraceInto is TraceSetInto from the single source a. Neighborhood
+// computation (Table 2) always needs exactly such unions over targets.
+func (ev *Evaluator) TraceInto(a rdfgraph.ID, targets []rdfgraph.ID, out *rdfgraph.IDTripleSet) {
+	ev.TraceSetInto([]rdfgraph.ID{a}, targets, out)
 }
 
 // TraceUnionIDs is TraceInto as a fresh slice: each traced triple once, in
 // ID order.
 func (ev *Evaluator) TraceUnionIDs(a rdfgraph.ID, targets []rdfgraph.ID) []rdfgraph.IDTriple {
-	hits := ev.trace(a, targets)
+	hits := ev.trace([]rdfgraph.ID{a}, targets)
 	if len(hits) == 0 {
 		return nil
 	}
@@ -465,7 +510,7 @@ func (ev *Evaluator) step(e *productEdge) Step {
 // no two share: the order of discovery follows the graph's adjacency maps
 // and differs from run to run. fn must not call into the evaluator.
 func (ev *Evaluator) TraceEdges(a rdfgraph.ID, targets []rdfgraph.ID, fn func(t rdfgraph.IDTriple, step Step)) {
-	hits := ev.trace(a, targets)
+	hits := ev.trace([]rdfgraph.ID{a}, targets)
 	slices.SortFunc(hits, func(i, j int32) int {
 		x, y := ev.step(&ev.edges[i]), ev.step(&ev.edges[j])
 		return cmp.Or(compareTriples(ev.edges[i].triple, ev.edges[j].triple),

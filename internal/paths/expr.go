@@ -8,24 +8,27 @@
 // the product of the NFA with the graph: a triple lies on some accepting
 // walk from a to b if and only if its product edge links a state
 // forward-reachable from (a, start) to a state backward-reachable from
-// (b, accept). This runs in O(|G|·|E|) per source node, replacing the
-// paper's naive path-enumeration algorithm with an equivalent one.
+// (b, accept). The unit of a search is a *source set*: Frag(G, S) needs only
+// the union of the traces, and a quantifier's targets are fixed by its body,
+// so one forward search seeded with every source — recording each product
+// edge as it discovers it, a reachable set being closed under successors —
+// and one backward pass from the targets trace them all in O(|G|·|E|); the
+// mark the pass leaves on a source's start state says whether that source
+// reaches a target at all. A single source is the one-element set.
 //
-// An Evaluator is single-goroutine state that owns the scratch its searches
-// run on, so a search allocates nothing once that scratch has grown;
-// extraction builds one per worker. A forward search numbers the product
-// states it discovers 0, 1, 2, … through one open-addressed, generation-
-// stamped table keyed by the packed (node, state) pair; edge chains, backward
-// marks and edge endpoints are slices indexed by that number, so a state is
-// hashed once and the scratch is sized by the largest search, never by the
-// dictionary. What an Evaluator returns is never scratch: Eval results are
-// owned slices memoized per source, TraceUnionIDs returns a fresh slice. It
-// keeps the most recent forward search and nothing older, because that is the
-// one asked for again: extraction evaluates ⟦E⟧G(v) and then traces from the
-// same v, which was 98.8 % of the hits of the per-source cache this replaced
-// (57-shape schema, Tyrol 1500). A search can be interrupted through SetStop,
-// which core installs only where it recovers ErrStopped: FragmentParallel and
-// the miss path of NeighborhoodsCached.
+// An Evaluator is single-goroutine state; extraction builds one per worker.
+// A forward search numbers the product states it discovers 0, 1, 2, …
+// through one open-addressed, generation-stamped table keyed by the packed
+// (node, state) pair; edge chains, backward marks and edge endpoints are
+// slices indexed by that number, so a state is hashed once and the scratch is
+// sized by the largest search, never by the dictionary. It is borrowed from a
+// process-wide pool and handed back by Release, unless grown past
+// maxPooledScratch. What an Evaluator returns is scratch only where it says
+// so: Eval results are owned slices memoized per source, TraceUnionIDs
+// returns a fresh slice. It keeps the most recent forward search and nothing
+// older: extraction evaluates ⟦E⟧G and then traces from the same sources. A
+// search can be interrupted through SetStop, which core installs only where
+// it recovers ErrStopped.
 package paths
 
 import (

@@ -3,6 +3,7 @@ package paths
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"shaclfrag/internal/rdfgraph"
@@ -77,7 +78,8 @@ func (t *stateTable) live() int {
 
 // A reset leaves no entry of an earlier generation visible: not after 10 000
 // of them on one table, and not when the generation counter wraps, which no
-// search reaches for 4 billion resets and only this test runs.
+// search reaches for 4 billion resets and only this test runs — nor when the
+// table changes hands inside scratch an evaluator released.
 func TestStateTableReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	var tab stateTable
@@ -125,4 +127,33 @@ func TestStateTableReset(t *testing.T) {
 	fill()
 	tab.reset()
 	check("reset after wrap")
+
+	// And through the pool: scratch an evaluator released carries no kept
+	// search, and the evaluator that takes it over finds none of the states,
+	// and gives none of the answers, of the search it last ran.
+	g := randomGraph(rng, 5, 12)
+	e := Star{X: Alt{Left: P(base + "p"), Right: Inv(P(base + "q"))}}
+	nodes := g.NodeIDs()
+	first := NewEvaluator(e, g)
+	first.TraceSetInto(nodes, nodes, nil)
+	s, old := first.search, append([]productState(nil), first.order...)
+	first.Release()
+	if first.search != nil || s.ok {
+		t.Fatalf("after Release: evaluator holds scratch %v, scratch keeps its search %v", first.search != nil, s.ok)
+	}
+	second := NewEvaluator(e, g)
+	second.search = s // what searchPool does, minus its freedom to drop one
+	for _, a := range nodes {
+		got, want := second.EvalSet([]rdfgraph.ID{a}, nil), NewEvaluator(e, g).EvalSet([]rdfgraph.ID{a}, nil)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("on released scratch EvalSet(%v) = %v, fresh evaluator %v", g.Term(a), got, want)
+		}
+		for _, ps := range old {
+			if id := s.reach.find(ps.key()); id >= 0 && s.order[id] != ps {
+				t.Fatalf("on released scratch state %v has id %d, which is %v", ps, id, s.order[id])
+			}
+		}
+	}
 }

@@ -162,9 +162,14 @@ type tracedEdge struct {
 // checkTrace requires of one query that tracing is exact: TraceUnionIDs
 // equals the definitional oracle, triple for triple and each once,
 // TraceEdges reports that same triple set, each (triple, step) once, and
-// Eval(a) is a's row of the naive relation.
-func checkTrace(t testing.TB, c traceCase, oracle *traceOracle, ev *paths.Evaluator, a rdfgraph.ID, targets []rdfgraph.ID) {
+// Eval(a) is a's row of the naive relation. And of the source set, asked
+// before and after the single source on the same evaluator — so that a kept
+// set search taken for a's, or a's for the set's, shows: TraceSetInto adds
+// the union over the sources of the oracle and marks exactly the sources
+// with a target in their row, and EvalSet is the union of the rows.
+func checkTrace(t testing.TB, c traceCase, oracle *traceOracle, ev *paths.Evaluator, a rdfgraph.ID, sources, targets []rdfgraph.ID) {
 	t.Helper()
+	checkTraceSet(t, c, oracle, ev, sources, targets)
 	want := oracle.union(c.e, a, targets)
 	fail := func(what string, got any) {
 		t.Helper()
@@ -205,18 +210,50 @@ func checkTrace(t testing.TB, c traceCase, oracle *traceOracle, ev *paths.Evalua
 	if res := ev.Eval(a); !slices.Equal(res, row) {
 		t.Fatalf("%s: %s: Eval(%v) = %v, naive relation %v\ngraph:\n%s", c.name, c.e, c.g.Term(a), res, row, turtle.FormatGraph(c.g))
 	}
+	checkTraceSet(t, c, oracle, ev, sources, targets)
+}
+
+// checkTraceSet is the source-set half of checkTrace.
+func checkTraceSet(t testing.TB, c traceCase, oracle *traceOracle, ev *paths.Evaluator, sources, targets []rdfgraph.ID) {
+	t.Helper()
+	want := make(map[rdfgraph.IDTriple]bool)
+	row := make(map[rdfgraph.ID]bool)
+	reaches := make([]bool, len(sources))
+	for j, a := range sources {
+		maps.Copy(want, oracle.union(c.e, a, targets))
+		for _, b := range oracle.nodes {
+			if oracle.rel(c.e)[pair{a, b}] {
+				row[b] = true
+				reaches[j] = reaches[j] || slices.Contains(targets, b)
+			}
+		}
+	}
+	out := rdfgraph.NewIDTripleSet()
+	marks := ev.TraceSetInto(sources, targets, out)
+	if !slices.Equal(marks, reaches) {
+		t.Fatalf("%s: %s from %v to %v: marked sources %v, by the naive relation %v\ngraph:\n%s", c.name, c.e, sources, targets, marks, reaches, turtle.FormatGraph(c.g))
+	}
+	got := out.IDTriples()
+	if len(got) != len(want) || slices.ContainsFunc(got, func(tr rdfgraph.IDTriple) bool { return !want[tr] }) {
+		t.Fatalf("%s: %s from %v to %v: TraceSetInto = %v, union of the oracle %v\ngraph:\n%s", c.name, c.e, sources, targets, got, want, turtle.FormatGraph(c.g))
+	}
+	union := ev.EvalSet(sources, nil)
+	if len(union) != len(row) || slices.ContainsFunc(union, func(b rdfgraph.ID) bool { return !row[b] }) {
+		t.Fatalf("%s: %s: EvalSet(%v) = %v, union of the naive rows %v\ngraph:\n%s", c.name, c.e, sources, union, row, turtle.FormatGraph(c.g))
+	}
 }
 
 // Property: tracing is exact. TestTraceProposition31 only checks that a
 // trace suffices, which every superset within G does too; here every source
-// of every case passes checkTrace against a random target set.
+// of every case passes checkTrace against a random target set, beside a
+// random source set.
 func TestTraceEqualsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, c := range append(traceCases(7, 120), wideIDCases()...) {
 		oracle := newTraceOracle(c.g, c.isolated...)
 		ev := paths.NewEvaluator(c.e, c.g)
 		for _, a := range oracle.nodes {
-			checkTrace(t, c, oracle, ev, a, randomSubset(rng, oracle.nodes))
+			checkTrace(t, c, oracle, ev, a, randomSubset(rng, oracle.nodes), randomSubset(rng, oracle.nodes))
 		}
 	}
 }
@@ -264,15 +301,18 @@ func (s *byteSource) Int63() int64 {
 
 // FuzzTraceOracle is checkTrace over cases the input decodes to: a path and
 // a graph of up to 12 edges over five nodes from the generators of
-// paths_test.go, a source among the nodes, a non-empty target subset.
+// paths_test.go, a source among the nodes, a non-empty target subset, and a
+// subset of the nodes as the source set.
 func FuzzTraceOracle(f *testing.F) {
 	// The hand-written cases of paths_test.go, as the choices that produce
 	// them. A path: 1 = compound, then its operator (0 inverse, 1 sequence,
 	// 3 star); 0 = property, then which of p, q, r. A graph: its edge count
 	// less one, then subject, object, property per edge, nodes a to e as 0
-	// to 4. Then the source, one target, and a 1 per further target.
+	// to 4. Then the source, one target, a 1 per further target, and a 1 per
+	// node of the source set.
 	f.Add([]byte{1, 1, 0, 0, 0, 1, // p/q over the diamond a → {b, c} → d, from a
-		4, 0, 1, 0, 1, 3, 1, 0, 2, 0, 2, 3, 1, 0, 4, 0, 0, 0, 1, 1, 1, 1, 1})
+		4, 0, 1, 0, 1, 3, 1, 0, 2, 0, 2, 3, 1, 0, 4, 0, 0, 0, 1, 1, 1, 1, 1,
+		1, 1, 0, 0}) // with sources {a, b}
 	f.Add([]byte{1, 3, 0, 0, // p* from a through the cycle b → d → b
 		4, 0, 1, 0, 1, 2, 0, 1, 3, 0, 3, 1, 0, 4, 4, 0, 0, 0, 1, 1, 1, 1, 1})
 	f.Add([]byte{1, 0, 1, 1, 0, 0, 0, 1, // ^(p/q) over a -p→ b -q→ c, from c
@@ -289,14 +329,22 @@ func FuzzTraceOracle(f *testing.F) {
 				targets = append(targets, b)
 			}
 		}
-		checkTrace(t, c, newTraceOracle(c.g), paths.NewEvaluator(c.e, c.g), a, targets)
+		var sources []rdfgraph.ID // possibly none, possibly a alone
+		for _, b := range nodes {
+			if rng.Intn(2) == 1 {
+				sources = append(sources, b)
+			}
+		}
+		checkTrace(t, c, newTraceOracle(c.g), paths.NewEvaluator(c.e, c.g), a, sources, targets)
 	})
 }
 
 // Property: an Evaluator's answers do not depend on what it was asked
 // before, and no answer is a view of its scratch. One evaluator is driven
-// through a seeded random interleaving of its four entry points over random
-// sources; every call must return what a fresh evaluator returns, and every
+// through a seeded random interleaving of its entry points, single-source
+// and source-set, over random sources — a set that is one node, or the node
+// asked for just before, included; every call must return what a fresh
+// evaluator returns, and every
 // slice returned earlier must be unchanged at the end. This is what lets
 // the searches run on buffers the evaluator owns and keep only the last
 // forward search.
@@ -317,11 +365,28 @@ func TestEvaluatorInterleaving(t *testing.T) {
 		nodes := c.g.NodeIDs()
 		var heldIDs, wantIDs [][]rdfgraph.ID
 		var heldTriples, wantTriples [][]rdfgraph.IDTriple
-		for op := 0; op < 40; op++ {
+		for op := 0; op < 60; op++ {
 			fresh := paths.NewEvaluator(c.e, c.g)
 			a := nodes[rng.Intn(len(nodes))]
 			targets := randomSubset(rng, nodes)
-			switch rng.Intn(4) {
+			sources := randomSubset(rng, nodes)
+			if rng.Intn(3) == 0 {
+				sources = []rdfgraph.ID{a} // the set a single-source search must not be taken for, and may be
+			}
+			switch rng.Intn(6) {
+			case 4:
+				got, want := rdfgraph.NewIDTripleSet(), rdfgraph.NewIDTripleSet()
+				marks := slices.Clone(ev.TraceSetInto(sources, targets, got))
+				if wantMarks := fresh.TraceSetInto(sources, targets, want); !slices.Equal(marks, wantMarks) || !slices.Equal(got.Sorted(c.g.Dict()), want.Sorted(c.g.Dict())) {
+					t.Fatalf("%s: %s: op %d: TraceSetInto(%v, %v) = %v marking %v, fresh evaluator %v marking %v", c.name, c.e, op, sources, targets, got.IDTriples(), marks, want.IDTriples(), wantMarks)
+				}
+			case 5:
+				got, want := ev.EvalSet(sources, nil), fresh.EvalSet(sources, nil)
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: %s: op %d: EvalSet(%v) = %v, fresh evaluator %v", c.name, c.e, op, sources, got, want)
+				}
 			case 0:
 				got := ev.Eval(a)
 				if !slices.Equal(got, fresh.Eval(a)) {

@@ -1,7 +1,9 @@
 package plan_test
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -16,16 +18,25 @@ import (
 )
 
 // maxHubFragmentAllocs bounds the allocations of one cold Figure 3 fragment
-// (the serving benchmark's hub-path request, BenchmarkHubFragmentCold): 307
-// measured, plus 25 %. It was 340 while the searches kept their states in
-// three maps, and 196 540 while every product search made its own maps,
-// adjacency slices and callbacks.
-const maxHubFragmentAllocs = 384
+// (the serving benchmark's hub-path request, BenchmarkHubFragmentCold): 110
+// measured, plus 25 %. It was 307 while every focus node ran a search of its
+// own on scratch its evaluator grew from nothing, 340 while the searches kept
+// their states in three maps, and 196 540 while every product search made its
+// own maps, adjacency slices and callbacks.
+const maxHubFragmentAllocs = 138
 
-// TestHubTraceAllocs is the allocation gate of path tracing: a product
-// search runs on scratch its evaluator owns, so what one cold fragment
-// allocates is that scratch growing to the largest search once, the owned
-// Eval results and the output set — not something per product state.
+// maxHubFragmentBytes bounds what a cold fragment allocates once an earlier
+// one has released its scratch: 30 kB measured, plus 25 % — the output set,
+// the owned results and the Bound. The scratch of its searches is some
+// 560 kB, so a fragment that grew its own again is twelve times over.
+const maxHubFragmentBytes = 38 << 10
+
+// TestHubTraceAllocs is the gate of path tracing, by count: a cold fragment
+// runs two product searches per automaton path slot, whatever the number of
+// focus nodes — one deciding ≥1 E.ψ for them all, one tracing from those that
+// conform — on scratch that a released Bound hands to the next, so what it
+// allocates is the owned Eval results and the output set, not something per
+// product state, per focus node or per request.
 func TestHubTraceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -34,16 +45,33 @@ func TestHubTraceAllocs(t *testing.T) {
 	request := shape.AndOf(datagen.HubDistance3Shape(), schema.TargetObjectsOf(datagen.PropAuthoredBy))
 	prog := plan.Compile(request, nil)
 	nodes := g.NodeIDs()
-	got := testing.AllocsPerRun(5, func() {
-		b := prog.Bind(g)
-		out := rdfgraph.NewIDTripleSet()
-		for _, v := range nodes {
-			b.CollectInto(v, out)
-		}
-	})
+	var b *plan.Bound
+	cold := func() {
+		b = prog.Bind(g)
+		b.CollectAllInto(nodes, rdfgraph.NewIDTripleSet())
+		b.Release()
+	}
+	got := testing.AllocsPerRun(5, cold)
 	t.Logf("cold hub fragment: %.0f allocs/op (bound %d)", got, maxHubFragmentAllocs)
 	if got > maxHubFragmentAllocs {
 		t.Errorf("cold hub fragment allocates %.0f times, bound %d", got, maxHubFragmentAllocs)
+	}
+	// The request has one path that is not a bare property: the hub's.
+	if n := b.Searches(); n > 2 {
+		t.Errorf("cold hub fragment over %d nodes ran %d product searches, want at most 2", len(nodes), n)
+	}
+	// The least of five: a collection in between empties the pool once.
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		cold()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("cold hub fragment on released scratch: %d B/op (bound %d)", least, maxHubFragmentBytes)
+	if least > maxHubFragmentBytes {
+		t.Errorf("a cold hub fragment after Release allocates %d B, bound %d: it grows scratch of its own", least, maxHubFragmentBytes)
 	}
 
 	// Warm, a trace allocates its result and nothing else.

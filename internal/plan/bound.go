@@ -54,11 +54,14 @@ type Bound struct {
 	visited [][]uint8
 	gen     uint8
 
-	// Per-depth scratch for successor, property-value and witness lists,
-	// reused across focus nodes; depth is the quantifier nesting level.
+	// Per-depth scratch for successor, property-value, witness and focus
+	// lists, reused across focus nodes; depth is the nesting level. wit and
+	// srcs are apart because Table 2 rows filter values into witnesses, and
+	// nodes into foci, that must survive the trace and the recursion.
 	succ  [][]rdfgraph.ID
 	vals  [][]rdfgraph.ID
 	wit   [][]rdfgraph.ID
+	srcs  [][]rdfgraph.ID
 	depth int
 
 	// ids is the list appendID grows: the graph callback of pathValues and
@@ -142,6 +145,18 @@ func (b *Bound) SetStop(stop func() bool) {
 	}
 }
 
+// Searches sums the forward product searches b's path evaluators have run
+// (paths.Evaluator.Searches) — surfaced as the searches span attribute.
+func (b *Bound) Searches() int {
+	n := 0
+	for _, pe := range b.pes {
+		if pe != nil {
+			n += pe.Searches
+		}
+	}
+	return n
+}
+
 // Graph returns the bound graph.
 func (b *Bound) Graph() rdfgraph.Reader { return b.g }
 
@@ -182,11 +197,16 @@ func (b *Bound) row(rows [][]uint8, i int32, v rdfgraph.ID) []uint8 {
 	return nr
 }
 
-// Release hands the memo and visited rows back, zeroed, for a later Bound to
-// take; call it when extraction through b is over. It is optional — a Bound
-// never released is simply not recycled — and final: any use of b after it
-// panics on the missing rows.
+// Release hands the memo and visited rows back, zeroed, and the path
+// evaluators' scratch (paths.Evaluator.Release), for a later Bound to take;
+// call it when extraction through b is over. It is optional — a Bound never
+// released is not recycled — and final: use of b after it panics.
 func (b *Bound) Release() {
+	for _, pe := range b.pes {
+		if pe != nil {
+			pe.Release()
+		}
+	}
 	for _, rows := range [][][]uint8{b.memo, b.visited} {
 		for _, r := range rows {
 			if r != nil {

@@ -5,14 +5,23 @@ import (
 	"shaclfrag/internal/rdfgraph"
 )
 
-// CollectInto accumulates B(v, G, φ) for the program's root shape into out,
-// implementing Table 2 over instructions. The visited state persists across
-// calls (matching core.Extractor's shared visited set when accumulating a
-// fragment); use ResetVisited to start an isolated per-node unit, as the
-// neighborhood cache requires. The triples produced are exactly those of
-// core.Extractor.collect for the same shape — the parity suites gate this.
+// CollectAllInto accumulates ⋃{B(v, G, φ) | v ∈ nodes} for the program's
+// root shape into out: Table 2 over instructions, a set of focus nodes at a
+// time. Frag(G, S) needs only the union, and a quantifier's targets are
+// fixed by its body, not by the focus node, so over an automaton slot it
+// traces all its foci with one product search (paths.Evaluator.TraceSetInto)
+// and recurses into all their witnesses with one call. The visited state
+// persists across calls, like core.Extractor's shared visited set;
+// ResetVisited starts an isolated per-node unit, as the neighborhood cache
+// requires. The triples are exactly those of core.Extractor.collect over the
+// same nodes — the parity suites gate this.
+func (b *Bound) CollectAllInto(nodes []rdfgraph.ID, out *rdfgraph.IDTripleSet) {
+	b.collect(nodes, b.prog.Root, out)
+}
+
+// CollectInto is CollectAllInto of the one-element set {v}.
 func (b *Bound) CollectInto(v rdfgraph.ID, out *rdfgraph.IDTripleSet) {
-	b.collect(v, b.prog.Root, out)
+	b.collect([]rdfgraph.ID{v}, b.prog.Root, out) // collect keeps no hold of it: on the stack
 }
 
 // ResetVisited begins a new accumulation unit: previously visited
@@ -28,11 +37,6 @@ func (b *Bound) ResetVisited() {
 		b.gen = 1
 	}
 }
-
-// wit is the witness-list scratch pool, separate from succ/vals because
-// Table 2 rows filter path values into a witness list that must survive
-// both the trace and the recursion into each witness.
-func (b *Bound) witScratch(d int) []rdfgraph.ID { return scratch(&b.wit, d) }
 
 // trace unions graph(paths(E, G, v, targets)) into out for a path slot:
 // the plan-level equivalent of core.Extractor.addTrace without attribution
@@ -60,102 +64,141 @@ func (b *Bound) trace(slot int32, v rdfgraph.ID, targets []rdfgraph.ID, out *rdf
 	b.pes[slot].TraceInto(v, targets, out)
 }
 
-// collect implements Table 2 for instruction i at focus v. The cases mirror
-// core.Extractor.collect exactly.
-func (b *Bound) collect(v rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet) {
-	r := b.row(b.visited, i, v)
-	if r[v] == b.gen {
+// decide settles instruction i at those of nodes one search can answer for
+// together, filling the memo row Conforms reads: ≥1 E.ψ over an automaton
+// slot holds at exactly the sources the backward pass from ψ's conformers
+// among ⟦E⟧G(nodes) comes back to. The rest is left to Conforms.
+func (b *Bound) decide(nodes []rdfgraph.ID, i int32) {
+	in := &b.prog.Instrs[i]
+	switch in.Op {
+	case OpAnd, OpOr, OpRef:
+		for _, c := range in.Args {
+			b.decide(nodes, c)
+		}
+	case OpMin:
+		pe := b.pes[in.Path]
+		if in.N != 1 || pe == nil {
+			return
+		}
+		d := b.depth
+		b.depth++
+		open := scratch(&b.srcs, d)
+		for _, v := range nodes {
+			if b.row(b.memo, i, v)[v] == 0 {
+				open = append(open, v)
+			}
+		}
+		putScratch(&b.srcs, d, open)
+		if len(open) > 0 {
+			b.Checks += len(open)
+			wit := b.witnesses(in, pe.EvalSet(open, scratch(&b.wit, d)), d)
+			for j, reached := range pe.TraceSetInto(open, wit, nil) {
+				b.memo[i][open[j]] = 2
+				if reached {
+					b.memo[i][open[j]] = 1
+				}
+			}
+		}
+		b.depth--
+	}
+}
+
+// witnesses cuts vals, the E-values of quantifier in's foci in the depth-d
+// wit scratch, down to the nodes its Table 2 row traces to and recurses into,
+// a set the body alone fixes: its conformers for ≥n, its non-conformers for
+// ≤n, every value for ∀.
+func (b *Bound) witnesses(in *Instr, vals []rdfgraph.ID, d int) []rdfgraph.ID {
+	if in.Op != OpForall {
+		b.decide(vals, in.Args[0])
+		kept := vals[:0]
+		for _, x := range vals {
+			if b.Conforms(x, in.Args[0]) == (in.Op == OpMin) {
+				kept = append(kept, x)
+			}
+		}
+		vals = kept
+	}
+	putScratch(&b.wit, d, vals)
+	return vals
+}
+
+// collect implements Table 2 for instruction i at the foci among nodes: those
+// not yet visited for i that conform to it, since B(v, G, φ) = ∅ when v does
+// not. The cases mirror core.Extractor.collect exactly.
+func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet) {
+	d := b.depth // the depth whose scratch holds foci and their witnesses
+	b.depth++
+	defer func() { b.depth-- }()
+	b.decide(nodes, i)
+	foci := scratch(&b.srcs, d)
+	for _, v := range nodes {
+		if r := b.row(b.visited, i, v); r[v] != b.gen {
+			r[v] = b.gen
+			if b.Conforms(v, i) {
+				foci = append(foci, v)
+			}
+		}
+	}
+	putScratch(&b.srcs, d, foci)
+	if len(foci) == 0 {
 		return
 	}
-	r[v] = b.gen
-
-	if !b.Conforms(v, i) {
-		return // B(v, G, φ) = ∅ when v does not conform
-	}
-
 	in := &b.prog.Instrs[i]
 	switch in.Op {
 	case OpTrue, OpFalse, OpTest, OpHasValue, OpClosed, OpDisj,
 		OpLessThan, OpLessThanEq, OpMoreThan, OpMoreThanEq, OpUniqueLang:
 		// Minimal neighborhoods: no triples as evidence (Section 3.1).
-		return
 
-	case OpRef:
-		b.collect(v, in.Args[0], out)
-
-	case OpAnd, OpOr:
+	case OpRef, OpAnd, OpOr:
 		// Conjunctions collect every conjunct; disjunctions collect every
-		// conforming disjunct (collect itself skips non-conforming ones).
+		// conforming disjunct (collect itself skips non-conforming foci).
 		for _, c := range in.Args {
-			b.collect(v, c, out)
+			b.collect(foci, c, out)
 		}
 
-	case OpMin:
-		// ⋃ { graph(paths(E,G,v,x)) ∪ B(x,G,ψ) | x ∈ ⟦E⟧G(v), G,x ⊨ ψ }
-		d := b.depth
-		b.depth++
-		values := b.pathValues(in.Path, v, d)
-		witnesses := b.witScratch(d)
-		for _, x := range values {
-			if b.Conforms(x, in.Args[0]) {
-				witnesses = append(witnesses, x)
-			}
+	case OpMin, OpMax, OpForall:
+		// ≥n: ⋃ { graph(paths(E,G,v,x)) ∪ B(x,G,ψ)  | x ∈ ⟦E⟧G(v), G,x ⊨ ψ }
+		// ≤n: ⋃ { graph(paths(E,G,v,x)) ∪ B(x,G,¬ψ) | x ∈ ⟦E⟧G(v), G,x ⊨ ¬ψ }
+		// ∀:  ⋃ { graph(paths(E,G,v,x)) ∪ B(x,G,ψ)  | x ∈ ⟦E⟧G(v) }
+		next := in.Args[0]
+		if in.Op == OpMax {
+			next = in.Args[1]
 		}
-		putScratch(&b.wit, d, witnesses)
-		b.trace(in.Path, v, witnesses, out)
-		for _, x := range witnesses {
-			b.collect(x, in.Args[0], out)
-		}
-		b.depth--
-
-	case OpMax:
-		// ⋃ { graph(paths(E,G,v,x)) ∪ B(x,G,¬ψ) | x ∈ ⟦E⟧G(v), G,x ⊨ ¬ψ }
-		d := b.depth
-		b.depth++
-		values := b.pathValues(in.Path, v, d)
-		counterexamples := b.witScratch(d)
-		for _, x := range values {
-			if !b.Conforms(x, in.Args[0]) {
-				counterexamples = append(counterexamples, x)
-			}
-		}
-		putScratch(&b.wit, d, counterexamples)
-		b.trace(in.Path, v, counterexamples, out)
-		for _, x := range counterexamples {
-			b.collect(x, in.Args[1], out)
-		}
-		b.depth--
-
-	case OpForall:
-		// ⋃ { graph(paths(E,G,v,x)) ∪ B(x,G,ψ) | x ∈ ⟦E⟧G(v) }
-		d := b.depth
-		b.depth++
-		values := b.pathValues(in.Path, v, d)
-		b.trace(in.Path, v, values, out)
-		for _, x := range values {
-			b.collect(x, in.Args[0], out)
-		}
-		b.depth--
-
-	case OpEq:
-		if in.Path == NoPath {
-			// eq(id, p): {(v, p, v)}; conformance guarantees presence.
-			if pid := b.preds[i]; pid != rdfgraph.NoID {
-				out.Add(rdfgraph.IDTriple{S: v, P: pid, O: v})
-			}
+		if pe := b.pes[in.Path]; pe != nil {
+			// Each focus's witnesses are its values cut with one set, so
+			// tracing from all foci to all witnesses adds no path.
+			wit := b.witnesses(in, pe.EvalSet(foci, scratch(&b.wit, d)), d)
+			pe.TraceSetInto(foci, wit, out)
+			b.collect(wit, next, out)
 			return
 		}
-		// eq(E, p): ⋃ { graph(paths(E ∪ p, G, v, x)) | x ∈ ⟦E ∪ p⟧G(v) }
-		pe := b.pes[in.TracePath]
-		pe.TraceInto(v, pe.Eval(v), out)
+		for _, v := range foci {
+			wit := b.witnesses(in, append(scratch(&b.wit, d), b.pathValues(in.Path, v, d)...), d)
+			b.trace(in.Path, v, wit, out)
+			b.collect(wit, next, out)
+		}
+
+	case OpEq:
+		for _, v := range foci {
+			if in.Path != NoPath {
+				// eq(E, p): ⋃ { graph(paths(E ∪ p, G, v, x)) | x ∈ ⟦E ∪ p⟧G(v) }
+				pe := b.pes[in.TracePath]
+				pe.TraceInto(v, pe.Eval(v), out)
+			} else if pid := b.preds[i]; pid != rdfgraph.NoID {
+				// eq(id, p): {(v, p, v)}; conformance guarantees presence.
+				out.Add(rdfgraph.IDTriple{S: v, P: pid, O: v})
+			}
+		}
 
 	case OpNeg:
 		if in.Name != (rdf.Term{}) {
 			// ¬hasShape(s): Args[0] is NNF(¬def(s)) — collect it.
-			b.collect(v, in.Args[0], out)
+			b.collect(foci, in.Args[0], out)
 			return
 		}
-		b.collectNegatedAtom(v, in.Args[0], out)
+		for _, v := range foci {
+			b.collectNegatedAtom(v, in.Args[0], out)
+		}
 
 	default:
 		panic("plan: shape not in NNF in collect")
@@ -191,7 +234,7 @@ func (b *Bound) collectNegatedAtom(v rdfgraph.ID, ai int32, out *rdfgraph.IDTrip
 		b.depth++
 		pValues := b.propValues(ai, v, d)
 		eValues := b.pathValues(in.Path, v, d)
-		witnesses := b.witScratch(d)
+		witnesses := scratch(&b.wit, d)
 		for _, x := range eValues {
 			if _, inP := sortedContains(pValues, x); !inP {
 				witnesses = append(witnesses, x)
@@ -221,7 +264,7 @@ func (b *Bound) collectNegatedAtom(v rdfgraph.ID, ai int32, out *rdfgraph.IDTrip
 		b.depth++
 		pValues := b.propValues(ai, v, d)
 		eValues := b.pathValues(in.Path, v, d)
-		common := b.witScratch(d)
+		common := scratch(&b.wit, d)
 		for _, x := range eValues {
 			if _, inP := sortedContains(pValues, x); inP {
 				common = append(common, x)
@@ -255,7 +298,7 @@ func (b *Bound) collectNegatedAtom(v rdfgraph.ID, ai int32, out *rdfgraph.IDTrip
 				byLang[t.Lang] = append(byLang[t.Lang], x)
 			}
 		}
-		clashing := b.witScratch(d)
+		clashing := scratch(&b.wit, d)
 		for _, group := range byLang {
 			if len(group) > 1 {
 				clashing = append(clashing, group...)
@@ -295,7 +338,7 @@ func (b *Bound) collectNegatedOrder(v rdfgraph.ID, ai int32, cmp func(bt, yt rdf
 	b.depth++
 	pValues := b.propValues(ai, v, d)
 	values := b.pathValues(in.Path, v, d)
-	witnesses := b.witScratch(d)
+	witnesses := scratch(&b.wit, d)
 	for _, x := range values {
 		bt := b.g.Term(x)
 		witness := false

@@ -2,6 +2,8 @@ package plan_test
 
 import (
 	"flag"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shaclsyn"
 	"shaclfrag/internal/shape"
+	"shaclfrag/internal/shapetest"
 	"shaclfrag/internal/store"
 	"shaclfrag/internal/turtle"
 )
@@ -61,13 +64,26 @@ func exampleParityCases(t *testing.T) []parityCase {
 		g:    datagen.Tyrol(datagen.TyrolConfig{Individuals: 250, Seed: 11}),
 		h:    schema.MustNew(datagen.BenchmarkShapes()...),
 	})
+	// The shapes the set form has cases of its own for (plan_test.go), each
+	// under two targets: without a cache a work unit is a source set, and
+	// its size follows shards and workers.
+	rng := rand.New(rand.NewSource(17))
+	var defs []schema.Definition
+	for i, phi := range setShapes(rng) {
+		target := schema.TargetSubjectsOf(shapetest.Base + "p")
+		if i%2 == 1 {
+			target = schema.TargetObjectsOf(shapetest.Base + "q")
+		}
+		defs = append(defs, schema.Definition{Name: shapetest.IRI(fmt.Sprint("Set", i)), Shape: phi, Target: target})
+	}
+	cases = append(cases, parityCase{name: "setshapes", g: shapetest.RandomGraph(rng, 150), h: schema.MustNew(defs...)})
 	return cases
 }
 
 // TestPlanFragmentParity is the tentpole acceptance gate: Frag(G, H)
 // extracted by compiled plans through FragmentParallel is byte-identical
 // to the AST extractor's output for every example schema, across shard
-// counts 1/4 × worker counts 1/4, with and without the neighborhood cache.
+// counts 1/4 × worker counts 1/2/4, with and without the neighborhood cache.
 func TestPlanFragmentParity(t *testing.T) {
 	for _, tc := range exampleParityCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,7 +100,7 @@ func TestPlanFragmentParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{1, 4} {
+				for _, workers := range []int{1, 2, 4} {
 					for _, cached := range []bool{false, true} {
 						var cache *core.NeighborhoodCache
 						if cached {

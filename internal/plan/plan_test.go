@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"shaclfrag/internal/core"
@@ -77,6 +78,70 @@ func TestExtractionParityRandom(t *testing.T) {
 				if _, ok := gk[k]; !ok {
 					t.Fatalf("seed %d node %s: ast triple %s missing from plan output (shape %s)",
 						seed, g.Term(v), k, phi)
+				}
+			}
+		}
+	}
+}
+
+// setShapes are the shapes the set form of Table 2 has a case of its own
+// for, over a path e that is never atomic: each quantifier at each count,
+// nested quantifiers sharing e's slot, a conjunct that rejects a source the
+// path accepts, and every pair constraint, bare and negated, under a
+// quantifier that hands it a set of foci.
+func setShapes(rng *rand.Rand) []shape.Shape {
+	e := paths.Star{X: shapetest.RandomPath(rng, 2)}
+	p, q := shapetest.Base+"p", shapetest.Base+"q"
+	psi := shapetest.RandomShape(rng, 1)
+	out := []shape.Shape{
+		shape.Min(1, e, psi), shape.Min(2, e, psi), shape.Max(0, e, psi), shape.Max(2, e, psi), shape.All(e, psi),
+		shape.Min(1, e, shape.Min(1, e, psi)),
+		shape.Min(1, e, shape.Max(1, e, shape.Min(1, e, psi))),
+		shape.AndOf(shape.Min(1, e, psi), shapetest.RandomShape(rng, 1)),
+		shape.OrOf(shape.Min(1, e, shape.Value(shapetest.IRI("a"))), shape.All(e, psi)),
+	}
+	for _, pair := range []shape.Shape{
+		shape.EqPath(e, p), shape.EqID(p), shape.DisjPath(e, p), shape.DisjID(p), shape.UniqueLangShape(e),
+		shape.Less(e, q), shape.LessEq(e, q), shape.More(e, q), shape.MoreEq(e, q),
+	} {
+		out = append(out, shape.Min(1, e, pair), shape.All(e, shape.Neg(pair)))
+	}
+	return append(out, shapetest.RandomShape(rng, 3))
+}
+
+// TestCollectAllParityRandom checks the set form of Table 2 against its two
+// definitions on random graphs: CollectAllInto(S) is the union over S of
+// CollectInto(v), which is the AST walker's — for S all of N(G) and a random
+// part of it — and the conformance the set search memoized is the AST's.
+func TestCollectAllParityRandom(t *testing.T) {
+	for seed := int64(0); seed < 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := shapetest.RandomGraph(rng, 40+rng.Intn(60))
+		g.Freeze()
+		nodes := g.NodeIDs()
+		part := slices.Clone(nodes)
+		rng.Shuffle(len(part), func(i, j int) { part[i], part[j] = part[j], part[i] })
+		part = part[:1+rng.Intn(len(part))]
+		for _, phi := range setShapes(rng) {
+			prog := plan.Compile(phi, nil)
+			for _, S := range [][]rdfgraph.ID{nodes, part} {
+				x := core.NewExtractor(g, nil)
+				set, each := prog.Bind(g), prog.Bind(g)
+				want, got, union := rdfgraph.NewIDTripleSet(), rdfgraph.NewIDTripleSet(), rdfgraph.NewIDTripleSet()
+				visited := make(map[core.VisitKey]struct{})
+				for _, v := range S {
+					x.NeighborhoodInto(v, phi, want, visited)
+					each.CollectInto(v, union)
+				}
+				set.CollectAllInto(S, got)
+				if w := want.Sorted(g.Dict()); !slices.Equal(got.Sorted(g.Dict()), w) || !slices.Equal(union.Sorted(g.Dict()), w) {
+					t.Fatalf("seed %d: %s over %d of %d nodes: CollectAllInto %d triples, CollectInto each %d, ast %d",
+						seed, phi, len(S), len(nodes), got.Len(), union.Len(), want.Len())
+				}
+				for _, v := range nodes {
+					if set.ConformsRoot(v) != x.Evaluator().Conforms(v, phi) {
+						t.Fatalf("seed %d: %s at %s: plan %v after the set call, ast %v", seed, phi, g.Term(v), set.ConformsRoot(v), !set.ConformsRoot(v))
+					}
 				}
 			}
 		}
