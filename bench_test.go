@@ -516,8 +516,12 @@ func BenchmarkSharded10M(b *testing.B) {
 // BenchmarkContainment measures the static containment analysis that
 // backs cache sharing, schema diffing and the subsumption lints: building
 // a checker and answering every pairwise Contains question over a schema,
-// plus the per-epoch equivalence-class computation fragserver runs
-// alongside the planner.
+// plus the equivalence-class computation fragserver runs once at load.
+// classes/<schema> sizes it over the request shapes alone; classes/served57
+// is the list fragserver.New passes when it serves the benchmark schema
+// from Turtle, as bench/ and `fragserver -shapes` do: named property shapes
+// make it 183 definitions, requests + definition shapes 366 shapes in 254
+// classes.
 func BenchmarkContainment(b *testing.B) {
 	schemas := []struct {
 		name string
@@ -564,6 +568,17 @@ func BenchmarkContainment(b *testing.B) {
 			}
 		})
 	}
+
+	served := servedBenchmarkSchema(b)
+	shapes := core.SchemaRequests(served)
+	for _, d := range served.Definitions() {
+		shapes = append(shapes, d.Shape)
+	}
+	b.Run("classes/served57", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			contain.ComputeClasses(served, shapes)
+		}
+	})
 }
 
 func pathBase(p string) string {
@@ -699,10 +714,9 @@ func (d *discardResponse) Header() http.Header         { return d.h }
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardResponse) WriteHeader(int)             {}
 
-// benchServe drives one GET through Server.Handler() per iteration, the
-// neighborhood cache warm, over the benchmark schema as cmd/fragserver sees
-// it: written out as SHACL and parsed back, which names the nested shapes.
-func benchServe(b *testing.B, individuals int, target string) {
+// servedBenchmarkSchema is the benchmark schema as cmd/fragserver sees it:
+// written out as SHACL and parsed back, which names the nested shapes.
+func servedBenchmarkSchema(b *testing.B) *schema.Schema {
 	shapes, err := shaclsyn.Format(datagen.BenchmarkSchema())
 	if err != nil {
 		b.Fatal(err)
@@ -711,8 +725,14 @@ func benchServe(b *testing.B, individuals int, target string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return h
+}
+
+// benchServe drives one GET through Server.Handler() per iteration, the
+// neighborhood cache warm, over the served benchmark schema.
+func benchServe(b *testing.B, individuals int, target string) {
 	srv, err := fragserver.New(fragserver.Config{
-		Graph: tyrolGraph(individuals), Schema: h,
+		Graph: tyrolGraph(individuals), Schema: servedBenchmarkSchema(b),
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {

@@ -6,8 +6,9 @@ import (
 )
 
 // Classes is the cache-sharing equivalence-class table over a slice of
-// shapes (fragserver computes one per epoch over its per-definition
-// request shapes, alongside the planner). Shapes fall into one class
+// shapes. It is a function of the schema alone — containment quantifies
+// over every graph — so fragserver computes one in New, over its request
+// and definition shapes, and no epoch recomputes it. Shapes fall into one class
 // when their CanonKeys match — the neighborhood congruence — so serving
 // one class member's cached entries for another is byte-exact.
 type Classes struct {

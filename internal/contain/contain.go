@@ -24,6 +24,7 @@
 package contain
 
 import (
+	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
 	"shaclfrag/internal/shapelint"
@@ -59,55 +60,119 @@ func (v Verdict) String() string {
 // Checker decides φ1 ⊑ φ2 with φ1 interpreted against a left schema and
 // φ2 against a right schema (the two coincide for single-schema
 // questions; they differ when diffing schema versions). A Checker is not
-// safe for concurrent use.
+// safe for concurrent use, and it keeps every shape it is asked about
+// alive: what it derives from a shape node alone is tabled by the node's
+// pointer (see side), so shapes must not be mutated once asked about.
 type Checker struct {
-	left, right *schema.Schema
-	foldL       *shapelint.Folder
-	foldR       *shapelint.Folder
+	l, r *side // φ1's and φ2's schema; one side when the schemas coincide
 
 	// flip decides the reverse direction (right ⊑ left) and serves the
 	// contravariant positions: ≤n bodies and negated atoms.
 	flip *Checker
 
-	// memo caches sub results per (left key, right key) pair. Only
+	// memo caches sub results per (left key id, right key id) pair. Only
 	// entries derived without live coinductive assumptions are stored.
-	memo map[string]Verdict
+	memo map[[2]uint32]Verdict
 	// assume holds hasShape pairs currently being discharged: while
 	// proving hasShape(a) ⊑ hasShape(b) the pair is assumed, so a
 	// recursive re-encounter concludes coinductively.
-	assume map[string]bool
+	assume map[[2]rdf.Term]bool
 	// active guards against divergence on schemas with reference cycles
 	// (schema.New rejects them, but hand-built Defs could not).
-	active map[string]bool
+	active map[[2]uint32]bool
 }
+
+// side is one schema's view of the shape nodes a checker meets. Rendering
+// a node, folding it and normalising it depend on the node and the schema
+// only — never on the question asked — so each is done on first sight and
+// tabled by the node's pointer; NNF shares unchanged subtrees, so a shape
+// asked about twice is the same nodes twice. Sound because Shape.String,
+// shape.NNF and Folder.Fold are pure (TestSharedCheckerAgreesWithFresh).
+type side struct {
+	h    *schema.Schema
+	fold *shapelint.Folder
+	// keys interns renderings; both sides of a checker and of its flip
+	// share one table, so equal ids mean equal renderings across sides.
+	keys  map[string]uint32
+	nnfs  map[shape.Shape]shape.Shape
+	facts map[shape.Shape]facts
+}
+
+// facts is what a side knows about one NNF node.
+type facts struct {
+	id           uint32 // interned key(node)
+	unsat, valid bool   // the side's folder rewrites the node to ⊥, to ⊤
+}
+
+func newSide(h *schema.Schema, keys map[string]uint32) *side {
+	return &side{h: h, fold: shapelint.NewFolder(h), keys: keys,
+		nnfs: make(map[shape.Shape]shape.Shape), facts: make(map[shape.Shape]facts)}
+}
+
+func (s *side) nnf(phi shape.Shape) shape.Shape {
+	n, ok := s.nnfs[phi]
+	if !ok {
+		n = shape.NNF(phi)
+		s.nnfs[phi] = n
+	}
+	return n
+}
+
+func (s *side) of(x shape.Shape) facts {
+	f, ok := s.facts[x]
+	if !ok {
+		k := key(x)
+		if f.id, ok = s.keys[k]; !ok {
+			f.id = uint32(len(s.keys))
+			s.keys[k] = f.id
+		}
+		folded := s.fold.Fold(x)
+		f.unsat, f.valid = isFalse(folded), isTrue(folded)
+		s.facts[x] = f
+	}
+	return f
+}
+
+// resolve returns the NNF body of a reference; undefined names are ⊤, the
+// evaluator's default.
+func (s *side) resolve(r *shape.HasShape) shape.Shape {
+	if s.h != nil {
+		if def, ok := s.h.Def(r.Name); ok {
+			return s.nnf(def)
+		}
+	}
+	return top
+}
+
+var top = shape.TrueShape()
 
 // New builds a checker for φ1 ⊑ φ2 with φ1 resolved against left and φ2
 // against right. Nil schemas are allowed (hasShape then resolves to ⊤,
 // matching the evaluator's default for undefined names).
 func New(left, right *schema.Schema) *Checker {
-	c := &Checker{left: left, right: right}
-	c.flip = &Checker{left: right, right: left, flip: c}
-	c.init()
-	c.flip.init()
+	l := newSide(left, make(map[string]uint32))
+	r := l
+	if left != right {
+		r = newSide(right, l.keys)
+	}
+	c, f := newChecker(l, r), newChecker(r, l)
+	c.flip, f.flip = f, c
 	return c
 }
 
-func (c *Checker) init() {
-	c.foldL = shapelint.NewFolder(c.left)
-	c.foldR = shapelint.NewFolder(c.right)
-	c.memo = make(map[string]Verdict)
-	c.assume = make(map[string]bool)
-	c.active = make(map[string]bool)
+func newChecker(l, r *side) *Checker {
+	return &Checker{l: l, r: r, memo: make(map[[2]uint32]Verdict),
+		assume: make(map[[2]rdf.Term]bool), active: make(map[[2]uint32]bool)}
 }
 
 // sameSchema reports whether both sides resolve hasShape identically, so
 // syntactic equality implies semantic equality.
-func (c *Checker) sameSchema() bool { return c.left == c.right }
+func (c *Checker) sameSchema() bool { return c.l == c.r }
 
 // Contains runs the structural checker on φ1 ⊑ φ2. It returns Contained
 // or Unknown, never NotContained — use Check to also attempt refutation.
 func (c *Checker) Contains(phi1, phi2 shape.Shape) Verdict {
-	return c.sub(shape.NNF(phi1), shape.NNF(phi2))
+	return c.sub(c.l.nnf(phi1), c.r.nnf(phi2))
 }
 
 // Equivalent reports mutual containment: Contained when φ1 ⊑ φ2 and
@@ -126,7 +191,8 @@ func (c *Checker) sub(a, b shape.Shape) Verdict {
 	if isFalse(a) || isTrue(b) {
 		return Contained
 	}
-	pair := key(a) + "\x1f⊑\x1f" + key(b)
+	fa, fb := c.l.of(a), c.r.of(b)
+	pair := [2]uint32{fa.id, fb.id}
 	if v, ok := c.memo[pair]; ok {
 		return v
 	}
@@ -134,7 +200,7 @@ func (c *Checker) sub(a, b shape.Shape) Verdict {
 		return Unknown
 	}
 	c.active[pair] = true
-	v := c.subRules(a, b)
+	v := c.subRules(a, b, fa, fb)
 	delete(c.active, pair)
 	// Results proved under a live assumption are provisional until the
 	// assumption discharges; only assumption-free results are cached.
@@ -144,16 +210,16 @@ func (c *Checker) sub(a, b shape.Shape) Verdict {
 	return v
 }
 
-func (c *Checker) subRules(a, b shape.Shape) Verdict {
+func (c *Checker) subRules(a, b shape.Shape, fa, fb facts) Verdict {
 	// Validity probes through the constant folder: an unsatisfiable left
 	// or valid right side settles the question.
-	if isFalse(c.foldL.Fold(a)) || isTrue(c.foldR.Fold(b)) {
+	if fa.unsat || fb.valid {
 		return Contained
 	}
 
 	// Reflexivity. Cross-schema it only applies when the formula cannot
 	// reference definitions, since hasShape resolves differently per side.
-	if key(a) == key(b) && (c.sameSchema() || len(shape.ShapeRefs(a)) == 0) {
+	if fa.id == fb.id && (c.sameSchema() || len(shape.ShapeRefs(a)) == 0) {
 		return Contained
 	}
 
@@ -163,18 +229,18 @@ func (c *Checker) subRules(a, b shape.Shape) Verdict {
 	rb, bRef := b.(*shape.HasShape)
 	switch {
 	case aRef && bRef:
-		k := ra.Name.String() + "\x1f" + rb.Name.String()
+		k := [2]rdf.Term{ra.Name, rb.Name}
 		if c.assume[k] {
 			return Contained
 		}
 		c.assume[k] = true
-		v := c.sub(c.resolveLeft(ra), c.resolveRight(rb))
+		v := c.sub(c.l.resolve(ra), c.r.resolve(rb))
 		delete(c.assume, k)
 		return v
 	case aRef:
-		return c.sub(c.resolveLeft(ra), b)
+		return c.sub(c.l.resolve(ra), b)
 	case bRef:
-		return c.sub(a, c.resolveRight(rb))
+		return c.sub(a, c.r.resolve(rb))
 	}
 
 	// a ⊑ ∧ψi iff a ⊑ ψi for every i.
@@ -223,26 +289,6 @@ func (c *Checker) subRules(a, b shape.Shape) Verdict {
 	return c.atomSub(a, b)
 }
 
-// resolveLeft returns the NNF body of a left-schema reference; undefined
-// names are ⊤, the evaluator's default.
-func (c *Checker) resolveLeft(r *shape.HasShape) shape.Shape {
-	if c.left != nil {
-		if body, ok := c.left.Def(r.Name); ok {
-			return shape.NNF(body)
-		}
-	}
-	return shape.TrueShape()
-}
-
-func (c *Checker) resolveRight(r *shape.HasShape) shape.Shape {
-	if c.right != nil {
-		if body, ok := c.right.Def(r.Name); ok {
-			return shape.NNF(body)
-		}
-	}
-	return shape.TrueShape()
-}
-
 // atomSub covers the quantifier and atom rules once the boolean
 // structure is exhausted.
 func (c *Checker) atomSub(a, b shape.Shape) Verdict {
@@ -279,7 +325,7 @@ func (c *Checker) atomSub(a, b shape.Shape) Verdict {
 			// one schema; restrict to reference-free bodies otherwise.
 			if pathSub(y.Path, x.Path) &&
 				(c.sameSchema() || len(shape.ShapeRefs(x.X))+len(shape.ShapeRefs(y.X)) == 0) &&
-				isFalse(c.foldL.Fold(shape.AndOf(x.X, y.X))) {
+				isFalse(c.l.fold.Fold(shape.AndOf(x.X, y.X))) {
 				return Contained
 			}
 		}

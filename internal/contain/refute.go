@@ -77,8 +77,8 @@ func (c *Checker) Check(phi1, phi2 shape.Shape, cfg RefuteConfig) Result {
 func (c *Checker) Refute(phi1, phi2 shape.Shape, cfg RefuteConfig) (Witness, bool) {
 	cfg = cfg.withDefaults()
 	voc := newVocabulary()
-	voc.harvest(phi1, c.left)
-	voc.harvest(phi2, c.right)
+	voc.harvest(phi1, c.l.h)
+	voc.harvest(phi2, c.r.h)
 	for i := 0; i < cfg.Graphs; i++ {
 		seed := cfg.Seed + int64(i)
 		rng := rand.New(rand.NewSource(seed))
@@ -87,8 +87,8 @@ func (c *Checker) Refute(phi1, phi2 shape.Shape, cfg RefuteConfig) (Witness, boo
 		for _, t := range triples {
 			g.Add(t)
 		}
-		evL := shape.NewEvaluator(g, defsOrNil(c.left))
-		evR := shape.NewEvaluator(g, defsOrNil(c.right))
+		evL := shape.NewEvaluator(g, defsOrNil(c.l.h))
+		evR := shape.NewEvaluator(g, defsOrNil(c.r.h))
 		for _, v := range voc.candidates(triples) {
 			if evL.ConformsTerm(v, phi1) && !evR.ConformsTerm(v, phi2) {
 				return Witness{Node: v, Graph: triples, Seed: seed}, true

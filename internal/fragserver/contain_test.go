@@ -1,6 +1,8 @@
 package fragserver
 
 import (
+	"bytes"
+	"log/slog"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -129,9 +131,10 @@ func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
 
 // TestSchemaOnlyWorkSurvivesUpdate pins what an effective /update leaves
 // alone: every compiled program depends on the schema only and is
-// pointer-identical across the epoch, the unknown-pairs series does not
-// grow with the per-epoch class rebuild, and the rebuilt alias table still
-// routes S2's /fragment to S1's (new-epoch) cache entries.
+// pointer-identical across the epoch, the class table is the very value New
+// computed (so the unknown-pairs series cannot grow), and the alias table
+// New installed still routes S2's /fragment to S1's (new-epoch) cache
+// entries.
 func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 	srv, ts := newCongruentServer(t)
 	classes := srv.ContainmentClasses()
@@ -156,9 +159,8 @@ func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 	if srv.SchemaPlan() == before {
 		t.Fatal("an effective update did not re-decide the plan")
 	}
-	if got := srv.ContainmentClasses(); got.NumClasses != classes.NumClasses || got.Shared != classes.Shared {
-		t.Errorf("containment classes changed across /update: %d/%d shared, were %d/%d",
-			got.Shared, got.NumClasses, classes.Shared, classes.NumClasses)
+	if got := srv.ContainmentClasses(); got != classes {
+		t.Errorf("containment classes were rebuilt by /update: %p, was %p", got, classes)
 	}
 	for i, d := range srv.SchemaPlan().Decisions {
 		if d.Program != programs[i] {
@@ -182,5 +184,43 @@ func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 	}
 	if !strings.Contains(want, "event/new-1") {
 		t.Error("the update's event is missing from the fragment")
+	}
+
+	// That hit went through the table installed at load: with it taken
+	// away nothing on the write path installs another, so S2 runs cold.
+	srv.cache.SetAliases(nil)
+	resp, body := post(t, ts, "/update", "<"+datagen.NS+"event/new-2> a <"+datagen.ClassEvent.Value+"> .")
+	if resp.StatusCode != 200 || !strings.Contains(body, `"changed":true`) {
+		t.Fatalf("POST /update: %d %s", resp.StatusCode, body)
+	}
+	hits = srv.cache.Stats().AliasHits
+	get(t, ts, "/fragment?shape=S1")
+	get(t, ts, "/fragment?shape=S2")
+	if got := srv.cache.Stats().AliasHits; got != hits {
+		t.Errorf("an /update installed an alias table: %d alias hits after the load-time table was cleared", got-hits)
+	}
+}
+
+// TestContainmentClassesLoggedAtLoad: the class table is computed once, in
+// New, and that is where an operator reads its size and cost — one
+// structured line, no /update line repeating it.
+func TestContainmentClassesLoggedAtLoad(t *testing.T) {
+	var logs bytes.Buffer
+	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 80, Seed: 11})
+	srv, err := New(Config{Graph: g, Schema: congruentSchema(t), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := srv.ContainmentClasses()
+	want := regexp.MustCompile(`msg="containment classes" classes=` + strconv.Itoa(cl.NumClasses) +
+		` shared=` + strconv.Itoa(cl.Shared) + ` unknown_pairs=` + strconv.Itoa(cl.UnknownPairs) + ` dur_ms=[0-9.e+-]+\n`)
+	if n := len(want.FindAllString(logs.String(), -1)); n != 1 {
+		t.Fatalf("%d containment-classes lines at load, want 1:\n%s", n, logs.String())
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post(t, ts, "/update", "<"+datagen.NS+"event/logged> a <"+datagen.ClassEvent.Value+"> .")
+	if n := strings.Count(logs.String(), "containment classes"); n != 1 {
+		t.Errorf("%d containment-classes lines after an update, want 1", n)
 	}
 }

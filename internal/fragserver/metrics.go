@@ -318,18 +318,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 			func() float64 { return float64(s.cache.Stats().AliasHits) })
 	}
 
-	// Containment equivalence-class series, sampled from the table the
-	// last replan published. Shared > 0 means the schema has congruent
-	// definitions whose cache entries are pooled.
-	reg.GaugeFunc(mContainClasses,
-		"Containment equivalence classes over the request and definition shapes.",
-		func() float64 { return float64(s.classes.Load().NumClasses) })
-	reg.GaugeFunc(mContainShared,
-		"Shapes aliased to another shape's cache entries by the containment analysis.",
-		func() float64 { return float64(s.classes.Load().Shared) })
-	reg.CounterFunc(mContainUnknown,
-		"Representative pairs the containment checker could not prove equivalent — possibly-shareable cache partitions left separate. Constant for a schema: every rebuild finds the same pairs.",
-		func() float64 { return float64(s.classes.Load().UnknownPairs) })
+	// Containment equivalence-class series: the table is a function of the
+	// schema, computed in New, so each is set once. Shared > 0 means the
+	// schema has congruent definitions whose cache entries are pooled.
+	reg.Gauge(mContainClasses,
+		"Containment equivalence classes over the request and definition shapes.").
+		Set(int64(s.classes.NumClasses))
+	reg.Gauge(mContainShared,
+		"Shapes aliased to another shape's cache entries by the containment analysis.").
+		Set(int64(s.classes.Shared))
+	reg.Counter(mContainUnknown,
+		"Representative pairs the containment checker could not prove equivalent — possibly-shareable cache partitions left separate. Counted once, at load.").
+		Add(uint64(s.classes.UnknownPairs))
 
 	// Trace-registry series, sampled from the ring's own counters. kept is
 	// a gauge (the ring holds at most -trace-buffer traces); the rest are

@@ -226,18 +226,20 @@ type Server struct {
 	compiled *plan.Compiled
 	splan    atomic.Pointer[plan.SchemaPlan]
 	// planSet caches splan's ProgramSet (nil entries for non-plan
-	// strategies), swapped together with splan.
+	// strategies), swapped together with splan. planMu orders the swaps:
+	// updates replan outside the store's writer lock, so of two racing
+	// replans only the one for the newer epoch (splan's Stats.Epoch) stays.
 	planSet atomic.Pointer[plan.Set]
+	planMu  sync.Mutex
 
 	// defShapes holds every definition's raw shape in definition order: the
 	// keys /node caches neighborhoods under, and its work list when no
-	// shape is named. classShapes is the pointer-stable shape list
-	// containment classes are computed over: requests followed by
-	// defShapes. classes is the current equivalence-class table, rebuilt in
-	// replan alongside the planner.
-	defShapes   []shape.Shape
-	classShapes []shape.Shape
-	classes     atomic.Pointer[contain.Classes]
+	// shape is named. classes is the containment equivalence-class table
+	// over requests followed by defShapes. It is a function of the schema
+	// alone, so New computes it and installs the cache's alias map once,
+	// and no epoch touches either again.
+	defShapes []shape.Shape
+	classes   *contain.Classes
 
 	// live maintains materialized fragments incrementally across epochs
 	// and fans per-epoch deltas out to /subscribe streams (never nil after
@@ -359,7 +361,18 @@ func New(cfg Config) (*Server, error) {
 	for _, d := range cfg.Schema.Definitions() {
 		s.defShapes = append(s.defShapes, d.Shape)
 	}
-	s.classShapes = append(append([]shape.Shape{}, s.requests...), s.defShapes...)
+	// Congruent definitions share cache entries from the first request on:
+	// a /fragment or /node for one class member is served from the entries
+	// its representative already put.
+	classShapes := append(append([]shape.Shape{}, s.requests...), s.defShapes...)
+	start := time.Now()
+	cl := contain.ComputeClasses(cfg.Schema, classShapes)
+	s.classes = &cl
+	if s.cache != nil {
+		s.cache.SetAliases(cl.Aliases(classShapes))
+	}
+	logger.Info("containment classes", "classes", cl.NumClasses, "shared", cl.Shared,
+		"unknown_pairs", cl.UnknownPairs, "dur_ms", float64(time.Since(start).Microseconds())/1000)
 	s.replan(s.store.Current(), nil)
 	s.hb = cfg.Heartbeat
 	if s.hb <= 0 {
@@ -393,48 +406,32 @@ func New(cfg Config) (*Server, error) {
 }
 
 // replan re-decides the strategy plan against cardinality stats sampled
-// from snap and publishes it. Called at load and after every effective
-// update: stats shift with the data, and with them the per-definition
-// plan-vs-direct choice and the memo-budget veto. The programs themselves
-// are compiled once (s.compiled), so a program pointer identifies a
-// definition across epochs. parent (nil at load) receives plan-size
-// attributes and a reclass child span, so a sampled /update trace shows
-// how the post-apply recompute splits its time.
+// from snap and publishes it unless a newer epoch's plan already is.
+// Called at load and after every effective update: stats shift with the
+// data, and with them the per-definition plan-vs-direct choice and the
+// memo-budget veto. Everything that depends on the schema alone — the
+// programs (s.compiled; a program pointer identifies a definition across
+// epochs), the containment classes, the cache's alias map — was built in
+// New. parent (nil at load) receives the plan-size attributes.
 func (s *Server) replan(snap store.Snapshot, parent *obs.Span) {
 	sp := s.compiled.Decide(store.SampleStats(snap), plan.Config{})
-	s.splan.Store(sp)
-	s.planSet.Store(sp.ProgramSet())
-	parent.SetAttrInt("instructions", int64(sp.ProgramSet().NumInstrs()))
+	set := sp.ProgramSet()
+	parent.SetAttrInt("instructions", int64(set.NumInstrs()))
 	parent.SetAttrInt("shapes", int64(len(sp.Decisions)))
-	rc := parent.StartChild("reclass")
-	cl := s.reclass()
-	rc.SetAttrInt("classes", int64(cl.NumClasses))
-	rc.SetAttrInt("shared", int64(cl.Shared))
-	rc.End()
-}
-
-// reclass rebuilds the containment equivalence-class table over the
-// request and definition shapes and installs the resulting alias map on
-// the neighborhood cache, so congruent definitions share cache entries
-// (a /fragment request equivalent to an already-cached definition is
-// served from the existing entries). The classes depend only on the
-// schema; they are still rebuilt per epoch, next to the planner — see
-// ROADMAP item 2 step A for why the hoist into New has not landed.
-func (s *Server) reclass() *contain.Classes {
-	cl := contain.ComputeClasses(s.h, s.classShapes)
-	s.classes.Store(&cl)
-	if s.cache != nil {
-		s.cache.SetAliases(cl.Aliases(s.classShapes))
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	if cur := s.splan.Load(); cur == nil || cur.Stats.Epoch < sp.Stats.Epoch {
+		s.splan.Store(sp)
+		s.planSet.Store(set)
 	}
-	return &cl
 }
 
 // SchemaPlan returns the current strategy plan (never nil after New).
 func (s *Server) SchemaPlan() *plan.SchemaPlan { return s.splan.Load() }
 
-// ContainmentClasses returns the current cache-sharing equivalence-class
-// table (never nil after New).
-func (s *Server) ContainmentClasses() *contain.Classes { return s.classes.Load() }
+// ContainmentClasses returns the cache-sharing equivalence-class table:
+// one value for the server's lifetime (never nil after New).
+func (s *Server) ContainmentClasses() *contain.Classes { return s.classes }
 
 // plansFor slices the current program set to one request window of
 // s.requests — the alignment core.ParallelOptions.Plans expects.
@@ -860,7 +857,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	} else {
 		fmt.Fprintln(w, "cache: disabled")
 	}
-	cl := s.classes.Load()
+	cl := s.classes
 	fmt.Fprintf(w, "containment: %d classes over %d shapes, %d shared, %d unknown pairs\n",
 		cl.NumClasses, len(cl.Rep), cl.Shared, cl.UnknownPairs)
 	ts := s.traces.Stats()

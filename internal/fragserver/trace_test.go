@@ -259,7 +259,7 @@ func TestStatsTracesLine(t *testing.T) {
 
 // TestUpdateTraceSpans checks the write path's span tree: a sampled
 // POST /update shows parse, apply (with effective-delta attributes), and
-// the replan/reclass recompute.
+// a replan that is only the planner — no schema-only work under it.
 func TestUpdateTraceSpans(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{TraceSample: 1, Logger: quietLogger()})
 	resp, body := post(t, ts, "/update", lineAE)
@@ -292,8 +292,15 @@ func TestUpdateTraceSpans(t *testing.T) {
 	if replan == nil {
 		t.Fatalf("effective update has no replan span; have %v", names(root))
 	}
-	if spanByName(replan, "reclass") == nil {
-		t.Error("replan span has no reclass child")
+	if kids := names(replan); len(kids) != 0 {
+		t.Errorf("replan span has children %v; containment classes are computed in New, not per update", kids)
+	}
+	attrs := map[string]int64{}
+	for _, a := range replan.Attrs() {
+		attrs[a.Key] = a.Int
+	}
+	if attrs["instructions"] == 0 || attrs["shapes"] == 0 {
+		t.Errorf("replan span attrs = %v, want instructions and shapes", attrs)
 	}
 }
 

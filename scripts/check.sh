@@ -58,9 +58,10 @@ echo "== go test -race (store tier, -short)"
 $GO test -race -short ./internal/store
 
 echo "== go test (everything else)"
-# Also the pass in which TestWarmNodeAllocs (the read routes' allocation
-# gate, internal/fragserver) and TestHubTraceAllocs (path tracing's,
-# internal/plan) measure: they skip themselves under -race.
+# Also the pass in which TestWarmNodeAllocs and TestUpdateAllocs (the read
+# routes' and the write path's allocation gates, internal/fragserver) and
+# TestHubTraceAllocs (path tracing's, internal/plan) measure: they skip
+# themselves under -race.
 $GO test ./...
 
 echo "== sharded byte-parity and scale smoke"
@@ -145,15 +146,18 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 c
 echo "== benchjson smoke"
 $GO run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|Live'
 
-echo "== serving benchmark smoke (shape-scan, 3 s)"
-# One short run against a real fragserver; every reply is checked against
-# the AST reference, so correct:false means served bytes changed.
-result=$(bash bench/run.sh -workload shape-scan -seconds 3 | tail -n 1)
-echo "$result"
-case "$result" in
-    *'"correct":true'*) ;;
-    *) echo "serving benchmark smoke failed" >&2; exit 1 ;;
-esac
+echo "== serving benchmark smoke (shape-scan and update-mix, 3 s each)"
+# One short run each against a real fragserver: reads, then updates with an
+# SSE subscriber beside reads. Every reply is checked against the AST
+# reference, so correct:false means served bytes changed.
+for workload in shape-scan update-mix; do
+    result=$(bash bench/run.sh -workload "$workload" -seconds 3 | tail -n 1)
+    echo "$result"
+    case "$result" in
+        *'"correct":true'*) ;;
+        *) echo "serving benchmark smoke ($workload) failed" >&2; exit 1 ;;
+    esac
+done
 
 echo "== nil-tracer alloc parity"
 # Span tracing must cost nothing when disabled: the untraced variant of
