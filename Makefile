@@ -47,12 +47,12 @@ bench-parallel:
 # allocs/op, git SHA) with <n> one past the last snapshot — the same
 # location `make check` asserts is non-empty.
 bench-json:
-	$(GO) run ./cmd/benchjson -bench 'Fig|Tab|Containment|Traced|Live' -benchtime 2s -dir .
+	$(GO) run ./cmd/benchjson -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live' -benchtime 2s -dir .
 
 # The same suite at one iteration each: proves the benchmarks compile and
 # the parser still reads their output, writes nothing. Part of `make check`.
 bench-json-smoke:
-	$(GO) run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|Live'
+	$(GO) run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live'
 
 # Write-heavy serving run on its own: updates/s through incremental
 # fragment maintenance at 0/100/1000 open subscriptions, with the post-run

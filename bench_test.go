@@ -356,13 +356,14 @@ func BenchmarkFragmentParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkTracedExtraction prices hierarchical span tracing against the
-// untraced hot path on the identical workload: off passes a nil span (the
-// production default — every span call must compile to a nil-check), on
-// roots a fresh SpanTrace per op, so the delta is the full cost of growing
-// and timing the request's span tree. check.sh separately gates that the
-// off variant's allocs/op match BenchmarkFragmentParallel's — the tracing
-// plumbing must cost nothing when disabled.
+// BenchmarkTracedExtraction prices the span tree against extraction without
+// one on the identical workload: off passes a nil span (what the CLI and the
+// serving benchmark's replay do — every span call must compile to a
+// nil-check), on roots a fresh SpanTrace per op as the server does for every
+// request, so the delta is the full cost of growing and timing the request's
+// span tree. check.sh separately gates that the off variant's allocs/op
+// match BenchmarkFragmentParallel's — the plumbing must cost nothing when
+// no span is handed down.
 func BenchmarkTracedExtraction(b *testing.B) {
 	g := tyrolGraph(1000)
 	h := schema.MustNew(datagen.BenchmarkShapes()...)

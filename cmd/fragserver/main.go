@@ -27,7 +27,7 @@
 // listener with /debug/pprof/*, /debug/vars (expvar, including the metric
 // registry) and /metrics and /debug/traces mirrors, so profiling, scraping
 // and trace retrieval keep working while the main listener sheds load.
-// -trace-sample 1-in-N head sampling records hierarchical span traces on
+// -trace-sample 1-in-N head sampling keeps requests' span traces on
 // /debug/traces (OTLP-shaped JSON), links them to the latency histograms
 // via OpenMetrics exemplars, and -slow-request flags outliers in the log.
 // docs/OPERATIONS.md is the operator guide: every flag, endpoint and
@@ -81,7 +81,7 @@ func main() {
 	subQueue := flag.Int("subscribe-queue", 32, "per-subscriber event buffer; a subscriber whose buffer overflows is evicted")
 	subReplay := flag.Int("subscribe-replay", 64, "per-shape delta ring for Last-Event-ID resume; older resumers get a full snapshot")
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "idle /subscribe stream heartbeat interval")
-	traceSample := flag.Int("trace-sample", 0, "record a hierarchical span trace for 1 in N requests, served on /debug/traces (0 disables; requests with a sampled traceparent header are always traced)")
+	traceSample := flag.Int("trace-sample", 0, "keep the span trace of 1 in N requests, served on /debug/traces (0 disables; requests with a sampled traceparent header are always kept)")
 	traceBuffer := flag.Int("trace-buffer", 0, "trace ring capacity for /debug/traces (0 = default 128)")
 	slowRequest := flag.Duration("slow-request", 0, "latency threshold for the structured slow-request warning; sampled slow traces are kept as notable (0 disables)")
 	flag.Parse()

@@ -17,9 +17,9 @@
 // graph concurrently once it is frozen (rdfgraph.Graph.Freeze) — that is
 // the contract FragmentParallel builds on: it spawns one private
 // extractor per worker and unions their results, and internal/fragserver
-// pools extractors across requests. Extraction can emit sub-stage
-// timings into an obs.Tracer via ParallelOptions.Tracer; a shared
-// obs.Trace accepts concurrent observations.
+// pools extractors across requests. Extraction records its sub-stage
+// timings as children of ParallelOptions.Span; workers grow the one tree
+// concurrently.
 //
 // # Cache bounds
 //

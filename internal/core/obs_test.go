@@ -182,9 +182,11 @@ func treeOf(trace *obs.SpanTrace) string {
 	return b.String()
 }
 
-// TestFragmentParallelTracer checks that extraction emits its nnf and
-// merge sub-stages into the provided tracer, for both the parallel and
-// the serial path, without changing the extracted fragment.
+// TestFragmentParallelTracer checks that extraction records its nnf and
+// merge sub-stages as children of the span it is handed — the spans the
+// server reads its stage timings from — for both the parallel and the
+// serial path (which unions nothing), without changing the extracted
+// fragment.
 func TestFragmentParallelTracer(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 60, Seed: 3})
 	h := schema.MustNew(datagen.BenchmarkShapes()[:4]...)
@@ -196,9 +198,12 @@ func TestFragmentParallelTracer(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		tr := obs.NewTrace()
+		// As the server hands it down: the request's extract stage.
+		trace := obs.NewSpanTrace("extract-test", obs.SpanContext{})
+		extract := trace.Root().StartChild("extract")
 		got, err := core.NewExtractor(g, h).FragmentParallel(
-			core.SchemaRequests(h), core.ParallelOptions{Workers: workers, Tracer: tr})
+			core.SchemaRequests(h), core.ParallelOptions{Workers: workers, Span: extract})
+		extract.End()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,14 +212,14 @@ func TestFragmentParallelTracer(t *testing.T) {
 				workers, len(got), len(want))
 		}
 		stages := make(map[string]bool)
-		for _, s := range tr.Stages() {
-			stages[s.Name] = true
+		for _, s := range obs.Stages(nil, trace.Root(), []string{"extract", "nnf", "merge"}) {
+			stages[s.Name] = s.Dur > 0
 		}
 		if !stages["nnf"] {
-			t.Errorf("workers=%d: nnf stage not traced (got %v)", workers, tr.Stages())
+			t.Errorf("workers=%d: nnf stage not traced; tree:\n%s", workers, treeOf(trace))
 		}
 		if workers > 1 && !stages["merge"] {
-			t.Errorf("workers=%d: merge stage not traced (got %v)", workers, tr.Stages())
+			t.Errorf("workers=%d: merge stage not traced; tree:\n%s", workers, treeOf(trace))
 		}
 	}
 }

@@ -41,12 +41,6 @@ type ParallelOptions struct {
 	// snapshot are never served for another (see store.Store). Leave
 	// zero when serving a single graph that never updates.
 	Epoch uint64
-	// Tracer, when non-nil, receives extraction sub-stage timings: "nnf"
-	// (request normalization) and "merge" (union of per-worker triple
-	// sets). The serving layer passes the per-request obs.Trace here so
-	// sub-stage attribution reaches Server-Timing headers, access logs
-	// and the stage-latency histograms.
-	Tracer obs.Tracer
 	// Recorder, when non-nil, receives a (triple, justification) record for
 	// every Table 2 emission — typically an *Explanation. It is shared
 	// across workers, so it must be safe for concurrent use (Explanation
@@ -62,14 +56,16 @@ type ParallelOptions struct {
 	// identity), dense-memo speed. Nil entries and all requests fall back
 	// to the AST when Recorder is set: plans carry no attribution.
 	Plans *plan.Set
-	// Span, when non-nil, is the parent span sampled requests hand down:
-	// extraction opens child spans under it — "bind" for plan binding,
-	// per-shard "shard[i]" accumulators on the scatter-gather path with
-	// "plan-exec"/"ast-exec" breakdown children, and the same exec
-	// breakdown directly under Span on the flat and serial paths — plus
-	// instructions / memo_resets / units / workers attributes. A nil Span
-	// (the unsampled common case) keeps the hot path free of any timing
-	// beyond the flat Tracer stages.
+	// Span, when non-nil, is the parent span extraction records under (the
+	// serving layer passes the request's "extract" span): the sub-stages
+	// "nnf" (request normalization), "scatter" and "merge" or "gather"
+	// (union of the per-worker triple sets), which the server also reads
+	// as stages; "bind" for plan binding; per-shard "shard[i]"
+	// accumulators on the scatter-gather path with "plan-exec"/"ast-exec"
+	// breakdown children, and the same exec breakdown directly under Span
+	// on the flat and serial paths — plus instructions / memo_resets /
+	// units / workers attributes. A nil Span (the CLI, benchmarks) keeps
+	// the hot path free of any timing.
 	Span *obs.Span
 }
 
@@ -103,10 +99,15 @@ func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 // boundPlans binds the program set against g for one worker, returning a
 // per-request slice of bound programs (nil where the AST path applies, and
 // for a request without focus nodes, which never runs). Each worker binds
-// privately: dense memo rows are single-writer state.
+// privately: dense memo rows are single-writer state — and so the "bind"
+// child the binding time accumulates into, given a span, sums over workers.
 func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) []*plan.Bound {
 	if opts.Plans == nil || opts.Recorder != nil {
 		return nil
+	}
+	var begin time.Time
+	if opts.Span != nil {
+		begin = time.Now()
 	}
 	bounds := make([]*plan.Bound, len(focus))
 	stop := stopOf(opts.Ctx)
@@ -118,6 +119,9 @@ func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) 
 			bounds[i] = p.Bind(g)
 			bounds[i].SetStop(stop)
 		}
+	}
+	if opts.Span != nil {
+		opts.Span.AccumChild("bind").Add(time.Since(begin))
 	}
 	return bounds
 }
@@ -139,59 +143,17 @@ func boundAt(bounds []*plan.Bound, req int) *plan.Bound {
 	return bounds[req]
 }
 
-// boundPlansSpan is boundPlans with the binding time accumulated into a
-// "bind" child when the request is sampled (workers bind privately, so
-// the child sums across workers).
-func boundPlansSpan(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader, sp *obs.Span) []*plan.Bound {
-	if sp == nil {
-		return boundPlans(opts, focus, g)
-	}
-	begin := time.Now()
-	bounds := boundPlans(opts, focus, g)
-	if bounds != nil {
-		sp.Observe("bind", time.Since(begin))
-	}
-	return bounds
-}
-
-// startStage begins timing one sub-stage against an optional tracer,
-// returning the stop function; a nil tracer costs one branch.
-func startStage(tr obs.Tracer, stage string) func() {
-	if tr == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() { tr.Observe(stage, time.Since(begin)) }
-}
-
-// startStageSpan is startStage plus a child span under parent for
-// sampled requests. With both tracer and parent nil it degrades to the
-// same zero-cost no-op, so the unsampled hot path is unchanged.
-func startStageSpan(tr obs.Tracer, parent *obs.Span, stage string) (*obs.Span, func()) {
-	if tr == nil && parent == nil {
-		return nil, func() {}
-	}
-	sp := parent.StartChild(stage)
-	begin := time.Now()
-	return sp, func() {
-		if tr != nil {
-			tr.Observe(stage, time.Since(begin))
-		}
-		sp.End()
-	}
-}
-
-// workerSpanState is the per-worker accounting a sampled request asks of
+// workerSpanState is the per-worker accounting a traced extraction asks of
 // each extraction goroutine: exec wall time accumulated into breakdown
 // children, unit counts, and memo resets summed at worker exit. All
-// methods no-op (one branch) when the request is unsampled.
+// methods no-op (one branch) without a parent span.
 type workerSpanState struct {
 	parent *obs.Span   // span exec breakdown children accumulate under
 	shards []*obs.Span // per-shard accumulators, nil on flat/serial paths
 }
 
-// begin returns the unit start time, zero when unsampled — time.Now is
-// not called at all on the unsampled hot path.
+// begin returns the unit start time, zero without a parent span —
+// time.Now is not called at all on the untraced hot path.
 func (w *workerSpanState) begin() time.Time {
 	if w.parent == nil {
 		return time.Time{}
@@ -210,15 +172,13 @@ func (w *workerSpanState) finish(begin time.Time, shard int, planned bool) {
 	if w.shards != nil {
 		target = w.shards[shard]
 		target.Add(d)
-		target.AddAttrInt("units", 1)
-	} else {
-		target.AddAttrInt("units", 1)
 	}
+	target.AddAttrInt("units", 1)
+	exec := "ast-exec"
 	if planned {
-		target.Observe("plan-exec", d)
-	} else {
-		target.Observe("ast-exec", d)
+		exec = "plan-exec"
 	}
+	target.AccumChild(exec).Add(d)
 }
 
 // done sums the worker's memo resets and searches into the parent span.
@@ -241,7 +201,7 @@ func (w *workerSpanState) done(bounds []*plan.Bound) {
 	}
 }
 
-// spanAttrs stamps the request-level attributes a sampled extraction
+// spanAttrs stamps the request-level attributes a traced extraction
 // carries: worker count, request count, focus nodes visited (summed over
 // the requests), and the compiled instruction count when plans are in play.
 func spanAttrs(opts ParallelOptions, workers, nreq, nnodes int) {
@@ -315,13 +275,13 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	// Normalize once on the calling extractor so every worker agrees on
 	// shape identity and none re-derives NNF; the focus nodes come from
 	// the normalized request, where negation no longer hides a ≥n.
-	_, stopNNF := startStageSpan(opts.Tracer, opts.Span, "nnf")
+	nnfSpan := opts.Span.StartChild("nnf")
 	nnfs := make([]shape.Shape, len(requests))
 	for i, phi := range requests {
 		nnfs[i] = x.nnf(phi)
 	}
 	focus, all, total := x.focusNodes(nnfs)
-	stopNNF()
+	nnfSpan.End()
 	spanAttrs(opts, workers, len(requests), total)
 	if workers == 1 || total == 0 {
 		return x.fragmentSerial(requests, nnfs, focus, opts)
@@ -345,7 +305,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	cached := opts.Cache != nil && opts.Recorder == nil // as extractRange decides
 	if sharded {
 		mergeStage = "gather"
-		_, stopScatter := startStageSpan(opts.Tracer, opts.Span, "scatter")
+		scatterSpan := opts.Span.StartChild("scatter")
 		split := make([][][]rdfgraph.ID, len(focus))
 		for req, nodes := range focus {
 			if len(all) > 0 && len(nodes) == len(all) {
@@ -363,7 +323,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 				units = appendUnits(units, req, si, split[req][si], len(focus[req]), workers, cached)
 			}
 		}
-		stopScatter()
+		scatterSpan.End()
 	} else {
 		for req, nodes := range focus {
 			units = appendUnits(units, req, 0, nodes, len(nodes), workers, cached)
@@ -408,7 +368,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 			wx.ev.SetStop(stopOf(opts.Ctx))
 			wx.rec = opts.Recorder
 			spans := workerSpanState{parent: opts.Span, shards: shardSpans}
-			bounds := boundPlansSpan(opts, focus, g, opts.Span)
+			bounds := boundPlans(opts, focus, g)
 			defer releaseBounds(bounds)
 			defer spans.done(bounds)
 			visited := make(map[VisitKey]struct{})
@@ -436,8 +396,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	if cancelled.Load() {
 		return nil, opts.Ctx.Err()
 	}
-	_, stopMerge := startStageSpan(opts.Tracer, opts.Span, mergeStage)
-	defer stopMerge()
+	defer opts.Span.StartChild(mergeStage).End()
 	// Union by sort and compact: cheaper than growing one worker's map by
 	// the others' contents only to list and sort it afterwards.
 	merged := make([]rdfgraph.IDTriple, 0, len(outs)*outs[0].Len()) // shares are about even
@@ -524,7 +483,7 @@ func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, f
 	}
 	out := rdfgraph.NewIDTripleSet()
 	spans := workerSpanState{parent: opts.Span}
-	bounds := boundPlansSpan(opts, focus, x.ev.G, opts.Span)
+	bounds := boundPlans(opts, focus, x.ev.G)
 	defer releaseBounds(bounds)
 	defer spans.done(bounds)
 	visited := make(map[VisitKey]struct{})

@@ -59,27 +59,27 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "explain is disabled on this server", http.StatusNotFound)
 		return
 	}
-	tr := obs.FromContext(r.Context())
+	root := obs.FromContext(r.Context())
 	q := r.URL.Query()
 	rawIRI := q.Get("iri")
 	if rawIRI == "" {
 		http.Error(w, "missing iri parameter", http.StatusBadRequest)
 		return
 	}
-	stopParse := tr.Start("parse")
+	parse := root.StartChild("parse")
 	focus, err := parseTermParam(rawIRI)
-	stopParse()
+	parse.End()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
-	stopTarget := tr.Start("target")
+	target := root.StartChild("target")
 	defs := s.h.Definitions()
 	if name := q.Get("shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
-			stopTarget()
+			target.End()
 			http.Error(w, "unknown or ambiguous shape "+name, http.StatusNotFound)
 			return
 		}
@@ -102,12 +102,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer done()
 	g := snap.Reader()
 	id := g.LookupTerm(focus)
-	stopTarget()
+	target.End()
 
 	resp := explainResponse{Focus: focus.String(), Triples: []explainTriple{}}
 	x := s.acquire(g)
 	defer s.release(x)
-	stopExtract := tr.Start("extract")
+	extract := root.StartChild("extract")
 	ex := core.NewExplanation(g)
 	ctx := r.Context()
 	err = x.WithStop(ctx, func() error { // a search polls ctx too, not only this loop
@@ -125,7 +125,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
-	stopExtract()
+	extract.End()
 	if err != nil {
 		httpTimeoutError(w, r, err)
 		return
@@ -161,11 +161,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.metrics.explainTriples.Add(uint64(len(resp.Triples)))
 	s.metrics.explainJust.Add(uint64(justifications))
 
-	stopSerialize := tr.Start("serialize")
-	defer stopSerialize()
-	if st := tr.ServerTiming(); st != "" {
-		w.Header().Set("Server-Timing", st)
-	}
+	defer root.StartChild("serialize").End()
+	setServerTiming(w, root)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)

@@ -77,9 +77,10 @@ func normalizeRoute(path string) string {
 	return "other"
 }
 
-// stageNames is the closed set of per-request stages the handlers and
-// core emit; pre-creating their histograms keeps the hot path free of
-// registry lookups.
+// stageNames is the closed set of per-request stages: the spans, one or
+// two levels under a request's root, that obs.Stages reads as stages —
+// opened by the handlers and, inside extract, by core. Pre-creating their
+// histograms keeps the hot path free of registry lookups.
 var stageNames = []string{
 	"parse", "target", "extract", "serialize", "validate", "nnf", "merge",
 	"apply", "replan", "notify", "scatter", "gather",
@@ -146,7 +147,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.inflight = reg.Gauge(mInflight, "Requests currently being served.")
 	m.shed = reg.Counter(mShedTotal, "Requests rejected with 503 by the in-flight limiter.")
-	m.panics = reg.Counter(mPanicsTotal, "Extraction panics recovered and answered with 500.")
+	m.panics = reg.Counter(mPanicsTotal, "Panics while serving a request, recovered and answered with 500.")
 	m.updApplied = reg.Counter(mUpdateTotal,
 		"POST /update requests, by result (applied, noop, rejected).", obs.L("result", "applied"))
 	m.updNoop = reg.Counter(mUpdateTotal,
@@ -336,9 +337,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// monotone decisions made by the head sampler and the evictor.
 	reg.GaugeFunc(mTracesKept, "Traces currently held in the /debug/traces ring.",
 		func() float64 { return float64(s.traces.Stats().Kept) })
-	reg.CounterFunc(mTracesSampled, "Requests elected for span tracing by the head sampler or an upstream traceparent.",
+	reg.CounterFunc(mTracesSampled, "Requests whose trace was kept: elected by the head sampler or an upstream traceparent.",
 		func() float64 { return float64(s.traces.Stats().Sampled) })
-	reg.CounterFunc(mTracesDropped, "Requests that ran without span tracing.",
+	reg.CounterFunc(mTracesDropped, "Requests whose trace was not kept.",
 		func() float64 { return float64(s.traces.Stats().Dropped) })
 	reg.CounterFunc(mTracesEvicted, "Traces evicted from the ring to make room for newer ones.",
 		func() float64 { return float64(s.traces.Stats().Evicted) })
@@ -350,9 +351,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 }
 
 // observe records the end-of-request rollup: the (route, status) counter,
-// the route latency histogram and byte counter, and every stage the
-// request's trace accumulated. traceID is non-empty only for sampled
-// requests; the latency histogram stores it as the exemplar on the
+// the route latency histogram and byte counter, and every stage read off
+// the request's span tree. traceID is non-empty only for kept traces; the latency histogram stores it as the exemplar on the
 // bucket the request landed in, linking /metrics back to /debug/traces.
 func (m *serverMetrics) observe(route string, status int, bytes int64, dur time.Duration, stages []obs.Stage, traceID string) {
 	key := routeStatus{route, status}

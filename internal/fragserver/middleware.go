@@ -2,10 +2,13 @@ package fragserver
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"time"
 
+	"shaclfrag/internal/core"
 	"shaclfrag/internal/obs"
 )
 
@@ -74,59 +77,82 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// withObs is the outermost middleware: it attaches a fresh per-request
-// obs.Trace to the context (handlers and core record stage timings into
-// it), then at end of request emits one structured access-log line with
-// the stage fields appended and rolls the request up into the metrics
-// registry. Sitting outside withLimit means shed requests are counted
-// and logged too.
+// withObs is the outermost middleware: it roots the request's span tree —
+// the one record of where the request's time goes — and carries the root
+// in the context, where handlers open a child per stage and core grows
+// the rest. The end of the request reads the stages off the tree: one
+// structured access-log line with the stage fields appended, and the
+// rollup into the metrics registry. Sitting outside withLimit means shed
+// requests are counted and logged too.
 //
-// It is also where hierarchical tracing starts and ends: when the head
-// sampler elects the request (or an upstream sent a sampled traceparent
-// header), a span tree is rooted under the trace, the continuation
-// traceparent goes out on the response, and the finished trace is kept
-// in the ring — error and slow traces marked notable. The route latency
-// histogram records the trace ID as the bucket's exemplar, linking
-// /metrics to /debug/traces.
+// Every request records; the head sampler (or an upstream's sampled
+// traceparent header) decides only what is retained: the continuation
+// traceparent on the response, the root's http.* attributes, and the
+// finished trace in the ring — error and slow traces marked notable. The
+// route latency histogram records a kept trace's ID as the bucket's
+// exemplar, linking /metrics to /debug/traces.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		route := normalizeRoute(r.URL.Path)
-		tr := obs.NewTrace()
-		var st *obs.SpanTrace
-		parent, hasParent := obs.ParseTraceparent(r.Header.Get("traceparent"))
-		if s.sampleTrace() || (hasParent && parent.Sampled) {
-			st = obs.NewSpanTrace(r.Method+" "+route, parent)
-			tr.SetRoot(st.Root())
+		parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
+		st := obs.NewSpanTrace(r.Method+" "+route, parent)
+		keep := s.sampleTrace() || parent.Sampled
+		if keep {
 			w.Header().Set("traceparent", st.Traceparent())
 		} else {
 			s.traces.MarkDropped()
 		}
-		r = r.WithContext(obs.NewContext(r.Context(), tr))
 		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
+		defer func() { s.finish(sw, r, route, start, st, keep, recover()) }()
+		next.ServeHTTP(sw, r.WithContext(obs.NewContext(r.Context(), st.Root())))
+	})
+}
+
+// finish is the end of every request, reached by return or by panic. A
+// panic — a bug in a handler or an extraction rule, a corrupt index; a
+// *core.PanicError is one recovered on a worker goroutine that the handler
+// raised again here — is a counted, logged 500 like any other outcome:
+// written when the response has not begun, and otherwise handed to
+// net/http as the abort that cuts the connection, so the client does not
+// take a truncated body for a whole one. No Retry-After: retrying the same
+// request would hit the same fault.
+func (s *Server) finish(sw *statusWriter, r *http.Request, route string, start time.Time, st *obs.SpanTrace, keep bool, panicked any) {
+	begun := sw.status != 0
+	if panicked != nil {
+		stack := debug.Stack()
+		if pe, ok := panicked.(*core.PanicError); ok {
+			panicked, stack = pe.Value, pe.Stack
 		}
-		dur := time.Since(start)
-		slow := s.slowReq > 0 && dur >= s.slowReq
-		traceID := ""
-		if st != nil {
-			root := st.Root()
-			root.SetAttr("http.route", route)
-			root.SetAttrInt("http.status", int64(sw.status))
-			root.SetAttrInt("http.bytes", sw.bytes)
-			root.End()
-			s.traces.Keep(st, sw.status >= 500 || slow)
-			traceID = st.ID().String()
+		s.metrics.panics.Inc()
+		s.log.Error("panic serving request", "path", r.URL.Path, "query", r.URL.RawQuery,
+			"panic", fmt.Sprint(panicked), "stack", string(stack))
+		if !begun {
+			http.Error(sw, "internal error", http.StatusInternalServerError)
 		}
-		stages := tr.Stages()
-		s.metrics.observe(route, sw.status, sw.bytes, dur, stages, traceID)
-		// Boxing the fields costs a dozen allocations; skip it when no
-		// handler would see the line.
-		if !slow && !s.log.Enabled(r.Context(), slog.LevelInfo) {
-			return
-		}
+		sw.status = http.StatusInternalServerError
+	}
+	if sw.status == 0 {
+		sw.status = http.StatusOK
+	}
+	dur := time.Since(start)
+	slow := s.slowReq > 0 && dur >= s.slowReq
+	root := st.Root()
+	traceID := ""
+	if keep {
+		root.SetAttr("http.route", route)
+		root.SetAttrInt("http.status", int64(sw.status))
+		root.SetAttrInt("http.bytes", sw.bytes)
+		root.End()
+		s.traces.Keep(st, sw.status >= 500 || slow)
+		traceID = st.ID().String()
+	}
+	var buf [8]obs.Stage
+	stages := obs.Stages(buf[:0], root, stageNames)
+	s.metrics.observe(route, sw.status, sw.bytes, dur, stages, traceID)
+	// Boxing the fields costs a dozen allocations; skip it when no
+	// handler would see the line.
+	if slow || s.log.Enabled(r.Context(), slog.LevelInfo) {
 		args := []any{
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -138,11 +164,14 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		}
 		s.log.Info("request", append(args, obs.LogArgs(stages)...)...)
 		if slow {
-			slowArgs := append(args, "threshold_ms", s.slowReq.Milliseconds())
-			if st != nil {
-				slowArgs = append(slowArgs, "trace_id", traceID, "top_spans", st.TopSpans(3))
+			slowArgs := append(args, "threshold_ms", s.slowReq.Milliseconds(), "top_spans", st.TopSpans(3))
+			if keep {
+				slowArgs = append(slowArgs, "trace_id", traceID)
 			}
 			s.log.Warn("slow request", slowArgs...)
 		}
-	})
+	}
+	if panicked != nil && begun {
+		panic(http.ErrAbortHandler)
+	}
 }

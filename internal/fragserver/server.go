@@ -35,15 +35,20 @@
 //
 // # Observability
 //
-// Every request runs under an obs.Trace carried in the request context:
-// handlers record the parse → target → extract → serialize stages (and
-// core.FragmentParallel contributes its nnf/merge sub-stages through
-// ParallelOptions.Tracer). Completed stages are surfaced three ways — as
-// a Server-Timing response header (written when streaming begins, so the
-// serialize stage itself appears only in logs and metrics), as *_ms
-// fields on the structured access-log line, and as observations into the
-// fragserver_stage_duration_seconds histogram. The full metric catalog
-// (request counters and latency histograms by route, cache
+// Every request records one thing: an obs.SpanTrace the middleware roots
+// and carries in the request context. Handlers open a child span per
+// stage (parse → target → extract → serialize; apply → replan → notify on
+// the write path), and core.FragmentParallel grows the extract span —
+// its nnf/merge (scatter/gather when sharded) sub-stages, per-shard
+// accumulators and the plan-exec breakdown — through ParallelOptions.Span.
+// A stage is a span named in stageNames, one or two levels under the
+// root; the stages are read off the tree (obs.Stages) and surfaced three
+// ways — as a Server-Timing response header (written when streaming
+// begins, so the serialize stage itself appears only in logs and
+// metrics), as *_ms fields on the structured access-log line, and as
+// observations into the fragserver_stage_duration_seconds histogram — so
+// a stage has the name of the span a trace shows for it. The full metric
+// catalog (request counters and latency histograms by route, cache
 // hits/misses/evictions/bytes, load-shedding, workload gauges) is served
 // in Prometheus text format on /metrics and documented for operators in
 // docs/OPERATIONS.md; Metrics exposes the underlying obs.Registry so
@@ -52,21 +57,19 @@
 //
 // # Tracing
 //
-// On top of the flat stages, a head sampler (Config.TraceSample) elects
-// requests for hierarchical span tracing: the middleware roots an
-// obs.SpanTrace, handlers open children with Trace.StartSpan, and
-// core.FragmentParallel grows per-shard gather spans and plan-exec
-// breakdowns under ParallelOptions.Span. An upstream W3C traceparent
-// request header with the sampled flag forces tracing and parents the
-// local root; the continuation traceparent goes out on the response.
-// Finished traces land in a bounded in-memory ring served as
-// OTLP-compatible JSON on /debug/traces (error and slow traces are
-// evicted last), requests slower than Config.SlowRequest additionally
-// emit a structured warning with the trace ID and top spans, and the
-// route latency histogram attaches the trace ID to its buckets as
-// OpenMetrics exemplars — so a scrape, a log line, and the trace ring
-// all cross-reference the same ID. Unsampled requests skip all of this:
-// every span method is nil-safe and the hot path stays allocation-free.
+// The head sampler (Config.TraceSample) decides retention, not
+// recording: an elected request's finished tree lands in a bounded
+// in-memory ring served as OTLP-compatible JSON on /debug/traces (error
+// and slow traces are evicted last), its root carries the http.*
+// attributes, and the route latency histogram attaches its trace ID to
+// the bucket as an OpenMetrics exemplar — so a scrape, a log line, and
+// the trace ring all cross-reference the same ID. An upstream W3C
+// traceparent request header with the sampled flag forces retention and
+// parents the local root; the continuation traceparent goes out on the
+// response. Requests slower than Config.SlowRequest emit a structured
+// warning with their top spans, sampled or not. A handler panic ends in
+// the same place as a return: a counted, logged 500 with its access-log
+// line, metrics and (if elected) a notable trace.
 //
 // The per-server obs.Registry makes instrumentation test-friendly: two
 // Servers in one process never share counters.
@@ -172,20 +175,20 @@ type Config struct {
 	// intermediaries from timing the connection out; <= 0 means 15s.
 	Heartbeat time.Duration
 
-	// TraceSample enables head-based hierarchical tracing: 1 in N
-	// requests records a span tree served on /debug/traces (1 traces
-	// every request, 0 disables head sampling). Independently of N, a
-	// request arriving with a sampled W3C traceparent header is always
-	// traced — an upstream that decided to trace keeps its trace intact
-	// through this hop. Unsampled requests pay one atomic increment.
+	// TraceSample is head-based trace retention: every request records
+	// its span tree, and 1 in N keeps it, served on /debug/traces (1
+	// keeps every request's, 0 disables head sampling). Independently of
+	// N, a request arriving with a sampled W3C traceparent header is
+	// always kept — an upstream that decided to trace keeps its trace
+	// intact through this hop.
 	TraceSample int
 	// TraceBuffer is the trace ring capacity; <= 0 means 128. Error and
 	// slow traces are evicted last (see obs.TraceRegistry).
 	TraceBuffer int
 	// SlowRequest, when > 0, is the latency threshold beyond which a
-	// request gets a structured slow-request log line (with its trace ID
-	// and top spans when sampled), and its trace — if sampled — is kept
-	// as notable in the ring.
+	// request gets a structured slow-request log line with its top spans
+	// (and its trace ID when sampled), and its trace — if sampled — is
+	// kept as notable in the ring.
 	SlowRequest time.Duration
 }
 
@@ -459,7 +462,7 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 func (s *Server) Traces() *obs.TraceRegistry { return s.traces }
 
 // sampleTrace is the head sampler: true for the 1st, N+1th, 2N+1th, …
-// request when TraceSample is N. A false costs one atomic increment.
+// request when TraceSample is N.
 func (s *Server) sampleTrace() bool {
 	if s.traceSample <= 0 {
 		return false
@@ -673,14 +676,13 @@ func (s *Server) defIndex(name string) (int, bool) {
 }
 
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	tr := obs.FromContext(r.Context())
 	snap, done := s.snapshot(w)
 	defer done()
 	x := s.acquire(snap.Reader())
 	defer s.release(x)
-	_, stop := tr.StartSpan("validate")
+	validate := obs.FromContext(r.Context()).StartChild("validate")
 	report := s.h.ValidateWith(x.Evaluator())
-	stop()
+	validate.End()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "conforms: %v\nfocus nodes: %d\nviolations: %d\n",
 		report.Conforms, report.TargetedNodes, len(report.Violations()))
@@ -696,55 +698,58 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
-	tr := obs.FromContext(r.Context())
-	_, stopTarget := tr.StartSpan("target")
+	root := obs.FromContext(r.Context())
+	target := root.StartChild("target")
 	requests := s.requests
 	lo, hi := 0, len(s.requests)
 	if name := r.URL.Query().Get("shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
-			stopTarget()
+			target.End()
 			http.Error(w, "unknown or ambiguous shape "+name, http.StatusNotFound)
 			return
 		}
 		requests = s.requests[i : i+1]
 		lo, hi = i, i+1
 	}
-	stopTarget()
+	target.End()
 	snap, done := s.snapshot(w)
 	defer done()
 	x := s.acquire(snap.Reader())
 	defer s.release(x)
-	extractSpan, stopExtract := tr.StartSpan("extract")
+	extract := root.StartChild("extract")
 	ids, err := x.FragmentParallelIDs(requests, core.ParallelOptions{
 		Workers:  s.workers,
 		Cache:    s.cache,
 		Epoch:    snap.Epoch(),
 		Ctx:      r.Context(),
-		Tracer:   tr,
 		Recorder: s.sampleAttribution(),
 		Plans:    s.plansFor(lo, hi),
-		Span:     extractSpan,
+		Span:     extract,
 	})
-	stopExtract()
+	extract.End()
+	var pe *core.PanicError
+	if errors.As(err, &pe) {
+		panic(pe) // a worker's panic, raised again where withObs answers every panic
+	}
 	if err != nil {
-		s.extractionError(w, r, err)
+		httpTimeoutError(w, r, err)
 		return
 	}
 	s.streamNTriples(w, r, snap.Reader().Dict(), ids)
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
-	tr := obs.FromContext(r.Context())
+	root := obs.FromContext(r.Context())
 	q := r.URL.Query()
 	rawIRI := q.Get("iri")
 	if rawIRI == "" {
 		http.Error(w, "missing iri parameter", http.StatusBadRequest)
 		return
 	}
-	_, stopParse := tr.StartSpan("parse")
+	parse := root.StartChild("parse")
 	focus, err := parseTermParam(rawIRI)
-	stopParse()
+	parse.End()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -752,12 +757,12 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	// B(v, G, φ) for the named definition's shape, or for every definition
 	// when no shape is given. Definition shapes are pointer-stable, so they
 	// double as neighborhood cache keys.
-	_, stopTarget := tr.StartSpan("target")
+	target := root.StartChild("target")
 	shapes := s.defShapes
 	if name := q.Get("shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
-			stopTarget()
+			target.End()
 			http.Error(w, "unknown or ambiguous shape "+name, http.StatusNotFound)
 			return
 		}
@@ -768,7 +773,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	// LookupTerm never interns, so an unknown focus cannot mutate the
 	// frozen snapshot dictionary no matter how many goroutines probe it.
 	id := snap.Reader().LookupTerm(focus)
-	stopTarget()
+	target.End()
 	if id == rdfgraph.NoID {
 		// A term no triple mentions has empty neighborhoods for every
 		// shape; serve the empty fragment rather than 404 so clients can
@@ -784,14 +789,14 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		x.SetRecorder(rec)
 		defer x.SetRecorder(nil)
 	}
-	extractSpan, stopExtract := tr.StartSpan("extract")
-	extractSpan.SetAttrInt("shapes", int64(len(shapes)))
+	extract := root.StartChild("extract")
+	extract.SetAttrInt("shapes", int64(len(shapes)))
 	// Before duplicates go, nine nodes in ten of the benchmark graph stay
 	// under a hundred triples: those never leave the stack.
 	var small [128]rdfgraph.IDTriple
 	ids, err := x.NeighborhoodsCached(r.Context(), s.cache, snap.Epoch(), id, shapes, small[:0])
 	if err != nil {
-		stopExtract()
+		extract.End()
 		httpTimeoutError(w, r, err)
 		return
 	}
@@ -799,16 +804,16 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	dict := snap.Reader().Dict()
 	rdfgraph.SortIDTriples(dict, ids)
 	ids = slices.Compact(ids)
-	extractSpan.SetAttrInt("triples", int64(len(ids)))
-	stopExtract()
+	extract.SetAttrInt("triples", int64(len(ids)))
+	extract.End()
 	s.streamNTriples(w, r, dict, ids)
 }
 
 func (s *Server) handleTPF(w http.ResponseWriter, r *http.Request) {
-	tr := obs.FromContext(r.Context())
-	_, stopParse := tr.StartSpan("parse")
+	root := obs.FromContext(r.Context())
+	parse := root.StartChild("parse")
 	pattern, err := parseTPFPattern(r.URL.Query())
-	stopParse()
+	parse.End()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -818,9 +823,9 @@ func (s *Server) handleTPF(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, done := s.snapshot(w)
 	defer done()
-	_, stopExtract := tr.StartSpan("extract")
+	extract := root.StartChild("extract")
 	ids := pattern.EvalIDs(snap.Reader())
-	stopExtract()
+	extract.End()
 	s.streamNTriples(w, r, snap.Reader().Dict(), ids)
 }
 
@@ -873,17 +878,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // order) incrementally as application/n-triples, each term appended from
 // the dictionary straight into the writer's pooled buffer, aborting
 // quietly if the request context ends mid-stream (client gone or budget
-// exceeded — headers are already out by then). The stages recorded
-// so far (parse, target, extract, …) go out as a Server-Timing header;
-// the serialize stage itself necessarily post-dates the headers, so it
+// exceeded — headers are already out by then). The stages ended so far
+// (parse, target, extract, …) go out as a Server-Timing header; the
+// serialize stage itself necessarily post-dates the headers, so it
 // shows up only in the access log and the stage histogram.
 func (s *Server) streamNTriples(w http.ResponseWriter, r *http.Request, d *rdfgraph.Dict, triples []rdfgraph.IDTriple) {
-	tr := obs.FromContext(r.Context())
-	if st := tr.ServerTiming(); st != "" {
-		w.Header().Set("Server-Timing", st)
-	}
-	_, stopSerialize := tr.StartSpan("serialize")
-	defer stopSerialize()
+	root := obs.FromContext(r.Context())
+	setServerTiming(w, root)
+	defer root.StartChild("serialize").End()
 	w.Header().Set("Content-Type", "application/n-triples")
 	w.Header().Set("X-Triple-Count", strconv.Itoa(len(triples)))
 	nw := turtle.NewNTriplesWriter(w)
@@ -900,21 +902,13 @@ func (s *Server) streamNTriples(w http.ResponseWriter, r *http.Request, d *rdfgr
 	nw.Flush() //nolint:errcheck — nothing to do about a failed final write
 }
 
-// extractionError answers a failed core.FragmentParallel. A recovered
-// panic is a bug or corrupt state, not load: it gets a counted, logged 500
-// (which also keeps the request's trace as notable) and no Retry-After —
-// retrying the same request would hit the same fault. Anything else is the
-// request context ending.
-func (s *Server) extractionError(w http.ResponseWriter, r *http.Request, err error) {
-	var pe *core.PanicError
-	if !errors.As(err, &pe) {
-		httpTimeoutError(w, r, err)
-		return
+// setServerTiming sends the stages of root's request that have ended so far
+// as a Server-Timing header.
+func setServerTiming(w http.ResponseWriter, root *obs.Span) {
+	var buf [8]obs.Stage
+	if st := obs.ServerTiming(obs.Stages(buf[:0], root, stageNames)); st != "" {
+		w.Header().Set("Server-Timing", st)
 	}
-	s.metrics.panics.Inc()
-	s.log.Error("panic during extraction", "path", r.URL.Path, "query", r.URL.RawQuery,
-		"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
-	http.Error(w, "internal error during extraction", http.StatusInternalServerError)
 }
 
 // httpTimeoutError maps a context error to 503 (with Retry-After) when no

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/obs"
+	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/schema"
 )
 
@@ -217,29 +219,42 @@ func TestExemplarLinksMetricsToTrace(t *testing.T) {
 }
 
 // TestSlowRequestLog drives a request past a 1ns threshold and expects the
-// structured warning carrying the trace ID and top spans.
+// structured warning with the top spans whatever the sampler said — the
+// tree is there for every request — and the trace ID exactly when the
+// trace was kept, and so can be looked up.
 func TestSlowRequestLog(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tracedConfig(1)
-	cfg.Logger = slog.New(slog.NewTextHandler(&buf, nil))
-	cfg.SlowRequest = time.Nanosecond
-	srv, ts := newUpdateTestServer(t, cfg)
-	resp, _ := get(t, ts, "/fragment")
-	traceID := strings.Split(resp.Header.Get("traceparent"), "-")[1]
+	for _, sample := range []int{1, 0} {
+		var buf bytes.Buffer
+		cfg := tracedConfig(sample)
+		cfg.Logger = slog.New(slog.NewTextHandler(&buf, nil))
+		cfg.SlowRequest = time.Nanosecond
+		srv, ts := newUpdateTestServer(t, cfg)
+		resp, _ := get(t, ts, "/fragment")
 
-	logs := buf.String()
-	if !strings.Contains(logs, "slow request") {
-		t.Fatalf("no slow-request warning in logs:\n%s", logs)
-	}
-	if !strings.Contains(logs, "trace_id="+traceID) {
-		t.Errorf("slow-request log does not carry trace_id=%s:\n%s", traceID, logs)
-	}
-	if !strings.Contains(logs, "top_spans=") {
-		t.Errorf("slow-request log has no top_spans field:\n%s", logs)
-	}
-	// A slow trace is notable: it survives eviction ahead of routine ones.
-	if st := srv.Traces().Stats(); st.Kept != 1 {
-		t.Errorf("slow trace not kept: %+v", st)
+		logs := buf.String()
+		if !strings.Contains(logs, "slow request") {
+			t.Fatalf("TraceSample %d: no slow-request warning in logs:\n%s", sample, logs)
+		}
+		if !strings.Contains(logs, "top_spans=") || strings.Contains(logs, "top_spans=[]") {
+			t.Errorf("TraceSample %d: slow-request log names no top spans:\n%s", sample, logs)
+		}
+		if sample == 0 {
+			if strings.Contains(logs, "trace_id=") || resp.Header.Get("traceparent") != "" {
+				t.Errorf("unkept trace advertised: traceparent %q, logs:\n%s", resp.Header.Get("traceparent"), logs)
+			}
+			if st := srv.Traces().Stats(); st.Kept != 0 || st.Dropped != 1 {
+				t.Errorf("slowness changed retention: %+v", st)
+			}
+			continue
+		}
+		traceID := strings.Split(resp.Header.Get("traceparent"), "-")[1]
+		if !strings.Contains(logs, "trace_id="+traceID) {
+			t.Errorf("slow-request log does not carry trace_id=%s:\n%s", traceID, logs)
+		}
+		// A slow trace is notable: it survives eviction ahead of routine ones.
+		if st := srv.Traces().Stats(); st.Kept != 1 {
+			t.Errorf("slow trace not kept: %+v", st)
+		}
 	}
 }
 
@@ -362,4 +377,130 @@ func TestAccessLogFollowsLevel(t *testing.T) {
 			t.Errorf("level %v: slow-request warning missing or without request fields:\n%s", level, logs)
 		}
 	}
+}
+
+// keptTrace returns the newest kept trace whose root has the given name,
+// waiting for it: a stream's trace is kept when its handler returns, which
+// is after the client has gone.
+func keptTrace(t *testing.T, srv *Server, name string) *obs.SpanTrace {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, sum := range srv.Traces().Summaries() {
+			if st, ok := srv.Traces().Get(sum.TraceID); ok && sum.Name == name {
+				return st
+			}
+		}
+	}
+	t.Fatalf("no kept trace named %q", name)
+	return nil
+}
+
+func intAttr(sp *obs.Span, key string) int64 {
+	for _, a := range sp.Attrs() {
+		if a.Key == key {
+			return a.Int
+		}
+	}
+	return 0
+}
+
+// TestSpanCountIndependentOfSize: every request records a tree, so the tree
+// must not grow with the request. Work done in many pieces — extraction
+// units, a stream's events, the shapes an update notifies — is timed through
+// by-name accumulators (Span.AccumChild), never one span per piece: a large
+// request of each kind ends with exactly the spans of a small one.
+func TestSpanCountIndependentOfSize(t *testing.T) {
+	t.Run("fragment units", func(t *testing.T) {
+		var spans [2]int
+		for i, individuals := range []int{120, 1500} {
+			srv, err := New(Config{
+				Graph:  datagen.Tyrol(datagen.TyrolConfig{Individuals: individuals, Seed: 9}),
+				Schema: schema.MustNew(datagen.BenchmarkShapes()...),
+				Shards: 3, Workers: 8, Logger: quietLogger(), TraceSample: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/fragment", nil))
+			st := keptTrace(t, srv, "GET /fragment")
+			var units int64
+			for _, c := range spanByName(st.Root(), "extract").Children() {
+				units += intAttr(c, "units") // on the shard[i] accumulators
+			}
+			if i == 1 && units < 1000 {
+				t.Fatalf("large /fragment ran %d work units, want >= 1000", units)
+			}
+			spans[i] = st.NumSpans()
+		}
+		if spans[0] != spans[1] {
+			t.Errorf("/fragment: %d spans at 120 individuals, %d at 1500", spans[0], spans[1])
+		}
+	})
+
+	t.Run("subscribe events", func(t *testing.T) {
+		var spans [2]int
+		for i, events := range []int{1, 50} {
+			srv, ts := newUpdateTestServer(t, Config{TraceSample: 1})
+			stream := openStream(t, ts, "/subscribe?shape=S", "")
+			for n := 0; n <= events; n++ { // the snapshot, then one delta per update
+				if n > 0 {
+					post(t, ts, "/update", fmt.Sprintf("<http://ex/a> <http://ex/p> <http://ex/n%d> .", n))
+				}
+				if _, ok := stream.next(t); !ok {
+					t.Fatalf("stream ended after %d events", n)
+				}
+			}
+			stream.cancel()
+			spans[i] = keptTrace(t, srv, "GET /subscribe").NumSpans()
+		}
+		if spans[0] != spans[1] {
+			t.Errorf("/subscribe: %d spans after 1 event, %d after 50", spans[0], spans[1])
+		}
+	})
+
+	t.Run("update notifies", func(t *testing.T) {
+		review := "<" + datagen.NS + "review/sized>"
+		body := review + " <" + rdf.RDFType + "> " + datagen.ClassReview.String() + " .\n" +
+			"<" + datagen.NS + "lodging/0> <" + datagen.PropReview + "> " + review + " .\n"
+		var spans [2]int
+		for i, defs := range [][]int{{50}, nil} { // S51 alone (every review is referenced), then all
+			srv, err := New(Config{
+				Graph:  datagen.Tyrol(datagen.TyrolConfig{Individuals: 120, Seed: 9}),
+				Schema: schema.MustNew(datagen.BenchmarkShapes()...),
+				Logger: quietLogger(), TraceSample: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if defs == nil {
+				for def := range srv.requests {
+					defs = append(defs, def)
+				}
+			}
+			for _, def := range defs {
+				sub, _, err := srv.Live().Subscribe(def, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					for range sub.Events() {
+					}
+				}()
+			}
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/update", strings.NewReader(body)))
+			srv.Live().Drain()
+			if rec.Code != 200 {
+				t.Fatalf("POST /update: %d %s", rec.Code, rec.Body)
+			}
+			st := keptTrace(t, srv, "POST /update")
+			if shapes := intAttr(spanByName(st.Root(), "notify"), "shapes"); i == 1 && shapes < 50 {
+				t.Fatalf("update notified %d shapes, want >= 50", shapes)
+			}
+			spans[i] = st.NumSpans()
+		}
+		if spans[0] != spans[1] {
+			t.Errorf("/update: %d spans notifying 1 shape, %d notifying all", spans[0], spans[1])
+		}
+	})
 }

@@ -55,11 +55,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tr := obs.FromContext(r.Context())
-	_, stopParse := tr.StartSpan("parse")
+	root := obs.FromContext(r.Context())
+	parse := root.StartChild("parse")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxUpdate))
 	if err != nil {
-		stopParse()
+		parse.End()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.metrics.updRejected.Inc()
@@ -71,7 +71,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	triples, err := turtle.ParseTriples(string(body))
-	stopParse()
+	parse.End()
 	if err != nil {
 		s.metrics.updRejected.Inc()
 		http.Error(w, "parsing delta: "+err.Error(), http.StatusBadRequest)
@@ -87,7 +87,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if del {
 		delta = rdfgraph.Delta{Del: triples}
 	}
-	applySpan, stopApply := tr.StartSpan("apply")
+	apply := root.StartChild("apply")
 	res := s.store.Apply(delta)
 	carried := 0
 	if res.Changed && s.cache != nil {
@@ -101,25 +101,25 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// would silently preserve entries the other delta invalidated.
 		carried = s.cache.Carry(res.Prev, res.Snapshot.Epoch(), res.Unaffected)
 	}
-	applySpan.SetAttrInt("added", int64(res.Added))
-	applySpan.SetAttrInt("deleted", int64(res.Deleted))
-	applySpan.SetAttrInt("carried", int64(carried))
-	stopApply()
+	apply.SetAttrInt("added", int64(res.Added))
+	apply.SetAttrInt("deleted", int64(res.Deleted))
+	apply.SetAttrInt("carried", int64(carried))
+	apply.End()
 
 	if res.Changed {
 		// Re-plan against the new epoch's cardinalities: the strategy
 		// choices and the memo-budget veto track the data they price.
-		replanSpan, stopReplan := tr.StartSpan("replan")
-		s.replan(res.Snapshot, replanSpan)
-		stopReplan()
+		replan := root.StartChild("replan")
+		s.replan(res.Snapshot, replan)
+		replan.End()
 		// Advance incremental fragment maintenance and fan deltas out to
 		// /subscribe streams. Runs after replan so re-extraction follows
 		// the new epoch's compiled plans, and synchronously in the update
 		// path so heavy subscription load backpressures writers instead
 		// of accumulating an unbounded notification backlog.
-		notifySpan, stopNotify := tr.StartSpan("notify")
-		ls := s.live.Notify(res, notifySpan)
-		stopNotify()
+		notify := root.StartChild("notify")
+		ls := s.live.Notify(res, notify)
+		notify.End()
 		s.metrics.updApplied.Inc()
 		s.metrics.updAdded.Add(uint64(res.Added))
 		s.metrics.updDeleted.Add(uint64(res.Deleted))

@@ -221,9 +221,9 @@ type NotifyStats struct {
 // applied when their predecessor epoch lands, so steps always run in
 // epoch order against the matching Unaffected predicate.
 //
-// sp, when non-nil (a sampled update request), receives the reextracted /
-// shapes attributes and reextract / fanout child timings — the span a
-// trace shows as the "notify" stage.
+// sp, when non-nil (the update request's "notify" span), receives the
+// reextracted / shapes attributes and the reextract / fanout timings,
+// accumulated by name whatever the number of shapes.
 func (m *Maintainer) Notify(res store.ApplyResult, sp *obs.Span) NotifyStats {
 	var stats NotifyStats
 	if !res.Changed {
@@ -284,7 +284,7 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 		}
 		m.reextracted += uint64(len(work))
 		stats.Reextracted += len(work)
-		sp.Observe("reextract", time.Since(begin))
+		sp.AccumChild("reextract").Add(time.Since(begin))
 		if len(added) == 0 && len(removed) == 0 {
 			continue // this delta did not move this shape's fragment
 		}
@@ -297,7 +297,7 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 		st.push(ev, m.cfg.Replay)
 		begin = time.Now()
 		m.fanoutLocked(st, ev)
-		sp.Observe("fanout", time.Since(begin))
+		sp.AccumChild("fanout").Add(time.Since(begin))
 	}
 	m.epoch, m.snap = epoch, snap
 }

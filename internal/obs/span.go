@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,7 +105,7 @@ func (c SpanContext) Traceparent() string {
 }
 
 // Attr is one key=value annotation on a span. Exactly one of Str and Int
-// is meaningful, selected by IsInt; integer attributes support atomic
+// is meaningful, selected by IsInt; integer attributes support
 // accumulation (AddAttrInt) so concurrent workers can contribute counts
 // to a shared span.
 type Attr struct {
@@ -121,26 +122,17 @@ func (a Attr) String() string {
 	return a.Key + "=" + a.Str
 }
 
-// attrNode is the internal attribute representation: int values live in
-// an atomic so AddAttrInt is contention-safe once the node exists.
-type attrNode struct {
-	key   string
-	str   string
-	num   atomic.Int64
-	isInt bool
-}
-
 // Span is one timed operation in a trace's tree: a name, a start time, an
 // accumulated duration, key=value attributes, and child spans. All
 // methods are nil-safe no-ops, so call sites never branch on tracing
-// being enabled — an unsampled request carries a nil span and pays one
-// nil check per call.
+// being enabled — code run outside a request (the CLI, benchmarks, the
+// benchmark replay) carries a nil span and pays one nil check per call.
 //
 // Concurrency: StartChild and Add are lock-free (child publication is a
 // CAS onto a sibling list; duration is an atomic add), so fan-out workers
 // can open children of one parent span without serializing the hot path.
-// Observe and the attribute setters serialize on a per-span mutex; they
-// run at stage boundaries, not per triple.
+// AccumChild and the attribute setters serialize on a per-span mutex; they
+// run at stage and work-unit boundaries, not per triple.
 type Span struct {
 	name   string
 	tr     *SpanTrace
@@ -155,8 +147,8 @@ type Span struct {
 	children atomic.Pointer[Span]
 	sibling  *Span
 
-	mu    sync.Mutex // guards attrs and Observe's get-or-create
-	attrs []*attrNode
+	mu    sync.Mutex // guards attrs and AccumChild's get-or-create
+	attrs []Attr
 }
 
 // Name returns the span's name ("" for nil).
@@ -193,26 +185,31 @@ func (s *Span) Duration() time.Duration {
 }
 
 // StartChild opens a child span. Safe to call from many goroutines
-// concurrently; each child must be ended (or accumulated into via Add)
-// by whoever holds it. On a nil span it returns nil, whose methods
-// no-op in turn.
+// concurrently; each child must be ended by whoever holds it. On a nil
+// span it returns nil, whose methods no-op in turn.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
 	c := &Span{name: name, tr: s.tr, id: s.tr.nextSpanID(), parent: s.id, start: time.Now()}
+	s.publish(c)
+	return c
+}
+
+// publish CAS-prepends c to s's child list.
+func (s *Span) publish(c *Span) {
 	for {
 		head := s.children.Load()
 		c.sibling = head
 		if s.children.CompareAndSwap(head, c) {
-			return c
+			return
 		}
 	}
 }
 
 // End stops the span, adding the wall time since StartChild to its
 // duration. Only the first End takes effect; Add may still contribute
-// afterwards (accumulator children are never "ended" in this sense).
+// afterwards.
 func (s *Span) End() {
 	if s == nil || s.ended.Swap(true) {
 		return
@@ -221,8 +218,7 @@ func (s *Span) End() {
 }
 
 // Add contributes d to the span's duration without reference to wall
-// time — the accumulation primitive for spans that aggregate many small
-// work units (per-shard extraction time, for example).
+// time — how an accumulator child (AccumChild) grows.
 func (s *Span) Add(d time.Duration) {
 	if s == nil {
 		return
@@ -230,35 +226,19 @@ func (s *Span) Add(d time.Duration) {
 	s.dur.Add(int64(d))
 }
 
-// AccumChild opens a pure accumulator child: duration grows only through
-// Add (and Observe on it), never from wall time — End is already spent.
-// Use it for spans that aggregate work stolen by many goroutines, where
-// wall-clock bracketing would double-count (per-shard extraction time).
-// Unlike Observe, every call creates a fresh child.
+// AccumChild returns the accumulator child with the given name, creating
+// it on first use: a child whose duration grows only through Add, never
+// from wall time (its End is already spent). It is how work done in many
+// small pieces, possibly by many goroutines at once, is timed — per-shard
+// extraction, plan binding, a subscription fan-out: every piece lands in
+// the one child of its name, so a request's span count does not grow with
+// its size, and wall-clock bracketing cannot double-count stolen work.
+// The mutex serializes get-or-create; concurrent StartChild prepends
+// remain safe because publication is still the CAS.
 func (s *Span) AccumChild(name string) *Span {
-	c := s.StartChild(name)
-	if c != nil {
-		c.ended.Store(true)
-	}
-	return c
-}
-
-// Observe implements the Tracer interface as a get-or-create accumulating
-// child: repeated observations of one stage name pile into a single child
-// span, mirroring the flat Trace's aggregation semantics. This is the
-// migration shim — anything that accepts an obs.Tracer accepts a *Span.
-func (s *Span) Observe(stage string, d time.Duration) {
 	if s == nil {
-		return
+		return nil
 	}
-	s.accumChild(stage).Add(d)
-}
-
-// accumChild returns the child span with the given name, creating it
-// (already "ended", duration accumulates via Add) on first use. The
-// mutex serializes get-or-create; concurrent StartChild prepends remain
-// safe because publication is still the CAS.
-func (s *Span) accumChild(name string) *Span {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for c := s.children.Load(); c != nil; c = c.sibling {
@@ -267,14 +247,9 @@ func (s *Span) accumChild(name string) *Span {
 		}
 	}
 	c := &Span{name: name, tr: s.tr, id: s.tr.nextSpanID(), parent: s.id, start: time.Now()}
-	c.ended.Store(true) // accumulator: End must not add wall time
-	for {
-		head := s.children.Load()
-		c.sibling = head
-		if s.children.CompareAndSwap(head, c) {
-			return c
-		}
-	}
+	c.ended.Store(true) // End must not add wall time
+	s.publish(c)
+	return c
 }
 
 // SetAttr sets a string attribute, replacing any previous value.
@@ -284,9 +259,7 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.attr(key)
-	n.isInt = false
-	n.str = value
+	*s.attr(key) = Attr{Key: key, Str: value}
 }
 
 // SetAttrInt sets an integer attribute, replacing any previous value.
@@ -296,9 +269,7 @@ func (s *Span) SetAttrInt(key string, v int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.attr(key)
-	n.isInt = true
-	n.num.Store(v)
+	*s.attr(key) = Attr{Key: key, Int: v, IsInt: true}
 }
 
 // AddAttrInt adds delta to an integer attribute, creating it at zero —
@@ -309,22 +280,24 @@ func (s *Span) AddAttrInt(key string, delta int64) {
 		return
 	}
 	s.mu.Lock()
-	n := s.attr(key)
-	n.isInt = true
-	s.mu.Unlock()
-	n.num.Add(delta)
+	defer s.mu.Unlock()
+	a := s.attr(key)
+	*a = Attr{Key: key, Int: a.Int + delta, IsInt: true}
 }
 
-// attr returns the node for key, creating it; callers hold s.mu.
-func (s *Span) attr(key string) *attrNode {
-	for _, n := range s.attrs {
-		if n.key == key {
-			return n
+// attr returns the attribute for key, creating it; callers hold s.mu, and
+// the pointer is good until they release it.
+func (s *Span) attr(key string) *Attr {
+	for i := range s.attrs {
+		if s.attrs[i].Key == key {
+			return &s.attrs[i]
 		}
 	}
-	n := &attrNode{key: key}
-	s.attrs = append(s.attrs, n)
-	return n
+	if s.attrs == nil {
+		s.attrs = make([]Attr, 0, 2) // most spans that have any have two
+	}
+	s.attrs = append(s.attrs, Attr{Key: key})
+	return &s.attrs[len(s.attrs)-1]
 }
 
 // Attrs returns a copy of the span's attributes in creation order.
@@ -334,33 +307,45 @@ func (s *Span) Attrs() []Attr {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Attr, len(s.attrs))
-	for i, n := range s.attrs {
-		out[i] = Attr{Key: n.key, Str: n.str, Int: n.num.Load(), IsInt: n.isInt}
-	}
-	return out
+	return slices.Clone(s.attrs)
 }
 
 // Children returns the child spans in creation order (the internal list
-// is newest-first; this reverses it).
+// is newest-first; this fills the result from the back).
 func (s *Span) Children() []*Span {
 	if s == nil {
 		return nil
 	}
-	var out []*Span
-	for c := s.children.Load(); c != nil; c = c.sibling {
-		out = append(out, c)
+	head := s.children.Load()
+	n := 0
+	for c := head; c != nil; c = c.sibling {
+		n++
 	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Span, n)
+	for c := head; c != nil; c = c.sibling {
+		n--
+		out[n] = c
 	}
 	return out
 }
 
+// walk calls fn for s and then for its descendants, parent first and
+// siblings in creation order, with their depth below s.
+func (s *Span) walk(depth int, fn func(sp *Span, depth int)) {
+	fn(s, depth)
+	for _, c := range s.Children() {
+		c.walk(depth+1, fn)
+	}
+}
+
 // SpanTrace is one trace: a tree of spans under a root, stamped with a
-// TraceID. Create with NewSpanTrace per sampled request (or one-shot CLI
-// run), hand Root() down the call stack, End the root when the request
-// completes, and offer the finished trace to a TraceRegistry.
+// TraceID. Create with NewSpanTrace per request (or one-shot CLI run),
+// hand Root() down the call stack, End the root when the request
+// completes, and offer the finished trace to a TraceRegistry if it is to
+// be kept.
 type SpanTrace struct {
 	id     TraceID
 	parent SpanID // external caller's span from traceparent, if any
@@ -412,14 +397,7 @@ func (t *SpanTrace) Traceparent() string {
 // NumSpans counts the spans in the tree.
 func (t *SpanTrace) NumSpans() int {
 	n := 0
-	var walk func(*Span)
-	walk = func(s *Span) {
-		n++
-		for c := s.children.Load(); c != nil; c = c.sibling {
-			walk(c)
-		}
-	}
-	walk(t.root)
+	t.root.walk(0, func(*Span, int) { n++ })
 	return n
 }
 
@@ -427,14 +405,11 @@ func (t *SpanTrace) NumSpans() int {
 // strings, longest first — the slow-request log's summary line.
 func (t *SpanTrace) TopSpans(n int) []string {
 	var all []*Span
-	var walk func(*Span)
-	walk = func(s *Span) {
-		for c := s.children.Load(); c != nil; c = c.sibling {
-			all = append(all, c)
-			walk(c)
+	t.root.walk(0, func(s *Span, depth int) {
+		if depth > 0 {
+			all = append(all, s)
 		}
-	}
-	walk(t.root)
+	})
 	sort.Slice(all, func(i, j int) bool { return all[i].Duration() > all[j].Duration() })
 	if len(all) > n {
 		all = all[:n]
@@ -451,8 +426,7 @@ func (t *SpanTrace) TopSpans(n int) []string {
 // debugging aid in tests.
 func (t *SpanTrace) WriteTree(w io.Writer) {
 	fmt.Fprintf(w, "trace %s (%d spans)\n", t.id, t.NumSpans())
-	var walk func(s *Span, depth int)
-	walk = func(s *Span, depth int) {
+	t.root.walk(0, func(s *Span, depth int) {
 		attrs := ""
 		for _, a := range s.Attrs() {
 			attrs += "  " + a.String()
@@ -460,9 +434,5 @@ func (t *SpanTrace) WriteTree(w io.Writer) {
 		fmt.Fprintf(w, "%s%s  %.3fms%s\n",
 			strings.Repeat("  ", depth), s.name,
 			float64(s.Duration())/float64(time.Millisecond), attrs)
-		for _, c := range s.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(t.root, 0)
+	})
 }

@@ -1,45 +1,50 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestParseTraceparent tables the W3C validation rules: accepted values
-// round-trip their IDs, rejected ones come back ok=false.
+const (
+	tid = "4bf92f3577b34da6a3ce929d0e0e4736"
+	sid = "00f067aa0ba902b7"
+)
+
+// traceparentCases tables the W3C validation rules; it is also
+// FuzzParseTraceparent's seed corpus.
+var traceparentCases = []struct {
+	name    string
+	in      string
+	ok      bool
+	sampled bool
+}{
+	{"valid sampled", "00-" + tid + "-" + sid + "-01", true, true},
+	{"valid unsampled", "00-" + tid + "-" + sid + "-00", true, false},
+	{"surrounding space", "  00-" + tid + "-" + sid + "-01  ", true, true},
+	{"flags with extra bits", "00-" + tid + "-" + sid + "-09", true, true},
+	{"future version", "cc-" + tid + "-" + sid + "-01", true, true},
+	{"future version extra field", "cc-" + tid + "-" + sid + "-01-extra", true, true},
+	{"version ff reserved", "ff-" + tid + "-" + sid + "-01", false, false},
+	{"version 00 extra field", "00-" + tid + "-" + sid + "-01-extra", false, false},
+	{"all-zero trace id", "00-00000000000000000000000000000000-" + sid + "-01", false, false},
+	{"all-zero span id", "00-" + tid + "-0000000000000000-01", false, false},
+	{"short trace id", "00-4bf92f3577b34da6-" + sid + "-01", false, false},
+	{"long span id", "00-" + tid + "-" + sid + "ff-01", false, false},
+	{"non-hex trace id", "00-" + strings.Repeat("zz", 16) + "-" + sid + "-01", false, false},
+	{"non-hex version", "0x-" + tid + "-" + sid + "-01", false, false},
+	{"non-hex flags", "00-" + tid + "-" + sid + "-zz", false, false},
+	{"too few fields", "00-" + tid + "-" + sid, false, false},
+	{"empty", "", false, false},
+	{"garbage", "hello world", false, false},
+}
+
+// TestParseTraceparent: accepted values round-trip their IDs, rejected
+// ones come back ok=false.
 func TestParseTraceparent(t *testing.T) {
-	const (
-		tid = "4bf92f3577b34da6a3ce929d0e0e4736"
-		sid = "00f067aa0ba902b7"
-	)
-	cases := []struct {
-		name    string
-		in      string
-		ok      bool
-		sampled bool
-	}{
-		{"valid sampled", "00-" + tid + "-" + sid + "-01", true, true},
-		{"valid unsampled", "00-" + tid + "-" + sid + "-00", true, false},
-		{"surrounding space", "  00-" + tid + "-" + sid + "-01  ", true, true},
-		{"flags with extra bits", "00-" + tid + "-" + sid + "-09", true, true},
-		{"future version", "cc-" + tid + "-" + sid + "-01", true, true},
-		{"future version extra field", "cc-" + tid + "-" + sid + "-01-extra", true, true},
-		{"version ff reserved", "ff-" + tid + "-" + sid + "-01", false, false},
-		{"version 00 extra field", "00-" + tid + "-" + sid + "-01-extra", false, false},
-		{"all-zero trace id", "00-00000000000000000000000000000000-" + sid + "-01", false, false},
-		{"all-zero span id", "00-" + tid + "-0000000000000000-01", false, false},
-		{"short trace id", "00-4bf92f3577b34da6-" + sid + "-01", false, false},
-		{"long span id", "00-" + tid + "-" + sid + "ff-01", false, false},
-		{"non-hex trace id", "00-" + strings.Repeat("zz", 16) + "-" + sid + "-01", false, false},
-		{"non-hex version", "0x-" + tid + "-" + sid + "-01", false, false},
-		{"non-hex flags", "00-" + tid + "-" + sid + "-zz", false, false},
-		{"too few fields", "00-" + tid + "-" + sid, false, false},
-		{"empty", "", false, false},
-		{"garbage", "hello world", false, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range traceparentCases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc, ok := ParseTraceparent(tc.in)
 			if ok != tc.ok {
@@ -67,6 +72,46 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if got := sc.Traceparent(); got != in {
 		t.Errorf("round trip = %q, want %q", got, in)
 	}
+}
+
+// FuzzParseTraceparent: the header arrives on every request from whoever
+// sends one. Parsing never panics; what it accepts has non-zero IDs and a
+// version other than ff, and renders (Traceparent) to a header that parses
+// back to the same context and is the input's own first four fields in
+// lower case with the flags reduced to the sampled bit — so nothing an
+// upstream sent can come out of this hop as a different trace.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, tc := range traceparentCases {
+		f.Add(tc.in)
+	}
+	f.Add("CC-" + strings.ToUpper(tid) + "-" + strings.ToUpper(sid) + "-0F-future-fields")
+	f.Fuzz(func(t *testing.T, in string) {
+		sc, ok := ParseTraceparent(in)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned %+v", in, sc)
+			}
+			return
+		}
+		if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+			t.Fatalf("accepted %q with a zero ID: %+v", in, sc)
+		}
+		fields := strings.Split(strings.ToLower(strings.TrimSpace(in)), "-")
+		if fields[0] == "ff" {
+			t.Fatalf("accepted reserved version ff: %q", in)
+		}
+		out := sc.Traceparent()
+		if again, ok := ParseTraceparent(out); !ok || again != sc {
+			t.Fatalf("%q → %+v → %q → %+v (ok=%v)", in, sc, out, again, ok)
+		}
+		flags := "00"
+		if bits, _ := strconv.ParseUint(fields[3], 16, 8); bits&1 == 1 {
+			flags = "01"
+		}
+		if want := "00-" + fields[1] + "-" + fields[2] + "-" + flags; out != want {
+			t.Fatalf("%q rendered as %q, want %q", in, out, want)
+		}
+	})
 }
 
 // TestSpanTraceContinuation checks that a parent context threads through:
@@ -140,7 +185,7 @@ func TestSpanTree(t *testing.T) {
 
 // TestSpanConcurrentChildren opens children of one parent from many
 // goroutines at once — under -race this proves the CAS sibling list and
-// the Observe get-or-create path are sound.
+// the AccumChild get-or-create path are sound.
 func TestSpanConcurrentChildren(t *testing.T) {
 	const goroutines, perG = 8, 200
 	st := NewSpanTrace("req", SpanContext{})
@@ -154,7 +199,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 				c := root.StartChild("unit")
 				c.Add(time.Microsecond)
 				c.End()
-				root.Observe("accum", time.Microsecond)
+				root.AccumChild("accum").Add(time.Microsecond)
 				root.AddAttrInt("units", 1)
 			}
 		}()
@@ -169,7 +214,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	for _, c := range kids {
 		if c.Name() == "accum" {
 			if accum != nil {
-				t.Fatal("Observe must accumulate into a single child")
+				t.Fatal("AccumChild must return one child per name")
 			}
 			accum = c
 		}
@@ -194,7 +239,7 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	s.End()
 	s.Add(time.Second)
-	s.Observe("x", time.Second)
+	s.AccumChild("x").Add(time.Second)
 	s.SetAttr("k", "v")
 	s.SetAttrInt("k", 1)
 	s.AddAttrInt("k", 1)
@@ -204,8 +249,6 @@ func TestSpanNilSafety(t *testing.T) {
 	if s.Name() != "" || !s.ID().IsZero() || s.Duration() != 0 || !s.Start().IsZero() {
 		t.Error("nil span accessors must return zero values")
 	}
-	var tracer Tracer = s
-	tracer.Observe("x", time.Second)
 }
 
 func TestTopSpansAndWriteTree(t *testing.T) {

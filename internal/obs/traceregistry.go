@@ -21,7 +21,7 @@ type TraceRegistry struct {
 	kept []keptTrace // oldest first
 
 	sampled uint64 // traces admitted via Keep
-	dropped uint64 // requests that ran untraced (head sampling said no)
+	dropped uint64 // requests whose trace was not kept (head sampling said no)
 	evicted uint64 // traces pushed out of the ring
 }
 
@@ -64,8 +64,8 @@ func (r *TraceRegistry) Keep(t *SpanTrace, notable bool) {
 	r.kept = append(r.kept, keptTrace{t: t, notable: notable, end: time.Now()})
 }
 
-// MarkDropped counts a request that ran untraced because head sampling
-// declined it — the denominator half of the sampled-percentage stat.
+// MarkDropped counts a request whose trace head sampling declined to
+// keep — the denominator half of the sampled-percentage stat.
 func (r *TraceRegistry) MarkDropped() {
 	if r == nil {
 		return
@@ -81,8 +81,8 @@ type TraceStats struct {
 	Kept int
 	// Cap is the ring capacity.
 	Cap int
-	// Sampled and Dropped count requests that did / did not record a
-	// trace; Sampled/(Sampled+Dropped) is the effective sampling rate.
+	// Sampled and Dropped count requests whose trace was / was not kept;
+	// Sampled/(Sampled+Dropped) is the effective sampling rate.
 	Sampled, Dropped uint64
 	// Evicted counts traces pushed out of the full ring.
 	Evicted uint64
@@ -171,8 +171,7 @@ type otlpAttrView struct {
 // list with parentSpanId links (how OTLP encodes the tree).
 func (t *SpanTrace) OTLP(service string) map[string]any {
 	var spans []otlpSpan
-	var walk func(*Span)
-	walk = func(s *Span) {
+	t.root.walk(0, func(s *Span, _ int) {
 		start := s.Start().UnixNano()
 		end := start + int64(s.Duration())
 		os := otlpSpan{
@@ -193,11 +192,7 @@ func (t *SpanTrace) OTLP(service string) map[string]any {
 			os.Attributes = append(os.Attributes, otlpAttr{Key: a.Key, Value: v})
 		}
 		spans = append(spans, os)
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	walk(t.root)
+	})
 	return map[string]any{
 		"resourceSpans": []any{map[string]any{
 			"resource": map[string]any{

@@ -144,7 +144,7 @@ echo "== non-test Go lines outside bench/"
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 echo "== benchjson smoke"
-$GO run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|Live'
+$GO run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live'
 
 echo "== serving benchmark smoke (shape-scan and update-mix, 3 s each)"
 # One short run each against a real fragserver: reads, then updates with an
@@ -199,5 +199,8 @@ $GO test -run '^$' -fuzz FuzzParseSerialize -fuzztime 5s ./internal/turtle
 
 echo "== path tracing against its oracle, fuzzed (5s smoke)"
 $GO test -run '^$' -fuzz FuzzTraceOracle -fuzztime 5s ./internal/paths
+
+echo "== traceparent parsing, fuzzed (5s smoke)"
+$GO test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/obs
 
 echo "check: OK"
