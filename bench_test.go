@@ -255,7 +255,7 @@ func BenchmarkTabTPF(b *testing.B) {
 
 // BenchmarkAblationStrategies compares the neighborhood computation
 // strategies head-to-head on one shape: the two of Section 5 plus the
-// compiled instruction plan the strategy planner routes to.
+// compiled instruction plan the serving path binds.
 func BenchmarkAblationStrategies(b *testing.B) {
 	g := tyrolGraph(1000)
 	defs := datagen.BenchmarkShapes()

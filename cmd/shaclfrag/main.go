@@ -83,7 +83,7 @@ commands:
   explain       extract B(v, G, φ) annotated with per-triple justifications
   whynot        extract the why-not provenance B(v, G, ¬φ)
   translate     render the SPARQL translation of the shapes
-  plan          disassemble compiled shape plans and show strategy decisions
+  plan          disassemble compiled shape plans and, with -data, check the memo budget
   lint          statically analyze shapes graphs for contradictions and dead shapes
   schema-diff   classify per-definition changes between two shapes-graph versions
   tpf           evaluate a triple pattern fragment and its request shape`)
@@ -144,7 +144,7 @@ func cmdFragment(args []string) error {
 	request := fs.String("request", "", `ad-hoc request shape in textual syntax, e.g. '>=1 <http://x/p>.top'`)
 	baseIRI := fs.String("base", "", "base IRI for bare names in -request")
 	outPath := fs.String("o", "", "output file (default stdout)")
-	strategy := fs.String("strategy", "auto", "extraction strategy: auto (cost-based planner), plan, direct, or sparql")
+	strategy := fs.String("strategy", "plan", "extraction strategy: plan (compiled programs within the memo budget, auto is its old name), direct, or sparql")
 	shards := fs.Int("shards", 1, "store shard count for the direct extractor")
 	workers := fs.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
 	traced := fs.Bool("trace", false, "print the extraction's span tree to stderr")
@@ -207,20 +207,12 @@ func cmdFragment(args []string) error {
 		switch *strategy {
 		case "direct":
 			// AST walker everywhere; plans stay nil.
-		case "plan":
+		case "plan", "auto":
+			// FragmentParallel binds a program only if it fits the memo
+			// budget against this graph's dictionary.
 			plans = plan.CompileAll(requests, defs)
-		case "auto":
-			if h != nil {
-				// Cost-based choice per definition; SPARQL-routed
-				// definitions fall back to the AST walker in-process (the
-				// estimate only favors SPARQL for external endpoints).
-				sp := plan.PlanSchema(h, store.SampleStats(st.Current()), plan.Config{})
-				plans = sp.ProgramSet()
-			} else {
-				plans = plan.CompileAll(requests, nil)
-			}
 		default:
-			return fmt.Errorf("unknown -strategy %q (want auto, plan, direct or sparql)", *strategy)
+			return fmt.Errorf("unknown -strategy %q (want plan, direct or sparql)", *strategy)
 		}
 		x := core.NewExtractor(st.Current().Reader(), defs)
 		extract := root.StartChild("extract")
@@ -452,14 +444,15 @@ func cmdTranslate(args []string) error {
 }
 
 // cmdPlan disassembles the compiled instruction programs of a shapes graph
-// and, when a data graph is given, shows the cost-based planner's strategy
-// decision for each definition against that graph's cardinality stats.
+// and, when a data graph is given, shows per definition whether the
+// program's dense memo fits the budget against that graph's dictionary
+// (plan) or extraction runs on the AST walker (direct).
 func cmdPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	shapesPath := fs.String("shapes", "", "shapes graph (Turtle)")
 	shapeName := fs.String("shape", "", "shape name (default: every definition)")
-	dataPath := fs.String("data", "", "data graph (Turtle); enables strategy decisions")
-	traced := fs.Bool("trace", false, "print the planning span tree (load, stats sampling, planning) to stderr")
+	dataPath := fs.String("data", "", "data graph (Turtle); enables the memo-budget verdicts")
+	traced := fs.Bool("trace", false, "print the span tree (loading shapes and data) to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -476,7 +469,7 @@ func cmdPlan(args []string) error {
 		return err
 	}
 
-	var sp *plan.SchemaPlan
+	dictTerms := -1 // no data graph: no verdicts
 	if *dataPath != "" {
 		loadSp := root.StartChild("load-data")
 		g, err := loadGraph(*dataPath)
@@ -485,17 +478,7 @@ func cmdPlan(args []string) error {
 			return err
 		}
 		store.WarmDictionary(g, h)
-		st, err := store.New(g, store.Config{})
-		if err != nil {
-			return err
-		}
-		statsSp := root.StartChild("sample-stats")
-		stats := store.SampleStats(st.Current())
-		statsSp.End()
-		planSp := root.StartChild("plan-schema")
-		sp = plan.PlanSchema(h, stats, plan.Config{})
-		planSp.SetAttrInt("instructions", int64(sp.ProgramSet().NumInstrs()))
-		planSp.End()
+		dictTerms = g.Dict().Len()
 	}
 	if trace != nil {
 		// The remaining work is the per-definition disassembly loop; the
@@ -508,7 +491,7 @@ func cmdPlan(args []string) error {
 	}
 
 	printed := 0
-	for i, d := range h.Definitions() {
+	for _, d := range h.Definitions() {
 		if *shapeName != "" && d.Name.Value != *shapeName && !strings.HasSuffix(d.Name.Value, *shapeName) {
 			continue
 		}
@@ -517,15 +500,15 @@ func cmdPlan(args []string) error {
 		}
 		printed++
 		fmt.Printf("== %s\n", d.Name)
-		if sp != nil {
-			dec := sp.Decisions[i]
-			fmt.Printf("strategy: %s (%s)\n", dec.Strategy, dec.Reason)
-			fmt.Printf("cost: plan=%.3g direct=%.3g sparql=%.3g memo=%dB\n",
-				dec.CostPlan, dec.CostDirect, dec.CostSPARQL, dec.MemoBytes)
-			fmt.Print(dec.Program)
-			continue
+		prog := plan.Compile(shape.AndOf(d.Shape, d.Target), h)
+		if dictTerms >= 0 {
+			verdict := "direct"
+			if prog.Fits(dictTerms) {
+				verdict = "plan"
+			}
+			fmt.Printf("memo %d B, budget %d B → %s\n", prog.MemoBytes(dictTerms), plan.MemoBudget, verdict)
 		}
-		fmt.Print(plan.Compile(shape.AndOf(d.Shape, d.Target), h))
+		fmt.Print(prog)
 	}
 	if printed == 0 {
 		return fmt.Errorf("no shape named %q in the shapes graph", *shapeName)

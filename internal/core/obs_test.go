@@ -153,11 +153,10 @@ func TestFragmentParallelSpans(t *testing.T) {
 	}
 
 	// Compiled plans + cache: bind child and memo_resets attr appear.
-	sp := plan.PlanSchema(h, store.SampleStats(st.Current()), plan.Config{})
 	trace := obs.NewSpanTrace("extract-test", obs.SpanContext{})
 	_, err = core.NewExtractor(r, h).FragmentParallel(requests, core.ParallelOptions{
 		Workers: 2,
-		Plans:   sp.ProgramSet(),
+		Plans:   plan.CompileAll(requests, h),
 		Cache:   core.NewNeighborhoodCache(1 << 20),
 		Span:    trace.Root(),
 	})

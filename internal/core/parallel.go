@@ -50,11 +50,12 @@ type ParallelOptions struct {
 	// justifications).
 	Recorder AttributionRecorder
 	// Plans, when non-nil, holds compiled instruction programs aligned
-	// with the requests slice (typically SchemaPlan.ProgramSet). A request
-	// with a non-nil program is extracted by the compiled plan instead of
-	// the AST walker — same triples (the parity suites gate byte
-	// identity), dense-memo speed. Nil entries and all requests fall back
-	// to the AST when Recorder is set: plans carry no attribution.
+	// with the requests slice (typically plan.CompileAll over them). A
+	// request whose program Fits the graph's dictionary is extracted by the
+	// compiled plan instead of the AST walker — same triples (the parity
+	// suites gate byte identity), dense-memo speed. Nil entries, programs
+	// over plan.MemoBudget, and all requests when Recorder is set run on
+	// the AST walker: plans carry no attribution.
 	Plans *plan.Set
 	// Span, when non-nil, is the parent span extraction records under (the
 	// serving layer passes the request's "extract" span): the sub-stages
@@ -97,10 +98,11 @@ func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 }
 
 // boundPlans binds the program set against g for one worker, returning a
-// per-request slice of bound programs (nil where the AST path applies, and
-// for a request without focus nodes, which never runs). Each worker binds
-// privately: dense memo rows are single-writer state — and so the "bind"
-// child the binding time accumulates into, given a span, sums over workers.
+// per-request slice of bound programs (nil where the AST path applies: no
+// program, one that does not Fit g's dictionary, or a request without focus
+// nodes, which never runs). Each worker binds privately: dense memo rows are
+// single-writer state — and so the "bind" child the binding time
+// accumulates into, given a span, sums over workers.
 func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) []*plan.Bound {
 	if opts.Plans == nil || opts.Recorder != nil {
 		return nil
@@ -111,11 +113,12 @@ func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) 
 	}
 	bounds := make([]*plan.Bound, len(focus))
 	stop := stopOf(opts.Ctx)
+	dictTerms := g.Dict().Len()
 	for i, p := range opts.Plans.Programs {
 		if i >= len(focus) {
 			break
 		}
-		if p != nil && len(focus[i]) > 0 {
+		if p != nil && len(focus[i]) > 0 && p.Fits(dictTerms) {
 			bounds[i] = p.Bind(g)
 			bounds[i].SetStop(stop)
 		}
@@ -490,6 +493,9 @@ func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, f
 	for i := range requests {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			return nil, opts.Ctx.Err()
+		}
+		if len(focus[i]) == 0 {
+			continue // no unit, as on the parallel path
 		}
 		b := boundAt(bounds, i)
 		begin := spans.begin()

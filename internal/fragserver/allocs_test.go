@@ -96,8 +96,9 @@ func servedBenchmarkSchema(t *testing.T) *schema.Schema {
 // TestUpdateAllocs is the allocation gate of the write path: one effective
 // add and one effective delete of a five-triple review on the giant
 // component, POSTed through Server.Handler() with a subscriber listening —
-// parse, Store.Apply, cache carry, replan, live notify. The bounds are the
-// measured cost of the pair, 1 343 allocations and 517 kB, plus a quarter.
+// parse, Store.Apply, cache carry, live notify. The bounds are the measured
+// cost of the pair when each update also re-planned, 1 343 allocations and
+// 517 kB, plus a quarter; without re-planning it is 1 312 and 463 kB.
 // What they guard is the absence of schema-only work: while every update
 // recomputed the containment classes the same pair cost 6.5M allocations
 // and 362 MB, so any per-update pass over the schema's shapes overshoots

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/paths"
-	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
@@ -138,17 +138,14 @@ func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
 func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 	srv, ts := newCongruentServer(t)
 	classes := srv.ContainmentClasses()
-	var programs []*plan.Program
-	for _, d := range srv.SchemaPlan().Decisions {
-		programs = append(programs, d.Program)
-	}
+	programs := srv.programs
+	compiled := slices.Clone(programs.Programs)
 	_, metrics := get(t, ts, "/metrics")
 	unknown := metricValue(t, metrics, "fragserver_containment_unknown_total")
 	if unknown != float64(classes.UnknownPairs) {
 		t.Fatalf("fragserver_containment_unknown_total = %v at load, want %d", unknown, classes.UnknownPairs)
 	}
 
-	before := srv.SchemaPlan()
 	for i := 0; i < 2; i++ {
 		event := "<" + datagen.NS + "event/new-" + strconv.Itoa(i) + ">"
 		resp, body := post(t, ts, "/update", event+" a <"+datagen.ClassEvent.Value+"> ; <"+datagen.PropName+"> \"new\"@en .")
@@ -156,14 +153,14 @@ func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 			t.Fatalf("POST /update: %d %s", resp.StatusCode, body)
 		}
 	}
-	if srv.SchemaPlan() == before {
-		t.Fatal("an effective update did not re-decide the plan")
-	}
 	if got := srv.ContainmentClasses(); got != classes {
 		t.Errorf("containment classes were rebuilt by /update: %p, was %p", got, classes)
 	}
-	for i, d := range srv.SchemaPlan().Decisions {
-		if d.Program != programs[i] {
+	if srv.programs != programs {
+		t.Errorf("the program set was replaced by /update: %p, was %p", srv.programs, programs)
+	}
+	for i, p := range srv.programs.Programs {
+		if p != compiled[i] {
 			t.Errorf("definition %d was recompiled by /update", i)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"shaclfrag/internal/obs"
-	"shaclfrag/internal/plan"
 	"shaclfrag/internal/shapelint"
 )
 
@@ -34,7 +33,6 @@ const (
 	mStoreShards     = "fragserver_store_shards"
 	mCrossShard      = "fragserver_store_cross_shard_resolutions_total"
 	mPlannerShapes   = "fragserver_planner_strategy_shapes"
-	mPlannerEpoch    = "fragserver_planner_stats_epoch"
 	mPlanInstrs      = "fragserver_plan_instructions"
 	mPlanMemoBytes   = "fragserver_plan_memo_bytes"
 	mContainHits     = "fragserver_containment_hits_total"
@@ -83,7 +81,7 @@ func normalizeRoute(path string) string {
 // histograms keeps the hot path free of registry lookups.
 var stageNames = []string{
 	"parse", "target", "extract", "serialize", "validate", "nnf", "merge",
-	"apply", "replan", "notify", "scatter", "gather",
+	"apply", "notify", "scatter", "gather",
 }
 
 // serverMetrics owns the server's registry plus the pre-created hot-path
@@ -237,46 +235,30 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Reverse-index results resolved from a shard other than the queried node's own.",
 		func() float64 { return float64(s.store.CrossShardResolutions()) })
 
-	// Strategy-planner series, sampled from the current plan at scrape
-	// time. The plan is re-derived per effective update, so the stats
-	// epoch lagging fragserver_epoch means an update raced the scrape.
-	for _, strat := range []plan.Strategy{plan.StrategyPlan, plan.StrategyDirect, plan.StrategySPARQL} {
-		strat := strat
-		reg.GaugeFunc(mPlannerShapes,
-			"Shape definitions routed to each extraction strategy by the cost-based planner.",
-			func() float64 {
-				if sp := s.splan.Load(); sp != nil {
-					return float64(sp.Counts()[strat])
-				}
-				return 0
-			}, obs.L("strategy", strat.String()))
+	// Compiled-plan series, evaluated at scrape time against the current
+	// snapshot's dictionary: a program that Fits runs on plans, one over
+	// plan.MemoBudget on the AST walker ("direct").
+	fitting := func() (n int, memo int64) {
+		terms := s.store.Current().Reader().Dict().Len()
+		for _, p := range s.programs.Programs {
+			if p.Fits(terms) {
+				n++
+				memo += p.MemoBytes(terms)
+			}
+		}
+		return n, memo
 	}
-	reg.GaugeFunc(mPlannerEpoch,
-		"Store epoch whose cardinality stats produced the current strategy plan.",
-		func() float64 {
-			if sp := s.splan.Load(); sp != nil {
-				return float64(sp.Stats.Epoch)
-			}
-			return 0
-		})
+	const shapesHelp = "Shape definitions whose compiled program fits the memo budget (plan) or not (direct), against the current snapshot."
+	reg.GaugeFunc(mPlannerShapes, shapesHelp,
+		func() float64 { n, _ := fitting(); return float64(n) }, obs.L("strategy", "plan"))
+	reg.GaugeFunc(mPlannerShapes, shapesHelp,
+		func() float64 { n, _ := fitting(); return float64(len(s.programs.Programs) - n) }, obs.L("strategy", "direct"))
 	reg.GaugeFunc(mPlanInstrs,
-		"Compiled plan instructions live across plan-routed definitions.",
-		func() float64 { return float64(s.planSet.Load().NumInstrs()) })
+		"Compiled plan instructions across the schema's programs.",
+		func() float64 { return float64(s.programs.NumInstrs()) })
 	reg.GaugeFunc(mPlanMemoBytes,
-		"Dense memo bytes one worker binding every plan-routed program would pin.",
-		func() float64 {
-			sp := s.splan.Load()
-			if sp == nil {
-				return 0
-			}
-			var total int64
-			for _, d := range sp.Decisions {
-				if d.Strategy == plan.StrategyPlan {
-					total += d.MemoBytes
-				}
-			}
-			return float64(total)
-		})
+		"Dense memo bytes one worker binding every program that fits the budget would pin.",
+		func() float64 { _, memo := fitting(); return float64(memo) })
 
 	// Lint findings are fixed at load time, so the per-severity gauges are
 	// set once. All three severities are always exported: a zero is the

@@ -37,7 +37,7 @@
 //
 // Every request records one thing: an obs.SpanTrace the middleware roots
 // and carries in the request context. Handlers open a child span per
-// stage (parse → target → extract → serialize; apply → replan → notify on
+// stage (parse → target → extract → serialize; parse → apply → notify on
 // the write path), and core.FragmentParallel grows the extract span —
 // its nnf/merge (scatter/gather when sharded) sub-stages, per-shard
 // accumulators and the plan-exec breakdown — through ParallelOptions.Span.
@@ -218,22 +218,11 @@ type Server struct {
 	// cache keys.
 	requests []shape.Shape
 
-	// compiled holds the schema's programs and the rest of the planner's
-	// graph-independent input, built once in New. splan is the cost-based
-	// strategy plan over them, aligned with requests: it is re-decided
-	// against fresh cardinality stats after every effective update (replan)
-	// and swapped atomically; /fragment reads whichever plan is current.
-	// SPARQL-routed definitions fall back to the AST walker here — the
-	// server has no per-definition SPARQL execution path, and the estimate
-	// only picks SPARQL when an external endpoint would run the query.
-	compiled *plan.Compiled
-	splan    atomic.Pointer[plan.SchemaPlan]
-	// planSet caches splan's ProgramSet (nil entries for non-plan
-	// strategies), swapped together with splan. planMu orders the swaps:
-	// updates replan outside the store's writer lock, so of two racing
-	// replans only the one for the newer epoch (splan's Stats.Epoch) stays.
-	planSet atomic.Pointer[plan.Set]
-	planMu  sync.Mutex
+	// programs holds one compiled program per request, aligned with
+	// requests. It depends on the schema alone, so New compiles it once;
+	// whether a program is bound is decided per extraction, against the
+	// dictionary of the snapshot the request pinned (plan.Program.Fits).
+	programs *plan.Set
 
 	// defShapes holds every definition's raw shape in definition order: the
 	// keys /node caches neighborhoods under, and its work list when no
@@ -360,7 +349,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pins.refs = make(map[uint64]int)
 	s.staleFloor.Store(s.store.Current().Epoch())
-	s.compiled = plan.CompileSchema(cfg.Schema)
+	s.programs = plan.CompileAll(s.requests, cfg.Schema)
 	for _, d := range cfg.Schema.Definitions() {
 		s.defShapes = append(s.defShapes, d.Shape)
 	}
@@ -376,21 +365,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	logger.Info("containment classes", "classes", cl.NumClasses, "shared", cl.Shared,
 		"unknown_pairs", cl.UnknownPairs, "dur_ms", float64(time.Since(start).Microseconds())/1000)
-	s.replan(s.store.Current(), nil)
 	s.hb = cfg.Heartbeat
 	if s.hb <= 0 {
 		s.hb = 15 * time.Second
 	}
 	s.live = live.NewMaintainer(live.Config{
-		Schema:   cfg.Schema,
-		Requests: s.requests,
-		Cache:    s.cache,
-		Plans: func(def int) *plan.Program {
-			if set := s.planSet.Load(); set != nil && def < len(set.Programs) {
-				return set.Programs[def]
-			}
-			return nil
-		},
+		Schema:         cfg.Schema,
+		Requests:       s.requests,
+		Cache:          s.cache,
+		Plans:          func(def int) *plan.Program { return s.programs.Programs[def] },
 		Replay:         cfg.SubscribeReplay,
 		Queue:          cfg.SubscribeQueue,
 		MaxSubscribers: cfg.MaxSubscribers,
@@ -408,42 +391,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replan re-decides the strategy plan against cardinality stats sampled
-// from snap and publishes it unless a newer epoch's plan already is.
-// Called at load and after every effective update: stats shift with the
-// data, and with them the per-definition plan-vs-direct choice and the
-// memo-budget veto. Everything that depends on the schema alone — the
-// programs (s.compiled; a program pointer identifies a definition across
-// epochs), the containment classes, the cache's alias map — was built in
-// New. parent (nil at load) receives the plan-size attributes.
-func (s *Server) replan(snap store.Snapshot, parent *obs.Span) {
-	sp := s.compiled.Decide(store.SampleStats(snap), plan.Config{})
-	set := sp.ProgramSet()
-	parent.SetAttrInt("instructions", int64(set.NumInstrs()))
-	parent.SetAttrInt("shapes", int64(len(sp.Decisions)))
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	if cur := s.splan.Load(); cur == nil || cur.Stats.Epoch < sp.Stats.Epoch {
-		s.splan.Store(sp)
-		s.planSet.Store(set)
-	}
-}
-
-// SchemaPlan returns the current strategy plan (never nil after New).
-func (s *Server) SchemaPlan() *plan.SchemaPlan { return s.splan.Load() }
-
 // ContainmentClasses returns the cache-sharing equivalence-class table:
 // one value for the server's lifetime (never nil after New).
 func (s *Server) ContainmentClasses() *contain.Classes { return s.classes }
 
-// plansFor slices the current program set to one request window of
-// s.requests — the alignment core.ParallelOptions.Plans expects.
+// plansFor slices the program set to one request window of s.requests —
+// the alignment core.ParallelOptions.Plans expects.
 func (s *Server) plansFor(lo, hi int) *plan.Set {
-	set := s.planSet.Load()
-	if set == nil {
-		return nil
-	}
-	return &plan.Set{Programs: set.Programs[lo:hi]}
+	return &plan.Set{Programs: s.programs.Programs[lo:hi]}
 }
 
 // Handler returns the server's handler tree (routes plus timeout, limiter

@@ -28,7 +28,7 @@ var logStageField = regexp.MustCompile(`(\w+)_ms=`)
 func TestStageNamesPerRoute(t *testing.T) {
 	const addBody = "<" + datagen.NS + "lodging/0> <" + datagen.NS + "name> \"pinned\" .\n"
 	read := func(names ...string) []string { return names }
-	update := read("apply", "notify", "parse", "replan")
+	update := read("apply", "notify", "parse")
 	produced := map[string]bool{}
 	for _, shards := range []int{1, 3} {
 		fragment := read("extract", "merge", "nnf", "target")

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -273,8 +274,8 @@ func TestStatsTracesLine(t *testing.T) {
 }
 
 // TestUpdateTraceSpans checks the write path's span tree: a sampled
-// POST /update shows parse, apply (with effective-delta attributes), and
-// a replan that is only the planner — no schema-only work under it.
+// POST /update shows parse, apply (with effective-delta attributes) and
+// notify, and nothing else.
 func TestUpdateTraceSpans(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{TraceSample: 1, Logger: quietLogger()})
 	resp, body := post(t, ts, "/update", lineAE)
@@ -303,19 +304,9 @@ func TestUpdateTraceSpans(t *testing.T) {
 	if added != 1 {
 		t.Errorf("apply span added attr = %d, want 1", added)
 	}
-	replan := spanByName(root, "replan")
-	if replan == nil {
-		t.Fatalf("effective update has no replan span; have %v", names(root))
-	}
-	if kids := names(replan); len(kids) != 0 {
-		t.Errorf("replan span has children %v; containment classes are computed in New, not per update", kids)
-	}
-	attrs := map[string]int64{}
-	for _, a := range replan.Attrs() {
-		attrs[a.Key] = a.Int
-	}
-	if attrs["instructions"] == 0 || attrs["shapes"] == 0 {
-		t.Errorf("replan span attrs = %v, want instructions and shapes", attrs)
+	// Nothing is planned per epoch: programs are compiled once, in New.
+	if got, want := names(root), []string{"parse", "apply", "notify"}; !slices.Equal(got, want) {
+		t.Errorf("update trace children %v, want %v", got, want)
 	}
 }
 

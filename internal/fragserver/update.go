@@ -107,16 +107,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	apply.End()
 
 	if res.Changed {
-		// Re-plan against the new epoch's cardinalities: the strategy
-		// choices and the memo-budget veto track the data they price.
-		replan := root.StartChild("replan")
-		s.replan(res.Snapshot, replan)
-		replan.End()
 		// Advance incremental fragment maintenance and fan deltas out to
-		// /subscribe streams. Runs after replan so re-extraction follows
-		// the new epoch's compiled plans, and synchronously in the update
-		// path so heavy subscription load backpressures writers instead
-		// of accumulating an unbounded notification backlog.
+		// /subscribe streams. Runs synchronously in the update path so
+		// heavy subscription load backpressures writers instead of
+		// accumulating an unbounded notification backlog.
 		notify := root.StartChild("notify")
 		ls := s.live.Notify(res, notify)
 		notify.End()

@@ -383,28 +383,3 @@ func TestTimeoutReleasesLimiterSlot(t *testing.T) {
 		t.Fatalf("post-timeout /healthz: %d", resp.StatusCode)
 	}
 }
-
-// TestReplanMonotonicInEpoch pins the order of plan publication: updates
-// replan outside the store's writer lock, so the older of two racing
-// epochs can reach replan last — it must not overwrite the newer plan.
-func TestReplanMonotonicInEpoch(t *testing.T) {
-	srv, _ := newUpdateTestServer(t, Config{})
-	older := srv.store.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("a", "e")}}).Snapshot
-	newer := srv.store.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("a", "f")}}).Snapshot
-	if newer.Epoch() != older.Epoch()+1 {
-		t.Fatalf("epochs %d, %d: want consecutive", older.Epoch(), newer.Epoch())
-	}
-	loaded := srv.SchemaPlan()
-	srv.replan(newer, nil)
-	want := srv.SchemaPlan()
-	if want == loaded {
-		t.Fatal("replan for a newer epoch did not publish")
-	}
-	srv.replan(older, nil)
-	if got := srv.SchemaPlan(); got != want {
-		t.Errorf("replan for epoch %d replaced the plan of epoch %d", older.Epoch(), newer.Epoch())
-	}
-	if got := srv.SchemaPlan().Stats.Epoch; got != newer.Epoch() {
-		t.Errorf("published plan prices epoch %d, want %d", got, newer.Epoch())
-	}
-}

@@ -27,9 +27,10 @@ type atomicPath struct {
 //
 // Memory: the memo and visited rows cost about 2 bytes × instructions ×
 // dictionary terms once every instruction has been touched. MemoBytes
-// reports the full-population bound; the strategy planner refuses plans
-// whose bound exceeds its budget and falls back to the AST walker. The rows
-// come from a process-wide pool; Release hands them back.
+// reports the full-population bound, and a binder binds only a program that
+// Fits the graph's dictionary — otherwise that request runs on the AST
+// walker, whose memo grows with the nodes visited. The rows come from a
+// process-wide pool; Release hands them back.
 type Bound struct {
 	prog *Program
 	g    rdfgraph.Reader
@@ -163,11 +164,22 @@ func (b *Bound) Graph() rdfgraph.Reader { return b.g }
 // Program returns the compiled program.
 func (b *Bound) Program() *Program { return b.prog }
 
+// MemoBudget bounds the dense memo memory one bound program may pin (per
+// worker — every worker binds its own).
+const MemoBudget = 64 << 20
+
 // MemoBytes estimates the fully-populated dense-array footprint of binding
 // p to a dictionary of dictTerms entries: memo plus visited rows for every
-// instruction. The planner compares this against its memory budget.
+// instruction.
 func (p *Program) MemoBytes(dictTerms int) int64 {
 	return 2 * int64(len(p.Instrs)) * int64(dictTerms)
+}
+
+// Fits reports whether binding p to a dictionary of dictTerms entries stays
+// within MemoBudget — the one check every binder (core.FragmentParallel,
+// live.Maintainer) makes, against the snapshot the work runs on.
+func (p *Program) Fits(dictTerms int) bool {
+	return p.MemoBytes(dictTerms) <= MemoBudget
 }
 
 // rowPool recycles memo and visited rows across Bounds: a request binds

@@ -40,8 +40,8 @@ func (b *Bound) ResetVisited() {
 
 // trace unions graph(paths(E, G, v, targets)) into out for a path slot:
 // the plan-level equivalent of core.Extractor.addTrace without attribution
-// (plans carry no recorder; the planner falls back to the AST extractor
-// when attribution is requested).
+// (plans carry no recorder; core runs the AST extractor when attribution
+// is requested).
 func (b *Bound) trace(slot int32, v rdfgraph.ID, targets []rdfgraph.ID, out *rdfgraph.IDTripleSet) {
 	if len(targets) == 0 {
 		return

@@ -10,6 +10,7 @@ import (
 
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
+	"shaclfrag/internal/obs"
 	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
@@ -138,33 +139,75 @@ func TestPlanFragmentParity(t *testing.T) {
 	}
 }
 
-// TestPlannerFragmentParity runs the same corpus through the cost-based
-// planner's mixed program set (nil entries fall back to the AST walker) —
-// the exact configuration fragserver serves with.
+// servedParityCase is the benchmark schema as fragserver is handed it: a
+// Turtle round trip through shaclsyn, which turns every nested shape into a
+// definition of its own named _:fN.
+func servedParityCase(t *testing.T) parityCase {
+	t.Helper()
+	src, err := shaclsyn.Format(datagen.BenchmarkSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := shaclsyn.ParseSchema(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parityCase{name: "served", g: datagen.Tyrol(datagen.TyrolConfig{Individuals: 250, Seed: 11}), h: h}
+}
+
+// TestPlannerFragmentParity runs the corpus and the served benchmark schema
+// the way fragserver serves them: CompileAll once, then FragmentParallel at
+// shards 1/4 with every program bound — each fits the budget here, and no
+// work unit runs on the AST walker.
 func TestPlannerFragmentParity(t *testing.T) {
-	for _, tc := range exampleParityCases(t) {
+	for _, tc := range append(exampleParityCases(t), servedParityCase(t)) {
 		t.Run(tc.name, func(t *testing.T) {
 			store.WarmDictionary(tc.g, tc.h)
 			want := turtle.FormatNTriples(core.FragmentSchema(tc.g, tc.h))
 			requests := core.SchemaRequests(tc.h)
-			st, err := store.New(tc.g, store.Config{Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp := plan.PlanSchema(tc.h, store.SampleStats(st.Current()), plan.Config{})
-			x := core.NewExtractor(st.Current().Reader(), tc.h)
-			frag, err := x.FragmentParallel(requests, core.ParallelOptions{
-				Workers: 4,
-				Plans:   sp.ProgramSet(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := turtle.FormatNTriples(frag); got != want {
-				t.Errorf("planner-routed fragment differs from AST (%d vs %d bytes)", len(got), len(want))
+			plans := plan.CompileAll(requests, tc.h)
+			for _, shards := range []int{1, 4} {
+				st, err := store.New(tc.g, store.Config{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := st.Current().Reader()
+				for i, p := range plans.Programs {
+					if !p.Fits(r.Dict().Len()) {
+						t.Fatalf("definition %d: %d memo bytes over the budget", i, p.MemoBytes(r.Dict().Len()))
+					}
+				}
+				trace := obs.NewSpanTrace("parity", obs.SpanContext{})
+				frag, err := core.NewExtractor(r, tc.h).FragmentParallel(requests, core.ParallelOptions{
+					Workers: 4,
+					Plans:   plans,
+					Span:    trace.Root(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := turtle.FormatNTriples(frag); got != want {
+					t.Errorf("shards=%d: plan fragment differs from AST (%d vs %d bytes)", shards, len(got), len(want))
+				}
+				if spanNamed(trace.Root(), "ast-exec") {
+					t.Errorf("shards=%d: a work unit ran on the AST walker", shards)
+				}
 			}
 		})
 	}
+}
+
+// spanNamed reports whether sp or a span below it is called name.
+func spanNamed(sp *obs.Span, name string) bool {
+	if sp.Name() == name {
+		return true
+	}
+	for _, c := range sp.Children() {
+		if spanNamed(c, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestGoldenWorkshopPlan pins the compiled plan text for the workshop

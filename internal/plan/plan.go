@@ -21,12 +21,9 @@
 // instructions instead of AST nodes and is byte-for-byte identical to
 // core.Extractor — property-tested and gated in the parity suites.
 //
-// The package also houses the cost-based strategy planner (planner.go)
-// that decides, per shape definition, whether extraction should run on the
-// compiled plan, the AST walker, or the SPARQL translation — replacing the
-// old boolean strategy flag with a decision informed by shapelint's
-// expensive-path analysis and cardinality statistics sampled from the
-// store snapshot.
+// There is no strategy choice beyond memory: a program is bound only if its
+// dense rows Fit MemoBudget against the dictionary of the snapshot it runs
+// on, and otherwise that request runs on the AST walker (Program.Fits).
 package plan
 
 import (
@@ -355,8 +352,7 @@ func (p *Program) String() string {
 }
 
 // Set is a group of programs compiled against one schema, one per request
-// shape, in request order. Entries may be nil for requests the caller
-// decided to evaluate another way.
+// shape, in request order. A nil entry runs its request on the AST walker.
 type Set struct {
 	Programs []*Program
 }

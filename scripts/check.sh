@@ -23,6 +23,19 @@ $GO vet ./...
 echo "== go build"
 $GO build ./...
 
+echo "== bench-only adapters have no other callers"
+# plan.PlanSchema, plan.Config, store.SampleStats and store.CardStats (and the
+# ProgramSet method PlanSchema's result is read through) exist only so the
+# frozen bench/ module compiles. The benchmark PR (ROADMAP item 1) deletes
+# them by editing bench/ alone, which works only while nothing else
+# references them.
+if callers=$(grep -rnE '\b(plan\.(PlanSchema|Config)|store\.(SampleStats|CardStats))\b|\.ProgramSet\(' --include='*.go' . |
+    grep -v -e '^\./bench/' -e '^\./\.bench_build/' -e '^\./internal/plan/benchadapter\.go:' -e '^\./internal/store/stats\.go:'); then
+    echo "bench-only adapters referenced outside bench/:" >&2
+    echo "$callers" >&2
+    exit 1
+fi
+
 echo "== serving benchmark compiles (bench/ is a nested module)"
 # Root `go build ./... && go test ./...` never sees bench/, and the
 # benchmark is frozen: an internal-API change that breaks it must fail
