@@ -75,7 +75,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log encoding: text or json (applies to access and lifecycle logs alike)")
 	allowLintErrors := flag.Bool("allow-lint-errors", false, "serve schemas that shapelint flags with error-severity findings")
 	noExplain := flag.Bool("no-explain", false, "disable the /explain route")
-	attrSample := flag.Int("attribution-sample", 0, "attribute 1 in N extraction requests into the fragserver_attribution_* counters (0 disables; sampled requests bypass the neighborhood cache)")
 	maxUpdateBytes := flag.Int64("max-update-bytes", 8<<20, "largest delta body POST /update accepts")
 	maxSubscribers := flag.Int("max-subscribers", 4096, "maximum concurrently open /subscribe streams")
 	subQueue := flag.Int("subscribe-queue", 32, "per-subscriber event buffer; a subscriber whose buffer overflows is evicted")
@@ -100,24 +99,23 @@ func main() {
 	}
 
 	srv, err := fragserver.New(fragserver.Config{
-		Store:             st,
-		Schema:            h,
-		Workers:           *workers,
-		MaxInflight:       *maxInflight,
-		RequestTimeout:    *timeout,
-		CacheTriples:      *cacheTriples,
-		Logger:            logger,
-		AllowLintErrors:   *allowLintErrors,
-		DisableExplain:    *noExplain,
-		AttributionSample: *attrSample,
-		MaxUpdateBytes:    *maxUpdateBytes,
-		MaxSubscribers:    *maxSubscribers,
-		SubscribeQueue:    *subQueue,
-		SubscribeReplay:   *subReplay,
-		Heartbeat:         *heartbeat,
-		TraceSample:       *traceSample,
-		TraceBuffer:       *traceBuffer,
-		SlowRequest:       *slowRequest,
+		Store:           st,
+		Schema:          h,
+		Workers:         *workers,
+		MaxInflight:     *maxInflight,
+		RequestTimeout:  *timeout,
+		CacheTriples:    *cacheTriples,
+		Logger:          logger,
+		AllowLintErrors: *allowLintErrors,
+		DisableExplain:  *noExplain,
+		MaxUpdateBytes:  *maxUpdateBytes,
+		MaxSubscribers:  *maxSubscribers,
+		SubscribeQueue:  *subQueue,
+		SubscribeReplay: *subReplay,
+		Heartbeat:       *heartbeat,
+		TraceSample:     *traceSample,
+		TraceBuffer:     *traceBuffer,
+		SlowRequest:     *slowRequest,
 	})
 	if err != nil {
 		fatal(logger, "building server failed", err)

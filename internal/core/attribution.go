@@ -18,7 +18,7 @@ import (
 // whether the rule was a negated-atom row, the focus node the rule fired
 // at, and — for triples pulled in by path tracing — the product-automaton
 // Step the triple rides on. Justification is a comparable value type, so
-// recorders can deduplicate with it as a map key.
+// Explanation deduplicates with it as a map key.
 type Justification struct {
 	// Shape is the innermost named shape definition whose constraint fired,
 	// or the zero Term when extraction started from an anonymous shape.
@@ -35,8 +35,8 @@ type Justification struct {
 	HasStep bool
 }
 
-// Kind returns a bounded label for the constraint operator, suitable as a
-// metric label value: one of ConstraintKinds.
+// Kind returns a bounded label for the constraint operator: one of
+// ConstraintKinds.
 func (j Justification) Kind() string {
 	var k string
 	switch j.Constraint.(type) {
@@ -73,8 +73,8 @@ func (j Justification) Kind() string {
 	return k
 }
 
-// ConstraintKinds enumerates every label Justification.Kind can return, so
-// metric consumers can pre-create one series per kind.
+// ConstraintKinds enumerates every label Justification.Kind can return —
+// the closed set of the kind field /explain reports.
 var ConstraintKinds = []string{
 	"eq", "minCount", "maxCount", "forall",
 	"not_hasShape", "not_eq", "not_disj", "not_lessThan", "not_lessThanEq",
@@ -108,18 +108,9 @@ func (j Justification) Render(g rdfgraph.Reader) string {
 	return b.String()
 }
 
-// AttributionRecorder receives a justification for every triple a Table 2
-// rule emits. Implementations must tolerate duplicate records (the same
-// (triple, justification) pair may be reported from several rule firings)
-// and, when shared across FragmentParallel workers, must be safe for
-// concurrent use. A nil recorder on the extractor disables attribution and
-// keeps the hot path unchanged.
-type AttributionRecorder interface {
-	Record(t rdfgraph.IDTriple, j Justification)
-}
-
-// Explanation is the standard AttributionRecorder: a map from triple to
-// the ordered list of justifications that pulled it into the fragment.
+// Explanation records attribution: a map from triple to the ordered list
+// of justifications that pulled it into the fragment. Every Table 2
+// emission is recorded while Explain, ExplainInto or ExplainFragment runs.
 // Safe for concurrent Record calls; reads are consistent once recording
 // has finished.
 type Explanation struct {
@@ -144,7 +135,7 @@ func NewExplanation(g rdfgraph.Reader) *Explanation {
 	}
 }
 
-// Record implements AttributionRecorder, deduplicating exact repeats.
+// Record adds one justification for t, deduplicating exact repeats.
 func (e *Explanation) Record(t rdfgraph.IDTriple, j Justification) {
 	k := explKey{t: t, j: j}
 	e.mu.Lock()
@@ -243,12 +234,6 @@ func ExplainDiff(a, b *Explanation) []AnnotatedTriple {
 	}
 	return diff
 }
-
-// SetRecorder attaches (or, with nil, detaches) an attribution recorder.
-// With a recorder attached every Table 2 emission is reported alongside the
-// triple; with none the extraction hot path is byte-for-byte the
-// unattributed algorithm.
-func (x *Extractor) SetRecorder(rec AttributionRecorder) { x.rec = rec }
 
 // Explain computes B(v, G, φ) with attribution, returning the explanation.
 // name, when non-zero, labels the top-level shape in every justification

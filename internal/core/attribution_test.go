@@ -24,9 +24,9 @@ func annotatedSet(ex *core.Explanation) map[rdf.Triple]core.AnnotatedTriple {
 	return out
 }
 
-// TestAttributionParityFragment pins the acceptance criterion: with a
-// recorder attached the triples produced are exactly the unattributed
-// fragment, and the explanation covers exactly those triples.
+// TestAttributionParityFragment pins the acceptance criterion: the triples
+// ExplainFragment explains are exactly the unattributed fragment, and each
+// carries at least one justification.
 func TestAttributionParityFragment(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 80, Seed: 11})
 	h := schema.MustNew(datagen.BenchmarkShapes()...)
@@ -44,40 +44,6 @@ func TestAttributionParityFragment(t *testing.T) {
 	}
 	if got := turtle.FormatNTriples(explained); got != want {
 		t.Fatalf("ExplainFragment triple set differs from Fragment (%d vs %d bytes)", len(got), len(want))
-	}
-
-	// The parallel path with a shared recorder agrees too, on the frozen
-	// graph (the serving configuration).
-	g.Freeze()
-	for _, workers := range []int{1, 4} {
-		rec := core.NewExplanation(g)
-		got, err := core.NewExtractor(g, h).FragmentParallel(requests,
-			core.ParallelOptions{Workers: workers, Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if turtle.FormatNTriples(got) != want {
-			t.Errorf("workers=%d: attributed FragmentParallel output differs from Fragment", workers)
-		}
-		if rec.Len() != strings.Count(want, "\n") {
-			t.Errorf("workers=%d: explanation has %d triples, fragment %d",
-				workers, rec.Len(), strings.Count(want, "\n"))
-		}
-	}
-
-	// Recorder + cache: the cache is bypassed, output unchanged.
-	rec := core.NewExplanation(g)
-	cache := core.NewNeighborhoodCache(1 << 20)
-	got, err := core.NewExtractor(g, h).FragmentParallel(requests,
-		core.ParallelOptions{Workers: 2, Recorder: rec, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if turtle.FormatNTriples(got) != want {
-		t.Error("recorder+cache: output differs from Fragment")
-	}
-	if st := cache.Stats(); st.Hits+st.Misses != 0 {
-		t.Errorf("recorder must bypass the cache, saw %d hits %d misses", st.Hits, st.Misses)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"shaclfrag/internal/paths"
+	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/shape"
 )
@@ -296,16 +297,14 @@ func (c *NeighborhoodCache) Len() int {
 // snapshot the extractor's graph belongs to (0 for single-graph callers).
 // For cache hits to occur, φ must be the same Shape value across calls (see
 // NeighborhoodCache on key identity). The returned slice is shared and must
-// not be modified. An attached AttributionRecorder bypasses the cache both
-// ways: a cached neighborhood carries no justifications to replay, and
-// attributed extraction should not displace unattributed entries.
+// not be modified.
 func (x *Extractor) NeighborhoodIDsCached(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, phi shape.Shape) []rdfgraph.IDTriple {
-	if cache != nil && x.rec == nil {
+	if cache != nil {
 		if ts, ok := cache.Get(epoch, v, phi); ok {
 			return ts
 		}
 	}
-	return x.neighborhoodMiss(cache, epoch, v, phi)
+	return x.neighborhoodMiss(cache, epoch, v, phi, x.nnf(phi), nil)
 }
 
 // NeighborhoodsCached appends B(v, G, φ) for every φ of shapes, in order, to
@@ -317,7 +316,6 @@ func (x *Extractor) NeighborhoodIDsCached(cache *NeighborhoodCache, epoch uint64
 // interrupted neighborhood cached. The result may repeat triples that
 // several shapes select.
 func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, shapes []shape.Shape, dst []rdfgraph.IDTriple) (out []rdfgraph.IDTriple, err error) {
-	cached := cache != nil && x.rec == nil
 	stoppable := false // a warm hit runs no search and installs nothing
 	defer func() {
 		if !stoppable {
@@ -336,7 +334,7 @@ func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *Neighborhood
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if cached {
+		if cache != nil {
 			var n int
 			dst, n = cache.getRun(epoch, v, shapes[i:], dst)
 			if i += n; i == len(shapes) {
@@ -347,19 +345,27 @@ func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *Neighborhood
 			stoppable = true
 			x.ev.SetStop(stopOf(ctx))
 		}
-		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i])...)
+		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i], x.nnf(shapes[i]), nil)...)
 	}
 	return dst, nil
 }
 
-// neighborhoodMiss computes B(v, G, φ) and stores it in cache (unless a
-// recorder is attached or cache is nil).
-func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, phi shape.Shape) []rdfgraph.IDTriple {
-	out := rdfgraph.NewIDTripleSet()
-	x.collect(v, x.nnf(phi), out, make(map[VisitKey]struct{}))
-	ts := out.IDTriples()
-	if cache != nil && x.rec == nil {
-		cache.Put(epoch, v, phi, ts)
+// neighborhoodMiss computes B(v, G, request) — nnf is the request's NNF —
+// as an isolated per-node neighborhood: on the bound program b when it is
+// non-nil, on the AST walker otherwise (byte-identical, parity-gated). It
+// stores the result in cache when cache is non-nil; the caller has already
+// missed there.
+func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, request, nnf shape.Shape, b *plan.Bound) []rdfgraph.IDTriple {
+	per := rdfgraph.NewIDTripleSet()
+	if b != nil {
+		b.ResetVisited()
+		b.CollectInto(v, per)
+	} else {
+		x.collect(v, nnf, per, make(map[VisitKey]struct{}))
+	}
+	ts := per.IDTriples()
+	if cache != nil {
+		cache.Put(epoch, v, request, ts)
 	}
 	return ts
 }

@@ -55,9 +55,9 @@ type Extractor struct {
 	negCache map[shape.Shape]shape.Shape
 
 	// rec, when non-nil, receives a Justification for every triple a
-	// Table 2 rule emits (see SetRecorder); nil keeps the hot path free
-	// of attribution work.
-	rec AttributionRecorder
+	// Table 2 rule emits. Only the Explain methods set it, for the length
+	// of one call; nil keeps the hot path free of attribution work.
+	rec *Explanation
 	// curName is the innermost named shape definition currently being
 	// collected, stamped into justifications. Maintained only while rec
 	// is attached.

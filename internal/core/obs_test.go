@@ -61,10 +61,11 @@ func TestCacheEvictionAccounting(t *testing.T) {
 }
 
 // TestFragmentParallelSpans checks the span tree a sampled extraction
-// grows: request-level attributes, exec-breakdown children on the flat
-// and serial paths, and per-shard accumulator spans (with unit counts
-// summing to the total) on the scatter-gather path — all without
-// changing the extracted fragment.
+// grows: request-level attributes, and on a sharded reader the
+// scatter-gather shape — scatter, gather and per-shard accumulator spans
+// with exec-breakdown children and unit counts — at one worker as at
+// four, since both run the same unit loop; all without changing the
+// extracted fragment.
 func TestFragmentParallelSpans(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 60, Seed: 3})
 	h := schema.MustNew(datagen.BenchmarkShapes()[:4]...)
@@ -110,7 +111,7 @@ func TestFragmentParallelSpans(t *testing.T) {
 				workers, len(got), len(want))
 		}
 		root := trace.Root()
-		if w, ok := attrInt(root, "workers"); !ok || (workers == 4 && w != 4) {
+		if w, ok := attrInt(root, "workers"); !ok || w != int64(workers) {
 			t.Errorf("workers=%d: workers attr = %d/%v", workers, w, ok)
 		}
 		if n, ok := attrInt(root, "nodes"); !ok || n == 0 {
@@ -119,36 +120,29 @@ func TestFragmentParallelSpans(t *testing.T) {
 		if childByName(root, "nnf") == nil {
 			t.Errorf("workers=%d: no nnf child span", workers)
 		}
-		exec := childByName(root, "ast-exec")
-		if workers > 1 {
-			// Sharded reader + >1 worker: scatter-gather with shard spans.
-			var unitTotal, rootUnits int64
-			for i := 0; i < 3; i++ {
-				sh := childByName(root, fmt.Sprintf("shard[%d]", i))
-				if sh == nil {
-					t.Fatalf("workers=%d: missing shard[%d] span; tree:\n%s", workers, i, treeOf(trace))
-				}
-				if sh.Duration() <= 0 {
-					t.Errorf("shard[%d] accumulated no time", i)
-				}
-				u, _ := attrInt(sh, "units")
-				unitTotal += u
-				if childByName(sh, "ast-exec") == nil {
-					t.Errorf("shard[%d] has no exec breakdown child", i)
-				}
+		var unitTotal int64
+		for i := 0; i < 3; i++ {
+			sh := childByName(root, fmt.Sprintf("shard[%d]", i))
+			if sh == nil {
+				t.Fatalf("workers=%d: missing shard[%d] span; tree:\n%s", workers, i, treeOf(trace))
 			}
-			if unitTotal == 0 {
-				t.Error("per-shard unit counts sum to zero")
+			if sh.Duration() <= 0 {
+				t.Errorf("workers=%d: shard[%d] accumulated no time", workers, i)
 			}
-			rootUnits, _ = attrInt(root, "shards")
-			if rootUnits != 3 {
-				t.Errorf("shards attr = %d, want 3", rootUnits)
+			u, _ := attrInt(sh, "units")
+			unitTotal += u
+			if childByName(sh, "ast-exec") == nil {
+				t.Errorf("workers=%d: shard[%d] has no exec breakdown child", workers, i)
 			}
-			if childByName(root, "scatter") == nil || childByName(root, "gather") == nil {
-				t.Errorf("workers=%d: scatter/gather spans missing; tree:\n%s", workers, treeOf(trace))
-			}
-		} else if exec == nil {
-			t.Errorf("workers=1: no ast-exec child; tree:\n%s", treeOf(trace))
+		}
+		if unitTotal == 0 {
+			t.Errorf("workers=%d: per-shard unit counts sum to zero", workers)
+		}
+		if n, _ := attrInt(root, "shards"); n != 3 {
+			t.Errorf("workers=%d: shards attr = %d, want 3", workers, n)
+		}
+		if childByName(root, "scatter") == nil || childByName(root, "gather") == nil {
+			t.Errorf("workers=%d: scatter/gather spans missing; tree:\n%s", workers, treeOf(trace))
 		}
 	}
 
@@ -183,9 +177,8 @@ func treeOf(trace *obs.SpanTrace) string {
 
 // TestFragmentParallelTracer checks that extraction records its nnf and
 // merge sub-stages as children of the span it is handed — the spans the
-// server reads its stage timings from — for both the parallel and the
-// serial path (which unions nothing), without changing the extracted
-// fragment.
+// server reads its stage timings from — at one worker and at four, without
+// changing the extracted fragment.
 func TestFragmentParallelTracer(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 60, Seed: 3})
 	h := schema.MustNew(datagen.BenchmarkShapes()[:4]...)
@@ -217,7 +210,7 @@ func TestFragmentParallelTracer(t *testing.T) {
 		if !stages["nnf"] {
 			t.Errorf("workers=%d: nnf stage not traced; tree:\n%s", workers, treeOf(trace))
 		}
-		if workers > 1 && !stages["merge"] {
+		if !stages["merge"] {
 			t.Errorf("workers=%d: merge stage not traced; tree:\n%s", workers, treeOf(trace))
 		}
 	}

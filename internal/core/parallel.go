@@ -22,8 +22,8 @@ import (
 // ParallelOptions configures FragmentParallel.
 type ParallelOptions struct {
 	// Workers is the number of extraction goroutines; <= 0 means
-	// runtime.GOMAXPROCS(0). One worker degrades to the serial algorithm on
-	// the calling extractor.
+	// runtime.GOMAXPROCS(0). One worker runs the same unit loop on the
+	// calling goroutine and the calling extractor.
 	Workers int
 	// Cache, when non-nil, serves per-(node, request) neighborhoods from
 	// memory and stores misses. Caching switches accumulation from shared
@@ -41,21 +41,12 @@ type ParallelOptions struct {
 	// snapshot are never served for another (see store.Store). Leave
 	// zero when serving a single graph that never updates.
 	Epoch uint64
-	// Recorder, when non-nil, receives a (triple, justification) record for
-	// every Table 2 emission — typically an *Explanation. It is shared
-	// across workers, so it must be safe for concurrent use (Explanation
-	// is). A nil recorder keeps the hot path free of attribution work and
-	// the output byte-identical to the unattributed algorithm. A non-nil
-	// recorder bypasses Cache (cached neighborhoods carry no
-	// justifications).
-	Recorder AttributionRecorder
 	// Plans, when non-nil, holds compiled instruction programs aligned
 	// with the requests slice (typically plan.CompileAll over them). A
 	// request whose program Fits the graph's dictionary is extracted by the
 	// compiled plan instead of the AST walker — same triples (the parity
-	// suites gate byte identity), dense-memo speed. Nil entries, programs
-	// over plan.MemoBudget, and all requests when Recorder is set run on
-	// the AST walker: plans carry no attribution.
+	// suites gate byte identity), dense-memo speed. Nil entries and
+	// programs over plan.MemoBudget run on the AST walker.
 	Plans *plan.Set
 	// Span, when non-nil, is the parent span extraction records under (the
 	// serving layer passes the request's "extract" span): the sub-stages
@@ -64,9 +55,9 @@ type ParallelOptions struct {
 	// as stages; "bind" for plan binding; per-shard "shard[i]"
 	// accumulators on the scatter-gather path with "plan-exec"/"ast-exec"
 	// breakdown children, and the same exec breakdown directly under Span
-	// on the flat and serial paths — plus instructions / memo_resets /
-	// units / workers attributes. A nil Span (the CLI, benchmarks) keeps
-	// the hot path free of any timing.
+	// on the flat path — plus instructions / memo_resets / units / workers
+	// attributes. A nil Span (the CLI, benchmarks) keeps the hot path free
+	// of any timing.
 	Span *obs.Span
 }
 
@@ -104,7 +95,7 @@ func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 // single-writer state — and so the "bind" child the binding time
 // accumulates into, given a span, sums over workers.
 func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) []*plan.Bound {
-	if opts.Plans == nil || opts.Recorder != nil {
+	if opts.Plans == nil {
 		return nil
 	}
 	var begin time.Time
@@ -152,7 +143,7 @@ func boundAt(bounds []*plan.Bound, req int) *plan.Bound {
 // methods no-op (one branch) without a parent span.
 type workerSpanState struct {
 	parent *obs.Span   // span exec breakdown children accumulate under
-	shards []*obs.Span // per-shard accumulators, nil on flat/serial paths
+	shards []*obs.Span // per-shard accumulators, nil on the flat path
 }
 
 // begin returns the unit start time, zero without a parent span —
@@ -215,7 +206,7 @@ func spanAttrs(opts ParallelOptions, workers, nreq, nnodes int) {
 	sp.SetAttrInt("workers", int64(workers))
 	sp.SetAttrInt("requests", int64(nreq))
 	sp.SetAttrInt("nodes", int64(nnodes))
-	if opts.Plans != nil && opts.Recorder == nil {
+	if opts.Plans != nil {
 		sp.SetAttrInt("instructions", int64(opts.Plans.NumInstrs()))
 	}
 }
@@ -286,9 +277,6 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	focus, all, total := x.focusNodes(nnfs)
 	nnfSpan.End()
 	spanAttrs(opts, workers, len(requests), total)
-	if workers == 1 || total == 0 {
-		return x.fragmentSerial(requests, nnfs, focus, opts)
-	}
 
 	// A sharded reader (store.ShardedGraph) gets scatter-gather scheduling:
 	// the work list is grouped by owner shard, so consecutive units hit the
@@ -305,7 +293,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	}
 	mergeStage := "merge"
 	var units []unit
-	cached := opts.Cache != nil && opts.Recorder == nil // as extractRange decides
+	cached := opts.Cache != nil
 	if sharded {
 		mergeStage = "gather"
 		scatterSpan := opts.Span.StartChild("scatter")
@@ -333,7 +321,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 		}
 	}
 	if workers > len(units) {
-		workers = len(units) // an idle worker would still bind every plan
+		workers = max(len(units), 1) // an idle worker would still bind every plan
 	}
 
 	// Per-shard accumulator spans: workers Add each unit's wall time to
@@ -353,46 +341,59 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	var next atomic.Int64
 	var cancelled atomic.Bool
 	var panicked atomic.Pointer[PanicError] // the first worker panic
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		out := rdfgraph.NewIDTripleSet()
-		outs[w] = out
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r == paths.ErrStopped {
-					cancelled.Store(true)
-				} else if r != nil {
-					panicked.CompareAndSwap(nil, &PanicError{Value: r, Stack: debug.Stack()})
-				}
-			}()
-			wx := NewExtractor(g, x.ev.Defs)
-			wx.ev.SetStop(stopOf(opts.Ctx))
-			wx.rec = opts.Recorder
-			spans := workerSpanState{parent: opts.Span, shards: shardSpans}
-			bounds := boundPlans(opts, focus, g)
-			defer releaseBounds(bounds)
-			defer spans.done(bounds)
-			visited := make(map[VisitKey]struct{})
-			for {
-				if opts.Ctx != nil && opts.Ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(units) || panicked.Load() != nil {
-					return
-				}
-				u := units[i]
-				b := boundAt(bounds, u.req)
-				begin := spans.begin()
-				wx.extractRange(requests[u.req], nnfs[u.req], b, u.nodes, out, visited, opts.Cache, opts.Epoch)
-				spans.finish(begin, u.shard, b != nil)
+	// work is one worker: it takes units off the shared counter into out
+	// until none are left, opts.Ctx ends or another worker panicked.
+	work := func(wx *Extractor, out *rdfgraph.IDTripleSet) {
+		spans := workerSpanState{parent: opts.Span, shards: shardSpans}
+		bounds := boundPlans(opts, focus, g)
+		defer releaseBounds(bounds)
+		defer spans.done(bounds)
+		visited := make(map[VisitKey]struct{})
+		for {
+			if opts.Ctx != nil && opts.Ctx.Err() != nil {
+				cancelled.Store(true)
+				return
 			}
-		}()
+			i := int(next.Add(1)) - 1
+			if i >= len(units) || panicked.Load() != nil {
+				return
+			}
+			u := units[i]
+			b := boundAt(bounds, u.req)
+			begin := spans.begin()
+			wx.extractRange(requests[u.req], nnfs[u.req], b, u.nodes, out, visited, opts.Cache, opts.Epoch)
+			spans.finish(begin, u.shard, b != nil)
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		// On the calling goroutine and extractor: its evaluator caches keep
+		// accumulating across calls, and a panic reaches the recover above.
+		outs[0] = rdfgraph.NewIDTripleSet()
+		x.ev.SetStop(stopOf(opts.Ctx))
+		defer x.ev.SetStop(nil) // x outlives the call (the server pools it)
+		work(x, outs[0])
+	} else {
+		var wg sync.WaitGroup
+		for w := range outs {
+			out := rdfgraph.NewIDTripleSet()
+			outs[w] = out
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if r := recover(); r == paths.ErrStopped {
+						cancelled.Store(true)
+					} else if r != nil {
+						panicked.CompareAndSwap(nil, &PanicError{Value: r, Stack: debug.Stack()})
+					}
+				}()
+				wx := NewExtractor(g, x.ev.Defs)
+				wx.ev.SetStop(stopOf(opts.Ctx))
+				work(wx, out)
+			}()
+		}
+		wg.Wait()
+	}
 	if pe := panicked.Load(); pe != nil {
 		return nil, pe
 	}
@@ -470,41 +471,6 @@ func (x *Extractor) FragmentSchemaParallel(h *schema.Schema, opts ParallelOption
 	return x.FragmentParallel(SchemaRequests(h), opts)
 }
 
-// fragmentSerial is the one-worker path, run on the calling extractor so
-// its evaluator caches keep accumulating across calls.
-func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, focus [][]rdfgraph.ID, opts ParallelOptions) ([]rdfgraph.IDTriple, error) {
-	if opts.Recorder != nil {
-		prev, prevName := x.rec, x.curName
-		x.rec = opts.Recorder
-		defer func() { x.rec, x.curName = prev, prevName }()
-	}
-	if stop := stopOf(opts.Ctx); stop != nil {
-		// x outlives the call (the server pools it), and its other callers
-		// recover nothing.
-		x.ev.SetStop(stop)
-		defer x.ev.SetStop(nil)
-	}
-	out := rdfgraph.NewIDTripleSet()
-	spans := workerSpanState{parent: opts.Span}
-	bounds := boundPlans(opts, focus, x.ev.G)
-	defer releaseBounds(bounds)
-	defer spans.done(bounds)
-	visited := make(map[VisitKey]struct{})
-	for i := range requests {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			return nil, opts.Ctx.Err()
-		}
-		if len(focus[i]) == 0 {
-			continue // no unit, as on the parallel path
-		}
-		b := boundAt(bounds, i)
-		begin := spans.begin()
-		x.extractRange(requests[i], nnfs[i], b, focus[i], out, visited, opts.Cache, opts.Epoch)
-		spans.finish(begin, 0, b != nil)
-	}
-	return out.Sorted(x.ev.G.Dict()), nil
-}
-
 // extractRange accumulates the neighborhoods of a node range for one
 // request. Without a cache it shares out and visited across the whole range
 // (the fast path, identical to Fragment's inner loop). With a cache it
@@ -514,9 +480,7 @@ func (x *Extractor) fragmentSerial(requests []shape.Shape, nnfs []shape.Shape, f
 // per-node neighborhoods (parity-gated), so cache entries are
 // interchangeable between the two extractors.
 func (x *Extractor) extractRange(request, nnf shape.Shape, b *plan.Bound, nodes []rdfgraph.ID, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}, cache *NeighborhoodCache, epoch uint64) {
-	// A cached neighborhood carries no justifications, so an attached
-	// recorder bypasses the cache: attribution always re-derives.
-	if cache == nil || x.rec != nil {
+	if cache == nil {
 		if b != nil {
 			b.CollectAllInto(nodes, out)
 			return
@@ -531,15 +495,6 @@ func (x *Extractor) extractRange(request, nnf shape.Shape, b *plan.Bound, nodes 
 			out.AddAll(ts)
 			continue
 		}
-		per := rdfgraph.NewIDTripleSet()
-		if b != nil {
-			b.ResetVisited()
-			b.CollectInto(v, per)
-		} else {
-			x.collect(v, nnf, per, make(map[VisitKey]struct{}))
-		}
-		ts := per.IDTriples()
-		cache.Put(epoch, v, request, ts)
-		out.AddSet(per)
+		out.AddAll(x.neighborhoodMiss(cache, epoch, v, request, nnf, b))
 	}
 }

@@ -30,24 +30,13 @@ func (x *Extractor) NodeNeighborhoods(request shape.Shape, b *plan.Bound, nodes 
 	out := make([][]rdfgraph.IDTriple, len(nodes))
 	nnf := x.nnf(request)
 	for i, v := range nodes {
-		if cache != nil && x.rec == nil {
+		if cache != nil {
 			if ts, ok := cache.Get(epoch, v, request); ok {
 				out[i] = ts
 				continue
 			}
 		}
-		per := rdfgraph.NewIDTripleSet()
-		if b != nil {
-			b.ResetVisited()
-			b.CollectInto(v, per)
-		} else {
-			x.collect(v, nnf, per, make(map[VisitKey]struct{}))
-		}
-		ts := per.IDTriples()
-		if cache != nil && x.rec == nil {
-			cache.Put(epoch, v, request, ts)
-		}
-		out[i] = ts
+		out[i] = x.neighborhoodMiss(cache, epoch, v, request, nnf, b)
 	}
 	return out
 }

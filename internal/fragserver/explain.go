@@ -169,52 +169,3 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	enc.SetIndent("", "  ")
 	enc.Encode(resp) //nolint:errcheck — nothing to do about a failed write
 }
-
-// sampleAttribution implements Config.AttributionSample: it returns the
-// shared tally recorder for every Nth extraction request and nil otherwise.
-// Sampled extractions bypass the neighborhood cache (attribution must
-// re-derive), so N trades justification telemetry against cache hit rate.
-func (s *Server) sampleAttribution() core.AttributionRecorder {
-	if s.sampleN <= 0 {
-		return nil
-	}
-	if s.sampleCount.Add(1)%uint64(s.sampleN) != 0 {
-		return nil
-	}
-	s.metrics.sampled.Inc()
-	return s.metrics.tally
-}
-
-// tallyRecorder is the sampling AttributionRecorder: instead of retaining
-// justifications it bumps one counter per constraint kind, giving operators
-// a running profile of *which* Table 2 rules account for served triples.
-// All counters are pre-created, so Record touches only atomics; shape
-// strings are never rendered on this path.
-type tallyRecorder struct {
-	total  *obs.Counter
-	byKind map[string]*obs.Counter
-}
-
-func newTallyRecorder(reg *obs.Registry) *tallyRecorder {
-	t := &tallyRecorder{
-		total: reg.Counter(mAttrJustTotal,
-			"Justifications recorded by sampled attribution, total."),
-		byKind: make(map[string]*obs.Counter, len(core.ConstraintKinds)),
-	}
-	for _, k := range core.ConstraintKinds {
-		t.byKind[k] = reg.Counter(mAttrJustByKind,
-			"Justifications recorded by sampled attribution, by constraint kind.",
-			obs.L("constraint", k))
-	}
-	return t
-}
-
-// Record implements core.AttributionRecorder.
-func (t *tallyRecorder) Record(_ rdfgraph.IDTriple, j core.Justification) {
-	t.total.Inc()
-	if c, ok := t.byKind[j.Kind()]; ok {
-		c.Inc()
-	}
-}
-
-var _ core.AttributionRecorder = (*tallyRecorder)(nil)

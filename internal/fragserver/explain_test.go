@@ -2,12 +2,14 @@ package fragserver
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
 
+	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/schema"
@@ -154,46 +156,71 @@ func TestExplainDisabled(t *testing.T) {
 	}
 }
 
-// TestAttributionSampling: with 1-in-1 sampling every /node and /fragment
-// extraction feeds the tally recorder, the sampled counter moves, the
-// per-kind series appear, served bytes stay identical, and the
-// neighborhood cache is bypassed (zero hits and misses).
-func TestAttributionSampling(t *testing.T) {
-	srv, ts := newExplainServer(t, Config{AttributionSample: 1})
-	unsampledSrv, unsampledTS := newExplainServer(t, Config{})
-
-	for _, path := range []string{
-		"/node?iri=" + url.QueryEscape("http://x/p1") + "&shape=WorkshopShape",
-		"/fragment",
-	} {
-		resp, body := get(t, ts, path)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		_, want := get(t, unsampledTS, path)
-		if body != want {
-			t.Errorf("%s: sampled output differs from unsampled", path)
+// TestExplainAgreesWithNode pins /explain, the one attributed route, to the
+// bytes the serving engines and the neighborhood cache return: for a seeded
+// sample of nodes and every IRI-named definition of the served benchmark
+// schema, the triples /explain?iri=&shape= annotates, written as
+// N-Triples, are the body of /node?iri=&shape= — cold, and again warm, at
+// one and at four shards.
+func TestExplainAgreesWithNode(t *testing.T) {
+	h := servedBenchmarkSchema(t)
+	var named []string
+	for _, d := range h.Definitions() {
+		if d.Name.IsIRI() {
+			named = append(named, d.Name.Value)
 		}
 	}
-
-	_, metrics := get(t, ts, "/metrics")
-	if !strings.Contains(metrics, "fragserver_attribution_sampled_total 2") {
-		t.Error("sampled counter should count both extraction requests")
-	}
-	if !strings.Contains(metrics, `fragserver_attribution_justifications_by_kind_total{constraint="minCount"}`) {
-		t.Error("per-kind justification series missing")
-	}
-	if !strings.Contains(metrics, "fragserver_attribution_justifications_total") {
-		t.Error("total justification series missing")
-	}
-	if st := srv.cache.Stats(); st.Hits+st.Misses != 0 {
-		t.Errorf("sampled extraction must bypass the cache: %+v", st)
-	}
-	_ = unsampledSrv
-
-	// Without sampling the series are absent, not zero.
-	_, metrics = get(t, unsampledTS, "/metrics")
-	if strings.Contains(metrics, "fragserver_attribution_") {
-		t.Error("attribution series must be absent when sampling is off")
+	for _, shards := range []int{1, 4} {
+		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 250, Seed: 11})
+		var iris []string
+		for _, id := range g.NodeIDs() {
+			if term := g.Term(id); term.IsIRI() {
+				iris = append(iris, term.String())
+			}
+		}
+		rng := rand.New(rand.NewSource(27))
+		rng.Shuffle(len(iris), func(i, j int) { iris[i], iris[j] = iris[j], iris[i] })
+		srv, err := New(Config{Graph: g, Schema: h, Shards: shards, Workers: 2, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve := func(target string) string {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: %d %s", target, rec.Code, rec.Body)
+			}
+			return rec.Body.String()
+		}
+		nonEmpty := 0
+		for _, focus := range iris[:16] {
+			for _, name := range named {
+				query := "?iri=" + url.QueryEscape(focus) + "&shape=" + url.QueryEscape(name)
+				var er explainResponse
+				if err := json.Unmarshal([]byte(serve("/explain"+query)), &er); err != nil {
+					t.Fatal(err)
+				}
+				var explained strings.Builder
+				for _, et := range er.Triples {
+					explained.WriteString(et.S + " " + et.P + " " + et.O + " .\n")
+				}
+				for _, state := range []string{"cold", "warm"} {
+					if node := serve("/node" + query); node != explained.String() {
+						t.Fatalf("shards=%d %s %s (%s): /explain annotates\n%s/node serves\n%s",
+							shards, focus, name, state, explained.String(), node)
+					}
+				}
+				if len(er.Triples) > 0 {
+					nonEmpty++
+				}
+			}
+		}
+		t.Logf("shards=%d: %d of %d neighborhoods non-empty", shards, nonEmpty, 16*len(named))
+		if nonEmpty < 16 {
+			t.Fatalf("shards=%d: only %d non-empty neighborhoods compared", shards, nonEmpty)
+		}
+		if st := srv.cache.Stats(); st.Hits == 0 || st.Misses == 0 {
+			t.Fatalf("shards=%d: /node took %d hits and %d misses, want both cold and warm reads", shards, st.Hits, st.Misses)
+		}
 	}
 }

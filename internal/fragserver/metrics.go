@@ -23,9 +23,6 @@ const (
 	mLintFindings    = "fragserver_schema_lint_findings"
 	mExplainTriples  = "fragserver_explain_triples_total"
 	mExplainJust     = "fragserver_explain_justifications_total"
-	mAttrSampled     = "fragserver_attribution_sampled_total"
-	mAttrJustTotal   = "fragserver_attribution_justifications_total"
-	mAttrJustByKind  = "fragserver_attribution_justifications_by_kind_total"
 	mEpoch           = "fragserver_epoch"
 	mUpdateTotal     = "fragserver_update_total"
 	mUpdateTriples   = "fragserver_update_triples_total"
@@ -100,11 +97,9 @@ type serverMetrics struct {
 	reqMu    sync.Mutex
 	requests map[routeStatus]*obs.Counter // created on first use
 
-	// /explain volume and the attribution sampler's tallies.
+	// /explain volume.
 	explainTriples *obs.Counter
 	explainJust    *obs.Counter
-	sampled        *obs.Counter
-	tally          *tallyRecorder // nil unless Config.AttributionSample > 0
 
 	// POST /update outcomes and effective delta volume.
 	updApplied  *obs.Counter
@@ -183,13 +178,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Triples returned by /explain responses.")
 	m.explainJust = reg.Counter(mExplainJust,
 		"Justifications returned by /explain responses.")
-	// The sampler's series exist only when sampling is configured; their
-	// absence tells a scrape the feature is off rather than idle.
-	if s.sampleN > 0 {
-		m.sampled = reg.Counter(mAttrSampled,
-			"Extraction requests that ran with the sampling attribution recorder.")
-		m.tally = newTallyRecorder(reg)
-	}
 
 	// Serving-state and workload gauges are sampled at scrape time from
 	// the server's own structures — no double bookkeeping.

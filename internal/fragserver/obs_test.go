@@ -186,8 +186,8 @@ func TestShedMetric(t *testing.T) {
 
 // TestMetricCatalogMatchesRegistry machine-checks docs/OPERATIONS.md's
 // metric catalog against what servers actually register: a default-config
-// server plus one with several shards and the attribution sampler on,
-// which between them register every family. A registered family missing
+// server plus one with several shards, which between them register every
+// family. A registered family missing
 // from the catalog tables fails, and so does a documented family that
 // neither server registers.
 func TestMetricCatalogMatchesRegistry(t *testing.T) {
@@ -209,7 +209,7 @@ func TestMetricCatalogMatchesRegistry(t *testing.T) {
 	}
 
 	registered := map[string]bool{}
-	for _, cfg := range []Config{{}, {Shards: 4, AttributionSample: 1}} {
+	for _, cfg := range []Config{{}, {Shards: 4}} {
 		cfg.Graph = datagen.Tyrol(datagen.TyrolConfig{Individuals: 30, Seed: 9})
 		cfg.Schema = schema.MustNew(datagen.BenchmarkShapes()[:2]...)
 		cfg.Logger = quietLogger()

@@ -147,13 +147,6 @@ type Config struct {
 	// unattributed routes are unaffected either way: with /explain enabled
 	// but unused, extraction runs the exact unattributed hot path.
 	DisableExplain bool
-	// AttributionSample, when N > 0, runs every Nth /fragment and /node
-	// extraction with a counting attribution recorder, populating the
-	// fragserver_attribution_* series with which constraint kinds account
-	// for served triples. Sampled extractions bypass the neighborhood
-	// cache, so small N trades cache hit rate for telemetry; 0 disables
-	// sampling entirely (the default — zero overhead).
-	AttributionSample int
 	// MaxUpdateBytes bounds the request body accepted by POST /update;
 	// <= 0 means 8 MiB.
 	MaxUpdateBytes int64
@@ -244,9 +237,7 @@ type Server struct {
 	metrics  *serverMetrics
 	draining atomic.Bool // set when graceful shutdown begins; read by /readyz
 
-	explainOff  bool
-	sampleN     int
-	sampleCount atomic.Uint64 // requests seen by the attribution sampler
+	explainOff bool
 
 	// traces is the span-trace ring served on /debug/traces (never nil
 	// after New — with sampling off it only counts drops); traceSample
@@ -341,7 +332,6 @@ func New(cfg Config) (*Server, error) {
 		maxUpdate: maxUpdate,
 
 		explainOff: cfg.DisableExplain,
-		sampleN:    cfg.AttributionSample,
 
 		traces:      obs.NewTraceRegistry(cfg.TraceBuffer),
 		traceSample: cfg.TraceSample,
@@ -674,13 +664,12 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	defer s.release(x)
 	extract := root.StartChild("extract")
 	ids, err := x.FragmentParallelIDs(requests, core.ParallelOptions{
-		Workers:  s.workers,
-		Cache:    s.cache,
-		Epoch:    snap.Epoch(),
-		Ctx:      r.Context(),
-		Recorder: s.sampleAttribution(),
-		Plans:    s.plansFor(lo, hi),
-		Span:     extract,
+		Workers: s.workers,
+		Cache:   s.cache,
+		Epoch:   snap.Epoch(),
+		Ctx:     r.Context(),
+		Plans:   s.plansFor(lo, hi),
+		Span:    extract,
 	})
 	extract.End()
 	var pe *core.PanicError
@@ -738,12 +727,6 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	}
 	x := s.acquire(snap.Reader())
 	defer s.release(x)
-	if rec := s.sampleAttribution(); rec != nil {
-		// Sampled requests re-derive with attribution; the recorder makes
-		// NeighborhoodIDsCached bypass the cache. Reset before pooling.
-		x.SetRecorder(rec)
-		defer x.SetRecorder(nil)
-	}
 	extract := root.StartChild("extract")
 	extract.SetAttrInt("shapes", int64(len(shapes)))
 	// Before duplicates go, nine nodes in ten of the benchmark graph stay

@@ -153,16 +153,19 @@ func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 	}
 }
 
-// bind binds def's compiled program to g, nil when there is none or it does
-// not Fit g's dictionary.
-func (m *Maintainer) bind(def int, g rdfgraph.Reader) *plan.Bound {
-	if m.cfg.Plans == nil {
-		return nil
+// neighborhoods is x.NodeNeighborhoods for def's request, on def's compiled
+// program when there is one that Fits x's dictionary. The bound program's
+// rows go back to the pools when the call returns: the slices it returns
+// are copies, not rows of the program.
+func (m *Maintainer) neighborhoods(x *core.Extractor, def int, nodes []rdfgraph.ID, epoch uint64) [][]rdfgraph.IDTriple {
+	var b *plan.Bound
+	if m.cfg.Plans != nil {
+		if p := m.cfg.Plans(def); p != nil && p.Fits(x.Graph().Dict().Len()) {
+			b = p.Bind(x.Graph())
+			defer b.Release()
+		}
 	}
-	if p := m.cfg.Plans(def); p != nil && p.Fits(g.Dict().Len()) {
-		return p.Bind(g)
-	}
-	return nil
+	return x.NodeNeighborhoods(m.cfg.Requests[def], b, nodes, m.cfg.Cache, epoch)
 }
 
 // ensureShapeLocked materializes def's fragment at the current epoch on
@@ -185,7 +188,7 @@ func (m *Maintainer) ensureShapeLocked(def int) *shapeState {
 	x := core.NewExtractor(reader, m.cfg.Schema)
 	var all []rdfgraph.ID
 	nodes := x.FocusNodes(st.request, &all)
-	nbs := x.NodeNeighborhoods(st.request, m.bind(def, reader), nodes, m.cfg.Cache, m.epoch)
+	nbs := m.neighborhoods(x, def, nodes, m.epoch)
 	for i, ts := range nbs {
 		if len(ts) == 0 {
 			continue
@@ -265,7 +268,7 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 		work := res.AffectedNodes(x.FocusNodes(st.request, &all)) // sorted
 		var added, removed []rdfgraph.IDTriple
 		if len(work) > 0 {
-			nbs := x.NodeNeighborhoods(st.request, m.bind(def, reader), work, m.cfg.Cache, epoch)
+			nbs := m.neighborhoods(x, def, work, epoch)
 			for i, v := range work {
 				added, removed = st.diff(v, nbs[i], added, removed)
 			}

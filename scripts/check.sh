@@ -159,11 +159,12 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 c
 echo "== benchjson smoke"
 $GO run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live'
 
-echo "== serving benchmark smoke (shape-scan and update-mix, 3 s each)"
-# One short run each against a real fragserver: reads, then updates with an
-# SSE subscriber beside reads. Every reply is checked against the AST
-# reference, so correct:false means served bytes changed.
-for workload in shape-scan update-mix; do
+echo "== serving benchmark smoke (shape-scan, update-mix and hub-path, 3 s each)"
+# One short run each against a real fragserver: reads, updates with an SSE
+# subscriber beside reads, and the cold uncached multi-worker /fragment of
+# the Fig 3 hub shape. Every reply is checked against the AST reference, so
+# correct:false means served bytes changed.
+for workload in shape-scan update-mix hub-path; do
     result=$(bash bench/run.sh -workload "$workload" -seconds 3 | tail -n 1)
     echo "$result"
     case "$result" in
