@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-json-smoke bench-live bench-paths bench-serve bench-sharded bench-sharded-10m check clean cover docs-check
+.PHONY: build test race vet bench bench-json bench-json-smoke bench-live bench-paths bench-serve bench-scale-10m check clean cover docs-check
 
 build:
 	$(GO) build ./...
@@ -76,18 +76,13 @@ bench-paths:
 	$(GO) run ./cmd/benchjson -bench 'Fig3HubDistance3|HubFragmentCold|AblationPathTracing' -benchtime 2s -dir . \
 		-meta series=path-tracing
 
-# Store-tier shard sweep at serving scale: the same whole-schema
-# extraction at 1, 4 and 16 shards, snapshotted into the trajectory.
-bench-sharded:
-	$(GO) run ./cmd/benchjson -bench FragmentSharded -benchtime 2s -dir . \
-		-meta series=store-sweep -meta shards=1,4,16
-
-# The 10M-triple scale acceptance run: streamed sharded load (triples/s)
-# plus one-shape extraction at 1/4/16 shards. Needs ~15 GiB of heap and
-# tens of minutes; writes one trajectory snapshot.
-bench-sharded-10m:
-	SHACLFRAG_SCALE_10M=1 $(GO) run ./cmd/benchjson -bench Sharded10M -benchtime 1x -dir . \
-		-meta triples=10000000 -meta shards=1,4,16
+# The 10M-triple scale acceptance run: streamed load (triples/s, heap
+# MiB after load) plus one-shape extraction at two workers. Needs more
+# memory than a small machine has and tens of minutes; writes one
+# trajectory snapshot.
+bench-scale-10m:
+	SHACLFRAG_SCALE_10M=1 $(GO) run ./cmd/benchjson -bench Scale10M -benchtime 1x -dir . \
+		-meta triples=10000000 -meta workers=2
 
 # Documentation gate: intra-repo markdown links (files and #anchors)
 # must resolve and every `-flag` the docs mention must be defined by

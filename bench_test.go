@@ -417,50 +417,15 @@ func BenchmarkWhyNot(b *testing.B) {
 	}
 }
 
-// BenchmarkFragmentSharded sweeps the store tier's shard counts: the same
-// whole-schema extraction as BenchmarkFragmentParallel, read through the
-// store so that several shards switch FragmentParallel to scatter-gather
-// scheduling. One shard is the baseline; the sweep's value on a one-core
-// runner is the scheduling overhead (shard partitioning cannot buy
-// parallel speedup without cores), on a multicore one the scaling curve.
-func BenchmarkFragmentSharded(b *testing.B) {
-	h := schema.MustNew(datagen.BenchmarkShapes()...)
-	requests := core.SchemaRequests(h)
-	build := func(cfg store.Config) store.Store {
-		g := tyrolGraph(1000)
-		store.WarmDictionary(g, h)
-		st, err := store.New(g, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st
-	}
-	run := func(b *testing.B, st store.Store) {
-		r := st.Current().Reader()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.NewExtractor(r, h).FragmentParallel(requests,
-				core.ParallelOptions{Workers: 2}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			run(b, build(store.Config{Shards: shards}))
-		})
-	}
-}
-
-// BenchmarkSharded10M is the scale acceptance run behind the committed
-// trajectory snapshots: a 10M-triple synthetic graph streamed into the
-// store (load sub-benchmark, reporting triples/s) and served
-// from it (extract sub-benchmarks at 1, 4 and 16 shards, one-shape
-// whole-graph extraction per op — the full 57-shape suite at 10M triples
-// is hours per op and adds nothing to the shard comparison). Gated
-// behind SHACLFRAG_SCALE_10M=1: a full run needs ~15 GiB of heap and tens
-// of minutes. `make bench-sharded-10m` runs it and snapshots the result.
-func BenchmarkSharded10M(b *testing.B) {
+// BenchmarkScale10M is the scale acceptance run: a 10M-triple synthetic
+// graph streamed into rdfgraph.New (load sub-benchmark, reporting
+// triples/s and the heap in use once loaded), made a store's first epoch
+// and served from it (extract: one-shape whole-graph extraction per op at
+// two workers — the full 57-shape suite at 10M triples is hours per op).
+// Gated behind SHACLFRAG_SCALE_10M=1: it needs more memory than a small
+// machine has and tens of minutes. `make bench-scale-10m` runs it and
+// snapshots the result.
+func BenchmarkScale10M(b *testing.B) {
 	if os.Getenv("SHACLFRAG_SCALE_10M") != "1" {
 		b.Skip("set SHACLFRAG_SCALE_10M=1 to run the 10M-triple scale benchmarks")
 	}
@@ -468,50 +433,49 @@ func BenchmarkSharded10M(b *testing.B) {
 	individuals := datagen.IndividualsForTriples(target)
 	h := schema.MustNew(datagen.BenchmarkShapes()[:1]...)
 	requests := core.SchemaRequests(h)
+	load := func() *rdfgraph.Graph {
+		g := rdfgraph.New()
+		datagen.TyrolStream(datagen.TyrolConfig{Individuals: individuals, Seed: 1},
+			func(t rdf.Triple) { g.Add(t) })
+		if g.Len() < target*97/100 {
+			b.Fatalf("loaded only %d triples", g.Len())
+		}
+		return g
+	}
 
-	b.Run("load/shards=4", func(b *testing.B) {
+	b.Run("load", func(b *testing.B) {
+		var g *rdfgraph.Graph
 		for i := 0; i < b.N; i++ {
-			loader, err := store.NewLoader(store.Config{Shards: 4})
+			g = nil // the previous graph is garbage before the next load
+			g = load()
+		}
+		b.ReportMetric(float64(g.Len())*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.HeapInuse)/(1<<20), "heap-MiB")
+	})
+
+	g := load()
+	store.WarmDictionary(g, h)
+	st, err := store.New(g, store.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("extract", func(b *testing.B) {
+		r := st.Current().Reader()
+		var triples int
+		for i := 0; i < b.N; i++ {
+			frag, err := core.NewExtractor(r, h).FragmentParallel(requests,
+				core.ParallelOptions{Workers: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
-			datagen.TyrolStream(datagen.TyrolConfig{Individuals: individuals, Seed: 1},
-				func(t rdf.Triple) { loader.Add(t) })
-			if loader.Len() < target*97/100 {
-				b.Fatalf("loaded only %d triples", loader.Len())
-			}
-			b.ReportMetric(float64(loader.Len())*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
+			triples = len(frag)
 		}
+		b.ReportMetric(float64(r.Len())*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
+		b.ReportMetric(float64(triples), "frag-triples")
 	})
-
-	// One shared base graph: one shard adopts it, the others repartition it
-	// against the same dictionary, so the extract series differ only in the
-	// shard count. Sharing is safe because no store here is ever updated.
-	base := rdfgraph.New()
-	datagen.TyrolStream(datagen.TyrolConfig{Individuals: individuals, Seed: 1},
-		func(t rdf.Triple) { base.Add(t) })
-	store.WarmDictionary(base, h)
-	for _, shards := range []int{1, 4, 16} {
-		st, err := store.New(base, store.Config{Shards: shards})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("extract/shards=%d", shards), func(b *testing.B) {
-			r := st.Current().Reader()
-			var triples int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				frag, err := core.NewExtractor(r, h).FragmentParallel(requests,
-					core.ParallelOptions{Workers: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				triples = len(frag)
-			}
-			b.ReportMetric(float64(r.Len())*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
-			b.ReportMetric(float64(triples), "frag-triples")
-		})
-	}
 }
 
 // BenchmarkContainment measures the static containment analysis that

@@ -42,7 +42,7 @@ import (
 
 // Result is one parsed benchmark line. Custom b.ReportMetric series
 // (any unit the standard pairs don't claim, e.g. triples/s from the
-// sharded load benchmarks) are preserved under Metrics.
+// scale load benchmark) are preserved under Metrics.
 type Result struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
@@ -60,8 +60,8 @@ type Snapshot struct {
 	Benchtime string `json:"benchtime"`
 	StartedAt string `json:"started_at"`
 	// Meta carries run conditions the benchmark names alone don't encode
-	// (-meta key=value, repeatable): typically the shard counts and triple
-	// scale of a store-tier sweep.
+	// (-meta key=value, repeatable): typically the worker counts and triple
+	// scale of a run.
 	Meta    map[string]string `json:"meta,omitempty"`
 	Results []Result          `json:"results"`
 }
@@ -74,7 +74,7 @@ func main() {
 	dir := flag.String("dir", ".", "output directory for BENCH_<n>.json snapshots (default: repo root, where the trajectory is read)")
 	smoke := flag.Bool("smoke", false, "run each benchmark once, verify the output parses, write nothing")
 	meta := map[string]string{}
-	flag.Func("meta", "key=value annotation stored in the snapshot's meta block (repeatable; e.g. -meta shards=1,4,16 -meta triples=10000000)", func(kv string) error {
+	flag.Func("meta", "key=value annotation stored in the snapshot's meta block (repeatable; e.g. -meta workers=2 -meta triples=10000000)", func(kv string) error {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok || k == "" {
 			return fmt.Errorf("want key=value, got %q", kv)
@@ -135,7 +135,7 @@ func runBenchmarks(bench, benchtime string, count int, pkg string) ([]byte, erro
 		gocmd = "go"
 	}
 	// -timeout=0: the per-benchmark budget is benchtime; the binary-wide
-	// default of 10m would kill long scale runs (BenchmarkSharded10M).
+	// default of 10m would kill long scale runs (BenchmarkScale10M).
 	cmd := exec.Command(gocmd, "test", "-run", "^$", "-timeout", "0",
 		"-bench", bench, "-benchmem", "-benchtime", benchtime,
 		"-count", strconv.Itoa(count), pkg)

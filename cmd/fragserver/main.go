@@ -52,9 +52,9 @@ import (
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/fragserver"
 	"shaclfrag/internal/rdf"
+	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shaclsyn"
-	"shaclfrag/internal/store"
 	"shaclfrag/internal/turtle"
 )
 
@@ -64,9 +64,8 @@ func main() {
 	dataPath := flag.String("data", "", "data graph (Turtle); empty serves a synthetic graph")
 	shapesPath := flag.String("shapes", "", "SHACL shapes graph (Turtle); empty uses the benchmark shapes")
 	individuals := flag.Int("individuals", 2000, "size of the synthetic graph when -data is empty")
-	scale := flag.Int("scale", 0, "approximate synthetic graph size in triples (overrides -individuals; streams into the store, so 10M+ loads within bounded memory)")
+	scale := flag.Int("scale", 0, "approximate synthetic graph size in triples (overrides -individuals; streams into the graph, so 10M+ loads within bounded memory)")
 	nshapes := flag.Int("shapes-count", 8, "number of benchmark shape definitions when -shapes is empty")
-	shards := flag.Int("shards", 1, "store shard count; several shards partition the indexes by subject ID and extract scatter-gather")
 	workers := flag.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 64, "maximum concurrently served requests")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request compute budget")
@@ -93,13 +92,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	st, h, err := load(*dataPath, *shapesPath, *individuals, *scale, *nshapes, store.Config{Shards: *shards})
+	g, h, err := load(*dataPath, *shapesPath, *individuals, *scale, *nshapes)
 	if err != nil {
 		fatal(logger, "loading graph and schema failed", err)
 	}
 
 	srv, err := fragserver.New(fragserver.Config{
-		Store:           st,
+		Graph:           g,
 		Schema:          h,
 		Workers:         *workers,
 		MaxInflight:     *maxInflight,
@@ -127,8 +126,7 @@ func main() {
 		fatal(logger, "listening failed", err)
 	}
 	logger.Info("serving shape fragments",
-		"addr", ln.Addr().String(), "triples", st.Current().Reader().Len(),
-		"shapes", h.Len(), "shards", st.NumShards())
+		"addr", ln.Addr().String(), "triples", g.Len(), "shapes", h.Len())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -199,12 +197,11 @@ func serveDebug(addr string, srv *fragserver.Server, logger *slog.Logger) (func(
 	return func() { hs.Close() }, nil //nolint:errcheck — best-effort teardown
 }
 
-// load builds the schema and the store. Synthetic graphs stream through a
-// store.Loader — triples go straight into the store's indexes, never
-// through an intermediate slice — so -scale 10000000 loads within bounded
-// memory; Turtle files still parse into one graph first (the parser needs
-// the document in memory anyway) and are then wrapped in the store.
-func load(dataPath, shapesPath string, individuals, scale, nshapes int, scfg store.Config) (store.Store, *schema.Schema, error) {
+// load builds the schema and the graph. Synthetic graphs stream into
+// rdfgraph.New — triples go straight into the indexes, never through an
+// intermediate slice — so -scale 10000000 loads within bounded memory;
+// Turtle files parse into the graph directly.
+func load(dataPath, shapesPath string, individuals, scale, nshapes int) (*rdfgraph.Graph, *schema.Schema, error) {
 	var h *schema.Schema
 	if shapesPath != "" {
 		src, err := os.ReadFile(shapesPath)
@@ -236,23 +233,14 @@ func load(dataPath, shapesPath string, individuals, scale, nshapes int, scfg sto
 		if err != nil {
 			return nil, nil, err
 		}
-		store.WarmDictionary(g, h)
-		st, err := store.New(g, scfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, h, nil
+		return g, h, nil
 	}
 
 	if scale > 0 {
 		individuals = datagen.IndividualsForTriples(scale)
 	}
-	loader, err := store.NewLoader(scfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	g := rdfgraph.New()
 	datagen.TyrolStream(datagen.TyrolConfig{Individuals: individuals, Seed: 1},
-		func(t rdf.Triple) { loader.Add(t) })
-	store.WarmDictionary(loader.Reader(), h)
-	return loader.Finish(), h, nil
+		func(t rdf.Triple) { g.Add(t) })
+	return g, h, nil
 }

@@ -145,7 +145,6 @@ func cmdFragment(args []string) error {
 	baseIRI := fs.String("base", "", "base IRI for bare names in -request")
 	outPath := fs.String("o", "", "output file (default stdout)")
 	strategy := fs.String("strategy", "plan", "extraction strategy: plan (compiled programs within the memo budget, auto is its old name), direct, or sparql")
-	shards := fs.Int("shards", 1, "store shard count for the direct extractor")
 	workers := fs.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
 	traced := fs.Bool("trace", false, "print the extraction's span tree to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -190,15 +189,10 @@ func cmdFragment(args []string) error {
 		frag = shaclfrag.FragmentViaSPARQL(g, h, requests...)
 		sq.End()
 	} else {
-		// The direct extractor speaks the store tier: the parsed graph
-		// becomes epoch 1 of a store and extraction reads it through
-		// rdfgraph.Reader, so several shards switch FragmentParallel to
-		// scatter-gather scheduling.
+		// Workers read the graph concurrently: intern the request
+		// constants, then freeze it.
 		store.WarmShapes(g, requests...)
-		st, err := store.New(g, store.Config{Shards: *shards})
-		if err != nil {
-			return err
-		}
+		g.Freeze()
 		var defs shape.Defs
 		if h != nil {
 			defs = h
@@ -214,7 +208,7 @@ func cmdFragment(args []string) error {
 		default:
 			return fmt.Errorf("unknown -strategy %q (want plan, direct or sparql)", *strategy)
 		}
-		x := core.NewExtractor(st.Current().Reader(), defs)
+		x := core.NewExtractor(g, defs)
 		extract := root.StartChild("extract")
 		frag, err = x.FragmentParallel(requests, core.ParallelOptions{
 			Workers: *workers, Plans: plans, Span: extract,

@@ -94,14 +94,10 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("strategies disagree:\n%s\nvs\n%s", out, sparqlOut)
 	}
 
-	// Several shards must agree too; the removed -backend and -sparql
-	// flags are usage errors and a negative shard count is refused.
-	if sharded := run(0, "fragment", "-data", data, "-shapes", shapes, "-shards", "4"); sharded != out {
-		t.Errorf("shard counts disagree:\n%s\nvs\n%s", out, sharded)
-	}
+	// The removed -backend, -sparql and -shards flags are usage errors.
 	run(2, "fragment", "-data", data, "-shapes", shapes, "-backend", "sharded")
 	run(2, "fragment", "-data", data, "-shapes", shapes, "-sparql")
-	run(1, "fragment", "-data", data, "-shapes", shapes, "-shards", "-1")
+	run(2, "fragment", "-data", data, "-shapes", shapes, "-shards", "4")
 
 	// fragment via an ad-hoc request shape.
 	out = run(0, "fragment", "-data", data, "-request", ">=1 author.top", "-base", "http://x/")

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
-	"shaclfrag/internal/store"
 )
 
 // TestCacheEvictionAccounting pins the new eviction and byte counters:
@@ -61,21 +59,16 @@ func TestCacheEvictionAccounting(t *testing.T) {
 }
 
 // TestFragmentParallelSpans checks the span tree a sampled extraction
-// grows: request-level attributes, and on a sharded reader the
-// scatter-gather shape — scatter, gather and per-shard accumulator spans
-// with exec-breakdown children and unit counts — at one worker as at
-// four, since both run the same unit loop; all without changing the
-// extracted fragment.
+// grows: request-level attributes, the nnf and merge stages, and the
+// exec-breakdown accumulator with the unit count on the span handed down —
+// at one worker as at four, since both run the same unit loop; all without
+// changing the extracted fragment.
 func TestFragmentParallelSpans(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 60, Seed: 3})
 	h := schema.MustNew(datagen.BenchmarkShapes()[:4]...)
 	requests := core.SchemaRequests(h)
-	st, err := store.New(g, store.Config{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := st.Current().Reader()
-	want, err := core.NewExtractor(r, h).FragmentParallel(requests, core.ParallelOptions{Workers: 2})
+	g.Freeze()
+	want, err := core.NewExtractor(g, h).FragmentParallel(requests, core.ParallelOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +92,7 @@ func TestFragmentParallelSpans(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		trace := obs.NewSpanTrace("extract-test", obs.SpanContext{})
-		got, err := core.NewExtractor(r, h).FragmentParallel(requests, core.ParallelOptions{
+		got, err := core.NewExtractor(g, h).FragmentParallel(requests, core.ParallelOptions{
 			Workers: workers,
 			Span:    trace.Root(),
 		})
@@ -117,38 +110,19 @@ func TestFragmentParallelSpans(t *testing.T) {
 		if n, ok := attrInt(root, "nodes"); !ok || n == 0 {
 			t.Errorf("workers=%d: nodes attr = %d/%v", workers, n, ok)
 		}
-		if childByName(root, "nnf") == nil {
-			t.Errorf("workers=%d: no nnf child span", workers)
-		}
-		var unitTotal int64
-		for i := 0; i < 3; i++ {
-			sh := childByName(root, fmt.Sprintf("shard[%d]", i))
-			if sh == nil {
-				t.Fatalf("workers=%d: missing shard[%d] span; tree:\n%s", workers, i, treeOf(trace))
-			}
-			if sh.Duration() <= 0 {
-				t.Errorf("workers=%d: shard[%d] accumulated no time", workers, i)
-			}
-			u, _ := attrInt(sh, "units")
-			unitTotal += u
-			if childByName(sh, "ast-exec") == nil {
-				t.Errorf("workers=%d: shard[%d] has no exec breakdown child", workers, i)
+		for _, name := range []string{"nnf", "ast-exec", "merge"} {
+			if childByName(root, name) == nil {
+				t.Errorf("workers=%d: no %s child span; tree:\n%s", workers, name, treeOf(trace))
 			}
 		}
-		if unitTotal == 0 {
-			t.Errorf("workers=%d: per-shard unit counts sum to zero", workers)
-		}
-		if n, _ := attrInt(root, "shards"); n != 3 {
-			t.Errorf("workers=%d: shards attr = %d, want 3", workers, n)
-		}
-		if childByName(root, "scatter") == nil || childByName(root, "gather") == nil {
-			t.Errorf("workers=%d: scatter/gather spans missing; tree:\n%s", workers, treeOf(trace))
+		if u, _ := attrInt(root, "units"); u == 0 {
+			t.Errorf("workers=%d: no work units counted", workers)
 		}
 	}
 
 	// Compiled plans + cache: bind child and memo_resets attr appear.
 	trace := obs.NewSpanTrace("extract-test", obs.SpanContext{})
-	_, err = core.NewExtractor(r, h).FragmentParallel(requests, core.ParallelOptions{
+	_, err = core.NewExtractor(g, h).FragmentParallel(requests, core.ParallelOptions{
 		Workers: 2,
 		Plans:   plan.CompileAll(requests, h),
 		Cache:   core.NewNeighborhoodCache(1 << 20),

@@ -50,14 +50,11 @@ type ParallelOptions struct {
 	Plans *plan.Set
 	// Span, when non-nil, is the parent span extraction records under (the
 	// serving layer passes the request's "extract" span): the sub-stages
-	// "nnf" (request normalization), "scatter" and "merge" or "gather"
-	// (union of the per-worker triple sets), which the server also reads
-	// as stages; "bind" for plan binding; per-shard "shard[i]"
-	// accumulators on the scatter-gather path with "plan-exec"/"ast-exec"
-	// breakdown children, and the same exec breakdown directly under Span
-	// on the flat path — plus instructions / memo_resets / units / workers
-	// attributes. A nil Span (the CLI, benchmarks) keeps the hot path free
-	// of any timing.
+	// "nnf" (request normalization) and "merge" (union of the per-worker
+	// triple sets), which the server also reads as stages; "bind" for plan
+	// binding; the "plan-exec"/"ast-exec" breakdown accumulators — plus
+	// instructions / memo_resets / units / workers attributes. A nil Span
+	// (the CLI, benchmarks) keeps the hot path free of any timing.
 	Span *obs.Span
 }
 
@@ -142,8 +139,7 @@ func boundAt(bounds []*plan.Bound, req int) *plan.Bound {
 // children, unit counts, and memo resets summed at worker exit. All
 // methods no-op (one branch) without a parent span.
 type workerSpanState struct {
-	parent *obs.Span   // span exec breakdown children accumulate under
-	shards []*obs.Span // per-shard accumulators, nil on the flat path
+	parent *obs.Span // span exec breakdown children accumulate under
 }
 
 // begin returns the unit start time, zero without a parent span —
@@ -155,24 +151,18 @@ func (w *workerSpanState) begin() time.Time {
 	return time.Now()
 }
 
-// finish attributes one finished work unit: d into the shard accumulator
-// (when sharded) and into the plan-exec/ast-exec breakdown child.
-func (w *workerSpanState) finish(begin time.Time, shard int, planned bool) {
+// finish attributes one finished work unit to the plan-exec/ast-exec
+// breakdown child.
+func (w *workerSpanState) finish(begin time.Time, planned bool) {
 	if w.parent == nil {
 		return
 	}
-	d := time.Since(begin)
-	target := w.parent
-	if w.shards != nil {
-		target = w.shards[shard]
-		target.Add(d)
-	}
-	target.AddAttrInt("units", 1)
+	w.parent.AddAttrInt("units", 1)
 	exec := "ast-exec"
 	if planned {
 		exec = "plan-exec"
 	}
-	target.AccumChild(exec).Add(d)
+	w.parent.AccumChild(exec).Add(time.Since(begin))
 }
 
 // done sums the worker's memo resets and searches into the parent span.
@@ -274,67 +264,16 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	for i, phi := range requests {
 		nnfs[i] = x.nnf(phi)
 	}
-	focus, all, total := x.focusNodes(nnfs)
+	focus, total := x.focusNodes(nnfs)
 	nnfSpan.End()
 	spanAttrs(opts, workers, len(requests), total)
 
-	// A sharded reader (store.ShardedGraph) gets scatter-gather scheduling:
-	// the work list is grouped by owner shard, so consecutive units hit the
-	// same shard's indexes (forward steps of nodes owned by one shard
-	// resolve entirely in that shard; only reverse steps fan out). Only the
-	// work order differs from the flat path, and the union is
-	// order-independent, so the result is byte-identical for any shard
-	// count.
-	var parts [][]rdfgraph.ID
-	sg, sharded := g.(ShardedReader)
-	if sharded {
-		parts = sg.ShardNodeIDs()
-		sharded = len(parts) > 1
-	}
-	mergeStage := "merge"
 	var units []unit
-	cached := opts.Cache != nil
-	if sharded {
-		mergeStage = "gather"
-		scatterSpan := opts.Span.StartChild("scatter")
-		split := make([][][]rdfgraph.ID, len(focus))
-		for req, nodes := range focus {
-			if len(all) > 0 && len(nodes) == len(all) {
-				split[req] = parts // candidates ⊆ N(G), so this is N(G)
-				continue
-			}
-			split[req] = make([][]rdfgraph.ID, len(parts))
-			for _, v := range nodes {
-				si := sg.ShardOf(v)
-				split[req][si] = append(split[req][si], v)
-			}
-		}
-		for si := range parts {
-			for req := range focus {
-				units = appendUnits(units, req, si, split[req][si], len(focus[req]), workers, cached)
-			}
-		}
-		scatterSpan.End()
-	} else {
-		for req, nodes := range focus {
-			units = appendUnits(units, req, 0, nodes, len(nodes), workers, cached)
-		}
+	for req, nodes := range focus {
+		units = appendUnits(units, req, nodes, workers, opts.Cache != nil)
 	}
 	if workers > len(units) {
 		workers = max(len(units), 1) // an idle worker would still bind every plan
-	}
-
-	// Per-shard accumulator spans: workers Add each unit's wall time to
-	// its shard's span, so one shard's span sums the CPU time spent on
-	// that shard's nodes regardless of which workers stole the units.
-	var shardSpans []*obs.Span
-	if sharded && opts.Span != nil {
-		opts.Span.SetAttrInt("shards", int64(len(parts)))
-		shardSpans = make([]*obs.Span, len(parts))
-		for i := range parts {
-			shardSpans[i] = opts.Span.AccumChild(fmt.Sprintf("shard[%d]", i))
-			shardSpans[i].SetAttrInt("shard_nodes", int64(len(parts[i])))
-		}
 	}
 
 	outs := make([]*rdfgraph.IDTripleSet, workers)
@@ -344,7 +283,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	// work is one worker: it takes units off the shared counter into out
 	// until none are left, opts.Ctx ends or another worker panicked.
 	work := func(wx *Extractor, out *rdfgraph.IDTripleSet) {
-		spans := workerSpanState{parent: opts.Span, shards: shardSpans}
+		spans := workerSpanState{parent: opts.Span}
 		bounds := boundPlans(opts, focus, g)
 		defer releaseBounds(bounds)
 		defer spans.done(bounds)
@@ -362,7 +301,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 			b := boundAt(bounds, u.req)
 			begin := spans.begin()
 			wx.extractRange(requests[u.req], nnfs[u.req], b, u.nodes, out, visited, opts.Cache, opts.Epoch)
-			spans.finish(begin, u.shard, b != nil)
+			spans.finish(begin, b != nil)
 		}
 	}
 	if workers == 1 {
@@ -400,7 +339,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	if cancelled.Load() {
 		return nil, opts.Ctx.Err()
 	}
-	defer opts.Span.StartChild(mergeStage).End()
+	defer opts.Span.StartChild("merge").End()
 	// Union by sort and compact: cheaper than growing one worker's map by
 	// the others' contents only to list and sort it afterwards.
 	merged := make([]rdfgraph.IDTriple, 0, len(outs)*outs[0].Len()) // shares are about even
@@ -412,56 +351,44 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 }
 
 // focusNodes returns, per normalized request, the nodes extraction visits
-// (shape.Evaluator.FocusNodes), all — N(G), nil unless some request has no
-// candidate set — and the total over requests.
-func (x *Extractor) focusNodes(nnfs []shape.Shape) (focus [][]rdfgraph.ID, all []rdfgraph.ID, total int) {
+// (shape.Evaluator.FocusNodes), and the total over requests.
+func (x *Extractor) focusNodes(nnfs []shape.Shape) (focus [][]rdfgraph.ID, total int) {
 	focus = make([][]rdfgraph.ID, len(nnfs))
+	var all []rdfgraph.ID
 	for i, phi := range nnfs {
 		focus[i] = x.ev.FocusNodes(phi, &all)
 		total += len(focus[i])
 	}
-	return focus, all, total
+	return focus, total
 }
 
-// unit is one stealable piece of work: a run of one request's focus nodes,
-// all owned by one shard (shard 0 on an unsharded reader).
+// unit is one stealable piece of work: a run of one request's focus nodes.
 type unit struct {
-	req, shard int
-	nodes      []rdfgraph.ID
+	req   int
+	nodes []rdfgraph.ID
 }
 
-// appendUnits chunks nodes — the part of a request's n focus nodes one
-// shard owns. With a cache a node is extracted on its own whatever the unit:
-// units small enough to balance skewed neighborhoods, large enough that the
-// atomic counter and evaluator cache misses stay in the noise. Without one a
-// unit is a source set (plan.Bound.CollectAllInto: one product search per
-// path however many nodes), so it is a worker's whole share — split further
-// it repeats searches over nearly the same ground.
-func appendUnits(units []unit, req, shard int, nodes []rdfgraph.ID, n, workers int, cached bool) []unit {
-	chunk := max(n/(workers*8), 16)
+// appendUnits chunks a request's focus nodes. With a cache a node is
+// extracted on its own whatever the unit: units small enough to balance
+// skewed neighborhoods, large enough that the atomic counter and evaluator
+// cache misses stay in the noise. Without one a unit is a source set
+// (plan.Bound.CollectAllInto: one product search per path however many
+// nodes), so it is a worker's whole share — split further it repeats
+// searches over nearly the same ground.
+func appendUnits(units []unit, req int, nodes []rdfgraph.ID, workers int, cached bool) []unit {
+	chunk := max(len(nodes)/(workers*8), 16)
 	if !cached {
 		chunk = (len(nodes) + workers - 1) / workers
 	}
+	units = slices.Grow(units, len(nodes)/max(chunk, 1)+1)
 	for lo := 0; lo < len(nodes); lo += chunk {
 		hi := lo + chunk
 		if hi > len(nodes) {
 			hi = len(nodes)
 		}
-		units = append(units, unit{req: req, shard: shard, nodes: nodes[lo:hi]})
+		units = append(units, unit{req: req, nodes: nodes[lo:hi]})
 	}
 	return units
-}
-
-// ShardedReader is the optional interface a sharded graph reader exposes
-// (store.ShardedGraph does): N(G) pre-partitioned by owner shard.
-// FragmentParallel detects it and switches to scatter-gather scheduling.
-type ShardedReader interface {
-	rdfgraph.Reader
-	// ShardNodeIDs returns N(G) partitioned by owner shard; parts are
-	// disjoint, each sorted, and their union is NodeIDs().
-	ShardNodeIDs() [][]rdfgraph.ID
-	// ShardOf returns the index of the part that holds node id.
-	ShardOf(id rdfgraph.ID) int
 }
 
 // FragmentSchemaParallel is FragmentParallel over SchemaRequests(h). Note

@@ -92,9 +92,9 @@ func IndividualsForTriples(triples int) int {
 
 // TyrolStream generates the same triple sequence as Tyrol but emits each
 // triple to the callback instead of materializing a graph, so arbitrarily
-// large graphs can be streamed straight into a store.Loader (which builds
-// indexes in place) without an intermediate triple slice: peak memory is
-// the final store size. Duplicate triples may be emitted; graph-building
+// large graphs can be streamed straight into rdfgraph.New's indexes
+// without an intermediate triple slice: peak memory is the final graph
+// size. Duplicate triples may be emitted; graph-building
 // consumers dedupe by construction. The emission order and RNG consumption
 // are exactly Tyrol's, so a given (Individuals, Seed, DirtyRate) yields an
 // identical graph through either entry point.

@@ -160,8 +160,7 @@ func TestExplainDisabled(t *testing.T) {
 // bytes the serving engines and the neighborhood cache return: for a seeded
 // sample of nodes and every IRI-named definition of the served benchmark
 // schema, the triples /explain?iri=&shape= annotates, written as
-// N-Triples, are the body of /node?iri=&shape= — cold, and again warm, at
-// one and at four shards.
+// N-Triples, are the body of /node?iri=&shape= — cold, and again warm.
 func TestExplainAgreesWithNode(t *testing.T) {
 	h := servedBenchmarkSchema(t)
 	var named []string
@@ -170,57 +169,55 @@ func TestExplainAgreesWithNode(t *testing.T) {
 			named = append(named, d.Name.Value)
 		}
 	}
-	for _, shards := range []int{1, 4} {
-		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 250, Seed: 11})
-		var iris []string
-		for _, id := range g.NodeIDs() {
-			if term := g.Term(id); term.IsIRI() {
-				iris = append(iris, term.String())
+	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 250, Seed: 11})
+	var iris []string
+	for _, id := range g.NodeIDs() {
+		if term := g.Term(id); term.IsIRI() {
+			iris = append(iris, term.String())
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	rng.Shuffle(len(iris), func(i, j int) { iris[i], iris[j] = iris[j], iris[i] })
+	srv, err := New(Config{Graph: g, Schema: h, Workers: 2, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(target string) string {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", target, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	nonEmpty := 0
+	for _, focus := range iris[:16] {
+		for _, name := range named {
+			query := "?iri=" + url.QueryEscape(focus) + "&shape=" + url.QueryEscape(name)
+			var er explainResponse
+			if err := json.Unmarshal([]byte(serve("/explain"+query)), &er); err != nil {
+				t.Fatal(err)
 			}
-		}
-		rng := rand.New(rand.NewSource(27))
-		rng.Shuffle(len(iris), func(i, j int) { iris[i], iris[j] = iris[j], iris[i] })
-		srv, err := New(Config{Graph: g, Schema: h, Shards: shards, Workers: 2, Logger: quietLogger()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		serve := func(target string) string {
-			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("GET %s: %d %s", target, rec.Code, rec.Body)
+			var explained strings.Builder
+			for _, et := range er.Triples {
+				explained.WriteString(et.S + " " + et.P + " " + et.O + " .\n")
 			}
-			return rec.Body.String()
-		}
-		nonEmpty := 0
-		for _, focus := range iris[:16] {
-			for _, name := range named {
-				query := "?iri=" + url.QueryEscape(focus) + "&shape=" + url.QueryEscape(name)
-				var er explainResponse
-				if err := json.Unmarshal([]byte(serve("/explain"+query)), &er); err != nil {
-					t.Fatal(err)
-				}
-				var explained strings.Builder
-				for _, et := range er.Triples {
-					explained.WriteString(et.S + " " + et.P + " " + et.O + " .\n")
-				}
-				for _, state := range []string{"cold", "warm"} {
-					if node := serve("/node" + query); node != explained.String() {
-						t.Fatalf("shards=%d %s %s (%s): /explain annotates\n%s/node serves\n%s",
-							shards, focus, name, state, explained.String(), node)
-					}
-				}
-				if len(er.Triples) > 0 {
-					nonEmpty++
+			for _, state := range []string{"cold", "warm"} {
+				if node := serve("/node" + query); node != explained.String() {
+					t.Fatalf("%s %s (%s): /explain annotates\n%s/node serves\n%s",
+						focus, name, state, explained.String(), node)
 				}
 			}
+			if len(er.Triples) > 0 {
+				nonEmpty++
+			}
 		}
-		t.Logf("shards=%d: %d of %d neighborhoods non-empty", shards, nonEmpty, 16*len(named))
-		if nonEmpty < 16 {
-			t.Fatalf("shards=%d: only %d non-empty neighborhoods compared", shards, nonEmpty)
-		}
-		if st := srv.cache.Stats(); st.Hits == 0 || st.Misses == 0 {
-			t.Fatalf("shards=%d: /node took %d hits and %d misses, want both cold and warm reads", shards, st.Hits, st.Misses)
-		}
+	}
+	t.Logf("%d of %d neighborhoods non-empty", nonEmpty, 16*len(named))
+	if nonEmpty < 16 {
+		t.Fatalf("only %d non-empty neighborhoods compared", nonEmpty)
+	}
+	if st := srv.cache.Stats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("/node took %d hits and %d misses, want both cold and warm reads", st.Hits, st.Misses)
 	}
 }

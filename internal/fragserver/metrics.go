@@ -26,9 +26,6 @@ const (
 	mEpoch           = "fragserver_epoch"
 	mUpdateTotal     = "fragserver_update_total"
 	mUpdateTriples   = "fragserver_update_triples_total"
-	mShardTriples    = "fragserver_store_shard_triples"
-	mStoreShards     = "fragserver_store_shards"
-	mCrossShard      = "fragserver_store_cross_shard_resolutions_total"
 	mPlannerShapes   = "fragserver_planner_strategy_shapes"
 	mPlanInstrs      = "fragserver_plan_instructions"
 	mPlanMemoBytes   = "fragserver_plan_memo_bytes"
@@ -78,7 +75,7 @@ func normalizeRoute(path string) string {
 // histograms keeps the hot path free of registry lookups.
 var stageNames = []string{
 	"parse", "target", "extract", "serialize", "validate", "nnf", "merge",
-	"apply", "notify", "scatter", "gather",
+	"apply", "notify",
 }
 
 // serverMetrics owns the server's registry plus the pre-created hot-path
@@ -200,28 +197,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.h.Len()) })
 	reg.GaugeFunc("fragserver_extraction_workers", "Parallel extraction worker count.",
 		func() float64 { return float64(s.workers) })
-
-	// Store series. The per-shard triple gauges use one shard label per
-	// shard — the shard count is fixed at startup, so label cardinality is
-	// bounded by configuration. One shard exports shard="0" holding the
-	// whole graph and a cross-shard counter that stays 0, so dashboards
-	// need no special case.
-	reg.GaugeFunc(mStoreShards, "Shards in the store.",
-		func() float64 { return float64(s.store.NumShards()) })
-	for i := 0; i < s.store.NumShards(); i++ {
-		shard := i
-		reg.GaugeFunc(mShardTriples,
-			"Triples held by each shard of the current snapshot, by shard index.",
-			func() float64 {
-				if ts := s.store.ShardTriples(); shard < len(ts) {
-					return float64(ts[shard])
-				}
-				return 0
-			}, obs.L("shard", strconv.Itoa(shard)))
-	}
-	reg.CounterFunc(mCrossShard,
-		"Reverse-index results resolved from a shard other than the queried node's own.",
-		func() float64 { return float64(s.store.CrossShardResolutions()) })
 
 	// Compiled-plan series, evaluated at scrape time against the current
 	// snapshot's dictionary: a program that Fits runs on plans, one over

@@ -185,11 +185,9 @@ func TestShedMetric(t *testing.T) {
 }
 
 // TestMetricCatalogMatchesRegistry machine-checks docs/OPERATIONS.md's
-// metric catalog against what servers actually register: a default-config
-// server plus one with several shards, which between them register every
-// family. A registered family missing
-// from the catalog tables fails, and so does a documented family that
-// neither server registers.
+// metric catalog against what a default-config server actually registers.
+// A registered family missing from the catalog tables fails, and so does a
+// documented family the server does not register.
 func TestMetricCatalogMatchesRegistry(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
 	if err != nil {
@@ -209,23 +207,22 @@ func TestMetricCatalogMatchesRegistry(t *testing.T) {
 	}
 
 	registered := map[string]bool{}
-	for _, cfg := range []Config{{}, {Shards: 4}} {
-		cfg.Graph = datagen.Tyrol(datagen.TyrolConfig{Individuals: 30, Seed: 9})
-		cfg.Schema = schema.MustNew(datagen.BenchmarkShapes()[:2]...)
-		cfg.Logger = quietLogger()
-		srv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// fragserver_requests_total registers its (route, status) series
-		// as requests finish, so one has to finish before the scrape.
-		srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		for _, line := range strings.Split(rec.Body.String(), "\n") {
-			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
-				registered[f[2]] = true
-			}
+	srv, err := New(Config{
+		Graph:  datagen.Tyrol(datagen.TyrolConfig{Individuals: 30, Seed: 9}),
+		Schema: schema.MustNew(datagen.BenchmarkShapes()[:2]...),
+		Logger: quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fragserver_requests_total registers its (route, status) series
+	// as requests finish, so one has to finish before the scrape.
+	srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			registered[f[2]] = true
 		}
 	}
 
@@ -238,7 +235,7 @@ func TestMetricCatalogMatchesRegistry(t *testing.T) {
 	}
 	for name := range documented {
 		if !registered[name] {
-			t.Errorf("docs/OPERATIONS.md documents %s, which no server registers", name)
+			t.Errorf("docs/OPERATIONS.md documents %s, which the server does not register", name)
 		}
 	}
 	if len(registered) == 0 {

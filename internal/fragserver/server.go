@@ -39,8 +39,8 @@
 // and carries in the request context. Handlers open a child span per
 // stage (parse → target → extract → serialize; parse → apply → notify on
 // the write path), and core.FragmentParallel grows the extract span —
-// its nnf/merge (scatter/gather when sharded) sub-stages, per-shard
-// accumulators and the plan-exec breakdown — through ParallelOptions.Span.
+// its nnf/merge sub-stages and the plan-exec breakdown — through
+// ParallelOptions.Span.
 // A stage is a span named in stageNames, one or two levels under the
 // root; the stages are read off the tree (obs.Stages) and surfaced three
 // ways — as a Server-Timing response header (written when streaming
@@ -110,16 +110,11 @@ type Config struct {
 	Graph  *rdfgraph.Graph
 	Schema *schema.Schema
 
-	// Shards is the shard count of the store Graph is wrapped in; 0 means
-	// 1. Several shards partition the indexes by subject ID and extraction
-	// switches to scatter-gather scheduling. Ignored when Store is set.
-	Shards int
-
-	// Store, when non-nil, serves this prebuilt store instead of wrapping
-	// Graph — the path for streamed loads too large to materialize as one
-	// Graph first (store.Loader). The store's dictionary must already hold
-	// every schema constant (run store.WarmDictionary against the loader's
-	// Reader before Finish); with Graph the server warms it itself.
+	// Store, when non-nil, serves this store instead of wrapping Graph: it
+	// is how tests substitute a store whose reader or Apply misbehaves.
+	// Its dictionary must already hold every schema constant (run
+	// store.WarmDictionary before store.New); with Graph the server warms
+	// it itself.
 	Store store.Store
 
 	// Workers is the fan-out of parallel fragment extraction; <= 0 means
@@ -310,11 +305,7 @@ func New(cfg Config) (*Server, error) {
 	st := cfg.Store
 	if st == nil {
 		store.WarmDictionary(cfg.Graph, cfg.Schema)
-		var err error
-		st, err = store.New(cfg.Graph, store.Config{Shards: cfg.Shards})
-		if err != nil {
-			return nil, fmt.Errorf("fragserver: %w", err)
-		}
+		st, _ = store.New(cfg.Graph, store.Config{}) // its error result is always nil
 	}
 
 	s := &Server{
@@ -791,8 +782,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "uptime: %s\nepoch: %d\ntriples: %d\nterms: %d\nshapes: %d\nworkers: %d\n",
 		time.Since(s.started).Round(time.Second), snap.Epoch(), g.Len(), g.Dict().Len(), s.h.Len(), s.workers)
-	fmt.Fprintf(w, "shards: %d\nshard triples: %v\ncross-shard resolutions: %d\n",
-		s.store.NumShards(), s.store.ShardTriples(), s.store.CrossShardResolutions())
 	if s.cache != nil {
 		st := s.cache.Stats()
 		fmt.Fprintf(w, "cache: %d entries, %d triples (~%d bytes), %d hits (%d via containment aliases), %d misses, %d evictions (%d triples)\n",

@@ -19,12 +19,11 @@ import (
 )
 
 // tracedConfig is newTestServer's graph and schema with tracing knobs and
-// three shards, so sampled extractions grow per-shard spans.
+// four workers.
 func tracedConfig(sample int) Config {
 	return Config{
 		Graph:       datagen.Tyrol(datagen.TyrolConfig{Individuals: 120, Seed: 9}),
 		Schema:      schema.MustNew(datagen.BenchmarkShapes()[:8]...),
-		Shards:      3,
 		Workers:     4,
 		Logger:      quietLogger(),
 		TraceSample: sample,
@@ -105,9 +104,8 @@ func TestTraceparentIngestion(t *testing.T) {
 }
 
 // TestDebugTracesEndToEnd is the tracing acceptance path: a sampled
-// /fragment over the sharded backend must surface on /debug/traces with
-// per-shard gather spans, the exec breakdown, and timings coherent with
-// the route latency histogram.
+// /fragment must surface on /debug/traces with its extraction stages, the
+// exec breakdown, and timings coherent with the route latency histogram.
 func TestDebugTracesEndToEnd(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, tracedConfig(1))
 	resp, _ := get(t, ts, "/fragment")
@@ -129,14 +127,14 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 		t.Errorf("sampled extraction grew only %d spans", list.Traces[0].Spans)
 	}
 
-	// Fetching by ID returns OTLP-shaped JSON naming the shard spans.
+	// Fetching by ID returns OTLP-shaped JSON naming the extraction spans.
 	fresp, otlp := get(t, ts, "/debug/traces/"+traceID)
 	if fresp.StatusCode != 200 {
 		t.Fatalf("GET /debug/traces/%s: %d", traceID, fresp.StatusCode)
 	}
 	for _, want := range []string{
 		`"resourceSpans"`, `"service.name"`, `"GET /fragment"`, `"extract"`,
-		`"shard[0]"`, `"shard[1]"`, `"shard[2]"`, `"scatter"`, `"gather"`,
+		`"nnf"`, `"merge"`, `"plan-exec"`,
 		`"http.route"`,
 	} {
 		if !strings.Contains(otlp, want) {
@@ -146,7 +144,7 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 
 	// The span tree and the route histogram time the same request: the
 	// root span nests inside the middleware's histogram observation, and
-	// the extract span (with its shard children) nests inside the root.
+	// the extract span (with its exec breakdown) nests inside the root.
 	st, ok := srv.Traces().Get(traceID)
 	if !ok {
 		t.Fatal("trace vanished from the registry")
@@ -156,20 +154,16 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 	if extract == nil {
 		t.Fatalf("no extract span under root")
 	}
-	var shardSum time.Duration
-	for i := 0; i < 3; i++ {
-		sh := spanByName(extract, fmt.Sprintf("shard[%d]", i))
-		if sh == nil {
-			t.Fatalf("no shard[%d] span under extract", i)
-		}
-		shardSum += sh.Duration()
+	exec := spanByName(extract, "plan-exec")
+	if exec == nil {
+		t.Fatal("no plan-exec span under extract")
 	}
-	if shardSum <= 0 {
-		t.Error("shard spans accumulated no time")
+	if exec.Duration() <= 0 {
+		t.Error("plan-exec accumulated no time")
 	}
-	// Accumulated shard work is bounded by extract wall time × workers.
-	if max := extract.Duration() * 4; shardSum > max {
-		t.Errorf("shard spans sum to %v > extract %v × 4 workers", shardSum, extract.Duration())
+	// Accumulated unit work is bounded by extract wall time × workers.
+	if max := extract.Duration() * 4; exec.Duration() > max {
+		t.Errorf("plan-exec sums to %v > extract %v × 4 workers", exec.Duration(), extract.Duration())
 	}
 	if extract.Duration() > root.Duration() {
 		t.Errorf("extract %v exceeds root %v", extract.Duration(), root.Duration())
@@ -405,19 +399,16 @@ func TestSpanCountIndependentOfSize(t *testing.T) {
 		var spans [2]int
 		for i, individuals := range []int{120, 1500} {
 			srv, err := New(Config{
-				Graph:  datagen.Tyrol(datagen.TyrolConfig{Individuals: individuals, Seed: 9}),
-				Schema: schema.MustNew(datagen.BenchmarkShapes()...),
-				Shards: 3, Workers: 8, Logger: quietLogger(), TraceSample: 1,
+				Graph:   datagen.Tyrol(datagen.TyrolConfig{Individuals: individuals, Seed: 9}),
+				Schema:  schema.MustNew(datagen.BenchmarkShapes()...),
+				Workers: 8, Logger: quietLogger(), TraceSample: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/fragment", nil))
 			st := keptTrace(t, srv, "GET /fragment")
-			var units int64
-			for _, c := range spanByName(st.Root(), "extract").Children() {
-				units += intAttr(c, "units") // on the shard[i] accumulators
-			}
+			units := intAttr(spanByName(st.Root(), "extract"), "units")
 			if i == 1 && units < 1000 {
 				t.Fatalf("large /fragment ran %d work units, want >= 1000", units)
 			}

@@ -383,3 +383,75 @@ func TestTimeoutReleasesLimiterSlot(t *testing.T) {
 		t.Fatalf("post-timeout /healthz: %d", resp.StatusCode)
 	}
 }
+
+// TestUpdateSwapStress is TestUpdateEpochConsistency plus a second
+// component that must survive every carry: concurrent readers must always
+// see a consistent epoch while POST /update swaps a triple back and forth,
+// with the copy-on-write clone, the dictionary overlay and the component
+// analysis racing under -race in scripts/check.sh.
+func TestUpdateSwapStress(t *testing.T) {
+	srv, ts := newUpdateTestServer(t, Config{
+		Graph: rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "b"), exTriple("c", "d")}),
+	})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := ts.Client()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := client.Get(ts.URL + nodeURL("a"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body := readAll(t, resp)
+				resp.Body.Close()
+				// Each swap is two epochs (delete, then add), so an empty
+				// neighborhood is a legitimate intermediate state; both
+				// triples at once never is.
+				if strings.Contains(body, lineAB) && strings.Contains(body, lineAE) {
+					t.Errorf("torn response at epoch %s:\n%q",
+						resp.Header.Get("X-Epoch"), body)
+					return
+				}
+			}
+		}()
+	}
+	const swaps = 40
+	for i := 0; i < swaps; i++ {
+		var body, op string
+		if i%2 == 0 {
+			post(t, ts, "/update?op=delete", lineAB)
+			body, op = lineAE, "/update"
+		} else {
+			post(t, ts, "/update?op=delete", lineAE)
+			body, op = lineAB, "/update"
+		}
+		if resp, _ := post(t, ts, op, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("swap %d: status %d", i, resp.StatusCode)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if epoch := srv.store.Current().Epoch(); epoch != 1+2*swaps {
+		t.Fatalf("epoch = %d, want %d", epoch, 1+2*swaps)
+	}
+	// The untouched {c,d} component must have survived every carry sweep.
+	resp, err := ts.Client().Get(ts.URL + nodeURL("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	resp.Body.Close()
+	if !strings.Contains(body, lineCD) {
+		t.Fatalf("node c lost its component after the updates:\n%q", body)
+	}
+}

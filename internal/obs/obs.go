@@ -14,8 +14,8 @@
 // are measured by the server itself rather than by ad-hoc external
 // benchmarks: internal/fragserver roots a SpanTrace for every request
 // and carries the root in the request context, handlers open a child
-// per stage, and internal/core opens sub-stage, per-shard and exec
-// breakdown children under the span it is handed. Head sampling decides
+// per stage, and internal/core opens sub-stage and exec breakdown
+// children under the span it is handed. Head sampling decides
 // only which finished trees are kept; exemplar-aware histograms link
 // each latency bucket to the trace ID of the last kept request that
 // landed in it.

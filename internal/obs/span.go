@@ -229,8 +229,8 @@ func (s *Span) Add(d time.Duration) {
 // AccumChild returns the accumulator child with the given name, creating
 // it on first use: a child whose duration grows only through Add, never
 // from wall time (its End is already spent). It is how work done in many
-// small pieces, possibly by many goroutines at once, is timed — per-shard
-// extraction, plan binding, a subscription fan-out: every piece lands in
+// small pieces, possibly by many goroutines at once, is timed — extraction
+// units, plan binding, a subscription fan-out: every piece lands in
 // the one child of its name, so a request's span count does not grow with
 // its size, and wall-clock bracketing cannot double-count stolen work.
 // The mutex serializes get-or-create; concurrent StartChild prepends

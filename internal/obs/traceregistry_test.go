@@ -88,7 +88,7 @@ func TestRegistryHandlerJSON(t *testing.T) {
 	old := finishedTrace("old")
 	r.Keep(old, false)
 	st := NewSpanTrace("GET /fragment", SpanContext{})
-	sh := st.Root().StartChild("shard[0]")
+	sh := st.Root().StartChild("plan-exec")
 	sh.SetAttrInt("units", 7)
 	sh.Add(2 * time.Millisecond)
 	sh.End()
@@ -138,7 +138,7 @@ func TestRegistryHandlerJSON(t *testing.T) {
 	if spans[0].Name != "GET /fragment" || spans[0].TraceID != st.ID().String() {
 		t.Errorf("root OTLP span = %+v", spans[0])
 	}
-	if spans[1].Name != "shard[0]" || spans[1].ParentSpanID != spans[0].SpanID {
+	if spans[1].Name != "plan-exec" || spans[1].ParentSpanID != spans[0].SpanID {
 		t.Errorf("child OTLP span = %+v, want parent link to root", spans[1])
 	}
 

@@ -33,7 +33,7 @@ type parityCase struct {
 
 // exampleParityCases loads every schema under examples/shapes against the
 // example tourism data, plus a synthetic graph under the benchmark shapes —
-// the same corpus the sharded-store parity suite gates on.
+// the same corpus the store's parity suite gates on.
 func exampleParityCases(t *testing.T) []parityCase {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "data", "tourism.ttl"))
@@ -67,7 +67,7 @@ func exampleParityCases(t *testing.T) []parityCase {
 	})
 	// The shapes the set form has cases of its own for (plan_test.go), each
 	// under two targets: without a cache a work unit is a source set, and
-	// its size follows shards and workers.
+	// its size follows the worker count.
 	rng := rand.New(rand.NewSource(17))
 	var defs []schema.Definition
 	for i, phi := range setShapes(rng) {
@@ -83,8 +83,8 @@ func exampleParityCases(t *testing.T) []parityCase {
 
 // TestPlanFragmentParity is the tentpole acceptance gate: Frag(G, H)
 // extracted by compiled plans through FragmentParallel is byte-identical
-// to the AST extractor's output for every example schema, across shard
-// counts 1/4 × worker counts 1/2/4, with and without the neighborhood cache.
+// to the AST extractor's output for every example schema, at worker counts
+// 1/2/4, with and without the neighborhood cache.
 func TestPlanFragmentParity(t *testing.T) {
 	for _, tc := range exampleParityCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,45 +92,39 @@ func TestPlanFragmentParity(t *testing.T) {
 			want := turtle.FormatNTriples(core.FragmentSchema(tc.g, tc.h))
 			requests := core.SchemaRequests(tc.h)
 			plans := plan.CompileAll(requests, tc.h)
-			for _, shards := range []int{1, 4} {
-				cfg := store.Config{Shards: shards}
-				if shards == 1 {
-					cfg = store.Config{}
-				}
-				st, err := store.New(tc.g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{1, 2, 4} {
-					for _, cached := range []bool{false, true} {
-						var cache *core.NeighborhoodCache
-						if cached {
-							cache = core.NewNeighborhoodCache(1 << 20)
-						}
-						x := core.NewExtractor(st.Current().Reader(), tc.h)
-						frag, err := x.FragmentParallel(requests, core.ParallelOptions{
-							Workers: workers,
-							Plans:   plans,
-							Cache:   cache,
+			st, err := store.New(tc.g, store.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, cached := range []bool{false, true} {
+					var cache *core.NeighborhoodCache
+					if cached {
+						cache = core.NewNeighborhoodCache(1 << 20)
+					}
+					x := core.NewExtractor(st.Current().Reader(), tc.h)
+					frag, err := x.FragmentParallel(requests, core.ParallelOptions{
+						Workers: workers,
+						Plans:   plans,
+						Cache:   cache,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := turtle.FormatNTriples(frag); got != want {
+						t.Errorf("workers=%d cached=%v: plan fragment differs from AST (%d vs %d bytes)",
+							workers, cached, len(got), len(want))
+					}
+					if cached {
+						// Second pass hits the plan-populated cache.
+						frag, err = x.FragmentParallel(requests, core.ParallelOptions{
+							Workers: workers, Plans: plans, Cache: cache,
 						})
 						if err != nil {
 							t.Fatal(err)
 						}
 						if got := turtle.FormatNTriples(frag); got != want {
-							t.Errorf("shards=%d workers=%d cached=%v: plan fragment differs from AST (%d vs %d bytes)",
-								shards, workers, cached, len(got), len(want))
-						}
-						if cached {
-							// Second pass hits the plan-populated cache.
-							frag, err = x.FragmentParallel(requests, core.ParallelOptions{
-								Workers: workers, Plans: plans, Cache: cache,
-							})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got := turtle.FormatNTriples(frag); got != want {
-								t.Errorf("shards=%d workers=%d: cached replay differs", shards, workers)
-							}
+							t.Errorf("workers=%d: cached replay differs", workers)
 						}
 					}
 				}
@@ -156,9 +150,9 @@ func servedParityCase(t *testing.T) parityCase {
 }
 
 // TestPlannerFragmentParity runs the corpus and the served benchmark schema
-// the way fragserver serves them: CompileAll once, then FragmentParallel at
-// shards 1/4 with every program bound — each fits the budget here, and no
-// work unit runs on the AST walker.
+// the way fragserver serves them: CompileAll once, then FragmentParallel
+// with every program bound — each fits the budget here, and no work unit
+// runs on the AST walker.
 func TestPlannerFragmentParity(t *testing.T) {
 	for _, tc := range append(exampleParityCases(t), servedParityCase(t)) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,32 +160,30 @@ func TestPlannerFragmentParity(t *testing.T) {
 			want := turtle.FormatNTriples(core.FragmentSchema(tc.g, tc.h))
 			requests := core.SchemaRequests(tc.h)
 			plans := plan.CompileAll(requests, tc.h)
-			for _, shards := range []int{1, 4} {
-				st, err := store.New(tc.g, store.Config{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
+			st, err := store.New(tc.g, store.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := st.Current().Reader()
+			for i, p := range plans.Programs {
+				if !p.Fits(r.Dict().Len()) {
+					t.Fatalf("definition %d: %d memo bytes over the budget", i, p.MemoBytes(r.Dict().Len()))
 				}
-				r := st.Current().Reader()
-				for i, p := range plans.Programs {
-					if !p.Fits(r.Dict().Len()) {
-						t.Fatalf("definition %d: %d memo bytes over the budget", i, p.MemoBytes(r.Dict().Len()))
-					}
-				}
-				trace := obs.NewSpanTrace("parity", obs.SpanContext{})
-				frag, err := core.NewExtractor(r, tc.h).FragmentParallel(requests, core.ParallelOptions{
-					Workers: 4,
-					Plans:   plans,
-					Span:    trace.Root(),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := turtle.FormatNTriples(frag); got != want {
-					t.Errorf("shards=%d: plan fragment differs from AST (%d vs %d bytes)", shards, len(got), len(want))
-				}
-				if spanNamed(trace.Root(), "ast-exec") {
-					t.Errorf("shards=%d: a work unit ran on the AST walker", shards)
-				}
+			}
+			trace := obs.NewSpanTrace("parity", obs.SpanContext{})
+			frag, err := core.NewExtractor(r, tc.h).FragmentParallel(requests, core.ParallelOptions{
+				Workers: 4,
+				Plans:   plans,
+				Span:    trace.Root(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := turtle.FormatNTriples(frag); got != want {
+				t.Errorf("plan fragment differs from AST (%d vs %d bytes)", len(got), len(want))
+			}
+			if spanNamed(trace.Root(), "ast-exec") {
+				t.Error("a work unit ran on the AST walker")
 			}
 		})
 	}

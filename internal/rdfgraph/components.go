@@ -14,10 +14,8 @@ type Delta struct {
 
 // Components is a disjoint-set forest over dense IDs, used by the snapshot
 // store to decide which weakly-connected components a delta touches. It
-// must be built over the *whole* graph a reader can observe: the store
-// unions edges from every shard before asking for roots, because a
-// component — and therefore a neighborhood B(v, G, φ) — freely spans shard
-// boundaries even though each triple is stored on exactly one shard.
+// must be built over the *whole* graph a reader can observe, because a
+// neighborhood B(v, G, φ) can reach anywhere in v's component.
 type Components struct {
 	parent []ID
 }

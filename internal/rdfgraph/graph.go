@@ -32,6 +32,7 @@ package rdfgraph
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"shaclfrag/internal/rdf"
 )
@@ -70,7 +71,7 @@ const dictFlattenDepth = 4
 // keeps its ID, and terms unseen by d may be interned without copying d's
 // map. d must be frozen — the overlay appends into the shared term table,
 // which is only safe while d itself can no longer grow. Extend is how
-// Graph.CloneCOWWith shares the dictionary between snapshot epochs;
+// Graph.CloneCOW shares the dictionary between snapshot epochs;
 // successive overlays must form a single writer lineage (enforced by the
 // store's mutex).
 func (d *Dict) Extend() *Dict {
@@ -153,28 +154,22 @@ type Graph struct {
 	byPred map[ID][]Edge
 	size   int
 	// cowS/cowO track which per-subject (resp. per-object) submaps this
-	// graph owns after CloneCOWWith. A key absent from the set still aliases
+	// graph owns after CloneCOW. A key absent from the set still aliases
 	// the parent snapshot's submap and must be deep-copied before its
 	// first mutation. Both are nil on graphs built by New and are cleared
 	// by Freeze.
 	cowS map[ID]struct{}
 	cowO map[ID]struct{}
+	// nodeIDs is N(G), listed and sorted by the first NodeIDs call after
+	// Freeze.
+	nodeOnce sync.Once
+	nodeIDs  []ID
 }
 
 // New returns an empty graph with its own term dictionary.
 func New() *Graph {
-	return NewWithDict(NewDict())
-}
-
-// NewWithDict returns an empty graph interning into d. Several graphs may
-// share one dictionary — that is how internal/store keeps IDs comparable
-// across its subject-partitioned shard graphs — but then only one of them
-// may intern at a time (the store's writer lock enforces this; interning
-// through a shared mutable dictionary from concurrent goroutines is a data
-// race).
-func NewWithDict(d *Dict) *Graph {
 	return &Graph{
-		dict:   d,
+		dict:   NewDict(),
 		spo:    make(map[ID]map[ID]map[ID]struct{}),
 		ops:    make(map[ID]map[ID]map[ID]struct{}),
 		byPred: make(map[ID][]Edge),
@@ -451,38 +446,33 @@ func (g *Graph) EachTriple(fn func(s, p, o ID)) {
 // occurs as a subject or object of some triple. This is the finite set
 // N(G) the paper quantifies over when computing shape fragments.
 func (g *Graph) Nodes(fn func(n ID)) {
-	seen := make(map[ID]struct{}, len(g.spo)+len(g.ops))
 	for s := range g.spo {
-		if _, ok := seen[s]; !ok {
-			seen[s] = struct{}{}
-			fn(s)
-		}
+		fn(s)
 	}
 	for o := range g.ops {
-		if _, ok := seen[o]; !ok {
-			seen[o] = struct{}{}
+		if _, subject := g.spo[o]; !subject {
 			fn(o)
 		}
 	}
 }
 
-// NodeIDs returns N(G) as a sorted slice of IDs.
+// NodeIDs returns N(G) as a sorted slice of IDs. On a frozen graph it is
+// listed once and every call returns the same slice, which callers must
+// not modify (its capacity is its length, so an append copies); a mutable
+// graph lists it afresh on each call.
 func (g *Graph) NodeIDs() []ID {
-	var ids []ID
-	g.Nodes(func(n ID) { ids = append(ids, n) })
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	if !g.frozen {
+		return g.listNodes()
+	}
+	g.nodeOnce.Do(func() { g.nodeIDs = g.listNodes() })
+	return g.nodeIDs
 }
 
-// NumNodes returns |N(G)| without listing it.
-func (g *Graph) NumNodes() int {
-	n := len(g.spo)
-	for o := range g.ops {
-		if _, ok := g.spo[o]; !ok {
-			n++
-		}
-	}
-	return n
+func (g *Graph) listNodes() []ID {
+	ids := make([]ID, 0, len(g.spo)+len(g.ops))
+	g.Nodes(func(n ID) { ids = append(ids, n) })
+	slices.Sort(ids)
+	return slices.Clip(ids)
 }
 
 // IsNode reports whether id occurs as a subject or object in the graph.
@@ -513,22 +503,24 @@ func (g *Graph) TermID(t rdf.Term) ID { return g.dict.Intern(t) }
 // LookupTerm returns the ID of t if it is interned, else NoID.
 func (g *Graph) LookupTerm(t rdf.Term) ID { return g.dict.Lookup(t) }
 
-// CloneCOWWith returns a mutable copy-on-write clone of a frozen graph
-// interning into d, which must be an Extend of g's dictionary (so IDs stay
-// stable). The clone shares g's per-subject and per-object index submaps
-// and its per-predicate edge slices; a submap is deep-copied only when
-// first mutated, and edge slices are rebuilt only on deletion. This makes
-// a small delta O(delta), not O(graph). The store clones every shard
-// against one shared overlay per epoch, so a delta's new terms get exactly
-// one ID no matter which shard their triples land in. Clones must form a
-// single writer lineage per graph — the store enforces this with a mutex;
-// concurrent mutation of clones of the same ancestry is a data race.
-func (g *Graph) CloneCOWWith(d *Dict) *Graph {
+// CloneCOW returns a mutable copy-on-write clone of a frozen graph,
+// interning into an Extend of g's dictionary so IDs stay stable. The clone
+// shares g's per-subject and per-object index submaps and its
+// per-predicate edge slices; a submap is deep-copied only when first
+// mutated, and an edge slice is rebuilt only on deletion. The clone itself
+// still costs O(|subjects| + |objects| + |predicates|) — it copies the
+// three top-level maps — and the store's Apply then unions every old
+// triple for its component analysis, so an update is O(graph), not
+// O(delta); ROADMAP item 2 plans the write path that is. Clones must form
+// a single writer lineage per graph — the store enforces this with a
+// mutex; concurrent mutation of clones of the same ancestry is a data
+// race.
+func (g *Graph) CloneCOW() *Graph {
 	if !g.frozen {
 		panic("rdfgraph: CloneCOW of unfrozen graph")
 	}
 	out := &Graph{
-		dict:   d,
+		dict:   g.dict.Extend(),
 		spo:    make(map[ID]map[ID]map[ID]struct{}, len(g.spo)),
 		ops:    make(map[ID]map[ID]map[ID]struct{}, len(g.ops)),
 		byPred: make(map[ID][]Edge, len(g.byPred)),

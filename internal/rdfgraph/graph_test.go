@@ -2,6 +2,7 @@ package rdfgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -229,10 +230,63 @@ func TestCloneCOWRequiresFrozen(t *testing.T) {
 	g := FromTriples([]rdf.Triple{tr("a", "p", "b")})
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("CloneCOWWith of unfrozen graph must panic")
+			t.Fatalf("CloneCOW of unfrozen graph must panic")
 		}
 	}()
-	g.CloneCOWWith(g.Dict())
+	g.CloneCOW()
+}
+
+// TestNodeIDsOncePerFrozenGraph: a frozen graph lists N(G) once and hands
+// every caller the same slice, which an append cannot write into; a mutable
+// graph lists it afresh; and each copy-on-write epoch lists its own N(G),
+// with the nodes an update added or removed.
+func TestNodeIDsOncePerFrozenGraph(t *testing.T) {
+	g := FromTriples([]rdf.Triple{tr("a", "p", "b"), tr("b", "p", "c")})
+	if first, second := g.NodeIDs(), g.NodeIDs(); &first[0] == &second[0] {
+		t.Fatal("a mutable graph handed out one node list twice")
+	}
+	g.Freeze()
+	first, second := g.NodeIDs(), g.NodeIDs()
+	if &first[0] != &second[0] {
+		t.Fatal("a frozen graph listed N(G) again on the second call")
+	}
+	if cap(first) != len(first) {
+		t.Fatalf("shared node list has capacity %d beyond its %d nodes", cap(first), len(first))
+	}
+
+	nodes := func(g *Graph, names ...string) []ID {
+		var ids []ID
+		for _, n := range names {
+			ids = append(ids, g.LookupTerm(iri(n)))
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	epoch := g
+	for i, step := range []struct {
+		add, del []rdf.Triple
+		want     []string
+	}{
+		{add: []rdf.Triple{tr("c", "p", "d")}, want: []string{"a", "b", "c", "d"}},
+		{del: []rdf.Triple{tr("a", "p", "b")}, want: []string{"b", "c", "d"}},
+		{add: []rdf.Triple{tr("e", "q", "e")}, del: []rdf.Triple{tr("c", "p", "d")}, want: []string{"b", "c", "e"}},
+	} {
+		prev, prevNodes := epoch, slices.Clone(epoch.NodeIDs())
+		epoch = prev.CloneCOW()
+		for _, triple := range step.del {
+			epoch.Remove(triple)
+		}
+		for _, triple := range step.add {
+			epoch.Add(triple)
+		}
+		epoch.Freeze()
+		if got, want := epoch.NodeIDs(), nodes(epoch, step.want...); !slices.Equal(got, want) {
+			t.Errorf("epoch %d: N(G) = %v, want %v", i+2, got, want)
+		}
+		if !slices.Equal(prev.NodeIDs(), prevNodes) {
+			t.Errorf("epoch %d changed its parent's N(G)", i+2)
+		}
+	}
 }
 
 func TestRemoveOnMutableGraph(t *testing.T) {

@@ -4,12 +4,10 @@ import "shaclfrag/internal/rdf"
 
 // Reader is the read-only surface of a dictionary-encoded graph: everything
 // shape evaluation, path evaluation, neighborhood extraction and serving
-// need, and nothing that mutates triples. *Graph implements it natively;
-// internal/store's ShardedGraph implements it over a set of
-// subject-partitioned shard graphs sharing one dictionary, which is what
-// lets every layer above the storage tier — evaluators, extractors, the
-// TPF engine, the SPARQL engine, the HTTP server — run unchanged against
-// any shard count.
+// need, and nothing that mutates triples. *Graph implements it; the layers
+// above the storage tier — evaluators, extractors, the TPF engine, the
+// SPARQL engine, the HTTP server — take a Reader, so a test can hand them
+// a graph whose reads misbehave.
 //
 // The mutating exceptions are deliberate: TermID interns into the
 // dictionary (shape constants need IDs comparable against graph nodes) and
@@ -53,10 +51,9 @@ type Reader interface {
 	EachTriple(fn func(s, p, o ID))
 	// Nodes calls fn once per node of N(G).
 	Nodes(fn func(n ID))
-	// NodeIDs returns N(G) as a sorted slice.
+	// NodeIDs returns N(G) as a sorted slice, which the caller must not
+	// modify.
 	NodeIDs() []ID
-	// NumNodes returns the size of N(G).
-	NumNodes() int
 	// IsNode reports whether id occurs as a subject or object.
 	IsNode(id ID) bool
 	// Triples returns all triples in canonical order.

@@ -16,7 +16,7 @@ import (
 )
 
 // parityCase is one (data graph, schema) pair whose whole-schema fragment
-// must come out byte-identical from every shard count and scheduling path.
+// must come out byte-identical at every worker count and cache mode.
 type parityCase struct {
 	name string
 	g    *rdfgraph.Graph
@@ -87,14 +87,14 @@ func exampleParityCases(t *testing.T) []parityCase {
 	return cases
 }
 
-// TestShardedFragmentParity is the acceptance gate for the store: Frag(G, H)
-// computed through every shard count and scheduling path, cold and through
-// a neighborhood cache, is byte-identical to serial extraction from one
-// plain graph, for every example schema shipped in the repo — on the loaded
-// graph and again after each of two updates (a deletion, then its
-// re-add), with the cache carried across them the way the server carries
-// it.
-func TestShardedFragmentParity(t *testing.T) {
+// TestFragmentParityAcrossUpdates is the acceptance gate for the store:
+// Frag(G, H) computed through the store at every worker count, cold and
+// through a neighborhood cache, is byte-identical to serial extraction
+// from one plain graph, for every example schema shipped in the repo — on
+// the loaded graph and again after each of three updates (a deletion, its
+// re-add, and triples over terms the graph never interned), with the cache
+// carried across them the way the server carries it.
+func TestFragmentParityAcrossUpdates(t *testing.T) {
 	for _, tc := range exampleParityCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			requests := core.SchemaRequests(tc.h)
@@ -134,33 +134,31 @@ func TestShardedFragmentParity(t *testing.T) {
 				t.Fatal("the deltas do not move the fragment; the after-update rounds prove nothing")
 			}
 
-			for _, shards := range []int{1, 2, 4, 16} {
-				for _, workers := range []int{1, 2, 4} {
-					for _, cache := range []*core.NeighborhoodCache{nil, core.NewNeighborhoodCache(1 << 20)} {
-						// A store owns its graph, and the fresh delta appends
-						// to its dictionary: every store gets its own copy.
-						g := tc.g.Clone()
-						store.WarmDictionary(g, tc.h)
-						st, err := store.New(g, store.Config{Shards: shards})
+			for _, workers := range []int{1, 2, 4} {
+				for _, cache := range []*core.NeighborhoodCache{nil, core.NewNeighborhoodCache(1 << 20)} {
+					// A store owns its graph, and the fresh delta appends
+					// to its dictionary: every store gets its own copy.
+					g := tc.g.Clone()
+					store.WarmDictionary(g, tc.h)
+					st, err := store.New(g, store.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for round, d := range deltas {
+						if res := st.Apply(d); res.Changed && cache != nil {
+							cache.Carry(res.Prev, res.Snapshot.Epoch(), res.Unaffected)
+						}
+						snap := st.Current()
+						x := core.NewExtractor(snap.Reader(), tc.h)
+						frag, err := x.FragmentParallel(requests, core.ParallelOptions{
+							Workers: workers, Cache: cache, Epoch: snap.Epoch(),
+						})
 						if err != nil {
 							t.Fatal(err)
 						}
-						for round, d := range deltas {
-							if res := st.Apply(d); res.Changed && cache != nil {
-								cache.Carry(res.Prev, res.Snapshot.Epoch(), res.Unaffected)
-							}
-							snap := st.Current()
-							x := core.NewExtractor(snap.Reader(), tc.h)
-							frag, err := x.FragmentParallel(requests, core.ParallelOptions{
-								Workers: workers, Cache: cache, Epoch: snap.Epoch(),
-							})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got := turtle.FormatNTriples(frag); got != want[round] {
-								t.Fatalf("shards=%d workers=%d cache=%v after %d updates: fragment differs from serial extraction (%d vs %d bytes)",
-									shards, workers, cache != nil, round, len(got), len(want[round]))
-							}
+						if got := turtle.FormatNTriples(frag); got != want[round] {
+							t.Fatalf("workers=%d cache=%v after %d updates: fragment differs from serial extraction (%d vs %d bytes)",
+								workers, cache != nil, round, len(got), len(want[round]))
 						}
 					}
 				}

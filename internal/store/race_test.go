@@ -6,29 +6,30 @@ import (
 
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
+	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
+	"shaclfrag/internal/shape"
 	"shaclfrag/internal/store"
 	"shaclfrag/internal/turtle"
 )
 
-// TestConcurrentScatterGather hammers one frozen sharded epoch with
-// concurrent scatter-gather extractions. Under -race this exercises the
-// lazily built node caches (nodeOnce), the memoized per-predicate edge
-// slices (predCache) and the batched cross-shard counter, all racing on
-// first use.
-func TestConcurrentScatterGather(t *testing.T) {
+// TestConcurrentFrozenReads hammers one frozen epoch with concurrent
+// extractions. The last request, ≤0 name.⊤, has no focus candidates, so every
+// extraction lists N(G): under -race the graph's lazily built node list
+// (Graph.NodeIDs) races on first use.
+func TestConcurrentFrozenReads(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 300, Seed: 2})
 	h := schema.MustNew(datagen.BenchmarkShapes()...)
+	requests := append(core.SchemaRequests(h), shape.Max(0, paths.P(datagen.PropName), shape.TrueShape()))
 	store.WarmDictionary(g, h)
-	want := turtle.FormatNTriples(core.FragmentSchema(g, h))
+	want := turtle.FormatNTriples(core.NewExtractor(g, h).Fragment(requests))
 
-	st, err := store.New(g, store.Config{Shards: 4})
+	st, err := store.New(g, store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requests := core.SchemaRequests(h)
 	r := st.Current().Reader()
 
 	const readers = 8
@@ -64,7 +65,7 @@ func TestConcurrentApplyAndExtract(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 150, Seed: 4})
 	h := schema.MustNew(datagen.BenchmarkShapes()...)
 	store.WarmDictionary(g, h)
-	st, err := store.New(g, store.Config{Shards: 3})
+	st, err := store.New(g, store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

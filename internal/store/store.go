@@ -1,40 +1,29 @@
 // Package store is the storage tier of the serving stack: it owns the
 // sequence of immutable graph epochs a server reads from and the delta
-// path that publishes new ones. There is one implementation (Sharded): the
-// dictionary-encoded indexes are partitioned by subject ID across N ≥ 1
-// shards sharing one dictionary. Everything above this package — the
-// extractors of internal/core, the HTTP handlers of internal/fragserver,
-// the CLI — speaks Store and rdfgraph.Reader and cannot tell shard counts
-// apart except by throughput.
+// path that publishes new ones. An epoch is one frozen *rdfgraph.Graph —
+// the graph G the paper defines B(v, G, φ) and Frag(G, S) over. Everything
+// above this package — the extractors of internal/core, the HTTP handlers
+// of internal/fragserver, the CLI — reads an epoch through rdfgraph.Reader.
 package store
 
 import (
-	"fmt"
+	"sync"
+	"sync/atomic"
 
-	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 )
 
-// Config sizes the store.
-type Config struct {
-	// Shards is the shard count; 0 means 1, negative counts are rejected.
-	Shards int
-}
-
-func (c Config) shards() (int, error) {
-	if c.Shards < 0 {
-		return 0, fmt.Errorf("store: shard count %d < 0", c.Shards)
-	}
-	if c.Shards == 0 {
-		return 1, nil
-	}
-	return c.Shards, nil
-}
+// Config is empty: there is nothing to size. It and New's error result
+// remain only because the frozen benchmark module calls
+// store.New(g, store.Config{}); the benchmark PR, ROADMAP item 1, deletes
+// both.
+type Config struct{}
 
 // Snapshot is one immutable epoch of a Store. Epochs start at 1 and
 // increase by one per effective update, so they order snapshots and key
 // cache entries; the Reader is frozen and safe for any number of concurrent
-// readers for as long as the caller retains it.
+// readers for as long as the caller retains it. It is an interface while
+// the frozen benchmark module names it as a type (ROADMAP item 1).
 type Snapshot interface {
 	// Reader is the read surface of this epoch.
 	Reader() rdfgraph.Reader
@@ -62,16 +51,14 @@ type ApplyResult struct {
 	// Changed reports whether a new epoch was published.
 	Changed bool
 	// Unaffected reports whether a node's weakly-connected component —
-	// over the union of the previous epoch's edges and the added edges,
-	// built globally across all shards, never per shard, because a
-	// component freely spans shard boundaries — contains no endpoint of
-	// an effective delta triple. Every Table 2 extraction rule walks
-	// edges from the focus node, so both B(v,G,φ) and v's conformance
-	// depend only on v's component: an Unaffected node has the identical
-	// neighborhood and verdict in both epochs, which is what lets a cache
-	// carry its entries forward. IDs must come from the new snapshot's
-	// dictionary (the previous epoch's IDs are valid there too).
-	// Unaffected is safe for concurrent use.
+	// over the union of the previous epoch's edges and the added edges —
+	// contains no endpoint of an effective delta triple. Every Table 2
+	// extraction rule walks edges from the focus node, so both B(v,G,φ)
+	// and v's conformance depend only on v's component: an Unaffected
+	// node has the identical neighborhood and verdict in both epochs,
+	// which is what lets a cache carry its entries forward. IDs must come
+	// from the new snapshot's dictionary (the previous epoch's IDs are
+	// valid there too). Unaffected is safe for concurrent use.
 	Unaffected func(rdfgraph.ID) bool
 }
 
@@ -98,73 +85,119 @@ func (res ApplyResult) AffectedNodes(nodes []rdfgraph.ID) []rdfgraph.ID {
 // Store owns a sequence of immutable graph snapshots and publishes new
 // epochs atomically: readers call Current once and use that snapshot for
 // the whole request without ever blocking on writers; writers are
-// serialized internally and publish copy-on-write epochs. The interface
-// exists so tests can substitute a store whose reader misbehaves.
+// serialized internally and publish copy-on-write epochs. It is an
+// interface so tests can substitute a store whose reader misbehaves, and
+// because the frozen benchmark module names it (ROADMAP item 1).
 type Store interface {
 	// Current returns the latest published snapshot.
 	Current() Snapshot
 	// Apply builds and publishes the next epoch from the current one.
 	Apply(d rdfgraph.Delta) ApplyResult
-	// NumShards returns the shard count.
-	NumShards() int
-	// ShardTriples returns the per-shard triple counts of the current
-	// epoch.
-	ShardTriples() []int
-	// CrossShardResolutions returns the cumulative count of reverse-index
-	// results resolved from a shard other than the queried node's own
-	// (always 0 on one shard).
-	CrossShardResolutions() uint64
 }
 
-// New freezes an already-built graph and publishes it as epoch 1. One
-// shard adopts g as it stands; several re-partition g's triples by subject
-// ID. Either way the dictionary is g's, so IDs held by callers stay valid.
+// New freezes g and publishes it as epoch 1; the dictionary is g's, so IDs
+// held by callers stay valid. It never fails (see Config).
 //
 // The store owns g from here on: do not mutate it or pass it to a second
-// New. Later epochs extend g's dictionary (on one shard, its edge slices
-// too) under this store's writer lock; a second store over g would be a
-// second writer lineage on the same term table. Pass g.Clone() instead.
-func New(g *rdfgraph.Graph, cfg Config) (Store, error) {
-	n, err := cfg.shards()
-	if err != nil {
-		return nil, err
-	}
+// New. Later epochs extend g's dictionary and edge slices under this
+// store's writer lock; a second store over g would be a second writer
+// lineage on the same term table. Pass g.Clone() instead.
+func New(g *rdfgraph.Graph, _ Config) (Store, error) {
+	st := &epochs{}
+	st.publish(g, 1)
+	return st, nil
+}
+
+// epochs is the Store: each epoch a frozen graph. Readers never block;
+// writers serialize on mu and build the next epoch as a copy-on-write
+// clone of the current one, so unchanged index submaps and the dictionary
+// are shared across epochs and IDs remain stable.
+type epochs struct {
+	mu  sync.Mutex
+	cur atomic.Pointer[snapshot]
+}
+
+type snapshot struct {
+	g     *rdfgraph.Graph
+	epoch uint64
+}
+
+func (s *snapshot) Reader() rdfgraph.Reader { return s.g }
+func (s *snapshot) Epoch() uint64           { return s.epoch }
+
+// publish freezes g and makes it the current snapshot.
+func (st *epochs) publish(g *rdfgraph.Graph, epoch uint64) *snapshot {
 	g.Freeze()
-	if n == 1 {
-		return newSharded(&ShardedGraph{dict: g.Dict(), shards: []*rdfgraph.Graph{g}}), nil
+	snap := &snapshot{g: g, epoch: epoch}
+	st.cur.Store(snap)
+	return snap
+}
+
+// Current implements Store.
+func (st *epochs) Current() Snapshot { return st.cur.Load() }
+
+// Apply implements Store. A no-op delta publishes nothing and returns the
+// current snapshot with Changed=false. Apply never blocks readers: they
+// keep resolving Current against the old epoch until the new pointer is
+// stored.
+func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+
+	old := st.cur.Load()
+	ng := old.g.CloneCOW()
+	var added, deleted int
+	var touched []rdfgraph.ID
+	for _, t := range d.Del {
+		s := ng.LookupTerm(t.S)
+		p := ng.LookupTerm(t.P)
+		o := ng.LookupTerm(t.O)
+		if s == rdfgraph.NoID || p == rdfgraph.NoID || o == rdfgraph.NoID {
+			continue
+		}
+		if ng.RemoveIDs(s, p, o) {
+			deleted++
+			touched = append(touched, s, o)
+		}
 	}
-	sg := NewShardedGraph(n, g.Dict())
-	g.EachTriple(func(s, p, o rdfgraph.ID) { sg.AddIDs(s, p, o) })
-	return newSharded(sg), nil
-}
-
-// Loader streams triples into a store without materializing the full
-// triple slice: each Add interns the terms and updates the indexes in
-// place, so peak memory is the final index size, not indexes plus a
-// []rdf.Triple copy of the input. This is what lets a 10M-triple datagen
-// graph load within bounded memory.
-type Loader struct {
-	sg *ShardedGraph
-}
-
-// NewLoader returns an empty loader for the configured shard count.
-func NewLoader(cfg Config) (*Loader, error) {
-	n, err := cfg.shards()
-	if err != nil {
-		return nil, err
+	type addedEdge struct{ s, o rdfgraph.ID }
+	var newEdges []addedEdge
+	for _, t := range d.Add {
+		s := ng.TermID(t.S)
+		p := ng.TermID(t.P)
+		o := ng.TermID(t.O)
+		if ng.AddIDs(s, p, o) {
+			added++
+			touched = append(touched, s, o)
+			newEdges = append(newEdges, addedEdge{s, o})
+		}
 	}
-	return &Loader{sg: NewShardedGraph(n, rdfgraph.NewDict())}, nil
+	if added == 0 && deleted == 0 {
+		// No state was mutated (duplicate adds and absent deletions
+		// return before touching any index), so the clone is discarded.
+		return ApplyResult{
+			Snapshot:   old,
+			Prev:       old.epoch,
+			Unaffected: func(rdfgraph.ID) bool { return true },
+		}
+	}
+
+	// Components over old edges ∪ added edges: old edges keep nodes that
+	// could reach a deleted triple connected to it, added edges connect
+	// previously separate components the new triples now bridge.
+	uf := rdfgraph.NewComponents(ng.Dict().Len())
+	old.g.EachTriple(func(s, _, o rdfgraph.ID) { uf.Union(s, o) })
+	for _, e := range newEdges {
+		uf.Union(e.s, e.o)
+	}
+	dirty := uf.DirtySet(touched)
+
+	return ApplyResult{
+		Snapshot:   st.publish(ng, old.epoch+1),
+		Prev:       old.epoch,
+		Added:      added,
+		Deleted:    deleted,
+		Changed:    true,
+		Unaffected: uf.Unaffected(dirty),
+	}
 }
-
-// Add inserts one triple, reporting whether it was new.
-func (l *Loader) Add(t rdf.Triple) bool { return l.sg.Add(t) }
-
-// Len returns the number of triples loaded so far.
-func (l *Loader) Len() int { return l.sg.Len() }
-
-// Reader exposes the graph under construction. It must not be used
-// concurrently with Add; after Finish it is the epoch-1 read surface.
-func (l *Loader) Reader() rdfgraph.Reader { return l.sg.reader() }
-
-// Finish freezes the loaded graph and wraps it as epoch 1 of a Store.
-func (l *Loader) Finish() Store { return newSharded(l.sg) }

@@ -10,8 +10,8 @@ import (
 // resolve beyond the graph's own nodes — the hasValue constants of shapes
 // and targets (node targets name nodes that may not occur in the data).
 // Property IRIs need no warming: extraction looks them up read-only. The
-// reader must still be mutable, so run this before New freezes the graph,
-// or against a Loader's Reader before Finish. A nil schema is a no-op.
+// reader must still be mutable, so run this before New freezes the graph.
+// A nil schema is a no-op.
 func WarmDictionary(g rdfgraph.Reader, h *schema.Schema) {
 	if h == nil {
 		return

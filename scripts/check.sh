@@ -77,13 +77,11 @@ echo "== go test (everything else)"
 # themselves under -race.
 $GO test ./...
 
-echo "== sharded byte-parity and scale smoke"
-# Frag(G, H) through every shard count and scheduling path, before and
-# after updates, must stay byte-identical to serial extraction from one
-# plain graph, and a streamed
-# 1M-triple load must come up serving.
-$GO test -count=1 -run 'TestShardedFragmentParity|TestShardedServerParity|TestLoaderScale' \
-    ./internal/store ./internal/fragserver
+echo "== store byte-parity across updates and scale smoke"
+# Frag(G, H) through the store at every worker count, cold and cached,
+# before and after updates, must stay byte-identical to serial extraction
+# from one plain graph, and a streamed 1M-triple load must come up serving.
+$GO test -count=1 -run 'TestFragmentParityAcrossUpdates|TestLoaderScale' ./internal/store
 
 echo "== shaclfrag lint"
 bin=$(mktemp -d)/shaclfrag
