@@ -56,7 +56,9 @@ bench-json-smoke:
 
 # Write-heavy serving run on its own: updates/s through incremental
 # fragment maintenance at 0/100/1000 open subscriptions, with the post-run
-# heap size, snapshotted into the trajectory.
+# heap size, and POST /update with an S51 subscriber on Tyrol(1000)
+# (giant) and on the serving benchmark's update-mix graph, Tyrol(10 000)
+# (giant10k), snapshotted into the trajectory.
 bench-live:
 	$(GO) run ./cmd/benchjson -bench LiveUpdates -benchtime 2s -dir . \
 		-meta series=live-updates -meta subscriptions=0,100,1000

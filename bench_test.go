@@ -563,10 +563,11 @@ func pathBase(p string) string {
 // maintainer directly: a best case that prices the fanout, nothing else.
 // heap-MB reports the post-run live heap — the materialized fragment,
 // replay rings and queues must stay bounded as subscriptions scale to
-// 1000+. The giant case is the write path as served: a Review wired into
-// the typed component (one weakly-connected component, so the delta
-// dirties every node), added and deleted through POST /update on
-// Server.Handler() with one subscriber on S51.
+// 1000+. The giant cases are the write path as served: a Review wired into
+// the typed component (one weakly-connected component), added and deleted
+// through POST /update on Server.Handler() with one subscriber on S51.
+// giant runs on Tyrol(1000); giant10k on the serving benchmark's
+// update-mix graph, Tyrol(10 000) with seed 1 and the served schema.
 func BenchmarkLiveUpdates(b *testing.B) {
 	hot := rdf.NewIRI("http://live.example/hot")
 	vi := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://live.example/v%d", i)) }
@@ -626,49 +627,60 @@ func BenchmarkLiveUpdates(b *testing.B) {
 	}
 
 	b.Run("giant", func(b *testing.B) {
-		srv, err := fragserver.New(fragserver.Config{
-			Graph: tyrolGraph(1000), Schema: datagen.BenchmarkSchema(),
-			Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sub, _, err := srv.Live().Subscribe(50, 0) // S51: every review is referenced
-		if err != nil {
-			b.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range sub.Events() {
-			}
-		}()
-		review := rdf.NewIRI(datagen.NS + "review/bench")
-		body := turtle.FormatNTriples([]rdf.Triple{
-			rdf.T(review, rdf.NewIRI(rdf.RDFType), datagen.ClassReview),
-			rdf.T(review, rdf.NewIRI(datagen.PropRating), rdf.NewInteger(4)),
-			rdf.T(review, rdf.NewIRI(datagen.PropAuthor), rdf.NewIRI(datagen.NS+"person/0")),
-			rdf.T(review, rdf.NewIRI(datagen.PropText), rdf.NewLangString("bench review", "en")),
-			rdf.T(rdf.NewIRI(datagen.NS+"lodging/0"), rdf.NewIRI(datagen.PropReview), review),
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			target := "/update"
-			if i%2 == 1 {
-				target = "/update?op=delete"
-			}
-			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", target, strings.NewReader(body)))
-			if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"changed":true`) {
-				b.Fatalf("POST %s: %d %s", target, rec.Code, rec.Body)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
-		srv.Live().Drain()
-		wg.Wait()
+		benchLiveGiant(b, tyrolGraph(1000), datagen.BenchmarkSchema())
 	})
+	b.Run("giant10k", func(b *testing.B) {
+		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 10000, Seed: 1})
+		benchLiveGiant(b, g, servedBenchmarkSchema(b))
+	})
+}
+
+// benchLiveGiant is one giant case of BenchmarkLiveUpdates: an add and a
+// delete of one Review through POST /update, alternating, with an S51
+// subscriber draining its stream.
+func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema) {
+	srv, err := fragserver.New(fragserver.Config{
+		Graph: g, Schema: h,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub, _, err := srv.Live().Subscribe(50, 0) // S51: every review is referenced
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range sub.Events() {
+		}
+	}()
+	review := rdf.NewIRI(datagen.NS + "review/bench")
+	body := turtle.FormatNTriples([]rdf.Triple{
+		rdf.T(review, rdf.NewIRI(rdf.RDFType), datagen.ClassReview),
+		rdf.T(review, rdf.NewIRI(datagen.PropRating), rdf.NewInteger(4)),
+		rdf.T(review, rdf.NewIRI(datagen.PropAuthor), rdf.NewIRI(datagen.NS+"person/0")),
+		rdf.T(review, rdf.NewIRI(datagen.PropText), rdf.NewLangString("bench review", "en")),
+		rdf.T(rdf.NewIRI(datagen.NS+"lodging/0"), rdf.NewIRI(datagen.PropReview), review),
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		target := "/update"
+		if i%2 == 1 {
+			target = "/update?op=delete"
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", target, strings.NewReader(body)))
+		if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"changed":true`) {
+			b.Fatalf("POST %s: %d %s", target, rec.Code, rec.Body)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
+	srv.Live().Drain()
+	wg.Wait()
 }
 
 // discardResponse is an http.ResponseWriter that keeps nothing, so the

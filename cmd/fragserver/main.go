@@ -6,8 +6,8 @@
 // new immutable snapshot epoch while in-flight requests keep reading the
 // one they pinned (see the X-Epoch response header). GET /subscribe streams
 // live per-epoch fragment deltas (Server-Sent Events, resumable via
-// Last-Event-ID) maintained incrementally: each update re-extracts only the
-// focus nodes whose weakly-connected component the delta touched.
+// Last-Event-ID) maintained incrementally: each update re-extracts the
+// subscribed shapes' focus candidates and streams only what changed.
 //
 // Serve your own data:
 //

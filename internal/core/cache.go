@@ -24,12 +24,11 @@ import (
 //
 // Entries are additionally keyed by a store epoch (see store.Store):
 // a neighborhood computed against epoch e is only ever served to requests
-// pinned to epoch e. After an update publishes epoch e+1, Carry clones
-// forward the entries whose nodes the update provably did not affect
-// (store.ApplyResult.Unaffected), so the cache stays warm across
-// updates, and EvictBelow reclaims entries of epochs no request can pin
-// anymore. Single-graph callers that never update can pass any constant
-// epoch (0 works) everywhere.
+// pinned to epoch e, so no entry outlives its epoch. After an update
+// publishes epoch e+1, reads at e+1 start cold (live maintenance writes
+// through for the shapes it maintains), and EvictBelow reclaims entries of
+// epochs no request can pin anymore. Single-graph callers that never
+// update can pass any constant epoch (0 works) everywhere.
 //
 // The bound is expressed in triples, not entries, because neighborhood
 // sizes vary by orders of magnitude; an empty neighborhood still costs one
@@ -47,7 +46,6 @@ type NeighborhoodCache struct {
 	evicted   uint64 // triples removed by evictions, cumulative
 	stale     uint64 // entries removed by EvictBelow, cumulative
 	staleTrip uint64 // triples those entries held
-	carried   uint64 // entries cloned forward by Carry, cumulative
 	aliasHits uint64 // hits served through an alias translation
 }
 
@@ -188,42 +186,6 @@ func (c *NeighborhoodCache) putLocked(key neighborhoodKey, ts []rdfgraph.IDTripl
 	c.size += cost
 }
 
-// Carry clones the entries of epoch `from` whose node satisfies keep into
-// epoch `to`, sharing the triple slices (IDs are stable across epochs, see
-// rdfgraph.Dict.Extend). It returns how many entries were carried. keep is
-// typically store.ApplyResult.Unaffected — a predicate proving the
-// node's neighborhood is identical in both epochs; Carry itself performs no
-// soundness check. The source entries stay in place until EvictBelow
-// reclaims them, so requests still pinned to the old epoch keep hitting.
-func (c *NeighborhoodCache) Carry(from, to uint64, keep func(rdfgraph.ID) bool) int {
-	if from == to || keep == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Collect first: putLocked mutates the list we would be ranging over,
-	// and may evict the very entries being copied.
-	type carry struct {
-		key neighborhoodKey
-		ts  []rdfgraph.IDTriple
-	}
-	var picked []carry
-	for key, el := range c.items {
-		if key.epoch != from || !keep(key.node) {
-			continue
-		}
-		picked = append(picked, carry{
-			key: neighborhoodKey{epoch: to, node: key.node, shape: key.shape},
-			ts:  el.Value.(*neighborhoodEntry).triples,
-		})
-	}
-	for _, p := range picked {
-		c.putLocked(p.key, p.ts, entryCost(p.ts))
-	}
-	c.carried += uint64(len(picked))
-	return len(picked)
-}
-
 // EvictBelow removes every entry of an epoch older than min, returning how
 // many entries and triples were dropped. The serving layer calls it once no
 // in-flight request pins an epoch below min.
@@ -259,7 +221,6 @@ type CacheStats struct {
 	EvictedTriples uint64 // triples those entries held
 	StaleEvictions uint64 // entries removed by EvictBelow (stale epochs)
 	StaleTriples   uint64 // triples those entries held
-	Carried        uint64 // entries cloned to a new epoch by Carry
 	AliasHits      uint64 // hits served through a containment alias (subset of Hits)
 	Entries        int
 	Triples        int
@@ -277,7 +238,6 @@ func (c *NeighborhoodCache) Stats() CacheStats {
 		EvictedTriples: c.evicted,
 		StaleEvictions: c.stale,
 		StaleTriples:   c.staleTrip,
-		Carried:        c.carried,
 		AliasHits:      c.aliasHits,
 		Entries:        c.ll.Len(),
 		Triples:        c.size,

@@ -23,41 +23,22 @@ func TestNeighborhoodCacheEpochIsolation(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodCacheCarryAndEvictBelow(t *testing.T) {
+// TestNeighborhoodCacheEvictBelow: EvictBelow drops exactly the entries of
+// older epochs and counts them as stale.
+func TestNeighborhoodCacheEvictBelow(t *testing.T) {
 	c := core.NewNeighborhoodCache(1000)
 	phi, psi := shape.TrueShape(), shape.FalseShape()
 	entry := func(v rdfgraph.ID) []rdfgraph.IDTriple {
 		return []rdfgraph.IDTriple{{S: v, P: 0, O: 0}}
 	}
-	// Epoch 1: nodes 1..4 under phi, node 1 under psi too.
+	// Epoch 1: nodes 1..4 under phi, node 1 under psi too; epoch 2: nodes
+	// 2 and 4 under phi.
 	for v := rdfgraph.ID(1); v <= 4; v++ {
 		c.Put(1, v, phi, entry(v))
 	}
 	c.Put(1, 1, psi, entry(1))
-
-	// Carry to epoch 2 keeping only even nodes.
-	keep := func(v rdfgraph.ID) bool { return v%2 == 0 }
-	carried := c.Carry(1, 2, keep)
-	if carried != 2 {
-		t.Fatalf("Carry carried %d entries, want 2 (nodes 2 and 4 under phi)", carried)
-	}
-	// New epoch hits exactly the kept nodes.
-	if _, ok := c.Get(2, 2, phi); !ok {
-		t.Error("kept node 2 missing at epoch 2")
-	}
-	if _, ok := c.Get(2, 4, phi); !ok {
-		t.Error("kept node 4 missing at epoch 2")
-	}
-	if _, ok := c.Get(2, 1, phi); ok {
-		t.Error("dropped node 1 served at epoch 2")
-	}
-	if _, ok := c.Get(2, 1, psi); ok {
-		t.Error("dropped node 1 (psi) served at epoch 2")
-	}
-	// Old epoch still fully served until evicted.
-	if _, ok := c.Get(1, 1, phi); !ok {
-		t.Error("epoch 1 entry gone before EvictBelow")
-	}
+	c.Put(2, 2, phi, entry(2))
+	c.Put(2, 4, phi, entry(4))
 
 	entries, triples := c.EvictBelow(2)
 	if entries != 5 || triples != 5 {
@@ -71,30 +52,10 @@ func TestNeighborhoodCacheCarryAndEvictBelow(t *testing.T) {
 	}
 
 	st := c.Stats()
-	if st.Carried != 2 {
-		t.Errorf("Stats.Carried = %d, want 2", st.Carried)
-	}
 	if st.StaleEvictions != 5 || st.StaleTriples != 5 {
 		t.Errorf("stale counters = %d/%d, want 5/5", st.StaleEvictions, st.StaleTriples)
 	}
 	if st.Entries != 2 || st.Triples != 2 {
-		t.Errorf("occupancy after carry+evict = %+v, want 2 entries / 2 triples", st)
-	}
-}
-
-// TestNeighborhoodCacheCarryNoOp: carrying onto the same epoch or with a
-// nil predicate does nothing.
-func TestNeighborhoodCacheCarryNoOp(t *testing.T) {
-	c := core.NewNeighborhoodCache(100)
-	phi := shape.TrueShape()
-	c.Put(1, 1, phi, nil)
-	if n := c.Carry(1, 1, func(rdfgraph.ID) bool { return true }); n != 0 {
-		t.Fatalf("same-epoch Carry carried %d", n)
-	}
-	if n := c.Carry(1, 2, nil); n != 0 {
-		t.Fatalf("nil-predicate Carry carried %d", n)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("no-op Carry changed occupancy: %d entries", c.Len())
+		t.Errorf("occupancy after evict = %+v, want 2 entries / 2 triples", st)
 	}
 }

@@ -14,17 +14,16 @@ func (x *Extractor) FocusNodes(request shape.Shape, all *[]rdfgraph.ID) []rdfgra
 }
 
 // NodeNeighborhoods computes isolated per-node neighborhoods B(v, G, φ)
-// for exactly the given focus nodes — the targeted re-extraction entry
-// point incremental fragment maintenance runs after an update, passing
-// only the request's focus candidates in delta-touched components
-// (store.ApplyResult.AffectedNodes) instead of all of N(G).
+// for exactly the given focus nodes — the re-extraction entry point
+// incremental fragment maintenance runs after an update, passing the
+// request's focus candidates (FocusNodes) rather than all of N(G).
 //
 // The contract matches FragmentParallel's cached mode: request must be the
 // pointer-stable cache key, a non-nil cache is consulted per node and
 // filled on miss (write-through, so maintenance re-warms the serving cache
-// for exactly the nodes an update touched), and a non-nil bound program b
-// takes over extraction with byte-identical results (the plan parity
-// suites gate this). The returned slices are aligned with nodes; they are
+// at the new epoch for every node it re-extracts), and a non-nil bound
+// program b takes over extraction with byte-identical results (the plan
+// parity suites gate this). The returned slices are aligned with nodes; they are
 // shared with the cache and must not be modified.
 func (x *Extractor) NodeNeighborhoods(request shape.Shape, b *plan.Bound, nodes []rdfgraph.ID, cache *NeighborhoodCache, epoch uint64) [][]rdfgraph.IDTriple {
 	out := make([][]rdfgraph.IDTriple, len(nodes))

@@ -96,16 +96,17 @@ func servedBenchmarkSchema(t *testing.T) *schema.Schema {
 // TestUpdateAllocs is the allocation gate of the write path: one effective
 // add and one effective delete of a five-triple review on the giant
 // component, POSTed through Server.Handler() with a subscriber listening —
-// parse, Store.Apply, cache carry, live notify. The pair costs about 1 290
-// allocations and 415 kB. The kB bound, 440, is one the write path fails
+// parse, Store.Apply, live notify. The pair costs about 1 240
+// allocations and 395 kB. The kB bound, 440, is one the write path fails
 // while live re-extraction keeps its bound programs instead of releasing
 // them: their dictionary-sized memo rows and path scratch then come fresh
 // every update, 463 kB a pair. The allocation bound, 1 680, is the cost
 // when every update also re-planned, plus a quarter. Both guard the absence
 // of schema-only work: while every update recomputed the containment
 // classes the same pair cost 6.5M allocations and 362 MB, so any per-update
-// pass over the schema's shapes overshoots at once. (Apply itself is still
-// O(|G|); the bounds are for this graph.)
+// pass over the schema's shapes overshoots at once. (Apply makes no pass
+// over the old graph, but live re-extracts every focus candidate of the
+// subscribed shape, so the bounds are for this graph.)
 func TestUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -256,9 +256,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		reg.CounterFunc("fragserver_cache_stale_triples_total",
 			"Triples held by stale-epoch evicted entries.",
 			func() float64 { return float64(s.cache.Stats().StaleTriples) })
-		reg.CounterFunc("fragserver_cache_carried_total",
-			"Cache entries carried to a new epoch because the update did not affect their node.",
-			func() float64 { return float64(s.cache.Stats().Carried) })
 		reg.CounterFunc(mContainHits,
 			"Cache hits served through a containment alias: requests answered from a congruent definition's entries.",
 			func() float64 { return float64(s.cache.Stats().AliasHits) })

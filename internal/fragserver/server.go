@@ -22,10 +22,10 @@
 // Every data route pins the current snapshot for its whole lifetime and
 // reports its epoch in an X-Epoch response header: a request never observes
 // a half-applied update, and concurrent updates never block readers.
-// Neighborhood cache entries are keyed by epoch; after an update the
-// entries of nodes provably untouched by the delta (their weakly-connected
-// component contains no delta endpoint) are carried to the new epoch, and
-// entries of epochs no in-flight request pins anymore are evicted.
+// Neighborhood cache entries are keyed by epoch and none outlives its
+// epoch: after an update, reads of the new epoch start cold except for the
+// subscribed shapes, whose live maintenance writes through, and entries of
+// epochs no in-flight request pins anymore are evicted.
 //
 // Production behaviors: per-request timeouts propagated through
 // context.Context into extraction, bounded in-flight concurrency (503 when
@@ -414,8 +414,8 @@ func (s *Server) Live() *live.Maintainer { return s.live }
 
 // Store returns the server's snapshot store. Callers embedding the server
 // can apply deltas directly through it, but going through POST /update is
-// preferred: only the handler keeps the neighborhood cache warm (Carry)
-// and the update metrics truthful.
+// preferred: only the handler notifies live maintenance (GET /subscribe)
+// and keeps the update metrics truthful.
 func (s *Server) Store() store.Store { return s.store }
 
 // Lint returns the schema lint findings computed at load time, in the

@@ -11,28 +11,23 @@ import (
 	"shaclfrag/internal/rdfgraph"
 )
 
-// TestUpdateCarryStormParity pins the cache-carry race: handleUpdate used
-// to read the base epoch with s.store.Current().Epoch() BEFORE calling
-// Apply, outside the store's apply lock. Two racing updates could then
-// both observe base epoch N; the one applying second would carry cache
-// entries N→N+2 using only its own delta's Unaffected predicate, silently
-// resurrecting entries the first delta had invalidated — and every honest
-// carry afterwards propagates the resurrected entry to the newest epoch,
-// so the stale neighborhood keeps being served. The fix keys the carry on
-// ApplyResult.Prev, the predecessor epoch the store records under its own
-// apply lock.
+// TestUpdateCarryStormParity pins that no cache entry outlives its epoch
+// under racing updates: whatever order concurrent handlers apply, notify
+// and sweep in, a read at the newest epoch never serves a neighborhood
+// computed at an older one. (The name is from the race it first guarded:
+// handlers that carried entries forward keyed on a pre-Apply epoch read
+// and resurrected entries a concurrent delta had invalidated. Nothing is
+// carried any more; the storm stays as the pin.)
 //
-// Each attempt stages the exact scenario. The victim component {a,b} is
+// Each attempt stages that interleaving. The victim component {a,b} is
 // freshly warmed in the cache; an in-flight reader stays pinned to that
-// epoch for the whole burst (so the sweeper cannot hide the bug by
-// evicting the base-epoch entries the buggy carries clone from). Then one
-// small update extending the victim races a burst of large updates to
-// independent noise components: the large bodies make the serialized
-// applies slow, so the noise handlers read their base epoch before the
-// victim update publishes but apply after it — the precise interleaving
-// that makes the pre-Apply read stale. Afterwards the served neighborhood
-// of the victim must contain every triple ever added to it; with the bug
-// a resurrected entry is missing the newest one. Run with -race.
+// epoch for the whole burst, so the sweeper keeps the old-epoch entries
+// alive while the updates land. Then one small update extending the victim
+// races a burst of large updates to independent noise components: the
+// large bodies make the serialized applies slow, so handlers finish out of
+// apply order. Afterwards the served neighborhood of the victim must
+// contain every triple ever added to it; a stale entry served at the new
+// epoch is missing the newest one. Run with -race.
 func TestUpdateCarryStormParity(t *testing.T) {
 	const noise, attempts, noiseTriples = 6, 12, 200
 	seed := []rdf.Triple{exTriple("a", "b")}
@@ -52,7 +47,7 @@ func TestUpdateCarryStormParity(t *testing.T) {
 
 	for attempt := 0; attempt < attempts; attempt++ {
 		// Warm the victim's neighborhood at the current epoch, so the
-		// racing carries have an entry to (mis)handle.
+		// racing updates have a soon-stale entry to (mis)handle.
 		if resp, _ := get(t, ts, nodeURL("a")); resp.StatusCode != http.StatusOK {
 			t.Fatalf("warming read failed at attempt %d", attempt)
 		}
@@ -89,7 +84,7 @@ func TestUpdateCarryStormParity(t *testing.T) {
 		for i := 0; i <= attempt; i++ {
 			want := fmt.Sprintf("<http://ex/a> <http://ex/p> <http://ex/v%d> .", i)
 			if !strings.Contains(body, want) {
-				t.Fatalf("attempt %d: served neighborhood is missing %s — a stale cache entry was carried past the update that invalidated it:\n%s",
+				t.Fatalf("attempt %d: served neighborhood is missing %s — a stale cache entry outlived the update that invalidated it:\n%s",
 					attempt, want, body)
 			}
 		}

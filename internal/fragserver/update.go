@@ -23,8 +23,9 @@ type updateResponse struct {
 	// absent deletions are no-ops and excluded).
 	Added   int `json:"added"`
 	Deleted int `json:"deleted"`
-	// Carried is how many neighborhood-cache entries were cloned into the
-	// new epoch because the delta provably did not affect their node.
+	// Carried is always 0: no neighborhood-cache entry outlives its
+	// epoch. The field stays so existing clients, and the benchmark's
+	// byte-compared replay, read the same body.
 	Carried int `json:"carried"`
 	// Triples is the graph size after the update.
 	Triples int `json:"triples"`
@@ -89,21 +90,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	apply := root.StartChild("apply")
 	res := s.store.Apply(delta)
-	carried := 0
-	if res.Changed && s.cache != nil {
-		// Keep the cache warm: entries whose node the delta provably did
-		// not affect are valid verbatim in the new epoch. The carry MUST
-		// be keyed on res.Prev — the epoch the store actually applied the
-		// delta against, read under its lock — not on an epoch sampled
-		// before Apply: under racing updates the pre-Apply read can be two
-		// or more epochs stale, and carrying across the unobserved
-		// intermediate delta with only this delta's Unaffected predicate
-		// would silently preserve entries the other delta invalidated.
-		carried = s.cache.Carry(res.Prev, res.Snapshot.Epoch(), res.Unaffected)
-	}
 	apply.SetAttrInt("added", int64(res.Added))
 	apply.SetAttrInt("deleted", int64(res.Deleted))
-	apply.SetAttrInt("carried", int64(carried))
 	apply.End()
 
 	if res.Changed {
@@ -119,7 +107,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.metrics.updDeleted.Add(uint64(res.Deleted))
 		s.log.Info("update applied",
 			"epoch", res.Snapshot.Epoch(), "added", res.Added, "deleted", res.Deleted,
-			"carried", carried, "triples", res.Snapshot.Reader().Len(),
+			"triples", res.Snapshot.Reader().Len(),
 			"live_reextracted", ls.Reextracted, "live_delta", ls.Added+ls.Removed)
 	} else {
 		s.metrics.updNoop.Inc()
@@ -137,7 +125,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		Changed: res.Changed,
 		Added:   res.Added,
 		Deleted: res.Deleted,
-		Carried: carried,
 		Triples: res.Snapshot.Reader().Len(),
 	})
 }

@@ -92,8 +92,9 @@ const (
 
 // TestUpdateEndToEnd is the acceptance path: a delta lands between two
 // reads of the same focus node. Each response carries exactly one epoch,
-// the post-update read reflects the delta, and the cache stays warm for
-// the component the delta did not touch.
+// the post-update read reflects the delta, nothing is carried, and the
+// component the delta did not touch serves the same bytes, recomputed at
+// the new epoch.
 func TestUpdateEndToEnd(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{})
 
@@ -105,8 +106,9 @@ func TestUpdateEndToEnd(t *testing.T) {
 	if !strings.Contains(body, lineAB) || strings.Contains(body, lineAE) {
 		t.Fatalf("pre-update /node?a:\n%s", body)
 	}
-	if _, body := get(t, ts, nodeURL("c")); !strings.Contains(body, lineCD) {
-		t.Fatalf("pre-update /node?c:\n%s", body)
+	_, bodyC := get(t, ts, nodeURL("c"))
+	if !strings.Contains(bodyC, lineCD) {
+		t.Fatalf("pre-update /node?c:\n%s", bodyC)
 	}
 	if resp, body := get(t, ts, "/fragment"); resp.Header.Get("X-Epoch") != "1" ||
 		!strings.Contains(body, lineAB) || !strings.Contains(body, lineCD) {
@@ -125,8 +127,8 @@ func TestUpdateEndToEnd(t *testing.T) {
 	if !ur.Changed || ur.Epoch != 2 || ur.Added != 1 || ur.Deleted != 0 || ur.Triples != 3 {
 		t.Fatalf("update response: %+v", ur)
 	}
-	if ur.Carried == 0 {
-		t.Fatalf("no cache entries carried; the untouched component should survive the update")
+	if ur.Carried != 0 {
+		t.Fatalf("update carried %d cache entries; no entry outlives its epoch", ur.Carried)
 	}
 	if got := resp.Header.Get("X-Epoch"); got != "2" {
 		t.Fatalf("update X-Epoch = %q, want 2", got)
@@ -141,18 +143,18 @@ func TestUpdateEndToEnd(t *testing.T) {
 		t.Fatalf("post-update /node?a missing the delta:\n%s", body)
 	}
 
-	// The untouched component is served from the carried cache entry:
-	// hits grow, misses do not.
+	// The untouched component serves the same bytes, recomputed at epoch
+	// 2: its epoch-1 entry is not served there, so the read misses.
 	before := srv.cache.Stats()
-	if _, body := get(t, ts, nodeURL("c")); !strings.Contains(body, lineCD) {
-		t.Fatalf("post-update /node?c:\n%s", body)
+	resp, body = get(t, ts, nodeURL("c"))
+	if got := resp.Header.Get("X-Epoch"); got != "2" {
+		t.Fatalf("post-update /node?c X-Epoch = %q, want 2", got)
 	}
-	after := srv.cache.Stats()
-	if after.Hits <= before.Hits {
-		t.Errorf("cache went cold for an untouched node: hits %d → %d", before.Hits, after.Hits)
+	if body != bodyC {
+		t.Fatalf("post-update /node?c differs from the pre-update bytes:\n%s\nwant:\n%s", body, bodyC)
 	}
-	if after.Misses != before.Misses {
-		t.Errorf("untouched node re-derived after update: misses %d → %d", before.Misses, after.Misses)
+	if after := srv.cache.Stats(); after.Misses <= before.Misses {
+		t.Errorf("/node?c at epoch 2 was not recomputed: misses %d → %d", before.Misses, after.Misses)
 	}
 
 	// The whole fragment under epoch 2 contains exactly the new state.
@@ -385,10 +387,10 @@ func TestTimeoutReleasesLimiterSlot(t *testing.T) {
 }
 
 // TestUpdateSwapStress is TestUpdateEpochConsistency plus a second
-// component that must survive every carry: concurrent readers must always
-// see a consistent epoch while POST /update swaps a triple back and forth,
-// with the copy-on-write clone, the dictionary overlay and the component
-// analysis racing under -race in scripts/check.sh.
+// component no update touches: concurrent readers must always see a
+// consistent epoch while POST /update swaps a triple back and forth, with
+// the copy-on-write clone, the dictionary overlay and stale-epoch eviction
+// racing under -race in scripts/check.sh.
 func TestUpdateSwapStress(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{
 		Graph: rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "b"), exTriple("c", "d")}),
@@ -444,7 +446,7 @@ func TestUpdateSwapStress(t *testing.T) {
 	if epoch := srv.store.Current().Epoch(); epoch != 1+2*swaps {
 		t.Fatalf("epoch = %d, want %d", epoch, 1+2*swaps)
 	}
-	// The untouched {c,d} component must have survived every carry sweep.
+	// The untouched {c,d} component must have survived every update.
 	resp, err := ts.Client().Get(ts.URL + nodeURL("c"))
 	if err != nil {
 		t.Fatal(err)

@@ -1,22 +1,24 @@
 // Package live maintains materialized shape fragments incrementally across
 // store epochs and pushes per-epoch fragment deltas to subscribers.
 //
-// The paper's locality result is what makes this sound: B(v, G, φ) and v's
-// conformance verdict depend only on v's weakly-connected component, so
-// after a delta publishes epoch e+1, only focus nodes whose component the
-// delta touched (store.ApplyResult.AffectedNodes — the inversion of the
-// Unaffected predicate the cache-carry path already uses) can have changed
-// neighborhoods. And a node outside the shape's focus candidates
+// A node outside the shape's focus candidates
 // (shape.Evaluator.FocusCandidates: what its target and shape can hold of,
 // read from the indexes) has an empty neighborhood in any epoch. A
 // Maintainer therefore keeps, per subscribed shape, the per-focus-node
 // neighborhoods plus a triple refcount over their union (the materialized
-// fragment), and on every update re-extracts only the worklist
-// candidates ∩ affected, diffing old against new per node; a node that
-// held a neighborhood, lies in a touched component and is off the worklist
-// — it left N(G), or stopped being a candidate — drops its contribution.
-// Only a shape without a candidate set falls back to N(G) ∩ affected, so
-// no update lists N(G) unless such a shape is subscribed.
+// fragment), and on every update re-extracts the shape's focus candidates
+// at the new epoch, diffing old against new per node; a node that held a
+// neighborhood and is off the worklist — it left N(G), or stopped being a
+// candidate — drops its contribution. Only a shape without a candidate set
+// falls back to N(G), so no update lists N(G) unless such a shape is
+// subscribed.
+//
+// Every node counts as affected by every update: the store does not
+// analyse which neighborhoods a delta can reach. That is trivially sound,
+// and on typed data nothing cheaper is finer — every rdf:type edge joins
+// all instances through their class node, so weakly-connected components
+// never separate them. Narrowing the worklist to the neighborhoods a
+// delta can reach needs per-entry footprints (ROADMAP item 2).
 //
 // Triples whose refcount rises from zero enter the fragment, those falling
 // to zero leave it; the sorted N-Triples renderings of the two sets are the
@@ -24,17 +26,16 @@
 // epoch) and shared by every subscriber, so fanout to thousands of clients
 // is a channel send each.
 //
-// Re-extraction writes through the serving neighborhood cache, so an
-// update leaves the cache warm for exactly the focus nodes it touched
-// while the carry path keeps the untouched majority — /fragment after an
-// update is served entirely from memory instead of cold.
+// Re-extraction writes through the serving neighborhood cache at the new
+// epoch, so after an update the maintained shapes' neighborhoods are
+// served from memory instead of cold.
 //
 // Epoch ordering: updates apply serially inside the store, but the
 // handlers notifying the Maintainer race after the apply lock. Notify
-// therefore stashes results whose predecessor epoch is not the maintained
-// one and applies them once the chain closes, so maintenance always steps
-// prev → prev+1 with the matching Unaffected predicate — the same
-// discipline that fixes the cache-carry race.
+// therefore stashes results whose predecessor epoch (ApplyResult.Prev) is
+// not the maintained one and applies them once the chain closes, so
+// maintenance always steps prev → prev+1 and every subscriber sees the
+// deltas in epoch order.
 package live
 
 import (
@@ -205,9 +206,8 @@ func (m *Maintainer) ensureShapeLocked(def int) *shapeState {
 
 // NotifyStats reports what one Notify call processed: Steps epochs were
 // applied (more than one when this call closed a pending chain),
-// re-extracting Reextracted (shape × delta-touched focus node)
-// neighborhoods, and changing the maintained fragments by Added/Removed
-// triples.
+// re-extracting Reextracted (shape × focus candidate) neighborhoods, and
+// changing the maintained fragments by Added/Removed triples.
 type NotifyStats struct {
 	Steps       int
 	Reextracted int
@@ -220,7 +220,7 @@ type NotifyStats struct {
 // called once per effective update; res.Changed false is a no-op.
 // Out-of-order notifications (racing handlers) are stashed and
 // applied when their predecessor epoch lands, so steps always run in
-// epoch order against the matching Unaffected predicate.
+// epoch order.
 //
 // sp, when non-nil (the update request's "notify" span), receives the
 // reextracted / shapes attributes and the reextract / fanout timings,
@@ -254,8 +254,7 @@ func (m *Maintainer) Notify(res store.ApplyResult, sp *obs.Span) NotifyStats {
 }
 
 // stepLocked applies one epoch transition: per maintained shape it
-// re-extracts the focus candidates the delta's components touch, diffs,
-// and publishes delta events.
+// re-extracts the focus candidates, diffs, and publishes delta events.
 func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *NotifyStats) {
 	snap := res.Snapshot
 	reader := snap.Reader()
@@ -265,7 +264,7 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 	for def, st := range m.shapes {
 		begin := time.Now()
 		x := core.NewExtractor(reader, m.cfg.Schema)
-		work := res.AffectedNodes(x.FocusNodes(st.request, &all)) // sorted
+		work := x.FocusNodes(st.request, &all) // sorted
 		var added, removed []rdfgraph.IDTriple
 		if len(work) > 0 {
 			nbs := m.neighborhoods(x, def, work, epoch)
@@ -273,13 +272,13 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 				added, removed = st.diff(v, nbs[i], added, removed)
 			}
 		}
-		// Nodes of a touched component that held a neighborhood and are
-		// off the worklist left N(G) or stopped being candidates: either
-		// way they no longer conform, so their neighborhood is empty now.
-		// (After the worklist, so a triple another node still contributes
-		// never drops to zero and back within one event.)
+		// Nodes that held a neighborhood and are off the worklist left
+		// N(G) or stopped being candidates: either way they no longer
+		// conform, so their neighborhood is empty now. (After the
+		// worklist, so a triple another node still contributes never
+		// drops to zero and back within one event.)
 		for v := range st.perNode {
-			if _, ok := slices.BinarySearch(work, v); !ok && !res.Unaffected(v) {
+			if _, ok := slices.BinarySearch(work, v); !ok {
 				added, removed = st.diff(v, nil, added, removed)
 			}
 		}

@@ -113,8 +113,8 @@ func equalLines(a, b []string) bool {
 }
 
 // TestSnapshotThenDelta is the core contract: a fresh subscriber gets the
-// full fragment as a snapshot event, and an update touching one component
-// produces exactly that component's delta.
+// full fragment as a snapshot event, and an update re-extracts every focus
+// candidate but emits only the triples that changed.
 func TestSnapshotThenDelta(t *testing.T) {
 	m, st, h := newMaintainer(t, live.Config{})
 	sub, initial, err := m.Subscribe(0, 0)
@@ -135,10 +135,10 @@ func TestSnapshotThenDelta(t *testing.T) {
 	if ns.Steps != 1 || ns.Added != 1 || ns.Removed != 0 {
 		t.Fatalf("notify stats: %+v", ns)
 	}
-	// Of the touched component {a,b,e} only a has a p-edge, so only a is
-	// a focus candidate; {c,d} must not be re-extracted at all.
-	if ns.Reextracted != 1 {
-		t.Errorf("reextracted = %d, want 1 (a)", ns.Reextracted)
+	// Every focus candidate is re-extracted — a and c, the subjects of
+	// p-edges — including c, whose component the delta did not touch.
+	if ns.Reextracted != 2 {
+		t.Errorf("reextracted = %d, want 2 (a and c)", ns.Reextracted)
 	}
 	ev, ok := recv(t, sub)
 	if !ok || ev.Type != live.EventDelta || ev.Epoch != 2 {
@@ -175,9 +175,9 @@ func TestDeleteEmitsRemovals(t *testing.T) {
 }
 
 // TestOutOfOrderNotify pins the epoch-ordering discipline: when the
-// handler for epoch 3 notifies before the handler for epoch 2 (the same
-// race class as the cache-carry bug), the maintainer must stash it and
-// emit both deltas in epoch order.
+// handler for epoch 3 notifies before the handler for epoch 2 (handlers
+// notify after the store's lock is released), the maintainer must stash it
+// and emit both deltas in epoch order.
 func TestOutOfOrderNotify(t *testing.T) {
 	m, st, _ := newMaintainer(t, live.Config{})
 	sub, _, err := m.Subscribe(0, 0)
@@ -409,12 +409,12 @@ func TestStormParity(t *testing.T) {
 // TestStormParityTypedGraph is the storm on a typed, connected graph — the
 // case the detached fixtures above cannot reach: every rdf:type edge joins
 // its instances through the class node, so datagen.Tyrol is one component
-// and every delta dirties all of it. Writers race reviews into the graph
+// and every delta can reach all of it. Writers race reviews into the graph
 // and take them out again in two steps (first the type edge, so the review
 // stays in N(G) but stops being a class-target candidate; then the rest, so
 // it leaves N(G)), while one subscriber per definition folds its event
-// stream. Maintenance re-extracts candidates ∩ affected through compiled
-// plans and the write-through cache; the oracle is the AST walker over all
+// stream. Maintenance re-extracts the candidates through compiled plans
+// and the write-through cache; the oracle is the AST walker over all
 // of N(G). One definition has no candidate set and takes the N(G) fallback.
 func TestStormParityTypedGraph(t *testing.T) {
 	const writers, perWriter, individuals = 4, 12, 120

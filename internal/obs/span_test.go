@@ -249,6 +249,27 @@ func TestSpanNilSafety(t *testing.T) {
 	if s.Name() != "" || !s.ID().IsZero() || s.Duration() != 0 || !s.Start().IsZero() {
 		t.Error("nil span accessors must return zero values")
 	}
+	// Disabled tracing costs nothing: untraced callers thread a nil span
+	// through the hot path, so no method on it may allocate.
+	allocs := testing.AllocsPerRun(100, func() {
+		c := s.StartChild("x")
+		c.End()
+		s.End()
+		s.Add(time.Second)
+		s.AccumChild("x").Add(time.Second)
+		s.SetAttr("k", "v")
+		s.SetAttrInt("k", 1)
+		s.AddAttrInt("k", 1)
+		_ = s.Attrs()
+		_ = s.Children()
+		_ = s.Name()
+		_ = s.ID()
+		_ = s.Duration()
+		_ = s.Start()
+	})
+	if allocs != 0 {
+		t.Errorf("methods on a nil span allocate %v times per call set, want 0", allocs)
+	}
 }
 
 func TestTopSpansAndWriteTree(t *testing.T) {

@@ -2,7 +2,6 @@ package store_test
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -94,12 +93,6 @@ func TestApplyNoOpDelta(t *testing.T) {
 		if res.Snapshot != s1 || st.Current() != s1 {
 			t.Fatal("no-op delta republished a snapshot")
 		}
-		if !res.Unaffected(s1.Reader().LookupTerm(ex("a"))) {
-			t.Fatal("no-op delta marked a node affected")
-		}
-		if got := res.AffectedNodes(s1.Reader().NodeIDs()); got != nil {
-			t.Fatalf("no-op delta has affected nodes %v", got)
-		}
 	})
 }
 
@@ -118,51 +111,6 @@ func TestApplyDeleteThenAddSameTriple(t *testing.T) {
 			t.Fatalf("counts = %+v, want 1/1", res)
 		}
 	})
-}
-
-// TestApplyUnaffected pins the component analysis on the two-component
-// graph {a,b} | {c,d}: a delta dirties the whole component of each
-// endpoint, over old edges ∪ added edges.
-func TestApplyUnaffected(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		delta rdfgraph.Delta
-		want  map[string]bool // node → Unaffected
-	}{
-		{"add inside one component",
-			rdfgraph.Delta{Add: []rdf.Triple{exTriple("a", "p", "e")}},
-			map[string]bool{"a": false, "b": false, "e": false, "c": true, "d": true}},
-		{"bridging add dirties both",
-			rdfgraph.Delta{Add: []rdf.Triple{exTriple("b", "q", "c")}},
-			map[string]bool{"a": false, "b": false, "c": false, "d": false}},
-		// In the *new* graph a and b are isolated; the old edge still
-		// connects them for the analysis.
-		{"delete keeps the old component",
-			rdfgraph.Delta{Del: []rdf.Triple{exTriple("a", "p", "b")}},
-			map[string]bool{"a": false, "b": false, "c": true, "d": true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			inOneStore(t, func(t *testing.T, from func(...rdf.Triple) store.Store) {
-				st := from(exTriple("a", "p", "b"), exTriple("c", "p", "d"))
-				res := st.Apply(tc.delta)
-				r := res.Snapshot.Reader()
-				var wantAffected []rdfgraph.ID
-				for name, want := range tc.want {
-					id := r.LookupTerm(ex(name))
-					if got := res.Unaffected(id); got != want {
-						t.Errorf("Unaffected(%s) = %v, want %v", name, got, want)
-					}
-					if !want && r.IsNode(id) { // a deletion can take a node out of N(G)
-						wantAffected = append(wantAffected, id)
-					}
-				}
-				sort.Slice(wantAffected, func(i, j int) bool { return wantAffected[i] < wantAffected[j] })
-				if got := res.AffectedNodes(r.NodeIDs()); fmt.Sprint(got) != fmt.Sprint(wantAffected) {
-					t.Errorf("AffectedNodes = %v, want %v", got, wantAffected)
-				}
-			})
-		})
-	}
 }
 
 // TestApplyCOWLeavesOldEpochsIntact mutates through a long chain of epochs

@@ -38,48 +38,21 @@ type ApplyResult struct {
 	Snapshot Snapshot
 	// Prev is the epoch the delta was applied against, read under the
 	// same lock that published Snapshot — so Prev+1 == Snapshot.Epoch()
-	// whenever Changed. Callers carrying caches across the update MUST
-	// key the carry on Prev, never on an epoch they read before calling
-	// Apply: two racing updates can both observe the same pre-apply
-	// epoch, and the later one would then carry entries across the
-	// earlier delta using only its own Unaffected predicate, silently
-	// skipping the earlier delta's effects.
+	// whenever Changed. Its one job is ordering live.Notify: handlers
+	// notify after the store's lock is released, so two racing updates
+	// can arrive out of epoch order, and the maintainer stashes a result
+	// until the epoch named by its Prev is the one it maintains.
 	Prev uint64
 	// Added and Deleted count effective operations (duplicates and
 	// absent deletions excluded).
 	Added, Deleted int
 	// Changed reports whether a new epoch was published.
 	Changed bool
-	// Unaffected reports whether a node's weakly-connected component —
-	// over the union of the previous epoch's edges and the added edges —
-	// contains no endpoint of an effective delta triple. Every Table 2
-	// extraction rule walks edges from the focus node, so both B(v,G,φ)
-	// and v's conformance depend only on v's component: an Unaffected
-	// node has the identical neighborhood and verdict in both epochs,
-	// which is what lets a cache carry its entries forward. IDs must come
-	// from the new snapshot's dictionary (the previous epoch's IDs are
-	// valid there too). Unaffected is safe for concurrent use.
+	// Unaffected is always nil: every node counts as affected by every
+	// update. It exists only because the frozen benchmark module
+	// (bench/trace.go) passes it to core.NeighborhoodCache.Carry; the
+	// benchmark PR, ROADMAP item 1, deletes both.
 	Unaffected func(rdfgraph.ID) bool
-}
-
-// AffectedNodes filters nodes down to those the delta's components touch:
-// the inversion of Unaffected into the worklist incremental re-extraction
-// runs over. Pass the new snapshot's NodeIDs to get the focus nodes whose
-// neighborhood or verdict may have changed (new nodes introduced by the
-// delta are endpoints of effective triples, so they always qualify); nodes
-// a deletion removed from N(G) are absent from that list and must be
-// handled by the caller (their neighborhoods are empty in the new epoch).
-func (res ApplyResult) AffectedNodes(nodes []rdfgraph.ID) []rdfgraph.ID {
-	if !res.Changed {
-		return nil
-	}
-	var out []rdfgraph.ID
-	for _, id := range nodes {
-		if !res.Unaffected(id) {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Store owns a sequence of immutable graph snapshots and publishes new
@@ -147,7 +120,6 @@ func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 	old := st.cur.Load()
 	ng := old.g.CloneCOW()
 	var added, deleted int
-	var touched []rdfgraph.ID
 	for _, t := range d.Del {
 		s := ng.LookupTerm(t.S)
 		p := ng.LookupTerm(t.P)
@@ -157,47 +129,23 @@ func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 		}
 		if ng.RemoveIDs(s, p, o) {
 			deleted++
-			touched = append(touched, s, o)
 		}
 	}
-	type addedEdge struct{ s, o rdfgraph.ID }
-	var newEdges []addedEdge
 	for _, t := range d.Add {
-		s := ng.TermID(t.S)
-		p := ng.TermID(t.P)
-		o := ng.TermID(t.O)
-		if ng.AddIDs(s, p, o) {
+		if ng.AddIDs(ng.TermID(t.S), ng.TermID(t.P), ng.TermID(t.O)) {
 			added++
-			touched = append(touched, s, o)
-			newEdges = append(newEdges, addedEdge{s, o})
 		}
 	}
 	if added == 0 && deleted == 0 {
 		// No state was mutated (duplicate adds and absent deletions
 		// return before touching any index), so the clone is discarded.
-		return ApplyResult{
-			Snapshot:   old,
-			Prev:       old.epoch,
-			Unaffected: func(rdfgraph.ID) bool { return true },
-		}
+		return ApplyResult{Snapshot: old, Prev: old.epoch}
 	}
-
-	// Components over old edges ∪ added edges: old edges keep nodes that
-	// could reach a deleted triple connected to it, added edges connect
-	// previously separate components the new triples now bridge.
-	uf := rdfgraph.NewComponents(ng.Dict().Len())
-	old.g.EachTriple(func(s, _, o rdfgraph.ID) { uf.Union(s, o) })
-	for _, e := range newEdges {
-		uf.Union(e.s, e.o)
-	}
-	dirty := uf.DirtySet(touched)
-
 	return ApplyResult{
-		Snapshot:   st.publish(ng, old.epoch+1),
-		Prev:       old.epoch,
-		Added:      added,
-		Deleted:    deleted,
-		Changed:    true,
-		Unaffected: uf.Unaffected(dirty),
+		Snapshot: st.publish(ng, old.epoch+1),
+		Prev:     old.epoch,
+		Added:    added,
+		Deleted:  deleted,
+		Changed:  true,
 	}
 }
