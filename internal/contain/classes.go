@@ -21,21 +21,12 @@ type Classes struct {
 	// — each one is a definition whose cache entries are served from its
 	// representative.
 	Shared int
-	// UnknownPairs counts unordered pairs of distinct-class
-	// representatives for which the full containment checker could not
-	// prove equivalence in at least one direction: shapes that may be
-	// semantically equivalent but are not congruent, and therefore not
-	// shared. Exported as fragserver_containment_unknown_total.
-	UnknownPairs int
 }
 
-// ComputeClasses groups shapes by canonical key and measures, via the
-// containment checker, how many of the remaining distinct classes are
-// possibly-equivalent-but-unproven.
+// ComputeClasses groups shapes by canonical key.
 func ComputeClasses(h *schema.Schema, shapes []shape.Shape) Classes {
 	cl := Classes{Rep: make([]int, len(shapes))}
 	first := make(map[string]int, len(shapes))
-	var reps []int
 	for i, s := range shapes {
 		k := CanonKey(h, s)
 		if j, ok := first[k]; ok {
@@ -45,17 +36,7 @@ func ComputeClasses(h *schema.Schema, shapes []shape.Shape) Classes {
 		}
 		first[k] = i
 		cl.Rep[i] = i
-		reps = append(reps, i)
-	}
-	cl.NumClasses = len(reps)
-
-	c := New(h, h)
-	for a := 0; a < len(reps); a++ {
-		for b := a + 1; b < len(reps); b++ {
-			if c.Equivalent(shapes[reps[a]], shapes[reps[b]]) != Contained {
-				cl.UnknownPairs++
-			}
-		}
+		cl.NumClasses++
 	}
 	return cl
 }

@@ -25,10 +25,9 @@ import (
 // Entries are additionally keyed by a store epoch (see store.Store):
 // a neighborhood computed against epoch e is only ever served to requests
 // pinned to epoch e, so no entry outlives its epoch. After an update
-// publishes epoch e+1, reads at e+1 start cold (live maintenance writes
-// through for the shapes it maintains), and EvictBelow reclaims entries of
-// epochs no request can pin anymore. Single-graph callers that never
-// update can pass any constant epoch (0 works) everywhere.
+// publishes epoch e+1, reads at e+1 start cold, and EvictBelow reclaims
+// entries of epochs no request can pin anymore. Single-graph callers that
+// never update can pass any constant epoch (0 works) everywhere.
 //
 // The bound is expressed in triples, not entries, because neighborhood
 // sizes vary by orders of magnitude; an empty neighborhood still costs one

@@ -233,7 +233,7 @@ func (e *PanicError) Error() string {
 // paths.ErrStopped, a search noticing that opts.Ctx ended, which comes back
 // as opts.Ctx.Err() like a cancellation between work units.
 func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOptions) ([]rdf.Triple, error) {
-	ids, err := x.FragmentParallelIDs(requests, opts)
+	ids, _, err := x.FragmentParallelIDs(requests, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +242,10 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 
 // FragmentParallelIDs is FragmentParallel short of decoding: the fragment
 // as dictionary-encoded triples in canonical order
-// (rdfgraph.SortIDTriples), which is what a serving route streams from.
-func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOptions) (triples []rdfgraph.IDTriple, err error) {
+// (rdfgraph.SortIDTriples), which is what a serving route streams from and
+// live maintenance diffs. nodes counts the focus nodes visited, summed over
+// the requests.
+func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOptions) (triples []rdfgraph.IDTriple, nodes int, err error) {
 	defer func() {
 		if r := recover(); r == paths.ErrStopped {
 			triples, err = nil, opts.Ctx.Err()
@@ -334,10 +336,10 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 		wg.Wait()
 	}
 	if pe := panicked.Load(); pe != nil {
-		return nil, pe
+		return nil, total, pe
 	}
 	if cancelled.Load() {
-		return nil, opts.Ctx.Err()
+		return nil, total, opts.Ctx.Err()
 	}
 	defer opts.Span.StartChild("merge").End()
 	// Union by sort and compact: cheaper than growing one worker's map by
@@ -347,7 +349,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 		o.Each(func(t rdfgraph.IDTriple) { merged = append(merged, t) })
 	}
 	rdfgraph.SortIDTriples(g.Dict(), merged)
-	return slices.Compact(merged), nil
+	return slices.Compact(merged), total, nil
 }
 
 // focusNodes returns, per normalized request, the nodes extraction visits

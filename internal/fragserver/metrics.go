@@ -30,7 +30,6 @@ const (
 	mPlanInstrs      = "fragserver_plan_instructions"
 	mPlanMemoBytes   = "fragserver_plan_memo_bytes"
 	mContainHits     = "fragserver_containment_hits_total"
-	mContainUnknown  = "fragserver_containment_unknown_total"
 	mContainClasses  = "fragserver_containment_classes"
 	mContainShared   = "fragserver_containment_shared_shapes"
 	mSubsOpen        = "fragserver_subscribers"
@@ -137,7 +136,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.inflight = reg.Gauge(mInflight, "Requests currently being served.")
 	m.shed = reg.Counter(mShedTotal, "Requests rejected with 503 by the in-flight limiter.")
-	m.panics = reg.Counter(mPanicsTotal, "Panics while serving a request, recovered and answered with 500.")
+	m.panics = reg.Counter(mPanicsTotal, "Panics recovered while serving a request (answered with 500) or maintaining a live fragment (its subscribers evicted).")
 	m.updApplied = reg.Counter(mUpdateTotal,
 		"POST /update requests, by result (applied, noop, rejected).", obs.L("result", "applied"))
 	m.updNoop = reg.Counter(mUpdateTotal,
@@ -270,9 +269,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.Gauge(mContainShared,
 		"Shapes aliased to another shape's cache entries by the containment analysis.").
 		Set(int64(s.classes.Shared))
-	reg.Counter(mContainUnknown,
-		"Representative pairs the containment checker could not prove equivalent — possibly-shareable cache partitions left separate. Counted once, at load.").
-		Add(uint64(s.classes.UnknownPairs))
 
 	// Trace-registry series, sampled from the ring's own counters. kept is
 	// a gauge (the ring holds at most -trace-buffer traces); the rest are

@@ -12,8 +12,11 @@ import (
 	"testing"
 
 	"shaclfrag/internal/datagen"
+	"shaclfrag/internal/paths"
+	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
+	"shaclfrag/internal/shape"
 	"shaclfrag/internal/store"
 )
 
@@ -24,6 +27,9 @@ import (
 type faultyStore struct {
 	store.Store
 	armed atomic.Bool
+	// faultAfterApply lets Apply succeed while armed: the fault hits
+	// whoever reads the new epoch, live maintenance first.
+	faultAfterApply bool
 }
 
 func (st *faultyStore) Current() store.Snapshot {
@@ -31,10 +37,16 @@ func (st *faultyStore) Current() store.Snapshot {
 	return faultySnap{snap, faultyReader{snap.Reader(), &st.armed}}
 }
 
-// Apply panics while armed: the write path's stand-in for the same fault.
+// Apply panics while armed, the write path's stand-in for the same fault,
+// unless faultAfterApply; the snapshot it returns reads through the faulty
+// reader either way.
 func (st *faultyStore) Apply(d rdfgraph.Delta) store.ApplyResult {
-	faultyReader{armed: &st.armed}.trip()
-	return st.Store.Apply(d)
+	if !st.faultAfterApply {
+		faultyReader{armed: &st.armed}.trip()
+	}
+	res := st.Store.Apply(d)
+	res.Snapshot = faultySnap{res.Snapshot, faultyReader{res.Snapshot.Reader(), &st.armed}}
+	return res
 }
 
 type faultySnap struct {
@@ -236,5 +248,65 @@ func TestPanicMidResponseAborts(t *testing.T) {
 	}
 	if got := srv.metrics.requests[routeStatus{"/fragment", 500}]; got == nil || got.Value() != 1 {
 		t.Errorf("aborted response not recorded as a 500: %v", got)
+	}
+}
+
+// TestLiveMaintenancePanicEvicts: a panic while live maintenance extracts a
+// subscribed shape at a new epoch is counted and logged like a request's,
+// closes the shape's streams as evicted, and leaves the update applied —
+// /update answers 200 with the new epoch. Once the fault is gone a fresh
+// subscriber gets a snapshot of the current epoch, then a delta.
+func TestLiveMaintenancePanicEvicts(t *testing.T) {
+	g := rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "b"), exTriple("c", "d")})
+	hasP := shape.Min(1, paths.P("http://ex/p"), shape.TrueShape())
+	h := schema.MustNew(schema.Definition{Name: ex("S"), Shape: hasP, Target: hasP})
+	store.WarmDictionary(g, h)
+	real, err := store.New(g, store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &faultyStore{Store: real, faultAfterApply: true}
+	var logs bytes.Buffer
+	srv, err := New(Config{Store: st, Schema: h, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close) // after the streams' cleanups cancel them
+
+	stream := openStream(t, ts, "/subscribe?shape=S", "")
+	if ev, _ := stream.next(t); ev.event != "snapshot" || ev.id != "1" {
+		t.Fatalf("first event: %+v", ev)
+	}
+	st.armed.Store(true)
+	resp, body := post(t, ts, "/update", lineAE)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"epoch":2`) {
+		t.Fatalf("armed /update: %d %s, want 200 at epoch 2", resp.StatusCode, body)
+	}
+	if ev, ok := stream.next(t); !ok || ev.event != "bye" || !strings.Contains(ev.data, `"evicted"`) {
+		t.Fatalf("after the maintenance panic: %+v (open %v), want the evicted bye", ev, ok)
+	}
+	if got := srv.metrics.panics.Value(); got != 1 {
+		t.Errorf("fragserver_panics_total = %v, want 1", got)
+	}
+	for _, want := range []string{`msg="panic maintaining live fragments"`, "index corrupted", "faultyReader.trip"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("log lacks %s:\n%s", want, logs.String())
+		}
+	}
+
+	st.armed.Store(false)
+	stream = openStream(t, ts, "/subscribe?shape=S", "")
+	ev, _ := stream.next(t)
+	if ev.event != "snapshot" || ev.id != "2" {
+		t.Fatalf("resubscribed: %+v, want the epoch-2 snapshot", ev)
+	}
+	if p := ssePayloadOf(t, ev); len(p.Added) != 3 {
+		t.Fatalf("epoch-2 snapshot has %d lines, want 3: %+v", len(p.Added), p)
+	}
+	post(t, ts, "/update", lineCF)
+	ev, _ = stream.next(t)
+	if p := ssePayloadOf(t, ev); ev.event != "delta" || ev.id != "3" || len(p.Added) != 1 || p.Added[0] != lineCF {
+		t.Fatalf("after resubscribing: %+v, want the epoch-3 delta adding %s", ev, lineCF)
 	}
 }

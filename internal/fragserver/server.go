@@ -23,8 +23,7 @@
 // reports its epoch in an X-Epoch response header: a request never observes
 // a half-applied update, and concurrent updates never block readers.
 // Neighborhood cache entries are keyed by epoch and none outlives its
-// epoch: after an update, reads of the new epoch start cold except for the
-// subscribed shapes, whose live maintenance writes through, and entries of
+// epoch: after an update, reads of the new epoch start cold, and entries of
 // epochs no in-flight request pins anymore are evicted.
 //
 // Production behaviors: per-request timeouts propagated through
@@ -345,7 +344,7 @@ func New(cfg Config) (*Server, error) {
 		s.cache.SetAliases(cl.Aliases(classShapes))
 	}
 	logger.Info("containment classes", "classes", cl.NumClasses, "shared", cl.Shared,
-		"unknown_pairs", cl.UnknownPairs, "dur_ms", float64(time.Since(start).Microseconds())/1000)
+		"dur_ms", float64(time.Since(start).Microseconds())/1000)
 	s.hb = cfg.Heartbeat
 	if s.hb <= 0 {
 		s.hb = 15 * time.Second
@@ -353,7 +352,6 @@ func New(cfg Config) (*Server, error) {
 	s.live = live.NewMaintainer(live.Config{
 		Schema:         cfg.Schema,
 		Requests:       s.requests,
-		Cache:          s.cache,
 		Plans:          func(def int) *plan.Program { return s.programs.Programs[def] },
 		Replay:         cfg.SubscribeReplay,
 		Queue:          cfg.SubscribeQueue,
@@ -654,7 +652,7 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	x := s.acquire(snap.Reader())
 	defer s.release(x)
 	extract := root.StartChild("extract")
-	ids, err := x.FragmentParallelIDs(requests, core.ParallelOptions{
+	ids, _, err := x.FragmentParallelIDs(requests, core.ParallelOptions{
 		Workers: s.workers,
 		Cache:   s.cache,
 		Epoch:   snap.Epoch(),
@@ -790,8 +788,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "cache: disabled")
 	}
 	cl := s.classes
-	fmt.Fprintf(w, "containment: %d classes over %d shapes, %d shared, %d unknown pairs\n",
-		cl.NumClasses, len(cl.Rep), cl.Shared, cl.UnknownPairs)
+	fmt.Fprintf(w, "containment: %d classes over %d shapes, %d shared\n",
+		cl.NumClasses, len(cl.Rep), cl.Shared)
 	ts := s.traces.Stats()
 	pct := 0.0
 	if total := ts.Sampled + ts.Dropped; total > 0 {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"shaclfrag/internal/core"
 	"shaclfrag/internal/live"
 )
 
@@ -65,6 +66,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
+		}
+		var pe *core.PanicError
+		if errors.As(err, &pe) {
+			panic(pe) // materializing the fragment panicked: withObs answers it
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -102,6 +102,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		notify := root.StartChild("notify")
 		ls := s.live.Notify(res, notify)
 		notify.End()
+		if ls.Err != nil {
+			// A maintained shape's extraction panicked. Live dropped the
+			// shape and evicted its subscribers; the delta stands, so the
+			// update still succeeds.
+			s.metrics.panics.Inc()
+			s.log.Error("panic maintaining live fragments", "epoch", res.Snapshot.Epoch(), "err", ls.Err.Error())
+		}
 		s.metrics.updApplied.Inc()
 		s.metrics.updAdded.Add(uint64(res.Added))
 		s.metrics.updDeleted.Add(uint64(res.Deleted))

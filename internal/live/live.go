@@ -1,34 +1,21 @@
-// Package live maintains materialized shape fragments incrementally across
-// store epochs and pushes per-epoch fragment deltas to subscribers.
+// Package live maintains materialized shape fragments across store epochs
+// and pushes per-epoch fragment deltas to subscribers.
 //
-// A node outside the shape's focus candidates
-// (shape.Evaluator.FocusCandidates: what its target and shape can hold of,
-// read from the indexes) has an empty neighborhood in any epoch. A
-// Maintainer therefore keeps, per subscribed shape, the per-focus-node
-// neighborhoods plus a triple refcount over their union (the materialized
-// fragment), and on every update re-extracts the shape's focus candidates
-// at the new epoch, diffing old against new per node; a node that held a
-// neighborhood and is off the worklist — it left N(G), or stopped being a
-// candidate — drops its contribution. Only a shape without a candidate set
-// falls back to N(G), so no update lists N(G) unless such a shape is
-// subscribed.
+// A maintained fragment is Frag(G_e, {φ ∧ τ}) of one definition at the
+// maintained epoch e, kept as one array of encoded triples in canonical
+// order. On every update the Maintainer extracts the new epoch's fragment
+// with core.Extractor.FragmentParallelIDs, the call GET /fragment makes, and
+// merge-diffs the two sorted arrays: triples only the new one holds are
+// "added", those only the old one holds "removed", both still in canonical
+// order. Their N-Triples renderings are the delta event, serialized once
+// per (shape, epoch) and shared by every subscriber, so fanout to thousands
+// of clients is a channel send each. Every focus candidate is extracted on
+// every update: narrowing that to the neighborhoods a delta can reach needs
+// per-entry footprints (ROADMAP item 2), and belongs in the cache.
 //
-// Every node counts as affected by every update: the store does not
-// analyse which neighborhoods a delta can reach. That is trivially sound,
-// and on typed data nothing cheaper is finer — every rdf:type edge joins
-// all instances through their class node, so weakly-connected components
-// never separate them. Narrowing the worklist to the neighborhoods a
-// delta can reach needs per-entry footprints (ROADMAP item 2).
-//
-// Triples whose refcount rises from zero enter the fragment, those falling
-// to zero leave it; the sorted N-Triples renderings of the two sets are the
-// per-epoch delta pushed to subscribers — serialized once per (shape,
-// epoch) and shared by every subscriber, so fanout to thousands of clients
-// is a channel send each.
-//
-// Re-extraction writes through the serving neighborhood cache at the new
-// epoch, so after an update the maintained shapes' neighborhoods are
-// served from memory instead of cold.
+// A shape whose fragment cannot be extracted at an epoch (extraction
+// panicked) is dropped: its subscribers are closed with ReasonEvicted, and
+// the next Subscribe materializes it afresh. The epoch advances anyway.
 //
 // Epoch ordering: updates apply serially inside the store, but the
 // handlers notifying the Maintainer race after the apply lock. Notify
@@ -42,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -60,14 +46,12 @@ import (
 type Config struct {
 	// Schema provides shape definitions for extraction contexts.
 	Schema *schema.Schema
-	// Requests holds the pointer-stable request shapes (φ ∧ τ per
-	// definition, in definition order) maintenance extracts and keys the
-	// neighborhood cache by — pass the same slice the serving layer uses
-	// so maintained entries and served entries share cache lines.
+	// Requests holds the request shapes (φ ∧ τ per definition, in
+	// definition order) maintenance extracts.
 	Requests []shape.Shape
-	// Cache, when non-nil, is written through by re-extraction (and
-	// consulted first), keeping the serving cache warm for the nodes each
-	// update touched.
+	// Cache is ignored: maintenance extracts uncached. The field stays
+	// only because the frozen benchmark module sets it; the benchmark
+	// re-base (ROADMAP item 1) deletes it.
 	Cache *core.NeighborhoodCache
 	// Plans, when non-nil, resolves the compiled program for a definition
 	// index (nil: the AST walker). A program is bound only if it Fits the
@@ -119,17 +103,15 @@ type Maintainer struct {
 	resumed        uint64
 }
 
-// shapeState is one maintained shape: its per-focus-node neighborhoods,
-// the refcounted fragment union, the replay ring, and its subscribers.
+// shapeState is one maintained shape: its fragment, the replay ring, and
+// its subscribers.
 type shapeState struct {
-	def     int
-	request shape.Shape
-	perNode map[rdfgraph.ID][]rdfgraph.IDTriple
-	refs    map[rdfgraph.IDTriple]int
-	ring    []Event // delta events for changed epochs in (floor, cur]
-	floor   uint64  // highest epoch the ring can NOT replay past
-	subs    map[*Subscription]struct{}
-	snap    []byte // lazily built full-fragment payload for the current epoch
+	def   int
+	frag  []rdfgraph.IDTriple // the fragment at the maintained epoch, in canonical order
+	ring  []Event             // delta events for changed epochs in (floor, cur]
+	floor uint64              // highest epoch the ring can NOT replay past
+	subs  map[*Subscription]struct{}
+	snap  []byte // lazily built full-fragment payload for the current epoch
 }
 
 // NewMaintainer builds a Maintainer serving snap's epoch. No fragment is
@@ -154,65 +136,52 @@ func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 	}
 }
 
-// neighborhoods is x.NodeNeighborhoods for def's request, on def's compiled
-// program when there is one that Fits x's dictionary. The bound program's
-// rows go back to the pools when the call returns: the slices it returns
-// are copies, not rows of the program.
-func (m *Maintainer) neighborhoods(x *core.Extractor, def int, nodes []rdfgraph.ID, epoch uint64) [][]rdfgraph.IDTriple {
-	var b *plan.Bound
+// fragment extracts def's fragment from reader: FragmentParallelIDs over
+// def's request, on def's compiled program where it Fits, at one worker —
+// maintenance stays on the goroutine that holds m.mu. nodes counts the
+// focus candidates extracted.
+func (m *Maintainer) fragment(reader rdfgraph.Reader, def int) (frag []rdfgraph.IDTriple, nodes int, err error) {
+	opts := core.ParallelOptions{Workers: 1}
 	if m.cfg.Plans != nil {
-		if p := m.cfg.Plans(def); p != nil && p.Fits(x.Graph().Dict().Len()) {
-			b = p.Bind(x.Graph())
-			defer b.Release()
-		}
+		opts.Plans = &plan.Set{Programs: []*plan.Program{m.cfg.Plans(def)}}
 	}
-	return x.NodeNeighborhoods(m.cfg.Requests[def], b, nodes, m.cfg.Cache, epoch)
+	x := core.NewExtractor(reader, m.cfg.Schema)
+	return x.FragmentParallelIDs(m.cfg.Requests[def:def+1], opts)
 }
 
 // ensureShapeLocked materializes def's fragment at the current epoch on
-// first use: one per-node extraction over the shape's focus nodes (through
-// the cache, so a warm server pays near nothing), refcounting every
-// neighborhood triple.
-func (m *Maintainer) ensureShapeLocked(def int) *shapeState {
+// first use.
+func (m *Maintainer) ensureShapeLocked(def int) (*shapeState, error) {
 	if st, ok := m.shapes[def]; ok {
-		return st
+		return st, nil
+	}
+	frag, nodes, err := m.fragment(m.snap.Reader(), def)
+	m.reextracted += uint64(nodes)
+	if err != nil {
+		return nil, err
 	}
 	st := &shapeState{
-		def:     def,
-		request: m.cfg.Requests[def],
-		perNode: make(map[rdfgraph.ID][]rdfgraph.IDTriple),
-		refs:    make(map[rdfgraph.IDTriple]int),
-		floor:   m.epoch,
-		subs:    make(map[*Subscription]struct{}),
+		def:   def,
+		frag:  frag,
+		floor: m.epoch,
+		subs:  make(map[*Subscription]struct{}),
 	}
-	reader := m.snap.Reader()
-	x := core.NewExtractor(reader, m.cfg.Schema)
-	var all []rdfgraph.ID
-	nodes := x.FocusNodes(st.request, &all)
-	nbs := m.neighborhoods(x, def, nodes, m.epoch)
-	for i, ts := range nbs {
-		if len(ts) == 0 {
-			continue
-		}
-		st.perNode[nodes[i]] = ts
-		for _, t := range ts {
-			st.refs[t]++
-		}
-	}
-	m.reextracted += uint64(len(nodes))
 	m.shapes[def] = st
-	return st
+	return st, nil
 }
 
 // NotifyStats reports what one Notify call processed: Steps epochs were
 // applied (more than one when this call closed a pending chain),
 // re-extracting Reextracted (shape × focus candidate) neighborhoods, and
-// changing the maintained fragments by Added/Removed triples.
+// changing the maintained fragments by Added/Removed triples. Err is the
+// first extraction failure (a *core.PanicError); the shape it hit was
+// dropped and its subscribers evicted, and the epoch advanced anyway.
 type NotifyStats struct {
 	Steps       int
 	Reextracted int
 	Added       int
 	Removed     int
+	Err         error
 }
 
 // Notify advances maintenance across the epoch transition res describes
@@ -254,37 +223,28 @@ func (m *Maintainer) Notify(res store.ApplyResult, sp *obs.Span) NotifyStats {
 }
 
 // stepLocked applies one epoch transition: per maintained shape it
-// re-extracts the focus candidates, diffs, and publishes delta events.
+// extracts the new epoch's fragment, diffs it against the maintained one,
+// and publishes the delta event.
 func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *NotifyStats) {
 	snap := res.Snapshot
 	reader := snap.Reader()
 	epoch := snap.Epoch()
 	stats.Steps++
-	var all []rdfgraph.ID // N(G), listed only for a shape without candidates
-	for def, st := range m.shapes {
+	for _, st := range m.shapes {
 		begin := time.Now()
-		x := core.NewExtractor(reader, m.cfg.Schema)
-		work := x.FocusNodes(st.request, &all) // sorted
-		var added, removed []rdfgraph.IDTriple
-		if len(work) > 0 {
-			nbs := m.neighborhoods(x, def, work, epoch)
-			for i, v := range work {
-				added, removed = st.diff(v, nbs[i], added, removed)
-			}
-		}
-		// Nodes that held a neighborhood and are off the worklist left
-		// N(G) or stopped being candidates: either way they no longer
-		// conform, so their neighborhood is empty now. (After the
-		// worklist, so a triple another node still contributes never
-		// drops to zero and back within one event.)
-		for v := range st.perNode {
-			if _, ok := slices.BinarySearch(work, v); !ok {
-				added, removed = st.diff(v, nil, added, removed)
-			}
-		}
-		m.reextracted += uint64(len(work))
-		stats.Reextracted += len(work)
+		frag, nodes, err := m.fragment(reader, st.def)
+		m.reextracted += uint64(nodes)
+		stats.Reextracted += nodes
 		sp.AccumChild("reextract").Add(time.Since(begin))
+		if err != nil {
+			if stats.Err == nil {
+				stats.Err = err
+			}
+			m.dropLocked(st)
+			continue
+		}
+		added, removed := diff(reader.Dict(), st.frag, frag)
+		st.frag = frag
 		if len(added) == 0 && len(removed) == 0 {
 			continue // this delta did not move this shape's fragment
 		}
@@ -302,36 +262,35 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 	m.epoch, m.snap = epoch, snap
 }
 
-// diff replaces v's neighborhood with ts, adjusting the fragment refcounts
-// and appending the triples that entered/left the fragment to added and
-// removed. A nil/empty ts drops v's contribution.
-func (st *shapeState) diff(v rdfgraph.ID, ts []rdfgraph.IDTriple, added, removed []rdfgraph.IDTriple) (a, r []rdfgraph.IDTriple) {
-	old := st.perNode[v]
-	inOld := make(map[rdfgraph.IDTriple]struct{}, len(old))
-	for _, t := range old {
-		inOld[t] = struct{}{}
+// dropLocked stops maintaining st: its subscribers are closed with
+// ReasonEvicted, so they reconnect, and the next Subscribe materializes
+// the shape at the epoch current then.
+func (m *Maintainer) dropLocked(st *shapeState) {
+	for sub := range st.subs {
+		m.closeLocked(sub, ReasonEvicted)
 	}
-	for _, t := range ts {
-		if _, ok := inOld[t]; ok {
-			delete(inOld, t) // still contributed by v: no refcount motion
-			continue
+	delete(m.shapes, st.def)
+}
+
+// diff merges two fragments in canonical order (d's dictionary orders both:
+// IDs are stable across epochs) into the triples only cur holds and those
+// only prev holds, each still in canonical order.
+func diff(d *rdfgraph.Dict, prev, cur []rdfgraph.IDTriple) (added, removed []rdfgraph.IDTriple) {
+	i, j := 0, 0
+	for i < len(prev) && j < len(cur) {
+		switch c := d.CompareIDTriples(prev[i], cur[j]); {
+		case c < 0:
+			removed = append(removed, prev[i])
+			i++
+		case c > 0:
+			added = append(added, cur[j])
+			j++
+		default:
+			i++
+			j++
 		}
-		if st.refs[t]++; st.refs[t] == 1 {
-			added = append(added, t)
-		}
 	}
-	for t := range inOld { // contributed by v before, not anymore
-		if st.refs[t]--; st.refs[t] == 0 {
-			delete(st.refs, t)
-			removed = append(removed, t)
-		}
-	}
-	if len(ts) > 0 {
-		st.perNode[v] = ts
-	} else {
-		delete(st.perNode, v)
-	}
-	return added, removed
+	return append(added, cur[j:]...), append(removed, prev[i:]...)
 }
 
 // push appends a delta event to the replay ring, advancing the floor when
@@ -344,9 +303,8 @@ func (st *shapeState) push(ev Event, cap int) {
 	}
 }
 
-// lines renders triples as sorted N-Triples lines; ts is sorted in place.
+// lines renders triples, in the order given, as N-Triples lines.
 func lines(d *rdfgraph.Dict, ts []rdfgraph.IDTriple) []string {
-	rdfgraph.SortIDTriples(d, ts)
 	out := make([]string, 0, len(ts))
 	var line []byte
 	for _, t := range ts {
@@ -361,30 +319,25 @@ func lines(d *rdfgraph.Dict, ts []rdfgraph.IDTriple) []string {
 // every subscriber that needs one until the next change invalidates it.
 func (m *Maintainer) snapshotEventLocked(st *shapeState) Event {
 	if st.snap == nil {
-		ts := make([]rdfgraph.IDTriple, 0, len(st.refs))
-		for t := range st.refs {
-			ts = append(ts, t)
-		}
-		st.snap = payload(m.epoch, lines(m.snap.Reader().Dict(), ts), []string{})
+		st.snap = payload(m.epoch, lines(m.snap.Reader().Dict(), st.frag), []string{})
 	}
 	return Event{Type: EventSnapshot, Epoch: m.epoch, Data: st.snap}
 }
 
 // FragmentLines returns the maintained fragment of def as sorted N-Triples
 // lines, materializing it first if needed — the test seam asserting parity
-// with cold extraction.
+// with cold extraction. An extraction failure is raised again as a panic.
 func (m *Maintainer) FragmentLines(def int) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if def < 0 || def >= len(m.cfg.Requests) {
 		return nil
 	}
-	st := m.ensureShapeLocked(def)
-	ts := make([]rdfgraph.IDTriple, 0, len(st.refs))
-	for t := range st.refs {
-		ts = append(ts, t)
+	st, err := m.ensureShapeLocked(def)
+	if err != nil {
+		panic(err)
 	}
-	return lines(m.snap.Reader().Dict(), ts)
+	return lines(m.snap.Reader().Dict(), st.frag)
 }
 
 // Epoch returns the epoch maintenance has advanced to.

@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -413,9 +414,9 @@ func TestStormParity(t *testing.T) {
 // and take them out again in two steps (first the type edge, so the review
 // stays in N(G) but stops being a class-target candidate; then the rest, so
 // it leaves N(G)), while one subscriber per definition folds its event
-// stream. Maintenance re-extracts the candidates through compiled plans
-// and the write-through cache; the oracle is the AST walker over all
-// of N(G). One definition has no candidate set and takes the N(G) fallback.
+// stream. Maintenance re-extracts the candidates through compiled plans;
+// the oracle is the AST walker over all of N(G). One definition has no
+// candidate set and takes the N(G) fallback.
 func TestStormParityTypedGraph(t *testing.T) {
 	const writers, perWriter, individuals = 4, 12, 120
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: individuals, Seed: 5})
@@ -441,7 +442,6 @@ func TestStormParityTypedGraph(t *testing.T) {
 	}
 	m := live.NewMaintainer(live.Config{
 		Schema: h, Requests: requests, Queue: 4096, Replay: 4096,
-		Cache: core.NewNeighborhoodCache(1 << 20),
 		Plans: func(def int) *plan.Program { return progs[def] },
 	}, st.Current())
 
@@ -543,5 +543,76 @@ func TestStormParityTypedGraph(t *testing.T) {
 		if got := strings.Join(lines, "\n"); got != strings.Join(coldSorted, "\n") {
 			t.Errorf("definition %d: folded event stream diverged from cold AST extraction (%d vs %d bytes)", def, len(got), len(cold))
 		}
+	}
+}
+
+// faultySnap is a snapshot whose reader's indexes panic, a stand-in for a
+// bug in an extraction rule or a corrupt index reached by maintenance.
+type faultySnap struct{ store.Snapshot }
+
+func (s faultySnap) Reader() rdfgraph.Reader { return faultyReader{s.Snapshot.Reader()} }
+
+type faultyReader struct{ rdfgraph.Reader }
+
+func (faultyReader) EdgesByPredicate(rdfgraph.ID) []rdfgraph.Edge { panic("index corrupted") }
+func (faultyReader) Objects(rdfgraph.ID, rdfgraph.ID, func(rdfgraph.ID)) {
+	panic("index corrupted")
+}
+
+// TestPanickingNotifyEvictsShape: an extraction that panics at one epoch
+// costs the shape's subscribers their stream and nothing else. Notify
+// reports the panic, the shape is dropped and its subscriber closed with
+// ReasonEvicted, the epoch advances and later updates keep being applied
+// rather than stashed behind the failed one, and a new subscriber gets a
+// snapshot of the current epoch followed by deltas.
+func TestPanickingNotifyEvictsShape(t *testing.T) {
+	m, st, h := newMaintainer(t, live.Config{})
+	sub, _, err := m.Subscribe(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res := st.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("e", "f")}})
+	res.Snapshot = faultySnap{res.Snapshot}
+	stats := m.Notify(res, nil)
+	var pe *core.PanicError
+	if !errors.As(stats.Err, &pe) || pe.Value != "index corrupted" {
+		t.Fatalf("Notify over a panicking reader: Err = %v, want the *core.PanicError", stats.Err)
+	}
+	if ev, ok := recv(t, sub); ok || sub.Reason() != live.ReasonEvicted {
+		t.Fatalf("subscriber got %+v (open %v, reason %q), want its stream closed as evicted", ev, ok, sub.Reason())
+	}
+	if got := m.Stats(); got.Shapes != 0 || got.Subscribers != 0 {
+		t.Fatalf("after the panic: %d shapes, %d subscribers maintained, want none", got.Shapes, got.Subscribers)
+	}
+
+	for i := 0; i < 5; i++ {
+		res := st.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple(fmt.Sprintf("n%d", i), "x")}})
+		if stats := m.Notify(res, nil); stats.Steps != 1 || stats.Err != nil {
+			t.Fatalf("update %d after the panic: %+v", i, stats)
+		}
+	}
+	if got, want := m.Epoch(), st.Current().Epoch(); got != want || want != 7 {
+		t.Fatalf("maintainer epoch %d, store epoch %d, want both 7", got, want)
+	}
+
+	sub, initial, err := m.Subscribe(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Unsubscribe(sub)
+	if len(initial) != 1 || initial[0].Type != live.EventSnapshot || initial[0].Epoch != 7 {
+		t.Fatalf("resubscription initial events %+v, want one snapshot at epoch 7", initial)
+	}
+	if got, want := decode(t, initial[0]).Added, coldLines(h, st.Current().Reader()); !equalLines(got, want) {
+		t.Fatalf("snapshot after the panic:\ngot  %q\nwant %q", got, want)
+	}
+	m.Notify(st.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("g", "h")}}), nil)
+	ev, ok := recv(t, sub)
+	if !ok || ev.Type != live.EventDelta || ev.Epoch != 8 {
+		t.Fatalf("after resubscribing: event %+v (open %v), want the epoch 8 delta", ev, ok)
+	}
+	if body := decode(t, ev); !equalLines(body.Added, []string{line("g", "h")}) || len(body.Removed) != 0 {
+		t.Fatalf("epoch 8 delta %+v", body)
 	}
 }

@@ -16,8 +16,9 @@ const (
 // closes.
 const (
 	// ReasonEvicted: the subscriber's queue was full when a delta fanned
-	// out; it was dropped rather than allowed to stall or buffer without
-	// bound. The client should reconnect with Last-Event-ID to resume.
+	// out, and it was dropped rather than allowed to stall or buffer
+	// without bound; or its shape's fragment could not be extracted at a
+	// new epoch. The client should reconnect with Last-Event-ID to resume.
 	ReasonEvicted = "evicted"
 	// ReasonDrain: the server is shutting down.
 	ReasonDrain = "drain"
@@ -68,8 +69,8 @@ func (s *Subscription) Reason() string {
 //     event — too far behind (or implausible) to replay.
 //
 // The first subscriber for a shape pays its fragment materialization here.
-// Fails with ErrDraining during shutdown and ErrSubscriberLimit at the
-// configured bound.
+// Fails with ErrDraining during shutdown, ErrSubscriberLimit at the
+// configured bound, and a *core.PanicError when materialization panicked.
 func (m *Maintainer) Subscribe(def int, from uint64) (*Subscription, []Event, error) {
 	if def < 0 || def >= len(m.cfg.Requests) {
 		return nil, nil, fmt.Errorf("live: definition index %d out of range [0,%d)", def, len(m.cfg.Requests))
@@ -82,7 +83,10 @@ func (m *Maintainer) Subscribe(def int, from uint64) (*Subscription, []Event, er
 	if m.nsubs >= m.cfg.MaxSubscribers {
 		return nil, nil, ErrSubscriberLimit
 	}
-	st := m.ensureShapeLocked(def)
+	st, err := m.ensureShapeLocked(def)
+	if err != nil {
+		return nil, nil, err
+	}
 	var initial []Event
 	switch {
 	case from == m.epoch && from != 0:

@@ -631,25 +631,30 @@ func (s *IDTripleSet) AddSet(other *IDTripleSet) {
 }
 
 // SortIDTriples sorts ts in place into canonical order: the order of
-// rdf.CompareTriples on the decoded triples. IDs are compared first — d
+// rdf.CompareTriples on the decoded triples (see CompareIDTriples).
+func SortIDTriples(d *Dict, ts []IDTriple) {
+	slices.SortFunc(ts, d.CompareIDTriples)
+}
+
+// CompareIDTriples orders two encoded triples canonically: as
+// rdf.CompareTriples orders the decoded ones. IDs are compared first — d
 // interns injectively, so equal IDs are equal terms and the subjects and
 // predicates a neighborhood shares never reach a string comparison.
-func SortIDTriples(d *Dict, ts []IDTriple) {
-	cmp := func(a, b ID) int {
-		if a == b {
-			return 0
-		}
-		return rdf.Compare(d.terms[a], d.terms[b])
+func (d *Dict) CompareIDTriples(a, b IDTriple) int {
+	if c := d.compareIDs(a.S, b.S); c != 0 {
+		return c
 	}
-	slices.SortFunc(ts, func(a, b IDTriple) int {
-		if c := cmp(a.S, b.S); c != 0 {
-			return c
-		}
-		if c := cmp(a.P, b.P); c != 0 {
-			return c
-		}
-		return cmp(a.O, b.O)
-	})
+	if c := d.compareIDs(a.P, b.P); c != 0 {
+		return c
+	}
+	return d.compareIDs(a.O, b.O)
+}
+
+func (d *Dict) compareIDs(a, b ID) int {
+	if a == b {
+		return 0
+	}
+	return rdf.Compare(d.terms[a], d.terms[b])
 }
 
 // Triple resolves an encoded triple.

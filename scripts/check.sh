@@ -26,14 +26,19 @@ $GO build ./...
 echo "== bench-only adapters have no other callers"
 # plan.PlanSchema, plan.Config, store.SampleStats and store.CardStats (and the
 # ProgramSet method PlanSchema's result is read through), the carry-nothing
-# NeighborhoodCache.Carry and the always-nil ApplyResult.Unaffected exist
-# only so the frozen bench/ module compiles. The benchmark PR (ROADMAP
-# item 1) deletes them by editing bench/ alone, which works only while
-# nothing else references them.
+# NeighborhoodCache.Carry, the always-nil ApplyResult.Unaffected and
+# live.Config.Cache, which live ignores, exist only so the frozen bench/
+# module compiles. The benchmark PR (ROADMAP item 1) deletes them by editing
+# bench/ alone, which works only while nothing else references them.
 if callers=$(grep -rnE '\b(plan\.(PlanSchema|Config)|store\.(SampleStats|CardStats))\b|\.ProgramSet\(|\.Carry\(|\.Unaffected\b' --include='*.go' . |
     grep -v -e '^\./bench/' -e '^\./\.bench_build/' -e '^\./internal/plan/benchadapter\.go:' -e '^\./internal/store/stats\.go:' \
         -e '^\./internal/core/benchadapter\.go:'); then
     echo "bench-only adapters referenced outside bench/:" >&2
+    echo "$callers" >&2
+    exit 1
+fi
+if callers=$(grep -nE 'cfg\.Cache' internal/live/*.go | grep -v '_test\.go:'); then
+    echo "live reads the bench-only live.Config.Cache:" >&2
     echo "$callers" >&2
     exit 1
 fi
@@ -61,10 +66,11 @@ $GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./inter
 
 echo "== update/subscription storm (-race, -short)"
 # The stale-entry pin (no cache entry outlives its epoch under racing
-# updates) and the concurrent apply/notify/fanout storms, re-run on their
+# updates), the concurrent apply/notify/fanout storms, every delta of a
+# seeded update history, and a panicking maintenance step, re-run on their
 # own so a flake here names the tier that guards the write path.
 $GO test -race -short -count=1 \
-    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction' \
+    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestLiveMaintenancePanicEvicts' \
     ./internal/fragserver ./internal/live
 
 echo "== go test -race (store tier, -short)"
