@@ -96,11 +96,12 @@ func servedBenchmarkSchema(t *testing.T) *schema.Schema {
 // TestUpdateAllocs is the allocation gate of the write path: one effective
 // add and one effective delete of a five-triple review on the giant
 // component, POSTed through Server.Handler() with a subscriber listening —
-// parse, Store.Apply, live notify. The pair costs about 1 240
-// allocations and 395 kB. The kB bound, 440, is one the write path fails
-// while live re-extraction keeps its bound programs instead of releasing
-// them: their dictionary-sized memo rows and path scratch then come fresh
-// every update, 463 kB a pair. The allocation bound, 1 680, is the cost
+// parse, Store.Apply, live notify. The pair costs about 760 allocations
+// and 146 kB. The kB bound, 190, is one the write path fails while
+// publishing an epoch copies the graph rather than its delta: with the
+// node indexes' top-level maps copied per epoch and the dictionary
+// re-flattened on updates that intern nothing, the pair cost 392 kB. The
+// allocation bound, 1 680, is the cost
 // when every update also re-planned, plus a quarter. Both guard the absence
 // of schema-only work: while every update recomputed the containment
 // classes the same pair cost 6.5M allocations and 362 MB, so any per-update
@@ -154,7 +155,7 @@ func TestUpdateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-	const boundAllocs, boundKB = 1680, 440
+	const boundAllocs, boundKB = 1680, 190
 	t.Logf("add+delete: %.0f allocs, %.0f kB (bounds %d, %d)", allocs, kb, boundAllocs, boundKB)
 	if allocs > boundAllocs || kb > boundKB {
 		t.Errorf("add+delete: %.0f allocs and %.0f kB, bounds %d and %d", allocs, kb, boundAllocs, boundKB)

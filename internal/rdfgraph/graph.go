@@ -3,7 +3,10 @@
 // three indexes (subject→predicate→objects, object→predicate→subjects, and
 // a per-predicate edge list) so that the access patterns of shape
 // evaluation — forward steps, backward steps, and property scans — are all
-// constant-time per edge.
+// constant-time per edge. The two node indexes are paged over the dense IDs
+// (pageRows rows a page, a row per node): a lookup is two slice indexes,
+// listing N(G) is one sweep in ID order, and a copy-on-write epoch copies
+// only the page directories and then the pages and rows it writes.
 //
 // # Concurrency
 //
@@ -30,6 +33,7 @@
 package rdfgraph
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -49,9 +53,11 @@ const NoID ID = -1
 // A dictionary produced by Extend layers a small overlay of newly interned
 // terms over a frozen base, sharing the base's term table so that IDs stay
 // stable across snapshot epochs: an ID minted in epoch n resolves to the
-// same term in every later epoch. Lookup walks the overlay chain; the chain
-// is flattened into a single map every dictFlattenDepth generations so that
-// lookups stay O(1) amortized under sustained update load.
+// same term in every later epoch. Lookup walks the overlay chain. Only an
+// overlay that interned something lengthens it — an empty one is skipped
+// by the next Extend — and the chain is flattened into a single map once
+// dictFlattenDepth overlays have accumulated, so a lookup walks at most
+// that many maps and an epoch whose delta interns nothing copies no map.
 type Dict struct {
 	byTerm map[rdf.Term]ID
 	terms  []rdf.Term
@@ -64,7 +70,8 @@ type Dict struct {
 }
 
 // dictFlattenDepth bounds the overlay-chain length: Extend flattens the
-// chain into one map once this many generations have accumulated.
+// chain into one map once this many overlays that interned terms have
+// accumulated.
 const dictFlattenDepth = 4
 
 // Extend returns a fresh mutable dictionary layered over d: every term of d
@@ -77,6 +84,9 @@ const dictFlattenDepth = 4
 func (d *Dict) Extend() *Dict {
 	if !d.frozen {
 		panic("rdfgraph: Extend of unfrozen dictionary")
+	}
+	if len(d.byTerm) == 0 && d.base != nil {
+		d = d.base // d interned nothing: its parent has the same terms
 	}
 	nd := &Dict{terms: d.terms}
 	if d.depth+1 >= dictFlattenDepth {
@@ -147,33 +157,105 @@ type Graph struct {
 	dict   *Dict
 	frozen bool
 	// spo maps subject → predicate → object set.
-	spo map[ID]map[ID]map[ID]struct{}
+	spo nodeIndex
 	// ops maps object → predicate → subject set.
-	ops map[ID]map[ID]map[ID]struct{}
+	ops nodeIndex
 	// byPred maps predicate → list of edges, in insertion order.
 	byPred map[ID][]Edge
 	size   int
-	// cowS/cowO track which per-subject (resp. per-object) submaps this
-	// graph owns after CloneCOW. A key absent from the set still aliases
-	// the parent snapshot's submap and must be deep-copied before its
-	// first mutation. Both are nil on graphs built by New and are cleared
-	// by Freeze.
-	cowS map[ID]struct{}
-	cowO map[ID]struct{}
-	// nodeIDs is N(G), listed and sorted by the first NodeIDs call after
-	// Freeze.
+	// nodeIDs is N(G), listed by the first NodeIDs call after Freeze.
 	nodeOnce sync.Once
 	nodeIDs  []ID
 }
 
+// pageRows is the number of node rows per page of a nodeIndex.
+const pageRows = 256
+
+// row is one node's adjacency: predicate → neighbor set.
+type row = map[ID]map[ID]struct{}
+
+// nodeIndex maps a node ID to its row through a directory of fixed-size
+// pages, so a lookup is two slice indexes. An absent or emptied row is nil.
+// Pages are shared between a frozen graph and its CloneCOW descendants: a
+// page belongs to the index whose gen it carries, and any other index copies
+// it on first write. Within an owned page, a row is written in place only
+// once its owned bit is set, i.e. after the row was deep-copied or created
+// by this generation. A clone's gen is its parent's plus one, so no page it
+// inherits carries it.
+type nodeIndex struct {
+	gen   uint64
+	pages []*page
+}
+
+type page struct {
+	gen   uint64
+	owned [pageRows / 64]uint64
+	rows  [pageRows]row
+}
+
+func (x *nodeIndex) row(id ID) row {
+	u := uint32(id) // NoID lands past every directory
+	if i := int(u / pageRows); i < len(x.pages) && x.pages[i] != nil {
+		return x.pages[i].rows[u%pageRows]
+	}
+	return nil
+}
+
+// clone returns the index of a CloneCOW child: a copy of the directory,
+// sharing every page, under the next generation.
+func (x *nodeIndex) clone() nodeIndex {
+	return nodeIndex{gen: x.gen + 1, pages: slices.Clone(x.pages)}
+}
+
+// mutable returns id's row for writing, creating it if absent: the page is
+// copied the first time this generation writes it, the row the first time
+// this generation writes that row.
+func (x *nodeIndex) mutable(id ID) row {
+	u := uint32(id)
+	i, r := int(u/pageRows), u%pageRows
+	if i >= len(x.pages) {
+		x.pages = append(x.pages, make([]*page, i+1-len(x.pages))...)
+	}
+	p := x.pages[i]
+	if p == nil {
+		p = &page{gen: x.gen}
+		x.pages[i] = p
+	} else if p.gen != x.gen {
+		cp := *p
+		cp.gen, cp.owned = x.gen, [pageRows / 64]uint64{}
+		p = &cp
+		x.pages[i] = p
+	}
+	if bit := uint64(1) << (r % 64); p.owned[r/64]&bit == 0 {
+		p.rows[r] = copyRow(p.rows[r])
+		p.owned[r/64] |= bit
+	}
+	return p.rows[r]
+}
+
+// drop empties id's row, which mutable has just returned.
+func (x *nodeIndex) drop(id ID) {
+	u := uint32(id)
+	p := x.pages[u/pageRows]
+	p.rows[u%pageRows] = nil
+	p.owned[u%pageRows/64] &^= 1 << (u % 64)
+}
+
+func copyRow(m row) row {
+	cp := make(row, len(m))
+	for p, ids := range m {
+		ids2 := make(map[ID]struct{}, len(ids))
+		for id := range ids {
+			ids2[id] = struct{}{}
+		}
+		cp[p] = ids2
+	}
+	return cp
+}
+
 // New returns an empty graph with its own term dictionary.
 func New() *Graph {
-	return &Graph{
-		dict:   NewDict(),
-		spo:    make(map[ID]map[ID]map[ID]struct{}),
-		ops:    make(map[ID]map[ID]map[ID]struct{}),
-		byPred: make(map[ID][]Edge),
-	}
+	return &Graph{dict: NewDict(), byPred: make(map[ID][]Edge)}
 }
 
 // FromTriples builds a graph from the given triples.
@@ -195,7 +277,6 @@ func (g *Graph) Dict() *Dict { return g.dict }
 // a fresh mutable copy).
 func (g *Graph) Freeze() {
 	g.frozen = true
-	g.cowS, g.cowO = nil, nil
 	g.dict.Freeze()
 }
 
@@ -219,7 +300,7 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	if g.frozen {
 		panic("rdfgraph: AddIDs on frozen graph")
 	}
-	po := g.mutableSubject(s)
+	po := g.spo.mutable(s)
 	objs, ok := po[p]
 	if !ok {
 		objs = make(map[ID]struct{})
@@ -230,7 +311,7 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	}
 	objs[o] = struct{}{}
 
-	ps := g.mutableObject(o)
+	ps := g.ops.mutable(o)
 	subs, ok := ps[p]
 	if !ok {
 		subs = make(map[ID]struct{})
@@ -244,62 +325,6 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	g.byPred[p] = append(g.byPred[p], Edge{S: s, O: o})
 	g.size++
 	return true
-}
-
-// mutableSubject returns the per-subject submap of g.spo for s, suitable
-// for mutation: on a COW clone the submap is deep-copied the first time the
-// subject is written.
-func (g *Graph) mutableSubject(s ID) map[ID]map[ID]struct{} {
-	po, ok := g.spo[s]
-	if !ok {
-		po = make(map[ID]map[ID]struct{})
-		g.spo[s] = po
-		if g.cowS != nil {
-			g.cowS[s] = struct{}{}
-		}
-		return po
-	}
-	if g.cowS != nil {
-		if _, owned := g.cowS[s]; !owned {
-			po = copySubmap(po)
-			g.spo[s] = po
-			g.cowS[s] = struct{}{}
-		}
-	}
-	return po
-}
-
-// mutableObject is mutableSubject for the ops index.
-func (g *Graph) mutableObject(o ID) map[ID]map[ID]struct{} {
-	ps, ok := g.ops[o]
-	if !ok {
-		ps = make(map[ID]map[ID]struct{})
-		g.ops[o] = ps
-		if g.cowO != nil {
-			g.cowO[o] = struct{}{}
-		}
-		return ps
-	}
-	if g.cowO != nil {
-		if _, owned := g.cowO[o]; !owned {
-			ps = copySubmap(ps)
-			g.ops[o] = ps
-			g.cowO[o] = struct{}{}
-		}
-	}
-	return ps
-}
-
-func copySubmap(m map[ID]map[ID]struct{}) map[ID]map[ID]struct{} {
-	cp := make(map[ID]map[ID]struct{}, len(m))
-	for p, ids := range m {
-		ids2 := make(map[ID]struct{}, len(ids))
-		for id := range ids {
-			ids2[id] = struct{}{}
-		}
-		cp[p] = ids2
-	}
-	return cp
 }
 
 // Remove deletes the triple, reporting whether it was present. Terms absent
@@ -324,22 +349,22 @@ func (g *Graph) RemoveIDs(s, p, o ID) bool {
 	if !g.HasIDs(s, p, o) {
 		return false
 	}
-	po := g.mutableSubject(s)
+	po := g.spo.mutable(s)
 	objs := po[p]
 	delete(objs, o)
 	if len(objs) == 0 {
 		delete(po, p)
 		if len(po) == 0 {
-			delete(g.spo, s)
+			g.spo.drop(s)
 		}
 	}
-	ps := g.mutableObject(o)
+	ps := g.ops.mutable(o)
 	subs := ps[p]
 	delete(subs, s)
 	if len(subs) == 0 {
 		delete(ps, p)
 		if len(ps) == 0 {
-			delete(g.ops, o)
+			g.ops.drop(o)
 		}
 	}
 	// The edge slice may be shared with a parent snapshot, so filter into
@@ -373,37 +398,28 @@ func (g *Graph) Has(t rdf.Triple) bool {
 
 // HasIDs reports whether the dictionary-encoded triple is present.
 func (g *Graph) HasIDs(s, p, o ID) bool {
-	if po, ok := g.spo[s]; ok {
-		if objs, ok := po[p]; ok {
-			_, ok := objs[o]
-			return ok
-		}
-	}
-	return false
+	_, ok := g.spo.row(s)[p][o]
+	return ok
 }
 
 // Objects calls fn for every o with (s, p, o) ∈ G.
 func (g *Graph) Objects(s, p ID, fn func(o ID)) {
-	if po, ok := g.spo[s]; ok {
-		for o := range po[p] {
-			fn(o)
-		}
+	for o := range g.spo.row(s)[p] {
+		fn(o)
 	}
 }
 
 // Subjects calls fn for every s with (s, p, o) ∈ G.
 func (g *Graph) Subjects(p, o ID, fn func(s ID)) {
-	if ps, ok := g.ops[o]; ok {
-		for s := range ps[p] {
-			fn(s)
-		}
+	for s := range g.ops.row(o)[p] {
+		fn(s)
 	}
 }
 
 // PredicatesFrom calls fn once for every predicate p and object o with
 // (s, p, o) ∈ G.
 func (g *Graph) PredicatesFrom(s ID, fn func(p, o ID)) {
-	for p, objs := range g.spo[s] {
+	for p, objs := range g.spo.row(s) {
 		for o := range objs {
 			fn(p, o)
 		}
@@ -413,7 +429,7 @@ func (g *Graph) PredicatesFrom(s ID, fn func(p, o ID)) {
 // PredicatesTo calls fn once for every predicate p and subject s with
 // (s, p, o) ∈ G.
 func (g *Graph) PredicatesTo(o ID, fn func(s, p ID)) {
-	for p, subs := range g.ops[o] {
+	for p, subs := range g.ops.row(o) {
 		for s := range subs {
 			fn(s, p)
 		}
@@ -433,8 +449,8 @@ func (g *Graph) Predicates(fn func(p ID)) {
 
 // EachTriple calls fn for every triple (in unspecified order).
 func (g *Graph) EachTriple(fn func(s, p, o ID)) {
-	for s, po := range g.spo {
-		for p, objs := range po {
+	for s := range ID(len(g.spo.pages) * pageRows) {
+		for p, objs := range g.spo.row(s) {
 			for o := range objs {
 				fn(s, p, o)
 			}
@@ -444,14 +460,12 @@ func (g *Graph) EachTriple(fn func(s, p, o ID)) {
 
 // Nodes calls fn once for every node of the graph, i.e., every term that
 // occurs as a subject or object of some triple. This is the finite set
-// N(G) the paper quantifies over when computing shape fragments.
+// N(G) the paper quantifies over when computing shape fragments. Nodes
+// come in ID order: one sweep over both indexes' pages.
 func (g *Graph) Nodes(fn func(n ID)) {
-	for s := range g.spo {
-		fn(s)
-	}
-	for o := range g.ops {
-		if _, subject := g.spo[o]; !subject {
-			fn(o)
+	for id := range ID(max(len(g.spo.pages), len(g.ops.pages)) * pageRows) {
+		if g.IsNode(id) {
+			fn(id)
 		}
 	}
 }
@@ -469,19 +483,16 @@ func (g *Graph) NodeIDs() []ID {
 }
 
 func (g *Graph) listNodes() []ID {
-	ids := make([]ID, 0, len(g.spo)+len(g.ops))
-	g.Nodes(func(n ID) { ids = append(ids, n) })
-	slices.Sort(ids)
-	return slices.Clip(ids)
+	n := 0
+	g.Nodes(func(ID) { n++ })
+	ids := make([]ID, 0, n)
+	g.Nodes(func(id ID) { ids = append(ids, id) })
+	return ids
 }
 
 // IsNode reports whether id occurs as a subject or object in the graph.
 func (g *Graph) IsNode(id ID) bool {
-	if _, ok := g.spo[id]; ok {
-		return true
-	}
-	_, ok := g.ops[id]
-	return ok
+	return g.spo.row(id) != nil || g.ops.row(id) != nil
 }
 
 // Triples returns all triples in canonical order (Compare on S, P, O).
@@ -505,39 +516,25 @@ func (g *Graph) LookupTerm(t rdf.Term) ID { return g.dict.Lookup(t) }
 
 // CloneCOW returns a mutable copy-on-write clone of a frozen graph,
 // interning into an Extend of g's dictionary so IDs stay stable. The clone
-// shares g's per-subject and per-object index submaps and its
-// per-predicate edge slices; a submap is deep-copied only when first
-// mutated, and an edge slice is rebuilt only on deletion. The clone itself
-// still costs O(|subjects| + |objects| + |predicates|) — it copies the
-// three top-level maps — and the store's Apply then unions every old
-// triple for its component analysis, so an update is O(graph), not
-// O(delta); ROADMAP item 2 plans the write path that is. Clones must form
-// a single writer lineage per graph — the store enforces this with a
+// copies the two node indexes' page directories — one pointer per
+// pageRows IDs — and the predicate map; it shares every page, row and edge
+// slice with g. A page is copied on the clone's first write to it, a row
+// on its first write, and an edge slice is rebuilt only on deletion, so
+// publishing an epoch costs its delta plus the directories. Clones must
+// form a single writer lineage per graph — the store enforces this with a
 // mutex; concurrent mutation of clones of the same ancestry is a data
 // race.
 func (g *Graph) CloneCOW() *Graph {
 	if !g.frozen {
 		panic("rdfgraph: CloneCOW of unfrozen graph")
 	}
-	out := &Graph{
+	return &Graph{
 		dict:   g.dict.Extend(),
-		spo:    make(map[ID]map[ID]map[ID]struct{}, len(g.spo)),
-		ops:    make(map[ID]map[ID]map[ID]struct{}, len(g.ops)),
-		byPred: make(map[ID][]Edge, len(g.byPred)),
+		spo:    g.spo.clone(),
+		ops:    g.ops.clone(),
+		byPred: maps.Clone(g.byPred),
 		size:   g.size,
-		cowS:   make(map[ID]struct{}),
-		cowO:   make(map[ID]struct{}),
 	}
-	for s, po := range g.spo {
-		out.spo[s] = po
-	}
-	for o, ps := range g.ops {
-		out.ops[o] = ps
-	}
-	for p, es := range g.byPred {
-		out.byPred[p] = es
-	}
-	return out
 }
 
 // Clone returns a deep copy of the graph sharing no mutable state. The

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -92,6 +93,31 @@ func TestApplyNoOpDelta(t *testing.T) {
 		}
 		if res.Snapshot != s1 || st.Current() != s1 {
 			t.Fatal("no-op delta republished a snapshot")
+		}
+
+		// A no-op is recognized on the current epoch, before a clone is
+		// built: on a 5 001-node chain it allocates nothing, where
+		// cloning the epoch first and discarding it costs hundreds of kB.
+		chain := make([]rdf.Triple, 5000)
+		for i := range chain {
+			chain[i] = exTriple(fmt.Sprintf("n%d", i), "next", fmt.Sprintf("n%d", i+1))
+		}
+		big := from(chain...)
+		if n := len(big.Current().Reader().NodeIDs()); n < 5000 {
+			t.Fatalf("chain has %d nodes, want ≥ 5000", n)
+		}
+		noop := rdfgraph.Delta{Add: chain[:2], Del: []rdf.Triple{exTriple("n1", "next", "n0")}}
+		const runs, boundBytes = 100, 256
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if big.Apply(noop).Changed {
+				t.Fatal("no-op delta published an epoch")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > boundBytes {
+			t.Fatalf("no-op Apply allocated %d B, bound %d", b, boundBytes)
 		}
 	})
 }

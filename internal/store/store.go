@@ -83,7 +83,7 @@ func New(g *rdfgraph.Graph, _ Config) (Store, error) {
 
 // epochs is the Store: each epoch a frozen graph. Readers never block;
 // writers serialize on mu and build the next epoch as a copy-on-write
-// clone of the current one, so unchanged index submaps and the dictionary
+// clone of the current one, so unchanged index pages and the dictionary
 // are shared across epochs and IDs remain stable.
 type epochs struct {
 	mu  sync.Mutex
@@ -110,14 +110,17 @@ func (st *epochs) publish(g *rdfgraph.Graph, epoch uint64) *snapshot {
 func (st *epochs) Current() Snapshot { return st.cur.Load() }
 
 // Apply implements Store. A no-op delta publishes nothing and returns the
-// current snapshot with Changed=false. Apply never blocks readers: they
-// keep resolving Current against the old epoch until the new pointer is
-// stored.
+// current snapshot with Changed=false; it is recognized on the current
+// epoch, before any clone is built. Apply never blocks readers: they keep
+// resolving Current against the old epoch until the new pointer is stored.
 func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
 	old := st.cur.Load()
+	if !effective(old.g, d) {
+		return ApplyResult{Snapshot: old, Prev: old.epoch}
+	}
 	ng := old.g.CloneCOW()
 	var added, deleted int
 	for _, t := range d.Del {
@@ -136,11 +139,6 @@ func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 			added++
 		}
 	}
-	if added == 0 && deleted == 0 {
-		// No state was mutated (duplicate adds and absent deletions
-		// return before touching any index), so the clone is discarded.
-		return ApplyResult{Snapshot: old, Prev: old.epoch}
-	}
 	return ApplyResult{
 		Snapshot: st.publish(ng, old.epoch+1),
 		Prev:     old.epoch,
@@ -148,4 +146,21 @@ func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 		Deleted:  deleted,
 		Changed:  true,
 	}
+}
+
+// effective reports whether d changes g: some deletion is present, or some
+// addition is absent. (An addition that d also deletes has its deletion
+// present.)
+func effective(g *rdfgraph.Graph, d rdfgraph.Delta) bool {
+	for _, t := range d.Del {
+		if g.Has(t) {
+			return true
+		}
+	}
+	for _, t := range d.Add {
+		if !g.Has(t) {
+			return true
+		}
+	}
+	return false
 }

@@ -67,11 +67,12 @@ $GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./inter
 echo "== update/subscription storm (-race, -short)"
 # The stale-entry pin (no cache entry outlives its epoch under racing
 # updates), the concurrent apply/notify/fanout storms, every delta of a
-# seeded update history, and a panicking maintenance step, re-run on their
-# own so a flake here names the tier that guards the write path.
+# seeded update history, a panicking maintenance step, and copy-on-write
+# epochs read while their successor is written, re-run on their own so a
+# flake here names the tier that guards the write path.
 $GO test -race -short -count=1 \
-    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestLiveMaintenancePanicEvicts' \
-    ./internal/fragserver ./internal/live
+    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestLiveMaintenancePanicEvicts|TestCOWEpochsIsolatedProperty' \
+    ./internal/fragserver ./internal/live ./internal/rdfgraph
 
 echo "== go test -race (store tier, -short)"
 # -short downsizes the loader scale test; the full 1M load runs race-free
