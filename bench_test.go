@@ -17,11 +17,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -627,18 +629,26 @@ func BenchmarkLiveUpdates(b *testing.B) {
 	}
 
 	b.Run("giant", func(b *testing.B) {
-		benchLiveGiant(b, tyrolGraph(1000), datagen.BenchmarkSchema())
+		benchLiveGiant(b, tyrolGraph(1000), datagen.BenchmarkSchema(), 0)
 	})
 	b.Run("giant10k", func(b *testing.B) {
 		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 10000, Seed: 1})
-		benchLiveGiant(b, g, servedBenchmarkSchema(b))
+		benchLiveGiant(b, g, servedBenchmarkSchema(b), 0)
+	})
+	b.Run("giant10k-reads", func(b *testing.B) {
+		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 10000, Seed: 1})
+		benchLiveGiant(b, g, servedBenchmarkSchema(b), 20)
 	})
 }
 
 // benchLiveGiant is one giant case of BenchmarkLiveUpdates: an add and a
 // delete of one Review through POST /update, alternating, with an S51
-// subscriber draining its stream.
-func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema) {
+// subscriber draining its stream. With reads > 0 every update is followed
+// by that many GET /node requests drawn like the serving benchmark's
+// update-mix draws them — Zipf over 2 000 typed individuals, the cache
+// warmed by 2 000 such reads first — and the case reports the hit ratio of
+// the timed reads and the share of cache entries updates kept valid.
+func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema, reads int) {
 	srv, err := fragserver.New(fragserver.Config{
 		Graph: g, Schema: h,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -665,6 +675,18 @@ func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema) {
 		rdf.T(review, rdf.NewIRI(datagen.PropText), rdf.NewLangString("bench review", "en")),
 		rdf.T(rdf.NewIRI(datagen.NS+"lodging/0"), rdf.NewIRI(datagen.PropReview), review),
 	})
+	var draw func() string
+	if reads > 0 {
+		draw = updateMixDraws(g)
+		for i := 0; i < 2000; i++ {
+			serveNode(b, srv, draw())
+		}
+	}
+	cacheStat := func(name string) float64 {
+		v, _ := srv.Metrics().Snapshot()[name].(float64)
+		return v
+	}
+	hits, misses := cacheStat("fragserver_cache_hits_total"), cacheStat("fragserver_cache_misses_total")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		target := "/update"
@@ -676,11 +698,51 @@ func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema) {
 		if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"changed":true`) {
 			b.Fatalf("POST %s: %d %s", target, rec.Code, rec.Body)
 		}
+		for r := 0; r < reads; r++ {
+			serveNode(b, srv, draw())
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
+	if reads > 0 {
+		hits, misses = cacheStat("fragserver_cache_hits_total")-hits, cacheStat("fragserver_cache_misses_total")-misses
+		b.ReportMetric(hits/(hits+misses), "hit-ratio")
+		if kept, invalidated := cacheStat("fragserver_cache_kept_total"), cacheStat("fragserver_cache_invalidated_total"); kept+invalidated > 0 {
+			b.ReportMetric(kept/(kept+invalidated), "kept-ratio")
+		}
+	}
 	srv.Live().Drain()
 	wg.Wait()
+}
+
+// updateMixDraws returns a generator of /node targets drawn as the serving
+// benchmark's update-mix draws them at seed 1: Zipf(s 1.1, v 10) over 2 000
+// subjects of rdf:type triples, shuffled by the same seeded source.
+func updateMixDraws(g *rdfgraph.Graph) func() string {
+	typ := g.LookupTerm(rdf.NewIRI(rdf.RDFType))
+	seen := map[rdfgraph.ID]bool{}
+	var pop []rdf.Term
+	for _, e := range g.EdgesByPredicate(typ) {
+		if !seen[e.S] {
+			seen[e.S] = true
+			pop = append(pop, g.Term(e.S))
+		}
+	}
+	sort.Slice(pop, func(i, j int) bool { return rdf.Compare(pop[i], pop[j]) < 0 })
+	rng := rand.New(rand.NewSource(1*7919 + 3))
+	rng.Shuffle(len(pop), func(i, j int) { pop[i], pop[j] = pop[j], pop[i] })
+	pop = pop[:min(2000, len(pop))]
+	z := rand.NewZipf(rng, 1.1, 10, uint64(len(pop)-1))
+	return func() string { return "/node?iri=" + url.QueryEscape(pop[z.Uint64()].String()) }
+}
+
+// serveNode serves one GET through srv's handler and fails b on a non-200.
+func serveNode(b *testing.B, srv *fragserver.Server, target string) {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("GET %s: %d", target, rec.Code)
+	}
 }
 
 // discardResponse is an http.ResponseWriter that keeps nothing, so the

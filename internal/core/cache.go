@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"context"
+	"math"
 	"sync"
 	"unsafe"
 
@@ -22,45 +23,75 @@ import (
 // request misses. The cached slices are shared between callers and must be
 // treated as immutable.
 //
-// Entries are additionally keyed by a store epoch (see store.Store):
-// a neighborhood computed against epoch e is only ever served to requests
-// pinned to epoch e, so no entry outlives its epoch. After an update
-// publishes epoch e+1, reads at e+1 start cold, and EvictBelow reclaims
-// entries of epochs no request can pin anymore. Single-graph callers that
-// never update can pass any constant epoch (0 works) everywhere.
+// Every entry records the range of store epochs (see store.Store) it is
+// valid for: it starts at the epoch it was computed at and stays open while
+// no update can have changed it. Invalidate steps the cache across one
+// epoch transition: it closes the entries the update can reach and leaves
+// every other entry open, valid at the new epoch in place — nothing is
+// copied, and only the reached entries are touched. Until the transition
+// into an epoch is applied, a Get at that epoch misses on every entry
+// computed before it. EvictBelow reclaims entries whose range ended below
+// every epoch a request can still pin. A cache that is never invalidated
+// serves an entry at the epoch it was computed at only; single-graph
+// callers that never update pass any constant epoch (0 works) everywhere.
 //
 // The bound is expressed in triples, not entries, because neighborhood
 // sizes vary by orders of magnitude; an empty neighborhood still costs one
 // unit so that negative results are bounded too.
 type NeighborhoodCache struct {
-	mu        sync.Mutex
-	budget    int
-	size      int
-	ll        *list.List // front = most recently used
-	items     map[neighborhoodKey]*list.Element
-	aliases   map[shape.Shape]shape.Shape // request shape -> class representative
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	evicted   uint64 // triples removed by evictions, cumulative
-	stale     uint64 // entries removed by EvictBelow, cumulative
-	staleTrip uint64 // triples those entries held
-	aliasHits uint64 // hits served through an alias translation
+	mu     sync.Mutex
+	budget int
+	size   int
+	ll     *list.List // front = most recently used
+	// items holds, per shape and node, the newest entry; older ones hang
+	// off its older chain, newest first.
+	items   map[shape.Shape]map[rdfgraph.ID]*list.Element
+	aliases map[shape.Shape]shape.Shape // request shape -> class representative
+	// applied is the newest epoch whose transition Invalidate has applied
+	// (or the one SetEpoch declared); pending holds transitions that
+	// arrived ahead of their predecessor, keyed by the epoch they leave.
+	applied uint64
+	pending map[uint64]staleness
+	// tracked maps every shape SetFootprints tracks to its read automaton
+	// in footprints; readers indexes those by the predicate IRIs they
+	// name, and readAll lists the ones a triple of any predicate can reach.
+	// All four are immutable once set.
+	tracked    map[shape.Shape]int
+	footprints []*shape.Footprint
+	readers    map[string][]int
+	readAll    []int
+	// open counts entries whose range is open; closed holds the others,
+	// for EvictBelow.
+	open   int
+	closed map[*list.Element]struct{}
+
+	hits        uint64
+	misses      uint64
+	evictions   uint64
+	evicted     uint64 // triples removed by evictions, cumulative
+	stale       uint64 // entries removed by EvictBelow, cumulative
+	staleTrip   uint64 // triples those entries held
+	aliasHits   uint64 // hits served through an alias translation
+	kept        uint64 // open entries an Invalidate left open, cumulative
+	invalidated uint64 // entries an Invalidate closed, cumulative
 }
 
 // idTripleBytes is the in-memory size of one cached triple, used to
 // report the cache's triple budget in bytes for operators.
 const idTripleBytes = int(unsafe.Sizeof(rdfgraph.IDTriple{}))
 
-type neighborhoodKey struct {
-	epoch uint64
-	node  rdfgraph.ID
-	shape shape.Shape
-}
+// openRange marks an entry valid up to the newest applied epoch.
+const openRange = math.MaxUint64
 
+// neighborhoodEntry is one cached neighborhood. It is kept to 64 bytes,
+// one allocation size class: a workload that misses more than it hits
+// allocates one per miss.
 type neighborhoodEntry struct {
-	key     neighborhoodKey
-	triples []rdfgraph.IDTriple
+	byNode   map[rdfgraph.ID]*list.Element // its shape's map in items
+	node     rdfgraph.ID
+	triples  []rdfgraph.IDTriple
+	from, to uint64        // the epochs it is valid for; to is openRange while open
+	older    *list.Element // the previous entry of (node, shape), if any
 }
 
 // NewNeighborhoodCache returns a cache bounded to about maxTriples cached
@@ -70,9 +101,11 @@ func NewNeighborhoodCache(maxTriples int) *NeighborhoodCache {
 		maxTriples = 1 << 20
 	}
 	return &NeighborhoodCache{
-		budget: maxTriples,
-		ll:     list.New(),
-		items:  make(map[neighborhoodKey]*list.Element),
+		budget:  maxTriples,
+		ll:      list.New(),
+		items:   make(map[shape.Shape]map[rdfgraph.ID]*list.Element),
+		pending: make(map[uint64]staleness),
+		closed:  make(map[*list.Element]struct{}),
 	}
 }
 
@@ -81,6 +114,15 @@ func entryCost(ts []rdfgraph.IDTriple) int {
 		return 1
 	}
 	return len(ts)
+}
+
+// end returns the last epoch en is known valid at: its closing epoch, or
+// for an open entry the newest applied one (its own if computed later).
+func (c *NeighborhoodCache) end(en *neighborhoodEntry) uint64 {
+	if en.to != openRange {
+		return en.to
+	}
+	return max(en.from, c.applied)
 }
 
 // SetAliases installs a shape-aliasing table: every Get and Put whose
@@ -107,8 +149,8 @@ func (c *NeighborhoodCache) resolveLocked(phi shape.Shape) (shape.Shape, bool) {
 	return phi, false
 }
 
-// Get returns the cached neighborhood of (v, φ) at the given epoch and
-// whether it was present.
+// Get returns the cached neighborhood of (v, φ) valid at the given epoch
+// and whether there is one.
 func (c *NeighborhoodCache) Get(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -135,22 +177,33 @@ func (c *NeighborhoodCache) getRun(epoch uint64, v rdfgraph.ID, shapes []shape.S
 
 func (c *NeighborhoodCache) getLocked(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
 	rep, aliased := c.resolveLocked(phi)
-	el, ok := c.items[neighborhoodKey{epoch: epoch, node: v, shape: rep}]
-	if !ok {
-		c.misses++
-		return nil, false
+	// Entries of one key are newest first and their ranges disjoint: the
+	// first that starts at or before epoch is the only candidate.
+	for el := c.items[rep][v]; el != nil; {
+		en := el.Value.(*neighborhoodEntry)
+		if en.from > epoch {
+			el = en.older
+			continue
+		}
+		if epoch > c.end(en) {
+			break
+		}
+		c.hits++
+		if aliased {
+			c.aliasHits++
+		}
+		c.ll.MoveToFront(el)
+		return en.triples, true
 	}
-	c.hits++
-	if aliased {
-		c.aliasHits++
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*neighborhoodEntry).triples, true
+	c.misses++
+	return nil, false
 }
 
 // Put stores the neighborhood of (v, φ) computed at the given epoch,
 // evicting least-recently-used entries until it fits. Neighborhoods larger
-// than the whole budget are not cached at all.
+// than the whole budget are not cached at all, and neither is one computed
+// at an epoch older than the newest applied transition: the invalidations
+// since were applied without it.
 func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts []rdfgraph.IDTriple) {
 	cost := entryCost(ts)
 	if cost > c.budget {
@@ -158,16 +211,23 @@ func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rep, _ := c.resolveLocked(phi)
-	c.putLocked(neighborhoodKey{epoch: epoch, node: v, shape: rep}, ts, cost)
-}
-
-func (c *NeighborhoodCache) putLocked(key neighborhoodKey, ts []rdfgraph.IDTriple, cost int) {
-	if el, ok := c.items[key]; ok {
-		// Concurrent workers may compute the same neighborhood; keep the
-		// incumbent (the results are identical) and just refresh recency.
-		c.ll.MoveToFront(el)
+	if epoch < c.applied {
 		return
+	}
+	rep, _ := c.resolveLocked(phi)
+	if head := c.items[rep][v]; head != nil {
+		en := head.Value.(*neighborhoodEntry)
+		if epoch <= c.end(en) || en.from > epoch {
+			// Concurrent workers may compute the same neighborhood; keep
+			// the incumbent (a newer or equal result) and refresh recency.
+			c.ll.MoveToFront(head)
+			return
+		}
+		// The incumbent is not known valid at epoch: its range ends where
+		// the applied transitions leave it.
+		if en.to == openRange {
+			c.closeLocked(head, c.end(en))
+		}
 	}
 	for c.size+cost > c.budget {
 		back := c.ll.Back()
@@ -175,34 +235,91 @@ func (c *NeighborhoodCache) putLocked(key neighborhoodKey, ts []rdfgraph.IDTripl
 			break
 		}
 		ev := back.Value.(*neighborhoodEntry)
-		c.ll.Remove(back)
-		delete(c.items, ev.key)
-		c.size -= entryCost(ev.triples)
+		c.removeLocked(back)
 		c.evictions++
 		c.evicted += uint64(len(ev.triples))
 	}
-	c.items[key] = c.ll.PushFront(&neighborhoodEntry{key: key, triples: ts})
+	// The eviction loop may have removed the incumbent.
+	byNode := c.items[rep]
+	if byNode == nil {
+		byNode = make(map[rdfgraph.ID]*list.Element)
+		c.items[rep] = byNode
+	}
+	head := byNode[v]
+	byNode[v] = c.ll.PushFront(&neighborhoodEntry{
+		byNode: byNode, node: v, triples: ts, from: epoch, to: openRange, older: head,
+	})
 	c.size += cost
+	c.open++
 }
 
-// EvictBelow removes every entry of an epoch older than min, returning how
-// many entries and triples were dropped. The serving layer calls it once no
-// in-flight request pins an epoch below min.
+// closeLocked ends el's open range at epoch to.
+func (c *NeighborhoodCache) closeLocked(el *list.Element, to uint64) {
+	en := el.Value.(*neighborhoodEntry)
+	en.to = to
+	c.open--
+	c.closed[el] = struct{}{}
+}
+
+// removeLocked drops el from the LRU, its key's chain and the accounting.
+func (c *NeighborhoodCache) removeLocked(el *list.Element) {
+	en := el.Value.(*neighborhoodEntry)
+	c.ll.Remove(el)
+	c.size -= entryCost(en.triples)
+	if en.to == openRange {
+		c.open--
+	} else {
+		delete(c.closed, el)
+	}
+	// A shape's map stays when it empties: the shapes are the schema's,
+	// and a map made afresh would grow afresh.
+	byNode := en.byNode
+	if byNode[en.node] == el {
+		if en.older != nil {
+			byNode[en.node] = en.older
+		} else {
+			delete(byNode, en.node)
+		}
+		return
+	}
+	for cur := byNode[en.node]; cur != nil; {
+		newer := cur.Value.(*neighborhoodEntry)
+		if newer.older == el {
+			newer.older = en.older
+			return
+		}
+		cur = newer.older
+	}
+}
+
+// EvictBelow removes every entry whose range ended before epoch min,
+// returning how many entries and triples were dropped. The serving layer
+// calls it once no in-flight request pins an epoch below min. It visits
+// closed entries only, unless min passes the newest applied transition —
+// as in a cache that is never invalidated — where open entries computed
+// before min end below it too.
 func (c *NeighborhoodCache) EvictBelow(min uint64) (entries, triples int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		ev := el.Value.(*neighborhoodEntry)
-		if ev.key.epoch >= min {
-			continue
-		}
-		c.ll.Remove(el)
-		delete(c.items, ev.key)
-		c.size -= entryCost(ev.triples)
+	drop := func(el *list.Element) {
+		en := el.Value.(*neighborhoodEntry)
 		entries++
-		triples += len(ev.triples)
+		triples += len(en.triples)
+		c.removeLocked(el)
+	}
+	for el := range c.closed {
+		if el.Value.(*neighborhoodEntry).to < min {
+			drop(el)
+		}
+	}
+	if c.applied < min {
+		var next *list.Element
+		for el := c.ll.Front(); el != nil; el = next {
+			next = el.Next()
+			if en := el.Value.(*neighborhoodEntry); en.to == openRange && en.from < min {
+				drop(el)
+			}
+		}
 	}
 	c.stale += uint64(entries)
 	c.staleTrip += uint64(triples)
@@ -218,9 +335,11 @@ type CacheStats struct {
 	Hits, Misses   uint64
 	Evictions      uint64 // entries removed to make room
 	EvictedTriples uint64 // triples those entries held
-	StaleEvictions uint64 // entries removed by EvictBelow (stale epochs)
+	StaleEvictions uint64 // entries removed by EvictBelow (their range ended)
 	StaleTriples   uint64 // triples those entries held
 	AliasHits      uint64 // hits served through a containment alias (subset of Hits)
+	Kept           uint64 // open entries Invalidate left open, summed over transitions
+	Invalidated    uint64 // entries Invalidate closed
 	Entries        int
 	Triples        int
 	Bytes          int
@@ -238,6 +357,8 @@ func (c *NeighborhoodCache) Stats() CacheStats {
 		StaleEvictions: c.stale,
 		StaleTriples:   c.staleTrip,
 		AliasHits:      c.aliasHits,
+		Kept:           c.kept,
+		Invalidated:    c.invalidated,
 		Entries:        c.ll.Len(),
 		Triples:        c.size,
 		Bytes:          c.size * idTripleBytes,

@@ -106,7 +106,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 	resp := explainResponse{Focus: focus.String(), Triples: []explainTriple{}}
 	x := s.acquire(g)
-	defer s.release(x)
 	extract := root.StartChild("extract")
 	ex := core.NewExplanation(g)
 	ctx := r.Context()
@@ -125,6 +124,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
+	s.release(x)
 	extract.End()
 	if err != nil {
 		httpTimeoutError(w, r, err)

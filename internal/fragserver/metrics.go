@@ -74,7 +74,7 @@ func normalizeRoute(path string) string {
 // histograms keeps the hot path free of registry lookups.
 var stageNames = []string{
 	"parse", "target", "extract", "serialize", "validate", "nnf", "merge",
-	"apply", "notify",
+	"apply", "invalidate", "notify",
 }
 
 // serverMetrics owns the server's registry plus the pre-created hot-path
@@ -136,7 +136,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.inflight = reg.Gauge(mInflight, "Requests currently being served.")
 	m.shed = reg.Counter(mShedTotal, "Requests rejected with 503 by the in-flight limiter.")
-	m.panics = reg.Counter(mPanicsTotal, "Panics recovered while serving a request (answered with 500) or maintaining a live fragment (its subscribers evicted).")
+	m.panics = reg.Counter(mPanicsTotal, "Panics recovered while serving a request (answered with 500), maintaining a live fragment (its subscribers evicted) or invalidating the cache (every entry closed).")
 	m.updApplied = reg.Counter(mUpdateTotal,
 		"POST /update requests, by result (applied, noop, rejected).", obs.L("result", "applied"))
 	m.updNoop = reg.Counter(mUpdateTotal,
@@ -250,11 +250,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 		reg.GaugeFunc("fragserver_cache_bytes", "Approximate bytes of cached triple storage.",
 			func() float64 { return float64(s.cache.Stats().Bytes) })
 		reg.CounterFunc("fragserver_cache_stale_evictions_total",
-			"Cache entries evicted because their epoch fell below every in-flight request.",
+			"Cache entries evicted because their epoch range ended below every in-flight request.",
 			func() float64 { return float64(s.cache.Stats().StaleEvictions) })
 		reg.CounterFunc("fragserver_cache_stale_triples_total",
-			"Triples held by stale-epoch evicted entries.",
+			"Triples held by entries evicted because their epoch range ended.",
 			func() float64 { return float64(s.cache.Stats().StaleTriples) })
+		reg.CounterFunc("fragserver_cache_kept_total",
+			"Cache entries an update left valid at its new epoch, summed over updates.",
+			func() float64 { return float64(s.cache.Stats().Kept) })
+		reg.CounterFunc("fragserver_cache_invalidated_total",
+			"Cache entries an update closed because its delta can reach them.",
+			func() float64 { return float64(s.cache.Stats().Invalidated) })
 		reg.CounterFunc(mContainHits,
 			"Cache hits served through a containment alias: requests answered from a congruent definition's entries.",
 			func() float64 { return float64(s.cache.Stats().AliasHits) })

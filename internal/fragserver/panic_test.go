@@ -38,14 +38,15 @@ func (st *faultyStore) Current() store.Snapshot {
 }
 
 // Apply panics while armed, the write path's stand-in for the same fault,
-// unless faultAfterApply; the snapshot it returns reads through the faulty
-// reader either way.
+// unless faultAfterApply; the snapshots it returns, new and base, read
+// through the faulty reader either way.
 func (st *faultyStore) Apply(d rdfgraph.Delta) store.ApplyResult {
 	if !st.faultAfterApply {
 		faultyReader{armed: &st.armed}.trip()
 	}
 	res := st.Store.Apply(d)
 	res.Snapshot = faultySnap{res.Snapshot, faultyReader{res.Snapshot.Reader(), &st.armed}}
+	res.Base = faultySnap{res.Base, faultyReader{res.Base.Reader(), &st.armed}}
 	return res
 }
 
@@ -308,5 +309,116 @@ func TestLiveMaintenancePanicEvicts(t *testing.T) {
 	ev, _ = stream.next(t)
 	if p := ssePayloadOf(t, ev); ev.event != "delta" || ev.id != "3" || len(p.Added) != 1 || p.Added[0] != lineCF {
 		t.Fatalf("after resubscribing: %+v, want the epoch-3 delta adding %s", ev, lineCF)
+	}
+}
+
+// TestPanickedExtractorNotPooled: an extractor whose request panicked
+// mid-extraction is dropped, not pooled, so whatever it had memoized
+// before the fault reaches no later request. The next /node on the same
+// epoch is served by a fresh extractor, with the bytes of cold extraction.
+func TestPanickedExtractorNotPooled(t *testing.T) {
+	focus := "/node?iri=" + url.QueryEscape("<"+datagen.NS+"lodging/0>")
+	build := func() (*Server, *faultyStore) {
+		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 120, Seed: 9})
+		h := schema.MustNew(datagen.BenchmarkShapes()[:8]...)
+		store.WarmDictionary(g, h)
+		real, err := store.New(g, store.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &faultyStore{Store: real}
+		srv, err := New(Config{Store: st, Schema: h, CacheTriples: -1, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, st
+	}
+	fetch := func(srv *Server) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", focus, nil))
+		return rec
+	}
+	cold, _ := build()
+	want := fetch(cold)
+	if want.Code != http.StatusOK || want.Body.Len() == 0 {
+		t.Fatalf("cold /node: %d, %d bytes", want.Code, want.Body.Len())
+	}
+
+	srv, st := build()
+	pooled := srv.acquire(srv.graphNow())
+	srv.release(pooled) // the one extractor the pool holds
+	st.armed.Store(true)
+	if rec := fetch(srv); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("armed /node: %d, want 500", rec.Code)
+	}
+	st.armed.Store(false)
+	if n := len(srv.pool); n != 0 {
+		t.Fatalf("the panicked request's extractor went back to the pool (%d pooled)", n)
+	}
+	if rec := fetch(srv); rec.Code != http.StatusOK || rec.Body.String() != want.Body.String() {
+		t.Fatalf("/node after the panic: %d\n%s\nwant the cold bytes:\n%s", rec.Code, rec.Body, want.Body)
+	}
+	if x := <-srv.pool; x == pooled {
+		t.Fatal("the next request was served by the extractor that panicked")
+	}
+}
+
+// TestInvalidationPanicClosesEverything: a panic while an update walks the
+// cache's footprints is counted and logged, closes every cache entry, and
+// leaves the update applied — /update answers 200 — and the cache serving:
+// the next read misses, recomputes, and serves the new epoch's bytes.
+func TestInvalidationPanicClosesEverything(t *testing.T) {
+	g := rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "b"), exTriple("c", "d")})
+	// b reads q where p⁻ leads, at a: a walk back from a q-triple of a
+	// goes over Objects(a, p), which the armed reader faults.
+	viaP := shape.Min(1, paths.Inv(paths.P("http://ex/p")), shape.Min(1, paths.P("http://ex/q"), shape.TrueShape()))
+	h := schema.MustNew(schema.Definition{Name: ex("S"), Shape: viaP, Target: shape.TrueShape()})
+	store.WarmDictionary(g, h)
+	real, err := store.New(g, store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &faultyStore{Store: real, faultAfterApply: true}
+	var logs bytes.Buffer
+	srv, err := New(Config{Store: st, Schema: h, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() string {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", nodeURL("b"), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/node?iri=b: %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+	if body := read(); body != "" {
+		t.Fatalf("a has no q-edge yet, but b's neighborhood is\n%s", body)
+	}
+	st.armed.Store(true)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/update",
+		strings.NewReader("<http://ex/a> <http://ex/q> <http://ex/e> .")))
+	st.armed.Store(false)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"epoch":2`) {
+		t.Fatalf("armed /update: %d %s, want 200 at epoch 2", rec.Code, rec.Body)
+	}
+	if got := srv.metrics.panics.Value(); got != 1 {
+		t.Errorf("fragserver_panics_total = %v, want 1", got)
+	}
+	for _, want := range []string{`msg="panic invalidating the neighborhood cache"`, "index corrupted", "faultyReader.trip"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("log lacks %s:\n%s", want, logs.String())
+		}
+	}
+	if s := srv.cache.Stats(); s.Invalidated != 1 || s.Kept != 0 {
+		t.Errorf("the panicked transition kept %d and invalidated %d entries, want 0 and 1", s.Kept, s.Invalidated)
+	}
+	before := srv.cache.Stats().Misses
+	if body, want := read(), "<http://ex/a> <http://ex/p> <http://ex/b> .\n<http://ex/a> <http://ex/q> <http://ex/e> .\n"; body != want {
+		t.Fatalf("/node?iri=b after the update:\n%s\nwant:\n%s", body, want)
+	}
+	if srv.cache.Stats().Misses == before {
+		t.Error("the read after the panicked transition was served from the cache")
 	}
 }

@@ -22,9 +22,10 @@
 // Every data route pins the current snapshot for its whole lifetime and
 // reports its epoch in an X-Epoch response header: a request never observes
 // a half-applied update, and concurrent updates never block readers.
-// Neighborhood cache entries are keyed by epoch and none outlives its
-// epoch: after an update, reads of the new epoch start cold, and entries of
-// epochs no in-flight request pins anymore are evicted.
+// Neighborhood cache entries carry the range of epochs they are valid for:
+// an update closes only the entries its delta can reach (see
+// handleUpdate), every other entry is served at the new epoch as it is,
+// and entries whose range ended below every pinned epoch are evicted.
 //
 // Production behaviors: per-request timeouts propagated through
 // context.Context into extraction, bounded in-flight concurrency (503 when
@@ -36,10 +37,10 @@
 //
 // Every request records one thing: an obs.SpanTrace the middleware roots
 // and carries in the request context. Handlers open a child span per
-// stage (parse → target → extract → serialize; parse → apply → notify on
-// the write path), and core.FragmentParallel grows the extract span —
-// its nnf/merge sub-stages and the plan-exec breakdown — through
-// ParallelOptions.Span.
+// stage (parse → target → extract → serialize; parse → apply →
+// invalidate → notify on the write path), and core.FragmentParallel grows
+// the extract span — its nnf/merge sub-stages and the plan-exec breakdown
+// — through ParallelOptions.Span.
 // A stage is a span named in stageNames, one or two levels under the
 // root; the stages are read off the tree (obs.Stages) and surfaced three
 // ways — as a Server-Timing response header (written when streaming
@@ -345,6 +346,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	logger.Info("containment classes", "classes", cl.NumClasses, "shared", cl.Shared,
 		"dur_ms", float64(time.Since(start).Microseconds())/1000)
+	if s.cache != nil {
+		// Updates keep every entry of these shapes valid that they cannot
+		// reach (POST /update's invalidate stage).
+		s.cache.SetFootprints(classShapes, cfg.Schema)
+		s.cache.SetEpoch(st.Current().Epoch())
+	}
 	s.hb = cfg.Heartbeat
 	if s.hb <= 0 {
 		s.hb = 15 * time.Second
@@ -529,15 +536,17 @@ func (s *Server) snapshot(w http.ResponseWriter) (store.Snapshot, func()) {
 	return snap, release
 }
 
-// evictStale drops cache entries of epochs below the eviction floor — the
-// older of the current epoch and the oldest pinned one. The floor is
-// tracked in staleFloor so the cache is only scanned when an update
-// actually advanced it, not on every request.
+// evictStale drops cache entries whose epoch range ended below the
+// eviction floor — the oldest of the current epoch, the oldest pinned one
+// and the newest epoch the cache's invalidation has reached (an entry still
+// open there may be valid at the next). The floor is tracked in staleFloor
+// so the cache is only swept when an update actually advanced it, not on
+// every request.
 func (s *Server) evictStale() {
 	if s.cache == nil {
 		return
 	}
-	floor := s.store.Current().Epoch()
+	floor := min(s.store.Current().Epoch(), s.cache.Applied())
 	if lo, ok := s.pins.min(); ok && lo < floor {
 		floor = lo
 	}
@@ -573,6 +582,9 @@ func (s *Server) acquire(g rdfgraph.Reader) *core.Extractor {
 	}
 }
 
+// release returns x to the pool. Handlers call it once x's work returned
+// normally, never deferred: an extractor whose call panicked is dropped
+// with whatever it had memoized, so no later request inherits it.
 func (s *Server) release(x *core.Extractor) {
 	// A search's scratch only grows: pooled with x it would pin the largest
 	// search x ever ran. Past the pool's ceiling it goes; the rest stays warm.
@@ -613,9 +625,9 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	snap, done := s.snapshot(w)
 	defer done()
 	x := s.acquire(snap.Reader())
-	defer s.release(x)
 	validate := obs.FromContext(r.Context()).StartChild("validate")
 	report := s.h.ValidateWith(x.Evaluator())
+	s.release(x)
 	validate.End()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "conforms: %v\nfocus nodes: %d\nviolations: %d\n",
@@ -650,7 +662,6 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	snap, done := s.snapshot(w)
 	defer done()
 	x := s.acquire(snap.Reader())
-	defer s.release(x)
 	extract := root.StartChild("extract")
 	ids, _, err := x.FragmentParallelIDs(requests, core.ParallelOptions{
 		Workers: s.workers,
@@ -665,6 +676,7 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	if errors.As(err, &pe) {
 		panic(pe) // a worker's panic, raised again where withObs answers every panic
 	}
+	s.release(x)
 	if err != nil {
 		httpTimeoutError(w, r, err)
 		return
@@ -715,13 +727,13 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	x := s.acquire(snap.Reader())
-	defer s.release(x)
 	extract := root.StartChild("extract")
 	extract.SetAttrInt("shapes", int64(len(shapes)))
 	// Before duplicates go, nine nodes in ten of the benchmark graph stay
 	// under a hundred triples: those never leave the stack.
 	var small [128]rdfgraph.IDTriple
 	ids, err := x.NeighborhoodsCached(r.Context(), s.cache, snap.Epoch(), id, shapes, small[:0])
+	s.release(x)
 	if err != nil {
 		extract.End()
 		httpTimeoutError(w, r, err)

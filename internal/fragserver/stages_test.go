@@ -27,7 +27,7 @@ var logStageField = regexp.MustCompile(`(\w+)_ms=`)
 func TestStageNamesPerRoute(t *testing.T) {
 	const addBody = "<" + datagen.NS + "lodging/0> <" + datagen.NS + "name> \"pinned\" .\n"
 	read := func(names ...string) []string { return names }
-	update := read("apply", "notify", "parse")
+	update := read("apply", "invalidate", "notify", "parse")
 	produced := map[string]bool{}
 	fragment := read("extract", "merge", "nnf", "target")
 	cfg := tracedConfig(0)

@@ -11,13 +11,17 @@ import (
 	"shaclfrag/internal/rdfgraph"
 )
 
-// TestUpdateCarryStormParity pins that no cache entry outlives its epoch
-// under racing updates: whatever order concurrent handlers apply, notify
-// and sweep in, a read at the newest epoch never serves a neighborhood
-// computed at an older one. (The name is from the race it first guarded:
-// handlers that carried entries forward keyed on a pre-Apply epoch read
-// and resurrected entries a concurrent delta had invalidated. Nothing is
-// carried any more; the storm stays as the pin.)
+// TestUpdateCarryStormParity pins that no cache entry is served at an
+// epoch it is not valid for under racing updates: whatever order
+// concurrent handlers apply, invalidate, notify and sweep in, a read at the
+// newest epoch never serves a neighborhood an update has changed since it
+// was computed. Entries the updates cannot reach stay valid across epochs;
+// the cache applies each update's invalidation in epoch order, holding
+// back one whose predecessor's is still in flight, and a read at an epoch
+// whose invalidation has not landed yet misses. (The name is from the race
+// it first guarded: handlers that carried entries forward keyed on a
+// pre-Apply epoch read and resurrected entries a concurrent delta had
+// invalidated.)
 //
 // Each attempt stages that interleaving. The victim component {a,b} is
 // freshly warmed in the cache; an in-flight reader stays pinned to that

@@ -268,8 +268,9 @@ func TestStatsTracesLine(t *testing.T) {
 }
 
 // TestUpdateTraceSpans checks the write path's span tree: a sampled
-// POST /update shows parse, apply (with effective-delta attributes) and
-// notify, and nothing else.
+// POST /update shows parse, apply (with effective-delta attributes),
+// invalidate (with the cache's kept and invalidated counts) and notify,
+// and nothing else.
 func TestUpdateTraceSpans(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{TraceSample: 1, Logger: quietLogger()})
 	resp, body := post(t, ts, "/update", lineAE)
@@ -299,8 +300,13 @@ func TestUpdateTraceSpans(t *testing.T) {
 		t.Errorf("apply span added attr = %d, want 1", added)
 	}
 	// Nothing is planned per epoch: programs are compiled once, in New.
-	if got, want := names(root), []string{"parse", "apply", "notify"}; !slices.Equal(got, want) {
+	if got, want := names(root), []string{"parse", "apply", "invalidate", "notify"}; !slices.Equal(got, want) {
 		t.Errorf("update trace children %v, want %v", got, want)
+	}
+	// Nothing was cached: nothing to keep or to invalidate.
+	inv := spanByName(root, "invalidate")
+	if kept, invalidated := intAttr(inv, "kept"), intAttr(inv, "invalidated"); kept != 0 || invalidated != 0 {
+		t.Errorf("invalidate span kept %d, invalidated %d, want 0 and 0", kept, invalidated)
 	}
 }
 

@@ -23,8 +23,10 @@ type updateResponse struct {
 	// absent deletions are no-ops and excluded).
 	Added   int `json:"added"`
 	Deleted int `json:"deleted"`
-	// Carried is always 0: no neighborhood-cache entry outlives its
-	// epoch. The field stays so existing clients, and the benchmark's
+	// Carried is always 0: an update copies no neighborhood-cache entry
+	// to its new epoch. Entries it cannot reach stay valid there in place,
+	// and the invalidate span and fragserver_cache_kept_total count them.
+	// The field stays so existing clients, and the benchmark's
 	// byte-compared replay, read the same body.
 	Carried int `json:"carried"`
 	// Triples is the graph size after the update.
@@ -35,6 +37,10 @@ type updateResponse struct {
 // document; op=add (the default) adds its triples, op=delete removes them.
 // The delta is applied atomically as one new store epoch — in-flight
 // readers keep their pinned snapshots, later requests see the new one.
+// Between the apply and the live notify, the neighborhood cache steps to
+// the new epoch (invalidate, NeighborhoodCache.Invalidate): entries the
+// delta can reach are closed, the rest are served at the new epoch as they
+// are. Racing handlers' transitions apply in res.Prev order.
 // Updates during graceful drain are rejected with 503 immediately (the
 // caller should retry against a serving replica), and bodies beyond
 // Config.MaxUpdateBytes get 413.
@@ -95,6 +101,21 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	apply.End()
 
 	if res.Changed {
+		var kept, invalidated int
+		if s.cache != nil {
+			inv := root.StartChild("invalidate")
+			var err error
+			kept, invalidated, err = s.cache.Invalidate(res.Prev, res.Base.Reader(), res.Snapshot.Reader(), delta)
+			if err != nil {
+				// The walk panicked: that transition closed every entry, and
+				// the update stands.
+				s.metrics.panics.Inc()
+				s.log.Error("panic invalidating the neighborhood cache", "epoch", res.Snapshot.Epoch(), "err", err.Error())
+			}
+			inv.SetAttrInt("kept", int64(kept))
+			inv.SetAttrInt("invalidated", int64(invalidated))
+			inv.End()
+		}
 		// Advance incremental fragment maintenance and fan deltas out to
 		// /subscribe streams. Runs synchronously in the update path so
 		// heavy subscription load backpressures writers instead of
@@ -115,7 +136,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("update applied",
 			"epoch", res.Snapshot.Epoch(), "added", res.Added, "deleted", res.Deleted,
 			"triples", res.Snapshot.Reader().Len(),
-			"live_reextracted", ls.Reextracted, "live_delta", ls.Added+ls.Removed)
+			"live_reextracted", ls.Reextracted, "live_delta", ls.Added+ls.Removed,
+			"cache_kept", kept, "cache_invalidated", invalidated)
 	} else {
 		s.metrics.updNoop.Inc()
 	}

@@ -92,9 +92,9 @@ const (
 
 // TestUpdateEndToEnd is the acceptance path: a delta lands between two
 // reads of the same focus node. Each response carries exactly one epoch,
-// the post-update read reflects the delta, nothing is carried, and the
-// component the delta did not touch serves the same bytes, recomputed at
-// the new epoch.
+// the post-update read reflects the delta, nothing is copied, and the
+// component the delta did not touch serves the same bytes from its cache
+// entry, kept valid at the new epoch.
 func TestUpdateEndToEnd(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{})
 
@@ -128,7 +128,7 @@ func TestUpdateEndToEnd(t *testing.T) {
 		t.Fatalf("update response: %+v", ur)
 	}
 	if ur.Carried != 0 {
-		t.Fatalf("update carried %d cache entries; no entry outlives its epoch", ur.Carried)
+		t.Fatalf("update carried %d cache entries; entries stay valid in place, nothing is copied", ur.Carried)
 	}
 	if got := resp.Header.Get("X-Epoch"); got != "2" {
 		t.Fatalf("update X-Epoch = %q, want 2", got)
@@ -143,8 +143,8 @@ func TestUpdateEndToEnd(t *testing.T) {
 		t.Fatalf("post-update /node?a missing the delta:\n%s", body)
 	}
 
-	// The untouched component serves the same bytes, recomputed at epoch
-	// 2: its epoch-1 entry is not served there, so the read misses.
+	// The untouched component serves the same bytes at epoch 2 from its
+	// epoch-1 entry: the delta cannot reach c, so the read hits.
 	before := srv.cache.Stats()
 	resp, body = get(t, ts, nodeURL("c"))
 	if got := resp.Header.Get("X-Epoch"); got != "2" {
@@ -153,8 +153,9 @@ func TestUpdateEndToEnd(t *testing.T) {
 	if body != bodyC {
 		t.Fatalf("post-update /node?c differs from the pre-update bytes:\n%s\nwant:\n%s", body, bodyC)
 	}
-	if after := srv.cache.Stats(); after.Misses <= before.Misses {
-		t.Errorf("/node?c at epoch 2 was not recomputed: misses %d → %d", before.Misses, after.Misses)
+	if after := srv.cache.Stats(); after.Misses != before.Misses || after.Hits <= before.Hits {
+		t.Errorf("/node?c at epoch 2 was not served from the cache: hits %d → %d, misses %d → %d",
+			before.Hits, after.Hits, before.Misses, after.Misses)
 	}
 
 	// The whole fragment under epoch 2 contains exactly the new state.

@@ -43,13 +43,19 @@ type ApplyResult struct {
 	// can arrive out of epoch order, and the maintainer stashes a result
 	// until the epoch named by its Prev is the one it maintains.
 	Prev uint64
+	// Base is the snapshot of epoch Prev, the graph the delta was applied
+	// to: the one the neighborhoods cached before the update were computed
+	// on, so the serving layer walks it to find which of them the delta can
+	// reach. It is Snapshot itself when the delta was a no-op.
+	Base Snapshot
 	// Added and Deleted count effective operations (duplicates and
 	// absent deletions excluded).
 	Added, Deleted int
 	// Changed reports whether a new epoch was published.
 	Changed bool
-	// Unaffected is always nil: every node counts as affected by every
-	// update. It exists only because the frozen benchmark module
+	// Unaffected is always nil: Apply does not decide which nodes an update
+	// affects (the serving layer's cache invalidation walks Base for that).
+	// It exists only because the frozen benchmark module
 	// (bench/trace.go) passes it to core.NeighborhoodCache.Carry; the
 	// benchmark PR, ROADMAP item 1, deletes both.
 	Unaffected func(rdfgraph.ID) bool
@@ -119,7 +125,7 @@ func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 
 	old := st.cur.Load()
 	if !effective(old.g, d) {
-		return ApplyResult{Snapshot: old, Prev: old.epoch}
+		return ApplyResult{Snapshot: old, Prev: old.epoch, Base: old}
 	}
 	ng := old.g.CloneCOW()
 	var added, deleted int
@@ -142,6 +148,7 @@ func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 	return ApplyResult{
 		Snapshot: st.publish(ng, old.epoch+1),
 		Prev:     old.epoch,
+		Base:     old,
 		Added:    added,
 		Deleted:  deleted,
 		Changed:  true,

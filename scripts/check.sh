@@ -65,14 +65,17 @@ $GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./inter
     ./internal/paths ./internal/plan
 
 echo "== update/subscription storm (-race, -short)"
-# The stale-entry pin (no cache entry outlives its epoch under racing
-# updates), the concurrent apply/notify/fanout storms, every delta of a
-# seeded update history, a panicking maintenance step, and copy-on-write
-# epochs read while their successor is written, re-run on their own so a
-# flake here names the tier that guards the write path.
+# The stale-entry pin (no cache entry served at an epoch an update changed
+# it for, under racing updates), the concurrent apply/notify/fanout storms,
+# every delta of a seeded update history, every /node body of a seeded
+# history served from a cache kept warm across updates, the footprint
+# walk's coverage of every read extraction makes, a panicking maintenance
+# step, and copy-on-write epochs read while their successor is written,
+# re-run on their own so a flake here names the tier that guards the write
+# path.
 $GO test -race -short -count=1 \
-    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestLiveMaintenancePanicEvicts|TestCOWEpochsIsolatedProperty' \
-    ./internal/fragserver ./internal/live ./internal/rdfgraph
+    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestLiveMaintenancePanicEvicts|TestCOWEpochsIsolatedProperty|TestCacheHistoryExact|TestFootprintCoversReads' \
+    ./internal/fragserver ./internal/live ./internal/rdfgraph ./internal/core
 
 echo "== go test -race (store tier, -short)"
 # -short downsizes the loader scale test; the full 1M load runs race-free
