@@ -1,21 +1,19 @@
 package contain
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"cmp"
+	"slices"
 
-	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
 )
 
-// CanonKey renders phi in a canonical form under the neighborhood
-// congruence: two shapes with equal keys conform on exactly the same
-// nodes AND have byte-identical neighborhoods B(v, G, ·) on every graph
-// and focus node, so the NeighborhoodCache may serve one's entries for
-// the other (see core.NeighborhoodCache.SetAliases).
+// Canonical returns phi's canonical form under the neighborhood
+// congruence: two shapes whose canonical forms have equal shape.IDs
+// conform on exactly the same nodes AND have byte-identical neighborhoods
+// B(v, G, ·) on every graph and focus node, so the NeighborhoodCache may
+// serve one's entries for the other (see core.NeighborhoodCache.SetAliases).
 //
 // This is deliberately stricter than mutual containment. Equivalent
 // shapes can trace different triples — Or(φ) and Or(φ, φ∧eq(q)) are
@@ -27,7 +25,9 @@ import (
 //   - NNF normalization;
 //   - hasShape inlining (B(v, hasShape(s)) is exactly B(v, nnf(def(s)));
 //     undefined names are ⊤, the evaluator's default);
-//   - ∧/∨ flattening, argument sorting and deduplication;
+//   - ∧/∨ argument sorting and deduplication (arguments are already flat:
+//     the constructors flatten, and canonical arguments are not merged
+//     into their parent);
 //   - dropping literal ⊤ conjuncts and literal ⊥ disjuncts.
 //
 // Notably absent: shapelint's folding (≥0 E.φ → ⊤ changes traced bytes:
@@ -35,7 +35,7 @@ import (
 // conjunctions (¬(φ∧⊥) = ¬φ∨⊤ still traces ¬φ under a ≤n body), and
 // ⊤-collapse of disjunctions (a ⊤ disjunct flips conformance of the
 // whole disjunction without contributing triples).
-func CanonKey(h *schema.Schema, phi shape.Shape) string {
+func Canonical(h *schema.Schema, phi shape.Shape) shape.Shape {
 	c := canonizer{h: h, visiting: make(map[rdf.Term]bool)}
 	return c.canon(shape.NNF(phi))
 }
@@ -45,75 +45,73 @@ type canonizer struct {
 	visiting map[rdf.Term]bool
 }
 
-// canon renders an NNF shape. Callers must pass NNF input; recursion
-// preserves it.
-func (c *canonizer) canon(phi shape.Shape) string {
+// canon builds the canonical node of an NNF shape. Callers must pass NNF
+// input; recursion preserves it.
+func (c *canonizer) canon(phi shape.Shape) shape.Shape {
 	switch x := phi.(type) {
-	case *shape.True:
-		return "⊤"
-	case *shape.False:
-		return "⊥"
 	case *shape.HasShape:
 		return c.inline(x.Name, false)
 	case *shape.Not:
 		if ref, ok := x.X.(*shape.HasShape); ok {
 			return c.inline(ref.Name, true)
 		}
-		return "¬(" + c.canon(x.X) + ")"
 	case *shape.And:
-		return c.nary(x.Xs, " ∧ ", "⊤")
+		return c.nary(x.Xs, shape.TrueShape(), func(xs []shape.Shape) shape.Shape { return &shape.And{Xs: xs} })
 	case *shape.Or:
-		return c.nary(x.Xs, " ∨ ", "⊥")
+		return c.nary(x.Xs, shape.FalseShape(), func(xs []shape.Shape) shape.Shape { return &shape.Or{Xs: xs} })
 	case *shape.MinCount:
-		return "≥" + strconv.Itoa(x.N) + " " + pathKey(x.Path) + ".(" + c.canon(x.X) + ")"
+		if body := c.canon(x.X); body != x.X {
+			return &shape.MinCount{N: x.N, Path: x.Path, X: body}
+		}
 	case *shape.MaxCount:
-		return "≤" + strconv.Itoa(x.N) + " " + pathKey(x.Path) + ".(" + c.canon(x.X) + ")"
+		if body := c.canon(x.X); body != x.X {
+			return &shape.MaxCount{N: x.N, Path: x.Path, X: body}
+		}
 	case *shape.Forall:
-		return "∀" + pathKey(x.Path) + ".(" + c.canon(x.X) + ")"
-	default:
-		// Atoms: test, hasValue, eq, disj, closed, orders, uniqueLang.
-		// String renderings are deterministic and parameter-complete.
-		return phi.String()
+		if body := c.canon(x.X); body != x.X {
+			return &shape.Forall{Path: x.Path, X: body}
+		}
 	}
+	// ⊤, ⊥, atoms, negated atoms and unchanged quantifiers are canonical.
+	return phi
 }
 
-// nary canonicalizes ∧/∨ arguments: flatten (constructors already did),
-// drop the unit (⊤ for ∧, ⊥ for ∨; the opposite constant must NOT be
-// dropped or collapsed), sort, dedupe.
-func (c *canonizer) nary(xs []shape.Shape, op, unit string) string {
-	ks := make([]string, 0, len(xs))
-	seen := make(map[string]bool, len(xs))
+// nary canonicalizes ∧/∨ arguments: drop the unit (⊤ for ∧, ⊥ for ∨; the
+// opposite constant must NOT be dropped or collapsed), dedupe and sort by
+// id. It builds the node directly: a canonical argument that is itself a
+// conjunction stays one argument, as the congruence requires.
+func (c *canonizer) nary(xs []shape.Shape, unit shape.Shape, build func([]shape.Shape) shape.Shape) shape.Shape {
+	kids, unitID := make([]shape.Shape, 0, len(xs)), shape.ID(unit)
 	for _, x := range xs {
 		k := c.canon(x)
-		if k == unit || seen[k] {
+		id := shape.ID(k)
+		if id == unitID || slices.ContainsFunc(kids, func(y shape.Shape) bool { return shape.ID(y) == id }) {
 			continue
 		}
-		seen[k] = true
-		ks = append(ks, k)
+		kids = append(kids, k)
 	}
-	switch len(ks) {
+	switch len(kids) {
 	case 0:
 		return unit
 	case 1:
-		return ks[0]
+		return kids[0]
 	}
-	sort.Strings(ks)
-	return "(" + strings.Join(ks, op) + ")"
+	slices.SortFunc(kids, func(a, b shape.Shape) int { return cmp.Compare(shape.ID(a), shape.ID(b)) })
+	return build(kids)
 }
 
 // inline resolves a (possibly negated) reference to its definition's
 // canonical form, mirroring the extractor: B(v, hasShape(s)) is
 // B(v, nnf(def)) and B(v, ¬hasShape(s)) is B(v, negNNF(def)); undefined
-// names resolve to ⊤. The cycle guard renders recursive references
-// opaquely — schema.New rejects cycles, so it only protects hand-built
+// names resolve to ⊤. The cycle guard keeps recursive references as
+// they are — schema.New rejects cycles, so it only protects hand-built
 // schemas from divergence.
-func (c *canonizer) inline(name rdf.Term, negated bool) string {
+func (c *canonizer) inline(name rdf.Term, negated bool) shape.Shape {
 	if c.visiting[name] {
-		s := "hasShape(" + name.String() + ")"
 		if negated {
-			return "¬(" + s + ")"
+			return shape.Neg(shape.Ref(name))
 		}
-		return s
+		return shape.Ref(name)
 	}
 	body := shape.Shape(shape.TrueShape())
 	if c.h != nil {
@@ -121,18 +119,10 @@ func (c *canonizer) inline(name rdf.Term, negated bool) string {
 			body = b
 		}
 	}
-	if negated {
-		body = shape.Neg(body)
-	}
 	c.visiting[name] = true
-	k := c.canon(shape.NNF(body))
-	delete(c.visiting, name)
-	return k
-}
-
-func pathKey(e paths.Expr) string {
-	if e == nil {
-		return "id"
+	defer delete(c.visiting, name)
+	if negated {
+		return c.canon(shape.NegNNF(body))
 	}
-	return e.String()
+	return c.canon(shape.NNF(body))
 }

@@ -54,7 +54,7 @@ func shuffle(rng *rand.Rand, phi shape.Shape) shape.Shape {
 }
 
 // TestCongruenceByteParity is the machine check behind cache sharing:
-// shapes with equal CanonKeys must produce byte-identical neighborhoods
+// shapes with equal canonical ids must produce byte-identical neighborhoods
 // B(v, G, φ) for every node on random graphs. This is what makes it
 // sound for fragserver to serve one definition's cached entries for a
 // congruent one.
@@ -68,10 +68,10 @@ func TestCongruenceByteParity(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		phi := shape.NNF(shapetest.RandomShape(rng, 3))
 		variant := shuffle(rng, phi)
-		k1 := contain.CanonKey(nil, phi)
-		k2 := contain.CanonKey(nil, variant)
-		if k1 != k2 {
-			t.Fatalf("seed %d: congruent variant changed the canonical key:\n  %s\n  %s\nkeys:\n  %s\n  %s",
+		k1 := contain.Canonical(nil, phi)
+		k2 := contain.Canonical(nil, variant)
+		if shape.ID(k1) != shape.ID(k2) {
+			t.Fatalf("seed %d: congruent variant changed the canonical form:\n  %s\n  %s\ncanonical:\n  %s\n  %s",
 				seed, phi, variant, k1, k2)
 		}
 		if phi.String() != variant.String() {
@@ -93,11 +93,11 @@ func TestCongruenceByteParity(t *testing.T) {
 	}
 }
 
-// TestCanonKeyAcrossSchemas pins the cross-schema renaming case behind
+// TestCanonicalAcrossSchemas pins the cross-schema renaming case behind
 // the fragserver e2e test: two definitions that differ only in helper
-// names and conjunct order share a canonical key, and their
+// names and conjunct order share a canonical form, and their
 // neighborhoods agree byte-for-byte.
-func TestCanonKeyAcrossSchemas(t *testing.T) {
+func TestCanonicalAcrossSchemas(t *testing.T) {
 	helperBody := shape.AndOf(
 		shape.Min(1, p("p"), shape.TrueShape()),
 		shape.All(p("q"), shape.NodeTestShape(shape.IsLiteral{})),
@@ -115,9 +115,8 @@ func TestCanonKeyAcrossSchemas(t *testing.T) {
 	)
 	req1 := shape.AndOf(h1.Definitions()[0].Shape, h1.Definitions()[0].Target)
 	req2 := shape.AndOf(h2.Definitions()[0].Shape, h2.Definitions()[0].Target)
-	if contain.CanonKey(h1, req1) != contain.CanonKey(h2, req2) {
-		t.Fatalf("renamed-helper requests must share a canonical key:\n  %s\n  %s",
-			contain.CanonKey(h1, req1), contain.CanonKey(h2, req2))
+	if c1, c2 := contain.Canonical(h1, req1), contain.Canonical(h2, req2); shape.ID(c1) != shape.ID(c2) {
+		t.Fatalf("renamed-helper requests must share a canonical form:\n  %s\n  %s", c1, c2)
 	}
 
 	rng := rand.New(rand.NewSource(42))
@@ -134,11 +133,11 @@ func TestCanonKeyAcrossSchemas(t *testing.T) {
 	}
 }
 
-// TestCanonKeyRejectsNonCongruent pins the counterexample that forces
+// TestCanonicalRejectsNonCongruent pins the counterexample that forces
 // the congruence to be stricter than mutual containment: Or(φ) and
 // Or(φ, φ∧eq) are mutually contained but trace different bytes, so their
-// keys must differ.
-func TestCanonKeyRejectsNonCongruent(t *testing.T) {
+// canonical forms must differ.
+func TestCanonicalRejectsNonCongruent(t *testing.T) {
 	a := shape.Min(1, p("p"), shape.TrueShape())
 	extra := shape.AndOf(a, shape.EqPath(p("q"), shapetest.Base+"q"))
 	or1 := shape.OrOf(a)
@@ -148,8 +147,8 @@ func TestCanonKeyRejectsNonCongruent(t *testing.T) {
 	if c.Equivalent(or1, or2) != contain.Contained {
 		t.Skip("checker no longer proves the motivating equivalence")
 	}
-	if contain.CanonKey(nil, or1) == contain.CanonKey(nil, or2) {
-		t.Fatal("mutually-contained but trace-different shapes must not share a key")
+	if shape.ID(contain.Canonical(nil, or1)) == shape.ID(contain.Canonical(nil, or2)) {
+		t.Fatal("mutually-contained but trace-different shapes must not share a canonical form")
 	}
 }
 

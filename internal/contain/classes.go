@@ -8,12 +8,13 @@ import (
 // Classes is the cache-sharing equivalence-class table over a slice of
 // shapes. It is a function of the schema alone — containment quantifies
 // over every graph — so fragserver computes one in New, over its request
-// and definition shapes, and no epoch recomputes it. Shapes fall into one class
-// when their CanonKeys match — the neighborhood congruence — so serving
-// one class member's cached entries for another is byte-exact.
+// and definition shapes, and no epoch recomputes it. Shapes fall into one
+// class when their canonical forms (Canonical) have one shape.ID — the
+// neighborhood congruence — so serving one class member's cached entries
+// for another is byte-exact.
 type Classes struct {
 	// Rep[i] is the index of shape i's representative: the first shape
-	// with the same canonical key. Rep[i] == i for representatives.
+	// with the same canonical form. Rep[i] == i for representatives.
 	Rep []int
 	// NumClasses counts distinct classes.
 	NumClasses int
@@ -23,12 +24,12 @@ type Classes struct {
 	Shared int
 }
 
-// ComputeClasses groups shapes by canonical key.
+// ComputeClasses groups shapes by the id of their canonical form.
 func ComputeClasses(h *schema.Schema, shapes []shape.Shape) Classes {
 	cl := Classes{Rep: make([]int, len(shapes))}
-	first := make(map[string]int, len(shapes))
+	first := make(map[uint32]int, len(shapes))
 	for i, s := range shapes {
-		k := CanonKey(h, s)
+		k := shape.ID(Canonical(h, s))
 		if j, ok := first[k]; ok {
 			cl.Rep[i] = j
 			cl.Shared++

@@ -60,9 +60,8 @@ func (v Verdict) String() string {
 // Checker decides φ1 ⊑ φ2 with φ1 interpreted against a left schema and
 // φ2 against a right schema (the two coincide for single-schema
 // questions; they differ when diffing schema versions). A Checker is not
-// safe for concurrent use, and it keeps every shape it is asked about
-// alive: what it derives from a shape node alone is tabled by the node's
-// pointer (see side), so shapes must not be mutated once asked about.
+// safe for concurrent use. Its tables key on shape.ID, so structurally
+// equal nodes share one entry whichever pointers carry them.
 type Checker struct {
 	l, r *side // φ1's and φ2's schema; one side when the schemas coincide
 
@@ -70,8 +69,8 @@ type Checker struct {
 	// contravariant positions: ≤n bodies and negated atoms.
 	flip *Checker
 
-	// memo caches sub results per (left key id, right key id) pair. Only
-	// entries derived without live coinductive assumptions are stored.
+	// memo caches sub results per (left id, right id) pair. Only entries
+	// derived without live coinductive assumptions are stored.
 	memo map[[2]uint32]Verdict
 	// assume holds hasShape pairs currently being discharged: while
 	// proving hasShape(a) ⊑ hasShape(b) the pair is assumed, so a
@@ -82,55 +81,15 @@ type Checker struct {
 	active map[[2]uint32]bool
 }
 
-// side is one schema's view of the shape nodes a checker meets. Rendering
-// a node, folding it and normalising it depend on the node and the schema
-// only — never on the question asked — so each is done on first sight and
-// tabled by the node's pointer; NNF shares unchanged subtrees, so a shape
-// asked about twice is the same nodes twice. Sound because Shape.String,
-// shape.NNF and Folder.Fold are pure (TestSharedCheckerAgreesWithFresh).
+// side is one schema's view of the shape nodes a checker meets. What it
+// derives from a node depends on the node's structure and the schema only
+// — never on the question asked — so each is done once: the NNF is
+// memoized on the node (shape.NNF) and the fold per shape.ID by the
+// folder. Sound because shape.ID decides rendering equality and
+// Folder.Fold is pure (TestSharedCheckerAgreesWithFresh).
 type side struct {
 	h    *schema.Schema
 	fold *shapelint.Folder
-	// keys interns renderings; both sides of a checker and of its flip
-	// share one table, so equal ids mean equal renderings across sides.
-	keys  map[string]uint32
-	nnfs  map[shape.Shape]shape.Shape
-	facts map[shape.Shape]facts
-}
-
-// facts is what a side knows about one NNF node.
-type facts struct {
-	id           uint32 // interned key(node)
-	unsat, valid bool   // the side's folder rewrites the node to ⊥, to ⊤
-}
-
-func newSide(h *schema.Schema, keys map[string]uint32) *side {
-	return &side{h: h, fold: shapelint.NewFolder(h), keys: keys,
-		nnfs: make(map[shape.Shape]shape.Shape), facts: make(map[shape.Shape]facts)}
-}
-
-func (s *side) nnf(phi shape.Shape) shape.Shape {
-	n, ok := s.nnfs[phi]
-	if !ok {
-		n = shape.NNF(phi)
-		s.nnfs[phi] = n
-	}
-	return n
-}
-
-func (s *side) of(x shape.Shape) facts {
-	f, ok := s.facts[x]
-	if !ok {
-		k := key(x)
-		if f.id, ok = s.keys[k]; !ok {
-			f.id = uint32(len(s.keys))
-			s.keys[k] = f.id
-		}
-		folded := s.fold.Fold(x)
-		f.unsat, f.valid = isFalse(folded), isTrue(folded)
-		s.facts[x] = f
-	}
-	return f
 }
 
 // resolve returns the NNF body of a reference; undefined names are ⊤, the
@@ -138,7 +97,7 @@ func (s *side) of(x shape.Shape) facts {
 func (s *side) resolve(r *shape.HasShape) shape.Shape {
 	if s.h != nil {
 		if def, ok := s.h.Def(r.Name); ok {
-			return s.nnf(def)
+			return shape.NNF(def)
 		}
 	}
 	return top
@@ -150,10 +109,10 @@ var top = shape.TrueShape()
 // against right. Nil schemas are allowed (hasShape then resolves to ⊤,
 // matching the evaluator's default for undefined names).
 func New(left, right *schema.Schema) *Checker {
-	l := newSide(left, make(map[string]uint32))
+	l := &side{h: left, fold: shapelint.NewFolder(left)}
 	r := l
 	if left != right {
-		r = newSide(right, l.keys)
+		r = &side{h: right, fold: shapelint.NewFolder(right)}
 	}
 	c, f := newChecker(l, r), newChecker(r, l)
 	c.flip, f.flip = f, c
@@ -172,7 +131,7 @@ func (c *Checker) sameSchema() bool { return c.l == c.r }
 // Contains runs the structural checker on φ1 ⊑ φ2. It returns Contained
 // or Unknown, never NotContained — use Check to also attempt refutation.
 func (c *Checker) Contains(phi1, phi2 shape.Shape) Verdict {
-	return c.sub(c.l.nnf(phi1), c.r.nnf(phi2))
+	return c.sub(shape.NNF(phi1), shape.NNF(phi2))
 }
 
 // Equivalent reports mutual containment: Contained when φ1 ⊑ φ2 and
@@ -188,11 +147,10 @@ func (c *Checker) Equivalent(phi1, phi2 shape.Shape) Verdict {
 // interpreted in the left schema, b in the right. It returns Contained
 // only when the applied rules prove ⟦a⟧ ⊆ ⟦b⟧ on every graph.
 func (c *Checker) sub(a, b shape.Shape) Verdict {
-	if isFalse(a) || isTrue(b) {
+	if shapelint.IsFalse(a) || shapelint.IsTrue(b) {
 		return Contained
 	}
-	fa, fb := c.l.of(a), c.r.of(b)
-	pair := [2]uint32{fa.id, fb.id}
+	pair := [2]uint32{shape.ID(a), shape.ID(b)}
 	if v, ok := c.memo[pair]; ok {
 		return v
 	}
@@ -200,7 +158,7 @@ func (c *Checker) sub(a, b shape.Shape) Verdict {
 		return Unknown
 	}
 	c.active[pair] = true
-	v := c.subRules(a, b, fa, fb)
+	v := c.subRules(a, b)
 	delete(c.active, pair)
 	// Results proved under a live assumption are provisional until the
 	// assumption discharges; only assumption-free results are cached.
@@ -210,16 +168,16 @@ func (c *Checker) sub(a, b shape.Shape) Verdict {
 	return v
 }
 
-func (c *Checker) subRules(a, b shape.Shape, fa, fb facts) Verdict {
+func (c *Checker) subRules(a, b shape.Shape) Verdict {
 	// Validity probes through the constant folder: an unsatisfiable left
 	// or valid right side settles the question.
-	if fa.unsat || fb.valid {
+	if shapelint.IsFalse(c.l.fold.Fold(a)) || shapelint.IsTrue(c.r.fold.Fold(b)) {
 		return Contained
 	}
 
 	// Reflexivity. Cross-schema it only applies when the formula cannot
 	// reference definitions, since hasShape resolves differently per side.
-	if fa.id == fb.id && (c.sameSchema() || len(shape.ShapeRefs(a)) == 0) {
+	if shape.ID(a) == shape.ID(b) && (c.sameSchema() || len(shape.ShapeRefs(a)) == 0) {
 		return Contained
 	}
 
@@ -325,7 +283,7 @@ func (c *Checker) atomSub(a, b shape.Shape) Verdict {
 			// one schema; restrict to reference-free bodies otherwise.
 			if pathSub(y.Path, x.Path) &&
 				(c.sameSchema() || len(shape.ShapeRefs(x.X))+len(shape.ShapeRefs(y.X)) == 0) &&
-				isFalse(c.l.fold.Fold(shape.AndOf(x.X, y.X))) {
+				shapelint.IsFalse(c.l.fold.Fold(shape.AndOf(x.X, y.X))) {
 				return Contained
 			}
 		}
@@ -395,10 +353,3 @@ func subsetSorted(a, b []string) bool {
 	}
 	return true
 }
-
-func isTrue(s shape.Shape) bool  { _, ok := s.(*shape.True); return ok }
-func isFalse(s shape.Shape) bool { _, ok := s.(*shape.False); return ok }
-
-// key renders a shape for memoization; String renderings are
-// deterministic and parameter-complete.
-func key(s shape.Shape) string { return s.String() }

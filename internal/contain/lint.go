@@ -77,10 +77,11 @@ func Lint(h *schema.Schema) []shapelint.Diagnostic {
 		}
 	}
 
-	// SL011: walk every conjunction in every NNF body. seen dedupes
-	// findings from structurally repeated conjunctions.
-	seen := make(map[string]bool)
+	// SL011: walk every conjunction in every NNF body. seen dedupes a
+	// definition's findings from structurally repeated conjunctions, by
+	// the ids of the implied and the implying conjunct.
 	for _, d := range defs {
+		seen := make(map[[2]uint32]bool)
 		shape.Walk(shape.NNF(d.Shape), func(n shape.Shape) {
 			and, ok := n.(*shape.And)
 			if !ok {
@@ -96,7 +97,7 @@ func Lint(h *schema.Schema) []shapelint.Diagnostic {
 					if j > i && c.Contains(ci, cj) == Contained {
 						continue
 					}
-					k := d.Name.String() + "\x00" + ci.String() + "\x00" + cj.String()
+					k := [2]uint32{shape.ID(ci), shape.ID(cj)}
 					if seen[k] {
 						break
 					}

@@ -267,7 +267,7 @@ func (x *Extractor) ExplainFragment(requests []shape.Shape) *Explanation {
 	out := rdfgraph.NewIDTripleSet()
 	visited := make(map[VisitKey]struct{})
 	for _, phi := range requests {
-		nnf := x.nnf(phi)
+		nnf := shape.NNF(phi)
 		for _, v := range x.ev.G.NodeIDs() {
 			x.collect(v, nnf, out, visited)
 		}

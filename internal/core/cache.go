@@ -384,7 +384,7 @@ func (x *Extractor) NeighborhoodIDsCached(cache *NeighborhoodCache, epoch uint64
 			return ts
 		}
 	}
-	return x.neighborhoodMiss(cache, epoch, v, phi, x.nnf(phi), nil)
+	return x.neighborhoodMiss(cache, epoch, v, phi, shape.NNF(phi), nil)
 }
 
 // NeighborhoodsCached appends B(v, G, φ) for every φ of shapes, in order, to
@@ -425,7 +425,7 @@ func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *Neighborhood
 			stoppable = true
 			x.ev.SetStop(stopOf(ctx))
 		}
-		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i], x.nnf(shapes[i]), nil)...)
+		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i], shape.NNF(shapes[i]), nil)...)
 	}
 	return dst, nil
 }

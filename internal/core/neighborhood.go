@@ -49,18 +49,12 @@ import (
 type Extractor struct {
 	ev *shape.Evaluator
 
-	// nnfCache memoizes NNF normalization per shape identity.
-	nnfCache map[shape.Shape]shape.Shape
-	// negCache memoizes NNF(¬φ) per shape identity.
-	negCache map[shape.Shape]shape.Shape
-
 	// rec, when non-nil, receives a Justification for every triple a
 	// Table 2 rule emits. Only the Explain methods set it, for the length
 	// of one call; nil keeps the hot path free of attribution work.
 	rec *Explanation
 	// curName is the innermost named shape definition currently being
-	// collected, stamped into justifications. Maintained only while rec
-	// is attached.
+	// collected, stamped into justifications while rec is attached.
 	curName rdf.Term
 }
 
@@ -68,20 +62,12 @@ type Extractor struct {
 // be nil). The provided evaluator caches are reused across all neighborhood
 // and fragment computations done through this extractor.
 func NewExtractor(g rdfgraph.Reader, defs shape.Defs) *Extractor {
-	return &Extractor{
-		ev:       shape.NewEvaluator(g, defs),
-		nnfCache: make(map[shape.Shape]shape.Shape),
-		negCache: make(map[shape.Shape]shape.Shape),
-	}
+	return &Extractor{ev: shape.NewEvaluator(g, defs)}
 }
 
 // NewExtractorWith wraps an existing evaluator, sharing its caches.
 func NewExtractorWith(ev *shape.Evaluator) *Extractor {
-	return &Extractor{
-		ev:       ev,
-		nnfCache: make(map[shape.Shape]shape.Shape),
-		negCache: make(map[shape.Shape]shape.Shape),
-	}
+	return &Extractor{ev: ev}
 }
 
 // Evaluator exposes the underlying conformance evaluator.
@@ -89,24 +75,6 @@ func (x *Extractor) Evaluator() *shape.Evaluator { return x.ev }
 
 // Graph returns the data graph.
 func (x *Extractor) Graph() rdfgraph.Reader { return x.ev.G }
-
-func (x *Extractor) nnf(phi shape.Shape) shape.Shape {
-	if n, ok := x.nnfCache[phi]; ok {
-		return n
-	}
-	n := shape.NNF(phi)
-	x.nnfCache[phi] = n
-	return n
-}
-
-func (x *Extractor) negNNF(phi shape.Shape) shape.Shape {
-	if n, ok := x.negCache[phi]; ok {
-		return n
-	}
-	n := shape.NNF(shape.Neg(phi))
-	x.negCache[phi] = n
-	return n
-}
 
 // VisitKey marks a (node, NNF shape) pair whose neighborhood has already
 // been added to the current accumulation set.
@@ -150,7 +118,7 @@ func (x *Extractor) WhyNot(v rdf.Term, phi shape.Shape) []rdf.Triple {
 // NeighborhoodInto accumulates B(v, G, φ) into out, sharing the visited set
 // across calls; fragments use this to merge all neighborhoods cheaply.
 func (x *Extractor) NeighborhoodInto(v rdfgraph.ID, phi shape.Shape, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}) {
-	x.collect(v, x.nnf(phi), out, visited)
+	x.collect(v, shape.NNF(phi), out, visited)
 }
 
 // put adds t to out; with a recorder attached it also records which
@@ -204,14 +172,7 @@ func (x *Extractor) collect(v rdfgraph.ID, phi shape.Shape, out *rdfgraph.IDTrip
 		return
 
 	case *shape.HasShape:
-		if x.rec != nil {
-			prev := x.curName
-			x.curName = s.Name
-			x.collect(v, x.nnf(x.ev.Def(s.Name)), out, visited)
-			x.curName = prev
-			return
-		}
-		x.collect(v, x.nnf(x.ev.Def(s.Name)), out, visited)
+		x.collectDef(v, s.Name, shape.NNF(x.ev.Def(s.Name)), out, visited)
 
 	case *shape.And:
 		for _, c := range s.Xs {
@@ -242,7 +203,7 @@ func (x *Extractor) collect(v rdfgraph.ID, phi shape.Shape, out *rdfgraph.IDTrip
 	case *shape.MaxCount:
 		// ⋃ { graph(paths(E,G,v,x)) ∪ B(x,G,¬ψ) | x ∈ ⟦E⟧G(v), G,x ⊨ ¬ψ }
 		pe := x.ev.PathEval(s.Path)
-		neg := x.negNNF(s.X)
+		neg := shape.NegNNF(s.X)
 		var counterexamples []rdfgraph.ID
 		for _, b := range pe.Eval(v) {
 			if !x.ev.Conforms(b, s.X) {
@@ -286,6 +247,15 @@ func (x *Extractor) collect(v rdfgraph.ID, phi shape.Shape, out *rdfgraph.IDTrip
 	}
 }
 
+// collectDef collects body, the normal form of the definition named name
+// or of its negation, attributing what it emits to name.
+func (x *Extractor) collectDef(v rdfgraph.ID, name rdf.Term, body shape.Shape, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}) {
+	prev := x.curName
+	x.curName = name
+	x.collect(v, body, out, visited)
+	x.curName = prev
+}
+
 // collectNegatedAtom handles Table 2's negated-atom rows. atom is the shape
 // under the negation; the focus node is known to conform to ¬atom.
 func (x *Extractor) collectNegatedAtom(v rdfgraph.ID, atom shape.Shape, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}) {
@@ -293,14 +263,7 @@ func (x *Extractor) collectNegatedAtom(v rdfgraph.ID, atom shape.Shape, out *rdf
 	switch s := atom.(type) {
 	case *shape.HasShape:
 		// ¬hasShape(s) → B(v, G, nnf(¬def(s, H)))
-		if x.rec != nil {
-			prev := x.curName
-			x.curName = s.Name
-			x.collect(v, x.negNNF(x.ev.Def(s.Name)), out, visited)
-			x.curName = prev
-			return
-		}
-		x.collect(v, x.negNNF(x.ev.Def(s.Name)), out, visited)
+		x.collectDef(v, s.Name, shape.NegNNF(x.ev.Def(s.Name)), out, visited)
 
 	case *shape.Eq:
 		// A predicate absent from the dictionary has no triples, so every

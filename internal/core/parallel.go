@@ -264,7 +264,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	nnfSpan := opts.Span.StartChild("nnf")
 	nnfs := make([]shape.Shape, len(requests))
 	for i, phi := range requests {
-		nnfs[i] = x.nnf(phi)
+		nnfs[i] = shape.NNF(phi)
 	}
 	focus, total := x.focusNodes(nnfs)
 	nnfSpan.End()

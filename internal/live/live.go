@@ -10,8 +10,9 @@
 // order. Their N-Triples renderings are the delta event, serialized once
 // per (shape, epoch) and shared by every subscriber, so fanout to thousands
 // of clients is a channel send each. Every focus candidate is extracted on
-// every update: narrowing that to the neighborhoods a delta can reach needs
-// per-entry footprints (ROADMAP item 2), and belongs in the cache.
+// every update: the neighborhood cache's footprints (core/invalidate.go)
+// could narrow that to the neighborhoods a delta can reach, but live does
+// not use them yet.
 //
 // A shape whose fragment cannot be extracted at an epoch (extraction
 // panicked) is dropped: its subscribers are closed with ReasonEvicted, and

@@ -124,10 +124,8 @@ type Program struct {
 type compiler struct {
 	defs     shape.Defs
 	prog     *Program
-	byShape  map[shape.Shape]int32 // NNF sub-shape identity → instruction
-	bySig    map[string]int32      // structural signature → instruction
+	byID     map[uint32]int32 // shape.ID of the NNF sub-shape → instruction
 	pathSlot map[paths.Expr]int32
-	nnfCache map[shape.Shape]shape.Shape // NNF(¬φ) memo for OpMax bodies
 }
 
 // Compile compiles φ (any shape; it is normalized internally) against defs,
@@ -137,10 +135,8 @@ func Compile(phi shape.Shape, defs shape.Defs) *Program {
 	c := &compiler{
 		defs:     defs,
 		prog:     &Program{Source: phi},
-		byShape:  make(map[shape.Shape]int32),
-		bySig:    make(map[string]int32),
+		byID:     make(map[uint32]int32),
 		pathSlot: make(map[paths.Expr]int32),
-		nnfCache: make(map[shape.Shape]shape.Shape),
 	}
 	c.prog.Root = c.compile(shape.NNF(phi))
 	return c.prog
@@ -160,17 +156,12 @@ func (c *compiler) path(e paths.Expr) int32 {
 	return i
 }
 
-// emit appends one instruction, deduplicating on the NNF sub-shape identity
-// and, failing that, on the structural signature (distinct NNF nodes that
-// print identically decide identically, so they share one instruction and
-// one memo row).
+// emit appends one instruction, deduplicating on the NNF sub-shape's
+// structural identity: distinct nodes that print identically decide
+// identically, so they share one instruction and one memo row.
 func (c *compiler) emit(s shape.Shape, build func() Instr) int32 {
-	if i, ok := c.byShape[s]; ok {
-		return i
-	}
-	sig := s.String()
-	if i, ok := c.bySig[sig]; ok {
-		c.byShape[s] = i
+	id := shape.ID(s)
+	if i, ok := c.byID[id]; ok {
 		return i
 	}
 	// Reserve the slot before building so child compilation lands after;
@@ -178,22 +169,11 @@ func (c *compiler) emit(s shape.Shape, build func() Instr) int32 {
 	// reference the instruction under construction.
 	i := int32(len(c.prog.Instrs))
 	c.prog.Instrs = append(c.prog.Instrs, Instr{Shape: s})
-	c.byShape[s] = i
-	c.bySig[sig] = i
+	c.byID[id] = i
 	in := build()
 	in.Shape = s
 	c.prog.Instrs[i] = in
 	return i
-}
-
-// negNNF memoizes NNF(¬φ).
-func (c *compiler) negNNF(phi shape.Shape) shape.Shape {
-	if n, ok := c.nnfCache[phi]; ok {
-		return n
-	}
-	n := shape.NNF(shape.Neg(phi))
-	c.nnfCache[phi] = n
-	return n
 }
 
 // compile emits instructions for an NNF shape, returning the root index.
@@ -216,47 +196,25 @@ func (c *compiler) compile(phi shape.Shape) int32 {
 			return in
 		})
 	case *shape.Disj:
-		return c.emit(phi, func() Instr {
-			return Instr{Op: OpDisj, Path: c.path(x.Path), TracePath: NoPath, Pred: x.P}
-		})
+		return c.pair(phi, OpDisj, x.Path, x.P)
 	case *shape.Closed:
 		return c.emit(phi, func() Instr { return Instr{Op: OpClosed, Allowed: x.Allowed, Path: NoPath, TracePath: NoPath} })
 	case *shape.LessThan:
-		return c.emit(phi, func() Instr {
-			return Instr{Op: OpLessThan, Path: c.path(x.Path), TracePath: NoPath, Pred: x.P}
-		})
+		return c.pair(phi, OpLessThan, x.Path, x.P)
 	case *shape.LessThanEq:
-		return c.emit(phi, func() Instr {
-			return Instr{Op: OpLessThanEq, Path: c.path(x.Path), TracePath: NoPath, Pred: x.P}
-		})
+		return c.pair(phi, OpLessThanEq, x.Path, x.P)
 	case *shape.MoreThan:
-		return c.emit(phi, func() Instr {
-			return Instr{Op: OpMoreThan, Path: c.path(x.Path), TracePath: NoPath, Pred: x.P}
-		})
+		return c.pair(phi, OpMoreThan, x.Path, x.P)
 	case *shape.MoreThanEq:
-		return c.emit(phi, func() Instr {
-			return Instr{Op: OpMoreThanEq, Path: c.path(x.Path), TracePath: NoPath, Pred: x.P}
-		})
+		return c.pair(phi, OpMoreThanEq, x.Path, x.P)
 	case *shape.UniqueLang:
 		return c.emit(phi, func() Instr {
 			return Instr{Op: OpUniqueLang, Path: c.path(x.Path), TracePath: NoPath}
 		})
 	case *shape.And:
-		return c.emit(phi, func() Instr {
-			args := make([]int32, len(x.Xs))
-			for i, ch := range x.Xs {
-				args[i] = c.compile(ch)
-			}
-			return Instr{Op: OpAnd, Args: args, Path: NoPath, TracePath: NoPath}
-		})
+		return c.emit(phi, func() Instr { return Instr{Op: OpAnd, Args: c.compileAll(x.Xs), Path: NoPath, TracePath: NoPath} })
 	case *shape.Or:
-		return c.emit(phi, func() Instr {
-			args := make([]int32, len(x.Xs))
-			for i, ch := range x.Xs {
-				args[i] = c.compile(ch)
-			}
-			return Instr{Op: OpOr, Args: args, Path: NoPath, TracePath: NoPath}
-		})
+		return c.emit(phi, func() Instr { return Instr{Op: OpOr, Args: c.compileAll(x.Xs), Path: NoPath, TracePath: NoPath} })
 	case *shape.MinCount:
 		return c.emit(phi, func() Instr {
 			return Instr{Op: OpMin, N: x.N, Path: c.path(x.Path), TracePath: NoPath,
@@ -267,7 +225,7 @@ func (c *compiler) compile(phi shape.Shape) int32 {
 			// Args[1] is NNF(¬ψ): Table 2's ≤n row recurses into it for
 			// every counterexample successor.
 			return Instr{Op: OpMax, N: x.N, Path: c.path(x.Path), TracePath: NoPath,
-				Args: []int32{c.compile(x.X), c.compile(c.negNNF(x.X))}}
+				Args: []int32{c.compile(x.X), c.compile(shape.NegNNF(x.X))}}
 		})
 	case *shape.Forall:
 		return c.emit(phi, func() Instr {
@@ -277,7 +235,7 @@ func (c *compiler) compile(phi shape.Shape) int32 {
 	case *shape.HasShape:
 		return c.emit(phi, func() Instr {
 			return Instr{Op: OpRef, Name: x.Name, Path: NoPath, TracePath: NoPath,
-				Args: []int32{c.compile(shape.NNF(c.def(x.Name)))}}
+				Args: []int32{c.compile(shape.NNF(shape.Resolve(c.defs, x.Name)))}}
 		})
 	case *shape.Not:
 		return c.emit(phi, func() Instr {
@@ -287,7 +245,7 @@ func (c *compiler) compile(phi shape.Shape) int32 {
 				// ¬hasShape(s) evaluates and extracts via NNF(¬def(s)); the
 				// atom instruction is that body, flagged by Name.
 				in.Name = a.Name
-				in.Args = []int32{c.compile(c.negNNF(c.def(a.Name)))}
+				in.Args = []int32{c.compile(shape.NegNNF(shape.Resolve(c.defs, a.Name)))}
 			default:
 				in.Args = []int32{c.compile(x.X)}
 			}
@@ -297,14 +255,18 @@ func (c *compiler) compile(phi shape.Shape) int32 {
 	panic("plan: shape not in NNF: " + phi.String())
 }
 
-// def resolves a shape name, defaulting to ⊤ like evaluation does.
-func (c *compiler) def(name rdf.Term) shape.Shape {
-	if c.defs != nil {
-		if s, ok := c.defs.Def(name); ok {
-			return s
-		}
+// pair emits a pair constraint over E (nil for id) and the property p.
+func (c *compiler) pair(phi shape.Shape, op Op, e paths.Expr, p string) int32 {
+	return c.emit(phi, func() Instr { return Instr{Op: op, Path: c.path(e), TracePath: NoPath, Pred: p} })
+}
+
+// compileAll compiles the arguments of an ∧ or ∨.
+func (c *compiler) compileAll(xs []shape.Shape) []int32 {
+	args := make([]int32, len(xs))
+	for i, x := range xs {
+		args[i] = c.compile(x)
 	}
-	return shape.TrueShape()
+	return args
 }
 
 // NumInstrs returns the instruction count.

@@ -78,9 +78,13 @@ func (ev *Evaluator) TrimScratch() {
 }
 
 // Def resolves a shape name, defaulting to ⊤ for undefined names.
-func (ev *Evaluator) Def(name rdf.Term) Shape {
-	if ev.Defs != nil {
-		if s, ok := ev.Defs.Def(name); ok {
+func (ev *Evaluator) Def(name rdf.Term) Shape { return Resolve(ev.Defs, name) }
+
+// Resolve returns def(s, H): name's shape in defs, or ⊤ when defs is nil
+// or does not define it (real-SHACL behavior).
+func Resolve(defs Defs, name rdf.Term) Shape {
+	if defs != nil {
+		if s, ok := defs.Def(name); ok {
 			return s
 		}
 	}

@@ -158,7 +158,7 @@ ex:c ex:high 3 ; ex:low 5 .
 func TestMoreThanNNF(t *testing.T) {
 	m := shape.More(p("high"), base+"low")
 	nnf := shape.NNF(shape.Neg(m))
-	if !shape.IsNNF(nnf) {
+	if !isNNF(nnf) {
 		t.Fatalf("NNF(¬moreThan) = %s not NNF", nnf)
 	}
 	not, ok := nnf.(*shape.Not)

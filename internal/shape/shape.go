@@ -2,14 +2,18 @@
 // (Section 2): the shape grammar, node tests Ω, negation normal form, and
 // the conformance relation H, G, a ⊨ φ of Table 1.
 //
-// All shape constructors return pointers so shapes can be used as map keys
-// for memoization. Shapes are immutable after construction.
+// Shapes are pointers and immutable after construction. A node's identity
+// for analyses is structural, not its pointer: ID(φ) is equal for two
+// shapes exactly when they render equally, and NNF(φ) and NegNNF(φ) are
+// memoized on the node itself (id.go, nnf.go), so every package that asks
+// "same shape?" or "normal form?" gets one answer.
 package shape
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdf"
@@ -24,8 +28,20 @@ import (
 //	   | ≥n E.φ | ≤n E.φ | ∀E.φ
 type Shape interface {
 	fmt.Stringer
-	isShape()
+	// base returns the node's memo slots; nil for ⊤ and ⊥, whose identity
+	// and normal forms are constants.
+	base() *node
 }
+
+// node holds what is derived from a shape node alone, filled on first ask
+// and shared by every goroutine: its structural identity and its two
+// negation normal forms. Each shape type but ⊤ and ⊥ embeds one.
+type node struct {
+	id       atomic.Uint32
+	nnf, neg atomic.Pointer[Shape]
+}
+
+func (n *node) base() *node { return n }
 
 // True is ⊤, satisfied by every node.
 type True struct{}
@@ -36,50 +52,59 @@ type False struct{}
 // HasShape is hasShape(s): the focus node conforms to the shape named s in
 // the schema. An undefined name behaves as ⊤ (real-SHACL behavior).
 type HasShape struct {
+	node
 	Name rdf.Term
 }
 
 // Test is test(t) for a node test t ∈ Ω.
 type Test struct {
+	node
 	T NodeTest
 }
 
 // HasValue is hasValue(c): the focus node equals the constant c.
 type HasValue struct {
+	node
 	C rdf.Term
 }
 
 // Eq is eq(F, p). Path nil encodes F = id (the focus node itself).
 type Eq struct {
+	node
 	Path paths.Expr // nil means id
 	P    string     // property IRI
 }
 
 // Disj is disj(F, p). Path nil encodes F = id.
 type Disj struct {
+	node
 	Path paths.Expr // nil means id
 	P    string
 }
 
 // Closed is closed(P): every property of the focus node is in Allowed.
 type Closed struct {
+	node
 	Allowed []string // sorted property IRIs
 }
 
 // LessThan is lessThan(E, p): b < c for all E-values b and p-values c.
 type LessThan struct {
+	node
 	Path paths.Expr
 	P    string
 }
 
 // LessThanEq is lessThanEq(E, p).
 type LessThanEq struct {
+	node
 	Path paths.Expr
 	P    string
 }
 
 // UniqueLang is uniqueLang(E): no two distinct E-values share a language tag.
 type UniqueLang struct {
+	node
 	Path paths.Expr
 }
 
@@ -87,33 +112,39 @@ type UniqueLang struct {
 // SHACL itself lacks this constraint; the paper's Remark 2.3 notes the
 // treatment extends to it directly, and this implementation does so.
 type MoreThan struct {
+	node
 	Path paths.Expr
 	P    string
 }
 
 // MoreThanEq is moreThanEq(E, p): c ≤ b for all E-values b and p-values c.
 type MoreThanEq struct {
+	node
 	Path paths.Expr
 	P    string
 }
 
 // Not is ¬φ.
 type Not struct {
+	node
 	X Shape
 }
 
 // And is a conjunction of one or more shapes.
 type And struct {
+	node
 	Xs []Shape
 }
 
 // Or is a disjunction of one or more shapes.
 type Or struct {
+	node
 	Xs []Shape
 }
 
 // MinCount is ≥n E.φ: at least n E-successors conform to φ.
 type MinCount struct {
+	node
 	N    int
 	Path paths.Expr
 	X    Shape
@@ -121,6 +152,7 @@ type MinCount struct {
 
 // MaxCount is ≤n E.φ: at most n E-successors conform to φ.
 type MaxCount struct {
+	node
 	N    int
 	Path paths.Expr
 	X    Shape
@@ -128,29 +160,13 @@ type MaxCount struct {
 
 // Forall is ∀E.φ: every E-successor conforms to φ.
 type Forall struct {
+	node
 	Path paths.Expr
 	X    Shape
 }
 
-func (*True) isShape()       {}
-func (*False) isShape()      {}
-func (*HasShape) isShape()   {}
-func (*Test) isShape()       {}
-func (*HasValue) isShape()   {}
-func (*Eq) isShape()         {}
-func (*Disj) isShape()       {}
-func (*Closed) isShape()     {}
-func (*LessThan) isShape()   {}
-func (*LessThanEq) isShape() {}
-func (*UniqueLang) isShape() {}
-func (*MoreThan) isShape()   {}
-func (*MoreThanEq) isShape() {}
-func (*Not) isShape()        {}
-func (*And) isShape()        {}
-func (*Or) isShape()         {}
-func (*MinCount) isShape()   {}
-func (*MaxCount) isShape()   {}
-func (*Forall) isShape()     {}
+func (*True) base() *node  { return nil }
+func (*False) base() *node { return nil }
 
 // Constructor helpers. AndOf and OrOf flatten nested conjunctions and
 // collapse singletons so that shapes print compactly.
@@ -319,12 +335,10 @@ func joinShapes(xs []Shape, sep string) string {
 }
 
 func paren(x Shape) string {
-	switch x.(type) {
-	case *And, *Or, *MinCount, *MaxCount, *Forall:
+	if compound(x) {
 		return "(" + x.String() + ")"
-	default:
-		return x.String()
 	}
+	return x.String()
 }
 
 func (s *MinCount) String() string {

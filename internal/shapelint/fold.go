@@ -89,25 +89,34 @@ func (f *folder) emit(code string, sev Severity, detail, format string, args ...
 
 // Folder exposes the linter's constant-folding engine to other analyses
 // (internal/contain uses it as a satisfiability/validity probe). It folds
-// quietly — no diagnostics are emitted — and memoizes per-definition
-// results across calls, so repeated probes against the same schema are
-// cheap.
+// quietly — no diagnostics are emitted — and memoizes results across
+// calls per shape.ID, so repeated probes against the same schema are
+// cheap. A Folder is not safe for concurrent use.
 type Folder struct {
-	f *folder
+	f      *folder
+	folded map[uint32]shape.Shape
 }
 
 // NewFolder builds a quiet folder over h. A nil schema is allowed: all
 // hasShape references then fold to ⊤, mirroring the evaluator's default
 // for undefined names.
 func NewFolder(h *schema.Schema) *Folder {
-	return &Folder{f: newFolder(&linter{h: h})}
+	return &Folder{f: newFolder(&linter{h: h}), folded: make(map[uint32]shape.Shape)}
 }
 
 // Fold rewrites phi toward a constant. The result is semantically
 // equivalent to phi on every graph: folding to ⊥ proves phi
 // unsatisfiable, folding to ⊤ proves it valid. phi need not be in NNF.
+// Folding depends on phi's structure and the schema only, so shapes with
+// one shape.ID share one result.
 func (f *Folder) Fold(phi shape.Shape) shape.Shape {
-	return f.f.probe(shape.NNF(phi))
+	id := shape.ID(phi)
+	folded, ok := f.folded[id]
+	if !ok {
+		folded = f.f.probe(shape.NNF(phi))
+		f.folded[id] = folded
+	}
+	return folded
 }
 
 // Fold is a one-shot convenience for NewFolder(h).Fold(phi).
@@ -132,11 +141,6 @@ func TestsConflict(a, b shape.NodeTest) bool {
 
 func isTrue(s shape.Shape) bool  { _, ok := s.(*shape.True); return ok }
 func isFalse(s shape.Shape) bool { _, ok := s.(*shape.False); return ok }
-
-// key renders a shape for structural comparison. Shape String renderings
-// are deterministic and include every parameter, so equal keys mean
-// structurally equal shapes.
-func key(s shape.Shape) string { return s.String() }
 
 func pathKey(e paths.Expr) string {
 	if e == nil {
@@ -190,25 +194,25 @@ func (f *folder) fold(phi shape.Shape) shape.Shape {
 		return and
 	case *shape.Or:
 		var kids []shape.Shape
-		seen := make(map[string]bool)
+		seen := make(map[uint32]bool)
 		for _, c := range x.Xs {
 			folded := f.fold(c)
 			if isTrue(folded) {
-				f.emit(CodeShadowed, Warning, key(c),
+				f.emit(CodeShadowed, Warning, c.String(),
 					"disjunct is trivially true, making the whole disjunction vacuous")
 				return shape.TrueShape()
 			}
 			if isFalse(folded) {
-				f.emit(CodeShadowed, Warning, key(c),
+				f.emit(CodeShadowed, Warning, c.String(),
 					"disjunct is unsatisfiable and can never be selected")
 				continue
 			}
-			k := key(folded)
-			if seen[k] {
-				f.emit(CodeShadowed, Warning, k, "duplicate disjunct is shadowed by an earlier alternative")
+			id := shape.ID(folded)
+			if seen[id] {
+				f.emit(CodeShadowed, Warning, folded.String(), "duplicate disjunct is shadowed by an earlier alternative")
 				continue
 			}
-			seen[k] = true
+			seen[id] = true
 			kids = append(kids, folded)
 		}
 		return shape.OrOf(kids...) // OrOf() of nothing is ⊥
@@ -246,7 +250,7 @@ func (f *folder) fold(phi shape.Shape) shape.Shape {
 func (f *folder) conjunctionConflicts(xs []shape.Shape) bool {
 	hard := false
 	report := func(code string, sev Severity, a, b shape.Shape, format string, args ...any) {
-		f.emit(code, sev, key(a)+" ∧ "+key(b), format, args...)
+		f.emit(code, sev, a.String()+" ∧ "+b.String(), format, args...)
 		if sev == Error {
 			hard = true
 		}
@@ -264,9 +268,9 @@ func (f *folder) conjunctionConflicts(xs []shape.Shape) bool {
 		disjs    []*shape.Disj
 		negAtoms []*shape.Not
 	)
-	byKey := make(map[string]bool, len(xs))
+	byID := make(map[uint32]bool, len(xs))
 	for _, c := range xs {
-		byKey[key(c)] = true
+		byID[shape.ID(c)] = true
 		switch a := c.(type) {
 		case *shape.Test:
 			tests = append(tests, a)
@@ -291,7 +295,7 @@ func (f *folder) conjunctionConflicts(xs []shape.Shape) bool {
 
 	// φ ∧ ¬φ.
 	for _, n := range negAtoms {
-		if byKey[key(n.X)] {
+		if byID[shape.ID(n.X)] {
 			report(CodeContradiction, Error, n.X, n,
 				"conjunction contains a shape and its negation")
 		}
@@ -338,7 +342,7 @@ func (f *folder) conjunctionConflicts(xs []shape.Shape) bool {
 			if pathKey(mn.Path) != pathKey(mx.Path) {
 				continue
 			}
-			if mn.N > mx.N && (isTrue(mx.X) || key(mn.X) == key(mx.X)) {
+			if mn.N > mx.N && (isTrue(mx.X) || shape.ID(mn.X) == shape.ID(mx.X)) {
 				report(CodeCardinality, Error, mn, mx,
 					"at least %d but at most %d values on path %s", mn.N, mx.N, pathKey(mn.Path))
 			}

@@ -56,7 +56,7 @@ func (t *Translator) neigh(phi shape.Shape, v, s, p, o string) sparql.Op {
 		return empty
 
 	case *shape.HasShape:
-		return t.neigh(shape.NNF(t.def(x.Name)), v, s, p, o)
+		return t.neigh(shape.NNF(shape.Resolve(t.defs, x.Name)), v, s, p, o)
 
 	case *shape.And:
 		ops := make([]sparql.Op, len(x.Xs))
@@ -78,7 +78,7 @@ func (t *Translator) neigh(phi shape.Shape, v, s, p, o string) sparql.Op {
 		return t.quantified(phi, x.Path, x.X, v, s, p, o)
 
 	case *shape.MaxCount:
-		return t.quantified(phi, x.Path, shape.NNF(shape.Neg(x.X)), v, s, p, o)
+		return t.quantified(phi, x.Path, shape.NegNNF(x.X), v, s, p, o)
 
 	case *shape.Forall:
 		h := t.freshVar("h")
@@ -143,7 +143,7 @@ func (t *Translator) neighNegatedAtom(atom shape.Shape, v, s, p, o string) sparq
 	conf := t.Conformance(shape.Neg(atom), v)
 	switch x := atom.(type) {
 	case *shape.HasShape:
-		return t.neigh(shape.NNF(shape.Neg(t.def(x.Name))), v, s, p, o)
+		return t.neigh(shape.NegNNF(shape.Resolve(t.defs, x.Name)), v, s, p, o)
 
 	case *shape.True, *shape.False, *shape.Test, *shape.HasValue:
 		return &sparql.Table{}

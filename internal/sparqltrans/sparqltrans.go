@@ -33,15 +33,6 @@ func New(defs shape.Defs) *Translator {
 	return &Translator{defs: defs}
 }
 
-func (t *Translator) def(name rdf.Term) shape.Shape {
-	if t.defs != nil {
-		if s, ok := t.defs.Def(name); ok {
-			return s
-		}
-	}
-	return shape.TrueShape()
-}
-
 func (t *Translator) freshVar(prefix string) string {
 	t.fresh++
 	return fmt.Sprintf("%s%d", prefix, t.fresh)
@@ -67,7 +58,7 @@ func (t *Translator) Conformance(phi shape.Shape, v string) sparql.Op {
 			Cond:  &sparql.NodeTestExpr{Name: v, Test: x.T},
 		}
 	case *shape.HasShape:
-		return t.Conformance(t.def(x.Name), v)
+		return t.Conformance(shape.Resolve(t.defs, x.Name), v)
 	case *shape.Not:
 		return &sparql.Minus{L: &sparql.AllNodes{Var: v}, R: t.Conformance(x.X, v)}
 	case *shape.And:

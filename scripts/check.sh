@@ -60,9 +60,11 @@ echo "== serving benchmark compiles (bench/ is a nested module)"
 echo "== go test -race (serving path)"
 # paths and plan are single-goroutine state that reuses its buffers (an
 # Evaluator's search scratch, a Bound's pooled rows): a worker handing one to
-# another goroutine, or a row recycled while still read, shows up here.
+# another goroutine, or a row recycled while still read, shows up here. shape
+# and contain share state across goroutines: every shape node memoizes its
+# id and normal forms, filled by whichever goroutine asks first.
 $GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./internal/live ./internal/shapelint \
-    ./internal/paths ./internal/plan
+    ./internal/paths ./internal/plan ./internal/shape ./internal/contain
 
 echo "== update/subscription storm (-race, -short)"
 # The stale-entry pin (no cache entry served at an epoch an update changed
@@ -208,5 +210,8 @@ $GO test -run '^$' -fuzz FuzzTraceOracle -fuzztime 5s ./internal/paths
 
 echo "== traceparent parsing, fuzzed (5s smoke)"
 $GO test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/obs
+
+echo "== /tpf patterns against Proposition 6.2, fuzzed (5s smoke)"
+$GO test -run '^$' -fuzz FuzzTPFPattern -fuzztime 5s ./internal/fragserver
 
 echo "check: OK"
