@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	shaclfrag "shaclfrag"
 	"shaclfrag/internal/contain"
@@ -570,6 +571,8 @@ func pathBase(p string) string {
 // through POST /update on Server.Handler() with one subscriber on S51.
 // giant runs on Tyrol(1000); giant10k on the serving benchmark's
 // update-mix graph, Tyrol(10 000) with seed 1 and the served schema.
+// giant10k-star subscribes S57 instead, a star path live keeps without
+// support counts, and toggles knows and worksFor edges.
 func BenchmarkLiveUpdates(b *testing.B) {
 	hot := rdf.NewIRI("http://live.example/hot")
 	vi := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://live.example/v%d", i)) }
@@ -628,27 +631,49 @@ func BenchmarkLiveUpdates(b *testing.B) {
 		})
 	}
 
+	review := rdf.NewIRI(datagen.NS + "review/bench")
+	addReview := []rdf.Triple{
+		rdf.T(review, rdf.NewIRI(rdf.RDFType), datagen.ClassReview),
+		rdf.T(review, rdf.NewIRI(datagen.PropRating), rdf.NewInteger(4)),
+		rdf.T(review, rdf.NewIRI(datagen.PropAuthor), rdf.NewIRI(datagen.NS+"person/0")),
+		rdf.T(review, rdf.NewIRI(datagen.PropText), rdf.NewLangString("bench review", "en")),
+		rdf.T(rdf.NewIRI(datagen.NS+"lodging/0"), rdf.NewIRI(datagen.PropReview), review),
+	}
+	// S57 is ≥1 knows*.(≥1 worksFor.⊤) on persons: its neighborhoods are
+	// whole forward knows subgraphs, and a knows edge into person/0 reaches
+	// every person that reaches person/0.
+	person := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%sperson/%d", datagen.NS, i)) }
+	addKnows := []rdf.Triple{
+		rdf.T(person(1), rdf.NewIRI(datagen.PropKnows), person(0)),
+		rdf.T(person(0), rdf.NewIRI(datagen.PropWorksFor), rdf.NewIRI(datagen.NS+"org/bench")),
+	}
 	b.Run("giant", func(b *testing.B) {
-		benchLiveGiant(b, tyrolGraph(1000), datagen.BenchmarkSchema(), 0)
+		benchLiveGiant(b, tyrolGraph(1000), datagen.BenchmarkSchema(), 50, addReview, 0)
 	})
 	b.Run("giant10k", func(b *testing.B) {
 		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 10000, Seed: 1})
-		benchLiveGiant(b, g, servedBenchmarkSchema(b), 0)
+		benchLiveGiant(b, g, servedBenchmarkSchema(b), 50, addReview, 0)
 	})
 	b.Run("giant10k-reads", func(b *testing.B) {
 		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 10000, Seed: 1})
-		benchLiveGiant(b, g, servedBenchmarkSchema(b), 20)
+		benchLiveGiant(b, g, servedBenchmarkSchema(b), 50, addReview, 20)
+	})
+	b.Run("giant10k-star", func(b *testing.B) {
+		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 10000, Seed: 1})
+		benchLiveGiant(b, g, servedBenchmarkSchema(b), 56, addKnows, 0)
 	})
 }
 
 // benchLiveGiant is one giant case of BenchmarkLiveUpdates: an add and a
-// delete of one Review through POST /update, alternating, with an S51
-// subscriber draining its stream. With reads > 0 every update is followed
+// delete of update through POST /update, alternating, with a subscriber
+// on definition def draining its stream. It reports the foci live
+// re-extracts per update and what the untimed first Subscribe, which
+// materializes def, took. With reads > 0 every update is followed
 // by that many GET /node requests drawn like the serving benchmark's
 // update-mix draws them — Zipf over 2 000 typed individuals, the cache
 // warmed by 2 000 such reads first — and the case reports the hit ratio of
 // the timed reads and the share of cache entries updates kept valid.
-func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema, reads int) {
+func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema, def int, update []rdf.Triple, reads int) {
 	srv, err := fragserver.New(fragserver.Config{
 		Graph: g, Schema: h,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -656,7 +681,12 @@ func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema, reads int
 	if err != nil {
 		b.Fatal(err)
 	}
-	sub, _, err := srv.Live().Subscribe(50, 0) // S51: every review is referenced
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	begin := time.Now()
+	sub, _, err := srv.Live().Subscribe(def, 0)
+	subscribe := time.Since(begin)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -667,14 +697,7 @@ func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema, reads int
 		for range sub.Events() {
 		}
 	}()
-	review := rdf.NewIRI(datagen.NS + "review/bench")
-	body := turtle.FormatNTriples([]rdf.Triple{
-		rdf.T(review, rdf.NewIRI(rdf.RDFType), datagen.ClassReview),
-		rdf.T(review, rdf.NewIRI(datagen.PropRating), rdf.NewInteger(4)),
-		rdf.T(review, rdf.NewIRI(datagen.PropAuthor), rdf.NewIRI(datagen.NS+"person/0")),
-		rdf.T(review, rdf.NewIRI(datagen.PropText), rdf.NewLangString("bench review", "en")),
-		rdf.T(rdf.NewIRI(datagen.NS+"lodging/0"), rdf.NewIRI(datagen.PropReview), review),
-	})
+	body := turtle.FormatNTriples(update)
 	var draw func() string
 	if reads > 0 {
 		draw = updateMixDraws(g)
@@ -687,6 +710,7 @@ func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema, reads int
 		return v
 	}
 	hits, misses := cacheStat("fragserver_cache_hits_total"), cacheStat("fragserver_cache_misses_total")
+	foci := srv.Live().Stats().Reextracted
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		target := "/update"
@@ -704,6 +728,9 @@ func benchLiveGiant(b *testing.B, g *rdfgraph.Graph, h *schema.Schema, reads int
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
+	b.ReportMetric(float64(srv.Live().Stats().Reextracted-foci)/float64(b.N), "foci/update")
+	b.ReportMetric(subscribe.Seconds()*1e3, "subscribe-ms")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1024, "subscribe-kB")
 	if reads > 0 {
 		hits, misses = cacheStat("fragserver_cache_hits_total")-hits, cacheStat("fragserver_cache_misses_total")-misses
 		b.ReportMetric(hits/(hits+misses), "hit-ratio")

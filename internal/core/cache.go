@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"math"
+	"runtime/debug"
 	"sync"
 	"unsafe"
 
@@ -431,21 +432,56 @@ func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *Neighborhood
 }
 
 // neighborhoodMiss computes B(v, G, request) — nnf is the request's NNF —
-// as an isolated per-node neighborhood: on the bound program b when it is
-// non-nil, on the AST walker otherwise (byte-identical, parity-gated). It
-// stores the result in cache when cache is non-nil; the caller has already
-// missed there.
+// as an isolated per-node neighborhood (isolated). It stores the result in
+// cache when cache is non-nil; the caller has already missed there.
 func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, request, nnf shape.Shape, b *plan.Bound) []rdfgraph.IDTriple {
 	per := rdfgraph.NewIDTripleSet()
-	if b != nil {
-		b.ResetVisited()
-		b.CollectInto(v, per)
-	} else {
-		x.collect(v, nnf, per, make(map[VisitKey]struct{}))
-	}
+	x.isolated(v, nnf, b, per, make(map[VisitKey]struct{}))
 	ts := per.IDTriples()
 	if cache != nil {
 		cache.Put(epoch, v, request, ts)
 	}
 	return ts
+}
+
+// isolated adds B(v, G, φ) — nnf is φ's NNF — to out as a unit of its own,
+// nothing shared with earlier units: on the bound program b when it is
+// non-nil, on the AST walker with visited cleared otherwise
+// (byte-identical, parity-gated).
+func (x *Extractor) isolated(v rdfgraph.ID, nnf shape.Shape, b *plan.Bound, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}) {
+	if b != nil {
+		b.ResetVisited()
+		b.CollectInto(v, out)
+		return
+	}
+	clear(visited)
+	x.collect(v, nnf, out, visited)
+}
+
+// Neighborhoods calls fn with B(v, G, request) for each v of nodes, in
+// order, each extracted in isolation as a cache entry is, so a triple
+// several foci select comes back once per focus. It runs on prog where that
+// Fits G's dictionary (nil: the AST walker). The slice fn gets is reused
+// by the next call. A panic during extraction comes back as a *PanicError.
+func (x *Extractor) Neighborhoods(request shape.Shape, prog *plan.Program, nodes []rdfgraph.ID, fn func(ts []rdfgraph.IDTriple)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	var b *plan.Bound
+	if prog != nil && len(nodes) > 0 && prog.Fits(x.ev.G.Dict().Len()) {
+		b = prog.Bind(x.ev.G)
+		defer b.Release()
+	}
+	nnf := shape.NNF(request)
+	per, visited := rdfgraph.NewIDTripleSet(), make(map[VisitKey]struct{})
+	var ts []rdfgraph.IDTriple
+	for _, v := range nodes {
+		per.Reset()
+		x.isolated(v, nnf, b, per, visited)
+		ts = per.AppendTo(ts[:0])
+		fn(ts)
+	}
+	return nil
 }

@@ -95,12 +95,11 @@ func TestNeighborhoodCacheInvalidate(t *testing.T) {
 		_, ok := c.Get(epoch, v, s)
 		return ok
 	}
-	apply := func(add ...rdf.Triple) (store.ApplyResult, rdfgraph.Delta) {
-		d := rdfgraph.Delta{Add: add}
-		return st.Apply(d), d
+	apply := func(add ...rdf.Triple) store.ApplyResult {
+		return st.Apply(rdfgraph.Delta{Add: add})
 	}
-	invalidate := func(res store.ApplyResult, d rdfgraph.Delta) (int, int) {
-		kept, inv, err := c.Invalidate(res.Prev, res.Base.Reader(), res.Snapshot.Reader(), d)
+	invalidate := func(res store.ApplyResult) (int, int) {
+		kept, inv, err := c.Invalidate(res.Prev, res.Base.Reader(), res.Snapshot.Reader(), res.Effective)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,15 +114,15 @@ func TestNeighborhoodCacheInvalidate(t *testing.T) {
 	}
 
 	// 3 → 4 arrives before 2 → 3: held back, and epoch 3 is not served yet.
-	res2, d2 := apply(tr("c", "r", "y")) // r: nothing reads it
-	res3, d3 := apply(tr("a", "p", "w"), tr("c", "p", "w"))
-	if kept, inv := invalidate(res3, d3); kept != 0 || inv != 0 {
+	res2 := apply(tr("c", "r", "y")) // r: nothing reads it
+	res3 := apply(tr("a", "p", "w"), tr("c", "p", "w"))
+	if kept, inv := invalidate(res3); kept != 0 || inv != 0 {
 		t.Fatalf("early 3 → 4 applied: kept %d, invalidated %d", kept, inv)
 	}
 	if hit(3, a, psi) {
 		t.Fatal("epoch 3 served before the transition into it was applied")
 	}
-	if kept, inv := invalidate(res2, d2); kept != 1 || inv != 2 {
+	if kept, inv := invalidate(res2); kept != 1 || inv != 2 {
 		t.Fatalf("2 → 3 → 4 kept %d, invalidated %d; want 1 and 2", kept, inv)
 	}
 	if c.Applied() != 4 || !hit(4, a, psi) || hit(4, a, phi) || !hit(3, cc, phi) {

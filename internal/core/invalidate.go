@@ -69,17 +69,17 @@ type staleness struct {
 type span struct{ lo, hi int32 }
 
 // Invalidate steps the cache across the transition from epoch prev to
-// prev+1, the delta d applied to the graph old giving cur. A delta triple
-// (s, p, o) changes only the rows Objects(s, p), Subjects(p, o),
-// PredicatesFrom(s) and PredicatesTo(o), so an entry (v, φ) can be stale
-// only if evaluating φ from v reads one of them: for every tracked shape
-// whose footprint reads p (or has a closed(P)), the footprint walks old —
-// the epoch the entries were computed on — back from s and o to the focus
-// nodes that reach them, and their entries' ranges end at prev. A walk
-// past shape.MaxFootprintWalk ends every entry of its shape. Every other
-// open entry stays open, valid at prev+1 in place. The walks run before
-// the cache's lock is taken; cur only resolves the delta's terms, new ones
-// included.
+// prev+1, the effective delta ts (store.ApplyResult.Effective) applied to
+// the graph old giving cur. A delta triple (s, p, o) changes only the rows
+// Objects(s, p), Subjects(p, o), PredicatesFrom(s) and PredicatesTo(o), so
+// an entry (v, φ) can be stale only if evaluating φ from v reads one of
+// them: for every tracked shape whose footprint reads p (or has a
+// closed(P)), Reach walks old — the epoch the entries were computed on —
+// back from s and o to the focus nodes that reach them, and their entries'
+// ranges end at prev. A walk past shape.MaxFootprintWalk ends every entry
+// of its shape. Every other open entry stays open, valid at prev+1 in
+// place. The walks run before the cache's lock is taken; cur only names
+// the delta's predicates, new ones included.
 //
 // A transition that arrives before the one into prev is held back and
 // applied, in epoch order, by the call that closes the gap. kept is the
@@ -87,8 +87,8 @@ type span struct{ lo, hi int32 }
 // invalidated the number it closed (both zero when it held one back). err
 // reports a panic recovered while walking; that transition then closed
 // every entry.
-func (c *NeighborhoodCache) Invalidate(prev uint64, old, cur rdfgraph.Reader, d rdfgraph.Delta) (kept, invalidated int, err error) {
-	st := c.reach(old, cur, d)
+func (c *NeighborhoodCache) Invalidate(prev uint64, old, cur rdfgraph.Reader, ts []rdfgraph.IDTriple) (kept, invalidated int, err error) {
+	st := c.reach(old, cur, ts)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev != c.applied {
@@ -112,36 +112,43 @@ func (c *NeighborhoodCache) Invalidate(prev uint64, old, cur rdfgraph.Reader, d 
 	return kept, invalidated, err
 }
 
-// reach walks the footprints d touches; see Invalidate.
-func (c *NeighborhoodCache) reach(old, cur rdfgraph.Reader, d rdfgraph.Delta) (st staleness) {
+// Reach appends to dst every focus node v whose B(v, G, φ) the effective
+// delta ts can change, fp being φ's footprint and w a walker on G, the
+// graph ts was applied to; cur, the graph it gave, names ts' predicates.
+// It is FocusWalker.Focuses over the triples whose predicate fp reads, so
+// nodes may repeat in dst. ok is false when a walk passed
+// shape.MaxFootprintWalk: then every node may be reached.
+func Reach(fp *shape.Footprint, w *shape.FocusWalker, cur rdfgraph.Reader, ts []rdfgraph.IDTriple, dst []rdfgraph.ID) (_ []rdfgraph.ID, ok bool) {
+	for _, t := range ts {
+		p := cur.Term(t.P).Value
+		if !fp.Reads(p) {
+			continue
+		}
+		if dst, ok = w.Focuses(fp, t.S, p, t.O, dst); !ok {
+			return dst, false
+		}
+	}
+	return dst, true
+}
+
+// reach walks the footprints ts touches; see Invalidate.
+func (c *NeighborhoodCache) reach(old, cur rdfgraph.Reader, ts []rdfgraph.IDTriple) (st staleness) {
 	defer func() {
 		if r := recover(); r != nil {
 			st = staleness{err: fmt.Errorf("walking footprints: %v\n%s", r, debug.Stack())}
 		}
 	}()
-	type endpoints struct {
-		s, o rdfgraph.ID
-		p    string
-	}
-	var ts []endpoints
 	touched := slices.Clone(c.readAll)
-	for _, t := range slices.Concat(d.Add, d.Del) {
-		ts = append(ts, endpoints{cur.LookupTerm(t.S), cur.LookupTerm(t.O), t.P.Value})
-		touched = append(touched, c.readers[t.P.Value]...)
+	for _, t := range ts {
+		touched = append(touched, c.readers[cur.Term(t.P).Value]...)
 	}
 	slices.Sort(touched)
 	st.spans = make([]span, len(c.footprints))
 	w := shape.NewFocusWalker(old)
 	for _, i := range slices.Compact(touched) {
-		fp, lo, ok := c.footprints[i], len(st.nodes), true
-		for _, t := range ts {
-			if !fp.Reads(t.p) {
-				continue
-			}
-			if st.nodes, ok = w.Focuses(fp, t.s, t.p, t.o, st.nodes); !ok {
-				break
-			}
-		}
+		lo := len(st.nodes)
+		var ok bool
+		st.nodes, ok = Reach(c.footprints[i], w, cur, ts, st.nodes)
 		st.spans[i] = span{int32(lo), int32(len(st.nodes))}
 		if !ok {
 			st.spans[i].hi = -1

@@ -96,18 +96,16 @@ func servedBenchmarkSchema(t *testing.T) *schema.Schema {
 // TestUpdateAllocs is the allocation gate of the write path: one effective
 // add and one effective delete of a five-triple review on the giant
 // component, POSTed through Server.Handler() with a subscriber listening —
-// parse, Store.Apply, live notify. The pair costs about 760 allocations
-// and 146 kB. The kB bound, 190, is one the write path fails while
-// publishing an epoch copies the graph rather than its delta: with the
-// node indexes' top-level maps copied per epoch and the dictionary
-// re-flattened on updates that intern nothing, the pair cost 392 kB. The
-// allocation bound, 1 680, is the cost
+// parse, Store.Apply, invalidate, live notify. The pair costs about 690
+// allocations and 107 kB. The kB bound, 130, is one the write path fails
+// while live re-extracts every focus candidate of the subscribed shape
+// rather than the foci the delta reaches (the pair then cost 159 kB), and
+// while publishing an epoch copies the graph rather than its delta (392
+// kB). The allocation bound, 1 680, is the cost
 // when every update also re-planned, plus a quarter. Both guard the absence
 // of schema-only work: while every update recomputed the containment
 // classes the same pair cost 6.5M allocations and 362 MB, so any per-update
-// pass over the schema's shapes overshoots at once. (Apply makes no pass
-// over the old graph, but live re-extracts every focus candidate of the
-// subscribed shape, so the bounds are for this graph.)
+// pass over the schema's shapes overshoots at once.
 func TestUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -155,7 +153,7 @@ func TestUpdateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-	const boundAllocs, boundKB = 1680, 190
+	const boundAllocs, boundKB = 1680, 130
 	t.Logf("add+delete: %.0f allocs, %.0f kB (bounds %d, %d)", allocs, kb, boundAllocs, boundKB)
 	if allocs > boundAllocs || kb > boundKB {
 		t.Errorf("add+delete: %.0f allocs and %.0f kB, bounds %d and %d", allocs, kb, boundAllocs, boundKB)

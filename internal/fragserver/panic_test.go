@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -30,6 +32,10 @@ type faultyStore struct {
 	// faultAfterApply lets Apply succeed while armed: the fault hits
 	// whoever reads the new epoch, live maintenance first.
 	faultAfterApply bool
+	// faultBaseOnly lets Apply succeed too, and only the base snapshot it
+	// returns reads through the faulty reader: footprint walks fault,
+	// extraction on the new epoch does not.
+	faultBaseOnly bool
 }
 
 func (st *faultyStore) Current() store.Snapshot {
@@ -38,14 +44,16 @@ func (st *faultyStore) Current() store.Snapshot {
 }
 
 // Apply panics while armed, the write path's stand-in for the same fault,
-// unless faultAfterApply; the snapshots it returns, new and base, read
-// through the faulty reader either way.
+// unless faultAfterApply or faultBaseOnly; the snapshots it returns, new
+// (unless faultBaseOnly) and base, read through the faulty reader.
 func (st *faultyStore) Apply(d rdfgraph.Delta) store.ApplyResult {
-	if !st.faultAfterApply {
+	if !st.faultAfterApply && !st.faultBaseOnly {
 		faultyReader{armed: &st.armed}.trip()
 	}
 	res := st.Store.Apply(d)
-	res.Snapshot = faultySnap{res.Snapshot, faultyReader{res.Snapshot.Reader(), &st.armed}}
+	if !st.faultBaseOnly {
+		res.Snapshot = faultySnap{res.Snapshot, faultyReader{res.Snapshot.Reader(), &st.armed}}
+	}
 	res.Base = faultySnap{res.Base, faultyReader{res.Base.Reader(), &st.armed}}
 	return res
 }
@@ -252,6 +260,25 @@ func TestPanicMidResponseAborts(t *testing.T) {
 	}
 }
 
+// lockedBuffer collects log output that handler goroutines write while the
+// test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestLiveMaintenancePanicEvicts: a panic while live maintenance extracts a
 // subscribed shape at a new epoch is counted and logged like a request's,
 // closes the shape's streams as evicted, and leaves the update applied —
@@ -267,7 +294,7 @@ func TestLiveMaintenancePanicEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &faultyStore{Store: real, faultAfterApply: true}
-	var logs bytes.Buffer
+	var logs lockedBuffer
 	srv, err := New(Config{Store: st, Schema: h, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	if err != nil {
 		t.Fatal(err)
@@ -309,6 +336,58 @@ func TestLiveMaintenancePanicEvicts(t *testing.T) {
 	ev, _ = stream.next(t)
 	if p := ssePayloadOf(t, ev); ev.event != "delta" || ev.id != "3" || len(p.Added) != 1 || p.Added[0] != lineCF {
 		t.Fatalf("after resubscribing: %+v, want the epoch-3 delta adding %s", ev, lineCF)
+	}
+}
+
+// TestLiveWalkPanicRebuilds: a panic while live walks a maintained shape's
+// footprint is counted and logged, and the shape stays maintained: it is
+// rebuilt from the new epoch, so its subscriber gets the exact delta and
+// is not evicted.
+func TestLiveWalkPanicRebuilds(t *testing.T) {
+	g := rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "b"), exTriple("c", "d")})
+	// A walk back from a q-triple of a goes over Objects(a, p).
+	viaP := shape.Min(1, paths.Inv(paths.P("http://ex/p")), shape.Min(1, paths.P("http://ex/q"), shape.TrueShape()))
+	h := schema.MustNew(schema.Definition{Name: ex("S"), Shape: viaP, Target: shape.TrueShape()})
+	store.WarmDictionary(g, h)
+	real, err := store.New(g, store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &faultyStore{Store: real, faultBaseOnly: true}
+	var logs lockedBuffer
+	srv, err := New(Config{Store: st, Schema: h, CacheTriples: -1, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	stream := openStream(t, ts, "/subscribe?shape=S", "")
+	if ev, _ := stream.next(t); ev.event != "snapshot" || ev.id != "1" {
+		t.Fatalf("first event: %+v", ev)
+	}
+	// Served in process, so the request's log line is written before the
+	// log is read.
+	st.armed.Store(true)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/update",
+		strings.NewReader("<http://ex/a> <http://ex/q> <http://ex/e> .")))
+	st.armed.Store(false)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"epoch":2`) {
+		t.Fatalf("armed /update: %d %s, want 200 at epoch 2", rec.Code, rec.Body)
+	}
+	ev, _ := stream.next(t)
+	want := []string{"<http://ex/a> <http://ex/p> <http://ex/b> .", "<http://ex/a> <http://ex/q> <http://ex/e> ."}
+	if p := ssePayloadOf(t, ev); ev.event != "delta" || ev.id != "2" || !slices.Equal(p.Added, want) || len(p.Removed) != 0 {
+		t.Fatalf("after the walk panic: %+v, want the epoch-2 delta adding %q", ev, want)
+	}
+	if got := srv.metrics.panics.Value(); got != 1 {
+		t.Errorf("fragserver_panics_total = %v, want 1", got)
+	}
+	for _, want := range []string{`msg="panic walking a live footprint"`, "index corrupted", "faultyReader.trip"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("log lacks %s:\n%s", want, logs.String())
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if s.cache != nil {
 			inv := root.StartChild("invalidate")
 			var err error
-			kept, invalidated, err = s.cache.Invalidate(res.Prev, res.Base.Reader(), res.Snapshot.Reader(), delta)
+			kept, invalidated, err = s.cache.Invalidate(res.Prev, res.Base.Reader(), res.Snapshot.Reader(), res.Effective)
 			if err != nil {
 				// The walk panicked: that transition closed every entry, and
 				// the update stands.
@@ -129,6 +129,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			// update still succeeds.
 			s.metrics.panics.Inc()
 			s.log.Error("panic maintaining live fragments", "epoch", res.Snapshot.Epoch(), "err", ls.Err.Error())
+		}
+		if ls.WalkErr != nil {
+			// A footprint walk panicked: live rebuilt that shape's fragment
+			// from every focus candidate instead, so its event is exact.
+			s.metrics.panics.Inc()
+			s.log.Error("panic walking a live footprint", "epoch", res.Snapshot.Epoch(), "err", ls.WalkErr.Error())
 		}
 		s.metrics.updApplied.Inc()
 		s.metrics.updAdded.Add(uint64(res.Added))

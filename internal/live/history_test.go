@@ -28,7 +28,10 @@ import (
 // class-target candidate), delete every triple of a review or a person (the
 // node leaves N(G)), and toggle a lodging's name (the unnamed definition has
 // no candidate set and takes the N(G) fallback). The oracle is the AST
-// walker over all of N(G).
+// walker over all of N(G). Each step must also re-extract exactly the
+// distinct foci the definitions' footprint walks reach (NotifyStats
+// .Reextracted), and at least nine steps in ten fewer foci than a
+// whole-fragment extraction visits.
 func TestDeltaHistoryExact(t *testing.T) {
 	const steps, individuals = 100, 120
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: individuals, Seed: 7})
@@ -70,6 +73,21 @@ func TestDeltaHistoryExact(t *testing.T) {
 		if got := decode(t, initial[0]).Added; !slices.Equal(got, prev[def]) {
 			t.Fatalf("definition %d: snapshot differs from cold extraction", def)
 		}
+		// Materialized focus by focus, the fragment is FragmentParallelIDs'.
+		g := st.Current().Reader()
+		ids, _, err := core.NewExtractor(g, h).FragmentParallelIDs(requests[def:def+1], core.ParallelOptions{
+			Workers: 1, Plans: &plan.Set{Programs: progs[def : def+1]},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, len(ids))
+		for i, tr := range ids {
+			want[i] = g.Dict().Triple(tr).String() + " ."
+		}
+		if got := m.FragmentLines(def); !slices.Equal(got, want) {
+			t.Fatalf("definition %d: materialized %d lines, FragmentParallelIDs %d", def, len(got), len(want))
+		}
 	}
 
 	rng := rand.New(rand.NewSource(42))
@@ -96,6 +114,11 @@ func TestDeltaHistoryExact(t *testing.T) {
 	}
 	var kinds [5]int
 	var events, added, removed int // over all steps and definitions
+	var fallbacks, narrowed int    // steps
+	footprints := make([]*shape.Footprint, len(requests))
+	for def, r := range requests {
+		footprints[def] = shape.NewFootprint(r, h)
+	}
 	for step := 0; step < steps; step++ {
 		g := st.Current().Reader()
 		reviews, persons := instances(g, datagen.ClassReview), instances(g, datagen.ClassPerson)
@@ -136,8 +159,33 @@ func TestDeltaHistoryExact(t *testing.T) {
 		if !res.Changed {
 			t.Fatalf("step %d: delta %+v was a no-op", step, delta)
 		}
-		if stats := m.Notify(res, nil); stats.Steps != 1 {
+		stats := m.Notify(res, nil)
+		if stats.Steps != 1 {
 			t.Fatalf("step %d: Notify applied %d steps, want 1", step, stats.Steps)
+		}
+		// Reextracted is |R|: per definition, the distinct foci its
+		// footprint walk reaches from the effective delta on the base epoch
+		// — unless a walk passed its cap and that definition fell back to
+		// every candidate.
+		reached, candidates, fellBack := 0, 0, false
+		w := shape.NewFocusWalker(res.Base.Reader())
+		x := core.NewExtractor(res.Snapshot.Reader(), h)
+		for def, fp := range footprints {
+			foci, ok := core.Reach(fp, w, res.Snapshot.Reader(), res.Effective, nil)
+			slices.Sort(foci)
+			reached += len(slices.Compact(foci))
+			fellBack = fellBack || !ok
+			var all []rdfgraph.ID
+			candidates += len(x.Evaluator().FocusNodes(shape.NNF(requests[def]), &all))
+		}
+		switch {
+		case fellBack:
+			fallbacks++
+		case stats.Reextracted != reached:
+			t.Fatalf("step %d: re-extracted %d foci, the footprint walks reach %d", step, stats.Reextracted, reached)
+		}
+		if stats.Reextracted < candidates {
+			narrowed++
 		}
 		epoch := res.Snapshot.Epoch()
 		for def, sub := range subs {
@@ -177,7 +225,11 @@ func TestDeltaHistoryExact(t *testing.T) {
 			t.Errorf("update kind %d never drawn in %d steps", kind, steps)
 		}
 	}
-	t.Logf("update kinds %v: %d delta events, +%d -%d lines", kinds, events, added, removed)
+	t.Logf("update kinds %v: %d delta events, +%d -%d lines; %d steps re-extracted fewer foci than the candidates, %d fell back",
+		kinds, events, added, removed, narrowed, fallbacks)
+	if narrowed < steps*9/10 {
+		t.Errorf("only %d of %d steps re-extracted fewer foci than the candidates", narrowed, steps)
+	}
 	if added == 0 || removed == 0 {
 		t.Errorf("the history never added (%d) or never removed (%d) a fragment line", added, removed)
 	}

@@ -2,17 +2,27 @@
 // and pushes per-epoch fragment deltas to subscribers.
 //
 // A maintained fragment is Frag(G_e, {φ ∧ τ}) of one definition at the
-// maintained epoch e, kept as one array of encoded triples in canonical
-// order. On every update the Maintainer extracts the new epoch's fragment
-// with core.Extractor.FragmentParallelIDs, the call GET /fragment makes, and
-// merge-diffs the two sorted arrays: triples only the new one holds are
-// "added", those only the old one holds "removed", both still in canonical
-// order. Their N-Triples renderings are the delta event, serialized once
-// per (shape, epoch) and shared by every subscriber, so fanout to thousands
-// of clients is a channel send each. Every focus candidate is extracted on
-// every update: the neighborhood cache's footprints (core/invalidate.go)
-// could narrow that to the neighborhoods a delta can reach, but live does
-// not use them yet.
+// maintained epoch e, the union of the neighborhoods B(v, G_e, φ ∧ τ) of
+// its foci. It is kept as one array of encoded triples in canonical order
+// beside a support count per triple: how many foci's neighborhoods hold
+// it. On an update the shape's footprint, walked back from the effective
+// delta (core.Reach), names the foci R whose neighborhoods can change.
+// Each v in R is re-extracted on the old and the new epoch, its old
+// triples lose a count and its new ones gain one, and only those triples
+// are sorted and merged into the array in place: a triple whose count
+// leaves 0 is "added", one whose count reaches 0 "removed". Their
+// N-Triples renderings are the delta event, serialized once per (shape,
+// epoch) and shared by every subscriber, so fanout is a channel send each.
+// A walk past shape.MaxFootprintWalk or one that panics, or a result with
+// no recorded delta, rebuilds the counts from every focus candidate.
+//
+// Neighborhoods are extracted one focus at a time so that the counts are
+// exact, which costs their summed sizes. Where the definition's shape φ
+// reads a path under a Kleene star (shape.Footprint.HasStar), one
+// neighborhood can span a whole reachable subgraph and the sum grow with
+// the square of the fragment, so such a shape keeps no counts: every
+// update re-extracts its whole fragment in one product search, as GET
+// /fragment does, and merge-diffs it against the maintained one.
 //
 // A shape whose fragment cannot be extracted at an epoch (extraction
 // panicked) is dropped: its subscribers are closed with ReasonEvicted, and
@@ -27,9 +37,12 @@
 package live
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,13 +117,16 @@ type Maintainer struct {
 	resumed        uint64
 }
 
-// shapeState is one maintained shape: its fragment, the replay ring, and
-// its subscribers.
+// shapeState is one maintained shape: its fragment with support counts,
+// its footprint, the replay ring, and its subscribers.
 type shapeState struct {
-	def   int
-	frag  []rdfgraph.IDTriple // the fragment at the maintained epoch, in canonical order
-	ring  []Event             // delta events for changed epochs in (floor, cur]
-	floor uint64              // highest epoch the ring can NOT replay past
+	def  int
+	frag []rdfgraph.IDTriple // the fragment at the maintained epoch, in canonical order
+	// count[i] is the number of foci whose neighborhood holds frag[i].
+	count []uint32
+	fp    *shape.Footprint // of the request φ ∧ τ; nil, and count unused, when φ's HasStar
+	ring  []Event          // delta events for changed epochs in (floor, cur]
+	floor uint64           // highest epoch the ring can NOT replay past
 	subs  map[*Subscription]struct{}
 	snap  []byte // lazily built full-fragment payload for the current epoch
 }
@@ -137,17 +153,21 @@ func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 	}
 }
 
-// fragment extracts def's fragment from reader: FragmentParallelIDs over
-// def's request, on def's compiled program where it Fits, at one worker —
-// maintenance stays on the goroutine that holds m.mu. nodes counts the
-// focus candidates extracted.
-func (m *Maintainer) fragment(reader rdfgraph.Reader, def int) (frag []rdfgraph.IDTriple, nodes int, err error) {
-	opts := core.ParallelOptions{Workers: 1}
+// extract appends to cs a count change n for every triple of B(v, G, φ ∧ τ)
+// of def, for each v of foci, G being x's graph. Each neighborhood is
+// extracted on its own (core.Extractor.Neighborhoods), on def's compiled
+// program where that Fits G's dictionary.
+func (m *Maintainer) extract(x *core.Extractor, def int, foci []rdfgraph.ID, n int32, cs []change) ([]change, error) {
+	var prog *plan.Program
 	if m.cfg.Plans != nil {
-		opts.Plans = &plan.Set{Programs: []*plan.Program{m.cfg.Plans(def)}}
+		prog = m.cfg.Plans(def)
 	}
-	x := core.NewExtractor(reader, m.cfg.Schema)
-	return x.FragmentParallelIDs(m.cfg.Requests[def:def+1], opts)
+	err := x.Neighborhoods(m.cfg.Requests[def], prog, foci, func(ts []rdfgraph.IDTriple) {
+		for _, t := range ts {
+			cs = append(cs, change{t: t, n: n})
+		}
+	})
+	return cs, err
 }
 
 // ensureShapeLocked materializes def's fragment at the current epoch on
@@ -156,33 +176,45 @@ func (m *Maintainer) ensureShapeLocked(def int) (*shapeState, error) {
 	if st, ok := m.shapes[def]; ok {
 		return st, nil
 	}
-	frag, nodes, err := m.fragment(m.snap.Reader(), def)
+	st := &shapeState{
+		def:   def,
+		floor: m.epoch,
+		subs:  make(map[*Subscription]struct{}),
+	}
+	// Only φ is asked: a class target's rdf:type/rdfs:subClassOf* runs
+	// over the class hierarchy, shallow and the same for every focus.
+	if !shape.NewFootprint(m.cfg.Schema.Definitions()[def].Shape, m.cfg.Schema).HasStar() {
+		st.fp = shape.NewFootprint(m.cfg.Requests[def], m.cfg.Schema)
+	}
+	// Stepping to the current epoch from nothing, with no delta to walk,
+	// extracts every focus candidate.
+	_, _, nodes, err := m.step(st, store.ApplyResult{Snapshot: m.snap}, nil, false)
 	m.reextracted += uint64(nodes)
 	if err != nil {
 		return nil, err
-	}
-	st := &shapeState{
-		def:   def,
-		frag:  frag,
-		floor: m.epoch,
-		subs:  make(map[*Subscription]struct{}),
 	}
 	m.shapes[def] = st
 	return st, nil
 }
 
 // NotifyStats reports what one Notify call processed: Steps epochs were
-// applied (more than one when this call closed a pending chain),
-// re-extracting Reextracted (shape × focus candidate) neighborhoods, and
-// changing the maintained fragments by Added/Removed triples. Err is the
-// first extraction failure (a *core.PanicError); the shape it hit was
-// dropped and its subscribers evicted, and the epoch advanced anyway.
+// applied (more than one when this call closed a pending chain), changing
+// the maintained fragments by Added/Removed triples. Reextracted sums, over
+// steps and maintained shapes, the foci whose neighborhoods were
+// re-extracted: the distinct foci the shape's footprint walk reached from
+// the delta (each extracted on both epochs, counted once), or, on a step
+// that rebuilt a shape's counts and for a shape that keeps none, every
+// focus candidate. Err is the first extraction failure (a
+// *core.PanicError); the shape it hit was dropped and its subscribers
+// evicted, and the epoch advanced anyway. WalkErr is the first footprint
+// walk that panicked; the shape it hit rebuilt its counts instead.
 type NotifyStats struct {
 	Steps       int
 	Reextracted int
 	Added       int
 	Removed     int
 	Err         error
+	WalkErr     error
 }
 
 // Notify advances maintenance across the epoch transition res describes
@@ -223,9 +255,8 @@ func (m *Maintainer) Notify(res store.ApplyResult, sp *obs.Span) NotifyStats {
 	return stats
 }
 
-// stepLocked applies one epoch transition: per maintained shape it
-// extracts the new epoch's fragment, diffs it against the maintained one,
-// and publishes the delta event.
+// stepLocked applies one epoch transition: per maintained shape it moves
+// the fragment to the new epoch (step) and publishes the delta event.
 func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *NotifyStats) {
 	snap := res.Snapshot
 	reader := snap.Reader()
@@ -233,7 +264,11 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 	stats.Steps++
 	for _, st := range m.shapes {
 		begin := time.Now()
-		frag, nodes, err := m.fragment(reader, st.def)
+		foci, patch, werr := reach(st, res)
+		if stats.WalkErr == nil {
+			stats.WalkErr = werr
+		}
+		added, removed, nodes, err := m.step(st, res, foci, patch)
 		m.reextracted += uint64(nodes)
 		stats.Reextracted += nodes
 		sp.AccumChild("reextract").Add(time.Since(begin))
@@ -244,8 +279,6 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 			m.dropLocked(st)
 			continue
 		}
-		added, removed := diff(reader.Dict(), st.frag, frag)
-		st.frag = frag
 		if len(added) == 0 && len(removed) == 0 {
 			continue // this delta did not move this shape's fragment
 		}
@@ -263,14 +296,67 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 	m.epoch, m.snap = epoch, snap
 }
 
-// dropLocked stops maintaining st: its subscribers are closed with
-// ReasonEvicted, so they reconnect, and the next Subscribe materializes
-// the shape at the epoch current then.
-func (m *Maintainer) dropLocked(st *shapeState) {
-	for sub := range st.subs {
-		m.closeLocked(sub, ReasonEvicted)
+// change is a change n of one triple's support count.
+type change struct {
+	t rdfgraph.IDTriple
+	n int32
+	// at is the triple's index in frag, or where it would be inserted.
+	at int
+}
+
+// step moves st's fragment from res.Base to res.Snapshot and returns the
+// triples that entered and left it, in canonical order, and the number of
+// foci re-extracted. With patch set only foci, the foci the delta reaches
+// (reach), are re-extracted, on both epochs: their old neighborhoods'
+// triples lose a count, their new ones' gain one. Otherwise it rebuilds:
+// every triple loses its whole count, and every focus candidate of the new
+// epoch is re-extracted, each on its own so that the counts are exact. A
+// shape that keeps no counts is re-diffed whole instead (rediff).
+func (m *Maintainer) step(st *shapeState, res store.ApplyResult, foci []rdfgraph.ID, patch bool) (added, removed []rdfgraph.IDTriple, nodes int, err error) {
+	reader := res.Snapshot.Reader()
+	x := core.NewExtractor(reader, m.cfg.Schema)
+	if st.fp == nil {
+		return m.rediff(st, x, reader.Dict())
 	}
-	delete(m.shapes, st.def)
+	var cs []change
+	if patch {
+		// Foci new at this epoch are past the base dictionary and have empty
+		// neighborhoods there; foci is sorted, so they are its tail.
+		base := res.Base.Reader()
+		old, _ := slices.BinarySearch(foci, rdfgraph.ID(base.Dict().Len()))
+		cs, err = m.extract(core.NewExtractor(base, m.cfg.Schema), st.def, foci[:old], -1, nil)
+	} else {
+		for i, t := range st.frag {
+			cs = append(cs, change{t: t, n: -int32(st.count[i])})
+		}
+		var all []rdfgraph.ID
+		foci = x.Evaluator().FocusNodes(shape.NNF(m.cfg.Requests[st.def]), &all)
+	}
+	if err == nil {
+		cs, err = m.extract(x, st.def, foci, 1, cs)
+	}
+	if err == nil {
+		added, removed, err = st.apply(reader.Dict(), net(reader.Dict(), cs))
+	}
+	return added, removed, len(foci), err
+}
+
+// rediff moves a shape that keeps no counts to d's epoch: it extracts the
+// whole fragment with x as GET /fragment does — FragmentParallelIDs, on
+// def's program where it Fits, at one worker: maintenance stays on the
+// goroutine that holds m.mu — and merge-diffs it against frag.
+func (m *Maintainer) rediff(st *shapeState, x *core.Extractor, d *rdfgraph.Dict) (added, removed []rdfgraph.IDTriple, nodes int, err error) {
+	opts := core.ParallelOptions{Workers: 1}
+	if m.cfg.Plans != nil {
+		opts.Plans = &plan.Set{Programs: []*plan.Program{m.cfg.Plans(st.def)}}
+	}
+	frag, nodes, err := x.FragmentParallelIDs(m.cfg.Requests[st.def:st.def+1], opts)
+	if err != nil {
+		return nil, nil, nodes, err
+	}
+	added, removed = diff(d, st.frag, frag)
+	st.frag = frag
+	return added, removed, nodes, nil
 }
 
 // diff merges two fragments in canonical order (d's dictionary orders both:
@@ -292,6 +378,116 @@ func diff(d *rdfgraph.Dict, prev, cur []rdfgraph.IDTriple) (added, removed []rdf
 		}
 	}
 	return append(added, cur[j:]...), append(removed, prev[i:]...)
+}
+
+// reach returns the foci res's effective delta can reach through st's
+// footprint, sorted and distinct. patch is false when the caller must
+// rebuild instead: the shape keeps no counts, the result records no delta,
+// or the walk passed shape.MaxFootprintWalk or panicked; err reports the
+// panic.
+func reach(st *shapeState, res store.ApplyResult) (foci []rdfgraph.ID, patch bool, err error) {
+	if st.fp == nil || res.Base == nil || len(res.Effective) == 0 {
+		return nil, false, nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			foci, patch, err = nil, false, fmt.Errorf("live: walking the footprint of definition %d: %v\n%s", st.def, r, debug.Stack())
+		}
+	}()
+	foci, patch = core.Reach(st.fp, shape.NewFocusWalker(res.Base.Reader()), res.Snapshot.Reader(), res.Effective, nil)
+	slices.Sort(foci)
+	return slices.Compact(foci), patch, nil
+}
+
+// net sums the changes of each triple, drops the sums that are zero and
+// orders the rest canonically, in place: only these are compared as terms.
+func net(d *rdfgraph.Dict, cs []change) []change {
+	slices.SortFunc(cs, func(a, b change) int {
+		return cmp.Or(cmp.Compare(a.t.S, b.t.S), cmp.Compare(a.t.P, b.t.P), cmp.Compare(a.t.O, b.t.O))
+	})
+	out := cs[:0]
+	for _, c := range cs {
+		if k := len(out) - 1; k >= 0 && out[k].t == c.t {
+			out[k].n += c.n
+		} else {
+			out = append(out, c)
+		}
+	}
+	out = slices.DeleteFunc(out, func(c change) bool { return c.n == 0 })
+	slices.SortFunc(out, func(a, b change) int { return d.CompareIDTriples(a.t, b.t) })
+	return out
+}
+
+// apply adds the net count changes cs, in canonical order, to st: a triple
+// whose count leaves 0 enters frag, one whose count reaches 0 leaves it.
+// Both arrays are edited in place by block moves, closing the gaps of the
+// triples that leave left to right, then opening those of the triples that
+// enter right to left; they grow only when more enter than leave. A count
+// below zero is an error: a neighborhood left that was never counted.
+func (st *shapeState) apply(d *rdfgraph.Dict, cs []change) (added, removed []rdfgraph.IDTriple, err error) {
+	edits, lo := cs[:0], 0 // the triples that enter (n > 0) and leave (n == 0)
+	for _, c := range cs {
+		i, found := slices.BinarySearchFunc(st.frag[lo:], c.t, d.CompareIDTriples)
+		c.at, lo = lo+i, lo+i
+		n := int64(c.n)
+		if found {
+			n += int64(st.count[c.at])
+		}
+		switch {
+		case n < 0:
+			return nil, nil, fmt.Errorf("live: support count of %v below zero", d.Triple(c.t))
+		case !found:
+			added = append(added, c.t)
+		case n == 0:
+			removed = append(removed, c.t)
+		default:
+			st.count[c.at] = uint32(n)
+			continue
+		}
+		c.n = int32(n)
+		edits = append(edits, c)
+	}
+	// An entering triple's index shifts by the triples that left before it.
+	w, r, left := 0, 0, 0
+	for k := range edits {
+		if e := &edits[k]; e.n > 0 {
+			e.at -= left
+		} else {
+			w += st.move(w, r, e.at)
+			r, left = e.at+1, left+1
+		}
+	}
+	if left > 0 {
+		w += st.move(w, r, len(st.frag))
+		st.frag, st.count = st.frag[:w], st.count[:w]
+	}
+	r, w = len(st.frag), len(st.frag)+len(edits)-left
+	st.frag, st.count = slices.Grow(st.frag, w-r)[:w], slices.Grow(st.count, w-r)[:w]
+	for k := len(edits) - 1; k >= 0; k-- {
+		if e := edits[k]; e.n > 0 {
+			w -= st.move(w-(r-e.at), e.at, r) + 1
+			st.frag[w], st.count[w] = e.t, uint32(e.n)
+			r = e.at
+		}
+	}
+	return added, removed, nil
+}
+
+// move copies frag and count over [from, to) to index at, returning the
+// number of entries moved.
+func (st *shapeState) move(at, from, to int) int {
+	copy(st.frag[at:], st.frag[from:to])
+	return copy(st.count[at:], st.count[from:to])
+}
+
+// dropLocked stops maintaining st: its subscribers are closed with
+// ReasonEvicted, so they reconnect, and the next Subscribe materializes
+// the shape at the epoch current then.
+func (m *Maintainer) dropLocked(st *shapeState) {
+	for sub := range st.subs {
+		m.closeLocked(sub, ReasonEvicted)
+	}
+	delete(m.shapes, st.def)
 }
 
 // push appends a delta event to the replay ring, advancing the floor when

@@ -114,8 +114,8 @@ func equalLines(a, b []string) bool {
 }
 
 // TestSnapshotThenDelta is the core contract: a fresh subscriber gets the
-// full fragment as a snapshot event, and an update re-extracts every focus
-// candidate but emits only the triples that changed.
+// full fragment as a snapshot event, and an update re-extracts only the
+// foci its delta reaches and emits only the triples that changed.
 func TestSnapshotThenDelta(t *testing.T) {
 	m, st, h := newMaintainer(t, live.Config{})
 	sub, initial, err := m.Subscribe(0, 0)
@@ -136,10 +136,10 @@ func TestSnapshotThenDelta(t *testing.T) {
 	if ns.Steps != 1 || ns.Added != 1 || ns.Removed != 0 {
 		t.Fatalf("notify stats: %+v", ns)
 	}
-	// Every focus candidate is re-extracted — a and c, the subjects of
-	// p-edges — including c, whose component the delta did not touch.
-	if ns.Reextracted != 2 {
-		t.Errorf("reextracted = %d, want 2 (a and c)", ns.Reextracted)
+	// Of the focus candidates a and c, the subjects of p-edges, only a
+	// reads the row Objects(a, p) the delta changed.
+	if ns.Reextracted != 1 {
+		t.Errorf("reextracted = %d, want 1 (a)", ns.Reextracted)
 	}
 	ev, ok := recv(t, sub)
 	if !ok || ev.Type != live.EventDelta || ev.Epoch != 2 {

@@ -606,12 +606,19 @@ func (s *IDTripleSet) Each(fn func(IDTriple)) {
 // neighborhood cache stores these raw encoded slices: they are an order of
 // magnitude smaller than decoded terms.
 func (s *IDTripleSet) IDTriples() []IDTriple {
-	out := make([]IDTriple, 0, len(s.set))
-	for t := range s.set {
-		out = append(out, t)
-	}
-	return out
+	return s.AppendTo(make([]IDTriple, 0, len(s.set)))
 }
+
+// AppendTo appends the contents to dst, in unspecified order.
+func (s *IDTripleSet) AppendTo(dst []IDTriple) []IDTriple {
+	for t := range s.set {
+		dst = append(dst, t)
+	}
+	return dst
+}
+
+// Reset empties the set, keeping its storage.
+func (s *IDTripleSet) Reset() { clear(s.set) }
 
 // AddAll inserts the given encoded triples.
 func (s *IDTripleSet) AddAll(ts []IDTriple) {

@@ -36,6 +36,7 @@ type Footprint struct {
 	// reading PredicatesFrom.
 	fwd, bwd map[string][]int
 	closed   []int
+	star     bool // some move is under a Kleene star
 }
 
 // footStep is one move of the read automaton, stored at its target: from
@@ -79,6 +80,11 @@ func (f *Footprint) Predicates() (named []string, closed bool) {
 	}
 	return named, len(f.closed) > 0
 }
+
+// HasStar reports whether a path φ reads, through hasShape too, has a
+// Kleene star: the reads then have no depth bound, and one neighborhood
+// can span a whole reachable subgraph.
+func (f *Footprint) HasStar() bool { return f.star }
 
 // FocusWalker runs Footprint walks backwards over one graph, reusing its
 // scratch from walk to walk. It is not safe for concurrent use.
@@ -211,6 +217,7 @@ func (b *footBuilder) path(e paths.Expr, q int, inv bool) int {
 		b.eps(b.path(x.Right, q, inv), end)
 		return end
 	case paths.Star:
+		b.f.star = true
 		loop := b.state()
 		b.eps(q, loop)
 		b.eps(b.path(x.X, loop, inv), loop)

@@ -234,3 +234,29 @@ func TestApplyConcurrentReaders(t *testing.T) {
 		}
 	})
 }
+
+// TestApplyRecordsEffectiveTriples: ApplyResult.Effective holds exactly the
+// triples Apply deleted, then those it added, encoded in the new epoch's
+// dictionary; a duplicate add and an absent delete leave no trace in it.
+func TestApplyRecordsEffectiveTriples(t *testing.T) {
+	st, err := store.New(rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "p", "b"), exTriple("c", "p", "d")}), store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := st.Apply(rdfgraph.Delta{
+		Add: []rdf.Triple{exTriple("a", "p", "b"), exTriple("x", "q", "y")},
+		Del: []rdf.Triple{exTriple("c", "p", "d"), exTriple("a", "p", "zz")},
+	})
+	g := res.Snapshot.Reader()
+	var got []rdf.Triple
+	for _, tr := range res.Effective {
+		got = append(got, g.Dict().Triple(tr))
+	}
+	want := []rdf.Triple{exTriple("c", "p", "d"), exTriple("x", "q", "y")}
+	if fmt.Sprint(got) != fmt.Sprint(want) || res.Added != 1 || res.Deleted != 1 {
+		t.Fatalf("Effective %v (added %d, deleted %d), want %v", got, res.Added, res.Deleted, want)
+	}
+	if noop := st.Apply(rdfgraph.Delta{Add: want[1:]}); noop.Changed || noop.Effective != nil {
+		t.Fatalf("a no-op delta recorded %v", noop.Effective)
+	}
+}

@@ -51,6 +51,11 @@ type ApplyResult struct {
 	// Added and Deleted count effective operations (duplicates and
 	// absent deletions excluded).
 	Added, Deleted int
+	// Effective lists those operations' triples, the deleted ones first,
+	// encoded in Snapshot's dictionary: the delta the neighborhood cache
+	// and live maintenance walk back from on Base. Nil when the delta was
+	// a no-op.
+	Effective []rdfgraph.IDTriple
 	// Changed reports whether a new epoch was published.
 	Changed bool
 	// Unaffected is always nil: Apply does not decide which nodes an update
@@ -128,7 +133,7 @@ func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 		return ApplyResult{Snapshot: old, Prev: old.epoch, Base: old}
 	}
 	ng := old.g.CloneCOW()
-	var added, deleted int
+	var eff []rdfgraph.IDTriple
 	for _, t := range d.Del {
 		s := ng.LookupTerm(t.S)
 		p := ng.LookupTerm(t.P)
@@ -137,21 +142,23 @@ func (st *epochs) Apply(d rdfgraph.Delta) ApplyResult {
 			continue
 		}
 		if ng.RemoveIDs(s, p, o) {
-			deleted++
+			eff = append(eff, rdfgraph.IDTriple{S: s, P: p, O: o})
 		}
 	}
+	deleted := len(eff)
 	for _, t := range d.Add {
-		if ng.AddIDs(ng.TermID(t.S), ng.TermID(t.P), ng.TermID(t.O)) {
-			added++
+		if s, p, o := ng.TermID(t.S), ng.TermID(t.P), ng.TermID(t.O); ng.AddIDs(s, p, o) {
+			eff = append(eff, rdfgraph.IDTriple{S: s, P: p, O: o})
 		}
 	}
 	return ApplyResult{
-		Snapshot: st.publish(ng, old.epoch+1),
-		Prev:     old.epoch,
-		Base:     old,
-		Added:    added,
-		Deleted:  deleted,
-		Changed:  true,
+		Snapshot:  st.publish(ng, old.epoch+1),
+		Prev:      old.epoch,
+		Base:      old,
+		Added:     len(eff) - deleted,
+		Deleted:   deleted,
+		Effective: eff,
+		Changed:   true,
 	}
 }
 

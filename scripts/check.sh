@@ -72,11 +72,12 @@ echo "== update/subscription storm (-race, -short)"
 # every delta of a seeded update history, every /node body of a seeded
 # history served from a cache kept warm across updates, the footprint
 # walk's coverage of every read extraction makes, a panicking maintenance
-# step, and copy-on-write epochs read while their successor is written,
+# step, live's support counts, its fallbacks to a rebuild (a panicking
+# walk over HTTP too) and its star shapes kept without counts, and copy-on-write epochs read while their successor is written,
 # re-run on their own so a flake here names the tier that guards the write
 # path.
 $GO test -race -short -count=1 \
-    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestLiveMaintenancePanicEvicts|TestCOWEpochsIsolatedProperty|TestCacheHistoryExact|TestFootprintCoversReads' \
+    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestSupportCountsKeepSharedTriples|TestFallbackPastWalkCap|TestFallbackOnPanickingWalk|TestStarShapeKeepsNoCounts|TestLiveMaintenancePanicEvicts|TestLiveWalkPanicRebuilds|TestCOWEpochsIsolatedProperty|TestCacheHistoryExact|TestFootprintCoversReads' \
     ./internal/fragserver ./internal/live ./internal/rdfgraph ./internal/core
 
 echo "== go test -race (store tier, -short)"
