@@ -344,19 +344,6 @@ func BenchmarkFragmentParallel(b *testing.B) {
 			}
 		})
 	}
-	b.Run("workers=4/cached", func(b *testing.B) {
-		cache := core.NewNeighborhoodCache(1 << 22)
-		opts := core.ParallelOptions{Workers: 4, Cache: cache}
-		if _, err := core.NewExtractor(g, h).FragmentParallel(requests, opts); err != nil {
-			b.Fatal(err) // warm the cache before timing
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.NewExtractor(g, h).FragmentParallel(requests, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTracedExtraction prices the span tree against extraction without
@@ -488,8 +475,7 @@ func BenchmarkScale10M(b *testing.B) {
 // classes/<schema> sizes it over the request shapes alone; classes/served57
 // is the list fragserver.New passes when it serves the benchmark schema
 // from Turtle, as bench/ and `fragserver -shapes` do: named property shapes
-// make it 183 definitions, requests + definition shapes 366 shapes in 254
-// classes.
+// make it 183 definition shapes, in 104 classes.
 func BenchmarkContainment(b *testing.B) {
 	schemas := []struct {
 		name string
@@ -538,7 +524,7 @@ func BenchmarkContainment(b *testing.B) {
 	}
 
 	served := servedBenchmarkSchema(b)
-	shapes := core.SchemaRequests(served)
+	var shapes []shape.Shape
 	for _, d := range served.Definitions() {
 		shapes = append(shapes, d.Shape)
 	}

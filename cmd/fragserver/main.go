@@ -18,7 +18,7 @@
 //	fragserver -addr :8077 -individuals 2000
 //
 // The server installs a per-request timeout, bounds in-flight requests,
-// caches neighborhoods in a bounded LRU, extracts fragments in parallel,
+// caches /node neighborhoods in a bounded LRU, extracts fragments in parallel,
 // logs structured access lines, and drains in-flight requests on SIGINT or
 // SIGTERM before exiting.
 //

@@ -16,12 +16,11 @@ import (
 
 // NeighborhoodCache is a concurrency-safe, size-bounded LRU cache of
 // per-(node, shape) neighborhoods B(v, G, φ), stored as dictionary-encoded
-// triples. It lets a serving subsystem answer repeated fragment and
-// neighborhood requests against the same (frozen) graph from memory.
+// triples. It lets a serving subsystem answer repeated neighborhood
+// requests against the same graph from memory (NeighborhoodsCached).
 //
-// Keys use shape identity: callers must pass pointer-stable request shapes
-// (e.g. the SchemaRequests slice computed once at startup), otherwise every
-// request misses. The cached slices are shared between callers and must be
+// Keys use shape identity: callers must pass pointer-stable shapes (e.g.
+// a schema's definition shapes), otherwise every request misses. The cached slices are shared between callers and must be
 // treated as immutable.
 //
 // Every entry records the range of store epochs (see store.Store) it is
@@ -385,7 +384,7 @@ func (x *Extractor) NeighborhoodIDsCached(cache *NeighborhoodCache, epoch uint64
 			return ts
 		}
 	}
-	return x.neighborhoodMiss(cache, epoch, v, phi, shape.NNF(phi), nil)
+	return x.neighborhoodMiss(cache, epoch, v, phi)
 }
 
 // NeighborhoodsCached appends B(v, G, φ) for every φ of shapes, in order, to
@@ -426,20 +425,20 @@ func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *Neighborhood
 			stoppable = true
 			x.ev.SetStop(stopOf(ctx))
 		}
-		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i], shape.NNF(shapes[i]), nil)...)
+		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i])...)
 	}
 	return dst, nil
 }
 
-// neighborhoodMiss computes B(v, G, request) — nnf is the request's NNF —
-// as an isolated per-node neighborhood (isolated). It stores the result in
-// cache when cache is non-nil; the caller has already missed there.
-func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, request, nnf shape.Shape, b *plan.Bound) []rdfgraph.IDTriple {
+// neighborhoodMiss computes B(v, G, φ) on the AST walker as an isolated
+// per-node neighborhood (isolated). It stores the result in cache when
+// cache is non-nil; the caller has already missed there.
+func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, phi shape.Shape) []rdfgraph.IDTriple {
 	per := rdfgraph.NewIDTripleSet()
-	x.isolated(v, nnf, b, per, make(map[VisitKey]struct{}))
+	x.isolated(v, shape.NNF(phi), nil, per, make(map[VisitKey]struct{}))
 	ts := per.IDTriples()
 	if cache != nil {
-		cache.Put(epoch, v, request, ts)
+		cache.Put(epoch, v, phi, ts)
 	}
 	return ts
 }

@@ -15,7 +15,6 @@ import (
 	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
-	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
 )
 
@@ -25,21 +24,17 @@ type ParallelOptions struct {
 	// runtime.GOMAXPROCS(0). One worker runs the same unit loop on the
 	// calling goroutine and the calling extractor.
 	Workers int
-	// Cache, when non-nil, serves per-(node, request) neighborhoods from
-	// memory and stores misses. Caching switches accumulation from shared
-	// per-worker visited sets to isolated per-node units (the cacheable
-	// granularity); first-time extraction is therefore somewhat slower, in
-	// exchange for repeated requests being nearly free.
+	// Cache is ignored: a fragment is one union over its focus nodes, and
+	// per-node reuse is NeighborhoodsCached's. The field stays only so the
+	// frozen bench/ module compiles (ROADMAP item 1 deletes it; check.sh
+	// rejects any reader in this package).
 	Cache *NeighborhoodCache
 	// Ctx, when non-nil, aborts extraction between work units and inside a
 	// path search (polled every few thousand product states, so one source
 	// under a star path on a hub is interruptible); the error returned is
 	// ctx.Err(). Used by the HTTP server for request timeouts.
 	Ctx context.Context
-	// Epoch is the store epoch the extractor's graph belongs to; it
-	// namespaces Cache entries so neighborhoods computed against one
-	// snapshot are never served for another (see store.Store). Leave
-	// zero when serving a single graph that never updates.
+	// Epoch is ignored, like Cache, and kept for the same reason.
 	Epoch uint64
 	// Plans, when non-nil, holds compiled instruction programs aligned
 	// with the requests slice (typically plan.CompileAll over them). A
@@ -53,7 +48,7 @@ type ParallelOptions struct {
 	// "nnf" (request normalization) and "merge" (union of the per-worker
 	// triple sets), which the server also reads as stages; "bind" for plan
 	// binding; the "plan-exec"/"ast-exec" breakdown accumulators — plus
-	// instructions / memo_resets / units / workers attributes. A nil Span
+	// instructions / searches / units / workers attributes. A nil Span
 	// (the CLI, benchmarks) keeps the hot path free of any timing.
 	Span *obs.Span
 }
@@ -136,7 +131,7 @@ func boundAt(bounds []*plan.Bound, req int) *plan.Bound {
 
 // workerSpanState is the per-worker accounting a traced extraction asks of
 // each extraction goroutine: exec wall time accumulated into breakdown
-// children, unit counts, and memo resets summed at worker exit. All
+// children, unit counts, and path searches summed at worker exit. All
 // methods no-op (one branch) without a parent span.
 type workerSpanState struct {
 	parent *obs.Span // span exec breakdown children accumulate under
@@ -165,20 +160,16 @@ func (w *workerSpanState) finish(begin time.Time, planned bool) {
 	w.parent.AccumChild(exec).Add(time.Since(begin))
 }
 
-// done sums the worker's memo resets and searches into the parent span.
+// done sums the worker's path searches into the parent span.
 func (w *workerSpanState) done(bounds []*plan.Bound) {
 	if w.parent == nil || bounds == nil {
 		return
 	}
-	var resets, searches int64
+	var searches int64
 	for _, b := range bounds {
 		if b != nil {
-			resets += int64(b.Resets)
 			searches += int64(b.Searches())
 		}
-	}
-	if resets > 0 {
-		w.parent.AddAttrInt("memo_resets", resets)
 	}
 	if searches > 0 {
 		w.parent.AddAttrInt("searches", searches)
@@ -272,7 +263,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 
 	var units []unit
 	for req, nodes := range focus {
-		units = appendUnits(units, req, nodes, workers, opts.Cache != nil)
+		units = appendUnits(units, req, nodes, workers)
 	}
 	if workers > len(units) {
 		workers = max(len(units), 1) // an idle worker would still bind every plan
@@ -302,7 +293,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 			u := units[i]
 			b := boundAt(bounds, u.req)
 			begin := spans.begin()
-			wx.extractRange(requests[u.req], nnfs[u.req], b, u.nodes, out, visited, opts.Cache, opts.Epoch)
+			wx.extractRange(nnfs[u.req], b, u.nodes, out, visited)
 			spans.finish(begin, b != nil)
 		}
 	}
@@ -370,60 +361,28 @@ type unit struct {
 	nodes []rdfgraph.ID
 }
 
-// appendUnits chunks a request's focus nodes. With a cache a node is
-// extracted on its own whatever the unit: units small enough to balance
-// skewed neighborhoods, large enough that the atomic counter and evaluator
-// cache misses stay in the noise. Without one a unit is a source set
-// (plan.Bound.CollectAllInto: one product search per path however many
-// nodes), so it is a worker's whole share — split further it repeats
-// searches over nearly the same ground.
-func appendUnits(units []unit, req int, nodes []rdfgraph.ID, workers int, cached bool) []unit {
-	chunk := max(len(nodes)/(workers*8), 16)
-	if !cached {
-		chunk = (len(nodes) + workers - 1) / workers
-	}
-	units = slices.Grow(units, len(nodes)/max(chunk, 1)+1)
+// appendUnits chunks a request's focus nodes into one unit per worker. A
+// unit is a source set (plan.Bound.CollectAllInto: one product search per
+// path however many nodes), so it is a worker's whole share — split further
+// it repeats searches over nearly the same ground.
+func appendUnits(units []unit, req int, nodes []rdfgraph.ID, workers int) []unit {
+	chunk := (len(nodes) + workers - 1) / workers
 	for lo := 0; lo < len(nodes); lo += chunk {
-		hi := lo + chunk
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		units = append(units, unit{req: req, nodes: nodes[lo:hi]})
+		units = append(units, unit{req: req, nodes: nodes[lo:min(lo+chunk, len(nodes))]})
 	}
 	return units
 }
 
-// FragmentSchemaParallel is FragmentParallel over SchemaRequests(h). Note
-// that SchemaRequests builds fresh shape values: callers wanting cache hits
-// across calls should compute the requests once and use FragmentParallel.
-func (x *Extractor) FragmentSchemaParallel(h *schema.Schema, opts ParallelOptions) ([]rdf.Triple, error) {
-	return x.FragmentParallel(SchemaRequests(h), opts)
-}
-
 // extractRange accumulates the neighborhoods of a node range for one
-// request. Without a cache it shares out and visited across the whole range
-// (the fast path, identical to Fragment's inner loop). With a cache it
-// computes isolated per-node neighborhoods — the unit the cache stores —
-// while still sharing this extractor's conformance and path caches. A
-// non-nil bound program takes over both modes: it produces the same
-// per-node neighborhoods (parity-gated), so cache entries are
-// interchangeable between the two extractors.
-func (x *Extractor) extractRange(request, nnf shape.Shape, b *plan.Bound, nodes []rdfgraph.ID, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}, cache *NeighborhoodCache, epoch uint64) {
-	if cache == nil {
-		if b != nil {
-			b.CollectAllInto(nodes, out)
-			return
-		}
-		for _, v := range nodes {
-			x.collect(v, nnf, out, visited)
-		}
+// request — nnf is its NNF — sharing out and visited across the range
+// (Fragment's inner loop). A non-nil bound program takes over and runs the
+// range as one source set; it produces the same triples (parity-gated).
+func (x *Extractor) extractRange(nnf shape.Shape, b *plan.Bound, nodes []rdfgraph.ID, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}) {
+	if b != nil {
+		b.CollectAllInto(nodes, out)
 		return
 	}
 	for _, v := range nodes {
-		if ts, ok := cache.Get(epoch, v, request); ok {
-			out.AddAll(ts)
-			continue
-		}
-		out.AddAll(x.neighborhoodMiss(cache, epoch, v, request, nnf, b))
+		x.collect(v, nnf, out, visited)
 	}
 }

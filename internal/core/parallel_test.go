@@ -19,44 +19,21 @@ import (
 	"shaclfrag/internal/turtle"
 )
 
-// parityConfigs is the worker/cache grid every parity test sweeps.
-func parityConfigs() []core.ParallelOptions {
-	var out []core.ParallelOptions
-	for _, workers := range []int{1, 2, 4} {
-		out = append(out,
-			core.ParallelOptions{Workers: workers},
-			core.ParallelOptions{Workers: workers, Cache: core.NewNeighborhoodCache(1 << 20)},
-		)
-	}
-	return out
-}
-
 // assertParallelParity checks FragmentParallel against Fragment for
-// byte-identical canonical N-Triples output, across the worker/cache grid
-// and on both the mutable and the frozen graph.
+// byte-identical canonical N-Triples output, at 1, 2 and 4 workers and on
+// both the mutable and the frozen graph.
 func assertParallelParity(t *testing.T, g *rdfgraph.Graph, defs shape.Defs, requests []shape.Shape) {
 	t.Helper()
 	want := turtle.FormatNTriples(core.NewExtractor(g, defs).Fragment(requests))
 	check := func(g *rdfgraph.Graph, label string) {
-		for _, opts := range parityConfigs() {
-			got, err := core.NewExtractor(g, defs).FragmentParallel(requests, opts)
+		for _, workers := range []int{1, 2, 4} {
+			got, err := core.NewExtractor(g, defs).FragmentParallel(requests, core.ParallelOptions{Workers: workers})
 			if err != nil {
-				t.Fatalf("%s workers=%d cache=%v: %v", label, opts.Workers, opts.Cache != nil, err)
+				t.Fatalf("%s workers=%d: %v", label, workers, err)
 			}
 			if s := turtle.FormatNTriples(got); s != want {
-				t.Errorf("%s workers=%d cache=%v: output differs from serial Fragment (%d vs %d bytes)",
-					label, opts.Workers, opts.Cache != nil, len(s), len(want))
-			}
-			// A second run through the same options must also agree — with a
-			// cache this exercises the hit path.
-			if opts.Cache != nil {
-				again, err := core.NewExtractor(g, defs).FragmentParallel(requests, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if turtle.FormatNTriples(again) != want {
-					t.Errorf("%s workers=%d: cached rerun diverged", label, opts.Workers)
-				}
+				t.Errorf("%s workers=%d: output differs from serial Fragment (%d vs %d bytes)",
+					label, workers, len(s), len(want))
 			}
 		}
 	}
@@ -99,12 +76,12 @@ func TestSchemaRequestsShape(t *testing.T) {
 	if viaSchema != viaRequests {
 		t.Error("FragmentSchema and Fragment(SchemaRequests) disagree")
 	}
-	parallel, err := core.NewExtractor(g, h).FragmentSchemaParallel(h, core.ParallelOptions{Workers: 3})
+	parallel, err := core.NewExtractor(g, h).FragmentParallel(requests, core.ParallelOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if turtle.FormatNTriples(parallel) != viaSchema {
-		t.Error("FragmentSchemaParallel disagrees with FragmentSchema")
+		t.Error("FragmentParallel(SchemaRequests) disagrees with FragmentSchema")
 	}
 }
 
@@ -123,16 +100,20 @@ func TestFragmentParallelCancelled(t *testing.T) {
 }
 
 // cancelOnEdge is a reader that runs cancel, once, from inside the first
-// forward-index callback it serves.
+// forward-index callback it serves, and counts in after the callbacks it
+// serves from then on.
 type cancelOnEdge struct {
 	rdfgraph.Reader
 	cancel *atomic.Pointer[context.CancelFunc]
+	after  *atomic.Int64
 }
 
 func (r cancelOnEdge) Objects(s, p rdfgraph.ID, fn func(rdfgraph.ID)) {
 	r.Reader.Objects(s, p, func(o rdfgraph.ID) {
 		if cancel := r.cancel.Swap(nil); cancel != nil {
 			(*cancel)()
+		} else {
+			r.after.Add(1)
 		}
 		fn(o)
 	})
@@ -140,17 +121,21 @@ func (r cancelOnEdge) Objects(s, p rdfgraph.ID, fn func(rdfgraph.ID)) {
 
 // TestFragmentParallelStopsMidSearch: a context that ends while a path
 // search runs stops that search, on both engines and both scheduling paths,
-// instead of waiting for the work unit (16 focus nodes here, each a star
-// search over a clique) to end. The error is the context's, and fewer
-// neighborhoods than one unit holds were cached: no worker finished one.
+// instead of waiting for the work unit (a worker's share of the focus nodes)
+// to end. The graph is 4 000 disjoint p-rings of 10 nodes, so the plan
+// engine's one source-set search over a share is tens of thousands of
+// product states, and the AST engine's per-node searches as many again. The
+// error is the context's, and the graph callbacks served after the cancel
+// stay under a quarter of one share's: the searches polled the context
+// instead of finishing the unit.
 func TestFragmentParallelStopsMidSearch(t *testing.T) {
-	const ns = "http://clique.example/"
+	const ns = "http://ring.example/"
+	const rings, size = 4000, 10
 	g := rdfgraph.New()
-	for i := 0; i < 120; i++ {
-		for j := 0; j < 120; j++ {
-			if i != j {
-				g.Add(rdf.T(rdf.NewIRI(fmt.Sprintf("%sn%d", ns, i)), rdf.NewIRI(ns+"p"), rdf.NewIRI(fmt.Sprintf("%sn%d", ns, j))))
-			}
+	node := func(r, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%sr%dn%d", ns, r, i%size)) }
+	for r := 0; r < rings; r++ {
+		for i := 0; i < size; i++ {
+			g.Add(rdf.T(node(r, i), rdf.NewIRI(ns+"p"), node(r, i+1)))
 		}
 	}
 	g.Freeze()
@@ -158,19 +143,28 @@ func TestFragmentParallelStopsMidSearch(t *testing.T) {
 	phi := shape.Min(1, paths.Seq{Left: star, Right: star}, &shape.True{})
 	for _, engine := range []string{"ast", "plan"} {
 		for _, workers := range []int{1, 2} {
-			ctx, cancel := context.WithCancel(context.Background())
-			var hook atomic.Pointer[context.CancelFunc]
-			hook.Store(&cancel)
-			opts := core.ParallelOptions{Workers: workers, Ctx: ctx, Cache: core.NewNeighborhoodCache(1 << 24)}
+			opts := core.ParallelOptions{Workers: workers}
 			if engine == "plan" {
 				opts.Plans = &plan.Set{Programs: []*plan.Program{plan.Compile(phi, nil)}}
 			}
-			_, err := core.NewExtractor(cancelOnEdge{g, &hook}, nil).FragmentParallel([]shape.Shape{phi}, opts)
+			var unarmed atomic.Pointer[context.CancelFunc]
+			var full atomic.Int64
+			if _, err := core.NewExtractor(cancelOnEdge{g, &unarmed, &full}, nil).FragmentParallel([]shape.Shape{phi}, opts); err != nil {
+				t.Fatal(err)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			var hook atomic.Pointer[context.CancelFunc]
+			hook.Store(&cancel)
+			var after atomic.Int64
+			opts.Ctx = ctx
+			_, err := core.NewExtractor(cancelOnEdge{g, &hook, &after}, nil).FragmentParallel([]shape.Shape{phi}, opts)
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s workers=%d: err = %v, want %v", engine, workers, err, context.Canceled)
 			}
-			if n := opts.Cache.Len(); n >= 16 {
-				t.Errorf("%s workers=%d: %d neighborhoods cached: a worker ran its unit to the end", engine, workers, n)
+			if share := full.Load() / int64(workers); after.Load() >= share/4 {
+				t.Errorf("%s workers=%d: %d callbacks served after the cancel, a share is %d: a worker ran its unit to the end",
+					engine, workers, after.Load(), share)
 			}
 			cancel()
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"log/slog"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"slices"
 	"strconv"
@@ -66,52 +67,22 @@ func metricValue(t *testing.T, body, name string) float64 {
 	return v
 }
 
-// TestFragmentServedFromCongruentCacheEntries is the tentpole e2e check:
-// requesting S2's fragment after S1's is served from S1's warm cache
-// entries (the containment hit counter moves) and is byte-identical to
-// what a cold server extracts for S2.
-func TestFragmentServedFromCongruentCacheEntries(t *testing.T) {
+// TestNodeServedFromCongruentCacheEntries: the class table pools the two
+// congruent definition shapes — the keys /node caches under — so S2's
+// neighborhood is served from the entry S1's request put, byte-identical
+// to what a cold server extracts for S2.
+func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
 	srv, ts := newCongruentServer(t)
-
 	if cl := srv.ContainmentClasses(); cl == nil || cl.Shared == 0 {
 		t.Fatalf("containment classes = %+v, want shared shapes", cl)
 	}
 
-	_, warm1 := get(t, ts, "/fragment?shape=S1")
-	_, warm2 := get(t, ts, "/fragment?shape=S2")
-	if warm1 != warm2 {
-		// Same target, congruent shapes: the fragments must coincide too.
+	// Find a node /fragment actually serves, so the neighborhood is
+	// non-trivial. Same target, congruent shapes: the fragments coincide.
+	_, frag := get(t, ts, "/fragment?shape=S1")
+	if _, frag2 := get(t, ts, "/fragment?shape=S2"); frag2 != frag {
 		t.Fatal("congruent definitions served different fragments")
 	}
-
-	_, metrics := get(t, ts, "/metrics")
-	if hits := metricValue(t, metrics, "fragserver_containment_hits_total"); hits == 0 {
-		t.Fatal("S2's fragment did not hit S1's cache entries through the alias table")
-	}
-	if classes := metricValue(t, metrics, "fragserver_containment_classes"); classes == 0 {
-		t.Fatal("containment class gauge missing or zero")
-	}
-	if shared := metricValue(t, metrics, "fragserver_containment_shared_shapes"); shared == 0 {
-		t.Fatal("shared-shapes gauge missing or zero")
-	}
-
-	// Cold control: a fresh server asked only for S2 must produce the
-	// same bytes the warm alias-served response carried.
-	_, cold := newCongruentServer(t)
-	_, coldBody := get(t, cold, "/fragment?shape=S2")
-	if coldBody != warm2 {
-		t.Fatal("alias-served fragment differs from cold extraction")
-	}
-}
-
-// TestNodeServedFromCongruentCacheEntries covers the /node route, which
-// keys the cache by raw definition shapes rather than request shapes.
-func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
-	srv, ts := newCongruentServer(t)
-
-	// Find a node /fragment actually serves, so the neighborhood is
-	// non-trivial.
-	_, frag := get(t, ts, "/fragment?shape=S1")
 	line := strings.SplitN(frag, " ", 2)[0]
 	if !strings.HasPrefix(line, "<") {
 		t.Fatalf("no IRI subject in fragment: %q", frag[:min(80, len(frag))])
@@ -127,13 +98,31 @@ func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
 	if after := srv.cache.Stats().AliasHits; after == before {
 		t.Fatal("S2's /node request did not reuse S1's cached neighborhood")
 	}
+
+	_, metrics := get(t, ts, "/metrics")
+	if hits := metricValue(t, metrics, "fragserver_containment_hits_total"); hits == 0 {
+		t.Fatal("containment hit counter did not move")
+	}
+	if classes := metricValue(t, metrics, "fragserver_containment_classes"); classes == 0 {
+		t.Fatal("containment class gauge missing or zero")
+	}
+	if shared := metricValue(t, metrics, "fragserver_containment_shared_shapes"); shared == 0 {
+		t.Fatal("shared-shapes gauge missing or zero")
+	}
+
+	// Cold control: a fresh server asked only for S2 must produce the
+	// same bytes the alias-served response carried.
+	_, cold := newCongruentServer(t)
+	if _, coldBody := get(t, cold, "/node?iri="+iri+"&shape=S2"); coldBody != n2 {
+		t.Fatal("alias-served neighborhood differs from cold extraction")
+	}
 }
 
 // TestSchemaOnlyWorkSurvivesUpdate pins what an effective /update leaves
 // alone: every compiled program depends on the schema only and is
 // pointer-identical across the epoch, the class table is the very value New
-// computed, and the alias table New installed still routes S2's /fragment
-// to S1's (new-epoch) cache entries.
+// computed, and the alias table New installed still routes S2's /node to
+// S1's (new-epoch) cache entries.
 func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 	srv, ts := newCongruentServer(t)
 	classes := srv.ContainmentClasses()
@@ -159,18 +148,23 @@ func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 		}
 	}
 
-	_, s1 := get(t, ts, "/fragment?shape=S1")
-	hits := srv.cache.Stats().AliasHits
-	_, s2 := get(t, ts, "/fragment?shape=S2")
-	if srv.cache.Stats().AliasHits == hits {
-		t.Error("after the update S2's fragment no longer hits S1's cache entries")
+	focus := rdf.NewIRI(datagen.NS + "event/new-1")
+	node := func(shape string) string {
+		_, body := get(t, ts, "/node?iri="+url.QueryEscape(focus.String())+"&shape="+shape)
+		return body
 	}
-	want := turtle.FormatNTriples(core.Fragment(srv.graphNow(), srv.h, srv.requests[1]))
+	s1 := node("S1")
+	hits := srv.cache.Stats().AliasHits
+	s2 := node("S2")
+	if srv.cache.Stats().AliasHits == hits {
+		t.Error("after the update S2's neighborhood no longer hits S1's cache entries")
+	}
+	want := turtle.FormatNTriples(core.NewExtractor(srv.graphNow(), srv.h).Neighborhood(focus, srv.defShapes[1]))
 	if s1 != want || s2 != want {
-		t.Errorf("post-update fragments differ from cold AST extraction (%d, %d vs %d bytes)", len(s1), len(s2), len(want))
+		t.Errorf("post-update neighborhoods differ from cold AST extraction (%d, %d vs %d bytes)", len(s1), len(s2), len(want))
 	}
 	if !strings.Contains(want, "event/new-1") {
-		t.Error("the update's event is missing from the fragment")
+		t.Error("the update's event is missing from its neighborhood")
 	}
 
 	// That hit went through the table installed at load: with it taken
@@ -181,8 +175,8 @@ func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 		t.Fatalf("POST /update: %d %s", resp.StatusCode, body)
 	}
 	hits = srv.cache.Stats().AliasHits
-	get(t, ts, "/fragment?shape=S1")
-	get(t, ts, "/fragment?shape=S2")
+	node("S1")
+	node("S2")
 	if got := srv.cache.Stats().AliasHits; got != hits {
 		t.Errorf("an /update installed an alias table: %d alias hits after the load-time table was cleared", got-hits)
 	}

@@ -18,6 +18,32 @@ import (
 	"shaclfrag/internal/turtle"
 )
 
+// coldNodeBody is /node?iri=v's body on srv's current snapshot computed
+// without the cache: the AST walker over every definition of the schema,
+// in the handler's order.
+func coldNodeBody(t testing.TB, srv *Server, v rdf.Term) string {
+	t.Helper()
+	snap := srv.Store().Current()
+	r := snap.Reader()
+	id := r.LookupTerm(v)
+	if id == rdfgraph.NoID {
+		return ""
+	}
+	ids, err := core.NewExtractor(r, srv.h).NeighborhoodsCached(context.Background(), nil, snap.Epoch(), id, srv.defShapes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rdfgraph.SortIDTriples(r.Dict(), ids)
+	var buf bytes.Buffer
+	nw := turtle.NewNTriplesWriter(&buf)
+	for _, tr := range slices.Compact(ids) {
+		nw.WriteTriple(r.Dict().Triple(tr)) //nolint:errcheck — a buffer
+	}
+	nw.Flush() //nolint:errcheck — a buffer
+	nw.Close() //nolint:errcheck — a buffer
+	return buf.String()
+}
+
 // TestCacheHistoryExact runs a seeded history of updates against a server
 // whose neighborhood cache stays warm across them, and checks every /node
 // body at every epoch against cold AST extraction of that epoch: an entry
@@ -50,36 +76,13 @@ func TestCacheHistoryExact(t *testing.T) {
 		}
 	}
 
-	// coldBody is /node?iri=v's body computed without the cache: the AST
-	// walker over every definition of the schema, in the handler's order.
-	coldBody := func(v rdf.Term) string {
-		snap := srv.store.Current()
-		r := snap.Reader()
-		id := r.LookupTerm(v)
-		if id == rdfgraph.NoID {
-			return ""
-		}
-		ids, err := core.NewExtractor(r, srv.h).NeighborhoodsCached(context.Background(), nil, snap.Epoch(), id, srv.defShapes, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rdfgraph.SortIDTriples(r.Dict(), ids)
-		var buf bytes.Buffer
-		nw := turtle.NewNTriplesWriter(&buf)
-		for _, tr := range slices.Compact(ids) {
-			nw.WriteTriple(r.Dict().Triple(tr)) //nolint:errcheck — a buffer
-		}
-		nw.Flush() //nolint:errcheck — a buffer
-		nw.Close() //nolint:errcheck — a buffer
-		return buf.String()
-	}
 	read := func(step int, v rdf.Term) {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/node?iri="+url.QueryEscape(v.String()), nil))
 		if rec.Code != 200 {
 			t.Fatalf("step %d: /node?iri=%s: %d", step, v, rec.Code)
 		}
-		if want := coldBody(v); rec.Body.String() != want {
+		if want := coldNodeBody(t, srv, v); rec.Body.String() != want {
 			t.Fatalf("step %d (epoch %s): /node?iri=%s serves a neighborhood cold extraction does not give:\n%s\nwant:\n%s",
 				step, rec.Header().Get("X-Epoch"), v, rec.Body, want)
 		}

@@ -21,39 +21,44 @@ import (
 )
 
 // hookedStore serves a real store's snapshots through a reader that runs
-// hook, once, from inside the next forward-index callback after arm.
+// hook, once, from inside the next forward-index callback after arm, and
+// counts in after every callback it serves while no hook is armed.
 type hookedStore struct {
 	store.Store
-	hook atomic.Pointer[func()]
+	hook  atomic.Pointer[func()]
+	after atomic.Int64
 }
 
 func (st *hookedStore) arm(hook func()) { st.hook.Store(&hook) }
 
 func (st *hookedStore) Current() store.Snapshot {
 	snap := st.Store.Current()
-	return faultySnap{snap, hookedReader{snap.Reader(), &st.hook}}
+	return faultySnap{snap, hookedReader{snap.Reader(), &st.hook, &st.after}}
 }
 
 type hookedReader struct {
 	rdfgraph.Reader
-	hook *atomic.Pointer[func()]
+	hook  *atomic.Pointer[func()]
+	after *atomic.Int64
 }
 
 func (r hookedReader) Objects(s, p rdfgraph.ID, fn func(rdfgraph.ID)) {
 	r.Reader.Objects(s, p, func(o rdfgraph.ID) {
 		if hook := r.hook.Swap(nil); hook != nil {
 			(*hook)()
+		} else {
+			r.after.Add(1)
 		}
 		fn(o)
 	})
 }
 
 // cliqueStar is the graph and schema of the interruption tests: an n-node
-// clique over p with a p-chain of tail further nodes hanging off it —
-// product states at one triple each, where a clique's come at n — two nodes
-// of which are targets of a shape asking for a p*/p* path, and the first of
-// those.
-func cliqueStar(n, tail int) (*rdfgraph.Graph, *schema.Schema, rdf.Term) {
+// clique over p with tail further nodes hanging off its last one as chains
+// parallel p-chains — product states at one triple each, where a clique's
+// come at n — two nodes of which are targets of a shape asking for a p*/p*
+// path, and the first of those.
+func cliqueStar(n, tail, chains int) (*rdfgraph.Graph, *schema.Schema, rdf.Term) {
 	const ns = "http://clique.example/"
 	g := rdfgraph.New()
 	p, focus := rdf.NewIRI(ns+"p"), rdf.NewIRI(ns+"focus")
@@ -66,7 +71,11 @@ func cliqueStar(n, tail int) (*rdfgraph.Graph, *schema.Schema, rdf.Term) {
 		}
 	}
 	for i := 0; i < tail; i++ {
-		g.Add(rdf.T(node(max(n+i-1, 0)), p, node(n+i)))
+		parent := n - 1
+		if i >= chains {
+			parent = n + i - chains
+		}
+		g.Add(rdf.T(node(max(parent, 0)), p, node(n+i)))
 	}
 	g.Add(rdf.T(node(0), focus, node(1)))
 	g.Add(rdf.T(node(7), focus, node(1)))
@@ -81,15 +90,17 @@ func cliqueStar(n, tail int) (*rdfgraph.Graph, *schema.Schema, rdf.Term) {
 }
 
 // TestSearchInterruptedMidSource cancels a /fragment request from inside a
-// graph callback of its first path search: a star path over a 300-node
-// clique, where one source alone is some ten thousand product states over
-// 90 000 edges, and a work unit (cancellation's old granularity) is every
-// focus node there is. The search must stop on its own poll: the request
-// gets the 503 of a timeout — not a 500, no panic counted — nothing of the
-// interrupted unit reaches the cache, and the server, pooled extractor and
-// all, answers the next request byte-identically to cold AST extraction.
+// graph callback of its first path search: a star path over a 20-node
+// clique with a 20 000-node tail in 100 chains, so the one source-set
+// search a work unit runs is tens of thousands of product states, and a work unit
+// (cancellation's old granularity) is a worker's share of the focus nodes.
+// The search must stop on its own poll: the request gets the 503 of a
+// timeout — not a 500, no panic counted — the graph callbacks served after
+// the cancel stay under a quarter of what the whole request serves, and the
+// server, pooled extractor and all, answers the next request
+// byte-identically to cold AST extraction.
 func TestSearchInterruptedMidSource(t *testing.T) {
-	g, h, _ := cliqueStar(300, 0)
+	g, h, _ := cliqueStar(20, 20000, 100)
 	want := turtle.FormatNTriples(core.NewExtractor(g, h).Fragment(core.SchemaRequests(h)))
 
 	for _, workers := range []int{1, 4} {
@@ -119,9 +130,7 @@ func TestSearchInterruptedMidSource(t *testing.T) {
 			if got := srv.metrics.panics.Value(); got != 0 {
 				t.Errorf("fragserver_panics_total = %v: a stopped search is not a panic", got)
 			}
-			if n := srv.cache.Len(); n != 0 {
-				t.Errorf("%d neighborhoods cached by the interrupted request, want none", n)
-			}
+			stopped := st.after.Swap(0)
 
 			rec = fetch(context.Background())
 			if rec.Code != http.StatusOK {
@@ -129,6 +138,9 @@ func TestSearchInterruptedMidSource(t *testing.T) {
 			}
 			if rec.Body.String() != want {
 				t.Errorf("next /fragment differs from cold AST extraction (%d vs %d bytes)", rec.Body.Len(), len(want))
+			}
+			if full := st.after.Load(); stopped >= full/4 {
+				t.Errorf("%d callbacks served after the cancel, the whole request serves %d: a worker ran its unit to the end", stopped, full)
 			}
 		})
 	}
@@ -139,7 +151,7 @@ func TestSearchInterruptedMidSource(t *testing.T) {
 // search too, so a client that has gone, or the timeout, ends a hub's search
 // with the same 503 — and a warm hit, which runs no search, installs nothing.
 func TestNodeMissInterruptedMidSearch(t *testing.T) {
-	g, h, focus := cliqueStar(300, 0)
+	g, h, focus := cliqueStar(300, 0, 1)
 	want := turtle.FormatNTriples(core.NewExtractor(g, h).Neighborhood(focus, h.Definitions()[0].Shape))
 
 	real, err := store.New(g, store.Config{})
@@ -184,15 +196,15 @@ func TestNodeMissInterruptedMidSearch(t *testing.T) {
 	}
 }
 
-// TestExplainInterruptedMidSearch is the same through GET /explain, the last
-// route to poll. The pooled extractor has answered once and then validated,
+// TestExplainInterruptedMidSearch is the same through GET /explain. The
+// pooled extractor has answered once and then validated,
 // which leaves conformance memoized and the other target's search as the one
 // kept, so the interrupted request stops inside its attributed trace: it gets
 // the 503 of a timeout, and the extractor it unwound through is whole again —
 // the next /explain is byte-identical to the first, and a /node through that
 // extractor serves and fills the cache.
 func TestExplainInterruptedMidSearch(t *testing.T) {
-	g, h, focus := cliqueStar(20, 3000) // /explain writes some 900 bytes a triple
+	g, h, focus := cliqueStar(20, 3000, 1) // /explain writes some 900 bytes a triple
 	real, err := store.New(g, store.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -232,5 +244,49 @@ func TestExplainInterruptedMidSearch(t *testing.T) {
 	}
 	if rec = fetch(context.Background(), "/node"); rec.Code != http.StatusOK || srv.cache.Len() == 0 {
 		t.Errorf("next /node: status %d, %d neighborhoods cached", rec.Code, srv.cache.Len())
+	}
+}
+
+// TestValidateInterruptedMidSearch is the same through GET /validate, whose
+// conformance checks run the same star search over the clique: the request
+// ends with the 503 of a timeout instead of running past its budget, no
+// panic is counted, and the next /validate answers as a fresh server does.
+func TestValidateInterruptedMidSearch(t *testing.T) {
+	g, h, _ := cliqueStar(300, 0, 1)
+	serve := func(st store.Store) *Server {
+		srv, err := New(Config{Store: st, Schema: h, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	fetch := func(srv *Server, ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/validate?full=1", nil).WithContext(ctx))
+		return rec
+	}
+	real, err := store.New(g, store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fetch(serve(real), context.Background())
+	if want.Code != http.StatusOK {
+		t.Fatalf("cold /validate: status %d: %s", want.Code, want.Body.String())
+	}
+
+	st := &hookedStore{Store: real}
+	srv := serve(st)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st.arm(cancel)
+	rec := fetch(srv, ctx)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+		t.Fatalf("cancelled /validate: status %d %.200q, want 503 naming %v", rec.Code, rec.Body.String(), context.Canceled)
+	}
+	if got := srv.metrics.panics.Value(); got != 0 {
+		t.Errorf("fragserver_panics_total = %v: a stopped search is not a panic", got)
+	}
+	if rec = fetch(srv, context.Background()); rec.Code != http.StatusOK || rec.Body.String() != want.Body.String() {
+		t.Errorf("next /validate: status %d, differs from a fresh server's (%q vs %q)", rec.Code, rec.Body.String(), want.Body.String())
 	}
 }

@@ -270,7 +270,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// schema, computed in New, so each is set once. Shared > 0 means the
 	// schema has congruent definitions whose cache entries are pooled.
 	reg.Gauge(mContainClasses,
-		"Containment equivalence classes over the request and definition shapes.").
+		"Containment equivalence classes over the definition shapes.").
 		Set(int64(s.classes.NumClasses))
 	reg.Gauge(mContainShared,
 		"Shapes aliased to another shape's cache entries by the containment analysis.").

@@ -63,11 +63,16 @@ func TestMetricsEndpoint(t *testing.T) {
 // the cache's own accounting, not a parallel count that can drift.
 func TestMetricsCacheParity(t *testing.T) {
 	srv, ts := newTestServer(t)
-	get(t, ts, "/fragment")
-	get(t, ts, "/fragment")
+	frag := core.NewExtractor(srv.graphNow(), srv.h).Fragment(srv.requests[:1])
+	if len(frag) == 0 {
+		t.Fatal("test fragment empty")
+	}
+	focus := url.QueryEscape(frag[0].S.String())
+	get(t, ts, "/node?iri="+focus)
+	get(t, ts, "/node?iri="+focus)
 	st := srv.cache.Stats()
 	if st.Hits == 0 {
-		t.Fatal("second /fragment should have produced cache hits")
+		t.Fatal("second /node should have produced cache hits")
 	}
 	_, body := get(t, ts, "/metrics")
 	for metric, want := range map[string]uint64{

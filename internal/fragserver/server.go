@@ -30,8 +30,8 @@
 // Production behaviors: per-request timeouts propagated through
 // context.Context into extraction, bounded in-flight concurrency (503 when
 // saturated), structured access logs, incremental N-Triples streaming, a
-// shared bounded LRU of per-(node, shape) neighborhoods, and parallel
-// fragment extraction via core.FragmentParallel.
+// shared bounded LRU of the per-(node, shape) neighborhoods /node serves,
+// and parallel fragment extraction via core.FragmentParallel.
 //
 // # Observability
 //
@@ -125,8 +125,8 @@ type Config struct {
 	MaxInflight int
 	// RequestTimeout is the per-request compute budget; <= 0 means 30s.
 	RequestTimeout time.Duration
-	// CacheTriples is the neighborhood LRU budget in triples; 0 means one
-	// million, negative disables the cache.
+	// CacheTriples is the budget, in triples, of the neighborhood LRU
+	// /node serves from; 0 means one million, negative disables the cache.
 	CacheTriples int
 	// Logger receives structured access logs; nil means slog.Default().
 	Logger *slog.Logger
@@ -202,8 +202,8 @@ type Server struct {
 	maxUpdate  int64
 
 	// requests holds one pointer-stable request shape φ ∧ τ per definition
-	// (in definition order): both the /fragment work list and the stable
-	// cache keys.
+	// (in definition order): the /fragment work list and the shapes live
+	// maintains.
 	requests []shape.Shape
 
 	// programs holds one compiled program per request, aligned with
@@ -215,9 +215,9 @@ type Server struct {
 	// defShapes holds every definition's raw shape in definition order: the
 	// keys /node caches neighborhoods under, and its work list when no
 	// shape is named. classes is the containment equivalence-class table
-	// over requests followed by defShapes. It is a function of the schema
-	// alone, so New computes it and installs the cache's alias map once,
-	// and no epoch touches either again.
+	// over defShapes. It is a function of the schema alone, so New computes
+	// it and installs the cache's alias map once, and no epoch touches
+	// either again.
 	defShapes []shape.Shape
 	classes   *contain.Classes
 
@@ -335,21 +335,18 @@ func New(cfg Config) (*Server, error) {
 		s.defShapes = append(s.defShapes, d.Shape)
 	}
 	// Congruent definitions share cache entries from the first request on:
-	// a /fragment or /node for one class member is served from the entries
-	// its representative already put.
-	classShapes := append(append([]shape.Shape{}, s.requests...), s.defShapes...)
+	// a /node for one class member is served from the entries its
+	// representative already put.
 	start := time.Now()
-	cl := contain.ComputeClasses(cfg.Schema, classShapes)
+	cl := contain.ComputeClasses(cfg.Schema, s.defShapes)
 	s.classes = &cl
-	if s.cache != nil {
-		s.cache.SetAliases(cl.Aliases(classShapes))
-	}
 	logger.Info("containment classes", "classes", cl.NumClasses, "shared", cl.Shared,
 		"dur_ms", float64(time.Since(start).Microseconds())/1000)
 	if s.cache != nil {
+		s.cache.SetAliases(cl.Aliases(s.defShapes))
 		// Updates keep every entry of these shapes valid that they cannot
 		// reach (POST /update's invalidate stage).
-		s.cache.SetFootprints(classShapes, cfg.Schema)
+		s.cache.SetFootprints(s.defShapes, cfg.Schema)
 		s.cache.SetEpoch(st.Current().Epoch())
 	}
 	s.hb = cfg.Heartbeat
@@ -626,9 +623,17 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	defer done()
 	x := s.acquire(snap.Reader())
 	validate := obs.FromContext(r.Context()).StartChild("validate")
-	report := s.h.ValidateWith(x.Evaluator())
-	s.release(x)
+	var report *schema.Report
+	err := x.WithStop(r.Context(), func() error { // a star path on a hub runs long
+		report = s.h.ValidateWith(x.Evaluator())
+		return nil
+	})
 	validate.End()
+	if err != nil {
+		httpTimeoutError(w, r, err)
+		return
+	}
+	s.release(x)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "conforms: %v\nfocus nodes: %d\nviolations: %d\n",
 		report.Conforms, report.TargetedNodes, len(report.Violations()))
@@ -665,8 +670,6 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	extract := root.StartChild("extract")
 	ids, _, err := x.FragmentParallelIDs(requests, core.ParallelOptions{
 		Workers: s.workers,
-		Cache:   s.cache,
-		Epoch:   snap.Epoch(),
 		Ctx:     r.Context(),
 		Plans:   s.plansFor(lo, hi),
 		Span:    extract,

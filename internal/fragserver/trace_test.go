@@ -414,9 +414,9 @@ func TestSpanCountIndependentOfSize(t *testing.T) {
 			}
 			srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/fragment", nil))
 			st := keptTrace(t, srv, "GET /fragment")
-			units := intAttr(spanByName(st.Root(), "extract"), "units")
-			if i == 1 && units < 1000 {
-				t.Fatalf("large /fragment ran %d work units, want >= 1000", units)
+			nodes := intAttr(spanByName(st.Root(), "extract"), "nodes")
+			if i == 1 && nodes < 10000 {
+				t.Fatalf("large /fragment visited %d focus nodes, want >= 10000", nodes)
 			}
 			spans[i] = st.NumSpans()
 		}

@@ -77,9 +77,6 @@ type Bound struct {
 	// Checks counts conformance evaluations actually run (memo misses),
 	// mirroring shape.Evaluator.Checks.
 	Checks int
-	// Resets counts ResetVisited calls — one per isolated accumulation
-	// unit, surfaced as the memo_resets span attribute in traces.
-	Resets int
 }
 
 // Bind resolves p against g. Binding is cheap relative to extraction: IRI

@@ -12,9 +12,9 @@ import (
 // traces all its foci with one product search (paths.Evaluator.TraceSetInto)
 // and recurses into all their witnesses with one call. The visited state
 // persists across calls, like core.Extractor's shared visited set;
-// ResetVisited starts an isolated per-node unit, as the neighborhood cache
-// requires. The triples are exactly those of core.Extractor.collect over the
-// same nodes — the parity suites gate this.
+// ResetVisited starts an isolated per-node unit, as live's per-focus
+// support counts require. The triples are exactly those of
+// core.Extractor.collect over the same nodes — the parity suites gate this.
 func (b *Bound) CollectAllInto(nodes []rdfgraph.ID, out *rdfgraph.IDTripleSet) {
 	b.collect(nodes, b.prog.Root, out)
 }
@@ -28,7 +28,6 @@ func (b *Bound) CollectInto(v rdfgraph.ID, out *rdfgraph.IDTripleSet) {
 // (instruction, node) pairs will be re-collected. Costs a generation bump;
 // rows are wiped only when the 8-bit generation wraps.
 func (b *Bound) ResetVisited() {
-	b.Resets++
 	b.gen++
 	if b.gen == 0 {
 		for i := range b.visited {

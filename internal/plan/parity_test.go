@@ -66,8 +66,8 @@ func exampleParityCases(t *testing.T) []parityCase {
 		h:    schema.MustNew(datagen.BenchmarkShapes()...),
 	})
 	// The shapes the set form has cases of its own for (plan_test.go), each
-	// under two targets: without a cache a work unit is a source set, and
-	// its size follows the worker count.
+	// under two targets: a work unit is a source set, and its size follows
+	// the worker count.
 	rng := rand.New(rand.NewSource(17))
 	var defs []schema.Definition
 	for i, phi := range setShapes(rng) {
@@ -84,7 +84,9 @@ func exampleParityCases(t *testing.T) []parityCase {
 // TestPlanFragmentParity is the tentpole acceptance gate: Frag(G, H)
 // extracted by compiled plans through FragmentParallel is byte-identical
 // to the AST extractor's output for every example schema, at worker counts
-// 1/2/4, with and without the neighborhood cache.
+// 1/2/4. So is the union of the per-focus neighborhoods
+// Extractor.Neighborhoods extracts over each request's focus nodes — the
+// mode live maintenance runs — with each request's program and with none.
 func TestPlanFragmentParity(t *testing.T) {
 	for _, tc := range exampleParityCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,37 +98,36 @@ func TestPlanFragmentParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			r := st.Current().Reader()
 			for _, workers := range []int{1, 2, 4} {
-				for _, cached := range []bool{false, true} {
-					var cache *core.NeighborhoodCache
-					if cached {
-						cache = core.NewNeighborhoodCache(1 << 20)
+				frag, err := core.NewExtractor(r, tc.h).FragmentParallel(requests, core.ParallelOptions{
+					Workers: workers,
+					Plans:   plans,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := turtle.FormatNTriples(frag); got != want {
+					t.Errorf("workers=%d: plan fragment differs from AST (%d vs %d bytes)", workers, len(got), len(want))
+				}
+			}
+			for _, planned := range []bool{false, true} {
+				x := core.NewExtractor(r, tc.h)
+				union := rdfgraph.NewIDTripleSet()
+				for i, request := range requests {
+					var prog *plan.Program
+					if planned {
+						prog = plans.Programs[i]
 					}
-					x := core.NewExtractor(st.Current().Reader(), tc.h)
-					frag, err := x.FragmentParallel(requests, core.ParallelOptions{
-						Workers: workers,
-						Plans:   plans,
-						Cache:   cache,
-					})
-					if err != nil {
+					var all []rdfgraph.ID
+					foci := x.Evaluator().FocusNodes(shape.NNF(request), &all)
+					if err := x.Neighborhoods(request, prog, foci, union.AddAll); err != nil {
 						t.Fatal(err)
 					}
-					if got := turtle.FormatNTriples(frag); got != want {
-						t.Errorf("workers=%d cached=%v: plan fragment differs from AST (%d vs %d bytes)",
-							workers, cached, len(got), len(want))
-					}
-					if cached {
-						// Second pass hits the plan-populated cache.
-						frag, err = x.FragmentParallel(requests, core.ParallelOptions{
-							Workers: workers, Plans: plans, Cache: cache,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := turtle.FormatNTriples(frag); got != want {
-							t.Errorf("workers=%d: cached replay differs", workers)
-						}
-					}
+				}
+				if got := turtle.FormatNTriples(union.Triples(r.Dict())); got != want {
+					t.Errorf("planned=%v: union of per-focus neighborhoods differs from AST (%d vs %d bytes)",
+						planned, len(got), len(want))
 				}
 			}
 		})

@@ -88,13 +88,12 @@ func exampleParityCases(t *testing.T) []parityCase {
 }
 
 // TestFragmentParityAcrossUpdates is the acceptance gate for the store:
-// Frag(G, H) computed through the store at every worker count, cold and
-// through a neighborhood cache, is byte-identical to serial extraction
-// from one plain graph, for every example schema shipped in the repo — on
-// the loaded graph and again after each of three updates (a deletion, its
-// re-add, and triples over terms the graph never interned), with one cache
-// kept across them the way the server keeps it: every round reads at its
-// own epoch, and no entry of an earlier epoch is served.
+// Frag(G, H) computed through the store at every worker count is
+// byte-identical to serial extraction from one plain graph, for every
+// example schema shipped in the repo — on the loaded graph and again after
+// each of three updates (a deletion, its re-add, and triples over terms
+// the graph never interned). Cached neighborhoods across epochs are
+// fragserver's TestCacheHistoryExact.
 func TestFragmentParityAcrossUpdates(t *testing.T) {
 	for _, tc := range exampleParityCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,29 +135,24 @@ func TestFragmentParityAcrossUpdates(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 2, 4} {
-				for _, cache := range []*core.NeighborhoodCache{nil, core.NewNeighborhoodCache(1 << 20)} {
-					// A store owns its graph, and the fresh delta appends
-					// to its dictionary: every store gets its own copy.
-					g := tc.g.Clone()
-					store.WarmDictionary(g, tc.h)
-					st, err := store.New(g, store.Config{})
+				// A store owns its graph, and the fresh delta appends to
+				// its dictionary: every store gets its own copy.
+				g := tc.g.Clone()
+				store.WarmDictionary(g, tc.h)
+				st, err := store.New(g, store.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round, d := range deltas {
+					st.Apply(d)
+					x := core.NewExtractor(st.Current().Reader(), tc.h)
+					frag, err := x.FragmentParallel(requests, core.ParallelOptions{Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
-					for round, d := range deltas {
-						st.Apply(d)
-						snap := st.Current()
-						x := core.NewExtractor(snap.Reader(), tc.h)
-						frag, err := x.FragmentParallel(requests, core.ParallelOptions{
-							Workers: workers, Cache: cache, Epoch: snap.Epoch(),
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := turtle.FormatNTriples(frag); got != want[round] {
-							t.Fatalf("workers=%d cache=%v after %d updates: fragment differs from serial extraction (%d vs %d bytes)",
-								workers, cache != nil, round, len(got), len(want[round]))
-						}
+					if got := turtle.FormatNTriples(frag); got != want[round] {
+						t.Fatalf("workers=%d after %d updates: fragment differs from serial extraction (%d vs %d bytes)",
+							workers, round, len(got), len(want[round]))
 					}
 				}
 			}

@@ -90,7 +90,7 @@ func TestConcurrentApplyAndExtract(t *testing.T) {
 				}
 				snap := st.Current()
 				x := core.NewExtractor(snap.Reader(), h)
-				if _, err := x.FragmentParallel(requests, core.ParallelOptions{Workers: 2, Epoch: snap.Epoch()}); err != nil {
+				if _, err := x.FragmentParallel(requests, core.ParallelOptions{Workers: 2}); err != nil {
 					errs <- err.Error()
 					return
 				}

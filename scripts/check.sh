@@ -26,10 +26,11 @@ $GO build ./...
 echo "== bench-only adapters have no other callers"
 # plan.PlanSchema, plan.Config, store.SampleStats and store.CardStats (and the
 # ProgramSet method PlanSchema's result is read through), the carry-nothing
-# NeighborhoodCache.Carry, the always-nil ApplyResult.Unaffected and
-# live.Config.Cache, which live ignores, exist only so the frozen bench/
-# module compiles. The benchmark PR (ROADMAP item 1) deletes them by editing
-# bench/ alone, which works only while nothing else references them.
+# NeighborhoodCache.Carry, the always-nil ApplyResult.Unaffected, and
+# live.Config.Cache and core.ParallelOptions.Cache/.Epoch, which live and
+# core ignore, exist only so the frozen bench/ module compiles. The
+# benchmark PR (ROADMAP item 1) deletes them by editing bench/ alone, which
+# works only while nothing else references them.
 if callers=$(grep -rnE '\b(plan\.(PlanSchema|Config)|store\.(SampleStats|CardStats))\b|\.ProgramSet\(|\.Carry\(|\.Unaffected\b' --include='*.go' . |
     grep -v -e '^\./bench/' -e '^\./\.bench_build/' -e '^\./internal/plan/benchadapter\.go:' -e '^\./internal/store/stats\.go:' \
         -e '^\./internal/core/benchadapter\.go:'); then
@@ -39,6 +40,13 @@ if callers=$(grep -rnE '\b(plan\.(PlanSchema|Config)|store\.(SampleStats|CardSta
 fi
 if callers=$(grep -nE 'cfg\.Cache' internal/live/*.go | grep -v '_test\.go:'); then
     echo "live reads the bench-only live.Config.Cache:" >&2
+    echo "$callers" >&2
+    exit 1
+fi
+# Any selector named Cache or Epoch counts, whatever the variable is called:
+# nothing else in core has a field or method of either name.
+if callers=$(grep -nE '\.(Cache|Epoch)\b' internal/core/*.go | grep -v '_test\.go:'); then
+    echo "core reads the bench-only ParallelOptions.Cache or .Epoch:" >&2
     echo "$callers" >&2
     exit 1
 fi
@@ -93,8 +101,8 @@ echo "== go test (everything else)"
 $GO test ./...
 
 echo "== store byte-parity across updates and scale smoke"
-# Frag(G, H) through the store at every worker count, cold and cached,
-# before and after updates, must stay byte-identical to serial extraction
+# Frag(G, H) through the store at every worker count, before and after
+# updates, must stay byte-identical to serial extraction
 # from one plain graph, and a streamed 1M-triple load must come up serving.
 $GO test -count=1 -run 'TestFragmentParityAcrossUpdates|TestLoaderScale' ./internal/store
 
@@ -214,5 +222,10 @@ $GO test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/obs
 
 echo "== /tpf patterns against Proposition 6.2, fuzzed (5s smoke)"
 $GO test -run '^$' -fuzz FuzzTPFPattern -fuzztime 5s ./internal/fragserver
+
+echo "== /update bodies against cold extraction, fuzzed (5s smoke)"
+# Each exec builds a server, so unbounded minimization of one interesting
+# input can spend the whole smoke.
+$GO test -run '^$' -fuzz FuzzUpdateBody -fuzztime 5s -fuzzminimizetime 50x ./internal/fragserver
 
 echo "check: OK"
