@@ -58,14 +58,15 @@ func TestFragmentOfUnionIsUnionOfFragments(t *testing.T) {
 		both := core.Fragment(g, nil, s1, s2)
 		a := core.Fragment(g, nil, s1)
 		b := core.Fragment(g, nil, s2)
-		union := rdfgraph.NewTripleSet()
-		for _, tr := range a {
-			union.Add(tr)
+		union := map[rdf.Triple]bool{}
+		var distinct []rdf.Triple
+		for _, tr := range append(a, b...) {
+			if !union[tr] {
+				union[tr] = true
+				distinct = append(distinct, tr)
+			}
 		}
-		for _, tr := range b {
-			union.Add(tr)
-		}
-		if !triplesEqual(both, union.Triples()) {
+		if !triplesEqual(both, distinct) {
 			t.Fatalf("Frag(G,{s1,s2}) ≠ Frag(G,{s1}) ∪ Frag(G,{s2})\ns1 = %s\ns2 = %s", s1, s2)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +29,7 @@ type ParallelOptions struct {
 	// rejects any reader in this package).
 	Cache *NeighborhoodCache
 	// Ctx, when non-nil, aborts extraction between work units and inside a
-	// path search (polled every few thousand product states, so one source
+	// path search (polled every few thousand product edges, so one source
 	// under a star path on a hub is interruptible); the error returned is
 	// ctx.Err(). Used by the HTTP server for request timeouts.
 	Ctx context.Context
@@ -270,6 +269,14 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	}
 
 	outs := make([]*rdfgraph.IDTripleSet, workers)
+	defer func() {
+		for _, o := range outs {
+			if o != nil && o.Len() <= rdfgraph.MaxPooled {
+				o.Reset() // a map keeps its buckets across clear
+				accumulators.Put(o)
+			}
+		}
+	}()
 	var next atomic.Int64
 	var cancelled atomic.Bool
 	var panicked atomic.Pointer[PanicError] // the first worker panic
@@ -300,14 +307,14 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	if workers == 1 {
 		// On the calling goroutine and extractor: its evaluator caches keep
 		// accumulating across calls, and a panic reaches the recover above.
-		outs[0] = rdfgraph.NewIDTripleSet()
+		outs[0] = accumulators.Get().(*rdfgraph.IDTripleSet)
 		x.ev.SetStop(stopOf(opts.Ctx))
 		defer x.ev.SetStop(nil) // x outlives the call (the server pools it)
 		work(x, outs[0])
 	} else {
 		var wg sync.WaitGroup
 		for w := range outs {
-			out := rdfgraph.NewIDTripleSet()
+			out := accumulators.Get().(*rdfgraph.IDTripleSet)
 			outs[w] = out
 			wg.Add(1)
 			go func() {
@@ -333,15 +340,19 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 		return nil, total, opts.Ctx.Err()
 	}
 	defer opts.Span.StartChild("merge").End()
-	// Union by sort and compact: cheaper than growing one worker's map by
-	// the others' contents only to list and sort it afterwards.
-	merged := make([]rdfgraph.IDTriple, 0, len(outs)*outs[0].Len()) // shares are about even
-	for _, o := range outs {
-		o.Each(func(t rdfgraph.IDTriple) { merged = append(merged, t) })
+	// The union grows the first worker's set, whose buckets the pool keeps,
+	// so the fragment is listed once, at its distinct count, and sorted.
+	for _, o := range outs[1:] {
+		outs[0].AddSet(o)
 	}
-	rdfgraph.SortIDTriples(g.Dict(), merged)
-	return slices.Compact(merged), total, nil
+	triples = outs[0].AppendTo(make([]rdfgraph.IDTriple, 0, outs[0].Len()))
+	rdfgraph.SortIDTriples(g.Dict(), triples)
+	return triples, total, nil
 }
+
+// accumulators recycles FragmentParallelIDs' per-worker triple sets across
+// calls, up to rdfgraph.MaxPooled triples.
+var accumulators = sync.Pool{New: func() any { return rdfgraph.NewIDTripleSet() }}
 
 // focusNodes returns, per normalized request, the nodes extraction visits
 // (shape.Evaluator.FocusNodes), and the total over requests.

@@ -28,15 +28,17 @@ func (d *discardResponse) WriteHeader(int)             {}
 // span tree, access log, cache lookups, canonical sort, N-Triples encoding
 // — must stay under a committed number of allocations. Every request
 // records its span tree, so the counts include it: 61 for /node over all
-// 183 definitions (bound: that plus a quarter) and 234 for a one-shape
-// /fragment at two workers (bound kept at the 260 it had while only a
-// flat stage list was recorded, at 240); the commit before the read tail
-// moved onto IDs needed 278 and 2 796. A per-shape or per-triple
-// allocation creeping back in overshoots at once: the /node reply comes
-// out of 183 lookups, the fragment has several hundred triples. With
-// TraceSample 1 the same requests also pay for being kept — traceparent
-// header, root attributes, ring insert, exemplar: 71 and 244, bounded at
-// a quarter more.
+// 183 definitions (bound: that plus a quarter) and 232 for a one-shape
+// /fragment at two workers (bound: that plus a tenth — a quarter would be
+// above the 260 it had before its per-worker sets and merge scratch were
+// pooled, at 259); the commit before the read tail moved onto IDs needed
+// 278 and 2 796. A per-shape or per-triple allocation creeping back in
+// overshoots at once: the /node reply comes out of 183 lookups, the
+// fragment has several hundred triples. The /fragment rows also bound
+// bytes: 20.7 kB/op, a quarter more allowed, where per-request triple sets
+// and an unpooled merge slice cost 47 kB. With TraceSample 1 the same
+// requests also pay for being kept — traceparent header, root attributes,
+// ring insert, exemplar: 71 and 242, bounded like the rows above.
 func TestWarmNodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -47,11 +49,12 @@ func TestWarmNodeAllocs(t *testing.T) {
 		sample int
 		target string
 		bound  float64
+		kb     float64 // 0: unchecked
 	}{
-		{0, node, 77},
-		{0, "/fragment?shape=S01", 260},
-		{1, node, 89},
-		{1, "/fragment?shape=S01", 305},
+		{0, node, 77, 0},
+		{0, "/fragment?shape=S01", 255, 26},
+		{1, node, 89, 0},
+		{1, "/fragment?shape=S01", 266, 26},
 	} {
 		srv, err := New(Config{
 			Graph:  datagen.Tyrol(datagen.TyrolConfig{Individuals: 400, Seed: 9}),
@@ -66,13 +69,20 @@ func TestWarmNodeAllocs(t *testing.T) {
 		if w.h.Get("X-Triple-Count") == "0" {
 			t.Fatalf("GET %s returned no triples: nothing to measure", tc.target)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(200, func() {
 			clear(w.h)
 			srv.Handler().ServeHTTP(w, req)
 		})
-		t.Logf("GET %s, TraceSample %d: %.0f allocs/op (bound %.0f)", tc.target, tc.sample, allocs, tc.bound)
+		runtime.ReadMemStats(&after)
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / 201 / 1024 // AllocsPerRun adds a warm-up run
+		t.Logf("GET %s, TraceSample %d: %.0f allocs/op, %.1f kB/op (bounds %.0f, %.0f)", tc.target, tc.sample, allocs, kb, tc.bound, tc.kb)
 		if allocs > tc.bound {
 			t.Errorf("GET %s, TraceSample %d: %.0f allocs/op, bound %.0f", tc.target, tc.sample, allocs, tc.bound)
+		}
+		if tc.kb > 0 && kb > tc.kb {
+			t.Errorf("GET %s, TraceSample %d: %.1f kB/op, bound %.0f", tc.target, tc.sample, kb, tc.kb)
 		}
 	}
 }

@@ -105,8 +105,11 @@ func (t *stateTable) grow() {
 // it, and that caller recovers it.
 var ErrStopped = errors.New("paths: search stopped")
 
-// stopEvery is how many product states a search expands between two polls
-// of the stop function.
+// stopEvery is how many product states expanded plus edges crossed a
+// search counts between two polls of the stop function. Both count: a dense
+// hub's few states carry tens of thousands of edges, and a search from
+// thousands of sources along a rare predicate expands states but crosses
+// almost no edges.
 const stopEvery = 4096
 
 // search is the scratch product searches run on. An Evaluator borrows one
@@ -185,8 +188,8 @@ type Evaluator struct {
 	atomicFwd bool
 	atomicID  rdfgraph.ID
 
-	// stop, when non-nil, is polled every stopEvery expanded product states;
-	// ticks counts them across searches.
+	// stop, when non-nil, is polled every stopEvery expanded product states
+	// and crossed product edges; ticks counts them across searches.
 	stop  func() bool
 	ticks int
 
@@ -228,14 +231,15 @@ func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
 }
 
 // SetStop installs a function the searches poll every stopEvery product
-// states; once it reports true the running search panics with ErrStopped,
-// leaving nothing partial behind: no memo entry, no kept search. The caller
-// must recover that panic, as core does wherever it installs one, mapping it
-// to its context's error; every other caller leaves stop nil.
+// states and edges; once it reports true the running search panics with
+// ErrStopped, leaving nothing partial behind: no memo entry, no kept
+// search. The caller must recover that panic, as core does wherever it
+// installs one, mapping it to its context's error; every other caller
+// leaves stop nil.
 func (ev *Evaluator) SetStop(stop func() bool) { ev.stop = stop }
 
-// tick counts one expanded product state and polls stop on every
-// stopEvery-th.
+// tick counts one expanded product state or crossed product edge and
+// polls stop on every stopEvery-th.
 func (ev *Evaluator) tick() {
 	ev.ticks++
 	if ev.ticks%stopEvery == 0 && ev.stop != nil && ev.stop() {
@@ -366,6 +370,7 @@ type Step struct {
 // cur. The state there joins the search, and the product edge to it is
 // recorded at the head of the chain into that state.
 func (ev *Evaluator) visitNode(n rdfgraph.ID) {
+	ev.tick()
 	head := ev.push(productState{node: n, state: ev.curT.to})
 	e := productEdge{
 		from: ev.curID, to: head,
@@ -442,6 +447,7 @@ func (ev *Evaluator) trace(sources, targets []rdfgraph.ID) []int32 {
 			ev.pushBack(ev.reach.find(productState{node: ps.node, state: q}.key()))
 		}
 		for i := ev.heads[id]; i != 0; i = ev.edges[i-1].next {
+			ev.tick()
 			ev.hits = append(ev.hits, i-1)
 			ev.pushBack(ev.edges[i-1].from)
 		}

@@ -308,7 +308,11 @@ func LessEq(a, b Term) bool {
 // literals, then by value, datatype and language. This order is *not* the
 // semantic < of the paper (see Less); it exists so that every set of terms
 // or triples this library returns can be canonically sorted.
-func Compare(a, b Term) int {
+func Compare(a, b Term) int { return ComparePtr(&a, &b) }
+
+// ComparePtr is Compare on pointers, which spares a sort over a term table
+// copying two terms per comparison.
+func ComparePtr(a, b *Term) int {
 	if a.Kind != b.Kind {
 		return int(a.Kind) - int(b.Kind)
 	}

@@ -26,16 +26,18 @@
 // accumulates extraction results without term churn, and
 // core.NeighborhoodCache stores neighborhoods in encoded form, which is
 // what makes its triple-denominated memory bound meaningful. Canonical
-// output order is decided on IDs too: SortIDTriples (and with it
-// IDTripleSet.Sorted and Triples) orders encoded triples exactly as
-// rdf.CompareTriples orders their decoded terms, so a route can sort, then
-// stream term by term, without ever materializing []rdf.Triple.
+// output order is decided on integers too: a frozen root dictionary ranks
+// its terms in rdf.Compare order (see Dict), and SortIDTriples (with it
+// IDTripleSet.Sorted and Triples) sorts encoded triples by their packed
+// ranks, exactly as rdf.CompareTriples orders their decoded terms, so a
+// route can sort, then stream term by term, without ever materializing
+// []rdf.Triple.
 package rdfgraph
 
 import (
+	"cmp"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 
 	"shaclfrag/internal/rdf"
@@ -58,6 +60,12 @@ const NoID ID = -1
 // by the next Extend — and the chain is flattened into a single map once
 // dictFlattenDepth overlays have accumulated, so a lookup walks at most
 // that many maps and an epoch whose delta interns nothing copies no map.
+//
+// Freezing a root dictionary ranks its terms in rdf.Compare order, so
+// comparing two ranked IDs compares two integers. Every dictionary Extend
+// derives from it, overlay or flattened, shares those ranks read-only and
+// ranks nothing, so an ID minted after the root compares by rdf.Compare:
+// ranks are exactly that order, and the two mix into one total order.
 type Dict struct {
 	byTerm map[rdf.Term]ID
 	terms  []rdf.Term
@@ -67,6 +75,11 @@ type Dict struct {
 	// the last flatten.
 	base  *Dict
 	depth int
+	// byRank lists the root's IDs — a prefix of every later epoch's — in
+	// rdf.Compare order, and rank is its inverse. Neither is written after
+	// the root's Freeze.
+	rank   []uint32
+	byRank []ID
 }
 
 // dictFlattenDepth bounds the overlay-chain length: Extend flattens the
@@ -88,7 +101,7 @@ func (d *Dict) Extend() *Dict {
 	if len(d.byTerm) == 0 && d.base != nil {
 		d = d.base // d interned nothing: its parent has the same terms
 	}
-	nd := &Dict{terms: d.terms}
+	nd := &Dict{terms: d.terms, rank: d.rank, byRank: d.byRank}
 	if d.depth+1 >= dictFlattenDepth {
 		nd.byTerm = make(map[rdf.Term]ID, len(d.terms))
 		for i, t := range d.terms {
@@ -109,8 +122,28 @@ func NewDict() *Dict {
 
 // Freeze makes the dictionary immutable: interning an already-present term
 // keeps working (it is a pure lookup), interning a new term panics. A
-// frozen dictionary is safe for concurrent readers.
-func (d *Dict) Freeze() { d.frozen = true }
+// frozen dictionary is safe for concurrent readers. A root dictionary is
+// ranked here; the dictionaries Extend derives from it inherit its ranks.
+func (d *Dict) Freeze() {
+	if d.rank == nil { // only a root has no ranks yet
+		d.rankTerms()
+	}
+	d.frozen = true
+}
+
+// rankTerms sorts the IDs in rdf.Compare order, comparing the terms in
+// place rather than copying two per comparison, and inverts that order.
+func (d *Dict) rankTerms() {
+	d.byRank = make([]ID, len(d.terms))
+	for i := range d.byRank {
+		d.byRank[i] = ID(i)
+	}
+	slices.SortFunc(d.byRank, func(a, b ID) int { return rdf.ComparePtr(&d.terms[a], &d.terms[b]) })
+	d.rank = make([]uint32, len(d.terms))
+	for r, id := range d.byRank {
+		d.rank[id] = uint32(r)
+	}
+}
 
 // Frozen reports whether the dictionary has been frozen.
 func (d *Dict) Frozen() bool { return d.frozen }
@@ -595,13 +628,6 @@ func (s *IDTripleSet) Add(t IDTriple) bool {
 // Len returns the set size.
 func (s *IDTripleSet) Len() int { return len(s.set) }
 
-// Each calls fn for every triple in the set (unspecified order).
-func (s *IDTripleSet) Each(fn func(IDTriple)) {
-	for t := range s.set {
-		fn(t)
-	}
-}
-
 // IDTriples returns the contents as a slice, in unspecified order. The
 // neighborhood cache stores these raw encoded slices: they are an order of
 // magnitude smaller than decoded terms.
@@ -634,16 +660,53 @@ func (s *IDTripleSet) AddSet(other *IDTripleSet) {
 	}
 }
 
+// rankBits is the width of one rank in a packed sort key: three fit in a
+// uint64 while a dictionary holds at most 1<<rankBits terms.
+const rankBits = 21
+
+// keyBufs recycles SortIDTriples' key buffers.
+var keyBufs = sync.Pool{New: func() any { return new([]uint64) }}
+
+// MaxPooled bounds the buffers and sets the serving stack pools, in
+// elements: a larger one is dropped, not pooled, so one huge request does
+// not make every later reuse pay for its capacity.
+const MaxPooled = 1 << 14
+
 // SortIDTriples sorts ts in place into canonical order: the order of
-// rdf.CompareTriples on the decoded triples (see CompareIDTriples).
+// rdf.CompareTriples on the decoded triples (see CompareIDTriples). When
+// every term of ts is ranked it sorts the triples' packed rank keys, with
+// no comparator call; otherwise it compares triple by triple.
 func SortIDTriples(d *Dict, ts []IDTriple) {
-	slices.SortFunc(ts, d.CompareIDTriples)
+	r, buf := d.rank, keyBufs.Get().(*[]uint64)
+	defer func() {
+		if cap(*buf) <= MaxPooled {
+			keyBufs.Put(buf)
+		}
+	}()
+	ranked := uint(len(r))
+	if ranked > 1<<rankBits {
+		ranked = 0 // too many terms to pack
+	}
+	keys := (*buf)[:0]
+	for _, t := range ts {
+		if uint(t.S) >= ranked || uint(t.P) >= ranked || uint(t.O) >= ranked {
+			slices.SortFunc(ts, d.CompareIDTriples)
+			return
+		}
+		keys = append(keys, uint64(r[t.S])<<(2*rankBits)|uint64(r[t.P])<<rankBits|uint64(r[t.O]))
+	}
+	*buf = keys
+	slices.Sort(keys)
+	const mask = 1<<rankBits - 1
+	for i, k := range keys {
+		ts[i] = IDTriple{S: d.byRank[k>>(2*rankBits)], P: d.byRank[k>>rankBits&mask], O: d.byRank[k&mask]}
+	}
 }
 
 // CompareIDTriples orders two encoded triples canonically: as
 // rdf.CompareTriples orders the decoded ones. IDs are compared first — d
-// interns injectively, so equal IDs are equal terms and the subjects and
-// predicates a neighborhood shares never reach a string comparison.
+// interns injectively, so equal IDs are equal terms — then ranks, and
+// only a term minted after the root reaches rdf.Compare.
 func (d *Dict) CompareIDTriples(a, b IDTriple) int {
 	if c := d.compareIDs(a.S, b.S); c != 0 {
 		return c
@@ -657,6 +720,9 @@ func (d *Dict) CompareIDTriples(a, b IDTriple) int {
 func (d *Dict) compareIDs(a, b ID) int {
 	if a == b {
 		return 0
+	}
+	if r := d.rank; int(a) < len(r) && int(b) < len(r) {
+		return cmp.Compare(r[a], r[b])
 	}
 	return rdf.Compare(d.terms[a], d.terms[b])
 }
@@ -686,59 +752,4 @@ func (s *IDTripleSet) Sorted(d *Dict) []IDTriple {
 // Triples decodes the contents through d in canonical order.
 func (s *IDTripleSet) Triples(d *Dict) []rdf.Triple {
 	return d.DecodeTriples(s.Sorted(d))
-}
-
-// TripleSet is a set of triples under construction, used to accumulate
-// neighborhoods and fragments before freezing them into a Graph.
-type TripleSet struct {
-	set map[rdf.Triple]struct{}
-}
-
-// NewTripleSet returns an empty set.
-func NewTripleSet() *TripleSet {
-	return &TripleSet{set: make(map[rdf.Triple]struct{})}
-}
-
-// Add inserts t, reporting whether it was new.
-func (s *TripleSet) Add(t rdf.Triple) bool {
-	if _, ok := s.set[t]; ok {
-		return false
-	}
-	s.set[t] = struct{}{}
-	return true
-}
-
-// AddAll inserts every triple of g.
-func (s *TripleSet) AddAll(g *Graph) {
-	g.EachTriple(func(sub, p, o ID) {
-		s.Add(rdf.Triple{S: g.dict.Term(sub), P: g.dict.Term(p), O: g.dict.Term(o)})
-	})
-}
-
-// Has reports membership.
-func (s *TripleSet) Has(t rdf.Triple) bool {
-	_, ok := s.set[t]
-	return ok
-}
-
-// Len returns the set size.
-func (s *TripleSet) Len() int { return len(s.set) }
-
-// Triples returns the contents in canonical order.
-func (s *TripleSet) Triples() []rdf.Triple {
-	out := make([]rdf.Triple, 0, len(s.set))
-	for t := range s.set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return rdf.CompareTriples(out[i], out[j]) < 0 })
-	return out
-}
-
-// Graph freezes the set into a Graph.
-func (s *TripleSet) Graph() *Graph {
-	g := New()
-	for t := range s.set {
-		g.Add(t)
-	}
-	return g
 }

@@ -158,29 +158,34 @@ func TestCloneAndEqual(t *testing.T) {
 }
 
 func TestTripleSet(t *testing.T) {
-	s := NewTripleSet()
-	tr := rdf.T(iri("a"), iri("p"), iri("b"))
+	g := FromTriples([]rdf.Triple{
+		rdf.T(iri("c"), iri("p"), iri("d")),
+		rdf.T(iri("a"), iri("p"), iri("b")),
+	})
+	d := g.Dict()
+	tr := IDTriple{S: d.Lookup(iri("a")), P: d.Lookup(iri("p")), O: d.Lookup(iri("b"))}
+	s := NewIDTripleSet()
 	if !s.Add(tr) || s.Add(tr) {
 		t.Fatal("Add dedup broken")
 	}
-	if !s.Has(tr) || s.Len() != 1 {
+	if s.Len() != 1 || !slices.Equal(s.IDTriples(), []IDTriple{tr}) {
 		t.Fatal("membership broken")
 	}
-	g := FromTriples([]rdf.Triple{
-		rdf.T(iri("c"), iri("p"), iri("d")),
-		tr,
-	})
-	s.AddAll(g)
+	g.EachTriple(func(sub, p, o ID) { s.Add(IDTriple{S: sub, P: p, O: o}) })
 	if s.Len() != 2 {
-		t.Fatalf("AddAll: len = %d, want 2", s.Len())
+		t.Fatalf("adding g: len = %d, want 2", s.Len())
 	}
-	frozen := s.Graph()
-	if frozen.Len() != 2 || !frozen.Has(tr) {
-		t.Fatal("Graph() lost triples")
+	frozen := FromTriples(s.Triples(d))
+	if frozen.Len() != 2 || !frozen.Has(d.Triple(tr)) {
+		t.Fatal("rebuilt graph lost triples")
 	}
-	ts := s.Triples()
+	ts := s.Triples(d)
 	if len(ts) != 2 || rdf.CompareTriples(ts[0], ts[1]) >= 0 {
 		t.Fatal("Triples() must be sorted")
+	}
+	s.Reset()
+	if s.Len() != 0 || !s.Add(tr) {
+		t.Fatal("Reset must empty the set")
 	}
 }
 
