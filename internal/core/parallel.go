@@ -111,7 +111,8 @@ func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) 
 	return bounds
 }
 
-// releaseBounds recycles the bound programs' rows when a worker is done.
+// releaseBounds hands the bound programs' state back to their Programs'
+// pools when a worker is done.
 func releaseBounds(bounds []*plan.Bound) {
 	for _, b := range bounds {
 		if b != nil {
@@ -281,13 +282,16 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	var cancelled atomic.Bool
 	var panicked atomic.Pointer[PanicError] // the first worker panic
 	// work is one worker: it takes units off the shared counter into out
-	// until none are left, opts.Ctx ends or another worker panicked.
+	// until none are left, opts.Ctx ends or another worker panicked. A nil
+	// wx, the AST walker, is built with its visited set on the first unit
+	// without a bound program: a worker whose units all run on plans builds
+	// neither.
 	work := func(wx *Extractor, out *rdfgraph.IDTripleSet) {
 		spans := workerSpanState{parent: opts.Span}
 		bounds := boundPlans(opts, focus, g)
 		defer releaseBounds(bounds)
 		defer spans.done(bounds)
-		visited := make(map[VisitKey]struct{})
+		var visited map[VisitKey]struct{}
 		for {
 			if opts.Ctx != nil && opts.Ctx.Err() != nil {
 				cancelled.Store(true)
@@ -300,7 +304,20 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 			u := units[i]
 			b := boundAt(bounds, u.req)
 			begin := spans.begin()
-			wx.extractRange(nnfs[u.req], b, u.nodes, out, visited)
+			if b != nil {
+				b.CollectAllInto(u.nodes, out)
+			} else {
+				if wx == nil {
+					wx = NewExtractor(g, x.ev.Defs)
+					wx.ev.SetStop(stopOf(opts.Ctx))
+				}
+				if visited == nil {
+					visited = make(map[VisitKey]struct{})
+				}
+				for _, v := range u.nodes {
+					wx.collect(v, nnfs[u.req], out, visited)
+				}
+			}
 			spans.finish(begin, b != nil)
 		}
 	}
@@ -326,9 +343,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 						panicked.CompareAndSwap(nil, &PanicError{Value: r, Stack: debug.Stack()})
 					}
 				}()
-				wx := NewExtractor(g, x.ev.Defs)
-				wx.ev.SetStop(stopOf(opts.Ctx))
-				work(wx, out)
+				work(nil, out)
 			}()
 		}
 		wg.Wait()
@@ -382,18 +397,4 @@ func appendUnits(units []unit, req int, nodes []rdfgraph.ID, workers int) []unit
 		units = append(units, unit{req: req, nodes: nodes[lo:min(lo+chunk, len(nodes))]})
 	}
 	return units
-}
-
-// extractRange accumulates the neighborhoods of a node range for one
-// request — nnf is its NNF — sharing out and visited across the range
-// (Fragment's inner loop). A non-nil bound program takes over and runs the
-// range as one source set; it produces the same triples (parity-gated).
-func (x *Extractor) extractRange(nnf shape.Shape, b *plan.Bound, nodes []rdfgraph.ID, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}) {
-	if b != nil {
-		b.CollectAllInto(nodes, out)
-		return
-	}
-	for _, v := range nodes {
-		x.collect(v, nnf, out, visited)
-	}
 }

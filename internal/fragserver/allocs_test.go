@@ -28,17 +28,20 @@ func (d *discardResponse) WriteHeader(int)             {}
 // span tree, access log, cache lookups, canonical sort, N-Triples encoding
 // — must stay under a committed number of allocations. Every request
 // records its span tree, so the counts include it: 61 for /node over all
-// 183 definitions (bound: that plus a quarter) and 232 for a one-shape
-// /fragment at two workers (bound: that plus a tenth — a quarter would be
-// above the 260 it had before its per-worker sets and merge scratch were
-// pooled, at 259); the commit before the read tail moved onto IDs needed
-// 278 and 2 796. A per-shape or per-triple allocation creeping back in
-// overshoots at once: the /node reply comes out of 183 lookups, the
-// fragment has several hundred triples. The /fragment rows also bound
-// bytes: 20.7 kB/op, a quarter more allowed, where per-request triple sets
-// and an unpooled merge slice cost 47 kB. With TraceSample 1 the same
-// requests also pay for being kept — traceparent header, root attributes,
-// ring insert, exemplar: 71 and 242, bounded like the rows above.
+// 183 definitions (bound: that plus a quarter) and 92 for a one-shape
+// /fragment at two workers (bound: that plus a tenth). The /fragment count
+// was 232 while every worker's Bind looked the program's operands up and
+// compiled its automata again, built fresh evaluators and boxed its rows
+// back into a pool, and built an AST extractor it never ran; 259 before its
+// per-worker sets and merge scratch were pooled; the commit before the read
+// tail moved onto IDs needed 278 and 2 796. A per-shape or per-triple
+// allocation creeping back in overshoots at once: the /node reply comes out
+// of 183 lookups, the fragment has several hundred triples. The /fragment
+// rows also bound bytes: 12.5–13.5 kB/op, a tenth more allowed, where every
+// bind's own state cost 20.7 kB, and per-request triple sets and an unpooled
+// merge slice 47 kB. With TraceSample 1 the same requests also pay for
+// being kept — traceparent header, root attributes, ring insert, exemplar:
+// 71 and 102, bounded like the rows above.
 func TestWarmNodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -52,9 +55,9 @@ func TestWarmNodeAllocs(t *testing.T) {
 		kb     float64 // 0: unchecked
 	}{
 		{0, node, 77, 0},
-		{0, "/fragment?shape=S01", 255, 26},
+		{0, "/fragment?shape=S01", 101, 15},
 		{1, node, 89, 0},
-		{1, "/fragment?shape=S01", 266, 26},
+		{1, "/fragment?shape=S01", 112, 15},
 	} {
 		srv, err := New(Config{
 			Graph:  datagen.Tyrol(datagen.TyrolConfig{Individuals: 400, Seed: 9}),

@@ -212,8 +212,7 @@ type Evaluator struct {
 
 // NewEvaluator compiles e against g.
 func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
-	ev := &Evaluator{g: g, memo: make(map[rdfgraph.ID][]rdfgraph.ID)}
-	ev.visit, ev.appendID = ev.visitNode, ev.appendNode
+	ev := newEvaluator(g)
 	switch x := e.(type) {
 	case Prop:
 		ev.atomic, ev.atomicFwd = true, true
@@ -228,6 +227,38 @@ func NewEvaluator(e Expr, g rdfgraph.Reader) *Evaluator {
 		ev.nfa = Compile(e, g)
 	}
 	return ev
+}
+
+// NewNFAEvaluator returns an evaluator of n, compiled against g's dictionary
+// (or one that resolves its IRIs alike): an automaton is read-only, so any
+// number of evaluators may share one.
+func NewNFAEvaluator(n *NFA, g rdfgraph.Reader) *Evaluator {
+	ev := newEvaluator(g)
+	ev.nfa = n
+	return ev
+}
+
+func newEvaluator(g rdfgraph.Reader) *Evaluator {
+	ev := &Evaluator{g: g, memo: make(map[rdfgraph.ID][]rdfgraph.ID)}
+	ev.visit, ev.appendID = ev.visitNode, ev.appendNode
+	return ev
+}
+
+// Reset makes ev as new over g, which must resolve the IRIs of ev's path as
+// the graph ev was built over did — the same dictionary at the same length:
+// memo, Searches and stop are cleared and the kept search forgotten, while
+// the scratch stays. A nil g leaves ev holding no graph until the next Reset.
+func (ev *Evaluator) Reset(g rdfgraph.Reader) {
+	ev.g = g
+	if 32*len(ev.memo) > maxPooledScratch { // a map keeps its buckets across clear
+		ev.memo = make(map[rdfgraph.ID][]rdfgraph.ID)
+	} else {
+		clear(ev.memo)
+	}
+	ev.stop, ev.ticks, ev.Searches = nil, 0, 0
+	if ev.search != nil {
+		ev.ok = false
+	}
 }
 
 // SetStop installs a function the searches poll every stopEvery product

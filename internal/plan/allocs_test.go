@@ -18,25 +18,30 @@ import (
 )
 
 // maxHubFragmentAllocs bounds the allocations of one cold Figure 3 fragment
-// (the serving benchmark's hub-path request, BenchmarkHubFragmentCold): 110
-// measured, plus 25 %. It was 307 while every focus node ran a search of its
-// own on scratch its evaluator grew from nothing, 340 while the searches kept
-// their states in three maps, and 196 540 while every product search made its
-// own maps, adjacency slices and callbacks.
-const maxHubFragmentAllocs = 138
+// (the serving benchmark's hub-path request, BenchmarkHubFragmentCold): 17
+// measured, plus 25 %. It was 110 while every Bind looked its operands up
+// again, compiled the hub path's automaton anew and built fresh evaluators,
+// memo maps and scratch, 307 while every focus node ran a search of its own
+// on scratch its evaluator grew from nothing, 340 while the searches kept
+// their states in three maps, and 196 540 while every product search made
+// its own maps, adjacency slices and callbacks.
+const maxHubFragmentAllocs = 21
 
 // maxHubFragmentBytes bounds what a cold fragment allocates once an earlier
-// one has released its scratch: 30 kB measured, plus 25 % — the output set,
-// the owned results and the Bound. The scratch of its searches is some
-// 560 kB, so a fragment that grew its own again is twelve times over.
-const maxHubFragmentBytes = 38 << 10
+// one has released its state: 19.1 kB measured, plus 25 %, rounded up to
+// the kB — the output set and the owned Eval results. It was 30 kB while
+// every Bind built its own resolution, evaluators and rows. The scratch of
+// its searches is some 560 kB, so a fragment that grew its own again is
+// twenty times over.
+const maxHubFragmentBytes = 24 << 10
 
 // TestHubTraceAllocs is the gate of path tracing, by count: a cold fragment
 // runs two product searches per automaton path slot, whatever the number of
 // focus nodes — one deciding ≥1 E.ψ for them all, one tracing from those that
-// conform — on scratch that a released Bound hands to the next, so what it
-// allocates is the owned Eval results and the output set, not something per
-// product state, per focus node or per request.
+// conform — on the resolution, evaluators, rows and scratch that a released
+// Bound hands to the next, so what it allocates is the owned Eval results
+// and the output set, not something per product state, per focus node or
+// per bind.
 func TestHubTraceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -45,10 +50,11 @@ func TestHubTraceAllocs(t *testing.T) {
 	request := shape.AndOf(datagen.HubDistance3Shape(), schema.TargetObjectsOf(datagen.PropAuthoredBy))
 	prog := plan.Compile(request, nil)
 	nodes := g.NodeIDs()
-	var b *plan.Bound
+	var searches int
 	cold := func() {
-		b = prog.Bind(g)
+		b := prog.Bind(g)
 		b.CollectAllInto(nodes, rdfgraph.NewIDTripleSet())
+		searches = b.Searches() // before Release: a released Bound panics
 		b.Release()
 	}
 	got := testing.AllocsPerRun(5, cold)
@@ -57,7 +63,7 @@ func TestHubTraceAllocs(t *testing.T) {
 		t.Errorf("cold hub fragment allocates %.0f times, bound %d", got, maxHubFragmentAllocs)
 	}
 	// The request has one path that is not a bare property: the hub's.
-	if n := b.Searches(); n > 2 {
+	if n := searches; n > 2 {
 		t.Errorf("cold hub fragment over %d nodes ran %d product searches, want at most 2", len(nodes), n)
 	}
 	// The least of five: a collection in between empties the pool once.

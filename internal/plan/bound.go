@@ -18,35 +18,113 @@ type atomicPath struct {
 	pred rdfgraph.ID
 }
 
-// Bound is a Program resolved against one graph: predicate and constant
-// IDs looked up, path evaluators built, and dense per-instruction memo and
-// visited arrays ready. A Bound is single-goroutine state, like
-// shape.Evaluator and core.Extractor; FragmentParallel gives each worker
-// its own. All evaluation and extraction through a Bound is read-only on
-// the graph.
+// resolution is a Program's operands looked up in one dictionary: predicate
+// and constant IDs, allowed-predicate sets, and the automaton of every path
+// slot that is not atomic. It depends on nothing but the dictionary, and a
+// dictionary only grows, so while its length is unchanged every lookup gives
+// the same answer: (dict, terms) is the key. Read-only once built, it is
+// shared by every Bound on that dictionary, concurrent ones included.
+type resolution struct {
+	dict  *rdfgraph.Dict
+	terms int
+
+	atomics []atomicPath    // per path slot: ok for a bare property or its inverse
+	nfas    []*paths.NFA    // per path slot: compiled where the slot is not atomic
+	preds   []rdfgraph.ID   // per instruction: resolved Pred (NoID if absent)
+	consts  []rdfgraph.ID   // per instruction: resolved Const for OpHasValue
+	allowed [][]rdfgraph.ID // per instruction: sorted allowed-predicate IDs
+}
+
+// resolve returns p's resolution against g's dictionary, building it when
+// the one p keeps is for another dictionary or an earlier length of this one.
+// Each epoch has a dictionary of its own, so a new epoch resolves once.
+func (p *Program) resolve(g rdfgraph.Reader) *resolution {
+	d := g.Dict()
+	if r := p.res.Load(); r != nil && r.dict == d && r.terms == d.Len() {
+		return r
+	}
+	r := &resolution{
+		dict:    d,
+		terms:   d.Len(),
+		atomics: make([]atomicPath, len(p.Paths)),
+		nfas:    make([]*paths.NFA, len(p.Paths)),
+		preds:   make([]rdfgraph.ID, len(p.Instrs)),
+		consts:  make([]rdfgraph.ID, len(p.Instrs)),
+		allowed: make([][]rdfgraph.ID, len(p.Instrs)),
+	}
+	for i, e := range p.Paths {
+		switch x := e.(type) {
+		case paths.Prop:
+			r.atomics[i] = atomicPath{ok: true, fwd: true, pred: g.LookupTerm(rdf.NewIRI(x.IRI))}
+			continue
+		case paths.Inverse:
+			if pr, ok := x.X.(paths.Prop); ok {
+				r.atomics[i] = atomicPath{ok: true, fwd: false, pred: g.LookupTerm(rdf.NewIRI(pr.IRI))}
+				continue
+			}
+		}
+		r.nfas[i] = paths.Compile(e, g)
+	}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		r.preds[i] = rdfgraph.NoID
+		r.consts[i] = rdfgraph.NoID
+		if in.Pred != "" {
+			r.preds[i] = g.LookupTerm(rdf.NewIRI(in.Pred))
+		}
+		if in.Op == OpHasValue {
+			r.consts[i] = g.LookupTerm(in.Const)
+		}
+		if in.Op == OpClosed {
+			ids := make([]rdfgraph.ID, 0, len(in.Allowed))
+			for _, iri := range in.Allowed {
+				if id := g.LookupTerm(rdf.NewIRI(iri)); id != rdfgraph.NoID {
+					ids = append(ids, id)
+				}
+			}
+			slices.Sort(ids)
+			r.allowed[i] = ids
+		}
+	}
+	p.res.Store(r)
+	return r
+}
+
+// Bound is a Program bound to one graph: the resolution of its dictionary,
+// path evaluators over the graph, and dense per-instruction memo and visited
+// rows. A Bound is single-goroutine state, like shape.Evaluator and
+// core.Extractor; FragmentParallel gives each worker its own. All evaluation
+// and extraction through a Bound is read-only on the graph.
 //
 // Memory: the memo and visited rows cost about 2 bytes × instructions ×
 // dictionary terms once every instruction has been touched. MemoBytes
 // reports the full-population bound, and a binder binds only a program that
 // Fits the graph's dictionary — otherwise that request runs on the AST
-// walker, whose memo grows with the nodes visited. The rows come from a
-// process-wide pool; Release hands them back.
+// walker, whose memo grows with the nodes visited. The scratch and
+// evaluators are the Program's, pooled: Release hands them back for the next
+// Bind of the same Program, on this epoch or a later one. The rows go back
+// to a pool every Program's Bounds take from.
 type Bound struct {
+	*state // nil once released, so that use panics
+}
+
+// state is what a Bound writes: taken from its Program's pool by Bind and
+// put back by Release.
+type state struct {
 	prog *Program
 	g    rdfgraph.Reader
+	*resolution
 
-	// Per-path-slot machinery: atomic fast paths resolved, product-automaton
-	// evaluators built only for the slots that need one.
-	atomics []atomicPath
-	pes     []*paths.Evaluator
-
-	preds   []rdfgraph.ID   // per instruction: resolved Pred (NoID if absent)
-	consts  []rdfgraph.ID   // per instruction: resolved Const for OpHasValue
-	allowed [][]rdfgraph.ID // per instruction: sorted allowed-predicate IDs
+	// pes holds a product-automaton evaluator per slot the resolution
+	// compiled an NFA for, over the automata in built: they are rebuilt only
+	// when the resolution's differ, and Reset on every other Bind. A
+	// released state keeps them, but no resolution, so it pins no dictionary.
+	pes   []*paths.Evaluator
+	built []*paths.NFA
 
 	// memo rows hold conformance per (instruction, node): 0 unknown,
-	// 1 conforms, 2 does not. Rows are allocated on an instruction's first
-	// evaluation and persist for the lifetime of the Bound — the dense
+	// 1 conforms, 2 does not. A row is taken on an instruction's first
+	// evaluation and persists for the lifetime of the Bound — the dense
 	// replacement for the evaluator's map[shape, node]bool.
 	memo [][]uint8
 	// visited rows carry generation stamps for Table 2's visited set;
@@ -54,6 +132,10 @@ type Bound struct {
 	// when the uint8 generation wraps.
 	visited [][]uint8
 	gen     uint8
+	// spare holds zeroed rows for the ones this request touches, taken by
+	// Bind and put back, with those, by Release: the rows in memo and
+	// visited are exactly the ones it touched.
+	spare *rowSet
 
 	// Per-depth scratch for successor, property-value, witness and focus
 	// lists, reused across focus nodes; depth is the nesting level. wit and
@@ -79,58 +161,40 @@ type Bound struct {
 	Checks int
 }
 
-// Bind resolves p against g. Binding is cheap relative to extraction: IRI
-// lookups for every operand plus NFA compilation for non-atomic paths; the
-// dense arrays are allocated lazily as instructions are first evaluated.
+// Bind binds p to g. It costs a pool take when p has already been bound to
+// g's dictionary at its current length: the operands are looked up and the
+// automata compiled once per dictionary (resolve), and the rows are
+// allocated lazily, as instructions are first evaluated, from those earlier
+// requests released.
 func (p *Program) Bind(g rdfgraph.Reader) *Bound {
-	b := &Bound{
-		prog:    p,
-		g:       g,
-		atomics: make([]atomicPath, len(p.Paths)),
-		pes:     make([]*paths.Evaluator, len(p.Paths)),
-		preds:   make([]rdfgraph.ID, len(p.Instrs)),
-		consts:  make([]rdfgraph.ID, len(p.Instrs)),
-		allowed: make([][]rdfgraph.ID, len(p.Instrs)),
-		memo:    make([][]uint8, len(p.Instrs)),
-		visited: make([][]uint8, len(p.Instrs)),
-		gen:     1,
+	res := p.resolve(g)
+	s, _ := p.states.Get().(*state)
+	if s == nil {
+		s = &state{
+			prog:    p,
+			pes:     make([]*paths.Evaluator, len(p.Paths)),
+			memo:    make([][]uint8, len(p.Instrs)),
+			visited: make([][]uint8, len(p.Instrs)),
+			gen:     1,
+		}
+		s.appendID = func(id rdfgraph.ID) { s.ids = append(s.ids, id) }
 	}
-	b.appendID = func(id rdfgraph.ID) { b.ids = append(b.ids, id) }
-	for i, e := range p.Paths {
-		switch x := e.(type) {
-		case paths.Prop:
-			b.atomics[i] = atomicPath{ok: true, fwd: true, pred: g.LookupTerm(rdf.NewIRI(x.IRI))}
-			continue
-		case paths.Inverse:
-			if pr, ok := x.X.(paths.Prop); ok {
-				b.atomics[i] = atomicPath{ok: true, fwd: false, pred: g.LookupTerm(rdf.NewIRI(pr.IRI))}
-				continue
+	s.g, s.resolution, s.spare = g, res, spareRows.Get().(*rowSet)
+	if !slices.Equal(s.built, res.nfas) {
+		s.built = res.nfas
+		for i, n := range res.nfas {
+			if n != nil {
+				s.pes[i] = paths.NewNFAEvaluator(n, g)
 			}
 		}
-		b.pes[i] = paths.NewEvaluator(e, g)
-	}
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		b.preds[i] = rdfgraph.NoID
-		b.consts[i] = rdfgraph.NoID
-		if in.Pred != "" {
-			b.preds[i] = g.LookupTerm(rdf.NewIRI(in.Pred))
-		}
-		if in.Op == OpHasValue {
-			b.consts[i] = g.LookupTerm(in.Const)
-		}
-		if in.Op == OpClosed {
-			ids := make([]rdfgraph.ID, 0, len(in.Allowed))
-			for _, iri := range in.Allowed {
-				if id := g.LookupTerm(rdf.NewIRI(iri)); id != rdfgraph.NoID {
-					ids = append(ids, id)
-				}
+	} else {
+		for _, pe := range s.pes {
+			if pe != nil {
+				pe.Reset(g)
 			}
-			slices.Sort(ids)
-			b.allowed[i] = ids
 		}
 	}
-	return b
+	return &Bound{s}
 }
 
 // SetStop installs stop on the path evaluators of b: their searches panic
@@ -158,12 +222,14 @@ func (b *Bound) Searches() int {
 // Graph returns the bound graph.
 func (b *Bound) Graph() rdfgraph.Reader { return b.g }
 
-// Program returns the compiled program.
-func (b *Bound) Program() *Program { return b.prog }
-
 // MemoBudget bounds the dense memo memory one bound program may pin (per
 // worker — every worker binds its own).
 const MemoBudget = 64 << 20
+
+// maxPooledScratch bounds the per-depth scratch a released state keeps, in
+// bytes, like the path searches' own ceiling: a witness list the size of a
+// large graph's node set is dropped rather than pinned.
+const maxPooledScratch = 4 << 20
 
 // MemoBytes estimates the fully-populated dense-array footprint of binding
 // p to a dictionary of dictTerms entries: memo plus visited rows for every
@@ -179,52 +245,88 @@ func (p *Program) Fits(dictTerms int) bool {
 	return p.MemoBytes(dictTerms) <= MemoBudget
 }
 
-// rowPool recycles memo and visited rows across Bounds: a request binds
-// per worker, and a dictionary-sized row per touched instruction each time
-// was most of what shape-scan allocated. Every row in it is all zero up to
-// its capacity; one too short for the dictionary at hand is dropped.
-var rowPool sync.Pool
-
 // row returns instruction i's slice from rows, grown to cover node v.
 func (b *Bound) row(rows [][]uint8, i int32, v rdfgraph.ID) []uint8 {
 	r := rows[i]
 	if int(v) < len(r) {
 		return r
 	}
-	n := b.g.Dict().Len()
-	if n <= int(v) {
-		n = int(v) + 1
-	}
-	var nr []uint8
-	if p, _ := rowPool.Get().(*[]uint8); p != nil && cap(*p) >= n {
-		nr = (*p)[:n]
-	} else {
-		nr = make([]uint8, n)
+	nr := b.spareRow(int(v))
+	if nr == nil {
+		nr = make([]uint8, max(b.terms, int(v)+1))
 	}
 	copy(nr, r)
 	rows[i] = nr
 	return nr
 }
 
-// Release hands the memo and visited rows back, zeroed, and the path
-// evaluators' scratch (paths.Evaluator.Release), for a later Bound to take;
-// call it when extraction through b is over. It is optional — a Bound never
-// released is not recycled — and final: use of b after it panics.
+// rowSet is a stack of zeroed rows, any instruction's for the taking. Sets
+// pass between the Bounds of all Programs through spareRows, so a request
+// takes the rows a recent one cleared, still in cache, and the pool pins
+// the rows of the requests in flight, not those of every Program.
+type rowSet struct{ rows [][]uint8 }
+
+var spareRows = sync.Pool{New: func() any { return new(rowSet) }}
+
+// spareRow takes a spare row covering node v, at its full capacity, or
+// returns nil. One too short is dropped: it was grown for a dictionary
+// smaller than v's.
+func (s *state) spareRow(v int) []uint8 {
+	rows := s.spare.rows
+	for k := len(rows) - 1; k >= 0; k-- {
+		r := rows[k]
+		s.spare.rows = rows[:k]
+		if v < cap(r) {
+			return r[:cap(r)]
+		}
+	}
+	return nil
+}
+
+// Release hands b's state back to its Program for a later Bind to take —
+// its evaluators holding no graph, memo or stop, and no resolution — and
+// the rows the request touched, zeroed, and the searches' scratch back to
+// their process-wide pools. Call it when extraction through b is over. It
+// is optional — a Bound never released is not recycled — and final: use of
+// b after it panics.
 func (b *Bound) Release() {
-	for _, pe := range b.pes {
+	s := b.state
+	b.state = nil
+	for _, pe := range s.pes {
 		if pe != nil {
+			pe.Reset(nil)
 			pe.Release()
 		}
 	}
-	for _, rows := range [][][]uint8{b.memo, b.visited} {
-		for _, r := range rows {
+	spare := s.spare
+	for _, rows := range [][][]uint8{s.memo, s.visited} {
+		for i, r := range rows {
 			if r != nil {
 				clear(r)
-				rowPool.Put(&r)
+				spare.rows = append(spare.rows, r)
+				rows[i] = nil
 			}
 		}
 	}
-	b.memo, b.visited = nil, nil
+	rowBytes := 0
+	for _, r := range spare.rows {
+		rowBytes += cap(r)
+	}
+	if rowBytes > MemoBudget {
+		spare.rows = nil
+	}
+	spareRows.Put(spare)
+	scratchBytes := 0
+	for _, pool := range [][][]rdfgraph.ID{s.succ, s.vals, s.wit, s.srcs} {
+		for _, buf := range pool {
+			scratchBytes += 4 * cap(buf)
+		}
+	}
+	if scratchBytes > maxPooledScratch {
+		s.succ, s.vals, s.wit, s.srcs = nil, nil, nil, nil
+	}
+	s.g, s.resolution, s.spare, s.ids, s.depth, s.gen, s.Checks = nil, nil, nil, nil, 0, 1, 0
+	s.prog.states.Put(s)
 }
 
 // Conforms reports H, G, v ⊨ φᵢ for instruction i, memoized densely.

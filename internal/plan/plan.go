@@ -8,10 +8,10 @@
 // of the graph × every request shape) that map and its key hashing dominate
 // the profile. A Program removes all of it: each NNF sub-shape becomes one
 // numbered instruction whose operands — predicate IDs, constant IDs,
-// allowed-property sets, path-evaluator slots — are resolved once when the
-// program is bound to a graph (Bind), and conformance results live in dense
-// per-instruction byte arrays indexed by node ID. Steady-state evaluation
-// touches no maps and allocates nothing.
+// allowed-property sets, path automata — are resolved once per dictionary
+// the program is bound to (Bind), and conformance results live in dense
+// per-instruction byte arrays indexed by node ID, pooled across requests.
+// Steady-state evaluation touches no maps and allocates nothing.
 //
 // Compilation happens once per (schema, request): the shape is normalized
 // to negation normal form, hasShape references are inlined through the
@@ -29,6 +29,8 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdf"
@@ -107,8 +109,9 @@ type Instr struct {
 }
 
 // Program is one compiled shape: a flat instruction array plus the path
-// expressions its instructions reference. Programs are immutable and
-// graph-independent; Bind resolves them against a concrete graph.
+// expressions its instructions reference. The compiled fields are immutable
+// and graph-independent; Bind resolves them against a concrete graph, and
+// keeps that resolution and the released Bounds' state for the next Bind.
 type Program struct {
 	// Instrs holds the instructions; Root indexes the entry point.
 	Instrs []Instr
@@ -118,6 +121,11 @@ type Program struct {
 	Paths []paths.Expr
 	// Source is the request shape the program was compiled from (pre-NNF).
 	Source shape.Shape
+
+	// res is the resolution of the dictionary last bound to, and states
+	// pools the state of released Bounds (Bind, Release).
+	res    atomic.Pointer[resolution]
+	states sync.Pool
 }
 
 // compiler carries the state of one compilation.
