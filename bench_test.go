@@ -170,9 +170,12 @@ func BenchmarkHubFragmentCold(b *testing.B) {
 }
 
 // BenchmarkPlanExtraction isolates the compiled-plan extractor on the
-// whole benchmark schema: bind+extract is the cold path a fresh epoch
-// pays, steady-state re-extracts with dense memo and visited rows already
-// allocated — the approaches-zero-allocs regime the plan design targets.
+// whole benchmark schema: bind+extract is what a served request pays per
+// program — a bind from the program's pool (its resolution for the
+// dictionary kept, its rows reused), extraction, and a release back to the
+// pool — and steady-state re-extracts on bounds held across iterations,
+// dense memo and visited rows already allocated: the approaches-zero-allocs
+// regime the plan design targets.
 func BenchmarkPlanExtraction(b *testing.B) {
 	g := tyrolGraph(1000)
 	h := schema.MustNew(datagen.BenchmarkShapes()...)
@@ -190,6 +193,7 @@ func BenchmarkPlanExtraction(b *testing.B) {
 				for _, v := range nodes {
 					bd.CollectInto(v, out)
 				}
+				bd.Release()
 			}
 			out.Triples(g.Dict())
 		}

@@ -1,6 +1,10 @@
 package core
 
-import "shaclfrag/internal/rdfgraph"
+import (
+	"container/list"
+
+	"shaclfrag/internal/rdfgraph"
+)
 
 // Carry copies nothing and returns 0: entries an update cannot reach stay
 // valid at its new epoch in place, through Invalidate, so there is nothing
@@ -10,3 +14,25 @@ import "shaclfrag/internal/rdfgraph"
 // carried field is always 0. The benchmark PR (ROADMAP item 1) deletes it by
 // editing bench/ alone, and scripts/check.sh fails on any other caller.
 func (c *NeighborhoodCache) Carry(from, to uint64, keep func(rdfgraph.ID) bool) int { return 0 }
+
+// EvictBelow removes every entry not known valid at any epoch from min on
+// (the newest epoch it is valid at, max(from, applied), is below min) and
+// returns how many entries and triples it dropped. It remains only because
+// the frozen benchmark module's replay (bench/trace.go) calls it after each
+// update on a cache it never invalidates; the server keeps one entry per key
+// and needs no sweep. The benchmark PR (ROADMAP item 1) deletes it, and
+// scripts/check.sh fails on any other caller.
+func (c *NeighborhoodCache) EvictBelow(min uint64) (entries, triples int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var next *list.Element
+	for el := c.ll.Front(); el != nil; el = next {
+		next = el.Next()
+		if en := el.Value.(*neighborhoodEntry); max(en.from, c.applied) < min {
+			entries++
+			triples += len(en.triples)
+			c.removeLocked(el)
+		}
+	}
+	return entries, triples
+}

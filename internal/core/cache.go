@@ -3,7 +3,6 @@ package core
 import (
 	"container/list"
 	"context"
-	"math"
 	"runtime/debug"
 	"sync"
 	"unsafe"
@@ -23,17 +22,18 @@ import (
 // a schema's definition shapes), otherwise every request misses. The cached slices are shared between callers and must be
 // treated as immutable.
 //
-// Every entry records the range of store epochs (see store.Store) it is
-// valid for: it starts at the epoch it was computed at and stays open while
-// no update can have changed it. Invalidate steps the cache across one
-// epoch transition: it closes the entries the update can reach and leaves
-// every other entry open, valid at the new epoch in place — nothing is
-// copied, and only the reached entries are touched. Until the transition
-// into an epoch is applied, a Get at that epoch misses on every entry
-// computed before it. EvictBelow reclaims entries whose range ended below
-// every epoch a request can still pin. A cache that is never invalidated
-// serves an entry at the epoch it was computed at only; single-graph
-// callers that never update pass any constant epoch (0 works) everywhere.
+// Every entry is valid from the store epoch (see store.Store) it was
+// computed at up to the newest epoch the cache is known to hold at.
+// Invalidate steps the cache across one epoch transition: it removes the
+// entries the update can reach and leaves every other entry valid at the
+// new epoch in place — nothing is copied, and only the reached entries are
+// touched. Until the transition into an epoch is applied, a Get at that
+// epoch misses on every entry computed before it. Transitions arrive one at
+// a time, in epoch order (the serving layer serializes its writes); one that
+// does not leave the newest applied epoch removes every entry. A cache that
+// is never invalidated serves an entry at the epoch it was computed at
+// only; single-graph callers that never update pass any constant epoch (0
+// works) everywhere.
 //
 // The bound is expressed in triples, not entries, because neighborhood
 // sizes vary by orders of magnitude; an empty neighborhood still costs one
@@ -43,15 +43,12 @@ type NeighborhoodCache struct {
 	budget int
 	size   int
 	ll     *list.List // front = most recently used
-	// items holds, per shape and node, the newest entry; older ones hang
-	// off its older chain, newest first.
+	// items holds, per shape and node, its one entry.
 	items   map[shape.Shape]map[rdfgraph.ID]*list.Element
 	aliases map[shape.Shape]shape.Shape // request shape -> class representative
 	// applied is the newest epoch whose transition Invalidate has applied
-	// (or the one SetEpoch declared); pending holds transitions that
-	// arrived ahead of their predecessor, keyed by the epoch they leave.
+	// (or the one SetEpoch declared).
 	applied uint64
-	pending map[uint64]staleness
 	// tracked maps every shape SetFootprints tracks to its read automaton
 	// in footprints; readers indexes those by the predicate IRIs they
 	// name, and readAll lists the ones a triple of any predicate can reach.
@@ -60,38 +57,28 @@ type NeighborhoodCache struct {
 	footprints []*shape.Footprint
 	readers    map[string][]int
 	readAll    []int
-	// open counts entries whose range is open; closed holds the others,
-	// for EvictBelow.
-	open   int
-	closed map[*list.Element]struct{}
 
 	hits        uint64
 	misses      uint64
 	evictions   uint64
 	evicted     uint64 // triples removed by evictions, cumulative
-	stale       uint64 // entries removed by EvictBelow, cumulative
-	staleTrip   uint64 // triples those entries held
 	aliasHits   uint64 // hits served through an alias translation
-	kept        uint64 // open entries an Invalidate left open, cumulative
-	invalidated uint64 // entries an Invalidate closed, cumulative
+	kept        uint64 // entries an Invalidate left in place, cumulative
+	invalidated uint64 // entries an Invalidate removed, cumulative
 }
 
 // idTripleBytes is the in-memory size of one cached triple, used to
 // report the cache's triple budget in bytes for operators.
 const idTripleBytes = int(unsafe.Sizeof(rdfgraph.IDTriple{}))
 
-// openRange marks an entry valid up to the newest applied epoch.
-const openRange = math.MaxUint64
-
-// neighborhoodEntry is one cached neighborhood. It is kept to 64 bytes,
-// one allocation size class: a workload that misses more than it hits
+// neighborhoodEntry is one cached neighborhood, valid from epoch from on
+// (see NeighborhoodCache.valid). A workload that misses more than it hits
 // allocates one per miss.
 type neighborhoodEntry struct {
-	byNode   map[rdfgraph.ID]*list.Element // its shape's map in items
-	node     rdfgraph.ID
-	triples  []rdfgraph.IDTriple
-	from, to uint64        // the epochs it is valid for; to is openRange while open
-	older    *list.Element // the previous entry of (node, shape), if any
+	byNode  map[rdfgraph.ID]*list.Element // its shape's map in items
+	node    rdfgraph.ID
+	triples []rdfgraph.IDTriple
+	from    uint64 // the epoch it was computed at
 }
 
 // NewNeighborhoodCache returns a cache bounded to about maxTriples cached
@@ -101,11 +88,9 @@ func NewNeighborhoodCache(maxTriples int) *NeighborhoodCache {
 		maxTriples = 1 << 20
 	}
 	return &NeighborhoodCache{
-		budget:  maxTriples,
-		ll:      list.New(),
-		items:   make(map[shape.Shape]map[rdfgraph.ID]*list.Element),
-		pending: make(map[uint64]staleness),
-		closed:  make(map[*list.Element]struct{}),
+		budget: maxTriples,
+		ll:     list.New(),
+		items:  make(map[shape.Shape]map[rdfgraph.ID]*list.Element),
 	}
 }
 
@@ -116,13 +101,10 @@ func entryCost(ts []rdfgraph.IDTriple) int {
 	return len(ts)
 }
 
-// end returns the last epoch en is known valid at: its closing epoch, or
-// for an open entry the newest applied one (its own if computed later).
-func (c *NeighborhoodCache) end(en *neighborhoodEntry) uint64 {
-	if en.to != openRange {
-		return en.to
-	}
-	return max(en.from, c.applied)
+// valid reports whether en is known valid at epoch: from the epoch it was
+// computed at up to the newest applied one (its own if computed later).
+func (c *NeighborhoodCache) valid(en *neighborhoodEntry, epoch uint64) bool {
+	return en.from <= epoch && epoch <= max(en.from, c.applied)
 }
 
 // SetAliases installs a shape-aliasing table: every Get and Put whose
@@ -177,23 +159,15 @@ func (c *NeighborhoodCache) getRun(epoch uint64, v rdfgraph.ID, shapes []shape.S
 
 func (c *NeighborhoodCache) getLocked(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
 	rep, aliased := c.resolveLocked(phi)
-	// Entries of one key are newest first and their ranges disjoint: the
-	// first that starts at or before epoch is the only candidate.
-	for el := c.items[rep][v]; el != nil; {
-		en := el.Value.(*neighborhoodEntry)
-		if en.from > epoch {
-			el = en.older
-			continue
+	if el := c.items[rep][v]; el != nil {
+		if en := el.Value.(*neighborhoodEntry); c.valid(en, epoch) {
+			c.hits++
+			if aliased {
+				c.aliasHits++
+			}
+			c.ll.MoveToFront(el)
+			return en.triples, true
 		}
-		if epoch > c.end(en) {
-			break
-		}
-		c.hits++
-		if aliased {
-			c.aliasHits++
-		}
-		c.ll.MoveToFront(el)
-		return en.triples, true
 	}
 	c.misses++
 	return nil, false
@@ -203,7 +177,8 @@ func (c *NeighborhoodCache) getLocked(epoch uint64, v rdfgraph.ID, phi shape.Sha
 // evicting least-recently-used entries until it fits. Neighborhoods larger
 // than the whole budget are not cached at all, and neither is one computed
 // at an epoch older than the newest applied transition: the invalidations
-// since were applied without it.
+// since were applied without it. An incumbent valid at epoch, or computed
+// later, stays; any other is replaced.
 func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts []rdfgraph.IDTriple) {
 	cost := entryCost(ts)
 	if cost > c.budget {
@@ -215,19 +190,14 @@ func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts
 		return
 	}
 	rep, _ := c.resolveLocked(phi)
-	if head := c.items[rep][v]; head != nil {
-		en := head.Value.(*neighborhoodEntry)
-		if epoch <= c.end(en) || en.from > epoch {
+	if el := c.items[rep][v]; el != nil {
+		if en := el.Value.(*neighborhoodEntry); en.from > epoch || c.valid(en, epoch) {
 			// Concurrent workers may compute the same neighborhood; keep
 			// the incumbent (a newer or equal result) and refresh recency.
-			c.ll.MoveToFront(head)
+			c.ll.MoveToFront(el)
 			return
 		}
-		// The incumbent is not known valid at epoch: its range ends where
-		// the applied transitions leave it.
-		if en.to == openRange {
-			c.closeLocked(head, c.end(en))
-		}
+		c.removeLocked(el)
 	}
 	for c.size+cost > c.budget {
 		back := c.ll.Back()
@@ -239,91 +209,23 @@ func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts
 		c.evictions++
 		c.evicted += uint64(len(ev.triples))
 	}
-	// The eviction loop may have removed the incumbent.
 	byNode := c.items[rep]
 	if byNode == nil {
 		byNode = make(map[rdfgraph.ID]*list.Element)
 		c.items[rep] = byNode
 	}
-	head := byNode[v]
-	byNode[v] = c.ll.PushFront(&neighborhoodEntry{
-		byNode: byNode, node: v, triples: ts, from: epoch, to: openRange, older: head,
-	})
+	byNode[v] = c.ll.PushFront(&neighborhoodEntry{byNode: byNode, node: v, triples: ts, from: epoch})
 	c.size += cost
-	c.open++
 }
 
-// closeLocked ends el's open range at epoch to.
-func (c *NeighborhoodCache) closeLocked(el *list.Element, to uint64) {
-	en := el.Value.(*neighborhoodEntry)
-	en.to = to
-	c.open--
-	c.closed[el] = struct{}{}
-}
-
-// removeLocked drops el from the LRU, its key's chain and the accounting.
+// removeLocked drops el from the LRU, its shape's map and the accounting.
+// A shape's map stays when it empties: the shapes are the schema's, and a
+// map made afresh would grow afresh.
 func (c *NeighborhoodCache) removeLocked(el *list.Element) {
 	en := el.Value.(*neighborhoodEntry)
 	c.ll.Remove(el)
 	c.size -= entryCost(en.triples)
-	if en.to == openRange {
-		c.open--
-	} else {
-		delete(c.closed, el)
-	}
-	// A shape's map stays when it empties: the shapes are the schema's,
-	// and a map made afresh would grow afresh.
-	byNode := en.byNode
-	if byNode[en.node] == el {
-		if en.older != nil {
-			byNode[en.node] = en.older
-		} else {
-			delete(byNode, en.node)
-		}
-		return
-	}
-	for cur := byNode[en.node]; cur != nil; {
-		newer := cur.Value.(*neighborhoodEntry)
-		if newer.older == el {
-			newer.older = en.older
-			return
-		}
-		cur = newer.older
-	}
-}
-
-// EvictBelow removes every entry whose range ended before epoch min,
-// returning how many entries and triples were dropped. The serving layer
-// calls it once no in-flight request pins an epoch below min. It visits
-// closed entries only, unless min passes the newest applied transition —
-// as in a cache that is never invalidated — where open entries computed
-// before min end below it too.
-func (c *NeighborhoodCache) EvictBelow(min uint64) (entries, triples int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	drop := func(el *list.Element) {
-		en := el.Value.(*neighborhoodEntry)
-		entries++
-		triples += len(en.triples)
-		c.removeLocked(el)
-	}
-	for el := range c.closed {
-		if el.Value.(*neighborhoodEntry).to < min {
-			drop(el)
-		}
-	}
-	if c.applied < min {
-		var next *list.Element
-		for el := c.ll.Front(); el != nil; el = next {
-			next = el.Next()
-			if en := el.Value.(*neighborhoodEntry); en.to == openRange && en.from < min {
-				drop(el)
-			}
-		}
-	}
-	c.stale += uint64(entries)
-	c.staleTrip += uint64(triples)
-	return entries, triples
+	delete(en.byNode, en.node)
 }
 
 // CacheStats is a snapshot of cache effectiveness and occupancy
@@ -335,11 +237,9 @@ type CacheStats struct {
 	Hits, Misses   uint64
 	Evictions      uint64 // entries removed to make room
 	EvictedTriples uint64 // triples those entries held
-	StaleEvictions uint64 // entries removed by EvictBelow (their range ended)
-	StaleTriples   uint64 // triples those entries held
 	AliasHits      uint64 // hits served through a containment alias (subset of Hits)
-	Kept           uint64 // open entries Invalidate left open, summed over transitions
-	Invalidated    uint64 // entries Invalidate closed
+	Kept           uint64 // entries Invalidate left in place, summed over transitions
+	Invalidated    uint64 // entries Invalidate removed
 	Entries        int
 	Triples        int
 	Bytes          int
@@ -354,8 +254,6 @@ func (c *NeighborhoodCache) Stats() CacheStats {
 		Misses:         c.misses,
 		Evictions:      c.evictions,
 		EvictedTriples: c.evicted,
-		StaleEvictions: c.stale,
-		StaleTriples:   c.staleTrip,
 		AliasHits:      c.aliasHits,
 		Kept:           c.kept,
 		Invalidated:    c.invalidated,

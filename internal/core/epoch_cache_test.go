@@ -26,50 +26,11 @@ func TestNeighborhoodCacheEpochIsolation(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodCacheEvictBelow: EvictBelow drops exactly the entries of
-// older epochs and counts them as stale.
-func TestNeighborhoodCacheEvictBelow(t *testing.T) {
-	c := core.NewNeighborhoodCache(1000)
-	phi, psi := shape.TrueShape(), shape.FalseShape()
-	entry := func(v rdfgraph.ID) []rdfgraph.IDTriple {
-		return []rdfgraph.IDTriple{{S: v, P: 0, O: 0}}
-	}
-	// Epoch 1: nodes 1..4 under phi, node 1 under psi too; epoch 2: nodes
-	// 2 and 4 under phi.
-	for v := rdfgraph.ID(1); v <= 4; v++ {
-		c.Put(1, v, phi, entry(v))
-	}
-	c.Put(1, 1, psi, entry(1))
-	c.Put(2, 2, phi, entry(2))
-	c.Put(2, 4, phi, entry(4))
-
-	entries, triples := c.EvictBelow(2)
-	if entries != 5 || triples != 5 {
-		t.Fatalf("EvictBelow removed %d entries / %d triples, want 5 / 5", entries, triples)
-	}
-	if _, ok := c.Get(1, 2, phi); ok {
-		t.Error("stale epoch entry survived EvictBelow")
-	}
-	if _, ok := c.Get(2, 2, phi); !ok {
-		t.Error("current epoch entry removed by EvictBelow")
-	}
-
-	st := c.Stats()
-	if st.StaleEvictions != 5 || st.StaleTriples != 5 {
-		t.Errorf("stale counters = %d/%d, want 5/5", st.StaleEvictions, st.StaleTriples)
-	}
-	if st.Entries != 2 || st.Triples != 2 {
-		t.Errorf("occupancy after evict = %+v, want 2 entries / 2 triples", st)
-	}
-}
-
-// TestNeighborhoodCacheInvalidate pins the epoch ranges Invalidate keeps:
-// an entry the delta cannot reach stays valid at the next epoch in place,
-// one it reaches — or one of a shape SetFootprints does not track — stays
-// valid only up to the epoch it was closed at, transitions apply in epoch
-// order whatever order they arrive in, a Put computed below the newest
-// applied transition caches nothing, and EvictBelow drops an entry once
-// its range ended below the floor.
+// TestNeighborhoodCacheInvalidate pins what Invalidate keeps: an entry the
+// delta cannot reach stays valid at the next epoch in place, one it
+// reaches — or one of a shape SetFootprints does not track — is removed, a
+// Put computed below the newest applied transition caches nothing, and a
+// transition that skips an epoch the cache never saw removes every entry.
 func TestNeighborhoodCacheInvalidate(t *testing.T) {
 	iri := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
 	tr := func(s, p, o string) rdf.Triple { return rdf.T(iri(s), iri(p), iri(o)) }
@@ -109,42 +70,46 @@ func TestNeighborhoodCacheInvalidate(t *testing.T) {
 	if kept, inv := invalidate(apply(tr("b", "p", "x"))); kept != 3 || inv != 2 {
 		t.Fatalf("1 → 2 kept %d, invalidated %d; want 3 and 2", kept, inv)
 	}
-	if !hit(2, a, phi) || !hit(2, a, psi) || hit(2, b, phi) || !hit(1, b, phi) || hit(2, a, untracked) {
-		t.Fatal("after 1 → 2: want (a, φ) and (a, ψ) served at 2, (b, φ) and the untracked entry only at 1")
+	if !hit(2, a, phi) || !hit(2, a, psi) || hit(2, b, phi) || hit(1, b, phi) || hit(2, a, untracked) {
+		t.Fatal("after 1 → 2: want (a, φ) and (a, ψ) served at 2, (b, φ) and the untracked entry removed")
 	}
 
-	// 3 → 4 arrives before 2 → 3: held back, and epoch 3 is not served yet.
-	res2 := apply(tr("c", "r", "y")) // r: nothing reads it
-	res3 := apply(tr("a", "p", "w"), tr("c", "p", "w"))
-	if kept, inv := invalidate(res3); kept != 0 || inv != 0 {
-		t.Fatalf("early 3 → 4 applied: kept %d, invalidated %d", kept, inv)
+	if kept, inv := invalidate(apply(tr("c", "r", "y"))); kept != 3 || inv != 0 { // r: nothing reads it
+		t.Fatalf("2 → 3 kept %d, invalidated %d; want 3 and 0", kept, inv)
 	}
-	if hit(3, a, psi) {
-		t.Fatal("epoch 3 served before the transition into it was applied")
+	if kept, inv := invalidate(apply(tr("a", "p", "w"), tr("c", "p", "w"))); kept != 1 || inv != 2 {
+		t.Fatalf("3 → 4 kept %d, invalidated %d; want 1 and 2", kept, inv)
 	}
-	if kept, inv := invalidate(res2); kept != 1 || inv != 2 {
-		t.Fatalf("2 → 3 → 4 kept %d, invalidated %d; want 1 and 2", kept, inv)
-	}
-	if c.Applied() != 4 || !hit(4, a, psi) || hit(4, a, phi) || !hit(3, cc, phi) {
-		t.Fatal("after 3 → 4: want (a, ψ) served at 4, (a, φ) and (c, φ) only up to 3")
+	if !hit(4, a, psi) || !hit(3, a, psi) || hit(4, a, phi) || hit(3, cc, phi) {
+		t.Fatal("after 3 → 4: want (a, ψ) served at 3 and 4, (a, φ) and (c, φ) removed")
 	}
 
 	c.Put(2, d, phi, entry) // computed at 2, below the applied 4
 	if hit(2, d, phi) {
 		t.Fatal("an entry computed below the applied epoch was cached")
 	}
-	c.Put(4, a, phi, entry) // the newer entry of a closed key
-	if !hit(4, a, phi) || !hit(3, a, phi) {
-		t.Fatal("(a, φ) lost its epoch-4 entry or its epoch-1 one")
+	c.Put(4, a, phi, entry)
+	if !hit(4, a, phi) || hit(3, a, phi) {
+		t.Fatal("(a, φ) computed at 4 must be served at 4 only")
 	}
 
-	if n, _ := c.EvictBelow(3); n != 2 {
-		t.Fatalf("EvictBelow(3) dropped %d entries, want the two closed at 1", n)
+	// Epoch 5 is published without its transition reaching the cache: it is
+	// not served there, and the transition out of it removes every entry.
+	apply(tr("d", "r", "z"))
+	if hit(5, a, psi) || !hit(4, a, psi) {
+		t.Fatal("epoch 5 served before any transition into it was applied")
 	}
-	if n, _ := c.EvictBelow(4); n != 2 || hit(3, a, phi) || !hit(4, a, phi) {
-		t.Fatalf("EvictBelow(4) dropped %d entries, want the two closed at 3", n)
+	if kept, inv := invalidate(apply(tr("d", "r", "zz"))); kept != 0 || inv != 2 {
+		t.Fatalf("skipping 4 → 5, 5 → 6 kept %d, invalidated %d; want 0 and 2", kept, inv)
 	}
-	if s := c.Stats(); s.Entries != 2 || s.Kept != 7 || s.Invalidated != 4 {
-		t.Fatalf("stats %+v, want 2 entries, 3+3+1 kept, 2+0+2 invalidated", s)
+	if hit(4, a, psi) || hit(6, a, psi) {
+		t.Fatal("an entry survived a transition that skipped an epoch")
+	}
+	c.Put(6, a, phi, entry)
+	if !hit(6, a, phi) {
+		t.Fatal("the cache serves nothing after a skipped epoch")
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Kept != 7 || s.Invalidated != 6 {
+		t.Fatalf("stats %+v, want 1 entry, 3+3+1+0 kept, 2+0+2+2 invalidated", s)
 	}
 }

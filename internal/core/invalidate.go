@@ -13,7 +13,7 @@ import (
 // SetFootprints tracks shapes for Invalidate: it builds the footprint
 // (shape.Footprint) of each shape's alias representative, defs resolving
 // hasShape names, and indexes them by the predicates they read. Every
-// transition closes all entries of a shape it does not track. Call it
+// transition removes all entries of a shape it does not track. Call it
 // once, after SetAliases and before the cache is shared.
 func (c *NeighborhoodCache) SetFootprints(shapes []shape.Shape, defs shape.Defs) {
 	c.mu.Lock()
@@ -47,14 +47,6 @@ func (c *NeighborhoodCache) SetEpoch(epoch uint64) {
 	c.applied = epoch
 }
 
-// Applied returns the newest epoch whose transition Invalidate has applied
-// (the SetEpoch epoch before the first).
-func (c *NeighborhoodCache) Applied() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.applied
-}
-
 // staleness is what one epoch transition can have changed: the focus
 // nodes its delta reaches, one span of them per footprint (empty for the
 // footprints it does not touch), or, when err is set, every entry.
@@ -75,40 +67,31 @@ type span struct{ lo, hi int32 }
 // an entry (v, φ) can be stale only if evaluating φ from v reads one of
 // them: for every tracked shape whose footprint reads p (or has a
 // closed(P)), Reach walks old — the epoch the entries were computed on —
-// back from s and o to the focus nodes that reach them, and their entries'
-// ranges end at prev. A walk past shape.MaxFootprintWalk ends every entry
-// of its shape. Every other open entry stays open, valid at prev+1 in
-// place. The walks run before the cache's lock is taken; cur only names
-// the delta's predicates, new ones included.
+// back from s and o to the focus nodes that reach them, and their entries
+// are removed. A walk past shape.MaxFootprintWalk removes every entry of
+// its shape. Every other entry stays, valid at prev+1 in place. The walks
+// run before the cache's lock is taken; cur only names the delta's
+// predicates, new ones included.
 //
-// A transition that arrives before the one into prev is held back and
-// applied, in epoch order, by the call that closes the gap. kept is the
-// number of entries open after the last transition this call applied and
-// invalidated the number it closed (both zero when it held one back). err
-// reports a panic recovered while walking; that transition then closed
-// every entry.
+// Transitions are expected in epoch order. One that does not leave the
+// newest applied epoch (an epoch was published without its transition
+// reaching the cache) removes every entry computed at or before prev.
+// kept is the number of entries left and invalidated the number removed.
+// err reports a panic recovered while walking; that transition then
+// removed every entry too.
 func (c *NeighborhoodCache) Invalidate(prev uint64, old, cur rdfgraph.Reader, ts []rdfgraph.IDTriple) (kept, invalidated int, err error) {
 	st := c.reach(old, cur, ts)
+	err = st.err
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev != c.applied {
-		c.pending[prev] = st
-		return 0, 0, st.err
+		st.err = fmt.Errorf("transition from epoch %d, the cache holds at %d", prev, c.applied)
 	}
-	err = st.err
-	for {
-		n := c.invalidateLocked(prev, st)
-		invalidated, kept = invalidated+n, c.open
-		c.invalidated += uint64(n)
-		c.kept += uint64(kept)
-		c.applied = prev + 1
-		next, ok := c.pending[c.applied]
-		if !ok {
-			break
-		}
-		delete(c.pending, c.applied)
-		prev, st = c.applied, next
-	}
+	invalidated = c.invalidateLocked(prev, st)
+	kept = c.ll.Len()
+	c.invalidated += uint64(invalidated)
+	c.kept += uint64(kept)
+	c.applied = prev + 1
 	return kept, invalidated, err
 }
 
@@ -157,10 +140,13 @@ func (c *NeighborhoodCache) reach(old, cur rdfgraph.Reader, ts []rdfgraph.IDTrip
 	return st
 }
 
+// invalidateLocked removes the entries st reaches that were computed at or
+// before prev, returning how many; entries computed at prev+1 already are
+// valid there.
 func (c *NeighborhoodCache) invalidateLocked(prev uint64, st staleness) (n int) {
-	closeAt := func(el *list.Element) {
-		if en := el.Value.(*neighborhoodEntry); en.to == openRange && en.from <= prev {
-			c.closeLocked(el, prev)
+	remove := func(el *list.Element) {
+		if el.Value.(*neighborhoodEntry).from <= prev {
+			c.removeLocked(el)
 			n++
 		}
 	}
@@ -168,13 +154,13 @@ func (c *NeighborhoodCache) invalidateLocked(prev uint64, st staleness) (n int) 
 		i, tracked := c.tracked[phi]
 		if st.err != nil || !tracked || st.spans[i].hi < 0 {
 			for _, el := range byNode {
-				closeAt(el)
+				remove(el)
 			}
 			continue
 		}
 		for _, v := range st.nodes[st.spans[i].lo:st.spans[i].hi] {
 			if el := byNode[v]; el != nil {
-				closeAt(el)
+				remove(el)
 			}
 		}
 	}

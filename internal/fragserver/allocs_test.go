@@ -27,9 +27,10 @@ func (d *discardResponse) WriteHeader(int)             {}
 // neighborhood cache warm, a GET through Server.Handler() — middleware,
 // span tree, access log, cache lookups, canonical sort, N-Triples encoding
 // — must stay under a committed number of allocations. Every request
-// records its span tree, so the counts include it: 61 for /node over all
-// 183 definitions (bound: that plus a quarter) and 92 for a one-shape
-// /fragment at two workers (bound: that plus a tenth). The /fragment count
+// records its span tree, so the counts include it: 59 for /node over all
+// 183 definitions and 90 for a one-shape /fragment at two workers. The
+// bounds are the 61 and 92 they took while every request also pinned its
+// epoch for a cache sweeper, plus a quarter and a tenth. The /fragment count
 // was 232 while every worker's Bind looked the program's operands up and
 // compiled its automata again, built fresh evaluators and boxed its rows
 // back into a pool, and built an AST extractor it never ran; 259 before its
@@ -41,7 +42,8 @@ func (d *discardResponse) WriteHeader(int)             {}
 // bind's own state cost 20.7 kB, and per-request triple sets and an unpooled
 // merge slice 47 kB. With TraceSample 1 the same requests also pay for
 // being kept — traceparent header, root attributes, ring insert, exemplar:
-// 71 and 102, bounded like the rows above.
+// 69 and 100, bounded like the rows above from the 71 and 102 they took
+// with the epoch pin.
 func TestWarmNodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

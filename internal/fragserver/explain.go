@@ -98,8 +98,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			defs = named
 		}
 	}
-	snap, done := s.snapshot(w)
-	defer done()
+	snap := s.snapshot(w)
 	g := snap.Reader()
 	id := g.LookupTerm(focus)
 	target.End()

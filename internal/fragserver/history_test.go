@@ -47,12 +47,12 @@ func coldNodeBody(t testing.TB, srv *Server, v rdf.Term) string {
 // TestCacheHistoryExact runs a seeded history of updates against a server
 // whose neighborhood cache stays warm across them, and checks every /node
 // body at every epoch against cold AST extraction of that epoch: an entry
-// an update should have closed but kept would be served stale here. The
+// an update should have removed but kept would be served stale here. The
 // graph is a typed Tyrol graph under the served benchmark schema (183
 // definitions); the updates add reviews, strip a review's type, delete
 // every triple of a review or a person, and toggle a lodging's name. Each
 // epoch reads a fixed population plus the delta's endpoints, so both kept
-// and closed entries are read back; some reads after updates must hit.
+// and removed entries are read back; some reads after updates must hit.
 func TestCacheHistoryExact(t *testing.T) {
 	steps := 100
 	if testing.Short() {

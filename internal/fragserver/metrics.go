@@ -249,17 +249,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 			func() float64 { return float64(s.cache.Stats().Triples) })
 		reg.GaugeFunc("fragserver_cache_bytes", "Approximate bytes of cached triple storage.",
 			func() float64 { return float64(s.cache.Stats().Bytes) })
-		reg.CounterFunc("fragserver_cache_stale_evictions_total",
-			"Cache entries evicted because their epoch range ended below every in-flight request.",
-			func() float64 { return float64(s.cache.Stats().StaleEvictions) })
-		reg.CounterFunc("fragserver_cache_stale_triples_total",
-			"Triples held by entries evicted because their epoch range ended.",
-			func() float64 { return float64(s.cache.Stats().StaleTriples) })
 		reg.CounterFunc("fragserver_cache_kept_total",
 			"Cache entries an update left valid at its new epoch, summed over updates.",
 			func() float64 { return float64(s.cache.Stats().Kept) })
 		reg.CounterFunc("fragserver_cache_invalidated_total",
-			"Cache entries an update closed because its delta can reach them.",
+			"Cache entries an update removed because its delta can reach them.",
 			func() float64 { return float64(s.cache.Stats().Invalidated) })
 		reg.CounterFunc(mContainHits,
 			"Cache hits served through a containment alias: requests answered from a congruent definition's entries.",

@@ -19,13 +19,13 @@
 //
 // # Epochs
 //
-// Every data route pins the current snapshot for its whole lifetime and
-// reports its epoch in an X-Epoch response header: a request never observes
-// a half-applied update, and concurrent updates never block readers.
-// Neighborhood cache entries carry the range of epochs they are valid for:
-// an update closes only the entries its delta can reach (see
-// handleUpdate), every other entry is served at the new epoch as it is,
-// and entries whose range ended below every pinned epoch are evicted.
+// Every data route reads the snapshot current when it starts for its whole
+// lifetime and reports its epoch in an X-Epoch response header: a request
+// never observes a half-applied update, and updates never block readers.
+// Updates themselves run one at a time (see handleUpdate). A neighborhood
+// cache entry is valid from the epoch it was computed at up to the newest
+// one: an update removes only the entries its delta can reach, and every
+// other entry is served at the new epoch as it is.
 //
 // Production behaviors: per-request timeouts propagated through
 // context.Context into extraction, bounded in-flight concurrency (503 when
@@ -194,12 +194,11 @@ type Server struct {
 	sem     chan struct{}
 	pool    chan *core.Extractor
 
-	// pins refcounts the epochs in-flight requests are running against;
-	// staleFloor is the highest epoch the cache has been swept below, so
-	// releases only rescan the cache when the floor actually advanced.
-	pins       epochPins
-	staleFloor atomic.Uint64
-	maxUpdate  int64
+	// writeMu serializes POST /update from the store's Apply through the
+	// cache's Invalidate and live's Notify, so both step one epoch at a
+	// time, in order.
+	writeMu   sync.Mutex
+	maxUpdate int64
 
 	// requests holds one pointer-stable request shape φ ∧ τ per definition
 	// (in definition order): the /fragment work list and the shapes live
@@ -328,8 +327,6 @@ func New(cfg Config) (*Server, error) {
 		traceSample: cfg.TraceSample,
 		slowReq:     cfg.SlowRequest,
 	}
-	s.pins.refs = make(map[uint64]int)
-	s.staleFloor.Store(s.store.Current().Epoch())
 	s.programs = plan.CompileAll(s.requests, cfg.Schema)
 	for _, d := range cfg.Schema.Definitions() {
 		s.defShapes = append(s.defShapes, d.Shape)
@@ -414,10 +411,12 @@ func (s *Server) sampleTrace() bool {
 // streams cleanly.
 func (s *Server) Live() *live.Maintainer { return s.live }
 
-// Store returns the server's snapshot store. Callers embedding the server
-// can apply deltas directly through it, but going through POST /update is
-// preferred: only the handler notifies live maintenance (GET /subscribe)
-// and keeps the update metrics truthful.
+// Store returns the server's snapshot store, for reading. Write through
+// POST /update: only the handler takes the server's write lock, steps the
+// neighborhood cache and live maintenance (GET /subscribe) across the new
+// epoch and counts it. An epoch published through the store directly
+// reaches neither: the next /update then drops every cached neighborhood
+// and rebuilds every maintained fragment instead of patching them.
 func (s *Server) Store() store.Store { return s.store }
 
 // Lint returns the schema lint findings computed at load time, in the
@@ -478,85 +477,14 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
-// epochPins refcounts which epochs in-flight requests are pinned to, so
-// the cache sweeper knows which stale epochs no reader can touch anymore.
-type epochPins struct {
-	mu   sync.Mutex
-	refs map[uint64]int
-}
-
-func (p *epochPins) pin(e uint64) {
-	p.mu.Lock()
-	p.refs[e]++
-	p.mu.Unlock()
-}
-
-func (p *epochPins) unpin(e uint64) {
-	p.mu.Lock()
-	if p.refs[e]--; p.refs[e] <= 0 {
-		delete(p.refs, e)
-	}
-	p.mu.Unlock()
-}
-
-// min returns the lowest pinned epoch, if any request is in flight.
-func (p *epochPins) min() (uint64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var lo uint64
-	ok := false
-	for e := range p.refs {
-		if !ok || e < lo {
-			lo, ok = e, true
-		}
-	}
-	return lo, ok
-}
-
-// snapshot pins the current store snapshot for one request and stamps its
-// epoch on the response, so every read the handler performs — graph
+// snapshot returns the current store snapshot for one request and stamps
+// its epoch on the response, so every read the handler performs — graph
 // lookups, extraction, cache access — sees exactly one epoch no matter how
-// many updates land mid-request. The returned release must be called when
-// the handler is done; it unpins and sweeps cache entries of epochs no
-// in-flight request can reach anymore.
-func (s *Server) snapshot(w http.ResponseWriter) (store.Snapshot, func()) {
+// many updates land mid-request.
+func (s *Server) snapshot(w http.ResponseWriter) store.Snapshot {
 	snap := s.store.Current()
-	s.pins.pin(snap.Epoch())
 	w.Header().Set("X-Epoch", strconv.FormatUint(snap.Epoch(), 10))
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			s.pins.unpin(snap.Epoch())
-			s.evictStale()
-		})
-	}
-	return snap, release
-}
-
-// evictStale drops cache entries whose epoch range ended below the
-// eviction floor — the oldest of the current epoch, the oldest pinned one
-// and the newest epoch the cache's invalidation has reached (an entry still
-// open there may be valid at the next). The floor is tracked in staleFloor
-// so the cache is only swept when an update actually advanced it, not on
-// every request.
-func (s *Server) evictStale() {
-	if s.cache == nil {
-		return
-	}
-	floor := min(s.store.Current().Epoch(), s.cache.Applied())
-	if lo, ok := s.pins.min(); ok && lo < floor {
-		floor = lo
-	}
-	for {
-		last := s.staleFloor.Load()
-		if floor <= last {
-			return
-		}
-		if s.staleFloor.CompareAndSwap(last, floor) {
-			break
-		}
-	}
-	s.cache.EvictBelow(floor)
+	return snap
 }
 
 // acquire hands out a pooled extractor for the given snapshot graph,
@@ -619,8 +547,7 @@ func (s *Server) defIndex(name string) (int, bool) {
 }
 
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	snap, done := s.snapshot(w)
-	defer done()
+	snap := s.snapshot(w)
 	x := s.acquire(snap.Reader())
 	validate := obs.FromContext(r.Context()).StartChild("validate")
 	var report *schema.Report
@@ -664,8 +591,7 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 		lo, hi = i, i+1
 	}
 	target.End()
-	snap, done := s.snapshot(w)
-	defer done()
+	snap := s.snapshot(w)
 	x := s.acquire(snap.Reader())
 	extract := root.StartChild("extract")
 	ids, _, err := x.FragmentParallelIDs(requests, core.ParallelOptions{
@@ -716,8 +642,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		}
 		shapes = s.defShapes[i : i+1]
 	}
-	snap, done := s.snapshot(w)
-	defer done()
+	snap := s.snapshot(w)
 	// LookupTerm never interns, so an unknown focus cannot mutate the
 	// frozen snapshot dictionary no matter how many goroutines probe it.
 	id := snap.Reader().LookupTerm(focus)
@@ -763,8 +688,7 @@ func (s *Server) handleTPF(w http.ResponseWriter, r *http.Request) {
 	if phi, ok := pattern.RequestShape(); ok {
 		w.Header().Set("X-Request-Shape", phi.String())
 	}
-	snap, done := s.snapshot(w)
-	defer done()
+	snap := s.snapshot(w)
 	extract := root.StartChild("extract")
 	ids := pattern.EvalIDs(snap.Reader())
 	extract.End()

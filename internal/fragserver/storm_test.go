@@ -12,26 +12,22 @@ import (
 )
 
 // TestUpdateCarryStormParity pins that no cache entry is served at an
-// epoch it is not valid for under racing updates: whatever order
-// concurrent handlers apply, invalidate, notify and sweep in, a read at the
-// newest epoch never serves a neighborhood an update has changed since it
-// was computed. Entries the updates cannot reach stay valid across epochs;
-// the cache applies each update's invalidation in epoch order, holding
-// back one whose predecessor's is still in flight, and a read at an epoch
-// whose invalidation has not landed yet misses. (The name is from the race
-// it first guarded: handlers that carried entries forward keyed on a
+// epoch it is not valid for under racing updates: however concurrent
+// handlers interleave with reads, a read at the newest epoch never serves a
+// neighborhood an update has changed since it was computed. Entries the
+// updates cannot reach stay valid across epochs; handlers take the
+// server's write lock from apply through invalidate and notify, so the
+// cache steps across every epoch in order. (The name is from the race it
+// first guarded: handlers that carried entries forward keyed on a
 // pre-Apply epoch read and resurrected entries a concurrent delta had
 // invalidated.)
 //
 // Each attempt stages that interleaving. The victim component {a,b} is
-// freshly warmed in the cache; an in-flight reader stays pinned to that
-// epoch for the whole burst, so the sweeper keeps the old-epoch entries
-// alive while the updates land. Then one small update extending the victim
-// races a burst of large updates to independent noise components: the
-// large bodies make the serialized applies slow, so handlers finish out of
-// apply order. Afterwards the served neighborhood of the victim must
-// contain every triple ever added to it; a stale entry served at the new
-// epoch is missing the newest one. Run with -race.
+// freshly warmed in the cache. Then one small update extending the victim
+// races a burst of large updates to independent noise components. The
+// served neighborhood of the victim must then contain every triple ever
+// added to it; a stale entry served at the new epoch is missing the newest
+// one. Run with -race.
 func TestUpdateCarryStormParity(t *testing.T) {
 	const noise, attempts, noiseTriples = 6, 12, 200
 	seed := []rdf.Triple{exTriple("a", "b")}
@@ -55,11 +51,6 @@ func TestUpdateCarryStormParity(t *testing.T) {
 		if resp, _ := get(t, ts, nodeURL("a")); resp.StatusCode != http.StatusOK {
 			t.Fatalf("warming read failed at attempt %d", attempt)
 		}
-		// An in-flight reader keeps the pre-burst epoch pinned for the
-		// whole burst, exactly like a long read racing the updates.
-		base := srv.store.Current().Epoch()
-		srv.pins.pin(base)
-
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		post1 := func(body string) {
@@ -77,7 +68,6 @@ func TestUpdateCarryStormParity(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		srv.pins.unpin(base)
 
 		// Every triple the victim has ever gained must be served; a stale
 		// resurrected entry is missing the newest.

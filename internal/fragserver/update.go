@@ -36,11 +36,13 @@ type updateResponse struct {
 // handleUpdate serves POST /update: the body is a Turtle or N-Triples
 // document; op=add (the default) adds its triples, op=delete removes them.
 // The delta is applied atomically as one new store epoch — in-flight
-// readers keep their pinned snapshots, later requests see the new one.
-// Between the apply and the live notify, the neighborhood cache steps to
-// the new epoch (invalidate, NeighborhoodCache.Invalidate): entries the
-// delta can reach are closed, the rest are served at the new epoch as they
-// are. Racing handlers' transitions apply in res.Prev order.
+// readers keep the snapshots they started on, later requests see the new
+// one. Between the apply and the live notify, the neighborhood cache steps
+// to the new epoch (invalidate, NeighborhoodCache.Invalidate): entries the
+// delta can reach are removed, the rest are served at the new epoch as they
+// are. Updates run one at a time: the server's write lock is held from the
+// apply through the notify, so the cache and live step across every epoch
+// in order.
 // Updates during graceful drain are rejected with 503 immediately (the
 // caller should retry against a serving replica), and bodies beyond
 // Config.MaxUpdateBytes get 413.
@@ -94,6 +96,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if del {
 		delta = rdfgraph.Delta{Del: triples}
 	}
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	apply := root.StartChild("apply")
 	res := s.store.Apply(delta)
 	apply.SetAttrInt("added", int64(res.Added))
@@ -107,7 +111,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			var err error
 			kept, invalidated, err = s.cache.Invalidate(res.Prev, res.Base.Reader(), res.Snapshot.Reader(), res.Effective)
 			if err != nil {
-				// The walk panicked: that transition closed every entry, and
+				// The walk panicked: that transition removed every entry, and
 				// the update stands.
 				s.metrics.panics.Inc()
 				s.log.Error("panic invalidating the neighborhood cache", "epoch", res.Snapshot.Epoch(), "err", err.Error())
@@ -147,10 +151,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.metrics.updNoop.Inc()
 	}
-	// Reclaim entries of epochs no in-flight request pins anymore. With
-	// readers in flight this is a no-op; the floor advances as they drain.
-	s.evictStale()
-
 	w.Header().Set("X-Epoch", strconv.FormatUint(res.Snapshot.Epoch(), 10))
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,12 +164,84 @@ func TestUpdateEndToEnd(t *testing.T) {
 		!strings.Contains(body, lineAE) || !strings.Contains(body, lineCD) {
 		t.Fatalf("post-update /fragment:\n%s", body)
 	}
+}
 
-	// The touched component's old entries cannot be served: reading a
-	// again was a miss-then-fill, and stale epoch-1 entries get swept once
-	// nothing pins epoch 1 anymore.
-	if st := srv.cache.Stats(); st.StaleEvictions == 0 {
-		t.Errorf("no stale-epoch evictions recorded after the update: %+v", st)
+// TestEpochPublishedOutsideUpdate: an epoch published through Store()
+// directly reaches neither the cache nor live maintenance, and the next
+// POST /update steps both past it. The subscriber's next delta carries the
+// directly applied triple too, the deltas fold to the cold fragment, live
+// ends at the store's epoch, and /node is served from the cache again.
+func TestEpochPublishedOutsideUpdate(t *testing.T) {
+	srv, ts := newUpdateTestServer(t, Config{})
+	stream := openStream(t, ts, "/subscribe?shape=S", "")
+	ev, _ := stream.next(t)
+	if ev.event != "snapshot" || ev.id != "1" {
+		t.Fatalf("first event: %+v", ev)
+	}
+	held := ssePayloadOf(t, ev).Added
+	get(t, ts, nodeURL("a"))
+	get(t, ts, nodeURL("a"))
+
+	srv.Store().Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("a", "e")}})
+	const lineAG = "<http://ex/a> <http://ex/p> <http://ex/g> ."
+	for _, body := range []string{lineCF, lineAG} {
+		if resp, out := post(t, ts, "/update", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /update: %d\n%s", resp.StatusCode, out)
+		}
+		// The update touched c only, but a's epoch-1 entry predates the
+		// directly published epoch 2 and must not be served.
+		if _, node := get(t, ts, nodeURL("a")); !strings.Contains(node, lineAE) {
+			t.Fatalf("/node?a after POST %s lacks %s:\n%s", body, lineAE, node)
+		}
+	}
+	if got, want := srv.Live().Epoch(), srv.Store().Current().Epoch(); got != want || want != 4 {
+		t.Fatalf("live is at epoch %d, the store at %d; want both 4", got, want)
+	}
+
+	// The events must be the epoch-3 and epoch-4 deltas, the first carrying
+	// epoch 2's triple, and fold the epoch-1 snapshot into the cold fragment.
+	folded := make(map[string]bool)
+	for _, l := range held {
+		folded[l] = true
+	}
+	for _, id := range []string{"3", "4"} {
+		ev, _ := stream.next(t)
+		if ev.event != "delta" || ev.id != id {
+			t.Fatalf("event %+v, want the epoch-%s delta", ev, id)
+		}
+		p := ssePayloadOf(t, ev)
+		if id == "3" && !slices.Contains(p.Added, lineAE) {
+			t.Fatalf("the first delta after the gap lacks the directly applied %s: %+v", lineAE, p)
+		}
+		for _, l := range p.Added {
+			folded[l] = true
+		}
+		for _, l := range p.Removed {
+			delete(folded, l)
+		}
+	}
+	_, cold := get(t, ts, "/fragment?shape=S")
+	want := strings.Split(strings.TrimSpace(cold), "\n")
+	if len(folded) != len(want) {
+		t.Fatalf("folded %d lines, the cold fragment has %d:\n%s", len(folded), len(want), cold)
+	}
+	for _, l := range want {
+		if !folded[l] {
+			t.Fatalf("folded stream lacks %s", l)
+		}
+	}
+
+	get(t, ts, nodeURL("a"))
+	before := srv.cache.Stats()
+	_, body := get(t, ts, nodeURL("a"))
+	if after := srv.cache.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("a repeated /node was not a cache hit: hits %d → %d, misses %d → %d",
+			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+	for _, l := range []string{lineAB, lineAE, lineAG} {
+		if !strings.Contains(body, l) {
+			t.Errorf("/node?a at epoch 4 lacks %s:\n%s", l, body)
+		}
 	}
 }
 

@@ -160,8 +160,8 @@ func TestDeltaHistoryExact(t *testing.T) {
 			t.Fatalf("step %d: delta %+v was a no-op", step, delta)
 		}
 		stats := m.Notify(res, nil)
-		if stats.Steps != 1 {
-			t.Fatalf("step %d: Notify applied %d steps, want 1", step, stats.Steps)
+		if got := m.Epoch(); got != res.Snapshot.Epoch() {
+			t.Fatalf("step %d: Notify left the maintainer at epoch %d, want %d", step, got, res.Snapshot.Epoch())
 		}
 		// Reextracted is |R|: per definition, the distinct foci its
 		// footprint walk reaches from the effective delta on the base epoch

@@ -28,12 +28,13 @@
 // panicked) is dropped: its subscribers are closed with ReasonEvicted, and
 // the next Subscribe materializes it afresh. The epoch advances anyway.
 //
-// Epoch ordering: updates apply serially inside the store, but the
-// handlers notifying the Maintainer race after the apply lock. Notify
-// therefore stashes results whose predecessor epoch (ApplyResult.Prev) is
-// not the maintained one and applies them once the chain closes, so
-// maintenance always steps prev → prev+1 and every subscriber sees the
-// deltas in epoch order.
+// Epoch ordering: the caller notifies each update in epoch order, as the
+// serving layer does by holding one lock from the store's Apply through
+// Notify. A result whose predecessor epoch (ApplyResult.Prev) is ahead of
+// the maintained one — an epoch was published without a Notify — rebuilds
+// every shape's counts at the result's epoch, so each event is still the
+// exact delta from the fragment its subscribers hold; a result at or below
+// the maintained epoch is a no-op.
 package live
 
 import (
@@ -103,7 +104,6 @@ type Maintainer struct {
 	epoch    uint64
 	snap     store.Snapshot
 	shapes   map[int]*shapeState
-	pending  map[uint64]store.ApplyResult // keyed by predecessor epoch
 	nsubs    int
 	draining bool
 
@@ -133,7 +133,7 @@ type shapeState struct {
 
 // NewMaintainer builds a Maintainer serving snap's epoch. No fragment is
 // materialized until a shape's first subscriber arrives; until then every
-// method is O(1) per update apart from bookkeeping the epoch chain.
+// method is O(1) per update.
 func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 	if cfg.Replay <= 0 {
 		cfg.Replay = 64
@@ -145,11 +145,10 @@ func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 		cfg.MaxSubscribers = 4096
 	}
 	return &Maintainer{
-		cfg:     cfg,
-		epoch:   snap.Epoch(),
-		snap:    snap,
-		shapes:  make(map[int]*shapeState),
-		pending: make(map[uint64]store.ApplyResult),
+		cfg:    cfg,
+		epoch:  snap.Epoch(),
+		snap:   snap,
+		shapes: make(map[int]*shapeState),
 	}
 }
 
@@ -197,19 +196,16 @@ func (m *Maintainer) ensureShapeLocked(def int) (*shapeState, error) {
 	return st, nil
 }
 
-// NotifyStats reports what one Notify call processed: Steps epochs were
-// applied (more than one when this call closed a pending chain), changing
-// the maintained fragments by Added/Removed triples. Reextracted sums, over
-// steps and maintained shapes, the foci whose neighborhoods were
-// re-extracted: the distinct foci the shape's footprint walk reached from
-// the delta (each extracted on both epochs, counted once), or, on a step
-// that rebuilt a shape's counts and for a shape that keeps none, every
-// focus candidate. Err is the first extraction failure (a
+// NotifyStats reports what one Notify call processed: the step changed the
+// maintained fragments by Added/Removed triples. Reextracted sums, over
+// maintained shapes, the foci whose neighborhoods were re-extracted: the
+// distinct foci the shape's footprint walk reached from the delta (each
+// extracted on both epochs, counted once), or, on a step that rebuilt a
+// shape's counts and for a shape that keeps none, every focus candidate. Err is the first extraction failure (a
 // *core.PanicError); the shape it hit was dropped and its subscribers
 // evicted, and the epoch advanced anyway. WalkErr is the first footprint
 // walk that panicked; the shape it hit rebuilt its counts instead.
 type NotifyStats struct {
-	Steps       int
 	Reextracted int
 	Added       int
 	Removed     int
@@ -218,11 +214,12 @@ type NotifyStats struct {
 }
 
 // Notify advances maintenance across the epoch transition res describes
-// and fans the resulting per-shape deltas out to subscribers. It must be
-// called once per effective update; res.Changed false is a no-op.
-// Out-of-order notifications (racing handlers) are stashed and
-// applied when their predecessor epoch lands, so steps always run in
-// epoch order.
+// and fans the resulting per-shape deltas out to subscribers. It is called
+// once per effective update, in epoch order; res.Changed false is a no-op,
+// and so is a result at or below the maintained epoch. A result whose Prev
+// is ahead of the maintained epoch rebuilds every shape at res.Snapshot
+// (see the package comment), so events stay exact, at a rebuild's cost,
+// for a caller that skips or reorders notifications.
 //
 // sp, when non-nil (the update request's "notify" span), receives the
 // reextracted / shapes attributes and the reextract / fanout timings,
@@ -234,22 +231,15 @@ func (m *Maintainer) Notify(res store.ApplyResult, sp *obs.Span) NotifyStats {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if res.Prev != m.epoch {
-		// A racing handler for the successor epoch got here first; its
-		// notification waits for ours. (Equal epochs cannot collide: the
-		// store hands every Apply a distinct Prev under its lock.)
-		m.pending[res.Prev] = res
+	if res.Snapshot.Epoch() <= m.epoch {
 		return stats
 	}
-	m.stepLocked(res, sp, &stats)
-	for {
-		next, ok := m.pending[m.epoch]
-		if !ok {
-			break
-		}
-		delete(m.pending, m.epoch)
-		m.stepLocked(next, sp, &stats)
+	if res.Prev != m.epoch {
+		// The delta is not the one from the maintained epoch: with no delta
+		// to walk, every shape rebuilds (reach).
+		res.Base, res.Effective = nil, nil
 	}
+	m.stepLocked(res, sp, &stats)
 	sp.SetAttrInt("reextracted", int64(stats.Reextracted))
 	sp.SetAttrInt("shapes", int64(len(m.shapes)))
 	return stats
@@ -261,7 +251,6 @@ func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *Noti
 	snap := res.Snapshot
 	reader := snap.Reader()
 	epoch := snap.Epoch()
-	stats.Steps++
 	for _, st := range m.shapes {
 		begin := time.Now()
 		foci, patch, werr := reach(st, res)

@@ -133,8 +133,8 @@ func TestSnapshotThenDelta(t *testing.T) {
 
 	res := st.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("a", "e")}})
 	ns := m.Notify(res, nil)
-	if ns.Steps != 1 || ns.Added != 1 || ns.Removed != 0 {
-		t.Fatalf("notify stats: %+v", ns)
+	if m.Epoch() != 2 || ns.Added != 1 || ns.Removed != 0 {
+		t.Fatalf("notify stats: %+v (epoch %d)", ns, m.Epoch())
 	}
 	// Of the focus candidates a and c, the subjects of p-edges, only a
 	// reads the row Objects(a, p) the delta changed.
@@ -175,12 +175,13 @@ func TestDeleteEmitsRemovals(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderNotify pins the epoch-ordering discipline: when the
-// handler for epoch 3 notifies before the handler for epoch 2 (handlers
-// notify after the store's lock is released), the maintainer must stash it
-// and emit both deltas in epoch order.
-func TestOutOfOrderNotify(t *testing.T) {
-	m, st, _ := newMaintainer(t, live.Config{})
+// TestNotifyAcrossGap pins what Notify does with a result that does not
+// leave the maintained epoch. One whose Prev is ahead (epoch 2 was
+// published without a Notify) rebuilds the fragment at its epoch, and its
+// event is the exact delta from the fragment the subscriber holds, epoch
+// 2's change included. One at or below the maintained epoch is a no-op.
+func TestNotifyAcrossGap(t *testing.T) {
+	m, st, h := newMaintainer(t, live.Config{})
 	sub, _, err := m.Subscribe(0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -188,19 +189,35 @@ func TestOutOfOrderNotify(t *testing.T) {
 	defer m.Unsubscribe(sub)
 	res2 := st.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("a", "e")}})
 	res3 := st.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("c", "f")}})
-	if ns := m.Notify(res3, nil); ns.Steps != 0 {
-		t.Fatalf("out-of-order notify ran %d steps, want 0 (stashed)", ns.Steps)
+	// Rebuilding visits every focus candidate: a and c.
+	if ns := m.Notify(res3, nil); ns.Added != 2 || ns.Removed != 0 || ns.Reextracted != 2 {
+		t.Fatalf("notify across the gap: %+v, want 2 added by rebuilding both foci", ns)
 	}
-	if ns := m.Notify(res2, nil); ns.Steps != 2 {
-		t.Fatalf("closing notify ran %d steps, want 2 (own + stashed)", ns.Steps)
+	ev, _ := recv(t, sub)
+	if body := decode(t, ev); ev.Epoch != 3 || !equalLines(body.Added, []string{line("a", "e"), line("c", "f")}) || len(body.Removed) != 0 {
+		t.Fatalf("event across the gap: epoch %d, %+v", ev.Epoch, body)
 	}
-	ev1, _ := recv(t, sub)
-	ev2, _ := recv(t, sub)
-	if ev1.Epoch != 2 || ev2.Epoch != 3 {
-		t.Fatalf("events out of order: %d then %d", ev1.Epoch, ev2.Epoch)
+	for _, res := range []store.ApplyResult{res2, res3} {
+		if ns := m.Notify(res, nil); ns != (live.NotifyStats{}) || m.Epoch() != 3 {
+			t.Fatalf("notify of epoch %d at 3 did %+v, epoch %d; want a no-op", res.Snapshot.Epoch(), ns, m.Epoch())
+		}
 	}
-	if m.Epoch() != 3 {
-		t.Fatalf("maintainer epoch = %d, want 3", m.Epoch())
+	if !equalLines(m.FragmentLines(0), coldLines(h, st.Current().Reader())) {
+		t.Fatal("maintained fragment diverged from cold extraction")
+	}
+
+	// The next transition leaves the maintained epoch and is patched again.
+	ns := m.Notify(st.Apply(rdfgraph.Delta{Del: []rdf.Triple{exTriple("c", "d")}}), nil)
+	if ns.Removed != 1 || ns.Reextracted != 1 || m.Epoch() != 4 {
+		t.Fatalf("notify after the gap: %+v, epoch %d", ns, m.Epoch())
+	}
+	if ev, _ := recv(t, sub); ev.Epoch != 4 || !equalLines(decode(t, ev).Removed, []string{line("c", "d")}) {
+		t.Fatalf("event after the gap: %+v", ev)
+	}
+	select {
+	case ev := <-sub.Events():
+		t.Fatalf("a no-op notify emitted %+v", ev)
+	default:
 	}
 }
 
@@ -331,8 +348,8 @@ func TestSubscriberLimit(t *testing.T) {
 
 // TestStormParity is the incremental-maintenance soundness storm (run with
 // -race): concurrent writers race Apply+Notify, so notifications arrive in
-// scrambled order, while a subscriber folds the event stream into its own
-// copy of the fragment. At the end, maintained state, the subscriber's
+// scrambled order — a late one is a no-op, an early one rebuilds — while a
+// subscriber folds the event stream into its own copy of the fragment. At the end, maintained state, the subscriber's
 // folded state, and a cold extraction must agree line for line.
 func TestStormParity(t *testing.T) {
 	const writers, perWriter = 4, 20
@@ -588,8 +605,8 @@ func TestPanickingNotifyEvictsShape(t *testing.T) {
 
 	for i := 0; i < 5; i++ {
 		res := st.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple(fmt.Sprintf("n%d", i), "x")}})
-		if stats := m.Notify(res, nil); stats.Steps != 1 || stats.Err != nil {
-			t.Fatalf("update %d after the panic: %+v", i, stats)
+		if stats := m.Notify(res, nil); m.Epoch() != res.Snapshot.Epoch() || stats.Err != nil {
+			t.Fatalf("update %d after the panic: %+v (epoch %d)", i, stats, m.Epoch())
 		}
 	}
 	if got, want := m.Epoch(), st.Current().Epoch(); got != want || want != 7 {

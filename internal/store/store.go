@@ -38,10 +38,11 @@ type ApplyResult struct {
 	Snapshot Snapshot
 	// Prev is the epoch the delta was applied against, read under the
 	// same lock that published Snapshot — so Prev+1 == Snapshot.Epoch()
-	// whenever Changed. Its one job is ordering live.Notify: handlers
-	// notify after the store's lock is released, so two racing updates
-	// can arrive out of epoch order, and the maintainer stashes a result
-	// until the epoch named by its Prev is the one it maintains.
+	// whenever Changed. It tells a consumer stepping across epochs
+	// (NeighborhoodCache.Invalidate, live.Notify) whether the delta
+	// leaves the epoch it holds at: if not, an epoch was published
+	// without reaching it, and it drops or rebuilds what it keeps rather
+	// than patch it with this delta.
 	Prev uint64
 	// Base is the snapshot of epoch Prev, the graph the delta was applied
 	// to: the one the neighborhoods cached before the update were computed

@@ -26,14 +26,15 @@ $GO build ./...
 echo "== bench-only adapters have no other callers"
 # plan.PlanSchema, plan.Config, store.SampleStats and store.CardStats (and the
 # ProgramSet method PlanSchema's result is read through), the carry-nothing
-# NeighborhoodCache.Carry, the always-nil ApplyResult.Unaffected, and
+# NeighborhoodCache.Carry, the replay's sweep NeighborhoodCache.EvictBelow
+# (tested beside it), the always-nil ApplyResult.Unaffected, and
 # live.Config.Cache and core.ParallelOptions.Cache/.Epoch, which live and
 # core ignore, exist only so the frozen bench/ module compiles. The
 # benchmark PR (ROADMAP item 1) deletes them by editing bench/ alone, which
 # works only while nothing else references them.
-if callers=$(grep -rnE '\b(plan\.(PlanSchema|Config)|store\.(SampleStats|CardStats))\b|\.ProgramSet\(|\.Carry\(|\.Unaffected\b' --include='*.go' . |
+if callers=$(grep -rnE '\b(plan\.(PlanSchema|Config)|store\.(SampleStats|CardStats))\b|\.ProgramSet\(|\.Carry\(|\.EvictBelow\(|\.Unaffected\b' --include='*.go' . |
     grep -v -e '^\./bench/' -e '^\./\.bench_build/' -e '^\./internal/plan/benchadapter\.go:' -e '^\./internal/store/stats\.go:' \
-        -e '^\./internal/core/benchadapter\.go:'); then
+        -e '^\./internal/core/benchadapter\.go:' -e '^\./internal/core/benchadapter_test\.go:'); then
     echo "bench-only adapters referenced outside bench/:" >&2
     echo "$callers" >&2
     exit 1
@@ -76,8 +77,10 @@ $GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./inter
 
 echo "== update/subscription storm (-race, -short)"
 # The stale-entry pin (no cache entry served at an epoch an update changed
-# it for, under racing updates), the concurrent apply/notify/fanout storms,
-# every delta of a seeded update history, every /node body of a seeded
+# it for, under racing POSTs the server's write lock serializes), the
+# concurrent apply/notify/fanout storms, an epoch published outside
+# /update (over HTTP, and as a notify gap in live), every delta of a
+# seeded update history, every /node body of a seeded
 # history served from a cache kept warm across updates, the footprint
 # walk's coverage of every read extraction makes, a panicking maintenance
 # step, live's support counts, its fallbacks to a rebuild (a panicking
@@ -85,7 +88,7 @@ echo "== update/subscription storm (-race, -short)"
 # re-run on their own so a flake here names the tier that guards the write
 # path.
 $GO test -race -short -count=1 \
-    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestSupportCountsKeepSharedTriples|TestFallbackPastWalkCap|TestFallbackOnPanickingWalk|TestStarShapeKeepsNoCounts|TestLiveMaintenancePanicEvicts|TestLiveWalkPanicRebuilds|TestCOWEpochsIsolatedProperty|TestCacheHistoryExact|TestFootprintCoversReads' \
+    -run 'TestUpdateCarryStormParity|TestEpochPublishedOutsideUpdate|TestNotifyAcrossGap|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestSupportCountsKeepSharedTriples|TestFallbackPastWalkCap|TestFallbackOnPanickingWalk|TestStarShapeKeepsNoCounts|TestLiveMaintenancePanicEvicts|TestLiveWalkPanicRebuilds|TestCOWEpochsIsolatedProperty|TestCacheHistoryExact|TestFootprintCoversReads' \
     ./internal/fragserver ./internal/live ./internal/rdfgraph ./internal/core
 
 echo "== go test -race (store tier, -short)"
