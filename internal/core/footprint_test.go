@@ -67,6 +67,11 @@ func (r *readLog) EdgesByPredicate(p rdfgraph.ID) []rdfgraph.Edge {
 	return r.Reader.EdgesByPredicate(p)
 }
 
+func (r *readLog) Endpoints(p rdfgraph.ID, inverse bool) []rdfgraph.ID {
+	r.unanchored = append(r.unanchored, "Endpoints")
+	return r.Reader.Endpoints(p, inverse)
+}
+
 func (r *readLog) EachTriple(fn func(s, p, o rdfgraph.ID)) {
 	r.unanchored = append(r.unanchored, "EachTriple")
 	r.Reader.EachTriple(fn)

@@ -25,7 +25,8 @@ import (
 // faultyStore serves a real store's snapshots through a reader whose
 // forward index panics while armed — a stand-in for a bug in an extraction
 // rule or a corrupt index, reached only once extraction walks edges (focus
-// candidates come from EdgesByPredicate, which stays intact).
+// candidates come from the posting lists, through Endpoints, which stays
+// intact).
 type faultyStore struct {
 	store.Store
 	armed atomic.Bool

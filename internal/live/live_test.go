@@ -572,6 +572,7 @@ func (s faultySnap) Reader() rdfgraph.Reader { return faultyReader{s.Snapshot.Re
 type faultyReader struct{ rdfgraph.Reader }
 
 func (faultyReader) EdgesByPredicate(rdfgraph.ID) []rdfgraph.Edge { panic("index corrupted") }
+func (faultyReader) Endpoints(rdfgraph.ID, bool) []rdfgraph.ID    { panic("index corrupted") }
 func (faultyReader) Objects(rdfgraph.ID, rdfgraph.ID, func(rdfgraph.ID)) {
 	panic("index corrupted")
 }

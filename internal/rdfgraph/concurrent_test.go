@@ -10,7 +10,8 @@ import (
 )
 
 // buildGraph assembles a small dense graph: a bipartite core plus a chain,
-// enough structure that every index (SPO, POS, OSP, byPred) is populated.
+// enough structure that both node indexes and every predicate's posting
+// lists are populated.
 func buildGraph(tb testing.TB) *rdfgraph.Graph {
 	tb.Helper()
 	g := rdfgraph.New()
@@ -91,7 +92,7 @@ func TestFrozenGraphConcurrentReads(t *testing.T) {
 					_ = g.Term(id)
 				case 6:
 					_ = g.EdgesByPredicate(knows)
-					g.Predicates(func(p rdfgraph.ID) {})
+					_ = g.Endpoints(knows, r%2 == 0)
 				case 7:
 					g.HasIDs(rdfgraph.ID(0), knows, rdfgraph.ID(1))
 					g.IsNode(rdfgraph.ID(r % 50))

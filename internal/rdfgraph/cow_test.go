@@ -1,6 +1,7 @@
 package rdfgraph_test
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -19,7 +20,8 @@ type model map[rdfgraph.IDTriple]struct{}
 // chain of CloneCOW epochs over 1 100 initial nodes — five node-index
 // pages — with deltas that intern unseen terms and remove every triple of
 // some nodes. After every step, every retained epoch must still answer
-// every accessor exactly as its reference model does. The concurrent
+// every accessor exactly as its reference model does, the per-predicate
+// edge scans and posting lists included. The concurrent
 // variant reads epoch n while epoch n+1 is being written, which the race
 // detector turns into a failure if a write lands on a shared page.
 func TestCOWEpochsIsolatedProperty(t *testing.T) {
@@ -53,6 +55,11 @@ func cowHistory(t *testing.T, rng *rand.Rand, steps int, concurrent bool) {
 	}
 
 	g := rdfgraph.New()
+	// Terms no triple uses push the nodes' IDs across the first posting
+	// bitmap page boundary, at 4 096.
+	for i := 0; i < 3500; i++ {
+		g.TermID(rdf.NewIRI(fmt.Sprintf("http://x/unused%d", i)))
+	}
 	cur := model{}
 	add := func(g *rdfgraph.Graph, m model, tr rdf.Triple) {
 		g.Add(tr)
@@ -175,6 +182,37 @@ func checkEpoch(t *testing.T, g *rdfgraph.Graph, m model) bool {
 		for tr := range got {
 			if _, in := m[tr]; !in {
 				fail("%s yields %v, absent from the model", name, g.Dict().Triple(tr))
+			}
+		}
+	}
+
+	// Per predicate: its edges in (S, O) order, and its posting lists.
+	edges := map[rdfgraph.ID][]rdfgraph.Edge{}
+	for tr := range m {
+		edges[tr.P] = append(edges[tr.P], rdfgraph.Edge{S: tr.S, O: tr.O})
+	}
+	for i := 0; i < 5; i++ { // p4 is never used: an absent predicate
+		p := g.LookupTerm(rdf.NewIRI(fmt.Sprintf("http://x/p%d", i)))
+		want := edges[p]
+		slices.SortFunc(want, func(a, b rdfgraph.Edge) int {
+			return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.O, b.O))
+		})
+		if got := g.EdgesByPredicate(p); !slices.Equal(got, want) {
+			fail("EdgesByPredicate(p%d): %d edges, model %d (or out of (S, O) order)", i, len(got), len(want))
+		}
+		var wantSubs, wantObjs []rdfgraph.ID
+		for _, e := range want {
+			wantSubs, wantObjs = append(wantSubs, e.S), append(wantObjs, e.O)
+		}
+		for _, c := range []struct {
+			inverse bool
+			want    []rdfgraph.ID
+		}{{false, wantSubs}, {true, wantObjs}} {
+			slices.Sort(c.want)
+			c.want = slices.Compact(c.want)
+			got := g.Endpoints(p, c.inverse)
+			if !slices.Equal(got, c.want) || cap(got) != len(got) {
+				fail("Endpoints(p%d, %v): %d ids (capacity %d), model %d", i, c.inverse, len(got), cap(got), len(c.want))
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 // Package rdfgraph implements an in-memory, dictionary-encoded RDF triple
 // store. Terms are interned into dense integer IDs; triples are kept in
-// three indexes (subject→predicate→objects, object→predicate→subjects, and
-// a per-predicate edge list) so that the access patterns of shape
-// evaluation — forward steps, backward steps, and property scans — are all
-// constant-time per edge. The two node indexes are paged over the dense IDs
-// (pageRows rows a page, a row per node): a lookup is two slice indexes,
-// listing N(G) is one sweep in ID order, and a copy-on-write epoch copies
-// only the page directories and then the pages and rows it writes.
+// two node indexes (subject→predicate→objects, object→predicate→subjects)
+// so that forward and backward steps are constant-time per edge, and every
+// predicate keeps posting lists — bitmaps of the nodes with an outgoing
+// and with an incoming edge under it — from which property scans read the
+// index rows. The node indexes are paged over the dense IDs (pageRows rows
+// a page, a row per node) and the bitmaps likewise (postingBits bits a
+// page): a lookup is two slice indexes, listing N(G) is one sweep in ID
+// order, and a copy-on-write epoch copies only the page directories and
+// then the pages and rows it writes.
 //
 // # Concurrency
 //
@@ -37,6 +39,7 @@ package rdfgraph
 import (
 	"cmp"
 	"maps"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -193,8 +196,8 @@ type Graph struct {
 	spo nodeIndex
 	// ops maps object → predicate → subject set.
 	ops nodeIndex
-	// byPred maps predicate → list of edges, in insertion order.
-	byPred map[ID][]Edge
+	// byPred maps each predicate to its posting lists.
+	byPred map[ID]*posting
 	size   int
 	// nodeIDs is N(G), listed by the first NodeIDs call after Freeze.
 	nodeOnce sync.Once
@@ -286,9 +289,99 @@ func copyRow(m row) row {
 	return cp
 }
 
+// postingBits is the number of IDs per page of a posting bitmap.
+const postingBits = 4096
+
+// posting is one predicate's posting lists: subs holds the nodes with an
+// outgoing edge under it, objs those with an incoming one, and edges
+// counts its triples. A bit is set where AddIDs creates the node's inner
+// set for the predicate in spo (ops) and cleared where RemoveIDs empties
+// it, so each bitmap is exactly the set of rows holding the predicate.
+// Postings are shared copy-on-write like nodeIndex pages: a posting and a
+// bitmap page each carry the generation that may write them, and any
+// other generation copies them on first write, a posting with its two
+// page directories. An epoch that touches a predicate thus copies its
+// posting and directories, and one page per bit it flips.
+type posting struct {
+	gen        uint64
+	edges      int
+	subs, objs bitmap
+}
+
+// bitmap is a set of IDs paged over the dense ID space; n counts it.
+type bitmap struct {
+	n     int
+	pages []*bitPage
+}
+
+type bitPage struct {
+	gen   uint64
+	words [postingBits / 64]uint64
+}
+
+// mutablePosting returns p's posting for writing, creating it if absent
+// and copying it on this generation's first write.
+func (g *Graph) mutablePosting(p ID) *posting {
+	gen := g.spo.gen
+	ps := g.byPred[p]
+	if ps == nil {
+		ps = &posting{gen: gen}
+		g.byPred[p] = ps
+	} else if ps.gen != gen {
+		cp := *ps
+		cp.gen = gen
+		cp.subs.pages, cp.objs.pages = slices.Clone(ps.subs.pages), slices.Clone(ps.objs.pages)
+		ps = &cp
+		g.byPred[p] = ps
+	}
+	return ps
+}
+
+// set adds id to b, or removes it if !on, in generation gen, which owns
+// b's directory: a page is copied on this generation's first write to it.
+// id's membership must change.
+func (b *bitmap) set(gen uint64, id ID, on bool) {
+	u := uint32(id)
+	i, w, bit := int(u/postingBits), u%postingBits/64, uint64(1)<<(u%64)
+	if i >= len(b.pages) {
+		b.pages = append(b.pages, make([]*bitPage, i+1-len(b.pages))...)
+	}
+	pg := b.pages[i]
+	if pg == nil {
+		pg = &bitPage{gen: gen}
+		b.pages[i] = pg
+	} else if pg.gen != gen {
+		cp := *pg
+		cp.gen = gen
+		pg = &cp
+		b.pages[i] = pg
+	}
+	if on {
+		pg.words[w] |= bit
+		b.n++
+	} else {
+		pg.words[w] &^= bit
+		b.n--
+	}
+}
+
+// each calls fn for every member of b, in ID order.
+func (b *bitmap) each(fn func(ID)) {
+	for i, pg := range b.pages {
+		if pg == nil {
+			continue
+		}
+		for w, word := range pg.words {
+			for ; word != 0; word &= word - 1 {
+				fn(ID(i*postingBits + w*64 + bits.TrailingZeros64(word)))
+			}
+		}
+	}
+}
+
 // New returns an empty graph with its own term dictionary.
 func New() *Graph {
-	return &Graph{dict: NewDict(), byPred: make(map[ID][]Edge)}
+	return &Graph{dict: NewDict(), byPred: make(map[ID]*posting)}
 }
 
 // FromTriples builds a graph from the given triples.
@@ -335,12 +428,15 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	}
 	po := g.spo.mutable(s)
 	objs, ok := po[p]
+	if _, dup := objs[o]; dup {
+		return false
+	}
+	pl := g.mutablePosting(p)
+	pl.edges++
 	if !ok {
 		objs = make(map[ID]struct{})
 		po[p] = objs
-	}
-	if _, dup := objs[o]; dup {
-		return false
+		pl.subs.set(pl.gen, s, true)
 	}
 	objs[o] = struct{}{}
 
@@ -349,13 +445,9 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	if !ok {
 		subs = make(map[ID]struct{})
 		ps[p] = subs
+		pl.objs.set(pl.gen, o, true)
 	}
 	subs[s] = struct{}{}
-
-	// Appending to a possibly parent-shared edge slice is safe: parent
-	// readers only index below their own length, the append writes at or
-	// beyond it, and the store serializes writers into a single lineage.
-	g.byPred[p] = append(g.byPred[p], Edge{S: s, O: o})
 	g.size++
 	return true
 }
@@ -382,11 +474,16 @@ func (g *Graph) RemoveIDs(s, p, o ID) bool {
 	if !g.HasIDs(s, p, o) {
 		return false
 	}
+	pl := g.mutablePosting(p)
+	if pl.edges--; pl.edges == 0 {
+		delete(g.byPred, p)
+	}
 	po := g.spo.mutable(s)
 	objs := po[p]
 	delete(objs, o)
 	if len(objs) == 0 {
 		delete(po, p)
+		pl.subs.set(pl.gen, s, false)
 		if len(po) == 0 {
 			g.spo.drop(s)
 		}
@@ -396,23 +493,10 @@ func (g *Graph) RemoveIDs(s, p, o ID) bool {
 	delete(subs, s)
 	if len(subs) == 0 {
 		delete(ps, p)
+		pl.objs.set(pl.gen, o, false)
 		if len(ps) == 0 {
 			g.ops.drop(o)
 		}
-	}
-	// The edge slice may be shared with a parent snapshot, so filter into
-	// a fresh slice instead of splicing in place.
-	edges := g.byPred[p]
-	out := make([]Edge, 0, len(edges)-1)
-	for _, e := range edges {
-		if e.S != s || e.O != o {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		delete(g.byPred, p)
-	} else {
-		g.byPred[p] = out
 	}
 	g.size--
 	return true
@@ -469,15 +553,40 @@ func (g *Graph) PredicatesTo(o ID, fn func(s, p ID)) {
 	}
 }
 
-// EdgesByPredicate returns the edge list for predicate p. The returned
-// slice must not be modified.
-func (g *Graph) EdgesByPredicate(p ID) []Edge { return g.byPred[p] }
-
-// Predicates calls fn for every distinct predicate in the graph.
-func (g *Graph) Predicates(fn func(p ID)) {
-	for p := range g.byPred {
-		fn(p)
+// EdgesByPredicate returns the edges of predicate p in a fresh slice,
+// ordered by subject ID and then object ID: its subject postings, each
+// with the object set of its spo row.
+func (g *Graph) EdgesByPredicate(p ID) []Edge {
+	pl := g.byPred[p]
+	if pl == nil {
+		return nil
 	}
+	out := make([]Edge, 0, pl.edges)
+	pl.subs.each(func(s ID) {
+		from := len(out)
+		for o := range g.spo.row(s)[p] {
+			out = append(out, Edge{S: s, O: o})
+		}
+		slices.SortFunc(out[from:], func(a, b Edge) int { return cmp.Compare(a.O, b.O) })
+	})
+	return out
+}
+
+// Endpoints returns the nodes with an outgoing p-edge, or with an
+// incoming one if inverse, sorted by ID and without duplicates, in a fresh
+// slice of exactly that length.
+func (g *Graph) Endpoints(p ID, inverse bool) []ID {
+	pl := g.byPred[p]
+	if pl == nil {
+		return nil
+	}
+	b := &pl.subs
+	if inverse {
+		b = &pl.objs
+	}
+	out := make([]ID, 0, b.n)
+	b.each(func(id ID) { out = append(out, id) })
+	return out
 }
 
 // EachTriple calls fn for every triple (in unspecified order).
@@ -550,10 +659,12 @@ func (g *Graph) LookupTerm(t rdf.Term) ID { return g.dict.Lookup(t) }
 // CloneCOW returns a mutable copy-on-write clone of a frozen graph,
 // interning into an Extend of g's dictionary so IDs stay stable. The clone
 // copies the two node indexes' page directories — one pointer per
-// pageRows IDs — and the predicate map; it shares every page, row and edge
-// slice with g. A page is copied on the clone's first write to it, a row
-// on its first write, and an edge slice is rebuilt only on deletion, so
-// publishing an epoch costs its delta plus the directories. Clones must
+// pageRows IDs — and the predicate map; it shares every page, row and
+// posting with g. A page is copied on the clone's first write to it, a row
+// on its first write, a predicate's posting and its directories on the
+// first triple added or removed under it, and a bitmap page on the first
+// bit flipped in it, so publishing an epoch costs its delta plus the
+// directories. Clones must
 // form a single writer lineage per graph — the store enforces this with a
 // mutex; concurrent mutation of clones of the same ancestry is a data
 // race.

@@ -93,11 +93,6 @@ func TestGraphIndexes(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("PredicatesTo(b) visited %d, want 3", count)
 	}
-	preds := 0
-	g.Predicates(func(ID) { preds++ })
-	if preds != 2 {
-		t.Fatalf("Predicates = %d, want 2", preds)
-	}
 }
 
 func TestGraphNodes(t *testing.T) {

@@ -42,11 +42,12 @@ type Reader interface {
 	PredicatesFrom(s ID, fn func(p, o ID))
 	// PredicatesTo calls fn for every (s, p) with (s, p, o) ∈ G.
 	PredicatesTo(o ID, fn func(s, p ID))
-	// EdgesByPredicate returns the (s, o) edge list of predicate p. The
-	// returned slice must not be modified.
+	// EdgesByPredicate returns the (s, o) edges of predicate p in a fresh
+	// slice, ordered by subject ID and then object ID.
 	EdgesByPredicate(p ID) []Edge
-	// Predicates calls fn for every distinct predicate.
-	Predicates(fn func(p ID))
+	// Endpoints returns the nodes with an outgoing p-edge, or with an
+	// incoming one if inverse, in a fresh slice sorted by ID.
+	Endpoints(p ID, inverse bool) []ID
 	// EachTriple calls fn for every triple (unspecified order).
 	EachTriple(fn func(s, p, o ID))
 	// Nodes calls fn once per node of N(G).

@@ -123,16 +123,7 @@ func (ev *Evaluator) endpoints(e paths.Expr) ([]rdfgraph.ID, bool) {
 	if pid == rdfgraph.NoID {
 		return nil, true
 	}
-	edges := ev.G.EdgesByPredicate(pid)
-	ids := make([]rdfgraph.ID, len(edges))
-	for i, edge := range edges {
-		if backward {
-			ids[i] = edge.O
-		} else {
-			ids[i] = edge.S
-		}
-	}
-	return sortedSet(ids), true
+	return ev.G.Endpoints(pid, backward), true
 }
 
 // sortedSet sorts ids in place and drops duplicates.

@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,8 +13,11 @@ import (
 )
 
 // Eval evaluates an algebra tree against a graph and returns its solutions.
-// The result order is deterministic for deterministic trees (it follows the
-// graph's canonical node order).
+// The result order is deterministic for deterministic trees: a triple
+// pattern yields its matches in dictionary ID order — by subject, then
+// predicate, then object — so the epochs of one graph, whose IDs are
+// stable, agree whatever their update history. IDs follow interning
+// order, not rdf.Compare; Select sorts its rows canonically.
 func Eval(op Op, g rdfgraph.Reader) []Binding {
 	e := newEvaluator(g)
 	return e.eval(op, []Binding{{}})
@@ -277,6 +282,9 @@ func (e *evaluator) matchPlain(p TriplePattern, b Binding, out []Binding) []Bind
 		out = append(out, nb)
 	}
 
+	// The matches of a pattern whose predicate is unbound, emitted in ID
+	// order below.
+	var ts []rdfgraph.IDTriple
 	switch {
 	case sOK && pOK && oOK:
 		if g.Has(rdf.T(s, pr, o)) {
@@ -318,20 +326,25 @@ func (e *evaluator) matchPlain(p TriplePattern, b Binding, out []Binding) []Bind
 			return out
 		}
 		g.PredicatesFrom(sid, func(pid, oid rdfgraph.ID) {
-			emit(s, g.Term(pid), g.Term(oid))
+			if !oOK || g.Term(oid) == o { // a constant object is not checked by emit
+				ts = append(ts, rdfgraph.IDTriple{S: sid, P: pid, O: oid})
+			}
 		})
 	case oOK:
 		oid := g.LookupTerm(o)
 		if oid == rdfgraph.NoID {
 			return out
 		}
-		g.PredicatesTo(oid, func(sid, pid rdfgraph.ID) {
-			emit(g.Term(sid), g.Term(pid), o)
-		})
+		g.PredicatesTo(oid, func(sid, pid rdfgraph.ID) { ts = append(ts, rdfgraph.IDTriple{S: sid, P: pid, O: oid}) })
 	default:
-		g.EachTriple(func(sid, pid, oid rdfgraph.ID) {
-			emit(g.Term(sid), g.Term(pid), g.Term(oid))
-		})
+		ts = make([]rdfgraph.IDTriple, 0, g.Len())
+		g.EachTriple(func(sid, pid, oid rdfgraph.ID) { ts = append(ts, rdfgraph.IDTriple{S: sid, P: pid, O: oid}) })
+	}
+	slices.SortFunc(ts, func(a, b rdfgraph.IDTriple) int {
+		return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.P, b.P), cmp.Compare(a.O, b.O))
+	})
+	for _, t := range ts {
+		emit(g.Term(t.S), g.Term(t.P), g.Term(t.O))
 	}
 	return out
 }

@@ -51,6 +51,16 @@ ex:a ex:p ex:lonely .
 	}
 }
 
+// TestBGPOnlyPredicateVariable: with subject and object both bound, only
+// the predicates linking the two match.
+func TestBGPOnlyPredicateVariable(t *testing.T) {
+	g := mustGraph(t, `ex:a ex:p ex:b ; ex:q ex:c ; ex:r ex:b .`)
+	rows := Eval(&BGP{Patterns: []TriplePattern{{S: C(iri("a")), P: V("p"), O: C(iri("b"))}}}, g)
+	if len(rows) != 2 || rows[0]["p"] != iri("p") || rows[1]["p"] != iri("r") {
+		t.Fatalf("rows = %v, want p then r", rows)
+	}
+}
+
 func TestBGPAllPositionsVariable(t *testing.T) {
 	g := mustGraph(t, `ex:a ex:p ex:b . ex:c ex:q ex:d .`)
 	rows := Select(&BGP{Patterns: []TriplePattern{
@@ -444,5 +454,38 @@ func TestBindingHelpers(t *testing.T) {
 	}
 	if m := merge(Binding{"x": iri("a")}, Binding{"x": iri("b")}); m != nil {
 		t.Error("conflicting merge must fail")
+	}
+}
+
+// TestEvalOrderIndependentOfHistory: Eval's order is a function of an
+// epoch's triples and its (stable) IDs, not of the updates that led to it.
+// An epoch that deleted and re-added a triple answers every plain pattern
+// in the order a graph loaded with the same triples does.
+func TestEvalOrderIndependentOfHistory(t *testing.T) {
+	fresh := mustGraph(t, `ex:a ex:p ex:b ; ex:q ex:b . ex:c ex:p ex:d . ex:e ex:p ex:f ; ex:q ex:b .`)
+	fresh.Freeze()
+	epoch := fresh.CloneCOW()
+	for _, tr := range []rdf.Triple{rdf.T(iri("a"), iri("p"), iri("b")), rdf.T(iri("a"), iri("q"), iri("b"))} {
+		epoch.Remove(tr)
+		epoch.Add(tr)
+	}
+	epoch.Freeze()
+	for _, pat := range []TriplePattern{
+		{S: V("s"), P: C(iri("p")), O: V("o")},
+		{S: V("s"), P: V("p"), O: C(iri("b"))},
+		{S: C(iri("a")), P: V("p"), O: V("o")},
+		{S: V("s"), P: V("p"), O: V("o")},
+	} {
+		var want, got []string
+		for _, b := range Eval(&BGP{Patterns: []TriplePattern{pat}}, fresh) {
+			want = append(want, bindingKey(b))
+		}
+		for _, b := range Eval(&BGP{Patterns: []TriplePattern{pat}}, epoch) {
+			got = append(got, bindingKey(b))
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%v: after a delete and re-add Eval yields\n%s\nwant, as on the fresh graph,\n%s",
+				pat, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
