@@ -355,9 +355,9 @@ func BenchmarkFragmentParallel(b *testing.B) {
 // serving benchmark's replay do — every span call must compile to a
 // nil-check), on roots a fresh SpanTrace per op as the server does for every
 // request, so the delta is the full cost of growing and timing the request's
-// span tree. check.sh separately gates that the off variant's allocs/op
-// match BenchmarkFragmentParallel's — the plumbing must cost nothing when
-// no span is handed down.
+// span tree. That the plumbing costs nothing when no span is handed down is
+// gated by TestSpanNilSafety (internal/obs): no Span method allocates on a
+// nil receiver.
 func BenchmarkTracedExtraction(b *testing.B) {
 	g := tyrolGraph(1000)
 	h := schema.MustNew(datagen.BenchmarkShapes()...)

@@ -60,8 +60,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root := obs.FromContext(r.Context())
-	q := r.URL.Query()
-	rawIRI := q.Get("iri")
+	rawIRI := queryValue(r.URL.RawQuery, "iri")
 	if rawIRI == "" {
 		http.Error(w, "missing iri parameter", http.StatusBadRequest)
 		return
@@ -76,7 +75,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 	target := root.StartChild("target")
 	defs := s.h.Definitions()
-	if name := q.Get("shape"); name != "" {
+	if name := queryValue(r.URL.RawQuery, "shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
 			target.End()

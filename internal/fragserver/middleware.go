@@ -12,17 +12,12 @@ import (
 	"shaclfrag/internal/obs"
 )
 
-// withTimeout attaches the per-request compute budget to the request
-// context; extraction loops observe it between work units.
-func (s *Server) withTimeout(next http.Handler) http.Handler {
-	if s.timeout <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
+// isStream reports whether the mux hands r to handleSubscribe: GET or HEAD
+// /subscribe. A stream lives as long as its client, so it runs without a
+// compute budget and outside the in-flight limiter (the maintainer bounds
+// MaxSubscribers), but is logged, counted and traced like any request.
+func isStream(r *http.Request) bool {
+	return r.URL.Path == "/subscribe" && (r.Method == http.MethodGet || r.Method == http.MethodHead)
 }
 
 // withLimit bounds in-flight requests. Extraction is CPU-bound, so queueing
@@ -31,6 +26,10 @@ func (s *Server) withTimeout(next http.Handler) http.Handler {
 // their values describe exactly what the limiter sees.
 func (s *Server) withLimit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if isStream(r) {
+			next.ServeHTTP(w, r)
+			return
+		}
 		select {
 		case s.sem <- struct{}{}:
 			s.metrics.inflight.Add(1)
@@ -80,7 +79,8 @@ func (sw *statusWriter) Flush() {
 // withObs is the outermost middleware: it roots the request's span tree —
 // the one record of where the request's time goes — and carries the root
 // in the context, where handlers open a child per stage and core grows
-// the rest. The end of the request reads the stages off the tree: one
+// the rest, beside the compute budget extraction loops observe (none for
+// a stream). The end of the request reads the stages off the tree: one
 // structured access-log line with the stage fields appended, and the
 // rollup into the metrics registry. Sitting outside withLimit means shed
 // requests are counted and logged too.
@@ -95,7 +95,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		route := normalizeRoute(r.URL.Path)
-		parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
+		parent, _ := obs.ParseTraceparent(r.Header.Get("Traceparent"))
 		st := obs.NewSpanTrace(r.Method+" "+route, parent)
 		keep := s.sampleTrace() || parent.Sampled
 		if keep {
@@ -103,9 +103,15 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		} else {
 			s.traces.MarkDropped()
 		}
+		ctx := obs.NewContext(r.Context(), st.Root())
+		if s.timeout > 0 && !isStream(r) {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.timeout)
+			defer cancel()
+		}
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() { s.finish(sw, r, route, start, st, keep, recover()) }()
-		next.ServeHTTP(sw, r.WithContext(obs.NewContext(r.Context(), st.Root())))
+		next.ServeHTTP(sw, r.WithContext(ctx))
 	})
 }
 
@@ -150,26 +156,29 @@ func (s *Server) finish(sw *statusWriter, r *http.Request, route string, start t
 	var buf [8]obs.Stage
 	stages := obs.Stages(buf[:0], root, stageNames)
 	s.metrics.observe(route, sw.status, sw.bytes, dur, stages, traceID)
-	// Boxing the fields costs a dozen allocations; skip it when no
-	// handler would see the line.
 	if slow || s.log.Enabled(r.Context(), slog.LevelInfo) {
-		args := []any{
-			"method", r.Method,
-			"path", r.URL.Path,
-			"query", r.URL.RawQuery,
-			"status", sw.status,
-			"bytes", sw.bytes,
-			"dur_ms", dur.Milliseconds(),
-			"remote", r.RemoteAddr,
-		}
-		s.log.Info("request", append(args, obs.LogArgs(stages)...)...)
+		var attrs [24]slog.Attr
+		line := append(attrs[:0],
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.String("query", r.URL.RawQuery),
+			slog.Int("status", sw.status),
+			slog.Int64("bytes", sw.bytes),
+			slog.Int64("dur_ms", dur.Milliseconds()),
+			slog.String("remote", r.RemoteAddr))
+		fields := len(line)
+		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request", obs.LogAttrs(line, stages)...)
 		if slow {
-			slowArgs := append(args, "threshold_ms", s.slowReq.Milliseconds(), "top_spans", st.TopSpans(3))
+			line = append(line[:fields], slog.Int64("threshold_ms", s.slowReq.Milliseconds()),
+				slog.Any("top_spans", st.TopSpans(3)))
 			if keep {
-				slowArgs = append(slowArgs, "trace_id", traceID)
+				line = append(line, slog.String("trace_id", traceID))
 			}
-			s.log.Warn("slow request", slowArgs...)
+			s.log.LogAttrs(r.Context(), slog.LevelWarn, "slow request", line...)
 		}
+	}
+	if !keep { // read above for the last time; core joins its workers before handlers return
+		st.Release()
 	}
 	if panicked != nil && begun {
 		panic(http.ErrAbortHandler)

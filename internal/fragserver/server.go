@@ -359,15 +359,7 @@ func New(cfg Config) (*Server, error) {
 		MaxSubscribers: cfg.MaxSubscribers,
 	}, s.store.Current())
 	s.metrics = newServerMetrics(s)
-	// /subscribe streams are long-lived: they bypass the per-request
-	// timeout and the in-flight limiter (the maintainer enforces its own
-	// MaxSubscribers bound) but still run under withObs, so they are
-	// logged, counted and traceable like every other route.
-	inner := s.withLimit(s.withTimeout(s.routes()))
-	outer := http.NewServeMux()
-	outer.HandleFunc("GET /subscribe", s.handleSubscribe)
-	outer.Handle("/", inner)
-	s.handler = s.withObs(outer)
+	s.handler = s.withObs(s.withLimit(s.routes()))
 	return s, nil
 }
 
@@ -467,6 +459,7 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /node", s.handleNode)
 	mux.HandleFunc("GET /explain", s.handleExplain)
 	mux.HandleFunc("GET /tpf", s.handleTPF)
+	mux.HandleFunc("GET /subscribe", s.handleSubscribe)
 	mux.HandleFunc("POST /update", s.handleUpdate)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
@@ -564,7 +557,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "conforms: %v\nfocus nodes: %d\nviolations: %d\n",
 		report.Conforms, report.TargetedNodes, len(report.Violations()))
-	if r.URL.Query().Get("full") != "" {
+	if queryValue(r.URL.RawQuery, "full") != "" {
 		for _, res := range report.Results {
 			status := "ok"
 			if !res.Conforms {
@@ -580,7 +573,7 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	target := root.StartChild("target")
 	requests := s.requests
 	lo, hi := 0, len(s.requests)
-	if name := r.URL.Query().Get("shape"); name != "" {
+	if name := queryValue(r.URL.RawQuery, "shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
 			target.End()
@@ -615,8 +608,7 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	root := obs.FromContext(r.Context())
-	q := r.URL.Query()
-	rawIRI := q.Get("iri")
+	rawIRI := queryValue(r.URL.RawQuery, "iri")
 	if rawIRI == "" {
 		http.Error(w, "missing iri parameter", http.StatusBadRequest)
 		return
@@ -633,7 +625,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	// double as neighborhood cache keys.
 	target := root.StartChild("target")
 	shapes := s.defShapes
-	if name := q.Get("shape"); name != "" {
+	if name := queryValue(r.URL.RawQuery, "shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
 			target.End()

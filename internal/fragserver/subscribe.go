@@ -35,7 +35,7 @@ import (
 // Config.MaxSubscribers bounds it instead (503 + Retry-After beyond it,
 // and during drain).
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("shape")
+	name := queryValue(r.URL.RawQuery, "shape")
 	if name == "" {
 		http.Error(w, "missing shape parameter", http.StatusBadRequest)
 		return

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"shaclfrag/internal/datagen"
+	"shaclfrag/internal/schema"
 )
 
 // sseEvent is one parsed Server-Sent Event; heartbeat comments surface as
@@ -250,6 +253,11 @@ func TestSubscribeValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad Last-Event-ID: %d, want 400", resp.StatusCode)
 	}
+	// A stream is opened by GET; any other method is answered like on
+	// every other route.
+	if resp, _ := post(t, ts, "/subscribe?shape=S", ""); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /subscribe: %d, want 405", resp.StatusCode)
+	}
 	// The subscriber bound: one stream holds the only slot, the next gets
 	// 503 + Retry-After.
 	st := openStream(t, ts, "/subscribe?shape=S", "")
@@ -277,5 +285,41 @@ func TestSubscribeHeartbeat(t *testing.T) {
 		case <-deadline:
 			t.Fatal("no heartbeat within 5s at a 20ms interval")
 		}
+	}
+}
+
+// TestSubscribeOutlivesRequestTimeout: the request budget bounds compute,
+// not a stream's life. With a 1 ms budget, a GET /subscribe stream still
+// receives the delta of an update POSTed 50 ms after it opened, while a
+// /fragment on the same server runs out of budget and answers 503.
+func TestSubscribeOutlivesRequestTimeout(t *testing.T) {
+	srv, err := New(Config{
+		Graph:          datagen.Tyrol(datagen.TyrolConfig{Individuals: 400, Seed: 9}),
+		Schema:         schema.MustNew(datagen.BenchmarkShapes()...),
+		Logger:         quietLogger(),
+		Workers:        1,
+		RequestTimeout: time.Millisecond,
+		CacheTriples:   -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Live().Drain)
+
+	st := openStream(t, ts, "/subscribe?shape=S51", "")
+	if ev, ok := st.next(t); !ok || ev.event != "snapshot" {
+		t.Fatalf("first event: %+v ok=%v", ev, ok)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if resp, body := post(t, ts, "/update", gateReview()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: %d\n%s", resp.StatusCode, body)
+	}
+	if ev, ok := st.next(t); !ok || ev.event != "delta" || ev.id != "2" {
+		t.Fatalf("after the update: %+v ok=%v, want the epoch-2 delta", ev, ok)
+	}
+	if resp, _ := get(t, ts, "/fragment"); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("GET /fragment on a 1 ms budget: %d, want 503", resp.StatusCode)
 	}
 }

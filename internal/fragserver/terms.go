@@ -3,7 +3,9 @@ package fragserver
 import (
 	"errors"
 	"fmt"
+	"net/url"
 	"strings"
+	"unicode/utf8"
 
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/turtle"
@@ -28,6 +30,10 @@ func parseTermParam(raw string) (rdf.Term, error) {
 		return rdf.Term{}, errors.New("empty term")
 	}
 	switch {
+	case raw[0] == '<' && strings.IndexByte(raw, '>') == len(raw)-1 &&
+		!strings.Contains(raw, "\n") && utf8.ValidString(raw):
+		// One <iri> as the Turtle lexer reads it, with no parser run.
+		return rdf.NewIRI(raw[1 : len(raw)-1]), nil
 	case strings.HasPrefix(raw, "<"), strings.HasPrefix(raw, `"`),
 		strings.HasPrefix(raw, "_:"), looksNumericOrBoolean(raw):
 		return parseTermViaTurtle(raw)
@@ -70,4 +76,22 @@ func looksNumericOrBoolean(raw string) bool {
 	}
 	c := raw[0]
 	return c == '+' || c == '-' || (c >= '0' && c <= '9')
+}
+
+// queryValue is url.Values.Get on url.ParseQuery(raw) without building the
+// map: the value of the first pair whose unescaped key is key, skipping
+// pairs that contain ';' or fail to unescape, "" when there is none.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key || pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -250,6 +251,46 @@ func TestSlowRequestLog(t *testing.T) {
 		if st := srv.Traces().Stats(); st.Kept != 1 {
 			t.Errorf("slow trace not kept: %+v", st)
 		}
+	}
+}
+
+// TestKeptTraceOutlivesRecycling: only a trace the ring does not keep is
+// released for reuse, so a kept tree reads the same after hundreds of later
+// requests whose trees are recycled. Under -race, a kept span handed to a
+// later request would be written while this test reads it.
+func TestKeptTraceOutlivesRecycling(t *testing.T) {
+	srv, ts := newUpdateTestServer(t, tracedConfig(50))
+	get(t, ts, "/fragment") // the first request is kept
+	sums := srv.Traces().Summaries()
+	if len(sums) != 1 {
+		t.Fatalf("%d traces kept, want 1", len(sums))
+	}
+	kept, _ := srv.Traces().Get(sums[0].TraceID)
+	render := func() string {
+		var b strings.Builder
+		kept.WriteTree(&b)
+		return b.String()
+	}
+	want := render()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				get(t, ts, "/fragment?shape=S01")
+				get(t, ts, "/node?"+accessLogQuery)
+			}
+		}()
+	}
+	for range 20 {
+		if got := render(); got != want {
+			t.Fatalf("kept trace changed after its request:\n%s\nwas\n%s", got, want)
+		}
+	}
+	wg.Wait()
+	if got := render(); got != want {
+		t.Fatalf("kept trace changed after its request:\n%s\nwas\n%s", got, want)
 	}
 }
 

@@ -54,7 +54,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var del bool
-	switch op := r.URL.Query().Get("op"); op {
+	switch op := queryValue(r.URL.RawQuery, "op"); op {
 	case "", "add":
 	case "delete":
 		del = true

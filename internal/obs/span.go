@@ -53,35 +53,20 @@ type SpanContext struct {
 // must have exactly four fields.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	s = strings.TrimSpace(s)
-	parts := strings.Split(s, "-")
-	if len(parts) < 4 {
-		return SpanContext{}, false
-	}
-	ver, tid, sid, flags := parts[0], parts[1], parts[2], parts[3]
-	if len(ver) != 2 || !isHex(ver) || strings.EqualFold(ver, "ff") {
-		return SpanContext{}, false
-	}
-	if ver == "00" && len(parts) != 4 {
-		return SpanContext{}, false
-	}
-	if len(tid) != 32 || len(sid) != 16 || len(flags) != 2 {
+	// The four fields sit at fixed offsets; only a later version may
+	// follow them with more, after a dash.
+	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' || len(s) > 55 && (s[:2] == "00" || s[55] != '-') {
 		return SpanContext{}, false
 	}
 	var sc SpanContext
-	if _, err := hex.Decode(sc.TraceID[:], []byte(tid)); err != nil {
+	_, errT := hex.Decode(sc.TraceID[:], []byte(s[3:35]))
+	_, errS := hex.Decode(sc.SpanID[:], []byte(s[36:52]))
+	flags, errF := strconv.ParseUint(s[53:55], 16, 8)
+	if errT != nil || errS != nil || errF != nil || !isHex(s[:2]) || strings.EqualFold(s[:2], "ff") ||
+		sc.TraceID.IsZero() || sc.SpanID.IsZero() {
 		return SpanContext{}, false
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(sid)); err != nil {
-		return SpanContext{}, false
-	}
-	fb, err := strconv.ParseUint(flags, 16, 8)
-	if err != nil {
-		return SpanContext{}, false
-	}
-	if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
-		return SpanContext{}, false
-	}
-	sc.Sampled = fb&0x01 != 0
+	sc.Sampled = flags&0x01 != 0
 	return sc, true
 }
 
@@ -191,7 +176,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, tr: s.tr, id: s.tr.nextSpanID(), parent: s.id, start: time.Now()}
+	c := s.tr.newSpan(name, s.id)
 	s.publish(c)
 	return c
 }
@@ -246,7 +231,7 @@ func (s *Span) AccumChild(name string) *Span {
 			return c
 		}
 	}
-	c := &Span{name: name, tr: s.tr, id: s.tr.nextSpanID(), parent: s.id, start: time.Now()}
+	c := s.tr.newSpan(name, s.id)
 	c.ended.Store(true) // End must not add wall time
 	s.publish(c)
 	return c
@@ -310,26 +295,21 @@ func (s *Span) Attrs() []Attr {
 	return slices.Clone(s.attrs)
 }
 
-// Children returns the child spans in creation order (the internal list
-// is newest-first; this fills the result from the back).
-func (s *Span) Children() []*Span {
+// Children returns the child spans in creation order.
+func (s *Span) Children() []*Span { return s.appendChildren(nil) }
+
+// appendChildren appends the child spans to dst in creation order: the
+// internal list is newest-first, so the appended run is reversed in place.
+func (s *Span) appendChildren(dst []*Span) []*Span {
 	if s == nil {
-		return nil
+		return dst
 	}
-	head := s.children.Load()
-	n := 0
-	for c := head; c != nil; c = c.sibling {
-		n++
+	n := len(dst)
+	for c := s.children.Load(); c != nil; c = c.sibling {
+		dst = append(dst, c)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]*Span, n)
-	for c := head; c != nil; c = c.sibling {
-		n--
-		out[n] = c
-	}
-	return out
+	slices.Reverse(dst[n:])
+	return dst
 }
 
 // walk calls fn for s and then for its descendants, parent first and
@@ -345,26 +325,60 @@ func (s *Span) walk(depth int, fn func(sp *Span, depth int)) {
 // TraceID. Create with NewSpanTrace per request (or one-shot CLI run),
 // hand Root() down the call stack, End the root when the request
 // completes, and offer the finished trace to a TraceRegistry if it is to
-// be kept.
+// be kept — or Release it.
 type SpanTrace struct {
 	id     TraceID
 	parent SpanID // external caller's span from traceparent, if any
 	root   *Span
 	seq    atomic.Uint64
+
+	// The first spans come out of arena, which a released trace keeps
+	// with their attribute arrays; the rest are allocated one by one.
+	arena [12]Span
+	used  atomic.Int32
 }
+
+// traces recycles released traces.
+var traces = sync.Pool{New: func() any { return new(SpanTrace) }}
 
 // NewSpanTrace starts a trace whose root span has the given name. A
 // non-zero parent context (from ParseTraceparent) makes this trace a
 // continuation: its TraceID is inherited and the root span's parent is
 // the caller's span, so the caller's tracing backend can join the two.
 func NewSpanTrace(rootName string, parent SpanContext) *SpanTrace {
-	t := &SpanTrace{id: parent.TraceID, parent: parent.SpanID}
+	t := traces.Get().(*SpanTrace)
+	t.id, t.parent = parent.TraceID, parent.SpanID
 	for t.id.IsZero() {
 		binary.BigEndian.PutUint64(t.id[:8], rand.Uint64())
 		binary.BigEndian.PutUint64(t.id[8:], rand.Uint64())
 	}
-	t.root = &Span{name: rootName, tr: t, id: t.nextSpanID(), parent: parent.SpanID, start: time.Now()}
+	t.root = t.newSpan(rootName, parent.SpanID)
 	return t
+}
+
+// newSpan opens a span of the trace, the next of its arena while any is
+// left.
+func (t *SpanTrace) newSpan(name string, parent SpanID) *Span {
+	var sp *Span
+	if i := int(t.used.Add(1)) - 1; i < len(t.arena) {
+		sp = &t.arena[i]
+	} else {
+		sp = new(Span)
+	}
+	sp.name, sp.tr, sp.id, sp.parent, sp.start = name, t, t.nextSpanID(), parent, time.Now()
+	return sp
+}
+
+// Release hands the trace back for a later NewSpanTrace to reuse. Nothing
+// may read or grow the trace or any of its spans afterwards — a registry
+// keeping it, a goroutine still timing work under it — so only a trace
+// that has not been kept, whose request is over, is released.
+func (t *SpanTrace) Release() {
+	for i := range min(int(t.used.Load()), len(t.arena)) {
+		t.arena[i] = Span{attrs: t.arena[i].attrs[:0]}
+	}
+	t.used.Store(0)
+	traces.Put(t)
 }
 
 // nextSpanID derives a fresh span ID from the trace ID and a counter —

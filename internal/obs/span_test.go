@@ -183,6 +183,36 @@ func TestSpanTree(t *testing.T) {
 	}
 }
 
+// TestSpanTraceRelease: a trace from NewSpanTrace is fresh whether or not
+// it was released before — no children, attributes or duration — and a
+// tree that outgrows the trace's arena keeps every span.
+func TestSpanTraceRelease(t *testing.T) {
+	for round := range 3 {
+		st := NewSpanTrace("req", SpanContext{})
+		root := st.Root()
+		if root.Name() != "req" || root.Children() != nil || root.Attrs() != nil || root.Duration() != 0 {
+			t.Fatalf("round %d: root not fresh: %q, %d children, attrs %v, %v", round,
+				root.Name(), len(root.Children()), root.Attrs(), root.Duration())
+		}
+		for i := range 20 {
+			c := root.StartChild("c")
+			c.SetAttrInt("i", int64(i))
+			c.AccumChild("acc").Add(time.Millisecond)
+			c.End()
+		}
+		kids := root.Children()
+		if st.NumSpans() != 41 || len(kids) != 20 {
+			t.Fatalf("round %d: %d spans, %d children, want 41 and 20", round, st.NumSpans(), len(kids))
+		}
+		for i, c := range kids {
+			if a := c.Attrs(); len(a) != 1 || a[0].Int != int64(i) || c.Children()[0].Duration() != time.Millisecond {
+				t.Fatalf("round %d: child %d has attrs %v, %v accumulated", round, i, a, c.Children()[0].Duration())
+			}
+		}
+		st.Release()
+	}
+}
+
 // TestSpanConcurrentChildren opens children of one parent from many
 // goroutines at once — under -race this proves the CAS sibling list and
 // the AccumChild get-or-create path are sound.

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"context"
+	"log/slog"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -22,12 +24,14 @@ type Stage struct {
 // names its span. A span still open has no duration yet and is left out,
 // which is how a header rendered before the body leaves out the stage
 // that writes the body. It runs twice per request, hence dst: a caller's
-// stack array keeps the list off the heap. Safe while other goroutines
-// grow the tree; a nil root has no stages.
+// stack array keeps the list off the heap (as stack arrays do the sibling
+// lists it walks). Safe while other goroutines grow the tree; a nil root
+// has no stages.
 func Stages(dst []Stage, root *Span, names []string) []Stage {
-	for _, c := range root.Children() {
+	var kids, grandkids [16]*Span
+	for _, c := range root.appendChildren(kids[:0]) {
 		dst = addStage(dst, c, names)
-		for _, cc := range c.Children() {
+		for _, cc := range c.appendChildren(grandkids[:0]) {
 			dst = addStage(dst, cc, names)
 		}
 	}
@@ -94,16 +98,21 @@ func sanitizeToken(name string) string {
 	return name
 }
 
-// LogArgs renders stages as alternating key/value pairs for slog
-// (`<stage>_ms` keys, millisecond float values), appendable to an access
-// log line's argument list.
-func LogArgs(stages []Stage) []any {
-	out := make([]any, 0, 2*len(stages))
+// LogAttrs appends stages to dst as access-log attributes: `<stage>_ms`
+// keys, built once per name, and millisecond float values.
+func LogAttrs(dst []slog.Attr, stages []Stage) []slog.Attr {
 	for _, s := range stages {
-		out = append(out, s.Name+"_ms", float64(s.Dur)/float64(time.Millisecond))
+		key, ok := logKeys.Load(s.Name)
+		if !ok {
+			key, _ = logKeys.LoadOrStore(s.Name, s.Name+"_ms")
+		}
+		dst = append(dst, slog.Float64(key.(string), float64(s.Dur)/float64(time.Millisecond)))
 	}
-	return out
+	return dst
 }
+
+// logKeys memoizes LogAttrs' keys: stage names come from closed sets.
+var logKeys sync.Map
 
 type spanCtxKey struct{}
 

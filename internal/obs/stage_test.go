@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -92,7 +93,7 @@ func TestTraceNilSafety(t *testing.T) {
 	if ServerTiming(nil) != "" {
 		t.Error("no stages must render an empty Server-Timing")
 	}
-	if len(LogArgs(nil)) != 0 {
+	if len(LogAttrs(nil, nil)) != 0 {
 		t.Error("no stages must render no log fields")
 	}
 }
@@ -137,12 +138,24 @@ func TestTraceStartSpan(t *testing.T) {
 	}
 }
 
-func TestTraceLogArgs(t *testing.T) {
+// TestTraceLogAttrs: a stage logs as a `<stage>_ms` float attribute, and
+// once its name has been logged, reading the stages into a stack array and
+// rendering them allocates nothing.
+func TestTraceLogAttrs(t *testing.T) {
 	root := newRoot()
 	root.AccumChild("serialize").Add(2500 * time.Microsecond)
-	args := LogArgs(Stages(nil, root, testStages))
-	if len(args) != 2 || args[0] != "serialize_ms" || args[1].(float64) != 2.5 {
-		t.Errorf("LogArgs() = %v", args)
+	stages := Stages(nil, root, testStages)
+	attrs := LogAttrs(nil, stages)
+	if len(attrs) != 1 || !attrs[0].Equal(slog.Float64("serialize_ms", 2.5)) {
+		t.Errorf("LogAttrs() = %v", attrs)
+	}
+	var buf [4]slog.Attr
+	var sbuf [4]Stage
+	allocs := testing.AllocsPerRun(100, func() {
+		LogAttrs(buf[:0], Stages(sbuf[:0], root, testStages))
+	})
+	if allocs != 0 {
+		t.Errorf("Stages and LogAttrs allocate %v times per line, want 0", allocs)
 	}
 }
 

@@ -226,6 +226,9 @@ $GO test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/obs
 echo "== /tpf patterns against Proposition 6.2, fuzzed (5s smoke)"
 $GO test -run '^$' -fuzz FuzzTPFPattern -fuzztime 5s ./internal/fragserver
 
+echo "== <iri> fast path and queryValue against Turtle and url.ParseQuery, fuzzed (5s smoke)"
+$GO test -run '^$' -fuzz FuzzParseTermParam -fuzztime 5s ./internal/fragserver
+
 echo "== /update bodies against cold extraction, fuzzed (5s smoke)"
 # Each exec builds a server, so unbounded minimization of one interesting
 # input can spend the whole smoke.
