@@ -12,8 +12,8 @@ import (
 // Canonical returns phi's canonical form under the neighborhood
 // congruence: two shapes whose canonical forms have equal shape.IDs
 // conform on exactly the same nodes AND have byte-identical neighborhoods
-// B(v, G, ·) on every graph and focus node, so the NeighborhoodCache may
-// serve one's entries for the other (see core.NeighborhoodCache.SetAliases).
+// B(v, G, ·) on every graph and focus node, so a neighborhood cache may
+// serve one's entries for the other (see ComputeClasses).
 //
 // This is deliberately stricter than mutual containment. Equivalent
 // shapes can trace different triples — Or(φ) and Or(φ, φ∧eq(q)) are

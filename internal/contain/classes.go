@@ -7,20 +7,21 @@ import (
 
 // Classes is the cache-sharing equivalence-class table over a slice of
 // shapes. It is a function of the schema alone — containment quantifies
-// over every graph — so fragserver computes one in New, over its request
-// and definition shapes, and no epoch recomputes it. Shapes fall into one
-// class when their canonical forms (Canonical) have one shape.ID — the
-// neighborhood congruence — so serving one class member's cached entries
-// for another is byte-exact.
+// over every graph — so fragserver computes one in New, over its
+// definition shapes, and no epoch recomputes it: /node then keys each
+// definition's neighborhoods under its representative's shape. Shapes fall
+// into one class when their canonical forms (Canonical) have one shape.ID
+// — the neighborhood congruence — so serving one class member's cached
+// entries for another is byte-exact.
 type Classes struct {
 	// Rep[i] is the index of shape i's representative: the first shape
 	// with the same canonical form. Rep[i] == i for representatives.
 	Rep []int
 	// NumClasses counts distinct classes.
 	NumClasses int
-	// Shared counts shapes that alias another shape's class (Rep[i] != i)
-	// — each one is a definition whose cache entries are served from its
-	// representative.
+	// Shared counts the shapes that are not their class's representative
+	// (Rep[i] != i), len(Rep) − NumClasses: each one is served from its
+	// representative's cache entries.
 	Shared int
 }
 
@@ -40,21 +41,4 @@ func ComputeClasses(h *schema.Schema, shapes []shape.Shape) Classes {
 		cl.NumClasses++
 	}
 	return cl
-}
-
-// Aliases materializes the table as a shape-to-representative map,
-// keyed and valued by the identical shape pointers passed to
-// ComputeClasses, ready for core.NeighborhoodCache.SetAliases.
-// Representatives themselves are omitted.
-func (cl Classes) Aliases(shapes []shape.Shape) map[shape.Shape]shape.Shape {
-	if cl.Shared == 0 {
-		return nil
-	}
-	out := make(map[shape.Shape]shape.Shape, cl.Shared)
-	for i, r := range cl.Rep {
-		if r != i {
-			out[shapes[i]] = shapes[r]
-		}
-	}
-	return out
 }

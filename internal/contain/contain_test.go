@@ -221,8 +221,4 @@ func TestComputeClasses(t *testing.T) {
 	if cl.Rep[1] != 0 || cl.Rep[3] != 2 {
 		t.Fatalf("representatives = %v", cl.Rep)
 	}
-	aliases := cl.Aliases(shapes)
-	if len(aliases) != 2 || aliases[shapes[1]] != shapes[0] || aliases[shapes[3]] != shapes[2] {
-		t.Fatalf("aliases = %v", aliases)
-	}
 }

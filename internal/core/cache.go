@@ -19,8 +19,11 @@ import (
 // requests against the same graph from memory (NeighborhoodsCached).
 //
 // Keys use shape identity: callers must pass pointer-stable shapes (e.g.
-// a schema's definition shapes), otherwise every request misses. The cached slices are shared between callers and must be
-// treated as immutable.
+// a schema's definition shapes), otherwise every request misses. The cache
+// keys exactly the shapes it is given; shapes whose neighborhoods coincide
+// share entries only if the caller passes one of them for all (fragserver
+// passes each containment class's representative). The cached slices are
+// shared between callers and must be treated as immutable.
 //
 // Every entry is valid from the store epoch (see store.Store) it was
 // computed at up to the newest epoch the cache is known to hold at.
@@ -44,8 +47,7 @@ type NeighborhoodCache struct {
 	size   int
 	ll     *list.List // front = most recently used
 	// items holds, per shape and node, its one entry.
-	items   map[shape.Shape]map[rdfgraph.ID]*list.Element
-	aliases map[shape.Shape]shape.Shape // request shape -> class representative
+	items map[shape.Shape]map[rdfgraph.ID]*list.Element
 	// applied is the newest epoch whose transition Invalidate has applied
 	// (or the one SetEpoch declared).
 	applied uint64
@@ -62,7 +64,6 @@ type NeighborhoodCache struct {
 	misses      uint64
 	evictions   uint64
 	evicted     uint64 // triples removed by evictions, cumulative
-	aliasHits   uint64 // hits served through an alias translation
 	kept        uint64 // entries an Invalidate left in place, cumulative
 	invalidated uint64 // entries an Invalidate removed, cumulative
 }
@@ -107,30 +108,6 @@ func (c *NeighborhoodCache) valid(en *neighborhoodEntry, epoch uint64) bool {
 	return en.from <= epoch && epoch <= max(en.from, c.applied)
 }
 
-// SetAliases installs a shape-aliasing table: every Get and Put whose
-// request shape appears as a key is silently re-keyed to the mapped
-// representative, so congruent requests share one cache entry. The
-// caller must guarantee the congruence is byte-exact — B(v, G, φ) and
-// B(v, G, rep(φ)) identical for every node and graph — which is what
-// contain.ComputeClasses certifies (see internal/contain's canonical
-// congruence). Passing nil clears the table. Existing entries are left
-// in place: entries keyed by a shape that just became an alias go cold
-// and age out via LRU.
-func (c *NeighborhoodCache) SetAliases(aliases map[shape.Shape]shape.Shape) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.aliases = aliases
-}
-
-// resolveLocked maps a request shape through the alias table. The
-// second result reports whether a translation happened.
-func (c *NeighborhoodCache) resolveLocked(phi shape.Shape) (shape.Shape, bool) {
-	if rep, ok := c.aliases[phi]; ok {
-		return rep, true
-	}
-	return phi, false
-}
-
 // Get returns the cached neighborhood of (v, φ) valid at the given epoch
 // and whether there is one.
 func (c *NeighborhoodCache) Get(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
@@ -158,13 +135,9 @@ func (c *NeighborhoodCache) getRun(epoch uint64, v rdfgraph.ID, shapes []shape.S
 }
 
 func (c *NeighborhoodCache) getLocked(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
-	rep, aliased := c.resolveLocked(phi)
-	if el := c.items[rep][v]; el != nil {
+	if el := c.items[phi][v]; el != nil {
 		if en := el.Value.(*neighborhoodEntry); c.valid(en, epoch) {
 			c.hits++
-			if aliased {
-				c.aliasHits++
-			}
 			c.ll.MoveToFront(el)
 			return en.triples, true
 		}
@@ -189,8 +162,7 @@ func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts
 	if epoch < c.applied {
 		return
 	}
-	rep, _ := c.resolveLocked(phi)
-	if el := c.items[rep][v]; el != nil {
+	if el := c.items[phi][v]; el != nil {
 		if en := el.Value.(*neighborhoodEntry); en.from > epoch || c.valid(en, epoch) {
 			// Concurrent workers may compute the same neighborhood; keep
 			// the incumbent (a newer or equal result) and refresh recency.
@@ -209,10 +181,10 @@ func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts
 		c.evictions++
 		c.evicted += uint64(len(ev.triples))
 	}
-	byNode := c.items[rep]
+	byNode := c.items[phi]
 	if byNode == nil {
 		byNode = make(map[rdfgraph.ID]*list.Element)
-		c.items[rep] = byNode
+		c.items[phi] = byNode
 	}
 	byNode[v] = c.ll.PushFront(&neighborhoodEntry{byNode: byNode, node: v, triples: ts, from: epoch})
 	c.size += cost
@@ -237,7 +209,6 @@ type CacheStats struct {
 	Hits, Misses   uint64
 	Evictions      uint64 // entries removed to make room
 	EvictedTriples uint64 // triples those entries held
-	AliasHits      uint64 // hits served through a containment alias (subset of Hits)
 	Kept           uint64 // entries Invalidate left in place, summed over transitions
 	Invalidated    uint64 // entries Invalidate removed
 	Entries        int
@@ -254,7 +225,6 @@ func (c *NeighborhoodCache) Stats() CacheStats {
 		Misses:         c.misses,
 		Evictions:      c.evictions,
 		EvictedTriples: c.evicted,
-		AliasHits:      c.aliasHits,
 		Kept:           c.kept,
 		Invalidated:    c.invalidated,
 		Entries:        c.ll.Len(),

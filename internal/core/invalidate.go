@@ -11,17 +11,16 @@ import (
 )
 
 // SetFootprints tracks shapes for Invalidate: it builds the footprint
-// (shape.Footprint) of each shape's alias representative, defs resolving
-// hasShape names, and indexes them by the predicates they read. Every
-// transition removes all entries of a shape it does not track. Call it
-// once, after SetAliases and before the cache is shared.
+// (shape.Footprint) of each distinct shape, defs resolving hasShape names,
+// and indexes them by the predicates they read. Every transition removes
+// all entries of a shape it does not track. Call it once, before the cache
+// is shared.
 func (c *NeighborhoodCache) SetFootprints(shapes []shape.Shape, defs shape.Defs) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tracked, c.footprints = make(map[shape.Shape]int), nil
 	c.readers, c.readAll = make(map[string][]int), nil
 	for _, phi := range shapes {
-		phi, _ = c.resolveLocked(phi)
 		if _, done := c.tracked[phi]; done {
 			continue
 		}

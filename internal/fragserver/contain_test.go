@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
@@ -67,10 +68,10 @@ func metricValue(t *testing.T, body, name string) float64 {
 	return v
 }
 
-// TestNodeServedFromCongruentCacheEntries: the class table pools the two
-// congruent definition shapes — the keys /node caches under — so S2's
-// neighborhood is served from the entry S1's request put, byte-identical
-// to what a cold server extracts for S2.
+// TestNodeServedFromCongruentCacheEntries: New keys both congruent
+// definitions' /node neighborhoods under one representative, so S2's
+// neighborhood is served from the entry S1's request put — a hit with no
+// new miss — byte-identical to what a cold server extracts for S2.
 func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
 	srv, ts := newCongruentServer(t)
 	if cl := srv.ContainmentClasses(); cl == nil || cl.Shared == 0 {
@@ -90,44 +91,72 @@ func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
 	iri := strings.Trim(line, "<>")
 
 	_, n1 := get(t, ts, "/node?iri="+iri+"&shape=S1")
-	before := srv.cache.Stats().AliasHits
+	before := srv.cache.Stats()
 	_, n2 := get(t, ts, "/node?iri="+iri+"&shape=S2")
 	if n1 != n2 {
 		t.Fatal("congruent definition shapes served different node neighborhoods")
 	}
-	if after := srv.cache.Stats().AliasHits; after == before {
-		t.Fatal("S2's /node request did not reuse S1's cached neighborhood")
+	if after := srv.cache.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("S2's /node after S1's moved hits by %d and misses by %d, want 1 and 0",
+			after.Hits-before.Hits, after.Misses-before.Misses)
 	}
 
 	_, metrics := get(t, ts, "/metrics")
-	if hits := metricValue(t, metrics, "fragserver_containment_hits_total"); hits == 0 {
-		t.Fatal("containment hit counter did not move")
+	classes := metricValue(t, metrics, "fragserver_containment_classes")
+	shared := metricValue(t, metrics, "fragserver_containment_shared_shapes")
+	if classes == 0 || shared == 0 {
+		t.Fatalf("containment gauges: %v classes, %v shared, want both non-zero", classes, shared)
 	}
-	if classes := metricValue(t, metrics, "fragserver_containment_classes"); classes == 0 {
-		t.Fatal("containment class gauge missing or zero")
-	}
-	if shared := metricValue(t, metrics, "fragserver_containment_shared_shapes"); shared == 0 {
-		t.Fatal("shared-shapes gauge missing or zero")
+	if defs := float64(srv.h.Len()); shared != defs-classes {
+		t.Errorf("shared = %v, want definitions − classes = %v − %v", shared, defs, classes)
 	}
 
 	// Cold control: a fresh server asked only for S2 must produce the
-	// same bytes the alias-served response carried.
+	// same bytes the representative's entry carried.
 	_, cold := newCongruentServer(t)
 	if _, coldBody := get(t, cold, "/node?iri="+iri+"&shape=S2"); coldBody != n2 {
-		t.Fatal("alias-served neighborhood differs from cold extraction")
+		t.Fatal("neighborhood served from the representative's entry differs from cold extraction")
+	}
+}
+
+// TestWarmNodeLooksUpEachClassOnce: a warm unnamed /node makes one cache
+// lookup per containment class, not one per definition — every one a hit
+// — and its body is the cold AST union over every definition, the
+// non-representatives included.
+func TestWarmNodeLooksUpEachClassOnce(t *testing.T) {
+	srv, ts := newCongruentServer(t)
+	focus := rdf.NewIRI(datagen.NS + "event/0")
+	path := "/node?iri=" + url.QueryEscape(focus.String())
+	get(t, ts, path) // warm
+
+	counters := func() (hits, misses float64) {
+		_, metrics := get(t, ts, "/metrics")
+		return metricValue(t, metrics, "fragserver_cache_hits_total"), metricValue(t, metrics, "fragserver_cache_misses_total")
+	}
+	hits, misses := counters()
+	_, body := get(t, ts, path)
+	hits2, misses2 := counters()
+	if cl := srv.ContainmentClasses(); hits2-hits != float64(cl.NumClasses) || misses2 != misses {
+		t.Fatalf("warm /node moved hits by %v and misses by %v, want %d (one per class over %d definitions) and 0",
+			hits2-hits, misses2-misses, cl.NumClasses, len(cl.Rep))
+	}
+	if want := coldNodeBody(t, srv, focus); body != want || want == "" {
+		t.Fatalf("warm /node body (%d bytes) differs from the cold union over every definition (%d bytes)", len(body), len(want))
 	}
 }
 
 // TestSchemaOnlyWorkSurvivesUpdate pins what an effective /update leaves
 // alone: every compiled program depends on the schema only and is
 // pointer-identical across the epoch, the class table is the very value New
-// computed, and the alias table New installed still routes S2's /node to
+// computed, and so are /node's key lists, which still serve S2's /node from
 // S1's (new-epoch) cache entries.
 func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 	srv, ts := newCongruentServer(t)
 	classes := srv.ContainmentClasses()
 	programs := srv.programs
 	compiled := slices.Clone(programs.Programs)
+	keys, all := srv.nodeKeys, srv.nodeAll
+	keyShapes, allShapes := slices.Clone(keys), slices.Clone(all)
 
 	for i := 0; i < 2; i++ {
 		event := "<" + datagen.NS + "event/new-" + strconv.Itoa(i) + ">"
@@ -147,6 +176,10 @@ func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 			t.Errorf("definition %d was recompiled by /update", i)
 		}
 	}
+	if unsafe.SliceData(srv.nodeKeys) != unsafe.SliceData(keys) || !slices.Equal(srv.nodeKeys, keyShapes) ||
+		unsafe.SliceData(srv.nodeAll) != unsafe.SliceData(all) || !slices.Equal(srv.nodeAll, allShapes) {
+		t.Error("/update rebuilt or rewrote /node's key lists")
+	}
 
 	focus := rdf.NewIRI(datagen.NS + "event/new-1")
 	node := func(shape string) string {
@@ -154,31 +187,18 @@ func TestSchemaOnlyWorkSurvivesUpdate(t *testing.T) {
 		return body
 	}
 	s1 := node("S1")
-	hits := srv.cache.Stats().AliasHits
+	before := srv.cache.Stats()
 	s2 := node("S2")
-	if srv.cache.Stats().AliasHits == hits {
-		t.Error("after the update S2's neighborhood no longer hits S1's cache entries")
+	if after := srv.cache.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("after the update S2's neighborhood no longer hits S1's cache entries: hits +%d, misses +%d",
+			after.Hits-before.Hits, after.Misses-before.Misses)
 	}
-	want := turtle.FormatNTriples(core.NewExtractor(srv.graphNow(), srv.h).Neighborhood(focus, srv.defShapes[1]))
+	want := turtle.FormatNTriples(core.NewExtractor(srv.graphNow(), srv.h).Neighborhood(focus, srv.h.Definitions()[1].Shape))
 	if s1 != want || s2 != want {
 		t.Errorf("post-update neighborhoods differ from cold AST extraction (%d, %d vs %d bytes)", len(s1), len(s2), len(want))
 	}
 	if !strings.Contains(want, "event/new-1") {
 		t.Error("the update's event is missing from its neighborhood")
-	}
-
-	// That hit went through the table installed at load: with it taken
-	// away nothing on the write path installs another, so S2 runs cold.
-	srv.cache.SetAliases(nil)
-	resp, body := post(t, ts, "/update", "<"+datagen.NS+"event/new-2> a <"+datagen.ClassEvent.Value+"> .")
-	if resp.StatusCode != 200 || !strings.Contains(body, `"changed":true`) {
-		t.Fatalf("POST /update: %d %s", resp.StatusCode, body)
-	}
-	hits = srv.cache.Stats().AliasHits
-	node("S1")
-	node("S2")
-	if got := srv.cache.Stats().AliasHits; got != hits {
-		t.Errorf("an /update installed an alias table: %d alias hits after the load-time table was cleared", got-hits)
 	}
 }
 

@@ -15,12 +15,13 @@ import (
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
+	"shaclfrag/internal/shape"
 	"shaclfrag/internal/turtle"
 )
 
 // coldNodeBody is /node?iri=v's body on srv's current snapshot computed
 // without the cache: the AST walker over every definition of the schema,
-// in the handler's order.
+// not only the class representatives the handler looks up.
 func coldNodeBody(t testing.TB, srv *Server, v rdf.Term) string {
 	t.Helper()
 	snap := srv.Store().Current()
@@ -29,7 +30,11 @@ func coldNodeBody(t testing.TB, srv *Server, v rdf.Term) string {
 	if id == rdfgraph.NoID {
 		return ""
 	}
-	ids, err := core.NewExtractor(r, srv.h).NeighborhoodsCached(context.Background(), nil, snap.Epoch(), id, srv.defShapes, nil)
+	var defs []shape.Shape
+	for _, d := range srv.h.Definitions() {
+		defs = append(defs, d.Shape)
+	}
+	ids, err := core.NewExtractor(r, srv.h).NeighborhoodsCached(context.Background(), nil, snap.Epoch(), id, defs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ const (
 	mPlannerShapes   = "fragserver_planner_strategy_shapes"
 	mPlanInstrs      = "fragserver_plan_instructions"
 	mPlanMemoBytes   = "fragserver_plan_memo_bytes"
-	mContainHits     = "fragserver_containment_hits_total"
 	mContainClasses  = "fragserver_containment_classes"
 	mContainShared   = "fragserver_containment_shared_shapes"
 	mSubsOpen        = "fragserver_subscribers"
@@ -255,19 +254,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 		reg.CounterFunc("fragserver_cache_invalidated_total",
 			"Cache entries an update removed because its delta can reach them.",
 			func() float64 { return float64(s.cache.Stats().Invalidated) })
-		reg.CounterFunc(mContainHits,
-			"Cache hits served through a containment alias: requests answered from a congruent definition's entries.",
-			func() float64 { return float64(s.cache.Stats().AliasHits) })
 	}
 
 	// Containment equivalence-class series: the table is a function of the
 	// schema, computed in New, so each is set once. Shared > 0 means the
-	// schema has congruent definitions whose cache entries are pooled.
+	// schema has congruent definitions whose /node neighborhoods are cached
+	// under their representative's key.
 	reg.Gauge(mContainClasses,
 		"Containment equivalence classes over the definition shapes.").
 		Set(int64(s.classes.NumClasses))
 	reg.Gauge(mContainShared,
-		"Shapes aliased to another shape's cache entries by the containment analysis.").
+		"Definition shapes that are not their class's representative (definitions minus classes): each is served from its representative's cache entries.").
 		Set(int64(s.classes.Shared))
 
 	// Trace-registry series, sampled from the ring's own counters. kept is

@@ -211,14 +211,16 @@ type Server struct {
 	// dictionary of the snapshot the request pinned (plan.Program.Fits).
 	programs *plan.Set
 
-	// defShapes holds every definition's raw shape in definition order: the
-	// keys /node caches neighborhoods under, and its work list when no
-	// shape is named. classes is the containment equivalence-class table
-	// over defShapes. It is a function of the schema alone, so New computes
-	// it and installs the cache's alias map once, and no epoch touches
-	// either again.
-	defShapes []shape.Shape
-	classes   *contain.Classes
+	// classes is the containment equivalence-class table over the
+	// definitions' raw shapes. It is a function of the schema alone, so New
+	// computes it and applies it once: nodeKeys[i] is the raw shape of
+	// definition i's class representative, the key /node caches and
+	// extracts i's neighborhoods under, and nodeAll lists the distinct
+	// representatives in definition order, the work list when no shape is
+	// named. No epoch touches any of the three again.
+	classes  *contain.Classes
+	nodeKeys []shape.Shape
+	nodeAll  []shape.Shape
 
 	// live maintains materialized fragments incrementally across epochs
 	// and fans per-epoch deltas out to /subscribe streams (never nil after
@@ -328,22 +330,28 @@ func New(cfg Config) (*Server, error) {
 		slowReq:     cfg.SlowRequest,
 	}
 	s.programs = plan.CompileAll(s.requests, cfg.Schema)
+	var defShapes []shape.Shape
 	for _, d := range cfg.Schema.Definitions() {
-		s.defShapes = append(s.defShapes, d.Shape)
+		defShapes = append(defShapes, d.Shape)
 	}
-	// Congruent definitions share cache entries from the first request on:
-	// a /node for one class member is served from the entries its
-	// representative already put.
+	// Congruent definitions have byte-identical neighborhoods on every
+	// graph, so /node looks each class up once, under its representative.
 	start := time.Now()
-	cl := contain.ComputeClasses(cfg.Schema, s.defShapes)
+	cl := contain.ComputeClasses(cfg.Schema, defShapes)
 	s.classes = &cl
 	logger.Info("containment classes", "classes", cl.NumClasses, "shared", cl.Shared,
 		"dur_ms", float64(time.Since(start).Microseconds())/1000)
+	s.nodeKeys = make([]shape.Shape, len(defShapes))
+	for i, r := range cl.Rep {
+		s.nodeKeys[i] = defShapes[r]
+		if r == i {
+			s.nodeAll = append(s.nodeAll, defShapes[i])
+		}
+	}
 	if s.cache != nil {
-		s.cache.SetAliases(cl.Aliases(s.defShapes))
 		// Updates keep every entry of these shapes valid that they cannot
 		// reach (POST /update's invalidate stage).
-		s.cache.SetFootprints(s.defShapes, cfg.Schema)
+		s.cache.SetFootprints(s.nodeAll, cfg.Schema)
 		s.cache.SetEpoch(st.Current().Epoch())
 	}
 	s.hb = cfg.Heartbeat
@@ -621,10 +629,10 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// B(v, G, φ) for the named definition's shape, or for every definition
-	// when no shape is given. Definition shapes are pointer-stable, so they
-	// double as neighborhood cache keys.
+	// when no shape is given, each looked up under its class
+	// representative's pointer-stable shape (nodeKeys).
 	target := root.StartChild("target")
-	shapes := s.defShapes
+	shapes := s.nodeAll
 	if name := queryValue(r.URL.RawQuery, "shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
@@ -632,7 +640,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown or ambiguous shape "+name, http.StatusNotFound)
 			return
 		}
-		shapes = s.defShapes[i : i+1]
+		shapes = s.nodeKeys[i : i+1]
 	}
 	snap := s.snapshot(w)
 	// LookupTerm never interns, so an unknown focus cannot mutate the
@@ -713,8 +721,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		time.Since(s.started).Round(time.Second), snap.Epoch(), g.Len(), g.Dict().Len(), s.h.Len(), s.workers)
 	if s.cache != nil {
 		st := s.cache.Stats()
-		fmt.Fprintf(w, "cache: %d entries, %d triples (~%d bytes), %d hits (%d via containment aliases), %d misses, %d evictions (%d triples)\n",
-			st.Entries, st.Triples, st.Bytes, st.Hits, st.AliasHits, st.Misses, st.Evictions, st.EvictedTriples)
+		fmt.Fprintf(w, "cache: %d entries, %d triples (~%d bytes), %d hits, %d misses, %d evictions (%d triples)\n",
+			st.Entries, st.Triples, st.Bytes, st.Hits, st.Misses, st.Evictions, st.EvictedTriples)
 	} else {
 		fmt.Fprintln(w, "cache: disabled")
 	}

@@ -27,14 +27,17 @@ echo "== bench-only adapters have no other callers"
 # plan.PlanSchema, plan.Config, store.SampleStats and store.CardStats (and the
 # ProgramSet method PlanSchema's result is read through), the carry-nothing
 # NeighborhoodCache.Carry, the replay's sweep NeighborhoodCache.EvictBelow
-# (tested beside it), the always-nil ApplyResult.Unaffected, and
-# live.Config.Cache and core.ParallelOptions.Cache/.Epoch, which live and
+# (tested beside it), the no-op NeighborhoodCache.SetAliases and the map
+# contain.Classes.Aliases builds for it (tested beside it, in
+# internal/contain/benchadapter.go), the always-nil ApplyResult.Unaffected,
+# and live.Config.Cache and core.ParallelOptions.Cache/.Epoch, which live and
 # core ignore, exist only so the frozen bench/ module compiles. The
 # benchmark PR (ROADMAP item 1) deletes them by editing bench/ alone, which
 # works only while nothing else references them.
-if callers=$(grep -rnE '\b(plan\.(PlanSchema|Config)|store\.(SampleStats|CardStats))\b|\.ProgramSet\(|\.Carry\(|\.EvictBelow\(|\.Unaffected\b' --include='*.go' . |
+if callers=$(grep -rnE '\b(plan\.(PlanSchema|Config)|store\.(SampleStats|CardStats))\b|\.ProgramSet\(|\.Carry\(|\.EvictBelow\(|\.SetAliases\(|\.Aliases\(|\.Unaffected\b' --include='*.go' . |
     grep -v -e '^\./bench/' -e '^\./\.bench_build/' -e '^\./internal/plan/benchadapter\.go:' -e '^\./internal/store/stats\.go:' \
-        -e '^\./internal/core/benchadapter\.go:' -e '^\./internal/core/benchadapter_test\.go:'); then
+        -e '^\./internal/core/benchadapter\.go:' -e '^\./internal/core/benchadapter_test\.go:' \
+        -e '^\./internal/contain/benchadapter\.go:' -e '^\./internal/contain/benchadapter_test\.go:'); then
     echo "bench-only adapters referenced outside bench/:" >&2
     echo "$callers" >&2
     exit 1
