@@ -544,8 +544,9 @@ func (ev *Evaluator) step(e *productEdge) Step {
 // accepting walks is reported once per distinct step; dedup across steps is
 // the caller's concern. The triple set visited is exactly the one TraceInto
 // adds for the same (a, targets), reported in (triple, From, To) order, which
-// no two share: the order of discovery follows the graph's adjacency maps
-// and differs from run to run. fn must not call into the evaluator.
+// no two share, not in the order of discovery: that follows the order in
+// which the graph lists a node's edges, which a Reader does not promise.
+// fn must not call into the evaluator.
 func (ev *Evaluator) TraceEdges(a rdfgraph.ID, targets []rdfgraph.ID, fn func(t rdfgraph.IDTriple, step Step)) {
 	hits := ev.trace([]rdfgraph.ID{a}, targets)
 	slices.SortFunc(hits, func(i, j int32) int {

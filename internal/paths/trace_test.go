@@ -260,8 +260,10 @@ func TestTraceEqualsOracle(t *testing.T) {
 
 // Property: TraceEdges reports in an order that is a function of the query,
 // not of the run. A search discovers product states in the order the graph
-// enumerates its adjacency maps, so two evaluators hold the same states under
-// different ids; /explain and shaclfrag explain record from this sequence.
+// lists a node's edges, which a Reader does not promise (it differed from run
+// to run while rows were maps), so two evaluators may hold the same states
+// under different ids; /explain and shaclfrag explain record from this
+// sequence.
 func TestTraceEdgesDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 50; i++ {

@@ -19,11 +19,17 @@ type model map[rdfgraph.IDTriple]struct{}
 // TestCOWEpochsIsolatedProperty replays seeded add/delete histories as a
 // chain of CloneCOW epochs over 1 100 initial nodes — five node-index
 // pages — with deltas that intern unseen terms and remove every triple of
-// some nodes. After every step, every retained epoch must still answer
-// every accessor exactly as its reference model does, the per-predicate
-// edge scans and posting lists included. The concurrent
+// some nodes. Two hubs, a subject and an object with a few hundred pairs
+// under two predicates each, span many chunks of their rows: every epoch
+// adds pairs at random places in them, which splits chunks, and deletes a
+// run of half of one hub predicate's pairs, which empties whole chunks;
+// halfway, the object hub loses every triple and its row, and the hubs
+// gain no pair in that epoch. After every step, every retained epoch must
+// still answer every accessor exactly as its reference model does, the
+// per-predicate edge scans and posting lists included. The concurrent
 // variant reads epoch n while epoch n+1 is being written, which the race
-// detector turns into a failure if a write lands on a shared page.
+// detector turns into a failure if a write lands on a shared page, row
+// directory or chunk.
 func TestCOWEpochsIsolatedProperty(t *testing.T) {
 	steps := 16
 	if testing.Short() {
@@ -53,6 +59,14 @@ func cowHistory(t *testing.T, rng *rand.Rand, steps int, concurrent bool) {
 		}
 		return rdf.Triple{S: node(rng.Intn(nodes)), P: pred(rng.Intn(4)), O: o}
 	}
+	hubS, hubO := rdf.NewIRI("http://x/hubS"), rdf.NewIRI("http://x/hubO")
+	hub := func() rdf.Triple { // hubS under p0 or p1, hubO under p2 or p3
+		n, k := node(rng.Intn(nodes)), rng.Intn(2)
+		if rng.Intn(2) == 0 {
+			return rdf.Triple{S: hubS, P: pred(k), O: n}
+		}
+		return rdf.Triple{S: n, P: pred(2 + k), O: hubO}
+	}
 
 	g := rdfgraph.New()
 	// Terms no triple uses push the nodes' IDs across the first posting
@@ -72,6 +86,9 @@ func cowHistory(t *testing.T, rng *rand.Rand, steps int, concurrent bool) {
 	for i := 0; i < nodes; i++ {
 		add(g, cur, random(&fresh))
 	}
+	for i := 0; i < 1400; i++ {
+		add(g, cur, hub())
+	}
 	g.Freeze()
 	epochs, models := []*rdfgraph.Graph{g}, []model{cur}
 
@@ -87,9 +104,29 @@ func cowHistory(t *testing.T, rng *rand.Rand, steps int, concurrent bool) {
 				del = append(del, tr)
 			}
 		}
-		// Two nodes lose every triple, and with them their rows.
+		// A run of half the pairs of one hub predicate, in row order: the
+		// hub is one end of every triple, so (S, O) order is that order.
+		var run []rdfgraph.IDTriple
+		sp, hs, ho := prev.LookupTerm(pred(rng.Intn(4))), prev.LookupTerm(hubS), prev.LookupTerm(hubO)
+		for tr := range cur {
+			if tr.P == sp && (tr.S == hs || tr.O == ho) {
+				run = append(run, tr)
+			}
+		}
+		slices.SortFunc(run, func(a, b rdfgraph.IDTriple) int {
+			return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.O, b.O))
+		})
+		if len(run) > 1 {
+			start := rng.Intn(len(run) / 2)
+			del = append(del, run[start:start+len(run)/2]...)
+		}
+		// Two nodes lose every triple, and with them their rows; halfway,
+		// one of them is the object hub.
 		for k := 0; k < 2; k++ {
 			gone := prev.LookupTerm(node(rng.Intn(nodes)))
+			if k == 0 && step == steps/2 {
+				gone = prev.LookupTerm(hubO)
+			}
 			for tr := range cur {
 				if tr.S == gone || tr.O == gone {
 					del = append(del, tr)
@@ -112,6 +149,9 @@ func cowHistory(t *testing.T, rng *rand.Rand, steps int, concurrent bool) {
 		}
 		for k := 0; k < 60; k++ {
 			add(ng, next, random(&fresh))
+			if step != steps/2 {
+				add(ng, next, hub())
+			}
 		}
 		ng.Freeze()
 		wg.Wait()

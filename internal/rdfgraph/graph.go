@@ -1,21 +1,22 @@
 // Package rdfgraph implements an in-memory, dictionary-encoded RDF triple
 // store. Terms are interned into dense integer IDs; triples are kept in
-// two node indexes (subject→predicate→objects, object→predicate→subjects)
-// so that forward and backward steps are constant-time per edge, and every
+// two node indexes, a row per node of its (predicate, object) pairs and of
+// its (predicate, subject) pairs, sorted, so that a forward or backward
+// step is a binary search and then a run of neighbors in ID order. Every
 // predicate keeps posting lists — bitmaps of the nodes with an outgoing
 // and with an incoming edge under it — from which property scans read the
 // index rows. The node indexes are paged over the dense IDs (pageRows rows
-// a page, a row per node) and the bitmaps likewise (postingBits bits a
-// page): a lookup is two slice indexes, listing N(G) is one sweep in ID
-// order, and a copy-on-write epoch copies only the page directories and
-// then the pages and rows it writes.
+// a page) and the bitmaps likewise (postingBits bits a page): finding a
+// row is two slice indexes, listing N(G) is one sweep in ID order, and a
+// copy-on-write epoch copies only the page directories and then the pages,
+// row directories and row chunks (chunkPairs pairs at most) it writes.
 //
 // # Concurrency
 //
 // A Graph is not safe for concurrent mutation, but it is immutable and safe
 // for any number of concurrent readers once construction is complete: every
 // read accessor (Objects, Subjects, HasIDs, EachTriple, Nodes, Triples,
-// Lookup, Term, …) only reads the index maps and the dictionary. Call
+// Lookup, Term, …) only reads the indexes and the dictionary. Call
 // Freeze after loading to enforce this contract — a frozen graph panics on
 // Add/AddIDs and on interning a previously unseen term, turning would-be
 // data races into deterministic failures. Concurrent serving subsystems
@@ -41,6 +42,7 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 
 	"shaclfrag/internal/rdf"
@@ -207,32 +209,53 @@ type Graph struct {
 // pageRows is the number of node rows per page of a nodeIndex.
 const pageRows = 256
 
-// row is one node's adjacency: predicate → neighbor set.
-type row = map[ID]map[ID]struct{}
+// chunkPairs is the most pairs a chunk of a row holds.
+const chunkPairs = 64
+
+// pair is one edge of a node's row: its predicate and its neighbor, the
+// object in spo and the subject in ops.
+type pair struct{ p, n ID }
+
+func (a pair) less(b pair) bool { return a.p < b.p || a.p == b.p && a.n < b.n }
+
+// row is one node's adjacency: its pairs in (p, n) order, split into
+// chunks of at most chunkPairs pairs. Rows and chunks carry the generation
+// that may write them, like pages: another generation copies a row's
+// header and chunk directory on its first write to the row, and a chunk on
+// its first write to that chunk, so a write to a hub copies one chunk.
+type row struct {
+	gen    uint64
+	chunks []*chunk
+}
+
+type chunk struct {
+	gen   uint64
+	pairs []pair
+}
 
 // nodeIndex maps a node ID to its row through a directory of fixed-size
 // pages, so a lookup is two slice indexes. An absent or emptied row is nil.
 // Pages are shared between a frozen graph and its CloneCOW descendants: a
 // page belongs to the index whose gen it carries, and any other index copies
-// it on first write. Within an owned page, a row is written in place only
-// once its owned bit is set, i.e. after the row was deep-copied or created
-// by this generation. A clone's gen is its parent's plus one, so no page it
-// inherits carries it.
+// it on first write. A clone's gen is its parent's plus one, so no page,
+// row or chunk it inherits carries it.
 type nodeIndex struct {
 	gen   uint64
 	pages []*page
 }
 
 type page struct {
-	gen   uint64
-	owned [pageRows / 64]uint64
-	rows  [pageRows]row
+	gen  uint64
+	rows [pageRows]*row
 }
 
-func (x *nodeIndex) row(id ID) row {
+// row returns id's chunk directory, nil if id has no row.
+func (x *nodeIndex) row(id ID) []*chunk {
 	u := uint32(id) // NoID lands past every directory
 	if i := int(u / pageRows); i < len(x.pages) && x.pages[i] != nil {
-		return x.pages[i].rows[u%pageRows]
+		if r := x.pages[i].rows[u%pageRows]; r != nil {
+			return r.chunks
+		}
 	}
 	return nil
 }
@@ -243,50 +266,117 @@ func (x *nodeIndex) clone() nodeIndex {
 	return nodeIndex{gen: x.gen + 1, pages: slices.Clone(x.pages)}
 }
 
-// mutable returns id's row for writing, creating it if absent: the page is
-// copied the first time this generation writes it, the row the first time
-// this generation writes that row.
-func (x *nodeIndex) mutable(id ID) row {
+// mutable returns id's row for writing, creating it if absent: the page
+// is copied the first time this generation writes it, the row header and
+// chunk directory the first time it writes that row.
+func (x *nodeIndex) mutable(id ID) *row {
 	u := uint32(id)
-	i, r := int(u/pageRows), u%pageRows
+	i, k := int(u/pageRows), u%pageRows
 	if i >= len(x.pages) {
 		x.pages = append(x.pages, make([]*page, i+1-len(x.pages))...)
 	}
 	p := x.pages[i]
 	if p == nil {
-		p = &page{gen: x.gen}
-		x.pages[i] = p
+		p = &page{}
 	} else if p.gen != x.gen {
 		cp := *p
-		cp.gen, cp.owned = x.gen, [pageRows / 64]uint64{}
 		p = &cp
-		x.pages[i] = p
 	}
-	if bit := uint64(1) << (r % 64); p.owned[r/64]&bit == 0 {
-		p.rows[r] = copyRow(p.rows[r])
-		p.owned[r/64] |= bit
+	p.gen, x.pages[i] = x.gen, p
+	if r := p.rows[k]; r == nil {
+		p.rows[k] = &row{gen: x.gen}
+	} else if r.gen != x.gen {
+		p.rows[k] = &row{gen: x.gen, chunks: slices.Clone(r.chunks)}
 	}
-	return p.rows[r]
+	return p.rows[k]
 }
 
-// drop empties id's row, which mutable has just returned.
-func (x *nodeIndex) drop(id ID) {
-	u := uint32(id)
-	p := x.pages[u/pageRows]
-	p.rows[u%pageRows] = nil
-	p.owned[u%pageRows/64] &^= 1 << (u % 64)
-}
-
-func copyRow(m row) row {
-	cp := make(row, len(m))
-	for p, ids := range m {
-		ids2 := make(map[ID]struct{}, len(ids))
-		for id := range ids {
-			ids2[id] = struct{}{}
+// insert adds k, absent from id's row, reporting whether it is the row's
+// first pair under k.p. The chunk it lands in is copied on this
+// generation's first write to it, and split in half first when full.
+func (x *nodeIndex) insert(id ID, k pair) (first bool) {
+	r := x.mutable(id)
+	ci, i := seek(r.chunks, k)
+	first = !near(r.chunks, k.p, ci, i, 0)
+	if len(r.chunks) == 0 {
+		r.chunks = []*chunk{{gen: x.gen}}
+	} else if ci == len(r.chunks) { // past every pair: the last chunk's end
+		ci--
+		i = len(r.chunks[ci].pairs)
+	}
+	c := r.chunk(x.gen, ci)
+	if h := chunkPairs / 2; len(c.pairs) == chunkPairs {
+		up := &chunk{gen: x.gen, pairs: slices.Clone(c.pairs[h:])}
+		c.pairs = c.pairs[:h]
+		r.chunks = slices.Insert(r.chunks, ci+1, up)
+		if i > h {
+			c, i = up, i-h
 		}
-		cp[p] = ids2
 	}
-	return cp
+	c.pairs = slices.Insert(c.pairs, i, k)
+	return first
+}
+
+// remove deletes k, present in id's row, reporting whether it was the
+// row's last pair under k.p. An emptied chunk leaves the directory, and an
+// emptied row becomes nil.
+func (x *nodeIndex) remove(id ID, k pair) (last bool) {
+	r := x.mutable(id)
+	ci, i := seek(r.chunks, k)
+	last = !near(r.chunks, k.p, ci, i, 1)
+	if len(r.chunks[ci].pairs) > 1 {
+		c := r.chunk(x.gen, ci)
+		c.pairs = slices.Delete(c.pairs, i, i+1)
+	} else if r.chunks = slices.Delete(r.chunks, ci, ci+1); len(r.chunks) == 0 {
+		x.pages[uint32(id)/pageRows].rows[uint32(id)%pageRows] = nil
+	}
+	return last
+}
+
+// chunk returns r's chunk ci for writing in generation gen, which owns r:
+// the chunk is copied on this generation's first write to it.
+func (r *row) chunk(gen uint64, ci int) *chunk {
+	c := r.chunks[ci]
+	if c.gen != gen {
+		c = &chunk{gen: gen, pairs: append(make([]pair, 0, len(c.pairs)+1), c.pairs...)}
+		r.chunks[ci] = c
+	}
+	return c
+}
+
+// seek returns the position of the first pair ≥ k in a row: its chunk and
+// its index there, or (len(cs), 0) if every pair is less.
+func seek(cs []*chunk, k pair) (ci, i int) {
+	ci = sort.Search(len(cs), func(j int) bool { ps := cs[j].pairs; return !ps[len(ps)-1].less(k) })
+	if ci < len(cs) {
+		ps := cs[ci].pairs
+		i = sort.Search(len(ps), func(j int) bool { return !ps[j].less(k) })
+	}
+	return ci, i
+}
+
+// near reports whether a pair next to position (ci, i) of a row — the one
+// before it, or the one skip places after it — has predicate p.
+func near(cs []*chunk, p ID, ci, i, skip int) bool {
+	before := i > 0 && cs[ci].pairs[i-1].p == p ||
+		i == 0 && ci > 0 && cs[ci-1].pairs[len(cs[ci-1].pairs)-1].p == p
+	if i += skip; ci < len(cs) && i == len(cs[ci].pairs) {
+		ci, i = ci+1, 0
+	}
+	return before || ci < len(cs) && cs[ci].pairs[i].p == p
+}
+
+// scan calls fn with the neighbor of every pair under p in a row, in order.
+func scan(cs []*chunk, p ID, fn func(ID)) {
+	ci, i := seek(cs, pair{p: p})
+	for ; ci < len(cs); ci, i = ci+1, 0 {
+		for _, q := range cs[ci].pairs[i:] {
+			if q.p != p {
+				return
+			}
+			fn(q.n)
+		}
+	}
 }
 
 // postingBits is the number of IDs per page of a posting bitmap.
@@ -294,9 +384,10 @@ const postingBits = 4096
 
 // posting is one predicate's posting lists: subs holds the nodes with an
 // outgoing edge under it, objs those with an incoming one, and edges
-// counts its triples. A bit is set where AddIDs creates the node's inner
-// set for the predicate in spo (ops) and cleared where RemoveIDs empties
-// it, so each bitmap is exactly the set of rows holding the predicate.
+// counts its triples. A bit is set where AddIDs gives the node's spo
+// (ops) row its first pair under the predicate and cleared where RemoveIDs
+// takes its last, so each bitmap is exactly the set of rows holding the
+// predicate.
 // Postings are shared copy-on-write like nodeIndex pages: a posting and a
 // bitmap page each carry the generation that may write them, and any
 // other generation copies them on first write, a posting with its two
@@ -426,28 +517,17 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	if g.frozen {
 		panic("rdfgraph: AddIDs on frozen graph")
 	}
-	po := g.spo.mutable(s)
-	objs, ok := po[p]
-	if _, dup := objs[o]; dup {
+	if g.HasIDs(s, p, o) {
 		return false
 	}
 	pl := g.mutablePosting(p)
 	pl.edges++
-	if !ok {
-		objs = make(map[ID]struct{})
-		po[p] = objs
+	if g.spo.insert(s, pair{p, o}) {
 		pl.subs.set(pl.gen, s, true)
 	}
-	objs[o] = struct{}{}
-
-	ps := g.ops.mutable(o)
-	subs, ok := ps[p]
-	if !ok {
-		subs = make(map[ID]struct{})
-		ps[p] = subs
+	if g.ops.insert(o, pair{p, s}) {
 		pl.objs.set(pl.gen, o, true)
 	}
-	subs[s] = struct{}{}
 	g.size++
 	return true
 }
@@ -465,7 +545,7 @@ func (g *Graph) Remove(t rdf.Triple) bool {
 }
 
 // RemoveIDs deletes a dictionary-encoded triple, reporting whether it was
-// present. Emptied submaps are dropped from the indexes so that IsNode and
+// present. Emptied rows are dropped from the indexes so that IsNode and
 // Nodes keep reflecting N(G) exactly.
 func (g *Graph) RemoveIDs(s, p, o ID) bool {
 	if g.frozen {
@@ -478,25 +558,11 @@ func (g *Graph) RemoveIDs(s, p, o ID) bool {
 	if pl.edges--; pl.edges == 0 {
 		delete(g.byPred, p)
 	}
-	po := g.spo.mutable(s)
-	objs := po[p]
-	delete(objs, o)
-	if len(objs) == 0 {
-		delete(po, p)
+	if g.spo.remove(s, pair{p, o}) {
 		pl.subs.set(pl.gen, s, false)
-		if len(po) == 0 {
-			g.spo.drop(s)
-		}
 	}
-	ps := g.ops.mutable(o)
-	subs := ps[p]
-	delete(subs, s)
-	if len(subs) == 0 {
-		delete(ps, p)
+	if g.ops.remove(o, pair{p, s}) {
 		pl.objs.set(pl.gen, o, false)
-		if len(ps) == 0 {
-			g.ops.drop(o)
-		}
 	}
 	g.size--
 	return true
@@ -515,30 +581,27 @@ func (g *Graph) Has(t rdf.Triple) bool {
 
 // HasIDs reports whether the dictionary-encoded triple is present.
 func (g *Graph) HasIDs(s, p, o ID) bool {
-	_, ok := g.spo.row(s)[p][o]
-	return ok
+	cs := g.spo.row(s)
+	ci, i := seek(cs, pair{p, o})
+	return ci < len(cs) && cs[ci].pairs[i] == pair{p, o}
 }
 
 // Objects calls fn for every o with (s, p, o) ∈ G.
 func (g *Graph) Objects(s, p ID, fn func(o ID)) {
-	for o := range g.spo.row(s)[p] {
-		fn(o)
-	}
+	scan(g.spo.row(s), p, fn)
 }
 
 // Subjects calls fn for every s with (s, p, o) ∈ G.
 func (g *Graph) Subjects(p, o ID, fn func(s ID)) {
-	for s := range g.ops.row(o)[p] {
-		fn(s)
-	}
+	scan(g.ops.row(o), p, fn)
 }
 
 // PredicatesFrom calls fn once for every predicate p and object o with
 // (s, p, o) ∈ G.
 func (g *Graph) PredicatesFrom(s ID, fn func(p, o ID)) {
-	for p, objs := range g.spo.row(s) {
-		for o := range objs {
-			fn(p, o)
+	for _, c := range g.spo.row(s) {
+		for _, q := range c.pairs {
+			fn(q.p, q.n)
 		}
 	}
 }
@@ -546,16 +609,16 @@ func (g *Graph) PredicatesFrom(s ID, fn func(p, o ID)) {
 // PredicatesTo calls fn once for every predicate p and subject s with
 // (s, p, o) ∈ G.
 func (g *Graph) PredicatesTo(o ID, fn func(s, p ID)) {
-	for p, subs := range g.ops.row(o) {
-		for s := range subs {
-			fn(s, p)
+	for _, c := range g.ops.row(o) {
+		for _, q := range c.pairs {
+			fn(q.n, q.p)
 		}
 	}
 }
 
 // EdgesByPredicate returns the edges of predicate p in a fresh slice,
 // ordered by subject ID and then object ID: its subject postings, each
-// with the object set of its spo row.
+// with its objects from its spo row, where they are already in order.
 func (g *Graph) EdgesByPredicate(p ID) []Edge {
 	pl := g.byPred[p]
 	if pl == nil {
@@ -563,11 +626,7 @@ func (g *Graph) EdgesByPredicate(p ID) []Edge {
 	}
 	out := make([]Edge, 0, pl.edges)
 	pl.subs.each(func(s ID) {
-		from := len(out)
-		for o := range g.spo.row(s)[p] {
-			out = append(out, Edge{S: s, O: o})
-		}
-		slices.SortFunc(out[from:], func(a, b Edge) int { return cmp.Compare(a.O, b.O) })
+		scan(g.spo.row(s), p, func(o ID) { out = append(out, Edge{S: s, O: o}) })
 	})
 	return out
 }
@@ -592,11 +651,7 @@ func (g *Graph) Endpoints(p ID, inverse bool) []ID {
 // EachTriple calls fn for every triple (in unspecified order).
 func (g *Graph) EachTriple(fn func(s, p, o ID)) {
 	for s := range ID(len(g.spo.pages) * pageRows) {
-		for p, objs := range g.spo.row(s) {
-			for o := range objs {
-				fn(s, p, o)
-			}
-		}
+		g.PredicatesFrom(s, func(p, o ID) { fn(s, p, o) })
 	}
 }
 
@@ -659,15 +714,15 @@ func (g *Graph) LookupTerm(t rdf.Term) ID { return g.dict.Lookup(t) }
 // CloneCOW returns a mutable copy-on-write clone of a frozen graph,
 // interning into an Extend of g's dictionary so IDs stay stable. The clone
 // copies the two node indexes' page directories — one pointer per
-// pageRows IDs — and the predicate map; it shares every page, row and
-// posting with g. A page is copied on the clone's first write to it, a row
-// on its first write, a predicate's posting and its directories on the
-// first triple added or removed under it, and a bitmap page on the first
-// bit flipped in it, so publishing an epoch costs its delta plus the
-// directories. Clones must
-// form a single writer lineage per graph — the store enforces this with a
-// mutex; concurrent mutation of clones of the same ancestry is a data
-// race.
+// pageRows IDs — and the predicate map; it shares every page, row, chunk
+// and posting with g. A page is copied on the clone's first write to it, a
+// row's header and chunk directory on its first write, a chunk on its
+// first write, a predicate's posting and its directories on the first
+// triple added or removed under it, and a bitmap page on the first bit
+// flipped in it, so publishing an epoch costs its delta plus the
+// directories. Clones must form a single writer lineage per graph — the
+// store enforces this with a mutex; concurrent mutation of clones of the
+// same ancestry is a data race.
 func (g *Graph) CloneCOW() *Graph {
 	if !g.frozen {
 		panic("rdfgraph: CloneCOW of unfrozen graph")
