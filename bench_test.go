@@ -174,7 +174,7 @@ func BenchmarkHubFragmentCold(b *testing.B) {
 // program — a bind from the program's pool (its resolution for the
 // dictionary kept, its rows reused), extraction, and a release back to the
 // pool — and steady-state re-extracts on bounds held across iterations,
-// dense memo and visited rows already allocated: the approaches-zero-allocs
+// memo and visited pages already taken: the approaches-zero-allocs
 // regime the plan design targets.
 func BenchmarkPlanExtraction(b *testing.B) {
 	g := tyrolGraph(1000)

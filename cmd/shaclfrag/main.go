@@ -10,7 +10,7 @@
 //	shaclfrag explain      -data data.ttl -shapes shapes.ttl -node <iri> [-shape <name>] [-json] [-diff <name>]
 //	shaclfrag whynot       -data data.ttl -shapes shapes.ttl -node <iri> [-shape <name>]
 //	shaclfrag translate    -shapes shapes.ttl [-shape <name>]
-//	shaclfrag plan         -shapes shapes.ttl [-shape <name>] [-data data.ttl]
+//	shaclfrag plan         -shapes shapes.ttl [-shape <name>]
 //	shaclfrag lint         shapes.ttl [more.ttl ...] [-json]
 //	shaclfrag schema-diff  old.ttl new.ttl [-json] [-graphs N] [-seed N]
 //	shaclfrag tpf          -data data.ttl -pattern '?x <http://x/p> ?y'
@@ -83,7 +83,7 @@ commands:
   explain       extract B(v, G, φ) annotated with per-triple justifications
   whynot        extract the why-not provenance B(v, G, ¬φ)
   translate     render the SPARQL translation of the shapes
-  plan          disassemble compiled shape plans and, with -data, check the memo budget
+  plan          disassemble compiled shape plans
   lint          statically analyze shapes graphs for contradictions and dead shapes
   schema-diff   classify per-definition changes between two shapes-graph versions
   tpf           evaluate a triple pattern fragment and its request shape`)
@@ -144,7 +144,7 @@ func cmdFragment(args []string) error {
 	request := fs.String("request", "", `ad-hoc request shape in textual syntax, e.g. '>=1 <http://x/p>.top'`)
 	baseIRI := fs.String("base", "", "base IRI for bare names in -request")
 	outPath := fs.String("o", "", "output file (default stdout)")
-	strategy := fs.String("strategy", "plan", "extraction strategy: plan (compiled programs within the memo budget, auto is its old name), direct, or sparql")
+	strategy := fs.String("strategy", "plan", "extraction strategy: plan (compiled programs, auto is its old name), direct, or sparql")
 	workers := fs.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
 	traced := fs.Bool("trace", false, "print the extraction's span tree to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -202,8 +202,6 @@ func cmdFragment(args []string) error {
 		case "direct":
 			// AST walker everywhere; plans stay nil.
 		case "plan", "auto":
-			// FragmentParallel binds a program only if it fits the memo
-			// budget against this graph's dictionary.
 			plans = plan.CompileAll(requests, defs)
 		default:
 			return fmt.Errorf("unknown -strategy %q (want plan, direct or sparql)", *strategy)
@@ -437,16 +435,12 @@ func cmdTranslate(args []string) error {
 	return nil
 }
 
-// cmdPlan disassembles the compiled instruction programs of a shapes graph
-// and, when a data graph is given, shows per definition whether the
-// program's dense memo fits the budget against that graph's dictionary
-// (plan) or extraction runs on the AST walker (direct).
+// cmdPlan disassembles the compiled instruction programs of a shapes graph.
 func cmdPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	shapesPath := fs.String("shapes", "", "shapes graph (Turtle)")
 	shapeName := fs.String("shape", "", "shape name (default: every definition)")
-	dataPath := fs.String("data", "", "data graph (Turtle); enables the memo-budget verdicts")
-	traced := fs.Bool("trace", false, "print the span tree (loading shapes and data) to stderr")
+	traced := fs.Bool("trace", false, "print the span tree (loading shapes) to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -463,17 +457,6 @@ func cmdPlan(args []string) error {
 		return err
 	}
 
-	dictTerms := -1 // no data graph: no verdicts
-	if *dataPath != "" {
-		loadSp := root.StartChild("load-data")
-		g, err := loadGraph(*dataPath)
-		loadSp.End()
-		if err != nil {
-			return err
-		}
-		store.WarmDictionary(g, h)
-		dictTerms = g.Dict().Len()
-	}
 	if trace != nil {
 		// The remaining work is the per-definition disassembly loop; the
 		// tree goes out after it so the root duration covers everything.
@@ -494,15 +477,7 @@ func cmdPlan(args []string) error {
 		}
 		printed++
 		fmt.Printf("== %s\n", d.Name)
-		prog := plan.Compile(shape.AndOf(d.Shape, d.Target), h)
-		if dictTerms >= 0 {
-			verdict := "direct"
-			if prog.Fits(dictTerms) {
-				verdict = "plan"
-			}
-			fmt.Printf("memo %d B, budget %d B → %s\n", prog.MemoBytes(dictTerms), plan.MemoBudget, verdict)
-		}
-		fmt.Print(prog)
+		fmt.Print(plan.Compile(shape.AndOf(d.Shape, d.Target), h))
 	}
 	if printed == 0 {
 		return fmt.Errorf("no shape named %q in the shapes graph", *shapeName)

@@ -327,9 +327,9 @@ func (x *Extractor) isolated(v rdfgraph.ID, nnf shape.Shape, b *plan.Bound, out 
 
 // Neighborhoods calls fn with B(v, G, request) for each v of nodes, in
 // order, each extracted in isolation as a cache entry is, so a triple
-// several foci select comes back once per focus. It runs on prog where that
-// Fits G's dictionary (nil: the AST walker). The slice fn gets is reused
-// by the next call. A panic during extraction comes back as a *PanicError.
+// several foci select comes back once per focus. It runs on prog (nil: the
+// AST walker). The slice fn gets is reused by the next call. A panic during
+// extraction comes back as a *PanicError.
 func (x *Extractor) Neighborhoods(request shape.Shape, prog *plan.Program, nodes []rdfgraph.ID, fn func(ts []rdfgraph.IDTriple)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -337,7 +337,7 @@ func (x *Extractor) Neighborhoods(request shape.Shape, prog *plan.Program, nodes
 		}
 	}()
 	var b *plan.Bound
-	if prog != nil && len(nodes) > 0 && prog.Fits(x.ev.G.Dict().Len()) {
+	if prog != nil && len(nodes) > 0 {
 		b = prog.Bind(x.ev.G)
 		defer b.Release()
 	}

@@ -27,11 +27,6 @@ func (x *Extractor) Fragment(requests []shape.Shape) []rdf.Triple {
 	return out.Triples(x.ev.G.Dict())
 }
 
-// FragmentGraph is Fragment frozen into a Graph.
-func (x *Extractor) FragmentGraph(requests []shape.Shape) *rdfgraph.Graph {
-	return rdfgraph.FromTriples(x.Fragment(requests))
-}
-
 // SchemaRequests derives the request shapes for a schema fragment:
 // {φ ∧ τ | (s, φ, τ) ∈ H}.
 func SchemaRequests(h *schema.Schema) []shape.Shape {

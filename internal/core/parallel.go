@@ -37,10 +37,9 @@ type ParallelOptions struct {
 	Epoch uint64
 	// Plans, when non-nil, holds compiled instruction programs aligned
 	// with the requests slice (typically plan.CompileAll over them). A
-	// request whose program Fits the graph's dictionary is extracted by the
-	// compiled plan instead of the AST walker — same triples (the parity
-	// suites gate byte identity), dense-memo speed. Nil entries and
-	// programs over plan.MemoBudget run on the AST walker.
+	// request with a program is extracted by the compiled plan instead of
+	// the AST walker — same triples (the parity suites gate byte
+	// identity), paged-memo speed. Nil entries run on the AST walker.
 	Plans *plan.Set
 	// Span, when non-nil, is the parent span extraction records under (the
 	// serving layer passes the request's "extract" span): the sub-stages
@@ -81,10 +80,9 @@ func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 
 // boundPlans binds the program set against g for one worker, returning a
 // per-request slice of bound programs (nil where the AST path applies: no
-// program, one that does not Fit g's dictionary, or a request without focus
-// nodes, which never runs). Each worker binds privately: dense memo rows are
-// single-writer state — and so the "bind" child the binding time
-// accumulates into, given a span, sums over workers.
+// program, or a request without focus nodes, which never runs). Each worker
+// binds privately: memo rows are single-writer state — and so the "bind"
+// child the binding time accumulates into, given a span, sums over workers.
 func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) []*plan.Bound {
 	if opts.Plans == nil {
 		return nil
@@ -95,12 +93,11 @@ func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) 
 	}
 	bounds := make([]*plan.Bound, len(focus))
 	stop := stopOf(opts.Ctx)
-	dictTerms := g.Dict().Len()
 	for i, p := range opts.Plans.Programs {
 		if i >= len(focus) {
 			break
 		}
-		if p != nil && len(focus[i]) > 0 && p.Fits(dictTerms) {
+		if p != nil && len(focus[i]) > 0 {
 			bounds[i] = p.Bind(g)
 			bounds[i].SetStop(stop)
 		}

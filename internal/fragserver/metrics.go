@@ -26,9 +26,7 @@ const (
 	mEpoch           = "fragserver_epoch"
 	mUpdateTotal     = "fragserver_update_total"
 	mUpdateTriples   = "fragserver_update_triples_total"
-	mPlannerShapes   = "fragserver_planner_strategy_shapes"
 	mPlanInstrs      = "fragserver_plan_instructions"
-	mPlanMemoBytes   = "fragserver_plan_memo_bytes"
 	mContainClasses  = "fragserver_containment_classes"
 	mContainShared   = "fragserver_containment_shared_shapes"
 	mSubsOpen        = "fragserver_subscribers"
@@ -196,30 +194,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("fragserver_extraction_workers", "Parallel extraction worker count.",
 		func() float64 { return float64(s.workers) })
 
-	// Compiled-plan series, evaluated at scrape time against the current
-	// snapshot's dictionary: a program that Fits runs on plans, one over
-	// plan.MemoBudget on the AST walker ("direct").
-	fitting := func() (n int, memo int64) {
-		terms := s.store.Current().Reader().Dict().Len()
-		for _, p := range s.programs.Programs {
-			if p.Fits(terms) {
-				n++
-				memo += p.MemoBytes(terms)
-			}
-		}
-		return n, memo
-	}
-	const shapesHelp = "Shape definitions whose compiled program fits the memo budget (plan) or not (direct), against the current snapshot."
-	reg.GaugeFunc(mPlannerShapes, shapesHelp,
-		func() float64 { n, _ := fitting(); return float64(n) }, obs.L("strategy", "plan"))
-	reg.GaugeFunc(mPlannerShapes, shapesHelp,
-		func() float64 { n, _ := fitting(); return float64(len(s.programs.Programs) - n) }, obs.L("strategy", "direct"))
 	reg.GaugeFunc(mPlanInstrs,
 		"Compiled plan instructions across the schema's programs.",
 		func() float64 { return float64(s.programs.NumInstrs()) })
-	reg.GaugeFunc(mPlanMemoBytes,
-		"Dense memo bytes one worker binding every program that fits the budget would pin.",
-		func() float64 { _, memo := fitting(); return float64(memo) })
 
 	// Lint findings are fixed at load time, so the per-severity gauges are
 	// set once. All three severities are always exported: a zero is the

@@ -206,9 +206,8 @@ type Server struct {
 	requests []shape.Shape
 
 	// programs holds one compiled program per request, aligned with
-	// requests. It depends on the schema alone, so New compiles it once;
-	// whether a program is bound is decided per extraction, against the
-	// dictionary of the snapshot the request pinned (plan.Program.Fits).
+	// requests. It depends on the schema alone, so New compiles it once,
+	// and each extraction binds it to the snapshot the request pinned.
 	programs *plan.Set
 
 	// classes is the containment equivalence-class table over the

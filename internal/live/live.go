@@ -69,8 +69,7 @@ type Config struct {
 	// re-base (ROADMAP item 1) deletes it.
 	Cache *core.NeighborhoodCache
 	// Plans, when non-nil, resolves the compiled program for a definition
-	// index (nil: the AST walker). A program is bound only if it Fits the
-	// dictionary of the snapshot being extracted.
+	// index (nil: the AST walker).
 	Plans func(def int) *plan.Program
 	// Replay bounds the per-shape delta ring used to resume subscribers
 	// from a Last-Event-ID epoch; <= 0 means 64. A subscriber further
@@ -155,7 +154,7 @@ func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 // extract appends to cs a count change n for every triple of B(v, G, φ ∧ τ)
 // of def, for each v of foci, G being x's graph. Each neighborhood is
 // extracted on its own (core.Extractor.Neighborhoods), on def's compiled
-// program where that Fits G's dictionary.
+// program.
 func (m *Maintainer) extract(x *core.Extractor, def int, foci []rdfgraph.ID, n int32, cs []change) ([]change, error) {
 	var prog *plan.Program
 	if m.cfg.Plans != nil {
@@ -332,8 +331,8 @@ func (m *Maintainer) step(st *shapeState, res store.ApplyResult, foci []rdfgraph
 
 // rediff moves a shape that keeps no counts to d's epoch: it extracts the
 // whole fragment with x as GET /fragment does — FragmentParallelIDs, on
-// def's program where it Fits, at one worker: maintenance stays on the
-// goroutine that holds m.mu — and merge-diffs it against frag.
+// def's program, at one worker: maintenance stays on the goroutine that
+// holds m.mu — and merge-diffs it against frag.
 func (m *Maintainer) rediff(st *shapeState, x *core.Extractor, d *rdfgraph.Dict) (added, removed []rdfgraph.IDTriple, nodes int, err error) {
 	opts := core.ParallelOptions{Workers: 1}
 	if m.cfg.Plans != nil {

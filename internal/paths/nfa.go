@@ -151,6 +151,3 @@ func (b *nfaBuilder) buildInverted(e Expr, fwd bool) (start, accept int) {
 	}
 	panic("paths: unknown expression type")
 }
-
-// NumStates returns the number of NFA states (for testing and sizing).
-func (n *NFA) NumStates() int { return len(n.eps) }

@@ -91,19 +91,18 @@ func (p *Program) resolve(g rdfgraph.Reader) *resolution {
 }
 
 // Bound is a Program bound to one graph: the resolution of its dictionary,
-// path evaluators over the graph, and dense per-instruction memo and visited
-// rows. A Bound is single-goroutine state, like shape.Evaluator and
+// path evaluators over the graph, and per-instruction memo and visited rows.
+// A Bound is single-goroutine state, like shape.Evaluator and
 // core.Extractor; FragmentParallel gives each worker its own. All evaluation
 // and extraction through a Bound is read-only on the graph.
 //
-// Memory: the memo and visited rows cost about 2 bytes × instructions ×
-// dictionary terms once every instruction has been touched. MemoBytes
-// reports the full-population bound, and a binder binds only a program that
-// Fits the graph's dictionary — otherwise that request runs on the AST
-// walker, whose memo grows with the nodes visited. The scratch and
-// evaluators are the Program's, pooled: Release hands them back for the next
-// Bind of the same Program, on this epoch or a later one. The rows go back
-// to a pool every Program's Bounds take from.
+// Memory: a row is a directory of pages of pageSize nodes, and a page is
+// taken the first time one of its nodes is touched, so the rows grow with
+// the (instruction, node) pairs a request decides, like the AST walker's
+// memo, and never past one byte per instruction and dictionary term each.
+// The scratch and evaluators are the Program's, pooled: Release hands them
+// back for the next Bind of the same Program, on this epoch or a later one.
+// The pages go back to a pool every Program's Bounds take from.
 type Bound struct {
 	*state // nil once released, so that use panics
 }
@@ -123,19 +122,18 @@ type state struct {
 	built []*paths.NFA
 
 	// memo rows hold conformance per (instruction, node): 0 unknown,
-	// 1 conforms, 2 does not. A row is taken on an instruction's first
-	// evaluation and persists for the lifetime of the Bound — the dense
+	// 1 conforms, 2 does not, for the lifetime of the Bound — the paged
 	// replacement for the evaluator's map[shape, node]bool.
-	memo [][]uint8
+	memo [][]*page
 	// visited rows carry generation stamps for Table 2's visited set;
-	// ResetVisited bumps gen instead of clearing, and rows are wiped only
+	// ResetVisited bumps gen instead of clearing, and pages are wiped only
 	// when the uint8 generation wraps.
-	visited [][]uint8
+	visited [][]*page
 	gen     uint8
-	// spare holds zeroed rows for the ones this request touches, taken by
-	// Bind and put back, with those, by Release: the rows in memo and
+	// spare holds zeroed pages for the ones this request touches, taken by
+	// Bind and put back, with those, by Release: the pages in memo and
 	// visited are exactly the ones it touched.
-	spare *rowSet
+	spare *pageSet
 
 	// Per-depth scratch for successor, property-value, witness and focus
 	// lists, reused across focus nodes; depth is the nesting level. wit and
@@ -163,9 +161,9 @@ type state struct {
 
 // Bind binds p to g. It costs a pool take when p has already been bound to
 // g's dictionary at its current length: the operands are looked up and the
-// automata compiled once per dictionary (resolve), and the rows are
-// allocated lazily, as instructions are first evaluated, from those earlier
-// requests released.
+// automata compiled once per dictionary (resolve), and the pages are
+// taken lazily, as nodes are first touched, from those earlier requests
+// released.
 func (p *Program) Bind(g rdfgraph.Reader) *Bound {
 	res := p.resolve(g)
 	s, _ := p.states.Get().(*state)
@@ -173,13 +171,13 @@ func (p *Program) Bind(g rdfgraph.Reader) *Bound {
 		s = &state{
 			prog:    p,
 			pes:     make([]*paths.Evaluator, len(p.Paths)),
-			memo:    make([][]uint8, len(p.Instrs)),
-			visited: make([][]uint8, len(p.Instrs)),
+			memo:    make([][]*page, len(p.Instrs)),
+			visited: make([][]*page, len(p.Instrs)),
 			gen:     1,
 		}
 		s.appendID = func(id rdfgraph.ID) { s.ids = append(s.ids, id) }
 	}
-	s.g, s.resolution, s.spare = g, res, spareRows.Get().(*rowSet)
+	s.g, s.resolution, s.spare = g, res, sparePages.Get().(*pageSet)
 	if !slices.Equal(s.built, res.nfas) {
 		s.built = res.nfas
 		for i, n := range res.nfas {
@@ -222,70 +220,70 @@ func (b *Bound) Searches() int {
 // Graph returns the bound graph.
 func (b *Bound) Graph() rdfgraph.Reader { return b.g }
 
-// MemoBudget bounds the dense memo memory one bound program may pin (per
-// worker — every worker binds its own).
-const MemoBudget = 64 << 20
-
 // maxPooledScratch bounds the per-depth scratch a released state keeps, in
 // bytes, like the path searches' own ceiling: a witness list the size of a
-// large graph's node set is dropped rather than pinned.
+// large graph's node set is dropped rather than pinned. It bounds the page
+// directories a released state keeps the same way.
 const maxPooledScratch = 4 << 20
 
-// MemoBytes estimates the fully-populated dense-array footprint of binding
-// p to a dictionary of dictTerms entries: memo plus visited rows for every
-// instruction.
-func (p *Program) MemoBytes(dictTerms int) int64 {
-	return 2 * int64(len(p.Instrs)) * int64(dictTerms)
+// A page of a memo or visited row covers pageSize nodes.
+const (
+	pageShift = 8
+	pageSize  = 1 << pageShift
+)
+
+// page is one pageSize-node stretch of a row.
+type page [pageSize]uint8
+
+// maxSparePages bounds the zeroed pages a released set keeps: 64 MiB.
+const maxSparePages = 64 << 20 / pageSize
+
+// cell returns node v's byte in instruction i's row of rows. A page never
+// moves while the Bound holds it, so the pointer outlives the recursion.
+func (s *state) cell(rows [][]*page, i int32, v rdfgraph.ID) *uint8 {
+	if dir, k := rows[i], int(v>>pageShift); k < len(dir) && dir[k] != nil {
+		return &dir[k][v&(pageSize-1)]
+	}
+	return s.touch(rows, i, v)
 }
 
-// Fits reports whether binding p to a dictionary of dictTerms entries stays
-// within MemoBudget — the one check every binder (core.FragmentParallel,
-// live.Maintainer) makes, against the snapshot the work runs on.
-func (p *Program) Fits(dictTerms int) bool {
-	return p.MemoBytes(dictTerms) <= MemoBudget
+// touch is cell's slow path: it grows the directory to cover v and puts a
+// zeroed page where v's is missing.
+func (s *state) touch(rows [][]*page, i int32, v rdfgraph.ID) *uint8 {
+	k := int(v >> pageShift)
+	dir := rows[i]
+	if k >= len(dir) {
+		dir = append(dir, make([]*page, k+1-len(dir))...)
+		rows[i] = dir
+	}
+	if dir[k] == nil {
+		dir[k] = s.spare.take()
+	}
+	return &dir[k][v&(pageSize-1)]
 }
 
-// row returns instruction i's slice from rows, grown to cover node v.
-func (b *Bound) row(rows [][]uint8, i int32, v rdfgraph.ID) []uint8 {
-	r := rows[i]
-	if int(v) < len(r) {
-		return r
-	}
-	nr := b.spareRow(int(v))
-	if nr == nil {
-		nr = make([]uint8, max(b.terms, int(v)+1))
-	}
-	copy(nr, r)
-	rows[i] = nr
-	return nr
-}
+// pageSet is a stack of zeroed pages, any row's for the taking. Sets pass
+// between the Bounds of all Programs through sparePages, so a request takes
+// the pages a recent one cleared, still in cache, and the pool pins the
+// pages of the requests in flight, not those of every Program.
+type pageSet struct{ pages []*page }
 
-// rowSet is a stack of zeroed rows, any instruction's for the taking. Sets
-// pass between the Bounds of all Programs through spareRows, so a request
-// takes the rows a recent one cleared, still in cache, and the pool pins
-// the rows of the requests in flight, not those of every Program.
-type rowSet struct{ rows [][]uint8 }
+var sparePages = sync.Pool{New: func() any { return new(pageSet) }}
 
-var spareRows = sync.Pool{New: func() any { return new(rowSet) }}
-
-// spareRow takes a spare row covering node v, at its full capacity, or
-// returns nil. One too short is dropped: it was grown for a dictionary
-// smaller than v's.
-func (s *state) spareRow(v int) []uint8 {
-	rows := s.spare.rows
-	for k := len(rows) - 1; k >= 0; k-- {
-		r := rows[k]
-		s.spare.rows = rows[:k]
-		if v < cap(r) {
-			return r[:cap(r)]
-		}
+// take pops a spare page, or allocates one when none is left.
+func (ps *pageSet) take() *page {
+	n := len(ps.pages)
+	if n == 0 {
+		return new(page)
 	}
-	return nil
+	pg := ps.pages[n-1]
+	ps.pages = ps.pages[:n-1]
+	return pg
 }
 
 // Release hands b's state back to its Program for a later Bind to take —
 // its evaluators holding no graph, memo or stop, and no resolution — and
-// the rows the request touched, zeroed, and the searches' scratch back to
+// the pages the request touched, zeroed, and the searches' scratch back to
 // their process-wide pools. Call it when extraction through b is over. It
 // is optional — a Bound never released is not recycled — and final: use of
 // b after it panics.
@@ -298,24 +296,28 @@ func (b *Bound) Release() {
 			pe.Release()
 		}
 	}
-	spare := s.spare
-	for _, rows := range [][][]uint8{s.memo, s.visited} {
-		for i, r := range rows {
-			if r != nil {
-				clear(r)
-				spare.rows = append(spare.rows, r)
-				rows[i] = nil
+	spare, dirBytes := s.spare, 0
+	for _, rows := range [][][]*page{s.memo, s.visited} {
+		for _, dir := range rows {
+			for k, pg := range dir {
+				if pg != nil {
+					*pg = page{}
+					spare.pages = append(spare.pages, pg)
+					dir[k] = nil
+				}
 			}
+			dirBytes += 8 * cap(dir)
 		}
 	}
-	rowBytes := 0
-	for _, r := range spare.rows {
-		rowBytes += cap(r)
+	if dirBytes > maxPooledScratch {
+		clear(s.memo)
+		clear(s.visited)
 	}
-	if rowBytes > MemoBudget {
-		spare.rows = nil
+	if len(spare.pages) > maxSparePages {
+		clear(spare.pages[maxSparePages:])
+		spare.pages = spare.pages[:maxSparePages]
 	}
-	spareRows.Put(spare)
+	sparePages.Put(spare)
 	scratchBytes := 0
 	for _, pool := range [][][]rdfgraph.ID{s.succ, s.vals, s.wit, s.srcs} {
 		for _, buf := range pool {
@@ -329,19 +331,17 @@ func (b *Bound) Release() {
 	s.prog.states.Put(s)
 }
 
-// Conforms reports H, G, v ⊨ φᵢ for instruction i, memoized densely.
+// Conforms reports H, G, v ⊨ φᵢ for instruction i, memoized in its row.
 func (b *Bound) Conforms(v rdfgraph.ID, i int32) bool {
-	r := b.row(b.memo, i, v)
-	if m := r[v]; m != 0 {
-		return m == 1
+	m := b.cell(b.memo, i, v)
+	if *m != 0 {
+		return *m == 1
 	}
 	b.Checks++
 	res := b.eval(v, i)
-	// Recursive evaluation may have regrown the row; write through b.memo.
+	*m = 2
 	if res {
-		b.memo[i][v] = 1
-	} else {
-		b.memo[i][v] = 2
+		*m = 1
 	}
 	return res
 }

@@ -26,12 +26,16 @@ func (b *Bound) CollectInto(v rdfgraph.ID, out *rdfgraph.IDTripleSet) {
 
 // ResetVisited begins a new accumulation unit: previously visited
 // (instruction, node) pairs will be re-collected. Costs a generation bump;
-// rows are wiped only when the 8-bit generation wraps.
+// pages are wiped only when the 8-bit generation wraps.
 func (b *Bound) ResetVisited() {
 	b.gen++
 	if b.gen == 0 {
-		for i := range b.visited {
-			clear(b.visited[i])
+		for _, dir := range b.visited {
+			for _, pg := range dir {
+				if pg != nil {
+					*pg = page{}
+				}
+			}
 		}
 		b.gen = 1
 	}
@@ -83,7 +87,7 @@ func (b *Bound) decide(nodes []rdfgraph.ID, i int32) {
 		b.depth++
 		open := scratch(&b.srcs, d)
 		for _, v := range nodes {
-			if b.row(b.memo, i, v)[v] == 0 {
+			if *b.cell(b.memo, i, v) == 0 {
 				open = append(open, v)
 			}
 		}
@@ -92,9 +96,10 @@ func (b *Bound) decide(nodes []rdfgraph.ID, i int32) {
 			b.Checks += len(open)
 			wit := b.witnesses(in, pe.EvalSet(open, scratch(&b.wit, d)), d)
 			for j, reached := range pe.TraceSetInto(open, wit, nil) {
-				b.memo[i][open[j]] = 2
+				m := b.cell(b.memo, i, open[j])
+				*m = 2
 				if reached {
-					b.memo[i][open[j]] = 1
+					*m = 1
 				}
 			}
 		}
@@ -131,8 +136,8 @@ func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet)
 	b.decide(nodes, i)
 	foci := scratch(&b.srcs, d)
 	for _, v := range nodes {
-		if r := b.row(b.visited, i, v); r[v] != b.gen {
-			r[v] = b.gen
+		if c := b.cell(b.visited, i, v); *c != b.gen {
+			*c = b.gen
 			if b.Conforms(v, i) {
 				foci = append(foci, v)
 			}

@@ -9,8 +9,9 @@
 // the profile. A Program removes all of it: each NNF sub-shape becomes one
 // numbered instruction whose operands — predicate IDs, constant IDs,
 // allowed-property sets, path automata — are resolved once per dictionary
-// the program is bound to (Bind), and conformance results live in dense
-// per-instruction byte arrays indexed by node ID, pooled across requests.
+// the program is bound to (Bind), and conformance results live in
+// per-instruction byte rows indexed by node ID, paged on first touch and
+// pooled across requests.
 // Steady-state evaluation touches no maps and allocates nothing.
 //
 // Compilation happens once per (schema, request): the shape is normalized
@@ -21,9 +22,8 @@
 // instructions instead of AST nodes and is byte-for-byte identical to
 // core.Extractor — property-tested and gated in the parity suites.
 //
-// There is no strategy choice beyond memory: a program is bound only if its
-// dense rows Fit MemoBudget against the dictionary of the snapshot it runs
-// on, and otherwise that request runs on the AST walker (Program.Fits).
+// There is no strategy choice: a program binds to every dictionary, its rows
+// growing with the (instruction, node) pairs a request decides.
 package plan
 
 import (

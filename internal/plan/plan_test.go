@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -273,3 +274,49 @@ func TestUndefinedRefBehavesAsTrue(t *testing.T) {
 type emptyDefs struct{}
 
 func (emptyDefs) Def(rdf.Term) (shape.Shape, bool) { return nil, false }
+
+// TestVisitedGenerationWrap runs isolated units on one Bound, as live's
+// materialization does, over a focus list in which every focus comes back
+// one generation period (255 units) later. A visited stamp that outlived the
+// wrap of ResetVisited's 8-bit generation would read as visited then and
+// drop the second unit's neighborhood.
+func TestVisitedGenerationWrap(t *testing.T) {
+	const period = 255
+	p, q := rdf.NewIRI(shapetest.Base+"p"), rdf.NewIRI(shapetest.Base+"q")
+	g := rdfgraph.New()
+	for i := 0; i < period; i++ {
+		s, o := rdf.NewIRI(fmt.Sprintf("%ss%d", shapetest.Base, i)), rdf.NewIRI(fmt.Sprintf("%so%d", shapetest.Base, i))
+		g.Add(rdf.T(s, p, o))
+		g.Add(rdf.T(o, q, s))
+	}
+	g.Freeze()
+	var nodes []rdfgraph.ID
+	for k := 0; k < 2*period; k++ {
+		nodes = append(nodes, g.LookupTerm(rdf.NewIRI(fmt.Sprintf("%ss%d", shapetest.Base, k%period))))
+	}
+	phi := shape.Min(1, paths.P(p.Value), shape.Min(1, paths.P(q.Value), shape.TrueShape()))
+	units := func(prog *plan.Program) [][]rdfgraph.IDTriple {
+		var out [][]rdfgraph.IDTriple
+		err := core.NewExtractor(g, nil).Neighborhoods(phi, prog, nodes, func(ts []rdfgraph.IDTriple) {
+			u := slices.Clone(ts)
+			rdfgraph.SortIDTriples(g.Dict(), u)
+			out = append(out, u)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want, got := units(nil), units(plan.Compile(phi, nil))
+	if len(got) != len(nodes) || len(want) != len(nodes) {
+		t.Fatalf("%d plan units and %d AST units for %d foci", len(got), len(want), len(nodes))
+	}
+	for k := range nodes {
+		if len(want[k]) != 2 {
+			t.Fatalf("fixture: unit %d has %d triples, want 2", k, len(want[k]))
+		}
+		if !slices.Equal(got[k], want[k]) {
+			t.Fatalf("unit %d, focus %s: plan %d triples, AST %d", k, g.Term(nodes[k]), len(got[k]), len(want[k]))
+		}
+	}
+}

@@ -360,12 +360,6 @@ func (p *parser) collection() (rdf.Term, error) {
 	}
 }
 
-// ParseNTriples parses an N-Triples document. Since N-Triples is a subset
-// of Turtle, this simply delegates to ParseTriples.
-func ParseNTriples(input string) ([]rdf.Triple, error) {
-	return ParseTriples(input)
-}
-
 // FormatNTriples serializes triples in canonical N-Triples form, one triple
 // per line, in the order given.
 func FormatNTriples(triples []rdf.Triple) string {

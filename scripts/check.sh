@@ -184,7 +184,7 @@ echo "== non-test Go lines outside bench/"
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 echo "== benchjson smoke"
-$GO run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live|Serve|HubFragmentCold'
+$GO run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live|Serve|HubFragmentCold|PlanExtraction'
 
 echo "== serving benchmark smoke (shape-scan, update-mix and hub-path, 3 s each)"
 # One short run each against a real fragserver: reads, updates with an SSE
