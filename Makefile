@@ -42,17 +42,26 @@ bench:
 bench-parallel:
 	$(GO) test -bench FragmentParallel -benchmem -run NONE .
 
-# Machine-readable benchmark trajectory: runs the paper's Fig1–Fig3 and
-# table benchmarks and writes repo-root BENCH_<n>.json (name, ns/op, B/op,
-# allocs/op, git SHA) with <n> one past the last snapshot — the same
-# location `make check` asserts is non-empty.
-bench-json:
-	$(GO) run ./cmd/benchjson -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live' -benchtime 2s -dir .
+# The trajectory bench-json snapshots: the paper's figures and tables,
+# containment, tracing, parallel extraction and live updates.
+BENCH_TRAJECTORY = Fig|Tab|Containment|Traced|FragmentParallel|Live
 
-# The same suite at one iteration each: proves the benchmarks compile and
-# the parser still reads their output, writes nothing. Part of `make check`.
+# What bench-json-smoke (which `make check` runs) compiles and parses: the
+# trajectory plus the read routes in process, the cold hub fragment and
+# plan extraction. The one list of smoke benchmarks.
+BENCH_SMOKE = $(BENCH_TRAJECTORY)|Serve|HubFragmentCold|PlanExtraction
+
+# Machine-readable benchmark trajectory: runs BENCH_TRAJECTORY and writes
+# repo-root BENCH_<n>.json (name, ns/op, B/op, allocs/op, git SHA) with <n>
+# one past the last snapshot — the same location `make check` asserts is
+# non-empty.
+bench-json:
+	$(GO) run ./cmd/benchjson -bench '$(BENCH_TRAJECTORY)' -benchtime 2s -dir .
+
+# BENCH_SMOKE at one iteration each: proves the benchmarks compile and the
+# parser still reads their output, writes nothing. Part of `make check`.
 bench-json-smoke:
-	$(GO) run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live'
+	$(GO) run ./cmd/benchjson -smoke -bench '$(BENCH_SMOKE)'
 
 # Write-heavy serving run on its own: updates/s through incremental
 # fragment maintenance at 0/100/1000 open subscriptions, with the post-run
@@ -63,12 +72,14 @@ bench-live:
 	$(GO) run ./cmd/benchjson -bench LiveUpdates -benchtime 2s -dir . \
 		-meta series=live-updates -meta subscriptions=0,100,1000
 
-# The read routes in process, cache warm: GET /node over every definition
-# and a one-shape GET /fragment through Server.Handler(), snapshotted into
-# the trajectory. The allocation columns are what TestWarmNodeAllocs gates.
+# The read routes in process: GET /node over every definition and a
+# one-shape GET /fragment, cache warm, shape-scan's 57-shape /fragment
+# sweep and hub-path's cold hub /fragment, through Server.Handler(),
+# snapshotted into the trajectory. The allocation columns of the first two
+# are what TestWarmNodeAllocs gates.
 bench-serve:
-	$(GO) run ./cmd/benchjson -bench 'ServeNodeWarm|ServeFragmentShape' -benchtime 2s -dir . \
-		-meta series=serve-warm
+	$(GO) run ./cmd/benchjson -bench 'ServeNodeWarm|ServeFragmentShape|ServeFragmentSweep|ServeHubFragment' -benchtime 2s -dir . \
+		-meta series=serve
 
 # Path tracing in process: the Figure 3 series on all three engines, the
 # serving benchmark's cold hub fragment (what TestHubTraceAllocs gates), and

@@ -773,35 +773,51 @@ func (d *discardResponse) WriteHeader(int)             {}
 // servedBenchmarkSchema is the benchmark schema as cmd/fragserver sees it:
 // written out as SHACL and parsed back, which names the nested shapes.
 func servedBenchmarkSchema(b *testing.B) *schema.Schema {
-	shapes, err := shaclsyn.Format(datagen.BenchmarkSchema())
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := shaclsyn.ParseSchema(shapes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return h
+	return servedSchema(b, datagen.BenchmarkSchema())
 }
 
-// benchServe drives one GET through Server.Handler() per iteration, the
-// neighborhood cache warm, over the served benchmark schema.
-func benchServe(b *testing.B, individuals int, target string) {
-	srv, err := fragserver.New(fragserver.Config{
-		Graph: tyrolGraph(individuals), Schema: servedBenchmarkSchema(b),
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
+// servedSchema is h as cmd/fragserver sees it: written out as SHACL and
+// parsed back.
+func servedSchema(b *testing.B, h *schema.Schema) *schema.Schema {
+	shapes, err := shaclsyn.Format(h)
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := httptest.NewRequest("GET", target, nil)
+	served, err := shaclsyn.ParseSchema(shapes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return served
+}
+
+// benchServe drives every target, in order, through Server.Handler() of a
+// server built from cfg per iteration, after one untimed pass that warms
+// the neighborhood cache and the pools.
+func benchServe(b *testing.B, cfg fragserver.Config, targets ...string) {
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	srv, err := fragserver.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]*http.Request, len(targets))
+	for i, target := range targets {
+		reqs[i] = httptest.NewRequest("GET", target, nil)
+	}
+	for _, req := range reqs {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Triple-Count") == "0" {
+			b.Fatalf("GET %s: %d, %s triples", req.URL, rec.Code, rec.Header().Get("X-Triple-Count"))
+		}
+	}
 	w := &discardResponse{h: http.Header{}}
-	srv.Handler().ServeHTTP(w, req) // fills the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(w.h)
-		srv.Handler().ServeHTTP(w, req)
+		for _, req := range reqs {
+			clear(w.h)
+			srv.Handler().ServeHTTP(w, req)
+		}
 	}
 }
 
@@ -821,12 +837,42 @@ func BenchmarkDictRank(b *testing.B) {
 // every definition for one focus node of Tyrol 10000, every lookup a cache
 // hit. What is left is middleware, sort and N-Triples encoding.
 func BenchmarkServeNodeWarm(b *testing.B) {
-	benchServe(b, 10000, "/node?iri="+url.QueryEscape("<"+datagen.NS+"lodging/0>"))
+	benchServe(b, fragserver.Config{Graph: tyrolGraph(10000), Schema: servedBenchmarkSchema(b)},
+		"/node?iri="+url.QueryEscape("<"+datagen.NS+"lodging/0>"))
 }
 
 // BenchmarkServeFragmentShape is one shape-scan request in process: a
 // one-shape GET /fragment on Tyrol 1500 (the route reads no cache; its
 // per-worker sets and sort buffer are pooled by the first request).
 func BenchmarkServeFragmentShape(b *testing.B) {
-	benchServe(b, 1500, "/fragment?shape=S01")
+	benchServe(b, fragserver.Config{Graph: tyrolGraph(1500), Schema: servedBenchmarkSchema(b)}, "/fragment?shape=S01")
+}
+
+// BenchmarkServeFragmentSweep is one shape-scan round in process: the 57
+// one-shape GET /fragments, S01 to S57, on Tyrol 1500 with the serving
+// benchmark's 15 000-triple cache budget. One op is the whole sweep.
+func BenchmarkServeFragmentSweep(b *testing.B) {
+	targets := make([]string, len(datagen.BenchmarkShapes()))
+	for i := range targets {
+		targets[i] = fmt.Sprintf("/fragment?shape=S%02d", i+1)
+	}
+	benchServe(b, fragserver.Config{
+		Graph: tyrolGraph(1500), Schema: servedBenchmarkSchema(b), CacheTriples: 15000,
+	}, targets...)
+}
+
+// BenchmarkServeHubFragment is the hub-path request in process: GET
+// /fragment of the Fig 3 distance-3 hub shape targeting the objects of
+// authoredBy, on 250 papers from 2014, with the cache off.
+func BenchmarkServeHubFragment(b *testing.B) {
+	h := schema.MustNew(schema.Definition{
+		Name:   rdf.NewIRI(datagen.NS + "shape/Hub"),
+		Shape:  datagen.HubDistance3Shape(),
+		Target: schema.TargetObjectsOf(datagen.PropAuthoredBy),
+	})
+	benchServe(b, fragserver.Config{
+		Graph:        datagen.NewCoauthor(datagen.CoauthorConfig{Papers: 250, Seed: 1}).Graph(2014),
+		Schema:       servedSchema(b, h),
+		CacheTriples: -1,
+	}, "/fragment?shape=Hub")
 }

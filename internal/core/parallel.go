@@ -270,7 +270,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	defer func() {
 		for _, o := range outs {
 			if o != nil && o.Len() <= rdfgraph.MaxPooled {
-				o.Reset() // a map keeps its buckets across clear
+				o.Reset() // keeps its table and triple array
 				accumulators.Put(o)
 			}
 		}
@@ -352,7 +352,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 		return nil, total, opts.Ctx.Err()
 	}
 	defer opts.Span.StartChild("merge").End()
-	// The union grows the first worker's set, whose buckets the pool keeps,
+	// The union grows the first worker's set, whose table the pool keeps,
 	// so the fragment is listed once, at its distinct count, and sorted.
 	for _, o := range outs[1:] {
 		outs[0].AddSet(o)

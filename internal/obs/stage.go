@@ -69,9 +69,22 @@ func ServerTiming(stages []Stage) string {
 			b = append(b, ", "...)
 		}
 		b = append(append(b, sanitizeToken(s.Name)...), ";dur="...)
-		b = strconv.AppendFloat(b, float64(s.Dur)/float64(time.Millisecond), 'f', 2, 64)
+		b = appendMillis(b, s.Dur)
 	}
 	return string(b)
+}
+
+// appendMillis appends d in milliseconds with two decimals, rounded half
+// up, from integer nanoseconds: AppendFloat(…, 'f', 2, 64) at a fixed
+// precision takes strconv's slow path.
+func appendMillis(b []byte, d time.Duration) []byte {
+	u := uint64(d)
+	if d < 0 {
+		b, u = append(b, '-'), -u
+	}
+	q := (u + 5_000) / 10_000 // hundredths of a millisecond, half up
+	b = strconv.AppendUint(b, q/100, 10)
+	return append(b, '.', byte('0'+q%100/10), byte('0'+q%10))
 }
 
 // sanitizeToken maps a stage name onto the header-token alphabet

@@ -3,6 +3,9 @@ package obs
 import (
 	"context"
 	"log/slog"
+	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -50,6 +53,50 @@ func TestTraceServerTiming(t *testing.T) {
 	root.AccumChild("extract").Add(41520 * time.Microsecond)
 	if got, want := ServerTiming(Stages(nil, root, testStages)), "parse;dur=0.11, extract;dur=41.52"; got != want {
 		t.Errorf("ServerTiming() = %q, want %q", got, want)
+	}
+}
+
+// TestAppendMillis pins the integer rendering of a Server-Timing duration
+// at its rounding and sign boundaries, and checks it against
+// strconv.AppendFloat(…, 'f', 2, 64) on seeded durations away from an exact
+// 5 µs tie, where the float's binary rounding may go either way.
+func TestAppendMillis(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, "0.00"},
+		{4_999, "0.00"},
+		{5_000, "0.01"},
+		{5_001, "0.01"},
+		{15_000, "0.02"},
+		{9_994_999, "9.99"},
+		{9_995_000, "10.00"},
+		{1_000 * time.Second, "1000000.00"},
+		{math.MaxInt64, "9223372036854.78"},
+		{-1, "-0.00"},
+		{-15 * time.Microsecond, "-0.02"},
+		{math.MinInt64, "-9223372036854.78"},
+	} {
+		if got := string(appendMillis(nil, c.d)); got != c.want {
+			t.Errorf("appendMillis(%d ns) = %q, want %q", int64(c.d), got, c.want)
+		}
+	}
+	check := func(d time.Duration) {
+		want := strconv.AppendFloat(nil, float64(d)/float64(time.Millisecond), 'f', 2, 64)
+		if got := appendMillis(nil, d); string(got) != string(want) {
+			t.Fatalf("appendMillis(%d ns) = %q, AppendFloat gives %q", int64(d), got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 100_000 {
+		d := time.Duration(rng.Int63n(int64(1) << rng.Intn(50)))
+		if d%10_000 != 5_000 {
+			check(d)
+		}
+		tie := d - d%10_000 + 5_000
+		check(tie - 1)
+		check(tie + 1)
 	}
 }
 

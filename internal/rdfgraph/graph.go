@@ -26,7 +26,7 @@
 //
 // Dictionary-encoded triples (IDTriple, 12 bytes each) are also the
 // currency of the serving stack's data structures: IDTripleSet
-// accumulates extraction results without term churn, and
+// accumulates extraction results in an open-addressing table, and
 // core.NeighborhoodCache stores neighborhoods in encoded form, which is
 // what makes its triple-denominated memory bound meaningful. Canonical
 // output order is decided on integers too: a frozen root dictionary ranks
@@ -770,61 +770,86 @@ type IDTriple struct {
 	S, P, O ID
 }
 
-// IDTripleSet accumulates dictionary-encoded triples. Neighborhood and
-// fragment extraction build results here: hashing three int32s per insert
-// is far cheaper than hashing term strings.
+// IDTripleSet accumulates dictionary-encoded triples, extraction's results.
+// It is not a map, whose generic hash costs more than the insert: ts lists
+// the distinct triples in insertion order, and slots, a power of two long
+// and at most half full, holds 1 + an index into ts (0 is empty), probed
+// linearly from a multiplicative hash of the three IDs.
 type IDTripleSet struct {
-	set map[IDTriple]struct{}
+	ts    []IDTriple
+	slots []int32
 }
 
 // NewIDTripleSet returns an empty set.
-func NewIDTripleSet() *IDTripleSet {
-	return &IDTripleSet{set: make(map[IDTriple]struct{})}
+func NewIDTripleSet() *IDTripleSet { return &IDTripleSet{} }
+
+// Add inserts t, reporting whether it was new. The load is checked only at
+// an empty slot, so a duplicate never grows the table.
+func (s *IDTripleSet) Add(t IDTriple) bool {
+	if len(s.slots) == 0 {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := hashIDTriple(t) & mask; ; i = (i + 1) & mask {
+		j := s.slots[i]
+		if j == 0 {
+			if 2*(len(s.ts)+1) > len(s.slots) {
+				s.grow()
+				return s.Add(t)
+			}
+			s.ts = append(s.ts, t)
+			s.slots[i] = int32(len(s.ts))
+			return true
+		}
+		if s.ts[j-1] == t {
+			return false
+		}
+	}
 }
 
-// Add inserts t, reporting whether it was new.
-func (s *IDTripleSet) Add(t IDTriple) bool {
-	if _, ok := s.set[t]; ok {
-		return false
-	}
-	s.set[t] = struct{}{}
-	return true
+// hashIDTriple mixes the IDs, folding high bits into those a mask keeps.
+func hashIDTriple(t IDTriple) uint64 {
+	h := uint64(uint32(t.S))*0x9e3779b97f4a7c15 ^ uint64(uint32(t.P))*0xc2b2ae3d27d4eb4f ^ uint64(uint32(t.O))*0x165667b19e3779f9
+	return h ^ h>>32
+}
+
+// grow doubles the table (16 slots at first), with room in ts to fill
+// its half, and reinserts every triple.
+func (s *IDTripleSet) grow() {
+	old := s.ts
+	s.slots = make([]int32, max(16, 2*len(s.slots)))
+	s.ts = make([]IDTriple, 0, len(s.slots)/2)
+	s.AddAll(old)
 }
 
 // Len returns the set size.
-func (s *IDTripleSet) Len() int { return len(s.set) }
+func (s *IDTripleSet) Len() int { return len(s.ts) }
 
-// IDTriples returns the contents as a slice, in unspecified order. The
+// IDTriples returns the contents as a slice, in insertion order. The
 // neighborhood cache stores these raw encoded slices: they are an order of
 // magnitude smaller than decoded terms.
 func (s *IDTripleSet) IDTriples() []IDTriple {
-	return s.AppendTo(make([]IDTriple, 0, len(s.set)))
+	return s.AppendTo(make([]IDTriple, 0, len(s.ts)))
 }
 
-// AppendTo appends the contents to dst, in unspecified order.
-func (s *IDTripleSet) AppendTo(dst []IDTriple) []IDTriple {
-	for t := range s.set {
-		dst = append(dst, t)
-	}
-	return dst
-}
+// AppendTo appends the contents to dst, in insertion order.
+func (s *IDTripleSet) AppendTo(dst []IDTriple) []IDTriple { return append(dst, s.ts...) }
 
 // Reset empties the set, keeping its storage.
-func (s *IDTripleSet) Reset() { clear(s.set) }
+func (s *IDTripleSet) Reset() {
+	clear(s.slots)
+	s.ts = s.ts[:0]
+}
 
 // AddAll inserts the given encoded triples.
 func (s *IDTripleSet) AddAll(ts []IDTriple) {
 	for _, t := range ts {
-		s.set[t] = struct{}{}
+		s.Add(t)
 	}
 }
 
 // AddSet inserts every triple of other.
-func (s *IDTripleSet) AddSet(other *IDTripleSet) {
-	for t := range other.set {
-		s.set[t] = struct{}{}
-	}
-}
+func (s *IDTripleSet) AddSet(other *IDTripleSet) { s.AddAll(other.ts) }
 
 // rankBits is the width of one rank in a packed sort key: three fit in a
 // uint64 while a dictionary holds at most 1<<rankBits terms.

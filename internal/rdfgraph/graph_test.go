@@ -1,6 +1,8 @@
 package rdfgraph
 
 import (
+	"cmp"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -181,6 +183,112 @@ func TestTripleSet(t *testing.T) {
 	s.Reset()
 	if s.Len() != 0 || !s.Add(tr) {
 		t.Fatal("Reset must empty the set")
+	}
+}
+
+// TestIDTripleSetMatchesMap checks the open-addressing table against a Go
+// map on seeded triples with about five adds per distinct triple, half of
+// them differing from an earlier triple in one ID only; a duplicate must
+// not grow the table. One set is Reset
+// and refilled through sizes that cross every growth step up to
+// MaxPooled+1, as the pool reuses it, and AddSet of two sets is checked
+// against the union of their oracles.
+func TestIDTripleSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func(pool []IDTriple) IDTriple {
+		tr := IDTriple{S: ID(rng.Int31n(1 << 30)), P: ID(rng.Int31n(1 << 30)), O: ID(rng.Int31n(1 << 30))}
+		if len(pool) > 0 && rng.Intn(2) == 0 {
+			near := pool[rng.Intn(len(pool))]
+			switch rng.Intn(3) {
+			case 0:
+				near.S = tr.S
+			case 1:
+				near.P = tr.P
+			default:
+				near.O = tr.O
+			}
+			tr = near
+		}
+		return tr
+	}
+	// fill adds n distinct triples five times over, shuffled, in five
+	// batches, and checks s against oracle after each.
+	fill := func(s *IDTripleSet, oracle map[IDTriple]struct{}, n int) {
+		t.Helper()
+		var pool []IDTriple
+		for len(pool) < n {
+			pool = append(pool, draw(pool))
+		}
+		adds := make([]IDTriple, 0, 5*n)
+		for range 5 {
+			adds = append(adds, pool...)
+		}
+		rng.Shuffle(len(adds), func(i, j int) { adds[i], adds[j] = adds[j], adds[i] })
+		slots := len(s.slots)
+		for batch := range 5 {
+			for _, tr := range adds[batch*n : (batch+1)*n] {
+				_, seen := oracle[tr]
+				oracle[tr] = struct{}{}
+				got := s.Add(tr)
+				if got == seen {
+					t.Fatalf("n=%d: Add(%v) = %v, want %v", n, tr, got, !seen)
+				}
+				if got {
+					slots = len(s.slots)
+				} else if len(s.slots) != slots {
+					t.Fatalf("n=%d: a duplicate grew the table from %d to %d slots", n, slots, len(s.slots))
+				}
+			}
+			checkIDTripleSet(t, s, oracle)
+		}
+	}
+	s := NewIDTripleSet()
+	var sizes []int
+	for k := 0; 1<<k <= MaxPooled; k++ {
+		sizes = append(sizes, max(1<<k-1, 1), 1<<k, 1<<k+1)
+	}
+	for _, n := range sizes {
+		s.Reset()
+		if s.Len() != 0 {
+			t.Fatalf("Reset left %d triples", s.Len())
+		}
+		fill(s, map[IDTriple]struct{}{}, n)
+	}
+	for _, n := range []int{1, 100, 3000} {
+		a, b := NewIDTripleSet(), NewIDTripleSet()
+		oa, ob := map[IDTriple]struct{}{}, map[IDTriple]struct{}{}
+		fill(a, oa, n)
+		fill(b, ob, 2*n)
+		shared := a.IDTriples()[:(n+1)/2]
+		b.AddAll(shared)
+		for _, tr := range shared {
+			ob[tr] = struct{}{}
+		}
+		checkIDTripleSet(t, b, ob)
+		a.AddSet(b)
+		maps.Copy(oa, ob)
+		checkIDTripleSet(t, a, oa)
+	}
+}
+
+// checkIDTripleSet fails unless s holds exactly the triples of oracle.
+func checkIDTripleSet(t *testing.T, s *IDTripleSet, oracle map[IDTriple]struct{}) {
+	t.Helper()
+	if s.Len() != len(oracle) {
+		t.Fatalf("Len = %d, oracle has %d", s.Len(), len(oracle))
+	}
+	order := func(a, b IDTriple) int {
+		return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.P, b.P), cmp.Compare(a.O, b.O))
+	}
+	got := s.AppendTo(nil)
+	slices.SortFunc(got, order)
+	want := make([]IDTriple, 0, len(oracle))
+	for tr := range oracle {
+		want = append(want, tr)
+	}
+	slices.SortFunc(want, order)
+	if !slices.Equal(got, want) {
+		t.Fatalf("AppendTo lists %d triples, not the oracle's %d", len(got), len(want))
 	}
 }
 

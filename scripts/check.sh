@@ -3,7 +3,9 @@
 # nested benchmark module's build and a short smoke run of it, and the shape
 # linter over the example schemas — clean ones must be silent, the
 # examples/lint/ corpus must be flagged. Run from anywhere; the script
-# cd's to the repository root. `make check` is the local entry point.
+# cd's to the repository root. `make check` is the local entry point, and
+# the script needs make: the benchjson smoke runs the Makefile's
+# bench-json-smoke, where the list of smoke benchmarks is defined.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -184,7 +186,8 @@ echo "== non-test Go lines outside bench/"
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 echo "== benchjson smoke"
-$GO run ./cmd/benchjson -smoke -bench 'Fig|Tab|Containment|Traced|FragmentParallel|Live|Serve|HubFragmentCold|PlanExtraction'
+# The list is the Makefile's BENCH_SMOKE, its one definition.
+${MAKE:-make} --no-print-directory bench-json-smoke GO="$GO"
 
 echo "== serving benchmark smoke (shape-scan, update-mix and hub-path, 3 s each)"
 # One short run each against a real fragserver: reads, updates with an SSE
