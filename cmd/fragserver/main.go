@@ -18,9 +18,9 @@
 //	fragserver -addr :8077 -individuals 2000
 //
 // The server installs a per-request timeout, bounds in-flight requests,
-// caches /node neighborhoods in a bounded LRU, extracts fragments in parallel,
-// logs structured access lines, and drains in-flight requests on SIGINT or
-// SIGTERM before exiting.
+// caches /node neighborhoods in a bounded second-chance cache, extracts
+// fragments in parallel, logs structured access lines, and drains
+// in-flight requests on SIGINT or SIGTERM before exiting.
 //
 // Observability: /metrics (Prometheus text), /healthz, /readyz and /stats
 // are served on the main address; -debug-addr starts a second, unthrottled
@@ -69,7 +69,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 64, "maximum concurrently served requests")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request compute budget")
-	cacheTriples := flag.Int("cache", 1<<20, "neighborhood LRU budget in triples (negative disables)")
+	cacheTriples := flag.Int("cache", 1<<20, "neighborhood cache budget in triples, second-chance eviction (negative disables)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json (applies to access and lifecycle logs alike)")
 	allowLintErrors := flag.Bool("allow-lint-errors", false, "serve schemas that shapelint flags with error-severity findings")

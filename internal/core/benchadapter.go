@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/list"
-
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/shape"
 )
@@ -26,14 +24,14 @@ func (c *NeighborhoodCache) Carry(from, to uint64, keep func(rdfgraph.ID) bool) 
 func (c *NeighborhoodCache) EvictBelow(min uint64) (entries, triples int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		if en := el.Value.(*neighborhoodEntry); max(en.from, c.applied) < min {
+	for en := c.queue.next; en != &c.queue; {
+		next := en.next
+		if max(en.from, c.applied) < min {
 			entries++
 			triples += len(en.triples)
-			c.removeLocked(el)
+			c.removeLocked(en)
 		}
+		en = next
 	}
 	return entries, triples
 }

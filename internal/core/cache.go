@@ -1,9 +1,10 @@
 package core
 
 import (
-	"container/list"
+	"cmp"
 	"context"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -13,7 +14,7 @@ import (
 	"shaclfrag/internal/shape"
 )
 
-// NeighborhoodCache is a concurrency-safe, size-bounded LRU cache of
+// NeighborhoodCache is a concurrency-safe, size-bounded cache of
 // per-(node, shape) neighborhoods B(v, G, φ), stored as dictionary-encoded
 // triples. It lets a serving subsystem answer repeated neighborhood
 // requests against the same graph from memory (NeighborhoodsCached).
@@ -24,6 +25,10 @@ import (
 // share entries only if the caller passes one of them for all (fragserver
 // passes each containment class's representative). The cached slices are
 // shared between callers and must be treated as immutable.
+//
+// Entries are stored node-major: each cached node has one row of entries
+// sorted by their shape's column, so a node's lookups over a shape list in
+// column order walk one short row.
 //
 // Every entry is valid from the store epoch (see store.Store) it was
 // computed at up to the newest epoch the cache is known to hold at.
@@ -40,22 +45,32 @@ import (
 //
 // The bound is expressed in triples, not entries, because neighborhood
 // sizes vary by orders of magnitude; an empty neighborhood still costs one
-// unit so that negative results are bounded too.
+// unit so that negative results are bounded too. Eviction is second
+// chance: entries queue in insertion order, a hit marks its entry, and
+// the sweep evicts the oldest unmarked entry, sending each marked one it
+// passes to the back of the queue with its mark cleared.
 type NeighborhoodCache struct {
-	mu     sync.Mutex
-	budget int
-	size   int
-	ll     *list.List // front = most recently used
-	// items holds, per shape and node, its one entry.
-	items map[shape.Shape]map[rdfgraph.ID]*list.Element
+	mu      sync.Mutex
+	budget  int
+	size    int
+	entries int
+	// rows holds each cached node's entries, sorted by column; cols gives
+	// each shape seen its column: its footprint index when SetFootprints
+	// tracks it, the next free column from its first Put otherwise; byCol
+	// is cols inverted.
+	rows  map[rdfgraph.ID][]*neighborhoodEntry
+	cols  map[shape.Shape]int32
+	byCol []shape.Shape
+	// queue is the sentinel of the eviction order: queue.next is the
+	// entry the sweep reaches first, queue.prev the newest.
+	queue neighborhoodEntry
 	// applied is the newest epoch whose transition Invalidate has applied
 	// (or the one SetEpoch declared).
 	applied uint64
-	// tracked maps every shape SetFootprints tracks to its read automaton
-	// in footprints; readers indexes those by the predicate IRIs they
-	// name, and readAll lists the ones a triple of any predicate can reach.
-	// All four are immutable once set.
-	tracked    map[shape.Shape]int
+	// footprints holds the read automaton of every column SetFootprints
+	// tracks; readers indexes those by the predicate IRIs they name, and
+	// readAll lists the ones a triple of any predicate can reach. All three
+	// are immutable once set.
 	footprints []*shape.Footprint
 	readers    map[string][]int
 	readAll    []int
@@ -73,13 +88,15 @@ type NeighborhoodCache struct {
 const idTripleBytes = int(unsafe.Sizeof(rdfgraph.IDTriple{}))
 
 // neighborhoodEntry is one cached neighborhood, valid from epoch from on
-// (see NeighborhoodCache.valid). A workload that misses more than it hits
-// allocates one per miss.
+// (see NeighborhoodCache.valid), and its place in the eviction queue. A
+// workload that misses more than it hits allocates one per miss.
 type neighborhoodEntry struct {
-	byNode  map[rdfgraph.ID]*list.Element // its shape's map in items
-	node    rdfgraph.ID
-	triples []rdfgraph.IDTriple
-	from    uint64 // the epoch it was computed at
+	node       rdfgraph.ID
+	col        int32
+	ref        bool   // hit since the sweep last passed it
+	from       uint64 // the epoch it was computed at
+	triples    []rdfgraph.IDTriple
+	prev, next *neighborhoodEntry
 }
 
 // NewNeighborhoodCache returns a cache bounded to about maxTriples cached
@@ -88,11 +105,13 @@ func NewNeighborhoodCache(maxTriples int) *NeighborhoodCache {
 	if maxTriples <= 0 {
 		maxTriples = 1 << 20
 	}
-	return &NeighborhoodCache{
+	c := &NeighborhoodCache{
 		budget: maxTriples,
-		ll:     list.New(),
-		items:  make(map[shape.Shape]map[rdfgraph.ID]*list.Element),
+		rows:   make(map[rdfgraph.ID][]*neighborhoodEntry),
+		cols:   make(map[shape.Shape]int32),
 	}
+	c.queue.prev, c.queue.next = &c.queue, &c.queue
+	return c
 }
 
 func entryCost(ts []rdfgraph.IDTriple) int {
@@ -108,50 +127,55 @@ func (c *NeighborhoodCache) valid(en *neighborhoodEntry, epoch uint64) bool {
 	return en.from <= epoch && epoch <= max(en.from, c.applied)
 }
 
+// findCol returns the position of col in row, or where it would go.
+func findCol(row []*neighborhoodEntry, col int32) (int, bool) {
+	return slices.BinarySearchFunc(row, col, func(en *neighborhoodEntry, col int32) int { return cmp.Compare(en.col, col) })
+}
+
 // Get returns the cached neighborhood of (v, φ) valid at the given epoch
 // and whether there is one.
 func (c *NeighborhoodCache) Get(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.getLocked(epoch, v, phi)
+	ts, n := c.getRun(epoch, v, []shape.Shape{phi}, nil)
+	return ts, n == 1
 }
 
 // getRun is Get for shapes[0], shapes[1], … in order under one lock
-// acquisition: each hit's triples are appended to dst, and the run stops at
-// the first miss. It returns how many shapes were served, so shapes[n] (if
-// any) is the one that missed. Counters and recency move exactly as under
-// that many separate Gets.
+// acquisition and one row lookup: each hit's triples are appended to dst,
+// and the run stops at the first miss. It returns how many shapes were
+// served, so shapes[n] (if any) is the one that missed. Counters and
+// reference marks move exactly as under that many separate Gets. Shapes
+// in column order are found by walking the row forward; others by search.
 func (c *NeighborhoodCache) getRun(epoch uint64, v rdfgraph.ID, shapes []shape.Shape, dst []rdfgraph.IDTriple) ([]rdfgraph.IDTriple, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	row, j := c.rows[v], 0
 	for i, phi := range shapes {
-		ts, ok := c.getLocked(epoch, v, phi)
+		ok := j < len(row) && c.byCol[row[j].col] == phi
 		if !ok {
+			var col int32
+			if col, ok = c.cols[phi]; ok {
+				j, ok = findCol(row, col)
+			}
+		}
+		if !ok || !c.valid(row[j], epoch) {
+			c.misses++
 			return dst, i
 		}
-		dst = append(dst, ts...)
+		c.hits++
+		row[j].ref = true
+		dst = append(dst, row[j].triples...)
+		j++
 	}
 	return dst, len(shapes)
 }
 
-func (c *NeighborhoodCache) getLocked(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
-	if el := c.items[phi][v]; el != nil {
-		if en := el.Value.(*neighborhoodEntry); c.valid(en, epoch) {
-			c.hits++
-			c.ll.MoveToFront(el)
-			return en.triples, true
-		}
-	}
-	c.misses++
-	return nil, false
-}
-
 // Put stores the neighborhood of (v, φ) computed at the given epoch,
-// evicting least-recently-used entries until it fits. Neighborhoods larger
-// than the whole budget are not cached at all, and neither is one computed
-// at an epoch older than the newest applied transition: the invalidations
-// since were applied without it. An incumbent valid at epoch, or computed
-// later, stays; any other is replaced.
+// sweeping the eviction queue (see NeighborhoodCache) until it fits, and
+// queues it last. Neighborhoods larger than the whole budget are not
+// cached at all, and neither is one computed at an epoch older than the
+// newest applied transition: the invalidations since were applied without
+// it. An incumbent valid at epoch, or computed later, stays; any other is
+// replaced.
 func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts []rdfgraph.IDTriple) {
 	cost := entryCost(ts)
 	if cost > c.budget {
@@ -162,49 +186,68 @@ func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts
 	if epoch < c.applied {
 		return
 	}
-	if el := c.items[phi][v]; el != nil {
-		if en := el.Value.(*neighborhoodEntry); en.from > epoch || c.valid(en, epoch) {
+	col, ok := c.cols[phi]
+	if !ok {
+		col = int32(len(c.byCol))
+		c.cols[phi], c.byCol = col, append(c.byCol, phi)
+	}
+	row := c.rows[v]
+	if j, ok := findCol(row, col); ok {
+		if en := row[j]; en.from > epoch || c.valid(en, epoch) {
 			// Concurrent workers may compute the same neighborhood; keep
-			// the incumbent (a newer or equal result) and refresh recency.
-			c.ll.MoveToFront(el)
+			// the incumbent (a newer or equal result), marked as used.
+			en.ref = true
 			return
 		}
-		c.removeLocked(el)
+		c.removeLocked(row[j])
 	}
-	for c.size+cost > c.budget {
-		back := c.ll.Back()
-		if back == nil {
-			break
+	for c.size+cost > c.budget && c.queue.next != &c.queue {
+		en := c.queue.next
+		if en.ref {
+			en.ref = false
+			en.unlink()
+			c.pushBack(en)
+			continue
 		}
-		ev := back.Value.(*neighborhoodEntry)
-		c.removeLocked(back)
+		c.removeLocked(en)
 		c.evictions++
-		c.evicted += uint64(len(ev.triples))
+		c.evicted += uint64(len(en.triples))
 	}
-	byNode := c.items[phi]
-	if byNode == nil {
-		byNode = make(map[rdfgraph.ID]*list.Element)
-		c.items[phi] = byNode
-	}
-	byNode[v] = c.ll.PushFront(&neighborhoodEntry{byNode: byNode, node: v, triples: ts, from: epoch})
+	en := &neighborhoodEntry{node: v, col: col, from: epoch, triples: ts}
+	j, _ := findCol(c.rows[v], col)
+	c.rows[v] = slices.Insert(c.rows[v], j, en)
+	c.pushBack(en)
 	c.size += cost
+	c.entries++
 }
 
-// removeLocked drops el from the LRU, its shape's map and the accounting.
-// A shape's map stays when it empties: the shapes are the schema's, and a
-// map made afresh would grow afresh.
-func (c *NeighborhoodCache) removeLocked(el *list.Element) {
-	en := el.Value.(*neighborhoodEntry)
-	c.ll.Remove(el)
+func (en *neighborhoodEntry) unlink() { en.prev.next, en.next.prev = en.next, en.prev }
+
+func (c *NeighborhoodCache) pushBack(en *neighborhoodEntry) {
+	en.prev, en.next = c.queue.prev, &c.queue
+	en.prev.next, c.queue.prev = en, en
+}
+
+// removeLocked drops en from the eviction queue, its node's row and the
+// accounting; a row that empties goes with it.
+func (c *NeighborhoodCache) removeLocked(en *neighborhoodEntry) {
+	en.unlink()
 	c.size -= entryCost(en.triples)
-	delete(en.byNode, en.node)
+	c.entries--
+	row := c.rows[en.node]
+	j, _ := findCol(row, en.col)
+	if row = slices.Delete(row, j, j+1); len(row) == 0 {
+		delete(c.rows, en.node)
+	} else {
+		c.rows[en.node] = row
+	}
 }
 
 // CacheStats is a snapshot of cache effectiveness and occupancy
 // counters. Hits, Misses, Evictions and EvictedTriples are cumulative
 // since construction; Entries, Triples and Bytes describe current
 // occupancy (Bytes approximates resident triple storage as
-// Triples × sizeof(IDTriple), ignoring per-entry map and list overhead).
+// Triples × sizeof(IDTriple), ignoring per-entry row and queue overhead).
 type CacheStats struct {
 	Hits, Misses   uint64
 	Evictions      uint64 // entries removed to make room
@@ -227,7 +270,7 @@ func (c *NeighborhoodCache) Stats() CacheStats {
 		EvictedTriples: c.evicted,
 		Kept:           c.kept,
 		Invalidated:    c.invalidated,
-		Entries:        c.ll.Len(),
+		Entries:        c.entries,
 		Triples:        c.size,
 		Bytes:          c.size * idTripleBytes,
 	}
@@ -237,7 +280,7 @@ func (c *NeighborhoodCache) Stats() CacheStats {
 func (c *NeighborhoodCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.entries
 }
 
 // NeighborhoodIDsCached computes B(v, G, φ) as dictionary-encoded triples,

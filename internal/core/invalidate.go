@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"runtime/debug"
 	"slices"
@@ -14,18 +13,18 @@ import (
 // (shape.Footprint) of each distinct shape, defs resolving hasShape names,
 // and indexes them by the predicates they read. Every transition removes
 // all entries of a shape it does not track. Call it once, before the cache
-// is shared.
+// is shared and before any Put: tracked shapes take their columns from it.
 func (c *NeighborhoodCache) SetFootprints(shapes []shape.Shape, defs shape.Defs) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tracked, c.footprints = make(map[shape.Shape]int), nil
+	c.cols, c.byCol, c.footprints = make(map[shape.Shape]int32), nil, nil
 	c.readers, c.readAll = make(map[string][]int), nil
 	for _, phi := range shapes {
-		if _, done := c.tracked[phi]; done {
+		if _, done := c.cols[phi]; done {
 			continue
 		}
 		i, fp := len(c.footprints), shape.NewFootprint(phi, defs)
-		c.tracked[phi] = i
+		c.cols[phi], c.byCol = int32(i), append(c.byCol, phi)
 		c.footprints = append(c.footprints, fp)
 		named, closed := fp.Predicates()
 		for _, p := range named {
@@ -80,18 +79,8 @@ type span struct{ lo, hi int32 }
 // removed every entry too.
 func (c *NeighborhoodCache) Invalidate(prev uint64, old, cur rdfgraph.Reader, ts []rdfgraph.IDTriple) (kept, invalidated int, err error) {
 	st := c.reach(old, cur, ts)
-	err = st.err
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev != c.applied {
-		st.err = fmt.Errorf("transition from epoch %d, the cache holds at %d", prev, c.applied)
-	}
-	invalidated = c.invalidateLocked(prev, st)
-	kept = c.ll.Len()
-	c.invalidated += uint64(invalidated)
-	c.kept += uint64(kept)
-	c.applied = prev + 1
-	return kept, invalidated, err
+	kept, invalidated = c.step(prev, st)
+	return kept, invalidated, st.err
 }
 
 // Reach appends to dst every focus node v whose B(v, G, φ) the effective
@@ -139,29 +128,40 @@ func (c *NeighborhoodCache) reach(old, cur rdfgraph.Reader, ts []rdfgraph.IDTrip
 	return st
 }
 
-// invalidateLocked removes the entries st reaches that were computed at or
-// before prev, returning how many; entries computed at prev+1 already are
-// valid there.
-func (c *NeighborhoodCache) invalidateLocked(prev uint64, st staleness) (n int) {
-	remove := func(el *list.Element) {
-		if el.Value.(*neighborhoodEntry).from <= prev {
-			c.removeLocked(el)
-			n++
+// step applies the transition from prev to prev+1 under the cache's lock,
+// given what the walks found: it removes the entries st reaches that were
+// computed at or before prev (entries computed at prev+1 already are valid
+// there). A reached (node, column) pair costs one row lookup and a search
+// in the row; a whole column one such search per cached row.
+func (c *NeighborhoodCache) step(prev uint64, st staleness) (kept, invalidated int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	remove := func(v rdfgraph.ID, col int32) {
+		row := c.rows[v]
+		if j, ok := findCol(row, col); ok && row[j].from <= prev {
+			c.removeLocked(row[j])
+			invalidated++
 		}
 	}
-	for phi, byNode := range c.items {
-		i, tracked := c.tracked[phi]
-		if st.err != nil || !tracked || st.spans[i].hi < 0 {
-			for _, el := range byNode {
-				remove(el)
+	all := st.err != nil || prev != c.applied
+	for en := c.queue.next; all && en != &c.queue; {
+		next := en.next
+		remove(en.node, en.col)
+		en = next
+	}
+	for col := int32(0); !all && int(col) < len(c.byCol); col++ {
+		if int(col) < len(st.spans) && st.spans[col].hi >= 0 {
+			for _, v := range st.nodes[st.spans[col].lo:st.spans[col].hi] {
+				remove(v, col)
 			}
 			continue
 		}
-		for _, v := range st.nodes[st.spans[i].lo:st.spans[i].hi] {
-			if el := byNode[v]; el != nil {
-				remove(el)
-			}
+		for v := range c.rows { // untracked, or its walk passed the cap
+			remove(v, col)
 		}
 	}
-	return n
+	c.invalidated += uint64(invalidated)
+	c.kept += uint64(c.entries)
+	c.applied = prev + 1
+	return c.entries, invalidated
 }

@@ -26,8 +26,8 @@
 // NeighborhoodCache is the one shared-mutable structure here; it is
 // mutex-guarded and safe for concurrent use. Its bound is a triple
 // budget, not an entry count: entries cost max(1, len(triples)) units
-// and least-recently-used entries are evicted until a new entry fits, so
-// resident memory is O(budget) regardless of how skewed neighborhood
+// and a second-chance sweep evicts the oldest entries not hit since it
+// last passed them until a new entry fits, so resident memory is O(budget) regardless of how skewed neighborhood
 // sizes are. Neighborhoods larger than the whole budget are returned but
 // never cached. Cached slices are shared with callers and must be
 // treated as immutable. Stats exposes hit/miss/eviction/occupancy

@@ -36,7 +36,7 @@ func TestCacheEvictionAccounting(t *testing.T) {
 	if st.Triples != 10 || st.Bytes != 10*12 {
 		t.Errorf("occupancy: got %d triples / %d bytes, want 10 / 120", st.Triples, st.Bytes)
 	}
-	// A 6-triple entry must evict both LRU entries (5+5 → room for 6).
+	// A 6-triple entry must evict both unhit entries (5+5 → room for 6).
 	c.Put(0, 3, phi, triples(3, 6))
 	st = c.Stats()
 	if st.Evictions != 2 || st.EvictedTriples != 10 {

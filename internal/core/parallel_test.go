@@ -179,7 +179,11 @@ func TestFragmentParallelEmpty(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodCacheLRU(t *testing.T) {
+// TestNeighborhoodCacheEviction pins the budget and the second-chance
+// sweep: with no hits in between, entries leave in insertion order; an
+// entry hit since the sweep last passed it survives the next eviction, and
+// the oldest unhit entry goes instead.
+func TestNeighborhoodCacheEviction(t *testing.T) {
 	c := core.NewNeighborhoodCache(10)
 	phi := shape.TrueShape()
 	triple := func(i int) []rdfgraph.IDTriple {
@@ -209,6 +213,20 @@ func TestNeighborhoodCacheLRU(t *testing.T) {
 	c.Put(0, 19, phi2, nil)
 	if ts, ok := c.Get(0, 19, phi2); !ok || len(ts) != 0 {
 		t.Error("empty neighborhood for second shape not cached independently")
+	}
+	// Nodes 11..19 remain under phi, 11 the oldest. A hit gives it a second
+	// chance: the next eviction passes it and takes 12.
+	if _, ok := c.Get(0, 11, phi); !ok {
+		t.Fatal("node 11 should still be cached")
+	}
+	c.Put(0, 30, phi, triple(30))
+	if _, ok := c.Get(0, 11, phi); !ok {
+		t.Error("an entry hit since the sweep last passed it was evicted")
+	}
+	for v, want := range map[rdfgraph.ID]bool{12: false, 13: true, 30: true} {
+		if _, ok := c.Get(0, v, phi); ok != want {
+			t.Errorf("node %d cached = %v after the sweep, want %v", v, ok, want)
+		}
 	}
 }
 

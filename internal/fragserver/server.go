@@ -30,7 +30,7 @@
 // Production behaviors: per-request timeouts propagated through
 // context.Context into extraction, bounded in-flight concurrency (503 when
 // saturated), structured access logs, incremental N-Triples streaming, a
-// shared bounded LRU of the per-(node, shape) neighborhoods /node serves,
+// shared bounded cache of the per-(node, shape) neighborhoods /node serves,
 // and parallel fragment extraction via core.FragmentParallel.
 //
 // # Observability
@@ -125,8 +125,9 @@ type Config struct {
 	MaxInflight int
 	// RequestTimeout is the per-request compute budget; <= 0 means 30s.
 	RequestTimeout time.Duration
-	// CacheTriples is the budget, in triples, of the neighborhood LRU
-	// /node serves from; 0 means one million, negative disables the cache.
+	// CacheTriples is the budget, in triples, of the neighborhood cache
+	// /node serves from (second-chance eviction, see
+	// core.NeighborhoodCache); 0 means one million, negative disables it.
 	CacheTriples int
 	// Logger receives structured access logs; nil means slog.Default().
 	Logger *slog.Logger
@@ -753,9 +754,11 @@ func (s *Server) streamNTriples(w http.ResponseWriter, r *http.Request, d *rdfgr
 	w.Header().Set("X-Triple-Count", strconv.Itoa(len(triples)))
 	nw := turtle.NewNTriplesWriter(w)
 	defer nw.Close()
+	// Err takes the context's mutex, and Done would allocate the request
+	// context's channel: poll Err once every 256 triples.
 	ctx := r.Context()
-	for _, t := range triples {
-		if ctx.Err() != nil {
+	for i, t := range triples {
+		if i%256 == 0 && ctx.Err() != nil {
 			return
 		}
 		if nw.WriteTriple(d.Triple(t)) != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +102,41 @@ func TestHandleFragmentParity(t *testing.T) {
 
 	if resp, _ := get(t, ts, "/fragment?shape=NoSuchShape"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown shape: got %d, want 404", resp.StatusCode)
+	}
+}
+
+// cancelingWriter records a reply and ends its request's context at the
+// first body write.
+type cancelingWriter struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (w cancelingWriter) Write(p []byte) (int, error) {
+	w.cancel()
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestStreamStopsWhenContextEnds: a request whose context ends while its
+// body streams stops short of X-Triple-Count lines — the writer flushes
+// every 32 KiB, so the first flush ends the context, and the stream's next
+// poll sees it.
+func TestStreamStopsWhenContextEnds(t *testing.T) {
+	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 600, Seed: 9})
+	srv, err := New(Config{Graph: g, Schema: datagen.BenchmarkSchema(), Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(cancelingWriter{rec, cancel}, httptest.NewRequest(http.MethodGet, "/fragment", nil).WithContext(ctx))
+	total, err := strconv.Atoi(rec.Header().Get("X-Triple-Count"))
+	if err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("status %d, X-Triple-Count %q", rec.Code, rec.Header().Get("X-Triple-Count"))
+	}
+	if lines := strings.Count(rec.Body.String(), "\n"); lines == 0 || lines >= total {
+		t.Fatalf("streamed %d of %d lines; want the stream to stop after its first flush", lines, total)
 	}
 }
 
