@@ -8,6 +8,7 @@ import (
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/obs"
 	"shaclfrag/internal/plan"
+	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
@@ -182,6 +183,46 @@ func TestFragmentParallelTracer(t *testing.T) {
 		}
 		if !stages["merge"] {
 			t.Errorf("workers=%d: merge stage not traced; tree:\n%s", workers, treeOf(trace))
+		}
+	}
+}
+
+// TestHubRequestSearchesOnce pins a one-definition request to one unit of
+// work and one product search, whatever the worker count: the paper's
+// Figure 3 hub shape, whose foci reach nearly the same product states, is
+// decided and collected by a single search from all of them, on the plans
+// the server compiles. Split across workers, each part would search again.
+func TestHubRequestSearchesOnce(t *testing.T) {
+	g := datagen.NewCoauthor(datagen.CoauthorConfig{Papers: 250, Seed: 1}).Graph(2014)
+	h := schema.MustNew(schema.Definition{
+		Name:   rdf.NewIRI(datagen.NS + "shape/Hub"),
+		Shape:  datagen.HubDistance3Shape(),
+		Target: schema.TargetObjectsOf(datagen.PropAuthoredBy),
+	})
+	g.Freeze()
+	requests := core.SchemaRequests(h)
+	want := core.NewExtractor(g, h).Fragment(requests)
+	plans := plan.CompileAll(requests, h)
+	for _, workers := range []int{1, 2, 4} {
+		trace := obs.NewSpanTrace("hub-test", obs.SpanContext{})
+		got, nodes, err := core.NewExtractor(g, h).FragmentParallelIDs(requests, core.ParallelOptions{
+			Workers: workers,
+			Plans:   plans,
+			Span:    trace.Root(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nodes < 2 || len(got) != len(want) {
+			t.Fatalf("workers=%d: %d triples from %d foci, want %d from at least 2", workers, len(got), nodes, len(want))
+		}
+		attrs := make(map[string]int64)
+		for _, a := range trace.Root().Attrs() {
+			attrs[a.Key] = a.Int
+		}
+		if attrs["units"] != 1 || attrs["searches"] != 1 {
+			t.Errorf("workers=%d: %d units and %d product searches over %d foci, want 1 and 1; tree:\n%s",
+				workers, attrs["units"], attrs["searches"], nodes, treeOf(trace))
 		}
 	}
 }

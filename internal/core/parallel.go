@@ -19,9 +19,10 @@ import (
 
 // ParallelOptions configures FragmentParallel.
 type ParallelOptions struct {
-	// Workers is the number of extraction goroutines; <= 0 means
-	// runtime.GOMAXPROCS(0). One worker runs the same unit loop on the
-	// calling goroutine and the calling extractor.
+	// Workers is the most extraction goroutines; <= 0 means
+	// runtime.GOMAXPROCS(0). A unit of work is one request's focus set, so
+	// no more run than there are requests. One worker runs the same unit
+	// loop on the calling goroutine and the calling extractor.
 	Workers int
 	// Cache is ignored: a fragment is one union over its focus nodes, and
 	// per-node reuse is NeighborhoodsCached's. The field stays only so the
@@ -78,99 +79,52 @@ func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 	return fn()
 }
 
-// boundPlans binds the program set against g for one worker, returning a
-// per-request slice of bound programs (nil where the AST path applies: no
-// program, or a request without focus nodes, which never runs). Each worker
-// binds privately: memo rows are single-writer state — and so the "bind"
-// child the binding time accumulates into, given a span, sums over workers.
-func boundPlans(opts ParallelOptions, focus [][]rdfgraph.ID, g rdfgraph.Reader) []*plan.Bound {
-	if opts.Plans == nil {
+// programAt returns the compiled program for a request index, nil when the
+// AST walker runs it.
+func programAt(opts ParallelOptions, req int) *plan.Program {
+	if opts.Plans == nil || req >= len(opts.Plans.Programs) {
 		return nil
 	}
+	return opts.Plans.Programs[req]
+}
+
+// collectPlanned extracts unit u on its request's program p, bound for the
+// unit alone — a request is one unit, so no other would reuse the binding —
+// and released when it is done, a panic included. It returns the product
+// searches the unit ran. Memo rows are single-writer state, so the binding
+// is the worker's own; given a span, its time accumulates into the "bind"
+// child, summed over workers.
+func collectPlanned(p *plan.Program, u unit, g rdfgraph.Reader, stop func() bool, sp *obs.Span, out *rdfgraph.IDTripleSet) int {
 	var begin time.Time
-	if opts.Span != nil {
+	if sp != nil {
 		begin = time.Now()
 	}
-	bounds := make([]*plan.Bound, len(focus))
-	stop := stopOf(opts.Ctx)
-	for i, p := range opts.Plans.Programs {
-		if i >= len(focus) {
-			break
-		}
-		if p != nil && len(focus[i]) > 0 {
-			bounds[i] = p.Bind(g)
-			bounds[i].SetStop(stop)
-		}
+	b := p.Bind(g)
+	defer b.Release()
+	b.SetStop(stop)
+	if sp != nil {
+		sp.AccumChild("bind").Add(time.Since(begin))
 	}
-	if opts.Span != nil {
-		opts.Span.AccumChild("bind").Add(time.Since(begin))
-	}
-	return bounds
+	b.CollectAllInto(u.nodes, out)
+	return b.Searches()
 }
 
-// releaseBounds hands the bound programs' state back to their Programs'
-// pools when a worker is done.
-func releaseBounds(bounds []*plan.Bound) {
-	for _, b := range bounds {
-		if b != nil {
-			b.Release()
-		}
-	}
-}
-
-// boundAt returns the bound program for a request index, nil when absent.
-func boundAt(bounds []*plan.Bound, req int) *plan.Bound {
-	if bounds == nil {
-		return nil
-	}
-	return bounds[req]
-}
-
-// workerSpanState is the per-worker accounting a traced extraction asks of
-// each extraction goroutine: exec wall time accumulated into breakdown
-// children, unit counts, and path searches summed at worker exit. All
-// methods no-op (one branch) without a parent span.
-type workerSpanState struct {
-	parent *obs.Span // span exec breakdown children accumulate under
-}
-
-// begin returns the unit start time, zero without a parent span —
-// time.Now is not called at all on the untraced hot path.
-func (w *workerSpanState) begin() time.Time {
-	if w.parent == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// finish attributes one finished work unit to the plan-exec/ast-exec
-// breakdown child.
-func (w *workerSpanState) finish(begin time.Time, planned bool) {
-	if w.parent == nil {
+// finishUnit attributes one finished work unit to the span: its count, its
+// product searches, and its wall time in the plan-exec/ast-exec breakdown
+// child. begin is zero, and nothing is recorded, without a span.
+func finishUnit(sp *obs.Span, begin time.Time, planned bool, searches int) {
+	if sp == nil {
 		return
 	}
-	w.parent.AddAttrInt("units", 1)
+	sp.AddAttrInt("units", 1)
+	if searches > 0 {
+		sp.AddAttrInt("searches", int64(searches))
+	}
 	exec := "ast-exec"
 	if planned {
 		exec = "plan-exec"
 	}
-	w.parent.AccumChild(exec).Add(time.Since(begin))
-}
-
-// done sums the worker's path searches into the parent span.
-func (w *workerSpanState) done(bounds []*plan.Bound) {
-	if w.parent == nil || bounds == nil {
-		return
-	}
-	var searches int64
-	for _, b := range bounds {
-		if b != nil {
-			searches += int64(b.Searches())
-		}
-	}
-	if searches > 0 {
-		w.parent.AddAttrInt("searches", searches)
-	}
+	sp.AccumChild(exec).Add(time.Since(begin))
 }
 
 // spanAttrs stamps the request-level attributes a traced extraction
@@ -202,11 +156,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("core: panic during extraction: %v\n%s", e.Value, e.Stack)
 }
 
-// FragmentParallel computes Frag(G, S) like Fragment, fanning the
-// focus-node loop out over a worker pool. Each request visits its focus
-// candidates (shape.Evaluator.FocusCandidates) where its syntax yields
-// them and all of N(G) otherwise: a node outside the candidates does not
-// conform, so its neighborhood is empty and skipping it changes nothing.
+// FragmentParallel computes Frag(G, S) like Fragment, fanning the requests
+// out over a worker pool: a request's focus nodes are one unit of work, so
+// a one-request call runs on the calling goroutine. Each request visits its
+// focus candidates (shape.Evaluator.FocusCandidates) where its syntax
+// yields them and all of N(G) otherwise: a node outside the candidates does
+// not conform, so its neighborhood is empty and skipping it changes nothing.
 // Each worker owns a private evaluator, visited set, and triple
 // accumulator; the per-worker sets are unioned at the end, so the result
 // is exactly Fragment's (the union of neighborhoods is order-independent),
@@ -260,10 +215,12 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 
 	var units []unit
 	for req, nodes := range focus {
-		units = appendUnits(units, req, nodes, workers)
+		if len(nodes) > 0 {
+			units = append(units, unit{req: req, nodes: nodes})
+		}
 	}
 	if workers > len(units) {
-		workers = max(len(units), 1) // an idle worker would still bind every plan
+		workers = max(len(units), 1) // an idle worker would still take a goroutine and an accumulator
 	}
 
 	outs := make([]*rdfgraph.IDTripleSet, workers)
@@ -278,16 +235,13 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	var next atomic.Int64
 	var cancelled atomic.Bool
 	var panicked atomic.Pointer[PanicError] // the first worker panic
+	stop := stopOf(opts.Ctx)
 	// work is one worker: it takes units off the shared counter into out
 	// until none are left, opts.Ctx ends or another worker panicked. A nil
 	// wx, the AST walker, is built with its visited set on the first unit
-	// without a bound program: a worker whose units all run on plans builds
+	// without a program: a worker whose units all run on plans builds
 	// neither.
 	work := func(wx *Extractor, out *rdfgraph.IDTripleSet) {
-		spans := workerSpanState{parent: opts.Span}
-		bounds := boundPlans(opts, focus, g)
-		defer releaseBounds(bounds)
-		defer spans.done(bounds)
 		var visited map[VisitKey]struct{}
 		for {
 			if opts.Ctx != nil && opts.Ctx.Err() != nil {
@@ -299,14 +253,17 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 				return
 			}
 			u := units[i]
-			b := boundAt(bounds, u.req)
-			begin := spans.begin()
-			if b != nil {
-				b.CollectAllInto(u.nodes, out)
+			var begin time.Time
+			if opts.Span != nil {
+				begin = time.Now()
+			}
+			p, searches := programAt(opts, u.req), 0
+			if p != nil {
+				searches = collectPlanned(p, u, g, stop, opts.Span, out)
 			} else {
 				if wx == nil {
 					wx = NewExtractor(g, x.ev.Defs)
-					wx.ev.SetStop(stopOf(opts.Ctx))
+					wx.ev.SetStop(stop)
 				}
 				if visited == nil {
 					visited = make(map[VisitKey]struct{})
@@ -315,14 +272,14 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 					wx.collect(v, nnfs[u.req], out, visited)
 				}
 			}
-			spans.finish(begin, b != nil)
+			finishUnit(opts.Span, begin, p != nil, searches)
 		}
 	}
 	if workers == 1 {
 		// On the calling goroutine and extractor: its evaluator caches keep
 		// accumulating across calls, and a panic reaches the recover above.
 		outs[0] = accumulators.Get().(*rdfgraph.IDTripleSet)
-		x.ev.SetStop(stopOf(opts.Ctx))
+		x.ev.SetStop(stop)
 		defer x.ev.SetStop(nil) // x outlives the call (the server pools it)
 		work(x, outs[0])
 	} else {
@@ -378,20 +335,12 @@ func (x *Extractor) focusNodes(nnfs []shape.Shape) (focus [][]rdfgraph.ID, total
 	return focus, total
 }
 
-// unit is one stealable piece of work: a run of one request's focus nodes.
+// unit is one stealable piece of work: one request's whole focus set. It is
+// a source set (plan.Bound.CollectAllInto: one product search per path
+// however many nodes), and the foci of one request reach nearly the same
+// product states, so a split would repeat the search in every part; workers
+// fan out across requests instead.
 type unit struct {
 	req   int
 	nodes []rdfgraph.ID
-}
-
-// appendUnits chunks a request's focus nodes into one unit per worker. A
-// unit is a source set (plan.Bound.CollectAllInto: one product search per
-// path however many nodes), so it is a worker's whole share — split further
-// it repeats searches over nearly the same ground.
-func appendUnits(units []unit, req int, nodes []rdfgraph.ID, workers int) []unit {
-	chunk := (len(nodes) + workers - 1) / workers
-	for lo := 0; lo < len(nodes); lo += chunk {
-		units = append(units, unit{req: req, nodes: nodes[lo:min(lo+chunk, len(nodes))]})
-	}
-	return units
 }

@@ -134,11 +134,15 @@ type search struct {
 
 	// One trace: whether the backward search has reached a state (indexed
 	// like order), its stack, the indices of the edges it crossed, and per
-	// source whether it came back to the source's start state.
-	back  []bool
-	hits  []int32
-	stack []int32
-	marks []bool
+	// source whether it came back to the source's start state. traced is
+	// true while hits and marks are the trace from srcs to tgts over the
+	// kept search: a new search, Reset, Release or an atomic trace drops it.
+	back   []bool
+	hits   []int32
+	stack  []int32
+	marks  []bool
+	tgts   []rdfgraph.ID
+	traced bool
 }
 
 // maxPooledScratch is the ceiling, in bytes, on what one search — a star path
@@ -159,7 +163,7 @@ func (ev *Evaluator) Trim() {
 // goes back for a later evaluator to take. ev stays usable, memos and all.
 func (ev *Evaluator) Release() {
 	if ev.Trim(); ev.search != nil {
-		ev.ok = false
+		ev.ok, ev.traced = false, false
 		searchPool.Put(ev.search)
 		ev.search = nil
 	}
@@ -257,7 +261,7 @@ func (ev *Evaluator) Reset(g rdfgraph.Reader) {
 	}
 	ev.stop, ev.ticks, ev.Searches = nil, 0, 0
 	if ev.search != nil {
-		ev.ok = false
+		ev.ok, ev.traced = false, false
 	}
 }
 
@@ -332,7 +336,7 @@ func (ev *Evaluator) forward(sources []rdfgraph.ID) {
 		return
 	}
 	ev.Searches++
-	ev.ok = false
+	ev.ok, ev.traced = false, false
 	ev.reach.reset()
 	ev.order, ev.heads, ev.edges, ev.ids = ev.order[:0], ev.heads[:0], ev.edges[:0], ev.ids[:0]
 	n := ev.nfa
@@ -435,8 +439,16 @@ func (ev *Evaluator) pushBack(id int32) {
 // accepting target states over the chains of edges into each state. A state
 // it reaches lies behind some source, so every edge it crosses is on a walk
 // from one; none is crossed twice, and no two share both triple and Step.
+// Over an automaton the trace is kept beside the search: asking again for the
+// same sources and targets costs nothing.
 func (ev *Evaluator) trace(sources, targets []rdfgraph.ID) []int32 {
 	ev.acquire()
+	if !ev.atomic && len(targets) > 0 {
+		if ev.forward(sources); ev.traced && slices.Equal(ev.tgts, targets) {
+			return ev.hits
+		}
+	}
+	ev.traced = false
 	ev.hits = ev.hits[:0]
 	ev.marks = append(ev.marks[:0], make([]bool, len(sources))...) // zeroed in place: no allocation
 	if len(targets) == 0 {
@@ -462,7 +474,6 @@ func (ev *Evaluator) trace(sources, targets []rdfgraph.ID) []int32 {
 		}
 		return ev.hits
 	}
-	ev.forward(sources)
 	n := ev.nfa
 	ev.back = append(ev.back[:0], make([]bool, len(ev.order))...)
 	ev.stack = ev.stack[:0]
@@ -486,6 +497,8 @@ func (ev *Evaluator) trace(sources, targets []rdfgraph.ID) []int32 {
 	for j, a := range sources {
 		ev.marks[j] = ev.back[ev.reach.find(productState{node: a, state: n.start}.key())]
 	}
+	ev.tgts = append(ev.tgts[:0], targets...)
+	ev.traced = true
 	return ev.hits
 }
 

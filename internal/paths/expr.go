@@ -25,10 +25,12 @@
 // process-wide pool and handed back by Release, unless grown past
 // maxPooledScratch. What an Evaluator returns is scratch only where it says
 // so: Eval results are owned slices memoized per source, TraceUnionIDs
-// returns a fresh slice. It keeps the most recent forward search and nothing
-// older: extraction evaluates ⟦E⟧G and then traces from the same sources. A
-// search can be interrupted through SetStop, which core installs only where
-// it recovers ErrStopped.
+// returns a fresh slice. It keeps the most recent forward search, and the
+// most recent trace over it, and nothing older: extraction evaluates ⟦E⟧G
+// and then traces from the same sources, and a set extraction traces the same
+// sources to the same targets twice — once to decide ≥1 E.ψ, once to collect
+// it — so the second costs its hits alone. A search can be interrupted
+// through SetStop, which core installs only where it recovers ErrStopped.
 package paths
 
 import (

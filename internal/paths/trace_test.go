@@ -162,11 +162,13 @@ type tracedEdge struct {
 // checkTrace requires of one query that tracing is exact: TraceUnionIDs
 // equals the definitional oracle, triple for triple and each once,
 // TraceEdges reports that same triple set, each (triple, step) once, and
-// Eval(a) is a's row of the naive relation. And of the source set, asked
-// before and after the single source on the same evaluator — so that a kept
-// set search taken for a's, or a's for the set's, shows: TraceSetInto adds
-// the union over the sources of the oracle and marks exactly the sources
-// with a target in their row, and EvalSet is the union of the rows.
+// Eval(a) is a's row of the naive relation, each trace asked again — after
+// TraceEdges has sorted its hits, and to fewer targets — as exact. And of
+// the source set, asked before and after the single source on the same
+// evaluator — so that a kept set search taken for a's, or a's for the
+// set's, shows: TraceSetInto, twice, adds the union over the sources of the
+// oracle and marks exactly the sources with a target in their row, and
+// EvalSet is the union of the rows.
 func checkTrace(t testing.TB, c traceCase, oracle *traceOracle, ev *paths.Evaluator, a rdfgraph.ID, sources, targets []rdfgraph.ID) {
 	t.Helper()
 	checkTraceSet(t, c, oracle, ev, sources, targets)
@@ -199,6 +201,16 @@ func checkTrace(t testing.TB, c traceCase, oracle *traceOracle, ev *paths.Evalua
 	if !maps.Equal(triples, want) {
 		fail("TraceEdges", triples)
 	}
+	// The trace kept under TraceEdges' in-place sort, then one to fewer
+	// targets from the same source, which must not be taken for it.
+	if got := ev.TraceUnionIDs(a, targets); len(got) != len(want) {
+		fail("TraceUnionIDs after TraceEdges", got)
+	}
+	fewer := targets[:len(targets)/2]
+	if got, wantFewer := ev.TraceUnionIDs(a, fewer), oracle.union(c.e, a, fewer); len(got) != len(wantFewer) ||
+		slices.ContainsFunc(got, func(tr rdfgraph.IDTriple) bool { return !wantFewer[tr] }) {
+		t.Fatalf("%s: %s from %v to %v: TraceUnionIDs = %v, oracle %v\ngraph:\n%s", c.name, c.e, c.g.Term(a), fewer, got, wantFewer, turtle.FormatGraph(c.g))
+	}
 
 	var row []rdfgraph.ID
 	for _, b := range oracle.nodes {
@@ -228,14 +240,16 @@ func checkTraceSet(t testing.TB, c traceCase, oracle *traceOracle, ev *paths.Eva
 			}
 		}
 	}
-	out := rdfgraph.NewIDTripleSet()
-	marks := ev.TraceSetInto(sources, targets, out)
-	if !slices.Equal(marks, reaches) {
-		t.Fatalf("%s: %s from %v to %v: marked sources %v, by the naive relation %v\ngraph:\n%s", c.name, c.e, sources, targets, marks, reaches, turtle.FormatGraph(c.g))
-	}
-	got := out.IDTriples()
-	if len(got) != len(want) || slices.ContainsFunc(got, func(tr rdfgraph.IDTriple) bool { return !want[tr] }) {
-		t.Fatalf("%s: %s from %v to %v: TraceSetInto = %v, union of the oracle %v\ngraph:\n%s", c.name, c.e, sources, targets, got, want, turtle.FormatGraph(c.g))
+	for range 2 { // the second reads back the trace kept from the first
+		out := rdfgraph.NewIDTripleSet()
+		marks := ev.TraceSetInto(sources, targets, out)
+		if !slices.Equal(marks, reaches) {
+			t.Fatalf("%s: %s from %v to %v: marked sources %v, by the naive relation %v\ngraph:\n%s", c.name, c.e, sources, targets, marks, reaches, turtle.FormatGraph(c.g))
+		}
+		got := out.IDTriples()
+		if len(got) != len(want) || slices.ContainsFunc(got, func(tr rdfgraph.IDTriple) bool { return !want[tr] }) {
+			t.Fatalf("%s: %s from %v to %v: TraceSetInto = %v, union of the oracle %v\ngraph:\n%s", c.name, c.e, sources, targets, got, want, turtle.FormatGraph(c.g))
+		}
 	}
 	union := ev.EvalSet(sources, nil)
 	if len(union) != len(row) || slices.ContainsFunc(union, func(b rdfgraph.ID) bool { return !row[b] }) {
@@ -345,11 +359,12 @@ func FuzzTraceOracle(f *testing.F) {
 // before, and no answer is a view of its scratch. One evaluator is driven
 // through a seeded random interleaving of its entry points, single-source
 // and source-set, over random sources — a set that is one node, or the node
-// asked for just before, included; every call must return what a fresh
-// evaluator returns, and every
-// slice returned earlier must be unchanged at the end. This is what lets
-// the searches run on buffers the evaluator owns and keep only the last
-// forward search.
+// asked for just before, included — and of Reset and Release; a trace is
+// often asked again from the sources just traced, to the same targets or to
+// others. Every call must return what a fresh evaluator returns, marks and
+// triples alike, and every slice returned earlier must be unchanged at the
+// end. This is what lets the searches run on buffers the evaluator owns and
+// keep only the last forward search and the last trace over it.
 func TestEvaluatorInterleaving(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	type step struct {
@@ -367,6 +382,7 @@ func TestEvaluatorInterleaving(t *testing.T) {
 		nodes := c.g.NodeIDs()
 		var heldIDs, wantIDs [][]rdfgraph.ID
 		var heldTriples, wantTriples [][]rdfgraph.IDTriple
+		var lastSources, lastTargets []rdfgraph.ID // of the last TraceSetInto
 		for op := 0; op < 60; op++ {
 			fresh := paths.NewEvaluator(c.e, c.g)
 			a := nodes[rng.Intn(len(nodes))]
@@ -375,13 +391,24 @@ func TestEvaluatorInterleaving(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				sources = []rdfgraph.ID{a} // the set a single-source search must not be taken for, and may be
 			}
-			switch rng.Intn(6) {
+			if lastSources != nil && rng.Intn(2) == 0 {
+				sources = lastSources // a kept trace to read back, or to be refused
+				if rng.Intn(2) == 0 {
+					targets = lastTargets
+				}
+			}
+			switch rng.Intn(8) {
 			case 4:
 				got, want := rdfgraph.NewIDTripleSet(), rdfgraph.NewIDTripleSet()
 				marks := slices.Clone(ev.TraceSetInto(sources, targets, got))
 				if wantMarks := fresh.TraceSetInto(sources, targets, want); !slices.Equal(marks, wantMarks) || !slices.Equal(got.Sorted(c.g.Dict()), want.Sorted(c.g.Dict())) {
 					t.Fatalf("%s: %s: op %d: TraceSetInto(%v, %v) = %v marking %v, fresh evaluator %v marking %v", c.name, c.e, op, sources, targets, got.IDTriples(), marks, want.IDTriples(), wantMarks)
 				}
+				lastSources, lastTargets = slices.Clone(sources), slices.Clone(targets)
+			case 6:
+				ev.Reset(c.g)
+			case 7:
+				ev.Release()
 			case 5:
 				got, want := ev.EvalSet(sources, nil), fresh.EvalSet(sources, nil)
 				slices.Sort(got)

@@ -36,9 +36,9 @@ const maxHubFragmentAllocs = 21
 const maxHubFragmentBytes = 24 << 10
 
 // TestHubTraceAllocs is the gate of path tracing, by count: a cold fragment
-// runs two product searches per automaton path slot, whatever the number of
-// focus nodes — one deciding ≥1 E.ψ for them all, one tracing from those that
-// conform — on the resolution, evaluators, rows and scratch that a released
+// runs one product search per automaton path slot, whatever the number of
+// focus nodes — deciding ≥1 E.ψ for them all, its trace read back to collect
+// those that conform — on the resolution, evaluators, rows and scratch that a released
 // Bound hands to the next, so what it allocates is the owned Eval results
 // and the output set, not something per product state, per focus node or
 // per bind.
@@ -63,8 +63,8 @@ func TestHubTraceAllocs(t *testing.T) {
 		t.Errorf("cold hub fragment allocates %.0f times, bound %d", got, maxHubFragmentAllocs)
 	}
 	// The request has one path that is not a bare property: the hub's.
-	if n := searches; n > 2 {
-		t.Errorf("cold hub fragment over %d nodes ran %d product searches, want at most 2", len(nodes), n)
+	if n := searches; n != 1 {
+		t.Errorf("cold hub fragment over %d nodes ran %d product searches, want 1", len(nodes), n)
 	}
 	// The least of five: a collection in between empties the pool once.
 	least := uint64(math.MaxUint64)

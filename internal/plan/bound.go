@@ -135,6 +135,13 @@ type state struct {
 	// visited are exactly the ones it touched.
 	spare *pageSet
 
+	// decided holds, per ≥1 instruction over an automaton slot, the sources
+	// decide last searched from and the witnesses it found among their
+	// E-values, so that collect traces from them instead of searching again.
+	// Like the memo rows they read against, they hold for the Bound's
+	// lifetime; unlike them they are reused across Binds.
+	decided []decision
+
 	// Per-depth scratch for successor, property-value, witness and focus
 	// lists, reused across focus nodes; depth is the nesting level. wit and
 	// srcs are apart because Table 2 rows filter values into witnesses, and
@@ -173,6 +180,7 @@ func (p *Program) Bind(g rdfgraph.Reader) *Bound {
 			pes:     make([]*paths.Evaluator, len(p.Paths)),
 			memo:    make([][]*page, len(p.Instrs)),
 			visited: make([][]*page, len(p.Instrs)),
+			decided: make([]decision, len(p.Instrs)),
 			gen:     1,
 		}
 		s.appendID = func(id rdfgraph.ID) { s.ids = append(s.ids, id) }
@@ -238,17 +246,21 @@ type page [pageSize]uint8
 // maxSparePages bounds the zeroed pages a released set keeps: 64 MiB.
 const maxSparePages = 64 << 20 / pageSize
 
-// cell returns node v's byte in instruction i's row of rows. A page never
-// moves while the Bound holds it, so the pointer outlives the recursion.
-func (s *state) cell(rows [][]*page, i int32, v rdfgraph.ID) *uint8 {
-	if dir, k := rows[i], int(v>>pageShift); k < len(dir) && dir[k] != nil {
-		return &dir[k][v&(pageSize-1)]
+// cell reads node v's byte in instruction i's row of rows: 0 where v's page
+// was never taken. It is the probe every memo and visited check makes, kept
+// small enough to inline; touch is the write side.
+func (s *state) cell(rows [][]*page, i int32, v rdfgraph.ID) uint8 {
+	if dir, k := rows[i], uint(v>>pageShift); k < uint(len(dir)) {
+		if pg := dir[k]; pg != nil {
+			return pg[v&(pageSize-1)]
+		}
 	}
-	return s.touch(rows, i, v)
+	return 0
 }
 
-// touch is cell's slow path: it grows the directory to cover v and puts a
-// zeroed page where v's is missing.
+// touch returns node v's byte in instruction i's row of rows to write, first
+// growing the directory to cover v and putting a zeroed page where v's is
+// missing. A page never moves while the Bound holds it.
 func (s *state) touch(rows [][]*page, i int32, v rdfgraph.ID) *uint8 {
 	k := int(v >> pageShift)
 	dir := rows[i]
@@ -324,8 +336,14 @@ func (b *Bound) Release() {
 			scratchBytes += 4 * cap(buf)
 		}
 	}
+	for k := range s.decided {
+		dc := &s.decided[k]
+		dc.srcs, dc.wit = dc.srcs[:0], dc.wit[:0]
+		scratchBytes += 4 * (cap(dc.srcs) + cap(dc.wit))
+	}
 	if scratchBytes > maxPooledScratch {
 		s.succ, s.vals, s.wit, s.srcs = nil, nil, nil, nil
+		clear(s.decided)
 	}
 	s.g, s.resolution, s.spare, s.ids, s.depth, s.gen, s.Checks = nil, nil, nil, nil, 0, 1, 0
 	s.prog.states.Put(s)
@@ -333,17 +351,22 @@ func (b *Bound) Release() {
 
 // Conforms reports H, G, v ⊨ φᵢ for instruction i, memoized in its row.
 func (b *Bound) Conforms(v rdfgraph.ID, i int32) bool {
-	m := b.cell(b.memo, i, v)
-	if *m != 0 {
-		return *m == 1
+	if m := b.cell(b.memo, i, v); m != 0 {
+		return m == 1
 	}
 	b.Checks++
 	res := b.eval(v, i)
+	b.setMemo(i, v, res)
+	return res
+}
+
+// setMemo records the verdict res of instruction i at v.
+func (b *Bound) setMemo(i int32, v rdfgraph.ID, res bool) {
+	m := b.touch(b.memo, i, v)
 	*m = 2
 	if res {
 		*m = 1
 	}
-	return res
 }
 
 // ConformsRoot reports conformance to the program's root shape.

@@ -87,7 +87,7 @@ func (b *Bound) decide(nodes []rdfgraph.ID, i int32) {
 		b.depth++
 		open := scratch(&b.srcs, d)
 		for _, v := range nodes {
-			if *b.cell(b.memo, i, v) == 0 {
+			if b.cell(b.memo, i, v) == 0 {
 				open = append(open, v)
 			}
 		}
@@ -96,15 +96,35 @@ func (b *Bound) decide(nodes []rdfgraph.ID, i int32) {
 			b.Checks += len(open)
 			wit := b.witnesses(in, pe.EvalSet(open, scratch(&b.wit, d)), d)
 			for j, reached := range pe.TraceSetInto(open, wit, nil) {
-				m := b.cell(b.memo, i, open[j])
-				*m = 2
-				if reached {
-					*m = 1
-				}
+				b.setMemo(i, open[j], reached)
 			}
+			dc := &b.decided[i]
+			dc.srcs, dc.wit = append(dc.srcs[:0], open...), append(dc.wit[:0], wit...)
 		}
 		b.depth--
 	}
+}
+
+// decision is what decide found for a ≥1 instruction over an automaton slot:
+// the sources it searched from and the witnesses among their E-values.
+type decision struct {
+	srcs, wit []rdfgraph.ID
+}
+
+// decidedFor reports whether instruction i's last decision answers for foci:
+// they are a subsequence of its sources, and every other source does not
+// conform. Such a source has no E-path to a witness, so its witnesses are
+// those of foci, and so is its trace.
+func (b *Bound) decidedFor(i int32, foci []rdfgraph.ID) bool {
+	j := 0
+	for _, v := range b.decided[i].srcs {
+		if j < len(foci) && foci[j] == v {
+			j++
+		} else if b.cell(b.memo, i, v) != 2 {
+			return false
+		}
+	}
+	return j == len(foci)
 }
 
 // witnesses cuts vals, the E-values of quantifier in's foci in the depth-d
@@ -136,7 +156,7 @@ func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet)
 	b.decide(nodes, i)
 	foci := scratch(&b.srcs, d)
 	for _, v := range nodes {
-		if c := b.cell(b.visited, i, v); *c != b.gen {
+		if c := b.touch(b.visited, i, v); *c != b.gen {
 			*c = b.gen
 			if b.Conforms(v, i) {
 				foci = append(foci, v)
@@ -170,9 +190,17 @@ func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet)
 		}
 		if pe := b.pes[in.Path]; pe != nil {
 			// Each focus's witnesses are its values cut with one set, so
-			// tracing from all foci to all witnesses adds no path.
-			wit := b.witnesses(in, pe.EvalSet(foci, scratch(&b.wit, d)), d)
-			pe.TraceSetInto(foci, wit, out)
+			// tracing from all foci to all witnesses adds no path. Where
+			// decide already searched for them, its trace is read back.
+			var wit []rdfgraph.ID
+			if dc := &b.decided[i]; b.decidedFor(i, foci) {
+				wit = append(scratch(&b.wit, d), dc.wit...)
+				putScratch(&b.wit, d, wit)
+				pe.TraceSetInto(dc.srcs, wit, out)
+			} else {
+				wit = b.witnesses(in, pe.EvalSet(foci, scratch(&b.wit, d)), d)
+				pe.TraceSetInto(foci, wit, out)
+			}
 			b.collect(wit, next, out)
 			return
 		}

@@ -66,8 +66,7 @@ func exampleParityCases(t *testing.T) []parityCase {
 		h:    schema.MustNew(datagen.BenchmarkShapes()...),
 	})
 	// The shapes the set form has cases of its own for (plan_test.go), each
-	// under two targets: a work unit is a source set, and its size follows
-	// the worker count.
+	// under two targets: a work unit is a request's whole focus set.
 	rng := rand.New(rand.NewSource(17))
 	var defs []schema.Definition
 	for i, phi := range setShapes(rng) {

@@ -88,7 +88,9 @@ func TestExtractionParityRandom(t *testing.T) {
 // setShapes are the shapes the set form of Table 2 has a case of its own
 // for, over a path e that is never atomic: each quantifier at each count,
 // nested quantifiers sharing e's slot, a conjunct that rejects a source the
-// path accepts, and every pair constraint, bare and negated, under a
+// path accepts — a random one, and one that rejects the ≥1 E.ψ conformers
+// without a p-edge, so collect cannot read back the search decide ran over
+// them all — and every pair constraint, bare and negated, under a
 // quantifier that hands it a set of foci.
 func setShapes(rng *rand.Rand) []shape.Shape {
 	e := paths.Star{X: shapetest.RandomPath(rng, 2)}
@@ -99,6 +101,7 @@ func setShapes(rng *rand.Rand) []shape.Shape {
 		shape.Min(1, e, shape.Min(1, e, psi)),
 		shape.Min(1, e, shape.Max(1, e, shape.Min(1, e, psi))),
 		shape.AndOf(shape.Min(1, e, psi), shapetest.RandomShape(rng, 1)),
+		shape.AndOf(shape.Min(1, e, psi), shape.Min(1, paths.P(p), &shape.True{})),
 		shape.OrOf(shape.Min(1, e, shape.Value(shapetest.IRI("a"))), shape.All(e, psi)),
 	}
 	for _, pair := range []shape.Shape{
@@ -114,6 +117,11 @@ func setShapes(rng *rand.Rand) []shape.Shape {
 // definitions on random graphs: CollectAllInto(S) is the union over S of
 // CollectInto(v), which is the AST walker's — for S all of N(G) and a random
 // part of it — and the conformance the set search memoized is the AST's.
+// The same Bound then goes on as a server's and live's do, so that collect
+// meets searches decide ran over other sets than its foci: a second
+// CollectAllInto over a set overlapping S, whose conformers already visited
+// sit among the sources decided, and per-focus units split by ResetVisited,
+// over sources decided as one set. Each is the AST walker's too.
 func TestCollectAllParityRandom(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -142,6 +150,25 @@ func TestCollectAllParityRandom(t *testing.T) {
 				for _, v := range nodes {
 					if set.ConformsRoot(v) != x.Evaluator().Conforms(v, phi) {
 						t.Fatalf("seed %d: %s at %s: plan %v after the set call, ast %v", seed, phi, g.Term(v), set.ConformsRoot(v), !set.ConformsRoot(v))
+					}
+				}
+				over := append(slices.Clone(part[:len(part)/2]), nodes[:len(nodes)/3]...)
+				for _, v := range over {
+					x.NeighborhoodInto(v, phi, want, visited)
+				}
+				set.CollectAllInto(over, got)
+				if w := want.Sorted(g.Dict()); !slices.Equal(got.Sorted(g.Dict()), w) {
+					t.Fatalf("seed %d: %s over %d then %d overlapping nodes: CollectAllInto %d triples, ast %d",
+						seed, phi, len(S), len(over), got.Len(), want.Len())
+				}
+				for _, v := range S[:min(len(S), 12)] {
+					want, got := rdfgraph.NewIDTripleSet(), rdfgraph.NewIDTripleSet()
+					x.NeighborhoodInto(v, phi, want, make(map[core.VisitKey]struct{}))
+					set.ResetVisited()
+					set.CollectInto(v, got)
+					if w := want.Sorted(g.Dict()); !slices.Equal(got.Sorted(g.Dict()), w) {
+						t.Fatalf("seed %d: %s: B(%s) as its own unit after the set calls: plan %d triples, ast %d",
+							seed, phi, g.Term(v), got.Len(), want.Len())
 					}
 				}
 			}
