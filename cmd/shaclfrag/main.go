@@ -144,8 +144,8 @@ func cmdFragment(args []string) error {
 	request := fs.String("request", "", `ad-hoc request shape in textual syntax, e.g. '>=1 <http://x/p>.top'`)
 	baseIRI := fs.String("base", "", "base IRI for bare names in -request")
 	outPath := fs.String("o", "", "output file (default stdout)")
-	strategy := fs.String("strategy", "plan", "extraction strategy: plan (compiled programs, auto is its old name), direct, or sparql")
-	workers := fs.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
+	strategy := fs.String("strategy", "plan", "extraction strategy: plan (compiled programs), direct (the AST walker), or sparql")
+	workers := fs.Int("workers", 0, "parallel extraction workers for -strategy plan (0 = GOMAXPROCS)")
 	traced := fs.Bool("trace", false, "print the extraction's span tree to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -182,13 +182,14 @@ func cmdFragment(args []string) error {
 		return fmt.Errorf("need -shapes or -request")
 	}
 	var frag []shaclfrag.Triple
-	if *strategy == "sparql" {
+	switch *strategy {
+	case "sparql":
 		// The paper's translation strategy, unconditionally: build Q_S and
 		// evaluate it on the in-memory engine.
 		sq := root.StartChild("sparql-eval")
 		frag = shaclfrag.FragmentViaSPARQL(g, h, requests...)
 		sq.End()
-	} else {
+	case "direct", "plan":
 		// Workers read the graph concurrently: intern the request
 		// constants, then freeze it.
 		store.WarmShapes(g, requests...)
@@ -197,24 +198,20 @@ func cmdFragment(args []string) error {
 		if h != nil {
 			defs = h
 		}
-		var plans *plan.Set
-		switch *strategy {
-		case "direct":
-			// AST walker everywhere; plans stay nil.
-		case "plan", "auto":
-			plans = plan.CompileAll(requests, defs)
-		default:
-			return fmt.Errorf("unknown -strategy %q (want plan, direct or sparql)", *strategy)
-		}
 		x := core.NewExtractor(g, defs)
 		extract := root.StartChild("extract")
-		frag, err = x.FragmentParallel(requests, core.ParallelOptions{
-			Workers: *workers, Plans: plans, Span: extract,
-		})
+		if *strategy == "direct" {
+			// The AST walker over N(G), Table 2 read literally.
+			frag = x.Fragment(requests)
+		} else {
+			frag, err = x.FragmentParallel(requests, core.ParallelOptions{Workers: *workers, Span: extract})
+		}
 		extract.End()
 		if err != nil {
 			return err
 		}
+	default:
+		return fmt.Errorf("unknown -strategy %q (want plan, direct or sparql)", *strategy)
 	}
 	serialize := root.StartChild("serialize")
 	out := shaclfrag.FormatNTriples(frag)

@@ -137,6 +137,48 @@ func TestCLIEndToEnd(t *testing.T) {
 	run(2, "nonsense")
 }
 
+// TestCLIFragmentStrategies checks that -strategy direct (the AST walker)
+// and -strategy plan (compiled programs, at one worker and at four) print
+// byte-identical N-Triples for every example schema over the example data,
+// that -workers is accepted and ignored by direct, and that the removed
+// auto alias is rejected.
+func TestCLIFragmentStrategies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildCLI(t)
+	data := filepath.Join("..", "..", "examples", "data", "tourism.ttl")
+	schemas, err := filepath.Glob(filepath.Join("..", "..", "examples", "shapes", "*.ttl"))
+	if err != nil || len(schemas) == 0 {
+		t.Fatalf("no example schemas: %v", err)
+	}
+	fragment := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin, append([]string{"fragment", "-data", data}, args...)...).Output()
+		if err != nil {
+			t.Fatalf("fragment %v: %v", args, err)
+		}
+		return string(out)
+	}
+	nonEmpty := false
+	for _, shapes := range schemas {
+		direct := fragment("-shapes", shapes, "-strategy", "direct", "-workers", "4")
+		nonEmpty = nonEmpty || direct != ""
+		for _, workers := range []string{"1", "4"} {
+			if got := fragment("-shapes", shapes, "-strategy", "plan", "-workers", workers); got != direct {
+				t.Errorf("%s, workers=%s: plan prints %d bytes, direct %d", filepath.Base(shapes), workers, len(got), len(direct))
+			}
+		}
+	}
+	if !nonEmpty {
+		t.Error("fixture: every example fragment is empty")
+	}
+	err = exec.Command(bin, "fragment", "-data", data, "-shapes", schemas[0], "-strategy", "auto").Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Errorf("-strategy auto: %v, want exit status 1", err)
+	}
+}
+
 // TestCLIExplainGolden locks the annotated-N-Triples and JSON renderings
 // of `shaclfrag explain` against the committed tourism example. The golden
 // files double as the walkthrough output quoted in the README, so a

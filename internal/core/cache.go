@@ -342,11 +342,11 @@ func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *Neighborhood
 }
 
 // neighborhoodMiss computes B(v, G, φ) on the AST walker as an isolated
-// per-node neighborhood (isolated). It stores the result in cache when
-// cache is non-nil; the caller has already missed there.
+// per-node neighborhood. It stores the result in cache when cache is
+// non-nil; the caller has already missed there.
 func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, phi shape.Shape) []rdfgraph.IDTriple {
 	per := rdfgraph.NewIDTripleSet()
-	x.isolated(v, shape.NNF(phi), nil, per, make(map[VisitKey]struct{}))
+	x.collect(v, shape.NNF(phi), per, make(map[VisitKey]struct{}))
 	ts := per.IDTriples()
 	if cache != nil {
 		cache.Put(epoch, v, phi, ts)
@@ -354,42 +354,28 @@ func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v r
 	return ts
 }
 
-// isolated adds B(v, G, φ) — nnf is φ's NNF — to out as a unit of its own,
-// nothing shared with earlier units: on the bound program b when it is
-// non-nil, on the AST walker with visited cleared otherwise
-// (byte-identical, parity-gated).
-func (x *Extractor) isolated(v rdfgraph.ID, nnf shape.Shape, b *plan.Bound, out *rdfgraph.IDTripleSet, visited map[VisitKey]struct{}) {
-	if b != nil {
-		b.ResetVisited()
-		b.CollectInto(v, out)
-		return
-	}
-	clear(visited)
-	x.collect(v, nnf, out, visited)
-}
-
-// Neighborhoods calls fn with B(v, G, request) for each v of nodes, in
-// order, each extracted in isolation as a cache entry is, so a triple
-// several foci select comes back once per focus. It runs on prog (nil: the
-// AST walker). The slice fn gets is reused by the next call. A panic during
-// extraction comes back as a *PanicError.
-func (x *Extractor) Neighborhoods(request shape.Shape, prog *plan.Program, nodes []rdfgraph.ID, fn func(ts []rdfgraph.IDTriple)) (err error) {
+// Neighborhoods calls fn with B(v, G, φ) for each v of nodes, in order, φ
+// being prog's request and G g: each is extracted in isolation, as a cache
+// entry is, so a triple several foci select comes back once per focus. The
+// slice fn gets is reused by the next call. A panic during extraction comes
+// back as a *PanicError.
+func Neighborhoods(g rdfgraph.Reader, prog *plan.Program, nodes []rdfgraph.ID, fn func(ts []rdfgraph.IDTriple)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	var b *plan.Bound
-	if prog != nil && len(nodes) > 0 {
-		b = prog.Bind(x.ev.G)
-		defer b.Release()
+	if len(nodes) == 0 {
+		return nil
 	}
-	nnf := shape.NNF(request)
-	per, visited := rdfgraph.NewIDTripleSet(), make(map[VisitKey]struct{})
+	b := prog.Bind(g)
+	defer b.Release()
+	per := rdfgraph.NewIDTripleSet()
 	var ts []rdfgraph.IDTriple
 	for _, v := range nodes {
 		per.Reset()
-		x.isolated(v, nnf, b, per, visited)
+		b.ResetVisited()
+		b.CollectInto(v, per)
 		ts = per.AppendTo(ts[:0])
 		fn(ts)
 	}

@@ -15,11 +15,14 @@
 // are unsynchronized); use one per goroutine. All extraction is strictly
 // read-only on the graph, so any number of extractors may share one
 // graph concurrently once it is frozen (rdfgraph.Graph.Freeze) — that is
-// the contract FragmentParallel builds on: it spawns one private
-// extractor per worker and unions their results, and internal/fragserver
-// pools extractors across requests. Extraction records its sub-stage
-// timings as children of ParallelOptions.Span; workers grow the one tree
-// concurrently.
+// the contract FragmentParallel builds on: the calling extractor finds the
+// focus nodes, each worker binds the requests' compiled programs
+// (internal/plan) to the graph on its own, and their results are unioned.
+// The AST walker (Fragment, NeighborhoodInto) is the reference the plans
+// are checked against; internal/fragserver pools extractors across
+// requests for its /node misses, /explain and focus candidates. Extraction
+// records its sub-stage timings as children of ParallelOptions.Span;
+// workers grow the one tree concurrently.
 //
 // # Cache bounds
 //

@@ -60,19 +60,17 @@ func TestCacheEvictionAccounting(t *testing.T) {
 }
 
 // TestFragmentParallelSpans checks the span tree a sampled extraction
-// grows: request-level attributes, the nnf and merge stages, and the
-// exec-breakdown accumulator with the unit count on the span handed down —
-// at one worker as at four, since both run the same unit loop; all without
-// changing the extracted fragment.
+// grows: request-level attributes, the nnf and merge stages, and the bind
+// and plan-exec accumulators with the unit count on the span handed down —
+// at one worker as at two and four, since all run the same unit loop, on
+// plans compiled for the call when none are passed; all without changing
+// the extracted fragment.
 func TestFragmentParallelSpans(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 60, Seed: 3})
 	h := schema.MustNew(datagen.BenchmarkShapes()[:4]...)
 	requests := core.SchemaRequests(h)
 	g.Freeze()
-	want, err := core.NewExtractor(g, h).FragmentParallel(requests, core.ParallelOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := core.NewExtractor(g, h).Fragment(requests)
 
 	childByName := func(sp *obs.Span, name string) *obs.Span {
 		for _, c := range sp.Children() {
@@ -91,7 +89,7 @@ func TestFragmentParallelSpans(t *testing.T) {
 		return 0, false
 	}
 
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		trace := obs.NewSpanTrace("extract-test", obs.SpanContext{})
 		got, err := core.NewExtractor(g, h).FragmentParallel(requests, core.ParallelOptions{
 			Workers: workers,
@@ -111,7 +109,10 @@ func TestFragmentParallelSpans(t *testing.T) {
 		if n, ok := attrInt(root, "nodes"); !ok || n == 0 {
 			t.Errorf("workers=%d: nodes attr = %d/%v", workers, n, ok)
 		}
-		for _, name := range []string{"nnf", "ast-exec", "merge"} {
+		if n, ok := attrInt(root, "instructions"); !ok || n <= 0 {
+			t.Errorf("workers=%d: instructions attr = %d/%v", workers, n, ok)
+		}
+		for _, name := range []string{"nnf", "bind", "plan-exec", "merge"} {
 			if childByName(root, name) == nil {
 				t.Errorf("workers=%d: no %s child span; tree:\n%s", workers, name, treeOf(trace))
 			}
@@ -119,24 +120,6 @@ func TestFragmentParallelSpans(t *testing.T) {
 		if u, _ := attrInt(root, "units"); u == 0 {
 			t.Errorf("workers=%d: no work units counted", workers)
 		}
-	}
-
-	// Compiled plans: the bind child and instructions attr appear.
-	trace := obs.NewSpanTrace("extract-test", obs.SpanContext{})
-	_, err = core.NewExtractor(g, h).FragmentParallel(requests, core.ParallelOptions{
-		Workers: 2,
-		Plans:   plan.CompileAll(requests, h),
-		Span:    trace.Root(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := trace.Root()
-	if childByName(root, "bind") == nil {
-		t.Errorf("planned extraction has no bind span; tree:\n%s", treeOf(trace))
-	}
-	if n, ok := attrInt(root, "instructions"); !ok || n <= 0 {
-		t.Errorf("instructions attr = %d/%v", n, ok)
 	}
 }
 

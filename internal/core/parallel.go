@@ -22,7 +22,7 @@ type ParallelOptions struct {
 	// Workers is the most extraction goroutines; <= 0 means
 	// runtime.GOMAXPROCS(0). A unit of work is one request's focus set, so
 	// no more run than there are requests. One worker runs the same unit
-	// loop on the calling goroutine and the calling extractor.
+	// loop on the calling goroutine.
 	Workers int
 	// Cache is ignored: a fragment is one union over its focus nodes, and
 	// per-node reuse is NeighborhoodsCached's. The field stays only so the
@@ -36,26 +36,26 @@ type ParallelOptions struct {
 	Ctx context.Context
 	// Epoch is ignored, like Cache, and kept for the same reason.
 	Epoch uint64
-	// Plans, when non-nil, holds compiled instruction programs aligned
-	// with the requests slice (typically plan.CompileAll over them). A
-	// request with a program is extracted by the compiled plan instead of
-	// the AST walker — same triples (the parity suites gate byte
-	// identity), paged-memo speed. Nil entries run on the AST walker.
+	// Plans holds the requests' compiled programs, one per request in
+	// order (plan.CompileAll over them), which extract every work unit —
+	// the same triples as the AST walker's Fragment, which the parity
+	// suites gate byte for byte. Nil compiles them for this call alone; a
+	// caller extracting more than once compiles once and passes the set.
 	Plans *plan.Set
 	// Span, when non-nil, is the parent span extraction records under (the
 	// serving layer passes the request's "extract" span): the sub-stages
 	// "nnf" (request normalization) and "merge" (union of the per-worker
-	// triple sets), which the server also reads as stages; "bind" for plan
-	// binding; the "plan-exec"/"ast-exec" breakdown accumulators — plus
-	// instructions / searches / units / workers attributes. A nil Span
-	// (the CLI, benchmarks) keeps the hot path free of any timing.
+	// triple sets), which the server also reads as stages; the "bind" and
+	// "plan-exec" accumulators, summed over workers — plus instructions /
+	// searches / units / workers attributes. A nil Span (the CLI,
+	// benchmarks) keeps the hot path free of any timing.
 	Span *obs.Span
 }
 
 // stopOf returns what path searches poll to learn that the request's context
 // ended, nil without one. A search it stops panics with paths.ErrStopped, so
-// it is installed only where that is recovered: by FragmentParallel, on
-// NeighborhoodsCached's miss path, and by WithStop.
+// it is installed only where that is recovered: on FragmentParallel's bound
+// programs, on NeighborhoodsCached's miss path, and by WithStop.
 func stopOf(ctx context.Context) func() bool {
 	if ctx == nil {
 		return nil
@@ -63,9 +63,10 @@ func stopOf(ctx context.Context) func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-// WithStop runs fn while the path searches of x poll ctx: one that ctx ends
-// mid-search unwinds fn and comes back as ctx.Err(), nothing partial
-// memoized. For callers that extract through x directly, as /explain does.
+// WithStop runs fn while the path searches of x's AST walker poll ctx: one
+// that ctx ends mid-search unwinds fn and comes back as ctx.Err(), nothing
+// partial memoized. For callers that walk through x directly, as /explain
+// does.
 func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 	x.ev.SetStop(stopOf(ctx))
 	defer func() {
@@ -77,15 +78,6 @@ func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// programAt returns the compiled program for a request index, nil when the
-// AST walker runs it.
-func programAt(opts ParallelOptions, req int) *plan.Program {
-	if opts.Plans == nil || req >= len(opts.Plans.Programs) {
-		return nil
-	}
-	return opts.Plans.Programs[req]
 }
 
 // collectPlanned extracts unit u on its request's program p, bound for the
@@ -110,9 +102,9 @@ func collectPlanned(p *plan.Program, u unit, g rdfgraph.Reader, stop func() bool
 }
 
 // finishUnit attributes one finished work unit to the span: its count, its
-// product searches, and its wall time in the plan-exec/ast-exec breakdown
-// child. begin is zero, and nothing is recorded, without a span.
-func finishUnit(sp *obs.Span, begin time.Time, planned bool, searches int) {
+// product searches, and its wall time in the plan-exec child. begin is
+// zero, and nothing is recorded, without a span.
+func finishUnit(sp *obs.Span, begin time.Time, searches int) {
 	if sp == nil {
 		return
 	}
@@ -120,27 +112,20 @@ func finishUnit(sp *obs.Span, begin time.Time, planned bool, searches int) {
 	if searches > 0 {
 		sp.AddAttrInt("searches", int64(searches))
 	}
-	exec := "ast-exec"
-	if planned {
-		exec = "plan-exec"
-	}
-	sp.AccumChild(exec).Add(time.Since(begin))
+	sp.AccumChild("plan-exec").Add(time.Since(begin))
 }
 
 // spanAttrs stamps the request-level attributes a traced extraction
 // carries: worker count, request count, focus nodes visited (summed over
-// the requests), and the compiled instruction count when plans are in play.
-func spanAttrs(opts ParallelOptions, workers, nreq, nnodes int) {
-	sp := opts.Span
+// the requests), and the compiled instruction count.
+func spanAttrs(sp *obs.Span, plans *plan.Set, workers, nreq, nnodes int) {
 	if sp == nil {
 		return
 	}
 	sp.SetAttrInt("workers", int64(workers))
 	sp.SetAttrInt("requests", int64(nreq))
 	sp.SetAttrInt("nodes", int64(nnodes))
-	if opts.Plans != nil {
-		sp.SetAttrInt("instructions", int64(opts.Plans.NumInstrs()))
-	}
+	sp.SetAttrInt("instructions", int64(plans.NumInstrs()))
 }
 
 // PanicError is a panic recovered from extraction, returned by
@@ -162,10 +147,11 @@ func (e *PanicError) Error() string {
 // focus candidates (shape.Evaluator.FocusCandidates) where its syntax
 // yields them and all of N(G) otherwise: a node outside the candidates does
 // not conform, so its neighborhood is empty and skipping it changes nothing.
-// Each worker owns a private evaluator, visited set, and triple
-// accumulator; the per-worker sets are unioned at the end, so the result
-// is exactly Fragment's (the union of neighborhoods is order-independent),
-// in identical canonical order.
+// A unit runs on its request's compiled program (ParallelOptions.Plans),
+// bound for the unit alone; each worker owns its triple accumulator, and
+// the per-worker sets are unioned at the end, so the result is exactly
+// Fragment's (the union of neighborhoods is order-independent), in
+// identical canonical order.
 //
 // The graph must not be mutated during the call. All evaluation and
 // extraction paths are read-only on the graph — freeze it (Graph.Freeze) to
@@ -211,7 +197,11 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	}
 	focus, total := x.focusNodes(nnfs)
 	nnfSpan.End()
-	spanAttrs(opts, workers, len(requests), total)
+	plans := opts.Plans
+	if plans == nil {
+		plans = plan.CompileAll(requests, x.ev.Defs)
+	}
+	spanAttrs(opts.Span, plans, workers, len(requests), total)
 
 	var units []unit
 	for req, nodes := range focus {
@@ -237,12 +227,8 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	var panicked atomic.Pointer[PanicError] // the first worker panic
 	stop := stopOf(opts.Ctx)
 	// work is one worker: it takes units off the shared counter into out
-	// until none are left, opts.Ctx ends or another worker panicked. A nil
-	// wx, the AST walker, is built with its visited set on the first unit
-	// without a program: a worker whose units all run on plans builds
-	// neither.
-	work := func(wx *Extractor, out *rdfgraph.IDTripleSet) {
-		var visited map[VisitKey]struct{}
+	// until none are left, opts.Ctx ends or another worker panicked.
+	work := func(out *rdfgraph.IDTripleSet) {
 		for {
 			if opts.Ctx != nil && opts.Ctx.Err() != nil {
 				cancelled.Store(true)
@@ -257,31 +243,14 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 			if opts.Span != nil {
 				begin = time.Now()
 			}
-			p, searches := programAt(opts, u.req), 0
-			if p != nil {
-				searches = collectPlanned(p, u, g, stop, opts.Span, out)
-			} else {
-				if wx == nil {
-					wx = NewExtractor(g, x.ev.Defs)
-					wx.ev.SetStop(stop)
-				}
-				if visited == nil {
-					visited = make(map[VisitKey]struct{})
-				}
-				for _, v := range u.nodes {
-					wx.collect(v, nnfs[u.req], out, visited)
-				}
-			}
-			finishUnit(opts.Span, begin, p != nil, searches)
+			searches := collectPlanned(plans.Programs[u.req], u, g, stop, opts.Span, out)
+			finishUnit(opts.Span, begin, searches)
 		}
 	}
 	if workers == 1 {
-		// On the calling goroutine and extractor: its evaluator caches keep
-		// accumulating across calls, and a panic reaches the recover above.
+		// On the calling goroutine: a panic reaches the recover above.
 		outs[0] = accumulators.Get().(*rdfgraph.IDTripleSet)
-		x.ev.SetStop(stop)
-		defer x.ev.SetStop(nil) // x outlives the call (the server pools it)
-		work(x, outs[0])
+		work(outs[0])
 	} else {
 		var wg sync.WaitGroup
 		for w := range outs {
@@ -297,7 +266,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 						panicked.CompareAndSwap(nil, &PanicError{Value: r, Stack: debug.Stack()})
 					}
 				}()
-				work(nil, out)
+				work(out)
 			}()
 		}
 		wg.Wait()

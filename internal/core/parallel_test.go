@@ -11,7 +11,6 @@ import (
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/paths"
-	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
@@ -120,14 +119,13 @@ func (r cancelOnEdge) Objects(s, p rdfgraph.ID, fn func(rdfgraph.ID)) {
 }
 
 // TestFragmentParallelStopsMidSearch: a context that ends while a path
-// search runs stops that search, on both engines and both scheduling paths,
-// instead of waiting for the work unit (a worker's share of the focus nodes)
-// to end. The graph is 4 000 disjoint p-rings of 10 nodes, so the plan
-// engine's one source-set search over a share is tens of thousands of
-// product states, and the AST engine's per-node searches as many again. The
-// error is the context's, and the graph callbacks served after the cancel
-// stay under a quarter of one share's: the searches polled the context
-// instead of finishing the unit.
+// search runs stops that search, on both scheduling paths, instead of
+// waiting for the work unit (the request's focus set) to end. The graph is
+// 4 000 disjoint p-rings of 10 nodes, so the plan's one source-set search
+// over the foci is tens of thousands of product states. The error is the
+// context's, and the graph callbacks served after the cancel stay under a
+// quarter of one share's: the searches polled the context instead of
+// finishing the unit.
 func TestFragmentParallelStopsMidSearch(t *testing.T) {
 	const ns = "http://ring.example/"
 	const rings, size = 4000, 10
@@ -141,33 +139,28 @@ func TestFragmentParallelStopsMidSearch(t *testing.T) {
 	g.Freeze()
 	star := paths.Star{X: paths.P(ns + "p")}
 	phi := shape.Min(1, paths.Seq{Left: star, Right: star}, &shape.True{})
-	for _, engine := range []string{"ast", "plan"} {
-		for _, workers := range []int{1, 2} {
-			opts := core.ParallelOptions{Workers: workers}
-			if engine == "plan" {
-				opts.Plans = &plan.Set{Programs: []*plan.Program{plan.Compile(phi, nil)}}
-			}
-			var unarmed atomic.Pointer[context.CancelFunc]
-			var full atomic.Int64
-			if _, err := core.NewExtractor(cancelOnEdge{g, &unarmed, &full}, nil).FragmentParallel([]shape.Shape{phi}, opts); err != nil {
-				t.Fatal(err)
-			}
-
-			ctx, cancel := context.WithCancel(context.Background())
-			var hook atomic.Pointer[context.CancelFunc]
-			hook.Store(&cancel)
-			var after atomic.Int64
-			opts.Ctx = ctx
-			_, err := core.NewExtractor(cancelOnEdge{g, &hook, &after}, nil).FragmentParallel([]shape.Shape{phi}, opts)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s workers=%d: err = %v, want %v", engine, workers, err, context.Canceled)
-			}
-			if share := full.Load() / int64(workers); after.Load() >= share/4 {
-				t.Errorf("%s workers=%d: %d callbacks served after the cancel, a share is %d: a worker ran its unit to the end",
-					engine, workers, after.Load(), share)
-			}
-			cancel()
+	for _, workers := range []int{1, 2} {
+		opts := core.ParallelOptions{Workers: workers}
+		var unarmed atomic.Pointer[context.CancelFunc]
+		var full atomic.Int64
+		if _, err := core.NewExtractor(cancelOnEdge{g, &unarmed, &full}, nil).FragmentParallel([]shape.Shape{phi}, opts); err != nil {
+			t.Fatal(err)
 		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var hook atomic.Pointer[context.CancelFunc]
+		hook.Store(&cancel)
+		var after atomic.Int64
+		opts.Ctx = ctx
+		_, err := core.NewExtractor(cancelOnEdge{g, &hook, &after}, nil).FragmentParallel([]shape.Shape{phi}, opts)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want %v", workers, err, context.Canceled)
+		}
+		if share := full.Load() / int64(workers); after.Load() >= share/4 {
+			t.Errorf("workers=%d: %d callbacks served after the cancel, a share is %d: a worker ran its unit to the end",
+				workers, after.Load(), share)
+		}
+		cancel()
 	}
 }
 

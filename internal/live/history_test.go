@@ -73,20 +73,15 @@ func TestDeltaHistoryExact(t *testing.T) {
 		if got := decode(t, initial[0]).Added; !slices.Equal(got, prev[def]) {
 			t.Fatalf("definition %d: snapshot differs from cold extraction", def)
 		}
-		// Materialized focus by focus, the fragment is FragmentParallelIDs'.
-		g := st.Current().Reader()
-		ids, _, err := core.NewExtractor(g, h).FragmentParallelIDs(requests[def:def+1], core.ParallelOptions{
-			Workers: 1, Plans: &plan.Set{Programs: progs[def : def+1]},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]string, len(ids))
-		for i, tr := range ids {
-			want[i] = g.Dict().Triple(tr).String() + " ."
+		// Materialized focus by focus, the fragment is the AST walker's over
+		// N(G), in the same canonical order.
+		ts := core.Fragment(st.Current().Reader(), h, requests[def])
+		want := make([]string, len(ts))
+		for i, tr := range ts {
+			want[i] = tr.String() + " ."
 		}
 		if got := m.FragmentLines(def); !slices.Equal(got, want) {
-			t.Fatalf("definition %d: materialized %d lines, FragmentParallelIDs %d", def, len(got), len(want))
+			t.Fatalf("definition %d: materialized %d lines, core.Fragment %d", def, len(got), len(want))
 		}
 	}
 

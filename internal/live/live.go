@@ -7,8 +7,9 @@
 // beside a support count per triple: how many foci's neighborhoods hold
 // it. On an update the shape's footprint, walked back from the effective
 // delta (core.Reach), names the foci R whose neighborhoods can change.
-// Each v in R is re-extracted on the old and the new epoch, its old
-// triples lose a count and its new ones gain one, and only those triples
+// Each v in R is re-extracted on the old and the new epoch, on the
+// definition's compiled program (Config.Plans): its old triples lose a
+// count and its new ones gain one, and only those triples
 // are sorted and merged into the array in place: a triple whose count
 // leaves 0 is "added", one whose count reaches 0 "removed". Their
 // N-Triples renderings are the delta event, serialized once per (shape,
@@ -68,8 +69,9 @@ type Config struct {
 	// only because the frozen benchmark module sets it; the benchmark
 	// re-base (ROADMAP item 1) deletes it.
 	Cache *core.NeighborhoodCache
-	// Plans, when non-nil, resolves the compiled program for a definition
-	// index (nil: the AST walker).
+	// Plans resolves the compiled program of a definition index, which
+	// every extraction runs on. Nil compiles Requests once, in
+	// NewMaintainer (plan.CompileAll).
 	Plans func(def int) *plan.Program
 	// Replay bounds the per-shape delta ring used to resume subscribers
 	// from a Last-Event-ID epoch; <= 0 means 64. A subscriber further
@@ -143,6 +145,10 @@ func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 	if cfg.MaxSubscribers <= 0 {
 		cfg.MaxSubscribers = 4096
 	}
+	if cfg.Plans == nil {
+		set := plan.CompileAll(cfg.Requests, cfg.Schema)
+		cfg.Plans = func(def int) *plan.Program { return set.Programs[def] }
+	}
 	return &Maintainer{
 		cfg:    cfg,
 		epoch:  snap.Epoch(),
@@ -152,15 +158,10 @@ func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 }
 
 // extract appends to cs a count change n for every triple of B(v, G, φ ∧ τ)
-// of def, for each v of foci, G being x's graph. Each neighborhood is
-// extracted on its own (core.Extractor.Neighborhoods), on def's compiled
-// program.
-func (m *Maintainer) extract(x *core.Extractor, def int, foci []rdfgraph.ID, n int32, cs []change) ([]change, error) {
-	var prog *plan.Program
-	if m.cfg.Plans != nil {
-		prog = m.cfg.Plans(def)
-	}
-	err := x.Neighborhoods(m.cfg.Requests[def], prog, foci, func(ts []rdfgraph.IDTriple) {
+// of def, for each v of foci. Each neighborhood is extracted on its own
+// (core.Neighborhoods), on def's compiled program.
+func (m *Maintainer) extract(g rdfgraph.Reader, def int, foci []rdfgraph.ID, n int32, cs []change) ([]change, error) {
+	err := core.Neighborhoods(g, m.cfg.Plans(def), foci, func(ts []rdfgraph.IDTriple) {
 		for _, t := range ts {
 			cs = append(cs, change{t: t, n: n})
 		}
@@ -302,9 +303,8 @@ type change struct {
 // shape that keeps no counts is re-diffed whole instead (rediff).
 func (m *Maintainer) step(st *shapeState, res store.ApplyResult, foci []rdfgraph.ID, patch bool) (added, removed []rdfgraph.IDTriple, nodes int, err error) {
 	reader := res.Snapshot.Reader()
-	x := core.NewExtractor(reader, m.cfg.Schema)
 	if st.fp == nil {
-		return m.rediff(st, x, reader.Dict())
+		return m.rediff(st, reader)
 	}
 	var cs []change
 	if patch {
@@ -312,16 +312,16 @@ func (m *Maintainer) step(st *shapeState, res store.ApplyResult, foci []rdfgraph
 		// neighborhoods there; foci is sorted, so they are its tail.
 		base := res.Base.Reader()
 		old, _ := slices.BinarySearch(foci, rdfgraph.ID(base.Dict().Len()))
-		cs, err = m.extract(core.NewExtractor(base, m.cfg.Schema), st.def, foci[:old], -1, nil)
+		cs, err = m.extract(base, st.def, foci[:old], -1, nil)
 	} else {
 		for i, t := range st.frag {
 			cs = append(cs, change{t: t, n: -int32(st.count[i])})
 		}
 		var all []rdfgraph.ID
-		foci = x.Evaluator().FocusNodes(shape.NNF(m.cfg.Requests[st.def]), &all)
+		foci = shape.NewEvaluator(reader, m.cfg.Schema).FocusNodes(shape.NNF(m.cfg.Requests[st.def]), &all)
 	}
 	if err == nil {
-		cs, err = m.extract(x, st.def, foci, 1, cs)
+		cs, err = m.extract(reader, st.def, foci, 1, cs)
 	}
 	if err == nil {
 		added, removed, err = st.apply(reader.Dict(), net(reader.Dict(), cs))
@@ -329,20 +329,18 @@ func (m *Maintainer) step(st *shapeState, res store.ApplyResult, foci []rdfgraph
 	return added, removed, len(foci), err
 }
 
-// rediff moves a shape that keeps no counts to d's epoch: it extracts the
-// whole fragment with x as GET /fragment does — FragmentParallelIDs, on
-// def's program, at one worker: maintenance stays on the goroutine that
-// holds m.mu — and merge-diffs it against frag.
-func (m *Maintainer) rediff(st *shapeState, x *core.Extractor, d *rdfgraph.Dict) (added, removed []rdfgraph.IDTriple, nodes int, err error) {
-	opts := core.ParallelOptions{Workers: 1}
-	if m.cfg.Plans != nil {
-		opts.Plans = &plan.Set{Programs: []*plan.Program{m.cfg.Plans(st.def)}}
-	}
-	frag, nodes, err := x.FragmentParallelIDs(m.cfg.Requests[st.def:st.def+1], opts)
+// rediff moves a shape that keeps no counts to g's epoch: it extracts the
+// whole fragment as GET /fragment does — FragmentParallelIDs, on def's
+// program, at one worker: maintenance stays on the goroutine that holds
+// m.mu — and merge-diffs it against frag.
+func (m *Maintainer) rediff(st *shapeState, g rdfgraph.Reader) (added, removed []rdfgraph.IDTriple, nodes int, err error) {
+	frag, nodes, err := core.NewExtractor(g, m.cfg.Schema).FragmentParallelIDs(m.cfg.Requests[st.def:st.def+1], core.ParallelOptions{
+		Workers: 1, Plans: &plan.Set{Programs: []*plan.Program{m.cfg.Plans(st.def)}},
+	})
 	if err != nil {
 		return nil, nil, nodes, err
 	}
-	added, removed = diff(d, st.frag, frag)
+	added, removed = diff(g.Dict(), st.frag, frag)
 	st.frag = frag
 	return added, removed, nodes, nil
 }

@@ -71,8 +71,8 @@ func astFragment(r rdfgraph.Reader, h *schema.Schema, requests []shape.Shape) st
 
 // TestLargeDictionaryBindsEveryProgram checks that every binder binds a
 // program against a dictionary far larger than the nodes it visits:
-// FragmentParallel at one and four workers and the CLI's -strategy plan run
-// no work unit on the AST walker, the live maintainer's materialization and
+// FragmentParallel at one and four workers and the CLI's -strategy plan
+// record plan-exec, the live maintainer's materialization and
 // re-extraction serve the decoy's bytes when given its program, and each
 // serves the AST walker's bytes when given the schema's own.
 func TestLargeDictionaryBindsEveryProgram(t *testing.T) {
@@ -89,8 +89,8 @@ func TestLargeDictionaryBindsEveryProgram(t *testing.T) {
 		t.Fatal("fixture: the decoy's fragment is not a distinct non-empty one")
 	}
 
-	parallel := func(workers int) func(t *testing.T) (got string, planned, walked bool) {
-		return func(t *testing.T) (string, bool, bool) {
+	parallel := func(workers int) func(t *testing.T) (got string, planned bool) {
+		return func(t *testing.T) (string, bool) {
 			trace := obs.NewSpanTrace("large", obs.SpanContext{})
 			frag, err := core.NewExtractor(snap.Reader(), h).FragmentParallel(requests, core.ParallelOptions{
 				Workers: workers,
@@ -100,27 +100,27 @@ func TestLargeDictionaryBindsEveryProgram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return turtle.FormatNTriples(frag), spanNamed(trace.Root(), "plan-exec"), spanNamed(trace.Root(), "ast-exec")
+			return turtle.FormatNTriples(frag), spanNamed(trace.Root(), "plan-exec")
 		}
 	}
 	for _, tc := range []struct {
 		name string
-		run  func(t *testing.T) (got string, planned, walked bool)
+		run  func(t *testing.T) (got string, planned bool)
 	}{
 		{"FragmentParallel workers=1", parallel(1)},
 		{"FragmentParallel workers=4", parallel(4)},
-		{"CLI -strategy plan", func(t *testing.T) (string, bool, bool) {
+		{"CLI -strategy plan", func(t *testing.T) (string, bool) {
 			if testing.Short() {
 				t.Skip("builds a binary")
 			}
 			stdout, stderr := runCLIFragment(t, g, h, "-strategy", "plan", "-trace")
-			return stdout, strings.Contains(stderr, "plan-exec"), strings.Contains(stderr, "ast-exec")
+			return stdout, strings.Contains(stderr, "plan-exec")
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, planned, walked := tc.run(t)
-			if !planned || walked {
-				t.Errorf("plan-exec recorded %v, ast-exec recorded %v: want a bound program only", planned, walked)
+			got, planned := tc.run(t)
+			if !planned {
+				t.Error("no plan-exec recorded: want a bound program")
 			}
 			if got != want {
 				t.Errorf("fragment differs from the AST walker's (%d vs %d bytes)", len(got), len(want))

@@ -83,9 +83,10 @@ func exampleParityCases(t *testing.T) []parityCase {
 // TestPlanFragmentParity is the tentpole acceptance gate: Frag(G, H)
 // extracted by compiled plans through FragmentParallel is byte-identical
 // to the AST extractor's output for every example schema, at worker counts
-// 1/2/4. So is the union of the per-focus neighborhoods
-// Extractor.Neighborhoods extracts over each request's focus nodes — the
-// mode live maintenance runs — with each request's program and with none.
+// 1/2/4. So is the union of the per-focus neighborhoods core.Neighborhoods
+// extracts over each request's focus nodes on its program — the mode live
+// maintenance runs — and, the walker's own check, the union of the AST
+// walker's isolated per-focus neighborhoods over the same foci.
 func TestPlanFragmentParity(t *testing.T) {
 	for _, tc := range exampleParityCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,23 +111,22 @@ func TestPlanFragmentParity(t *testing.T) {
 					t.Errorf("workers=%d: plan fragment differs from AST (%d vs %d bytes)", workers, len(got), len(want))
 				}
 			}
-			for _, planned := range []bool{false, true} {
-				x := core.NewExtractor(r, tc.h)
-				union := rdfgraph.NewIDTripleSet()
-				for i, request := range requests {
-					var prog *plan.Program
-					if planned {
-						prog = plans.Programs[i]
-					}
-					var all []rdfgraph.ID
-					foci := x.Evaluator().FocusNodes(shape.NNF(request), &all)
-					if err := x.Neighborhoods(request, prog, foci, union.AddAll); err != nil {
-						t.Fatal(err)
-					}
+			x := core.NewExtractor(r, tc.h)
+			planned, walked := rdfgraph.NewIDTripleSet(), rdfgraph.NewIDTripleSet()
+			for i, request := range requests {
+				var all []rdfgraph.ID
+				foci := x.Evaluator().FocusNodes(shape.NNF(request), &all)
+				if err := core.Neighborhoods(r, plans.Programs[i], foci, planned.AddAll); err != nil {
+					t.Fatal(err)
 				}
+				for _, v := range foci {
+					x.NeighborhoodInto(v, request, walked, make(map[core.VisitKey]struct{}))
+				}
+			}
+			for name, union := range map[string]*rdfgraph.IDTripleSet{"plan": planned, "AST": walked} {
 				if got := turtle.FormatNTriples(union.Triples(r.Dict())); got != want {
-					t.Errorf("planned=%v: union of per-focus neighborhoods differs from AST (%d vs %d bytes)",
-						planned, len(got), len(want))
+					t.Errorf("%s: union of per-focus neighborhoods differs from Fragment (%d vs %d bytes)",
+						name, len(got), len(want))
 				}
 			}
 		})
@@ -151,7 +151,7 @@ func servedParityCase(t *testing.T) parityCase {
 
 // TestPlannerFragmentParity runs the corpus and the served benchmark schema
 // the way fragserver serves them: CompileAll once, then FragmentParallel
-// with every program bound: no work unit runs on the AST walker.
+// with every program bound.
 func TestPlannerFragmentParity(t *testing.T) {
 	for _, tc := range append(exampleParityCases(t), servedParityCase(t)) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,20 +164,15 @@ func TestPlannerFragmentParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := st.Current().Reader()
-			trace := obs.NewSpanTrace("parity", obs.SpanContext{})
 			frag, err := core.NewExtractor(r, tc.h).FragmentParallel(requests, core.ParallelOptions{
 				Workers: 4,
 				Plans:   plans,
-				Span:    trace.Root(),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := turtle.FormatNTriples(frag); got != want {
 				t.Errorf("plan fragment differs from AST (%d vs %d bytes)", len(got), len(want))
-			}
-			if spanNamed(trace.Root(), "ast-exec") {
-				t.Error("a work unit ran on the AST walker")
 			}
 		})
 	}

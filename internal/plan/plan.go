@@ -322,7 +322,7 @@ func (p *Program) String() string {
 }
 
 // Set is a group of programs compiled against one schema, one per request
-// shape, in request order. A nil entry runs its request on the AST walker.
+// shape, in request order.
 type Set struct {
 	Programs []*Program
 }

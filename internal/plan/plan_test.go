@@ -322,19 +322,21 @@ func TestVisitedGenerationWrap(t *testing.T) {
 		nodes = append(nodes, g.LookupTerm(rdf.NewIRI(fmt.Sprintf("%ss%d", shapetest.Base, k%period))))
 	}
 	phi := shape.Min(1, paths.P(p.Value), shape.Min(1, paths.P(q.Value), shape.TrueShape()))
-	units := func(prog *plan.Program) [][]rdfgraph.IDTriple {
-		var out [][]rdfgraph.IDTriple
-		err := core.NewExtractor(g, nil).Neighborhoods(phi, prog, nodes, func(ts []rdfgraph.IDTriple) {
-			u := slices.Clone(ts)
-			rdfgraph.SortIDTriples(g.Dict(), u)
-			out = append(out, u)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	var got, want [][]rdfgraph.IDTriple
+	err := core.Neighborhoods(g, plan.Compile(phi, nil), nodes, func(ts []rdfgraph.IDTriple) {
+		u := slices.Clone(ts)
+		rdfgraph.SortIDTriples(g.Dict(), u)
+		got = append(got, u)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, got := units(nil), units(plan.Compile(phi, nil))
+	x := core.NewExtractor(g, nil)
+	for _, v := range nodes {
+		per := rdfgraph.NewIDTripleSet()
+		x.NeighborhoodInto(v, phi, per, make(map[core.VisitKey]struct{}))
+		want = append(want, per.Sorted(g.Dict()))
+	}
 	if len(got) != len(nodes) || len(want) != len(nodes) {
 		t.Fatalf("%d plan units and %d AST units for %d foci", len(got), len(want), len(nodes))
 	}
