@@ -74,11 +74,12 @@ bench-live:
 
 # The read routes in process: GET /node over every definition and a
 # one-shape GET /fragment, cache warm, shape-scan's 57-shape /fragment
-# sweep and hub-path's cold hub /fragment, through Server.Handler(),
+# sweep and hub-path's cold hub /fragment, through Server.Handler(), and
+# the plan engine alone on warm memo rows (PlanExtraction/steady-state),
 # snapshotted into the trajectory. The allocation columns of the first two
 # are what TestWarmNodeAllocs gates.
 bench-serve:
-	$(GO) run ./cmd/benchjson -bench 'ServeNodeWarm|ServeFragmentShape|ServeFragmentSweep|ServeHubFragment' -benchtime 2s -dir . \
+	$(GO) run ./cmd/benchjson -bench 'ServeNodeWarm|ServeFragmentShape|ServeFragmentSweep|ServeHubFragment|PlanExtraction/steady-state' -benchtime 2s -dir . \
 		-meta series=serve
 
 # Path tracing in process: the Figure 3 series on all three engines, the

@@ -554,6 +554,9 @@ func pathBase(p string) string {
 // the given number of open subscriptions draining their streams. The
 // subs=N cases mutate a hot node detached from the Tyrol graph and call the
 // maintainer directly: a best case that prices the fanout, nothing else.
+// With no subscription no fragment is materialized, so that case times
+// Store.Apply plus a Notify with nothing to maintain, and is named for it:
+// empty-notify.
 // heap-MB reports the post-run live heap — the materialized fragment,
 // replay rings and queues must stay bounded as subscriptions scale to
 // 1000+. The giant cases are the write path as served: a Review wired into
@@ -567,7 +570,11 @@ func BenchmarkLiveUpdates(b *testing.B) {
 	hot := rdf.NewIRI("http://live.example/hot")
 	vi := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://live.example/v%d", i)) }
 	for _, subs := range []int{0, 100, 1000} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+		name := fmt.Sprintf("subs=%d", subs)
+		if subs == 0 {
+			name = "empty-notify"
+		}
+		b.Run(name, func(b *testing.B) {
 			hasP := shape.Min(1, paths.P("http://live.example/p"), shape.TrueShape())
 			h := schema.MustNew(schema.Definition{Name: rdf.NewIRI("http://live.example/S"), Shape: hasP, Target: hasP})
 			g := tyrolGraph(1000)

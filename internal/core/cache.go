@@ -135,27 +135,53 @@ func findCol(row []*neighborhoodEntry, col int32) (int, bool) {
 // Get returns the cached neighborhood of (v, φ) valid at the given epoch
 // and whether there is one.
 func (c *NeighborhoodCache) Get(epoch uint64, v rdfgraph.ID, phi shape.Shape) ([]rdfgraph.IDTriple, bool) {
-	ts, n := c.getRun(epoch, v, []shape.Shape{phi}, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	col, ok := c.cols[phi]
+	if !ok {
+		col = -1 // no column, so no entry: a miss
+	}
+	ts, n := c.getRun(epoch, v, []int32{col}, nil)
 	return ts, n == 1
 }
 
-// getRun is Get for shapes[0], shapes[1], … in order under one lock
-// acquisition and one row lookup: each hit's triples are appended to dst,
-// and the run stops at the first miss. It returns how many shapes were
-// served, so shapes[n] (if any) is the one that missed. Counters and
-// reference marks move exactly as under that many separate Gets. Shapes
-// in column order are found by walking the row forward; others by search.
-func (c *NeighborhoodCache) getRun(epoch uint64, v rdfgraph.ID, shapes []shape.Shape, dst []rdfgraph.IDTriple) ([]rdfgraph.IDTriple, int) {
+// Columns returns the column of each of shapes, the number a lookup
+// matches row entries by, giving each shape the cache has not seen the
+// next free one, as its first Put would. A caller that looks up the same
+// shapes over and over (NeighborhoodsCached) asks once.
+func (c *NeighborhoodCache) Columns(shapes []shape.Shape) []int32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	row, j := c.rows[v], 0
+	cols := make([]int32, len(shapes))
 	for i, phi := range shapes {
-		ok := j < len(row) && c.byCol[row[j].col] == phi
+		cols[i] = c.column(phi)
+	}
+	return cols
+}
+
+// column returns φ's column, assigning the next free one on first sight.
+// c.mu is held.
+func (c *NeighborhoodCache) column(phi shape.Shape) int32 {
+	col, ok := c.cols[phi]
+	if !ok {
+		col = int32(len(c.byCol))
+		c.cols[phi], c.byCol = col, append(c.byCol, phi)
+	}
+	return col
+}
+
+// getRun is Get for the shapes of columns cols[0], cols[1], … in order,
+// under the caller's hold of c.mu and one row lookup: each hit's triples are
+// appended to dst, and the run stops at the first miss. It returns how many
+// were served, so cols[n] (if any) is the one that missed. Counters and
+// reference marks move exactly as under that many separate Gets. Columns in
+// row order are found by walking the row forward; others by search.
+func (c *NeighborhoodCache) getRun(epoch uint64, v rdfgraph.ID, cols []int32, dst []rdfgraph.IDTriple) ([]rdfgraph.IDTriple, int) {
+	row, j := c.rows[v], 0
+	for i, col := range cols {
+		ok := j < len(row) && row[j].col == col
 		if !ok {
-			var col int32
-			if col, ok = c.cols[phi]; ok {
-				j, ok = findCol(row, col)
-			}
+			j, ok = findCol(row, col)
 		}
 		if !ok || !c.valid(row[j], epoch) {
 			c.misses++
@@ -166,7 +192,7 @@ func (c *NeighborhoodCache) getRun(epoch uint64, v rdfgraph.ID, shapes []shape.S
 		dst = append(dst, row[j].triples...)
 		j++
 	}
-	return dst, len(shapes)
+	return dst, len(cols)
 }
 
 // Put stores the neighborhood of (v, φ) computed at the given epoch,
@@ -186,11 +212,7 @@ func (c *NeighborhoodCache) Put(epoch uint64, v rdfgraph.ID, phi shape.Shape, ts
 	if epoch < c.applied {
 		return
 	}
-	col, ok := c.cols[phi]
-	if !ok {
-		col = int32(len(c.byCol))
-		c.cols[phi], c.byCol = col, append(c.byCol, phi)
-	}
+	col := c.column(phi)
 	row := c.rows[v]
 	if j, ok := findCol(row, col); ok {
 		if en := row[j]; en.from > epoch || c.valid(en, epoch) {
@@ -303,10 +325,11 @@ func (x *Extractor) NeighborhoodIDsCached(cache *NeighborhoodCache, epoch uint64
 // cache hits share one lock acquisition (a fully cached node costs one),
 // and ctx is polled once up front and once after each miss rather than once
 // per shape — and, from the first miss on, by the path searches themselves:
-// one that ctx ends mid-search comes back as ctx.Err(), with nothing of the
-// interrupted neighborhood cached. The result may repeat triples that
-// several shapes select.
-func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, shapes []shape.Shape, dst []rdfgraph.IDTriple) (out []rdfgraph.IDTriple, err error) {
+// one that ctx ends mid-search comes back as its error (ctxErr), with
+// nothing of the interrupted neighborhood cached. The result may repeat triples that
+// several shapes select. cols are cache.Columns(shapes), which a caller
+// asking for the same shapes again keeps, or nil to ask for them here.
+func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, shapes []shape.Shape, cols []int32, dst []rdfgraph.IDTriple) (out []rdfgraph.IDTriple, err error) {
 	stoppable := false // a warm hit runs no search and installs nothing
 	defer func() {
 		if !stoppable {
@@ -316,18 +339,23 @@ func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *Neighborhood
 		// recover nothing.
 		x.ev.SetStop(nil)
 		if r := recover(); r == paths.ErrStopped {
-			out, err = nil, ctx.Err()
+			out, err = nil, ctxErr(ctx)
 		} else if r != nil {
 			panic(r)
 		}
 	}()
 	for i := 0; i < len(shapes); i++ {
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		if cache != nil {
+			if cols == nil {
+				cols = cache.Columns(shapes)
+			}
+			cache.mu.Lock()
 			var n int
-			dst, n = cache.getRun(epoch, v, shapes[i:], dst)
+			dst, n = cache.getRun(epoch, v, cols[i:], dst)
+			cache.mu.Unlock()
 			if i += n; i == len(shapes) {
 				break
 			}

@@ -36,7 +36,7 @@ func TestNeighborhoodsCachedMatchesPerShape(t *testing.T) {
 			for _, phi := range ss {
 				want = append(want, x.NeighborhoodIDsCached(perShape, 1, v, phi)...)
 			}
-			got, err := x.NeighborhoodsCached(context.Background(), batched, 1, v, ss, nil)
+			got, err := x.NeighborhoodsCached(context.Background(), batched, 1, v, ss, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestNeighborhoodsCachedMatchesPerShape(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := x.NeighborhoodsCached(ctx, batched, 1, nodes[0], shapes, nil); err == nil {
+	if _, err := x.NeighborhoodsCached(ctx, batched, 1, nodes[0], shapes, nil, nil); err == nil {
 		t.Error("a cancelled context must stop even a fully cached lookup")
 	}
 }

@@ -146,7 +146,17 @@ func TestNeighborhoodCacheMatchesModel(t *testing.T) {
 								wantN = i
 							}
 						}
-						got, n := c.getRun(e, v, list, nil)
+						cols := make([]int32, len(list))
+						c.mu.Lock()
+						for i, phi := range list {
+							if col, ok := c.cols[phi]; ok {
+								cols[i] = col
+							} else {
+								cols[i] = -1
+							}
+						}
+						got, n := c.getRun(e, v, cols, nil)
+						c.mu.Unlock()
 						if n != wantN || !slices.Equal(got, want) {
 							t.Fatalf("op %d: getRun(%d, %d, %v) served %d: %v; model %d: %v", op, e, v, idx, n, got, wantN, want)
 						}

@@ -32,7 +32,8 @@ type ParallelOptions struct {
 	// Ctx, when non-nil, aborts extraction between work units and inside a
 	// path search (polled every few thousand product edges, so one source
 	// under a star path on a hub is interruptible); the error returned is
-	// ctx.Err(). Used by the HTTP server for request timeouts.
+	// ctx.Err(), or context.DeadlineExceeded once ctx's deadline has passed
+	// (ctxErr). Used by the HTTP server for request timeouts.
 	Ctx context.Context
 	// Epoch is ignored, like Cache, and kept for the same reason.
 	Epoch uint64
@@ -60,7 +61,24 @@ func stopOf(ctx context.Context) func() bool {
 	if ctx == nil {
 		return nil
 	}
-	return func() bool { return ctx.Err() != nil }
+	return func() bool { return ctxErr(ctx) != nil }
+}
+
+// ctxErr is ctx.Err(), except that a deadline already past reads as
+// context.DeadlineExceeded before the runtime timer that ends ctx has run:
+// on a loaded machine that timer can run milliseconds late, and a request
+// budget bounds compute, not timer delivery. A nil ctx never ends.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // WithStop runs fn while the path searches of x's AST walker poll ctx: one
@@ -72,7 +90,7 @@ func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 	defer func() {
 		x.ev.SetStop(nil) // x outlives the call, and its other callers recover nothing
 		if r := recover(); r == paths.ErrStopped {
-			err = ctx.Err()
+			err = ctxErr(ctx)
 		} else if r != nil {
 			panic(r)
 		}
@@ -177,7 +195,7 @@ func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOption
 func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOptions) (triples []rdfgraph.IDTriple, nodes int, err error) {
 	defer func() {
 		if r := recover(); r == paths.ErrStopped {
-			triples, err = nil, opts.Ctx.Err()
+			triples, err = nil, ctxErr(opts.Ctx)
 		} else if r != nil {
 			triples, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 		}
@@ -230,7 +248,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 	// until none are left, opts.Ctx ends or another worker panicked.
 	work := func(out *rdfgraph.IDTripleSet) {
 		for {
-			if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			if ctxErr(opts.Ctx) != nil {
 				cancelled.Store(true)
 				return
 			}
@@ -275,7 +293,7 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 		return nil, total, pe
 	}
 	if cancelled.Load() {
-		return nil, total, opts.Ctx.Err()
+		return nil, total, ctxErr(opts.Ctx)
 	}
 	defer opts.Span.StartChild("merge").End()
 	// The union grows the first worker's set, whose table the pool keeps,

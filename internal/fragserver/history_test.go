@@ -34,7 +34,7 @@ func coldNodeBody(t testing.TB, srv *Server, v rdf.Term) string {
 	for _, d := range srv.h.Definitions() {
 		defs = append(defs, d.Shape)
 	}
-	ids, err := core.NewExtractor(r, srv.h).NeighborhoodsCached(context.Background(), nil, snap.Epoch(), id, defs, nil)
+	ids, err := core.NewExtractor(r, srv.h).NeighborhoodsCached(context.Background(), nil, snap.Epoch(), id, defs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

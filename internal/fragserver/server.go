@@ -217,10 +217,13 @@ type Server struct {
 	// definition i's class representative, the key /node caches and
 	// extracts i's neighborhoods under, and nodeAll lists the distinct
 	// representatives in definition order, the work list when no shape is
-	// named. No epoch touches any of the three again.
+	// named. No epoch touches any of the three again. keyCols and allCols
+	// are their shapes' cache columns, which lookups match entries by.
 	classes  *contain.Classes
 	nodeKeys []shape.Shape
 	nodeAll  []shape.Shape
+	keyCols  []int32
+	allCols  []int32
 
 	// live maintains materialized fragments incrementally across epochs
 	// and fans per-epoch deltas out to /subscribe streams (never nil after
@@ -353,6 +356,7 @@ func New(cfg Config) (*Server, error) {
 		// reach (POST /update's invalidate stage).
 		s.cache.SetFootprints(s.nodeAll, cfg.Schema)
 		s.cache.SetEpoch(st.Current().Epoch())
+		s.keyCols, s.allCols = s.cache.Columns(s.nodeKeys), s.cache.Columns(s.nodeAll)
 	}
 	s.hb = cfg.Heartbeat
 	if s.hb <= 0 {
@@ -632,7 +636,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	// when no shape is given, each looked up under its class
 	// representative's pointer-stable shape (nodeKeys).
 	target := root.StartChild("target")
-	shapes := s.nodeAll
+	shapes, cols := s.nodeAll, s.allCols
 	if name := queryValue(r.URL.RawQuery, "shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
@@ -641,6 +645,9 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		shapes = s.nodeKeys[i : i+1]
+		if s.cache != nil {
+			cols = s.keyCols[i : i+1]
+		}
 	}
 	snap := s.snapshot(w)
 	// LookupTerm never interns, so an unknown focus cannot mutate the
@@ -660,7 +667,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	// Before duplicates go, nine nodes in ten of the benchmark graph stay
 	// under a hundred triples: those never leave the stack.
 	var small [128]rdfgraph.IDTriple
-	ids, err := x.NeighborhoodsCached(r.Context(), s.cache, snap.Epoch(), id, shapes, small[:0])
+	ids, err := x.NeighborhoodsCached(r.Context(), s.cache, snap.Epoch(), id, shapes, cols, small[:0])
 	s.release(x)
 	if err != nil {
 		extract.End()
@@ -761,7 +768,7 @@ func (s *Server) streamNTriples(w http.ResponseWriter, r *http.Request, d *rdfgr
 		if i%256 == 0 && ctx.Err() != nil {
 			return
 		}
-		if nw.WriteTriple(d.Triple(t)) != nil {
+		if nw.WriteIDTriple(d, t) != nil {
 			return
 		}
 	}

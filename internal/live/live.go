@@ -491,7 +491,7 @@ func lines(d *rdfgraph.Dict, ts []rdfgraph.IDTriple) []string {
 	out := make([]string, 0, len(ts))
 	var line []byte
 	for _, t := range ts {
-		line = d.Triple(t).AppendNTriples(line[:0])
+		line = d.AppendNTriples(line[:0], t)
 		out = append(out, string(append(line, " ."...)))
 	}
 	return out

@@ -135,11 +135,11 @@ type state struct {
 	// visited are exactly the ones it touched.
 	spare *pageSet
 
-	// decided holds, per ≥1 instruction over an automaton slot, the sources
-	// decide last searched from and the witnesses it found among their
-	// E-values, so that collect traces from them instead of searching again.
-	// Like the memo rows they read against, they hold for the Bound's
-	// lifetime; unlike them they are reused across Binds.
+	// decided holds, per instruction decide has a set form for, what its
+	// last set decision found, so that collect reads it back instead of
+	// searching or scanning again. Like the memo rows they read against,
+	// they hold for the Bound's lifetime; unlike them they are reused across
+	// Binds.
 	decided []decision
 
 	// Per-depth scratch for successor, property-value, witness and focus
@@ -152,18 +152,14 @@ type state struct {
 	srcs  [][]rdfgraph.ID
 	depth int
 
-	// ids is the list appendID grows: the graph callback of pathValues and
-	// propValues, bound once here because a func literal at the call would
+	// ids is the list appendID grows: the graph callback of appendRow,
+	// bound once here because a func literal at the call would
 	// escape through the Reader interface and be heap-allocated per call.
 	ids      []rdfgraph.ID
 	appendID func(rdfgraph.ID)
 
 	// langs is the uniqueLang scratch map, cleared per evaluation.
 	langs map[string]rdfgraph.ID
-
-	// Checks counts conformance evaluations actually run (memo misses),
-	// mirroring shape.Evaluator.Checks.
-	Checks int
 }
 
 // Bind binds p to g. It costs a pool take when p has already been bound to
@@ -338,14 +334,14 @@ func (b *Bound) Release() {
 	}
 	for k := range s.decided {
 		dc := &s.decided[k]
-		dc.srcs, dc.wit = dc.srcs[:0], dc.wit[:0]
-		scratchBytes += 4 * (cap(dc.srcs) + cap(dc.wit))
+		dc.srcs, dc.wit, dc.ends = dc.srcs[:0], dc.wit[:0], dc.ends[:0]
+		scratchBytes += 4 * (cap(dc.srcs) + cap(dc.wit) + cap(dc.ends))
 	}
 	if scratchBytes > maxPooledScratch {
 		s.succ, s.vals, s.wit, s.srcs = nil, nil, nil, nil
 		clear(s.decided)
 	}
-	s.g, s.resolution, s.spare, s.ids, s.depth, s.gen, s.Checks = nil, nil, nil, nil, 0, 1, 0
+	s.g, s.resolution, s.spare, s.ids, s.depth, s.gen = nil, nil, nil, nil, 0, 1
 	s.prog.states.Put(s)
 }
 
@@ -354,7 +350,6 @@ func (b *Bound) Conforms(v rdfgraph.ID, i int32) bool {
 	if m := b.cell(b.memo, i, v); m != 0 {
 		return m == 1
 	}
-	b.Checks++
 	res := b.eval(v, i)
 	b.setMemo(i, v, res)
 	return res
@@ -391,17 +386,9 @@ func putScratch(pool *[][]rdfgraph.ID, d int, buf []rdfgraph.ID) {
 // memoized slice. Callers must not retain or modify it.
 func (b *Bound) pathValues(slot int32, v rdfgraph.ID, d int) []rdfgraph.ID {
 	if a := b.atomics[slot]; a.ok {
-		b.ids = scratch(&b.succ, d)
-		if a.pred != rdfgraph.NoID {
-			if a.fwd {
-				b.g.Objects(v, a.pred, b.appendID)
-			} else {
-				b.g.Subjects(a.pred, v, b.appendID)
-			}
-		}
-		slices.Sort(b.ids)
-		putScratch(&b.succ, d, b.ids)
-		return b.ids
+		vals := b.appendRow(scratch(&b.succ, d), a, v)
+		putScratch(&b.succ, d, vals)
+		return vals
 	}
 	return b.pes[slot].Eval(v)
 }
@@ -409,13 +396,25 @@ func (b *Bound) pathValues(slot int32, v rdfgraph.ID, d int) []rdfgraph.ID {
 // propValues returns ⟦p⟧G(v) for instruction i's Pred operand, sorted, in
 // the depth-d vals scratch buffer.
 func (b *Bound) propValues(i int32, v rdfgraph.ID, d int) []rdfgraph.ID {
-	b.ids = scratch(&b.vals, d)
-	if pid := b.preds[i]; pid != rdfgraph.NoID {
-		b.g.Objects(v, pid, b.appendID)
-		slices.Sort(b.ids)
+	vals := b.appendRow(scratch(&b.vals, d), atomicPath{ok: true, fwd: true, pred: b.preds[i]}, v)
+	putScratch(&b.vals, d, vals)
+	return vals
+}
+
+// appendRow appends ⟦E⟧G(v) for an atomic slot, sorted — one index row — to
+// dst.
+func (b *Bound) appendRow(dst []rdfgraph.ID, a atomicPath, v rdfgraph.ID) []rdfgraph.ID {
+	start := len(dst)
+	if b.ids = dst; a.pred != rdfgraph.NoID {
+		if a.fwd {
+			b.g.Objects(v, a.pred, b.appendID)
+		} else {
+			b.g.Subjects(a.pred, v, b.appendID)
+		}
 	}
-	putScratch(&b.vals, d, b.ids)
-	return b.ids
+	dst, b.ids = b.ids, nil
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // eval decides instruction i at v. The cases mirror shape.Evaluator.eval
@@ -453,50 +452,25 @@ func (b *Bound) eval(v rdfgraph.ID, i int32) bool {
 			return b.Conforms(v, in.Args[0])
 		}
 		return !b.Conforms(v, in.Args[0])
-	case OpMin:
-		d := b.depth
-		b.depth++
-		values := b.pathValues(in.Path, v, d)
+	case OpMin, OpMax, OpForall:
+		if b.atomics[in.Path].ok {
+			// The one-node set: decideAtomic is the only per-node rule of an
+			// atomic quantifier, and collect reads its record back.
+			b.decideAtomic([]rdfgraph.ID{v}, i)
+			return b.cell(b.memo, i, v) == 1
+		}
 		count := 0
-		for _, x := range values {
+		for _, x := range b.pes[in.Path].Eval(v) {
 			if b.Conforms(x, in.Args[0]) {
 				count++
-				if count >= in.N {
-					b.depth--
-					return true
-				}
-			}
-		}
-		b.depth--
-		return count >= in.N // covers n = 0
-	case OpMax:
-		d := b.depth
-		b.depth++
-		values := b.pathValues(in.Path, v, d)
-		count := 0
-		for _, x := range values {
-			if b.Conforms(x, in.Args[0]) {
-				count++
-				if count > in.N {
-					b.depth--
-					return false
-				}
-			}
-		}
-		b.depth--
-		return true
-	case OpForall:
-		d := b.depth
-		b.depth++
-		values := b.pathValues(in.Path, v, d)
-		for _, x := range values {
-			if !b.Conforms(x, in.Args[0]) {
-				b.depth--
+			} else if in.Op == OpForall {
 				return false
 			}
+			if in.Op == OpMin && count >= in.N || in.Op == OpMax && count > in.N {
+				break
+			}
 		}
-		b.depth--
-		return true
+		return holds(in, count, count)
 	case OpEq:
 		d := b.depth
 		b.depth++

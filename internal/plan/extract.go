@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 )
@@ -44,56 +46,77 @@ func (b *Bound) ResetVisited() {
 // trace unions graph(paths(E, G, v, targets)) into out for a path slot:
 // the plan-level equivalent of core.Extractor.addTrace without attribution
 // (plans carry no recorder; core runs the AST extractor when attribution
-// is requested).
+// is requested). Every target must be in ⟦E⟧G(v), as every caller's are:
+// they are filtered out of the values themselves, so an atomic slot's
+// trace is the edge to each target, added without a lookup.
 func (b *Bound) trace(slot int32, v rdfgraph.ID, targets []rdfgraph.ID, out *rdfgraph.IDTripleSet) {
-	if len(targets) == 0 {
-		return
-	}
 	if a := b.atomics[slot]; a.ok {
-		if a.pred == rdfgraph.NoID {
-			return
-		}
 		for _, t := range targets {
-			if a.fwd {
-				if b.g.HasIDs(v, a.pred, t) {
-					out.Add(rdfgraph.IDTriple{S: v, P: a.pred, O: t})
-				}
-			} else if b.g.HasIDs(t, a.pred, v) {
-				out.Add(rdfgraph.IDTriple{S: t, P: a.pred, O: v})
-			}
+			out.Add(a.edge(v, t))
 		}
 		return
 	}
-	b.pes[slot].TraceInto(v, targets, out)
+	if len(targets) > 0 {
+		b.pes[slot].TraceInto(v, targets, out)
+	}
 }
 
-// decide settles instruction i at those of nodes one search can answer for
-// together, filling the memo row Conforms reads: ≥1 E.ψ over an automaton
-// slot holds at exactly the sources the backward pass from ψ's conformers
-// among ⟦E⟧G(nodes) comes back to. The rest is left to Conforms.
+// edge is the triple an atomic slot's path from v to its value x is.
+func (a atomicPath) edge(v, x rdfgraph.ID) rdfgraph.IDTriple {
+	if a.fwd {
+		return rdfgraph.IDTriple{S: v, P: a.pred, O: x}
+	}
+	return rdfgraph.IDTriple{S: x, P: a.pred, O: v}
+}
+
+// decide settles instruction i at those of nodes a set pass can answer for
+// together, filling the memo row Conforms reads, and records what it found
+// for collect. A quantifier over an atomic slot is decideAtomic's; ≥1 E.ψ
+// over an automaton slot holds at exactly the sources the backward pass
+// from ψ's conformers among ⟦E⟧G(nodes) comes back to. The rest is left to
+// Conforms.
 func (b *Bound) decide(nodes []rdfgraph.ID, i int32) {
 	in := &b.prog.Instrs[i]
+	if !in.sets {
+		return
+	}
 	switch in.Op {
 	case OpAnd, OpOr, OpRef:
-		for _, c := range in.Args {
-			b.decide(nodes, c)
+		// Each argument is decided where i is still open after the ones
+		// before it, as eval's short circuit asks it. Where i is decided,
+		// collect asks its arguments only at the nodes it holds at, and
+		// decides them itself.
+		d := b.depth
+		b.depth++
+		open := b.open(nodes, i, d)
+		for k, c := range in.Args {
+			if len(open) == 0 {
+				break
+			}
+			b.decide(open, c)
+			if k+1 < len(in.Args) {
+				kept := open[:0]
+				for _, v := range open {
+					if b.Conforms(v, c) == (in.Op == OpAnd) {
+						kept = append(kept, v)
+					}
+				}
+				open = kept
+			}
 		}
-	case OpMin:
+		b.depth--
+	case OpMin, OpMax, OpForall:
 		pe := b.pes[in.Path]
-		if in.N != 1 || pe == nil {
+		if pe == nil {
+			b.decideAtomic(nodes, i)
 			return
+		}
+		if in.Op != OpMin || in.N != 1 {
+			return // counted per source, by eval
 		}
 		d := b.depth
 		b.depth++
-		open := scratch(&b.srcs, d)
-		for _, v := range nodes {
-			if b.cell(b.memo, i, v) == 0 {
-				open = append(open, v)
-			}
-		}
-		putScratch(&b.srcs, d, open)
-		if len(open) > 0 {
-			b.Checks += len(open)
+		if open := b.open(nodes, i, d); len(open) > 0 {
 			wit := b.witnesses(in, pe.EvalSet(open, scratch(&b.wit, d)), d)
 			for j, reached := range pe.TraceSetInto(open, wit, nil) {
 				b.setMemo(i, open[j], reached)
@@ -105,16 +128,132 @@ func (b *Bound) decide(nodes []rdfgraph.ID, i int32) {
 	}
 }
 
-// decision is what decide found for a ≥1 instruction over an automaton slot:
-// the sources it searched from and the witnesses among their E-values.
-type decision struct {
-	srcs, wit []rdfgraph.ID
+// open returns those of nodes at which i's memo row is unknown, in the
+// depth-d srcs scratch.
+func (b *Bound) open(nodes []rdfgraph.ID, i int32, d int) []rdfgraph.ID {
+	open := slices.Grow(scratch(&b.srcs, d), len(nodes))
+	for _, v := range nodes {
+		if b.cell(b.memo, i, v) == 0 {
+			open = append(open, v)
+		}
+	}
+	putScratch(&b.srcs, d, open)
+	return open
 }
 
-// decidedFor reports whether instruction i's last decision answers for foci:
-// they are a subsequence of its sources, and every other source does not
-// conform. Such a source has no E-path to a witness, so its witnesses are
-// those of foci, and so is its trace.
+// undecided reports whether i's memo row is unknown at one of nodes.
+func (b *Bound) undecided(nodes []rdfgraph.ID, i int32) bool {
+	for _, v := range nodes {
+		if b.cell(b.memo, i, v) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// decideAtomic settles quantifier i over an atomic slot at the undecided
+// among nodes: it scans each one's index row once, decides the body once
+// over the distinct values, and counts each verdict off its own values. It
+// records the conforming foci in order with their witnesses — the values
+// collect traces to and recurses into: the body's conformers for ≥n, its
+// non-conformers for ≤n, every value for ∀. A call that finds every node
+// decided keeps the last record.
+func (b *Bound) decideAtomic(nodes []rdfgraph.ID, i int32) {
+	if !b.undecided(nodes, i) {
+		return
+	}
+	in := &b.prog.Instrs[i]
+	a, body, dc := b.atomics[in.Path], in.Args[0], &b.decided[i]
+	// One growth to the bound, not a doubling series from empty.
+	srcs, vals, ends := slices.Grow(dc.srcs[:0], len(nodes)), dc.wit[:0], slices.Grow(dc.ends[:0], len(nodes))
+	for _, v := range nodes {
+		if b.cell(b.memo, i, v) != 0 {
+			continue
+		}
+		vals = b.appendRow(vals, a, v)
+		srcs, ends = append(srcs, v), append(ends, int32(len(vals)))
+	}
+	d := b.depth
+	b.depth++
+	defer func() { b.depth-- }()
+	if b.prog.Instrs[body].sets {
+		distinct := append(scratch(&b.wit, d), vals...)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		putScratch(&b.wit, d, distinct)
+		b.decide(distinct, body)
+	}
+	// Compact in place: a focus's witnesses and record entry are written at
+	// or before where they were read.
+	kept, keptEnds, w, lo := srcs[:0], ends[:0], 0, int32(0)
+	for k, v := range srcs {
+		hi, start, count := ends[k], w, 0
+		for _, x := range vals[lo:hi] {
+			ok := b.bodyHolds(in, x)
+			if ok {
+				count++
+			}
+			if in.Op == OpForall || ok == (in.Op == OpMin) {
+				vals[w] = x
+				w++
+			}
+		}
+		if holds(in, count, int(hi-lo)) {
+			b.setMemo(i, v, true)
+			kept, keptEnds = append(kept, v), append(keptEnds, int32(w))
+		} else {
+			b.setMemo(i, v, false)
+			w = start
+		}
+		lo = hi
+	}
+	dc.srcs, dc.wit, dc.ends = kept, vals[:w], keptEnds
+}
+
+// bodyHolds reports whether value x conforms to quantifier in's body,
+// through hasShape to what it names. ⊤ and hasValue are read off the
+// instruction rather than taking a memo page for every value; a node test
+// is memoized, since values recur across foci and a test can parse.
+func (b *Bound) bodyHolds(in *Instr, x rdfgraph.ID) bool {
+	c := in.Args[0]
+	for b.prog.Instrs[c].Op == OpRef {
+		c = b.prog.Instrs[c].Args[0]
+	}
+	switch b.prog.Instrs[c].Op {
+	case OpTrue:
+		return true
+	case OpHasValue:
+		return b.consts[c] != rdfgraph.NoID && x == b.consts[c]
+	}
+	return b.Conforms(x, c)
+}
+
+// holds is quantifier in's verdict at a focus count of whose n values
+// conform to its body.
+func holds(in *Instr, count, n int) bool {
+	switch in.Op {
+	case OpMin:
+		return count >= in.N
+	case OpMax:
+		return count <= in.N
+	}
+	return count == n
+}
+
+// decision is what decide last found for a quantifier: the sources it
+// decided and the witnesses among their E-values. The ≥1 search over an
+// automaton slot records every source it searched from and one witness set
+// for them all; decideAtomic records the conforming sources, and ends[k]
+// ends srcs[k]'s witnesses in wit.
+type decision struct {
+	srcs, wit []rdfgraph.ID
+	ends      []int32
+}
+
+// decidedFor reports whether automaton instruction i's last decision
+// answers for foci: they are a subsequence of its sources, and every other
+// source does not conform. Such a source has no E-path to a witness, so its
+// witnesses are those of foci, and so is its trace.
 func (b *Bound) decidedFor(i int32, foci []rdfgraph.ID) bool {
 	j := 0
 	for _, v := range b.decided[i].srcs {
@@ -136,7 +275,7 @@ func (b *Bound) witnesses(in *Instr, vals []rdfgraph.ID, d int) []rdfgraph.ID {
 		b.decide(vals, in.Args[0])
 		kept := vals[:0]
 		for _, x := range vals {
-			if b.Conforms(x, in.Args[0]) == (in.Op == OpMin) {
+			if b.bodyHolds(in, x) == (in.Op == OpMin) {
 				kept = append(kept, x)
 			}
 		}
@@ -148,13 +287,18 @@ func (b *Bound) witnesses(in *Instr, vals []rdfgraph.ID, d int) []rdfgraph.ID {
 
 // collect implements Table 2 for instruction i at the foci among nodes: those
 // not yet visited for i that conform to it, since B(v, G, φ) = ∅ when v does
-// not. The cases mirror core.Extractor.collect exactly.
+// not. It returns at once where i emits nothing. The cases mirror
+// core.Extractor.collect exactly.
 func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet) {
+	in := &b.prog.Instrs[i]
+	if !in.Emits {
+		return
+	}
 	d := b.depth // the depth whose scratch holds foci and their witnesses
 	b.depth++
 	defer func() { b.depth-- }()
 	b.decide(nodes, i)
-	foci := scratch(&b.srcs, d)
+	foci := slices.Grow(scratch(&b.srcs, d), len(nodes))
 	for _, v := range nodes {
 		if c := b.touch(b.visited, i, v); *c != b.gen {
 			*c = b.gen
@@ -167,12 +311,7 @@ func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet)
 	if len(foci) == 0 {
 		return
 	}
-	in := &b.prog.Instrs[i]
 	switch in.Op {
-	case OpTrue, OpFalse, OpTest, OpHasValue, OpClosed, OpDisj,
-		OpLessThan, OpLessThanEq, OpMoreThan, OpMoreThanEq, OpUniqueLang:
-		// Minimal neighborhoods: no triples as evidence (Section 3.1).
-
 	case OpRef, OpAnd, OpOr:
 		// Conjunctions collect every conjunct; disjunctions collect every
 		// conforming disjunct (collect itself skips non-conforming foci).
@@ -188,11 +327,11 @@ func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet)
 		if in.Op == OpMax {
 			next = in.Args[1]
 		}
+		var wit []rdfgraph.ID
 		if pe := b.pes[in.Path]; pe != nil {
 			// Each focus's witnesses are its values cut with one set, so
 			// tracing from all foci to all witnesses adds no path. Where
 			// decide already searched for them, its trace is read back.
-			var wit []rdfgraph.ID
 			if dc := &b.decided[i]; b.decidedFor(i, foci) {
 				wit = append(scratch(&b.wit, d), dc.wit...)
 				putScratch(&b.wit, d, wit)
@@ -201,14 +340,10 @@ func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet)
 				wit = b.witnesses(in, pe.EvalSet(foci, scratch(&b.wit, d)), d)
 				pe.TraceSetInto(foci, wit, out)
 			}
-			b.collect(wit, next, out)
-			return
+		} else {
+			wit = b.collectAtomic(foci, i, d, out)
 		}
-		for _, v := range foci {
-			wit := b.witnesses(in, append(scratch(&b.wit, d), b.pathValues(in.Path, v, d)...), d)
-			b.trace(in.Path, v, wit, out)
-			b.collect(wit, next, out)
-		}
+		b.collect(wit, next, out)
 
 	case OpEq:
 		for _, v := range foci {
@@ -235,6 +370,58 @@ func (b *Bound) collect(nodes []rdfgraph.ID, i int32, out *rdfgraph.IDTripleSet)
 	default:
 		panic("plan: shape not in NNF in collect")
 	}
+}
+
+// collectAtomic adds the edge from each focus of quantifier i, over an
+// atomic slot, to each of its witnesses, read off decideAtomic's record
+// where it holds the focus and found by one row scan where it does not.
+// It returns the union of the witnesses, sorted, in the depth-d wit
+// scratch — empty where the body emits nothing, since collect would not
+// descend into it.
+func (b *Bound) collectAtomic(foci []rdfgraph.ID, i int32, d int, out *rdfgraph.IDTripleSet) []rdfgraph.ID {
+	in := &b.prog.Instrs[i]
+	a, dc := b.atomics[in.Path], &b.decided[i]
+	next := in.Args[0]
+	if in.Op == OpMax {
+		next = in.Args[1]
+	}
+	union := b.prog.Instrs[next].Emits
+	wit := scratch(&b.wit, d)
+	j := 0
+	for _, v := range foci {
+		// Both lists follow the order of the nodes decide and collect were
+		// handed, sorted wherever a focus set is.
+		for j < len(dc.srcs) && dc.srcs[j] < v {
+			j++
+		}
+		var xs []rdfgraph.ID
+		if j < len(dc.srcs) && dc.srcs[j] == v {
+			lo := int32(0)
+			if j > 0 {
+				lo = dc.ends[j-1]
+			}
+			xs = dc.wit[lo:dc.ends[j]]
+		} else {
+			xs = b.pathValues(in.Path, v, d)
+			kept := xs[:0]
+			for _, x := range xs {
+				if in.Op == OpForall || b.bodyHolds(in, x) == (in.Op == OpMin) {
+					kept = append(kept, x)
+				}
+			}
+			xs = kept
+		}
+		for _, x := range xs {
+			out.Add(a.edge(v, x))
+		}
+		if union {
+			wit = append(wit, xs...)
+		}
+	}
+	slices.Sort(wit)
+	wit = slices.Compact(wit)
+	putScratch(&b.wit, d, wit)
+	return wit
 }
 
 // collectNegatedAtom handles Table 2's negated-atom rows; ai indexes the
@@ -349,11 +536,8 @@ func (b *Bound) collectNegatedAtom(v rdfgraph.ID, ai int32, out *rdfgraph.IDTrip
 			}
 		})
 
-	case OpTrue, OpFalse, OpTest, OpHasValue:
-		// Negated node-level atoms involve no triples: empty neighborhood.
-		return
-
 	default:
+		// Negated node-level atoms do not emit: collect never gets here.
 		panic("plan: negation not in NNF in collect")
 	}
 }

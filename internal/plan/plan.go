@@ -28,6 +28,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,6 +107,16 @@ type Instr struct {
 	// Shape is the NNF sub-shape this instruction decides; retained so
 	// diagnostics and the disassembler can print the algebra it came from.
 	Shape shape.Shape
+	// Emits reports whether Table 2 can put a triple into B(v, G, φ) for
+	// this instruction at some v: false for the atoms whose neighborhood is
+	// empty, the negations of node-level atoms, and ∧, ∨ and hasShape over
+	// instructions that do not emit. Collect never descends into one that
+	// does not.
+	Emits bool
+	// sets reports whether this instruction is a quantifier, or reaches one
+	// through ∧, ∨ and hasShape: whether Bound.decide may have a set form
+	// for it.
+	sets bool
 }
 
 // Program is one compiled shape: a flat instruction array plus the path
@@ -180,8 +191,41 @@ func (c *compiler) emit(s shape.Shape, build func() Instr) int32 {
 	c.byID[id] = i
 	in := build()
 	in.Shape = s
+	in.Emits, in.sets = c.emits(&in), c.sets(&in)
 	c.prog.Instrs[i] = in
 	return i
+}
+
+// emits computes in's Emits bit from Table 2 and its arguments' bits, which
+// are final: arguments compile before the instruction that uses them.
+func (c *compiler) emits(in *Instr) bool {
+	switch in.Op {
+	case OpMin, OpMax, OpForall, OpEq:
+		return true
+	case OpAnd, OpOr, OpRef:
+		return slices.ContainsFunc(in.Args, func(a int32) bool { return c.prog.Instrs[a].Emits })
+	case OpNeg:
+		if in.Name != (rdf.Term{}) {
+			return c.prog.Instrs[in.Args[0]].Emits
+		}
+		switch c.prog.Instrs[in.Args[0]].Op {
+		case OpTrue, OpFalse, OpTest, OpHasValue:
+			return false
+		}
+		return true
+	}
+	return false
+}
+
+// sets computes in's sets bit, like emits from its arguments' bits.
+func (c *compiler) sets(in *Instr) bool {
+	switch in.Op {
+	case OpMin, OpMax, OpForall:
+		return true
+	case OpAnd, OpOr, OpRef:
+		return slices.ContainsFunc(in.Args, func(a int32) bool { return c.prog.Instrs[a].sets })
+	}
+	return false
 }
 
 // compile emits instructions for an NNF shape, returning the root index.

@@ -86,16 +86,19 @@ func TestExtractionParityRandom(t *testing.T) {
 }
 
 // setShapes are the shapes the set form of Table 2 has a case of its own
-// for, over a path e that is never atomic: each quantifier at each count,
+// for. Over a path e that is never atomic: each quantifier at each count,
 // nested quantifiers sharing e's slot, a conjunct that rejects a source the
 // path accepts — a random one, and one that rejects the ≥1 E.ψ conformers
 // without a p-edge, so collect cannot read back the search decide ran over
 // them all — and every pair constraint, bare and negated, under a
-// quantifier that hands it a set of foci.
+// quantifier that hands it a set of foci. Over the atomic slots p and q⁻:
+// ≥2, ≤1 and ∀ under ∧ and ∨, nested in each other and in e's quantifiers,
+// and one slot shared by two counts, so one decision meets another's foci.
 func setShapes(rng *rand.Rand) []shape.Shape {
 	e := paths.Star{X: shapetest.RandomPath(rng, 2)}
 	p, q := shapetest.Base+"p", shapetest.Base+"q"
 	psi := shapetest.RandomShape(rng, 1)
+	ap, aq := paths.P(p), paths.Inv(paths.P(q))
 	out := []shape.Shape{
 		shape.Min(1, e, psi), shape.Min(2, e, psi), shape.Max(0, e, psi), shape.Max(2, e, psi), shape.All(e, psi),
 		shape.Min(1, e, shape.Min(1, e, psi)),
@@ -103,6 +106,13 @@ func setShapes(rng *rand.Rand) []shape.Shape {
 		shape.AndOf(shape.Min(1, e, psi), shapetest.RandomShape(rng, 1)),
 		shape.AndOf(shape.Min(1, e, psi), shape.Min(1, paths.P(p), &shape.True{})),
 		shape.OrOf(shape.Min(1, e, shape.Value(shapetest.IRI("a"))), shape.All(e, psi)),
+		shape.AndOf(shape.Min(2, ap, psi), shape.All(aq, psi)),
+		shape.OrOf(shape.Max(1, ap, psi), shape.Min(2, aq, shape.TrueShape())),
+		shape.AndOf(shape.All(ap, shape.Min(2, aq, psi)), shape.Max(1, ap, shape.All(aq, psi))),
+		shape.OrOf(shape.All(aq, shape.Max(1, ap, psi)), shapetest.RandomShape(rng, 1)),
+		shape.AndOf(shape.Min(1, ap, psi), shape.Max(1, ap, psi), shape.Min(2, ap, shape.TrueShape())),
+		shape.Min(1, e, shape.AndOf(shape.Max(1, ap, psi), shape.All(aq, psi))),
+		shape.All(ap, shape.Min(1, e, shape.Min(2, aq, psi))),
 	}
 	for _, pair := range []shape.Shape{
 		shape.EqPath(e, p), shape.EqID(p), shape.DisjPath(e, p), shape.DisjID(p), shape.UniqueLangShape(e),

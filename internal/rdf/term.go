@@ -120,7 +120,9 @@ func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
 // writes N-Triples term syntax: String, Triple.String, the turtle
 // serializers and the live delta renderer all go through it, so every
 // route's bytes agree by construction and none of them allocates per term.
-func (t Term) AppendNTriples(dst []byte) []byte {
+// The receiver is a pointer so that a term is encoded where it lies — in a
+// dictionary's table, say — and not copied first.
+func (t *Term) AppendNTriples(dst []byte) []byte {
 	switch t.Kind {
 	case KindIRI:
 		dst = append(dst, '<')

@@ -923,6 +923,15 @@ func (d *Dict) Triple(t IDTriple) rdf.Triple {
 	return rdf.Triple{S: d.terms[t.S], P: d.terms[t.P], O: d.terms[t.O]}
 }
 
+// AppendNTriples appends t in N-Triples syntax, without the final " .", to
+// dst: d.Triple(t).AppendNTriples(dst), with each term encoded in place in
+// d's table rather than copied out of it.
+func (d *Dict) AppendNTriples(dst []byte, t IDTriple) []byte {
+	dst = append(d.terms[t.S].AppendNTriples(dst), ' ')
+	dst = append(d.terms[t.P].AppendNTriples(dst), ' ')
+	return d.terms[t.O].AppendNTriples(dst)
+}
+
 // DecodeTriples resolves ts through d, keeping their order.
 func (d *Dict) DecodeTriples(ts []IDTriple) []rdf.Triple {
 	out := make([]rdf.Triple, len(ts))

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"shaclfrag/internal/rdf"
+	"shaclfrag/internal/rdfgraph"
 )
 
 // ntFlushThreshold is the buffered-bytes level at which NTriplesWriter
@@ -75,6 +76,21 @@ func (nw *NTriplesWriter) WriteTriple(t rdf.Triple) error {
 		return nw.err
 	}
 	nw.buf = appendStatement(nw.buf, t)
+	return nw.wrote()
+}
+
+// WriteIDTriple is WriteTriple of d.Triple(t), each term appended from d's
+// table without copying the triple's terms out first.
+func (nw *NTriplesWriter) WriteIDTriple(d *rdfgraph.Dict, t rdfgraph.IDTriple) error {
+	if nw.err != nil {
+		return nw.err
+	}
+	nw.buf = append(d.AppendNTriples(nw.buf, t), " .\n"...)
+	return nw.wrote()
+}
+
+// wrote counts the statement just appended and flushes if the buffer is full.
+func (nw *NTriplesWriter) wrote() error {
 	nw.count++
 	if len(nw.buf) >= ntFlushThreshold {
 		return nw.Flush()
