@@ -305,74 +305,20 @@ func (c *NeighborhoodCache) Len() int {
 	return c.entries
 }
 
-// NeighborhoodIDsCached computes B(v, G, φ) as dictionary-encoded triples,
-// serving from and filling cache when it is non-nil. epoch identifies the
-// snapshot the extractor's graph belongs to (0 for single-graph callers).
-// For cache hits to occur, φ must be the same Shape value across calls (see
-// NeighborhoodCache on key identity). The returned slice is shared and must
-// not be modified.
+// NeighborhoodIDsCached computes B(v, G, φ) as dictionary-encoded triples
+// on the AST walker, serving from and filling cache when it is non-nil.
+// epoch identifies the snapshot the extractor's graph belongs to (0 for
+// single-graph callers). For cache hits to occur, φ must be the same Shape
+// value across calls (see NeighborhoodCache on key identity). The returned
+// slice is shared and must not be modified. It is the frozen bench/
+// replay's /node (scripts/check.sh rejects any other caller outside
+// tests); the server's is NeighborhoodsCached.
 func (x *Extractor) NeighborhoodIDsCached(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, phi shape.Shape) []rdfgraph.IDTriple {
 	if cache != nil {
 		if ts, ok := cache.Get(epoch, v, phi); ok {
 			return ts
 		}
 	}
-	return x.neighborhoodMiss(cache, epoch, v, phi)
-}
-
-// NeighborhoodsCached appends B(v, G, φ) for every φ of shapes, in order, to
-// dst: NeighborhoodIDsCached over a shape list, except that consecutive
-// cache hits share one lock acquisition (a fully cached node costs one),
-// and ctx is polled once up front and once after each miss rather than once
-// per shape — and, from the first miss on, by the path searches themselves:
-// one that ctx ends mid-search comes back as its error (ctxErr), with
-// nothing of the interrupted neighborhood cached. The result may repeat triples that
-// several shapes select. cols are cache.Columns(shapes), which a caller
-// asking for the same shapes again keeps, or nil to ask for them here.
-func (x *Extractor) NeighborhoodsCached(ctx context.Context, cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, shapes []shape.Shape, cols []int32, dst []rdfgraph.IDTriple) (out []rdfgraph.IDTriple, err error) {
-	stoppable := false // a warm hit runs no search and installs nothing
-	defer func() {
-		if !stoppable {
-			return
-		}
-		// x outlives the call (the server pools it), and its other callers
-		// recover nothing.
-		x.ev.SetStop(nil)
-		if r := recover(); r == paths.ErrStopped {
-			out, err = nil, ctxErr(ctx)
-		} else if r != nil {
-			panic(r)
-		}
-	}()
-	for i := 0; i < len(shapes); i++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		if cache != nil {
-			if cols == nil {
-				cols = cache.Columns(shapes)
-			}
-			cache.mu.Lock()
-			var n int
-			dst, n = cache.getRun(epoch, v, cols[i:], dst)
-			cache.mu.Unlock()
-			if i += n; i == len(shapes) {
-				break
-			}
-		}
-		if !stoppable {
-			stoppable = true
-			x.ev.SetStop(stopOf(ctx))
-		}
-		dst = append(dst, x.neighborhoodMiss(cache, epoch, v, shapes[i])...)
-	}
-	return dst, nil
-}
-
-// neighborhoodMiss computes B(v, G, φ) on the AST walker as an isolated
-// per-node neighborhood. It stores the result in cache when cache is
-// non-nil; the caller has already missed there.
-func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v rdfgraph.ID, phi shape.Shape) []rdfgraph.IDTriple {
 	per := rdfgraph.NewIDTripleSet()
 	x.collect(v, shape.NNF(phi), per, make(map[VisitKey]struct{}))
 	ts := per.IDTriples()
@@ -380,6 +326,69 @@ func (x *Extractor) neighborhoodMiss(cache *NeighborhoodCache, epoch uint64, v r
 		cache.Put(epoch, v, phi, ts)
 	}
 	return ts
+}
+
+// NeighborhoodsCached appends B(v, G, φ) to dst for the source φ of every
+// program of progs, in order, G being g, the snapshot at epoch. Cache keys
+// are the programs' sources, which must be pointer-stable (see
+// NeighborhoodCache). Consecutive cache hits share one lock acquisition (a
+// fully cached node costs one); a miss is bound, collected and released on
+// its program as an isolated per-node neighborhood, and cached when cache is
+// non-nil. ctx is polled once up front and once after each miss rather than
+// once per program — and, from the first miss on, by the path searches
+// themselves: one that ctx ends mid-search comes back as its error (ctxErr),
+// with nothing of the interrupted neighborhood cached. The result may
+// repeat triples that several shapes select. cols are cache.Columns of the
+// sources, which a caller asking for the same programs again keeps; nil
+// without a cache.
+func NeighborhoodsCached(ctx context.Context, cache *NeighborhoodCache, g rdfgraph.Reader, epoch uint64, v rdfgraph.ID, progs []*plan.Program, cols []int32, dst []rdfgraph.IDTriple) (out []rdfgraph.IDTriple, err error) {
+	defer func() {
+		if r := recover(); r == paths.ErrStopped {
+			out, err = nil, ctxErr(ctx)
+		} else if r != nil {
+			panic(r)
+		}
+	}()
+	var stop func() bool // built at the first miss: a warm hit runs no search
+	for i := 0; i < len(progs); i++ {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		if cache != nil {
+			cache.mu.Lock()
+			var n int
+			dst, n = cache.getRun(epoch, v, cols[i:], dst)
+			cache.mu.Unlock()
+			if i += n; i == len(progs) {
+				break
+			}
+		}
+		if stop == nil {
+			stop = stopOf(ctx)
+		}
+		dst = neighborhoodMiss(cache, g, epoch, v, progs[i], stop, dst)
+	}
+	return dst, nil
+}
+
+// neighborhoodMiss appends B(v, G, φ) for p's source φ to dst, extracted on
+// p bound for v alone, and stores it in cache when cache is non-nil; the
+// caller has already missed there.
+func neighborhoodMiss(cache *NeighborhoodCache, g rdfgraph.Reader, epoch uint64, v rdfgraph.ID, p *plan.Program, stop func() bool, dst []rdfgraph.IDTriple) []rdfgraph.IDTriple {
+	b := p.Bind(g)
+	defer b.Release()
+	b.SetStop(stop)
+	per := accumulators.Get().(*rdfgraph.IDTripleSet)
+	b.CollectInto(v, per)
+	if cache != nil {
+		cache.Put(epoch, v, p.Source, per.IDTriples())
+	}
+	dst = per.AppendTo(dst)
+	if per.Len() <= rdfgraph.MaxPooled {
+		per.Reset()
+		accumulators.Put(per)
+	}
+	return dst
 }
 
 // Neighborhoods calls fn with B(v, G, φ) for each v of nodes, in order, φ

@@ -8,35 +8,41 @@ import (
 
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
+	"shaclfrag/internal/plan"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/shape"
 )
 
-// TestNeighborhoodsCachedMatchesPerShape: the batched lookup returns what
-// one NeighborhoodIDsCached call per shape returns, and moves the hit and
-// miss counters exactly as those calls do — from cold (every shape misses
-// once), half warm, and fully warm.
+// TestNeighborhoodsCachedMatchesPerShape: the batched lookup, whose misses
+// run on compiled programs, returns what one NeighborhoodIDsCached call per
+// shape on the AST walker returns, and moves the hit and miss counters
+// exactly as those calls do — from cold (every shape misses once), half
+// warm, and fully warm.
 func TestNeighborhoodsCachedMatchesPerShape(t *testing.T) {
 	g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 60, Seed: 3})
 	h := datagen.BenchmarkSchema()
 	var shapes []shape.Shape
+	var progs []*plan.Program
 	for _, d := range h.Definitions() {
 		shapes = append(shapes, d.Shape)
+		progs = append(progs, plan.Compile(d.Shape, h))
 	}
 	perShape, batched := core.NewNeighborhoodCache(0), core.NewNeighborhoodCache(0)
+	cols := batched.Columns(shapes)
 	x := core.NewExtractor(g, h)
 	nodes := g.NodeIDs()
 	for pass := 0; pass < 3; pass++ {
 		for _, v := range nodes[:40] {
-			ss := shapes
+			ss, ps := shapes, progs
 			if pass == 0 {
-				ss = shapes[:len(shapes)/2] // leave the rest cold for pass 1
+				// Leave the rest cold for pass 1.
+				ss, ps = shapes[:len(shapes)/2], progs[:len(shapes)/2]
 			}
 			var want []rdfgraph.IDTriple
 			for _, phi := range ss {
 				want = append(want, x.NeighborhoodIDsCached(perShape, 1, v, phi)...)
 			}
-			got, err := x.NeighborhoodsCached(context.Background(), batched, 1, v, ss, nil, nil)
+			got, err := core.NeighborhoodsCached(context.Background(), batched, g, 1, v, ps, cols[:len(ps)], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +66,7 @@ func TestNeighborhoodsCachedMatchesPerShape(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := x.NeighborhoodsCached(ctx, batched, 1, nodes[0], shapes, nil, nil); err == nil {
+	if _, err := core.NeighborhoodsCached(ctx, batched, g, 1, nodes[0], progs, cols, nil); err == nil {
 		t.Error("a cancelled context must stop even a fully cached lookup")
 	}
 }

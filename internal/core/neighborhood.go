@@ -15,14 +15,15 @@
 // are unsynchronized); use one per goroutine. All extraction is strictly
 // read-only on the graph, so any number of extractors may share one
 // graph concurrently once it is frozen (rdfgraph.Graph.Freeze) — that is
-// the contract FragmentParallel builds on: the calling extractor finds the
-// focus nodes, each worker binds the requests' compiled programs
-// (internal/plan) to the graph on its own, and their results are unioned.
+// the contract FragmentParallelIDs builds on: each request's compiled
+// program (internal/plan) finds its focus nodes once per snapshot, each
+// worker binds the programs to the graph on its own, and their results are
+// unioned. NeighborhoodsCached runs a /node miss on a program the same way.
 // The AST walker (Fragment, NeighborhoodInto) is the reference the plans
-// are checked against; internal/fragserver pools extractors across
-// requests for its /node misses, /explain and focus candidates. Extraction
-// records its sub-stage timings as children of ParallelOptions.Span;
-// workers grow the one tree concurrently.
+// are checked against; internal/fragserver builds one per /validate and
+// /explain request and keeps none between requests. Extraction records its
+// sub-stage timings as children of ParallelOptions.Span; workers grow the
+// one tree concurrently.
 //
 // # Cache bounds
 //

@@ -188,7 +188,7 @@ func TestHubRequestSearchesOnce(t *testing.T) {
 	plans := plan.CompileAll(requests, h)
 	for _, workers := range []int{1, 2, 4} {
 		trace := obs.NewSpanTrace("hub-test", obs.SpanContext{})
-		got, nodes, err := core.NewExtractor(g, h).FragmentParallelIDs(requests, core.ParallelOptions{
+		got, nodes, err := core.FragmentParallelIDs(g, h, requests, core.ParallelOptions{
 			Workers: workers,
 			Plans:   plans,
 			Span:    trace.Root(),

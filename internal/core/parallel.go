@@ -38,18 +38,19 @@ type ParallelOptions struct {
 	// Epoch is ignored, like Cache, and kept for the same reason.
 	Epoch uint64
 	// Plans holds the requests' compiled programs, one per request in
-	// order (plan.CompileAll over them), which extract every work unit —
-	// the same triples as the AST walker's Fragment, which the parity
-	// suites gate byte for byte. Nil compiles them for this call alone; a
-	// caller extracting more than once compiles once and passes the set.
+	// order (plan.CompileAll over them), which find every work unit's foci
+	// and extract it — the same triples as the AST walker's Fragment, which
+	// the parity suites gate byte for byte. Nil compiles them for this call
+	// alone; a caller extracting more than once compiles once and passes
+	// the set, whose programs then keep their foci per snapshot.
 	Plans *plan.Set
 	// Span, when non-nil, is the parent span extraction records under (the
 	// serving layer passes the request's "extract" span): the sub-stages
-	// "nnf" (request normalization) and "merge" (union of the per-worker
-	// triple sets), which the server also reads as stages; the "bind" and
-	// "plan-exec" accumulators, summed over workers — plus instructions /
-	// searches / units / workers attributes. A nil Span (the CLI,
-	// benchmarks) keeps the hot path free of any timing.
+	// "nnf" (request normalization and focus lookup) and "merge" (union of
+	// the per-worker triple sets), which the server also reads as stages;
+	// the "bind" and "plan-exec" accumulators, summed over workers — plus
+	// instructions / searches / units / workers attributes. A nil Span (the
+	// CLI, benchmarks) keeps the hot path free of any timing.
 	Span *obs.Span
 }
 
@@ -88,7 +89,7 @@ func ctxErr(ctx context.Context) error {
 func (x *Extractor) WithStop(ctx context.Context, fn func() error) (err error) {
 	x.ev.SetStop(stopOf(ctx))
 	defer func() {
-		x.ev.SetStop(nil) // x outlives the call, and its other callers recover nothing
+		x.ev.SetStop(nil) // x may outlive the call, and its other callers recover nothing
 		if r := recover(); r == paths.ErrStopped {
 			err = ctxErr(ctx)
 		} else if r != nil {
@@ -160,16 +161,29 @@ func (e *PanicError) Error() string {
 }
 
 // FragmentParallel computes Frag(G, S) like Fragment, fanning the requests
-// out over a worker pool: a request's focus nodes are one unit of work, so
-// a one-request call runs on the calling goroutine. Each request visits its
-// focus candidates (shape.Evaluator.FocusCandidates) where its syntax
-// yields them and all of N(G) otherwise: a node outside the candidates does
-// not conform, so its neighborhood is empty and skipping it changes nothing.
-// A unit runs on its request's compiled program (ParallelOptions.Plans),
-// bound for the unit alone; each worker owns its triple accumulator, and
-// the per-worker sets are unioned at the end, so the result is exactly
-// Fragment's (the union of neighborhoods is order-independent), in
-// identical canonical order.
+// out over a worker pool (FragmentParallelIDs), and decodes the result.
+func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOptions) ([]rdf.Triple, error) {
+	ids, _, err := FragmentParallelIDs(x.ev.G, x.ev.Defs, requests, opts)
+	if err != nil {
+		return nil, err
+	}
+	return x.ev.G.Dict().DecodeTriples(ids), nil
+}
+
+// FragmentParallelIDs computes Frag(G, S) over g in the context of defs, as
+// dictionary-encoded triples in canonical order (rdfgraph.SortIDTriples),
+// which is what a serving route streams from and live maintenance diffs.
+// A request's focus nodes are one unit of work, so a one-request call runs
+// on the calling goroutine. Each request visits its program's focus nodes
+// (plan.Program.FocusNodes: its candidates where its syntax yields them,
+// all of N(G) otherwise — a node outside the candidates does not conform,
+// so its neighborhood is empty and skipping it changes nothing), found once
+// per snapshot and shared. A unit runs on its request's compiled program
+// (ParallelOptions.Plans), bound for the unit alone; each worker owns its
+// triple accumulator, and the per-worker sets are unioned at the end, so
+// the result is exactly Fragment's (the union of neighborhoods is
+// order-independent), in identical canonical order. nodes counts the focus
+// nodes visited, summed over the requests.
 //
 // The graph must not be mutated during the call. All evaluation and
 // extraction paths are read-only on the graph — freeze it (Graph.Freeze) to
@@ -179,20 +193,7 @@ func (e *PanicError) Error() string {
 // one-worker path) or on a worker, comes back as a *PanicError — except
 // paths.ErrStopped, a search noticing that opts.Ctx ended, which comes back
 // as opts.Ctx.Err() like a cancellation between work units.
-func (x *Extractor) FragmentParallel(requests []shape.Shape, opts ParallelOptions) ([]rdf.Triple, error) {
-	ids, _, err := x.FragmentParallelIDs(requests, opts)
-	if err != nil {
-		return nil, err
-	}
-	return x.ev.G.Dict().DecodeTriples(ids), nil
-}
-
-// FragmentParallelIDs is FragmentParallel short of decoding: the fragment
-// as dictionary-encoded triples in canonical order
-// (rdfgraph.SortIDTriples), which is what a serving route streams from and
-// live maintenance diffs. nodes counts the focus nodes visited, summed over
-// the requests.
-func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOptions) (triples []rdfgraph.IDTriple, nodes int, err error) {
+func FragmentParallelIDs(g rdfgraph.Reader, defs shape.Defs, requests []shape.Shape, opts ParallelOptions) (triples []rdfgraph.IDTriple, nodes int, err error) {
 	defer func() {
 		if r := recover(); r == paths.ErrStopped {
 			triples, err = nil, ctxErr(opts.Ctx)
@@ -200,33 +201,28 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 			triples, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	g := x.ev.G
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Normalize once on the calling extractor so every worker agrees on
-	// shape identity and none re-derives NNF; the focus nodes come from
-	// the normalized request, where negation no longer hides a ≥n.
-	nnfSpan := opts.Span.StartChild("nnf")
-	nnfs := make([]shape.Shape, len(requests))
-	for i, phi := range requests {
-		nnfs[i] = shape.NNF(phi)
-	}
-	focus, total := x.focusNodes(nnfs)
-	nnfSpan.End()
 	plans := opts.Plans
 	if plans == nil {
-		plans = plan.CompileAll(requests, x.ev.Defs)
+		plans = plan.CompileAll(requests, defs)
 	}
-	spanAttrs(opts.Span, plans, workers, len(requests), total)
-
+	// The nnf stage is the focus lookup, which normalizes each request on
+	// first ask (shape.NNF memoizes on the node).
+	nnfSpan := opts.Span.StartChild("nnf")
 	var units []unit
-	for req, nodes := range focus {
-		if len(nodes) > 0 {
+	total := 0
+	for req := range requests {
+		if nodes := plans.Programs[req].FocusNodes(g); len(nodes) > 0 {
 			units = append(units, unit{req: req, nodes: nodes})
+			total += len(nodes)
 		}
 	}
+	nnfSpan.End()
+	spanAttrs(opts.Span, plans, workers, len(requests), total)
+
 	if workers > len(units) {
 		workers = max(len(units), 1) // an idle worker would still take a goroutine and an accumulator
 	}
@@ -310,23 +306,12 @@ func (x *Extractor) FragmentParallelIDs(requests []shape.Shape, opts ParallelOpt
 // calls, up to rdfgraph.MaxPooled triples.
 var accumulators = sync.Pool{New: func() any { return rdfgraph.NewIDTripleSet() }}
 
-// focusNodes returns, per normalized request, the nodes extraction visits
-// (shape.Evaluator.FocusNodes), and the total over requests.
-func (x *Extractor) focusNodes(nnfs []shape.Shape) (focus [][]rdfgraph.ID, total int) {
-	focus = make([][]rdfgraph.ID, len(nnfs))
-	var all []rdfgraph.ID
-	for i, phi := range nnfs {
-		focus[i] = x.ev.FocusNodes(phi, &all)
-		total += len(focus[i])
-	}
-	return focus, total
-}
-
 // unit is one stealable piece of work: one request's whole focus set. It is
 // a source set (plan.Bound.CollectAllInto: one product search per path
 // however many nodes), and the foci of one request reach nearly the same
 // product states, so a split would repeat the search in every part; workers
-// fan out across requests instead.
+// fan out across requests instead. nodes is the program's shared focus
+// list (plan.Program.FocusNodes), read only.
 type unit struct {
 	req   int
 	nodes []rdfgraph.ID

@@ -103,7 +103,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	target.End()
 
 	resp := explainResponse{Focus: focus.String(), Triples: []explainTriple{}}
-	x := s.acquire(g)
+	x := core.NewExtractor(g, s.h)
 	extract := root.StartChild("extract")
 	ex := core.NewExplanation(g)
 	ctx := r.Context()
@@ -122,7 +122,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
-	s.release(x)
 	extract.End()
 	if err != nil {
 		httpTimeoutError(w, r, err)

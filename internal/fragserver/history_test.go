@@ -2,7 +2,6 @@ package fragserver
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -15,33 +14,28 @@ import (
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
-	"shaclfrag/internal/shape"
 	"shaclfrag/internal/turtle"
 )
 
 // coldNodeBody is /node?iri=v's body on srv's current snapshot computed
-// without the cache: the AST walker over every definition of the schema,
-// not only the class representatives the handler looks up.
+// without the cache or a compiled program: the AST walker's B(v, G, φ) over
+// every definition of the schema, not only the class representatives the
+// handler looks up, each extracted on its own.
 func coldNodeBody(t testing.TB, srv *Server, v rdf.Term) string {
 	t.Helper()
-	snap := srv.Store().Current()
-	r := snap.Reader()
+	r := srv.Store().Current().Reader()
 	id := r.LookupTerm(v)
 	if id == rdfgraph.NoID {
 		return ""
 	}
-	var defs []shape.Shape
+	x := core.NewExtractor(r, srv.h)
+	out := rdfgraph.NewIDTripleSet()
 	for _, d := range srv.h.Definitions() {
-		defs = append(defs, d.Shape)
+		x.NeighborhoodInto(id, d.Shape, out, make(map[core.VisitKey]struct{}))
 	}
-	ids, err := core.NewExtractor(r, srv.h).NeighborhoodsCached(context.Background(), nil, snap.Epoch(), id, defs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdfgraph.SortIDTriples(r.Dict(), ids)
 	var buf bytes.Buffer
 	nw := turtle.NewNTriplesWriter(&buf)
-	for _, tr := range slices.Compact(ids) {
+	for _, tr := range out.Sorted(r.Dict()) {
 		nw.WriteTriple(r.Dict().Triple(tr)) //nolint:errcheck — a buffer
 	}
 	nw.Flush() //nolint:errcheck — a buffer

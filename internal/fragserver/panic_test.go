@@ -99,7 +99,7 @@ func (r faultyReader) PredicatesFrom(s rdfgraph.ID, fn func(p, o rdfgraph.ID)) {
 // never sees, where unrecovered it would end the process. The server keeps
 // serving either way.
 func TestExtractionPanicIs500(t *testing.T) {
-	const spawnedBy = "created by shaclfrag/internal/core.(*Extractor).FragmentParallel"
+	const spawnedBy = "created by shaclfrag/internal/core.FragmentParallelIDs"
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 120, Seed: 9})
@@ -389,11 +389,12 @@ func TestLiveWalkPanicRebuilds(t *testing.T) {
 	}
 }
 
-// TestPanickedExtractorNotPooled: an extractor whose request panicked
-// mid-extraction is dropped, not pooled, so whatever it had memoized
-// before the fault reaches no later request. The next /node on the same
-// epoch is served by a fresh extractor, with the bytes of cold extraction.
-func TestPanickedExtractorNotPooled(t *testing.T) {
+// TestPanickedNodeMissServesColdNext: a /node miss that panicked
+// mid-extraction leaves nothing a later request reads — its program's
+// Bound is released with the panic, memo rows and all, and no extraction
+// state outlives a request. The next /node on the same epoch serves the
+// bytes of cold extraction.
+func TestPanickedNodeMissServesColdNext(t *testing.T) {
 	focus := "/node?iri=" + url.QueryEscape("<"+datagen.NS+"lodging/0>")
 	build := func() (*Server, *faultyStore) {
 		g := datagen.Tyrol(datagen.TyrolConfig{Individuals: 120, Seed: 9})
@@ -422,21 +423,13 @@ func TestPanickedExtractorNotPooled(t *testing.T) {
 	}
 
 	srv, st := build()
-	pooled := srv.acquire(srv.graphNow())
-	srv.release(pooled) // the one extractor the pool holds
 	st.armed.Store(true)
 	if rec := fetch(srv); rec.Code != http.StatusInternalServerError {
 		t.Fatalf("armed /node: %d, want 500", rec.Code)
 	}
 	st.armed.Store(false)
-	if n := len(srv.pool); n != 0 {
-		t.Fatalf("the panicked request's extractor went back to the pool (%d pooled)", n)
-	}
 	if rec := fetch(srv); rec.Code != http.StatusOK || rec.Body.String() != want.Body.String() {
 		t.Fatalf("/node after the panic: %d\n%s\nwant the cold bytes:\n%s", rec.Code, rec.Body, want.Body)
-	}
-	if x := <-srv.pool; x == pooled {
-		t.Fatal("the next request was served by the extractor that panicked")
 	}
 }
 

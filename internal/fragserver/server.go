@@ -31,14 +31,25 @@
 // context.Context into extraction, bounded in-flight concurrency (503 when
 // saturated), structured access logs, incremental N-Triples streaming, a
 // shared bounded cache of the per-(node, shape) neighborhoods /node serves,
-// and parallel fragment extraction via core.FragmentParallel.
+// and parallel fragment extraction via core.FragmentParallelIDs.
+//
+// # Engines
+//
+// The schema is compiled once, in New: one program per definition's request
+// φ ∧ τ (/fragment, live) and one per containment-class representative
+// (/node misses, core.NeighborhoodsCached). Each request binds the programs
+// it runs to its snapshot and releases them when it is done; a program
+// keeps its operand resolution, its released Bounds' state and its focus
+// nodes per snapshot (plan.Program.FocusNodes) for the next. /validate and
+// /explain run the AST walker, one core.Extractor per request: no walker
+// state outlives a request.
 //
 // # Observability
 //
 // Every request records one thing: an obs.SpanTrace the middleware roots
 // and carries in the request context. Handlers open a child span per
 // stage (parse → target → extract → serialize; parse → apply →
-// invalidate → notify on the write path), and core.FragmentParallel grows
+// invalidate → notify on the write path), and core.FragmentParallelIDs grows
 // the extract span — its nnf/merge sub-stages and the plan-exec breakdown
 // — through ParallelOptions.Span.
 // A stage is a span named in stageNames, one or two levels under the
@@ -193,7 +204,6 @@ type Server struct {
 	log     *slog.Logger
 	cache   *core.NeighborhoodCache
 	sem     chan struct{}
-	pool    chan *core.Extractor
 
 	// writeMu serializes POST /update from the store's Apply through the
 	// cache's Invalidate and live's Notify, so both step one epoch at a
@@ -213,15 +223,17 @@ type Server struct {
 
 	// classes is the containment equivalence-class table over the
 	// definitions' raw shapes. It is a function of the schema alone, so New
-	// computes it and applies it once: nodeKeys[i] is the raw shape of
-	// definition i's class representative, the key /node caches and
-	// extracts i's neighborhoods under, and nodeAll lists the distinct
-	// representatives in definition order, the work list when no shape is
-	// named. No epoch touches any of the three again. keyCols and allCols
-	// are their shapes' cache columns, which lookups match entries by.
+	// computes it and applies it once: nodeKeys[i] is the program compiled
+	// from the raw shape of definition i's class representative, whose
+	// source is the key /node caches i's neighborhoods under and which
+	// extracts them on a miss, and nodeAll lists the distinct
+	// representatives' programs in definition order, the work list when no
+	// shape is named. No epoch touches any of the three again. keyCols and
+	// allCols are their sources' cache columns, which lookups match entries
+	// by.
 	classes  *contain.Classes
-	nodeKeys []shape.Shape
-	nodeAll  []shape.Shape
+	nodeKeys []*plan.Program
+	nodeAll  []*plan.Program
 	keyCols  []int32
 	allCols  []int32
 
@@ -321,7 +333,6 @@ func New(cfg Config) (*Server, error) {
 		log:       logger,
 		cache:     cache,
 		sem:       make(chan struct{}, maxInflight),
-		pool:      make(chan *core.Extractor, maxInflight),
 		requests:  core.SchemaRequests(cfg.Schema),
 		started:   time.Now(),
 		maxUpdate: maxUpdate,
@@ -338,25 +349,31 @@ func New(cfg Config) (*Server, error) {
 		defShapes = append(defShapes, d.Shape)
 	}
 	// Congruent definitions have byte-identical neighborhoods on every
-	// graph, so /node looks each class up once, under its representative.
+	// graph, so /node looks each class up once, under its representative,
+	// and compiles it once.
 	start := time.Now()
 	cl := contain.ComputeClasses(cfg.Schema, defShapes)
 	s.classes = &cl
 	logger.Info("containment classes", "classes", cl.NumClasses, "shared", cl.Shared,
 		"dur_ms", float64(time.Since(start).Microseconds())/1000)
-	s.nodeKeys = make([]shape.Shape, len(defShapes))
+	var keys, all []shape.Shape
+	s.nodeKeys = make([]*plan.Program, len(defShapes))
 	for i, r := range cl.Rep {
-		s.nodeKeys[i] = defShapes[r]
+		keys = append(keys, defShapes[r])
 		if r == i {
-			s.nodeAll = append(s.nodeAll, defShapes[i])
+			all = append(all, defShapes[i])
+			s.nodeKeys[i] = plan.Compile(defShapes[i], cfg.Schema)
+			s.nodeAll = append(s.nodeAll, s.nodeKeys[i])
+		} else {
+			s.nodeKeys[i] = s.nodeKeys[r] // a class's representative is its first member
 		}
 	}
 	if s.cache != nil {
 		// Updates keep every entry of these shapes valid that they cannot
 		// reach (POST /update's invalidate stage).
-		s.cache.SetFootprints(s.nodeAll, cfg.Schema)
+		s.cache.SetFootprints(all, cfg.Schema)
 		s.cache.SetEpoch(st.Current().Epoch())
-		s.keyCols, s.allCols = s.cache.Columns(s.nodeKeys), s.cache.Columns(s.nodeAll)
+		s.keyCols, s.allCols = s.cache.Columns(keys), s.cache.Columns(all)
 	}
 	s.hb = cfg.Heartbeat
 	if s.hb <= 0 {
@@ -378,12 +395,6 @@ func New(cfg Config) (*Server, error) {
 // ContainmentClasses returns the cache-sharing equivalence-class table:
 // one value for the server's lifetime (never nil after New).
 func (s *Server) ContainmentClasses() *contain.Classes { return s.classes }
-
-// plansFor slices the program set to one request window of s.requests —
-// the alignment core.ParallelOptions.Plans expects.
-func (s *Server) plansFor(lo, hi int) *plan.Set {
-	return &plan.Set{Programs: s.programs.Programs[lo:hi]}
-}
 
 // Handler returns the server's handler tree (routes plus timeout, limiter
 // and observability middleware), for mounting under an http.Server or a
@@ -492,44 +503,6 @@ func (s *Server) snapshot(w http.ResponseWriter) store.Snapshot {
 	return snap
 }
 
-// acquire hands out a pooled extractor for the given snapshot graph,
-// creating one when the pool is dry (the in-flight limiter bounds how many
-// can exist at once). Pooled extractors keep their evaluator memoization
-// across requests, so repeated validation and extraction against one epoch
-// get cheaper over time; an extractor built for an older epoch is simply
-// dropped — its memoization is unsound against the new graph.
-func (s *Server) acquire(g rdfgraph.Reader) *core.Extractor {
-	for {
-		select {
-		case x := <-s.pool:
-			if x.Graph() == g {
-				return x
-			}
-			// Stale epoch: discard and keep draining the pool.
-		default:
-			return core.NewExtractor(g, s.h)
-		}
-	}
-}
-
-// release returns x to the pool. Handlers call it once x's work returned
-// normally, never deferred: an extractor whose call panicked is dropped
-// with whatever it had memoized, so no later request inherits it.
-func (s *Server) release(x *core.Extractor) {
-	// A search's scratch only grows: pooled with x it would pin the largest
-	// search x ever ran. Past the pool's ceiling it goes; the rest stays warm.
-	x.Evaluator().TrimScratch()
-	// Don't pool extractors for superseded epochs; letting them die keeps
-	// the pool converging onto the current graph after an update.
-	if x.Graph() != s.store.Current().Reader() {
-		return
-	}
-	select {
-	case s.pool <- x:
-	default:
-	}
-}
-
 // defIndex resolves a shape name parameter: exact IRI match first, then
 // unique suffix match (so S01 finds http://…/shapes#S01).
 func (s *Server) defIndex(name string) (int, bool) {
@@ -553,7 +526,7 @@ func (s *Server) defIndex(name string) (int, bool) {
 
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshot(w)
-	x := s.acquire(snap.Reader())
+	x := core.NewExtractor(snap.Reader(), s.h)
 	validate := obs.FromContext(r.Context()).StartChild("validate")
 	var report *schema.Report
 	err := x.WithStop(r.Context(), func() error { // a star path on a hub runs long
@@ -565,7 +538,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		httpTimeoutError(w, r, err)
 		return
 	}
-	s.release(x)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "conforms: %v\nfocus nodes: %d\nviolations: %d\n",
 		report.Conforms, report.TargetedNodes, len(report.Violations()))
@@ -583,7 +555,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	root := obs.FromContext(r.Context())
 	target := root.StartChild("target")
-	requests := s.requests
 	lo, hi := 0, len(s.requests)
 	if name := queryValue(r.URL.RawQuery, "shape"); name != "" {
 		i, ok := s.defIndex(name)
@@ -592,17 +563,15 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown or ambiguous shape "+name, http.StatusNotFound)
 			return
 		}
-		requests = s.requests[i : i+1]
 		lo, hi = i, i+1
 	}
 	target.End()
 	snap := s.snapshot(w)
-	x := s.acquire(snap.Reader())
 	extract := root.StartChild("extract")
-	ids, _, err := x.FragmentParallelIDs(requests, core.ParallelOptions{
+	ids, _, err := core.FragmentParallelIDs(snap.Reader(), s.h, s.requests[lo:hi], core.ParallelOptions{
 		Workers: s.workers,
 		Ctx:     r.Context(),
-		Plans:   s.plansFor(lo, hi),
+		Plans:   &plan.Set{Programs: s.programs.Programs[lo:hi]}, // aligned with the requests
 		Span:    extract,
 	})
 	extract.End()
@@ -610,7 +579,6 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 	if errors.As(err, &pe) {
 		panic(pe) // a worker's panic, raised again where withObs answers every panic
 	}
-	s.release(x)
 	if err != nil {
 		httpTimeoutError(w, r, err)
 		return
@@ -634,9 +602,10 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	}
 	// B(v, G, φ) for the named definition's shape, or for every definition
 	// when no shape is given, each looked up under its class
-	// representative's pointer-stable shape (nodeKeys).
+	// representative's pointer-stable shape and extracted on its program on
+	// a miss (nodeKeys).
 	target := root.StartChild("target")
-	shapes, cols := s.nodeAll, s.allCols
+	progs, cols := s.nodeAll, s.allCols
 	if name := queryValue(r.URL.RawQuery, "shape"); name != "" {
 		i, ok := s.defIndex(name)
 		if !ok {
@@ -644,7 +613,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown or ambiguous shape "+name, http.StatusNotFound)
 			return
 		}
-		shapes = s.nodeKeys[i : i+1]
+		progs = s.nodeKeys[i : i+1]
 		if s.cache != nil {
 			cols = s.keyCols[i : i+1]
 		}
@@ -661,14 +630,12 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		s.streamNTriples(w, r, nil, nil)
 		return
 	}
-	x := s.acquire(snap.Reader())
 	extract := root.StartChild("extract")
-	extract.SetAttrInt("shapes", int64(len(shapes)))
+	extract.SetAttrInt("shapes", int64(len(progs)))
 	// Before duplicates go, nine nodes in ten of the benchmark graph stay
 	// under a hundred triples: those never leave the stack.
 	var small [128]rdfgraph.IDTriple
-	ids, err := x.NeighborhoodsCached(r.Context(), s.cache, snap.Epoch(), id, shapes, cols, small[:0])
-	s.release(x)
+	ids, err := core.NeighborhoodsCached(r.Context(), s.cache, snap.Reader(), snap.Epoch(), id, progs, cols, small[:0])
 	if err != nil {
 		extract.End()
 		httpTimeoutError(w, r, err)
@@ -836,8 +803,3 @@ func parseTPFPattern(q map[string][]string) (tpf.Pattern, error) {
 	}
 	return pattern, nil
 }
-
-// graphNow returns the graph of the current snapshot — a convenience for
-// code that needs "the graph as of now" without pinning (stats, tests).
-// Request handlers must use snapshot instead so all their reads agree.
-func (s *Server) graphNow() rdfgraph.Reader { return s.store.Current().Reader() }

@@ -16,6 +16,7 @@ import (
 	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/rdf"
+	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/turtle"
 )
@@ -38,6 +39,10 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Cleanup(ts.Close)
 	return srv, ts
 }
+
+// graphNow returns the graph of srv's current snapshot, unpinned: what a
+// test reads "the graph as of now" through. Handlers pin a snapshot instead.
+func (s *Server) graphNow() rdfgraph.Reader { return s.store.Current().Reader() }
 
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, string) {
 	t.Helper()

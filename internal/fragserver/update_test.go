@@ -390,8 +390,8 @@ func TestUpdateEpochConsistency(t *testing.T) {
 // TestNodeUnknownIRIRace is the frozen-dictionary regression: concurrent
 // /node lookups of IRIs the graph has never seen, racing live updates,
 // must neither intern into a shared frozen dictionary (a panic under the
-// Freeze contract, a data race without it) nor blow up the extractor pool.
-// Run with -race to get the full guarantee.
+// Freeze contract, a data race without it) nor fail to serve the empty
+// body. Run with -race to get the full guarantee.
 func TestNodeUnknownIRIRace(t *testing.T) {
 	_, ts := newUpdateTestServer(t, Config{})
 	var wg sync.WaitGroup

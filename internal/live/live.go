@@ -70,7 +70,8 @@ type Config struct {
 	// re-base (ROADMAP item 1) deletes it.
 	Cache *core.NeighborhoodCache
 	// Plans resolves the compiled program of a definition index, which
-	// every extraction runs on. Nil compiles Requests once, in
+	// every extraction runs on and a rebuild takes its foci from
+	// (plan.Program.FocusNodes). Nil compiles Requests once, in
 	// NewMaintainer (plan.CompileAll).
 	Plans func(def int) *plan.Program
 	// Replay bounds the per-shape delta ring used to resume subscribers
@@ -299,8 +300,9 @@ type change struct {
 // (reach), are re-extracted, on both epochs: their old neighborhoods'
 // triples lose a count, their new ones' gain one. Otherwise it rebuilds:
 // every triple loses its whole count, and every focus candidate of the new
-// epoch is re-extracted, each on its own so that the counts are exact. A
-// shape that keeps no counts is re-diffed whole instead (rediff).
+// epoch (the program's, shared with /fragment) is re-extracted, each on its
+// own so that the counts are exact. A shape that keeps no counts is
+// re-diffed whole instead (rediff).
 func (m *Maintainer) step(st *shapeState, res store.ApplyResult, foci []rdfgraph.ID, patch bool) (added, removed []rdfgraph.IDTriple, nodes int, err error) {
 	reader := res.Snapshot.Reader()
 	if st.fp == nil {
@@ -317,8 +319,7 @@ func (m *Maintainer) step(st *shapeState, res store.ApplyResult, foci []rdfgraph
 		for i, t := range st.frag {
 			cs = append(cs, change{t: t, n: -int32(st.count[i])})
 		}
-		var all []rdfgraph.ID
-		foci = shape.NewEvaluator(reader, m.cfg.Schema).FocusNodes(shape.NNF(m.cfg.Requests[st.def]), &all)
+		foci = m.cfg.Plans(st.def).FocusNodes(reader)
 	}
 	if err == nil {
 		cs, err = m.extract(reader, st.def, foci, 1, cs)
@@ -334,7 +335,7 @@ func (m *Maintainer) step(st *shapeState, res store.ApplyResult, foci []rdfgraph
 // program, at one worker: maintenance stays on the goroutine that holds
 // m.mu — and merge-diffs it against frag.
 func (m *Maintainer) rediff(st *shapeState, g rdfgraph.Reader) (added, removed []rdfgraph.IDTriple, nodes int, err error) {
-	frag, nodes, err := core.NewExtractor(g, m.cfg.Schema).FragmentParallelIDs(m.cfg.Requests[st.def:st.def+1], core.ParallelOptions{
+	frag, nodes, err := core.FragmentParallelIDs(g, m.cfg.Schema, m.cfg.Requests[st.def:st.def+1], core.ParallelOptions{
 		Workers: 1, Plans: &plan.Set{Programs: []*plan.Program{m.cfg.Plans(st.def)}},
 	})
 	if err != nil {

@@ -146,26 +146,23 @@ type search struct {
 }
 
 // maxPooledScratch is the ceiling, in bytes, on what one search — a star path
-// over a hub — can pin beyond its request: Trim and Release drop what is over.
+// over a hub — can pin beyond its request: Release drops what is over.
 const maxPooledScratch = 4 << 20
 
 var searchPool = sync.Pool{New: func() any { return new(search) }}
 
-// Trim drops scratch grown past maxPooledScratch: for an evaluator that
-// outlives its request, as a pooled extractor's do, and keeps the rest warm.
-func (ev *Evaluator) Trim() {
-	if s := ev.search; s != nil && 16*(cap(s.reach.slots)+cap(s.order))+28*cap(s.edges)+4*cap(s.heads) > maxPooledScratch {
-		ev.search = nil
-	}
-}
-
-// Release is Trim for an evaluator whose request is over: the scratch left
-// goes back for a later evaluator to take. ev stays usable, memos and all.
+// Release is for an evaluator whose request is over: its search scratch goes
+// back for a later evaluator to take, unless it grew past maxPooledScratch.
+// ev stays usable, memos and all.
 func (ev *Evaluator) Release() {
-	if ev.Trim(); ev.search != nil {
-		ev.ok, ev.traced = false, false
-		searchPool.Put(ev.search)
-		ev.search = nil
+	s := ev.search
+	if s == nil {
+		return
+	}
+	ev.ok, ev.traced = false, false
+	ev.search = nil
+	if 16*(cap(s.reach.slots)+cap(s.order))+28*cap(s.edges)+4*cap(s.heads) <= maxPooledScratch {
+		searchPool.Put(s)
 	}
 }
 

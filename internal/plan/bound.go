@@ -131,9 +131,13 @@ type state struct {
 	visited [][]*page
 	gen     uint8
 	// spare holds zeroed pages for the ones this request touches, taken by
-	// Bind and put back, with those, by Release: the pages in memo and
-	// visited are exactly the ones it touched.
-	spare *pageSet
+	// Bind and put back, with those, by Release: touched lists the
+	// directory slot of every page the Bound took, so Release visits those
+	// alone, and dirBytes sums the directories' capacity, which a released
+	// state keeps.
+	spare    *pageSet
+	touched  []pageRef
+	dirBytes int
 
 	// decided holds, per instruction decide has a set form for, what its
 	// last set decision found, so that collect reads it back instead of
@@ -256,18 +260,28 @@ func (s *state) cell(rows [][]*page, i int32, v rdfgraph.ID) uint8 {
 
 // touch returns node v's byte in instruction i's row of rows to write, first
 // growing the directory to cover v and putting a zeroed page where v's is
-// missing. A page never moves while the Bound holds it.
+// missing, listed in touched. A page never moves while the Bound holds it.
 func (s *state) touch(rows [][]*page, i int32, v rdfgraph.ID) *uint8 {
 	k := int(v >> pageShift)
 	dir := rows[i]
 	if k >= len(dir) {
+		c := cap(dir)
 		dir = append(dir, make([]*page, k+1-len(dir))...)
 		rows[i] = dir
+		s.dirBytes += 8 * (cap(dir) - c)
 	}
 	if dir[k] == nil {
 		dir[k] = s.spare.take()
+		s.touched = append(s.touched, pageRef{&rows[i], int32(k)})
 	}
 	return &dir[k][v&(pageSize-1)]
+}
+
+// pageRef names the slot of a page a Bound took: page k of the directory at
+// dir, an element of memo or visited, which never grow.
+type pageRef struct {
+	dir *[]*page
+	k   int32
 }
 
 // pageSet is a stack of zeroed pages, any row's for the taking. Sets pass
@@ -292,7 +306,8 @@ func (ps *pageSet) take() *page {
 // Release hands b's state back to its Program for a later Bind to take —
 // its evaluators holding no graph, memo or stop, and no resolution — and
 // the pages the request touched, zeroed, and the searches' scratch back to
-// their process-wide pools. Call it when extraction through b is over. It
+// their process-wide pools. Its cost follows the pages b took, not the
+// directories' length. Call it when extraction through b is over. It
 // is optional — a Bound never released is not recycled — and final: use of
 // b after it panics.
 func (b *Bound) Release() {
@@ -304,29 +319,24 @@ func (b *Bound) Release() {
 			pe.Release()
 		}
 	}
-	spare, dirBytes := s.spare, 0
-	for _, rows := range [][][]*page{s.memo, s.visited} {
-		for _, dir := range rows {
-			for k, pg := range dir {
-				if pg != nil {
-					*pg = page{}
-					spare.pages = append(spare.pages, pg)
-					dir[k] = nil
-				}
-			}
-			dirBytes += 8 * cap(dir)
-		}
+	spare := s.spare
+	for _, ref := range s.touched {
+		pg := (*ref.dir)[ref.k]
+		*pg = page{}
+		spare.pages = append(spare.pages, pg)
+		(*ref.dir)[ref.k] = nil
 	}
-	if dirBytes > maxPooledScratch {
+	if s.dirBytes > maxPooledScratch {
 		clear(s.memo)
 		clear(s.visited)
+		s.dirBytes = 0
 	}
 	if len(spare.pages) > maxSparePages {
 		clear(spare.pages[maxSparePages:])
 		spare.pages = spare.pages[:maxSparePages]
 	}
 	sparePages.Put(spare)
-	scratchBytes := 0
+	scratchBytes := 16 * cap(s.touched) // a pageRef is 16 bytes
 	for _, pool := range [][][]rdfgraph.ID{s.succ, s.vals, s.wit, s.srcs} {
 		for _, buf := range pool {
 			scratchBytes += 4 * cap(buf)
@@ -338,10 +348,10 @@ func (b *Bound) Release() {
 		scratchBytes += 4 * (cap(dc.srcs) + cap(dc.wit) + cap(dc.ends))
 	}
 	if scratchBytes > maxPooledScratch {
-		s.succ, s.vals, s.wit, s.srcs = nil, nil, nil, nil
+		s.succ, s.vals, s.wit, s.srcs, s.touched = nil, nil, nil, nil, nil
 		clear(s.decided)
 	}
-	s.g, s.resolution, s.spare, s.ids, s.depth, s.gen = nil, nil, nil, nil, 0, 1
+	s.g, s.resolution, s.spare, s.ids, s.touched, s.depth, s.gen = nil, nil, nil, nil, s.touched[:0], 0, 1
 	s.prog.states.Put(s)
 }
 

@@ -35,6 +35,7 @@ import (
 
 	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdf"
+	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/shape"
 )
 
@@ -122,7 +123,8 @@ type Instr struct {
 // Program is one compiled shape: a flat instruction array plus the path
 // expressions its instructions reference. The compiled fields are immutable
 // and graph-independent; Bind resolves them against a concrete graph, and
-// keeps that resolution and the released Bounds' state for the next Bind.
+// keeps that resolution and the released Bounds' state for the next Bind,
+// and FocusNodes keeps its source's focus nodes for the last graph asked.
 type Program struct {
 	// Instrs holds the instructions; Root indexes the entry point.
 	Instrs []Instr
@@ -133,10 +135,43 @@ type Program struct {
 	// Source is the request shape the program was compiled from (pre-NNF).
 	Source shape.Shape
 
-	// res is the resolution of the dictionary last bound to, and states
-	// pools the state of released Bounds (Bind, Release).
+	// defs resolves Source's hasShape references for FocusNodes.
+	defs shape.Defs
+	// res is the resolution of the dictionary last bound to, states pools
+	// the state of released Bounds (Bind, Release), and focus holds the
+	// focus nodes of the reader last asked for (FocusNodes).
 	res    atomic.Pointer[resolution]
 	states sync.Pool
+	focus  atomic.Pointer[focusMemo]
+}
+
+// focusMemo is FocusNodes' answer for one reader: its candidates, or all of
+// N(G) — which the reader lists, not the memo — when the source has none.
+type focusMemo struct {
+	g     rdfgraph.Reader
+	nodes []rdfgraph.ID
+	all   bool
+}
+
+// FocusNodes returns the nodes extraction of the program's source visits on
+// g: its focus candidates (shape.Evaluator.FocusNodes), found once per
+// reader and shared by every caller until the program is asked about
+// another one. The result is read-only. The program keeps the last reader
+// it answered for, and with it that snapshot, until it is next asked about
+// another — after an update, the next request's newer one. A source
+// without candidates keeps no node list of its own (g.NodeIDs(), which a
+// frozen graph lists once).
+func (p *Program) FocusNodes(g rdfgraph.Reader) []rdfgraph.ID {
+	m := p.focus.Load()
+	if m == nil || m.g != g {
+		nodes, ok := shape.NewEvaluator(g, p.defs).FocusCandidates(shape.NNF(p.Source))
+		m = &focusMemo{g: g, nodes: nodes, all: !ok}
+		p.focus.Store(m)
+	}
+	if m.all {
+		return g.NodeIDs()
+	}
+	return m.nodes
 }
 
 // compiler carries the state of one compilation.
@@ -153,7 +188,7 @@ type compiler struct {
 func Compile(phi shape.Shape, defs shape.Defs) *Program {
 	c := &compiler{
 		defs:     defs,
-		prog:     &Program{Source: phi},
+		prog:     &Program{Source: phi, defs: defs},
 		byID:     make(map[uint32]int32),
 		pathSlot: make(map[paths.Expr]int32),
 	}

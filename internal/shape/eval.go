@@ -70,13 +70,6 @@ func (ev *Evaluator) SetStop(stop func() bool) {
 	}
 }
 
-// TrimScratch bounds the scratch ev's path evaluators keep (paths.Evaluator.Trim).
-func (ev *Evaluator) TrimScratch() {
-	for _, pe := range ev.pathEvals {
-		pe.Trim()
-	}
-}
-
 // Def resolves a shape name, defaulting to ⊤ for undefined names.
 func (ev *Evaluator) Def(name rdf.Term) Shape { return Resolve(ev.Defs, name) }
 

@@ -49,6 +49,15 @@ if callers=$(grep -nE 'cfg\.Cache' internal/live/*.go | grep -v '_test\.go:'); t
     echo "$callers" >&2
     exit 1
 fi
+# The AST walker's cached neighborhood lookup serves only the frozen bench/
+# replay's /node; the server's misses run on compiled programs
+# (core.NeighborhoodsCached). Tests may call it as an oracle.
+if callers=$(grep -rnE '\.NeighborhoodIDsCached\(' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./bench/' -e '^\./\.bench_build/'); then
+    echo "Extractor.NeighborhoodIDsCached called outside bench/ and tests:" >&2
+    echo "$callers" >&2
+    exit 1
+fi
 # Any selector named Cache or Epoch counts, whatever the variable is called:
 # nothing else in core has a field or method of either name.
 if callers=$(grep -nE '\.(Cache|Epoch)\b' internal/core/*.go | grep -v '_test\.go:'); then
@@ -82,7 +91,9 @@ $GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./inter
 
 echo "== update/subscription storm (-race, -short)"
 # The stale-entry pin (no cache entry served at an epoch an update changed
-# it for, under racing POSTs the server's write lock serializes), the
+# it for, under racing POSTs the server's write lock serializes), /fragment
+# reads racing updates (a program's focus list served only at its own
+# snapshot), the
 # concurrent apply/notify/fanout storms, an epoch published outside
 # /update (over HTTP, and as a notify gap in live), every delta of a
 # seeded update history, every /node body of a seeded
@@ -93,7 +104,7 @@ echo "== update/subscription storm (-race, -short)"
 # re-run on their own so a flake here names the tier that guards the write
 # path.
 $GO test -race -short -count=1 \
-    -run 'TestUpdateCarryStormParity|TestEpochPublishedOutsideUpdate|TestNotifyAcrossGap|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestSupportCountsKeepSharedTriples|TestFallbackPastWalkCap|TestFallbackOnPanickingWalk|TestStarShapeKeepsNoCounts|TestLiveMaintenancePanicEvicts|TestLiveWalkPanicRebuilds|TestCOWEpochsIsolatedProperty|TestCacheHistoryExact|TestFootprintCoversReads' \
+    -run 'TestUpdateCarryStormParity|TestFragmentFocusRacesUpdates|TestEpochPublishedOutsideUpdate|TestNotifyAcrossGap|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestDeltaHistoryExact|TestPanickingNotifyEvictsShape|TestSupportCountsKeepSharedTriples|TestFallbackPastWalkCap|TestFallbackOnPanickingWalk|TestStarShapeKeepsNoCounts|TestLiveMaintenancePanicEvicts|TestLiveWalkPanicRebuilds|TestCOWEpochsIsolatedProperty|TestCacheHistoryExact|TestFootprintCoversReads' \
     ./internal/fragserver ./internal/live ./internal/rdfgraph ./internal/core
 
 echo "== go test -race (store tier, -short)"
